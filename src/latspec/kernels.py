@@ -1,38 +1,31 @@
 """Enumeration kernels for simplex-determinant spectra.
 
 The (r+1)-subset determinant scans are the only hot numeric loops in the
-package, so they carry numba-jitted int64 kernels with a vectorized NumPy
-fallback and a pure-Python exact path.  Selection:
+package.  Ranks 2 and 3 run one vectorized int64 NumPy scan (``_blocks``);
+every rank has a pure-Python exact path.  Selection:
 
-    LATSPEC_KERNELS = auto | numba | numpy | python
+    LATSPEC_KERNELS = auto | numpy | python
 
-``auto`` (the default) means numba when importable, else numpy.  All three
-backends return identical results; the int64 backends are only entered when
-a determinant bound proves the arithmetic cannot overflow, otherwise the
-call silently degrades to the exact Python path.  Ranks other than 2 and 3
-always use the Python path.
+``auto`` (the default) means numpy.  Both backends return identical results;
+the int64 scan is only entered when a determinant bound proves the
+arithmetic cannot overflow and the value-indexed tables fit under
+``TABLE_LIMIT``, otherwise the call silently degrades to the exact Python
+path.  Ranks other than 2 and 3 always use the Python path.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .lattice import det_exact
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAS_NUMBA = False
-
 _ENV = "LATSPEC_KERNELS"
 _INT64_SAFE = 1 << 62
-#: largest value-indexed flag table the int64 backends will allocate
+#: largest value-indexed flag table the int64 backend will allocate
 TABLE_LIMIT = 1 << 27
 
 
@@ -40,11 +33,7 @@ def backend_name() -> str:
     """Resolve the active backend from the environment."""
     choice = os.environ.get(_ENV, "auto").strip().lower()
     if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("LATSPEC_KERNELS=numba but numba is not importable")
-        return "numba"
+        return "numpy"
     if choice in ("numpy", "python"):
         return choice
     raise ValueError(f"unknown {_ENV} value: {choice!r}")
@@ -66,194 +55,63 @@ def _int64_ok(points: Sequence[tuple[int, ...]], rank: int, limit: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numba kernels
+# int64 scan (ranks 2 and 3)
 
-if HAS_NUMBA:
+def _blocks(
+    pts: np.ndarray, rank: int
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(prefix, rows, cols, |dets|)`` blocks covering every (rank+1)-subset.
 
-    @njit(cache=True)
-    def _distinct_r2_nb(pts, limit):  # pragma: no cover - jitted
-        n = pts.shape[0]
-        flags = np.zeros(limit + 1, dtype=np.uint8)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ax = pts[j, 0] - pts[i, 0]
-                ay = pts[j, 1] - pts[i, 1]
-                for k in range(j + 1, n):
-                    d = ax * (pts[k, 1] - pts[i, 1]) - ay * (pts[k, 0] - pts[i, 0])
-                    if d < 0:
-                        d = -d
-                    if d != 0 and d <= limit:
-                        flags[d] = 1
-        return flags
-
-    @njit(cache=True)
-    def _distinct_r3_nb(pts, limit):  # pragma: no cover - jitted
-        n = pts.shape[0]
-        flags = np.zeros(limit + 1, dtype=np.uint8)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ax = pts[j, 0] - pts[i, 0]
-                ay = pts[j, 1] - pts[i, 1]
-                az = pts[j, 2] - pts[i, 2]
-                for k in range(j + 1, n):
-                    bx = pts[k, 0] - pts[i, 0]
-                    by = pts[k, 1] - pts[i, 1]
-                    bz = pts[k, 2] - pts[i, 2]
-                    cx = ay * bz - az * by
-                    cy = az * bx - ax * bz
-                    cz = ax * by - ay * bx
-                    for l in range(k + 1, n):
-                        d = (
-                            cx * (pts[l, 0] - pts[i, 0])
-                            + cy * (pts[l, 1] - pts[i, 1])
-                            + cz * (pts[l, 2] - pts[i, 2])
-                        )
-                        if d < 0:
-                            d = -d
-                        if d != 0 and d <= limit:
-                            flags[d] = 1
-        return flags
-
-    @njit(cache=True)
-    def _witness_r2_nb(pts, wanted, out):  # pragma: no cover - jitted
-        n = pts.shape[0]
-        limit = wanted.shape[0] - 1
-        remaining = 0
-        for v in range(limit + 1):
-            if wanted[v] >= 0:
-                remaining += 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                ax = pts[j, 0] - pts[i, 0]
-                ay = pts[j, 1] - pts[i, 1]
-                for k in range(j + 1, n):
-                    d = ax * (pts[k, 1] - pts[i, 1]) - ay * (pts[k, 0] - pts[i, 0])
-                    if d < 0:
-                        d = -d
-                    if 0 < d <= limit and wanted[d] >= 0:
-                        t = wanted[d]
-                        out[t, 0] = i
-                        out[t, 1] = j
-                        out[t, 2] = k
-                        wanted[d] = -1
-                        remaining -= 1
-                        if remaining == 0:
-                            return
-        return
-
-    @njit(cache=True)
-    def _witness_r3_nb(pts, wanted, out):  # pragma: no cover - jitted
-        n = pts.shape[0]
-        limit = wanted.shape[0] - 1
-        remaining = 0
-        for v in range(limit + 1):
-            if wanted[v] >= 0:
-                remaining += 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                ax = pts[j, 0] - pts[i, 0]
-                ay = pts[j, 1] - pts[i, 1]
-                az = pts[j, 2] - pts[i, 2]
-                for k in range(j + 1, n):
-                    bx = pts[k, 0] - pts[i, 0]
-                    by = pts[k, 1] - pts[i, 1]
-                    bz = pts[k, 2] - pts[i, 2]
-                    cx = ay * bz - az * by
-                    cy = az * bx - ax * bz
-                    cz = ax * by - ay * bx
-                    for l in range(k + 1, n):
-                        d = (
-                            cx * (pts[l, 0] - pts[i, 0])
-                            + cy * (pts[l, 1] - pts[i, 1])
-                            + cz * (pts[l, 2] - pts[i, 2])
-                        )
-                        if d < 0:
-                            d = -d
-                        if 0 < d <= limit and wanted[d] >= 0:
-                            t = wanted[d]
-                            out[t, 0] = i
-                            out[t, 1] = j
-                            out[t, 2] = k
-                            out[t, 3] = l
-                            wanted[d] = -1
-                            remaining -= 1
-                            if remaining == 0:
-                                return
-        return
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-
-def _distinct_r2_np(pts: np.ndarray, limit: int) -> set[int]:
+    A block fixes the first rank-1 indices (``prefix``: ``(i,)`` for rank 2,
+    ``(i, j)`` for rank 3) and covers every pair ``rows[t] < cols[t]`` after
+    them in row-major order, so the blocks taken in order list the subsets
+    ``prefix + (rows[t], cols[t])`` lexicographically.
+    """
     n = pts.shape[0]
-    values: set[int] = set()
-    for i in range(n - 2):
-        d = pts[i + 1 :] - pts[i]
-        cross = np.abs(d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :])
-        tri = cross[np.triu_indices(d.shape[0], k=1)]
-        tri = tri[(tri != 0) & (tri <= limit)]
-        values.update(np.unique(tri).tolist())
-    return values
+    # the pairs (k, l) with k >= s are the tail of the row-major pair list
+    # of all n points, starting at s * (2n - s - 1) / 2
+    all_rows, all_cols = np.triu_indices(n, k=1)
+    for i in range(n - rank):
+        d = pts - pts[i]
+        if rank == 2:
+            start = (i + 1) * (2 * n - i - 2) // 2
+            rows, cols = all_rows[start:], all_cols[start:]
+            dets = d[rows, 0] * d[cols, 1] - d[rows, 1] * d[cols, 0]
+            yield (i,), rows, cols, np.abs(dets)
+            continue
+        for j in range(i + 1, n - 2):
+            start = (j + 1) * (2 * n - j - 2) // 2
+            rows, cols = all_rows[start:], all_cols[start:]
+            normals = np.cross(d[j], d)
+            dets = np.einsum("tk,tk->t", normals[rows], d[cols])
+            yield (i, j), rows, cols, np.abs(dets)
 
 
-def _distinct_r3_np(pts: np.ndarray, limit: int) -> set[int]:
-    n = pts.shape[0]
-    values: set[int] = set()
-    for i in range(n - 3):
-        d = pts[i + 1 :] - pts[i]
-        m = d.shape[0]
-        for a in range(m - 2):
-            for b in range(a + 1, m - 1):
-                cr = np.cross(d[a], d[b])
-                dets = np.abs(d[b + 1 :] @ cr)
-                dets = dets[(dets != 0) & (dets <= limit)]
-                values.update(np.unique(dets).tolist())
-    return values
+def _distinct_np(pts: np.ndarray, rank: int, limit: int) -> set[int]:
+    flags = np.zeros(limit + 1, dtype=bool)
+    for _, _, _, dets in _blocks(pts, rank):
+        flags[dets[dets <= limit]] = True
+    flags[0] = False
+    return set(np.flatnonzero(flags).tolist())
 
 
-def _witness_r2_np(pts: np.ndarray, targets: dict[int, int]) -> dict[int, tuple[int, ...]]:
-    n = pts.shape[0]
+def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tuple[int, ...]]:
+    limit = targets[-1]
+    # one slot past the largest target absorbs every larger |det| unwanted
+    wanted = np.zeros(limit + 2, dtype=bool)
+    wanted[targets] = True
     found: dict[int, tuple[int, ...]] = {}
-    pending = set(targets)
-    for i in range(n - 2):
-        if not pending:
+    for prefix, rows, cols, dets in _blocks(pts, rank):
+        hits = np.flatnonzero(wanted[np.minimum(dets, limit + 1)])
+        if not hits.size:
+            continue
+        # the first hit per value is the lexicographically first in the block
+        values, first = np.unique(dets[hits], return_index=True)
+        for v, t in zip(values.tolist(), hits[first].tolist()):
+            found[v] = (*prefix, int(rows[t]), int(cols[t]))
+        wanted[values] = False
+        if len(found) == len(targets):
             break
-        d = pts[i + 1 :] - pts[i]
-        cross = np.abs(d[:, 0][:, None] * d[:, 1][None, :] - d[:, 1][:, None] * d[:, 0][None, :])
-        cross = np.triu(cross, k=1)
-        for t in sorted(pending):
-            hits = np.argwhere(cross == t)
-            if hits.size:
-                a, b = hits[0]
-                found[t] = (i, i + 1 + int(a), i + 1 + int(b))
-                pending.discard(t)
-    return found
-
-
-def _witness_r3_np(pts: np.ndarray, targets: dict[int, int]) -> dict[int, tuple[int, ...]]:
-    n = pts.shape[0]
-    found: dict[int, tuple[int, ...]] = {}
-    pending = set(targets)
-    for i in range(n - 3):
-        if not pending:
-            break
-        d = pts[i + 1 :] - pts[i]
-        m = d.shape[0]
-        for a in range(m - 2):
-            if not pending:
-                break
-            for b in range(a + 1, m - 1):
-                cr = np.cross(d[a], d[b])
-                dets = np.abs(d[b + 1 :] @ cr)
-                for t in sorted(pending):
-                    hits = np.flatnonzero(dets == t)
-                    if hits.size:
-                        c = int(hits[0])
-                        found[t] = (i, i + 1 + a, i + 1 + b, i + 1 + b + 1 + c)
-                        pending.discard(t)
-                if not pending:
-                    break
     return found
 
 
@@ -298,25 +156,19 @@ def distinct_abs_dets(
 ) -> set[int]:
     """All nonzero |det| values of difference matrices over (rank+1)-subsets.
 
-    ``cap`` restricts the result to values <= cap and lets the int64 backends
-    bound their flag tables.
+    ``cap`` restricts the result to values <= cap and lets the int64 scan
+    bound its flag table.
     """
     if len(points) < rank + 1:
         return set()
-    backend = backend_name()
-    if backend == "python":
-        return _distinct_py(points, rank, cap)
-    c = max(abs(x) for p in points for x in p)
-    limit = det_bound(c, rank)
-    if cap is not None:
-        limit = min(limit, cap)
-    if not _int64_ok(points, rank, limit):
-        return _distinct_py(points, rank, cap)
-    pts = np.asarray(points, dtype=np.int64)
-    if backend == "numba":
-        flags = _distinct_r2_nb(pts, limit) if rank == 2 else _distinct_r3_nb(pts, limit)
-        return set(np.flatnonzero(flags).tolist())
-    return _distinct_r2_np(pts, limit) if rank == 2 else _distinct_r3_np(pts, limit)
+    if backend_name() == "numpy":
+        c = max(abs(x) for p in points for x in p)
+        limit = det_bound(c, rank)
+        if cap is not None:
+            limit = min(limit, cap)
+        if _int64_ok(points, rank, limit):
+            return _distinct_np(np.asarray(points, dtype=np.int64), rank, limit)
+    return _distinct_py(points, rank, cap)
 
 
 def find_det_witnesses(
@@ -330,28 +182,6 @@ def find_det_witnesses(
     targets = sorted({int(t) for t in targets if t > 0})
     if not targets or len(points) < rank + 1:
         return {}
-    backend = backend_name()
-    if backend == "python":
-        return _witness_py(points, rank, targets)
-    limit = max(targets)
-    if not _int64_ok(points, rank, limit):
-        return _witness_py(points, rank, targets)
-    pts = np.asarray(points, dtype=np.int64)
-    if backend == "numba":
-        wanted = np.full(limit + 1, -1, dtype=np.int64)
-        for t_idx, t in enumerate(targets):
-            wanted[t] = t_idx
-        out = np.full((len(targets), rank + 1), -1, dtype=np.int64)
-        if rank == 2:
-            _witness_r2_nb(pts, wanted, out)
-        else:
-            _witness_r3_nb(pts, wanted, out)
-        return {
-            t: tuple(int(x) for x in out[t_idx])
-            for t_idx, t in enumerate(targets)
-            if out[t_idx, 0] >= 0
-        }
-    lookup = {t: t for t in targets}
-    if rank == 2:
-        return _witness_r2_np(pts, lookup)
-    return _witness_r3_np(pts, lookup)
+    if backend_name() == "numpy" and _int64_ok(points, rank, targets[-1]):
+        return _witness_np(np.asarray(points, dtype=np.int64), rank, targets)
+    return _witness_py(points, rank, targets)

@@ -110,12 +110,6 @@ def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    if len(A[0]) != len(v):
-        raise ValueError("dimension mismatch")
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
-
-
 def mat_from_columns(cols: Iterable[Sequence[int]]) -> Matrix:
     cols = [as_coords(c) for c in cols]
     r = len(cols[0])

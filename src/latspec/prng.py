@@ -40,8 +40,3 @@ class SplitMix64:
 
     def choice(self, seq):
         return seq[self.below(len(seq))]
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]

@@ -36,7 +36,7 @@ from .cyclotomic import (
 )
 from .formal import FormalReal
 from .intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
-from .lattice import as_coords, mat_columns, scale_lattice
+from .lattice import as_coords, scale_lattice
 from .systems import (
     BoxUnion,
     ComponentPresentation,
@@ -186,7 +186,6 @@ class SpectralMeasure:
     total: Weight
     trivial: Weight
     normalization: Fraction = Fraction(1)
-    hidden_rational_possible: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,6 @@ def spectral_measure_kronecker(
         tail=tail,
         total=Weight.of(mu_b),
         trivial=Weight.of(mu_b * mu_b),
-        hidden_rational_possible=not cert["ergodic"],
     )
 
 
@@ -480,7 +478,6 @@ def normalized(sigma: SpectralMeasure) -> SpectralMeasure:
         total=sigma.total.scale(inv),
         trivial=Weight.of(1),
         normalization=sigma.normalization * t,
-        hidden_rational_possible=sigma.hidden_rational_possible,
     )
 
 
@@ -537,23 +534,14 @@ def _kron_rational_annihilator_exact(
     return total / d
 
 
-def subgroup_trivial_mass(sigma: SpectralMeasure, L) -> Fraction:
-    """Mass of the characters trivial on every element of a sublattice (finite only)."""
-    if sigma.kind != "finite":
-        raise ValueError("exact subgroup masses require a finite system")
-    sys_: FiniteSystem = sigma.system
-    images = [sys_.phi(col) for col in mat_columns(L.basis_matrix)]
-    sub = sys_.subgroup(images)
-    return _coset_mass(sys_, sigma.base_set, sub) / sigma.normalization
-
-
 def rational_mass_excluding_trivial(sigma: SpectralMeasure) -> Weight:
     """Mass on rational, nontrivial characters.
 
     Finite systems: every atom is rational, so this is total - trivial,
-    exactly.  Kronecker systems: exact zero when the frequency matrix
-    certifies that only k = 0 pairs rationally; otherwise the enumerated
-    rational mass widened by the tail.
+    exactly.  Kronecker systems: the enumerated rational mass, exact zero
+    when it vanishes; the measure exists only for ergodic systems, where
+    the frequency matrix certifies that only k = 0 pairs rationally, so no
+    rational mass hides in the tail.
     """
     if sigma.kind == "finite":
         return Weight.of(sigma.total.value - sigma.trivial.value)
@@ -561,15 +549,9 @@ def rational_mass_excluding_trivial(sigma: SpectralMeasure) -> Weight:
     for a in sigma.atoms:
         if a.character.is_rational and not a.character.is_trivial:
             enumerated = enumerated + a.weight
-    if not sigma.hidden_rational_possible:
-        if enumerated.lower == enumerated.upper == 0:
-            return Weight.of(0)
-        return enumerated
-    return Weight(
-        enumerated.lower,
-        enumerated.upper + sigma.tail.upper,
-        False,
-    )
+    if enumerated.lower == enumerated.upper == 0:
+        return Weight.of(0)
+    return enumerated
 
 
 @dataclass(frozen=True)
@@ -785,9 +767,10 @@ class IrrationalPart:
 def irrational_part(sigma: SpectralMeasure) -> IrrationalPart:
     """Split off the part of sigma supported outside the rational spectrum.
 
-    Requires a certificate that no rational mass hides in the tail; finite
-    systems have none by construction (all atoms rational), so their
-    irrational part is the zero measure.
+    No rational mass hides in a Kronecker tail: the measure exists only for
+    ergodic systems, where only k = 0 pairs rationally.  Finite systems have
+    no irrational atoms by construction, so their irrational part is the
+    zero measure.
     """
     if sigma.kind == "finite":
         return IrrationalPart(
@@ -796,10 +779,6 @@ def irrational_part(sigma: SpectralMeasure) -> IrrationalPart:
             atoms=(),
             tail=ZERO_WEIGHT,
             total=ZERO_WEIGHT,
-        )
-    if sigma.hidden_rational_possible:
-        raise ValueError(
-            "cannot certify zero rational tail mass: frequency matrix admits rational pairings"
         )
     atoms = tuple(
         a

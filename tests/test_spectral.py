@@ -475,7 +475,6 @@ def test_kronecker_rational_mass_certificate():
     # mixed rational/irrational frequencies stay ergodic and stay certified
     mixed = kronecker_system(2, 1, [[a, Fraction(1, 3)]])
     sig2 = normalized(spectral_measure_kronecker(mixed, b, 8))
-    assert not sig2.hidden_rational_possible
     assert rational_mass_excluding_trivial(sig2).value == 0
 
 
