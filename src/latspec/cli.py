@@ -6,7 +6,8 @@ serialized as {"num": "...", "den": "..."} string pairs; interval-valued
 estimates as {"lower": float, "upper": float, "exact": false}.  Reports are
 deterministic for a fixed config and seed except for the "generated_at" and
 "elapsed_seconds" fields.  Exit codes: 0 success, 1 failed verdict or hard
-failure, 2 config error.  Logs go to stderr; the report goes to --out or
+failure, 2 config error (a malformed config or report, refused with a
+one-line reason).  Logs go to stderr; the report goes to --out or
 stdout.
 
 Subcommands: volume-spectrum, pattern-search, expand-scan, spectral-report,
@@ -19,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import product
@@ -31,6 +31,7 @@ from .haystack import make_haystack, verify_haystack_sample
 from .lattice import is_primitive, sublattice
 from .spectral import (
     Weight,
+    ambient_intersections,
     annihilator_mass,
     expansion_bound_check,
     intersection_theorem_search,
@@ -89,12 +90,13 @@ def ser_fraction(q: Fraction) -> dict:
 
 
 def parse_fraction(value) -> Fraction:
-    if isinstance(value, dict):
-        return Fraction(int(value["num"]), int(value["den"]))
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, float)):
-        return Fraction(value)
+    try:
+        if isinstance(value, dict):
+            return Fraction(int(value["num"]), int(value["den"]))
+        if isinstance(value, (str, int, float)):
+            return Fraction(value)
+    except ZeroDivisionError:
+        raise ConfigError(f"zero denominator in rational {value!r}") from None
     raise ConfigError(f"cannot parse rational from {value!r}")
 
 
@@ -144,7 +146,7 @@ def _parse_set_b(sys_, desc: dict):
     kind = desc.get("kind")
     if isinstance(sys_, FiniteSystem):
         if kind == "elements":
-            return frozenset(tuple(int(x) for x in p) for p in desc["points"])
+            return frozenset(sys_.reduce(p) for p in desc["points"])
         if kind == "preimages":
             return frozenset(sys_.phi(tuple(int(x) for x in p)) for p in desc["points"])
         raise ConfigError("finite set_b kinds: 'elements', 'preimages'")
@@ -186,7 +188,7 @@ def _require(cfg: dict, *keys):
 # ---------------------------------------------------------------------------
 # experiment runners: each returns (results, verdicts, csv_rows, csv_header)
 
-def _run_volume_spectrum(cfg: dict, seed: Optional[int], threads: int):
+def _run_volume_spectrum(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "window", "set")
     e = build_point_set(_seeded(cfg["set"], seed), int(cfg["rank"]), int(cfg["window"]))
     cap = cfg.get("cap")
@@ -216,7 +218,7 @@ def _run_volume_spectrum(cfg: dict, seed: Optional[int], threads: int):
     return results, verdicts, rows, ["value"]
 
 
-def _run_pattern_search(cfg: dict, seed: Optional[int], threads: int):
+def _run_pattern_search(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "window", "set", "p", "probes")
     e = build_point_set(_seeded(cfg["set"], seed), int(cfg["rank"]), int(cfg["window"]))
     bounds_cfg = cfg.get("bounds", {})
@@ -253,7 +255,7 @@ def _candidate_box(rank: int, bound: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _run_expand_scan(cfg: dict, seed: Optional[int], threads: int):
+def _run_expand_scan(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b", "coord_bound")
     sys_ = _parse_system(cfg["system"])
     if not isinstance(sys_, FiniteSystem):
@@ -263,15 +265,7 @@ def _run_expand_scan(cfg: dict, seed: Optional[int], threads: int):
     sspec = _parse_sspec(cfg.get("ergodic_set")) if "ergodic_set" in cfg else None
     candidates = _candidate_box(sys_.rank, bound)
 
-    def measure_one(lam):
-        _, mu = orbit_saturation(sys_, bset, lam, sspec)
-        return lam, mu
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            measured = list(pool.map(measure_one, candidates))
-    else:
-        measured = [measure_one(lam) for lam in candidates]
+    measured = [(lam, orbit_saturation(sys_, bset, lam, sspec)[1]) for lam in candidates]
     best_mu, best_lam = max_directional_expansion(sys_, bset, candidates)
     rows = []
     all_ok = True
@@ -310,7 +304,7 @@ def _run_expand_scan(cfg: dict, seed: Optional[int], threads: int):
     return results, verdicts, rows, header
 
 
-def _run_spectral_report(cfg: dict, seed: Optional[int], threads: int):
+def _run_spectral_report(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b")
     sys_ = _parse_system(cfg["system"])
     bset = _parse_set_b(sys_, cfg["set_b"])
@@ -368,7 +362,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int], threads: int):
     return results, verdicts, None, None
 
 
-def _run_decompose(cfg: dict, seed: Optional[int], threads: int):
+def _run_decompose(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b")
     sys_ = _parse_system(cfg["system"])
     if not isinstance(sys_, FiniteSystem):
@@ -414,7 +408,7 @@ def _run_decompose(cfg: dict, seed: Optional[int], threads: int):
     return results, verdicts, None, None
 
 
-def _run_intersect(cfg: dict, seed: Optional[int], threads: int):
+def _run_intersect(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b", "p", "probes")
     sys_ = _parse_system(cfg["system"])
     if not isinstance(sys_, FiniteSystem):
@@ -445,7 +439,7 @@ def _run_intersect(cfg: dict, seed: Optional[int], threads: int):
     return results, verdicts, None, None
 
 
-def _run_haystack_verify(cfg: dict, seed: Optional[int], threads: int):
+def _run_haystack_verify(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank")
     rank = int(cfg["rank"])
     if "vectors" in cfg:
@@ -471,7 +465,7 @@ def _run_haystack_verify(cfg: dict, seed: Optional[int], threads: int):
     return results, verdicts, None, None
 
 
-def _run_density(cfg: dict, seed: Optional[int], threads: int):
+def _run_density(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "set", "windows")
     rank = int(cfg["rank"])
     est = upper_density_estimate(
@@ -559,25 +553,18 @@ def _verify_report(report: dict) -> list[dict]:
         sys_ = _parse_system(cfg["system"])
         bset = _parse_set_b(sys_, cfg["set_b"])
         res = report["results"]
-        n, lam, m1 = res["n"], tuple(res["lambda"]), res["m1"]
-        claimed = parse_fraction(res["intersection_measure"])
-        worst = None
-        base = {
-            x
-            for x in bset
-            if _member_shift(sys_, x, tuple(m1 * n * v for v in lam), bset)
-        }
-        for w in res["probes"]:
-            current = set(base)
-            for m_k, probe_v in zip(w["ms"], w["probe"], strict=True):
-                shift = tuple(m_k * n * lv + n * pv for lv, pv in zip(lam, probe_v))
-                current &= {x for x in bset if _member_shift(sys_, x, shift, bset)}
-            mu_i = sys_.measure(current)
-            worst = mu_i if worst is None else min(worst, mu_i)
+        measures = ambient_intersections(
+            sys_,
+            bset,
+            res["n"],
+            res["lambda"],
+            res["m1"],
+            [(w["ms"], w["probe"]) for w in res["probes"]],
+        )
+        for mu_i in measures[1:]:
             add("probe-intersection-positive", mu_i > 0)
-        if worst is None:
-            worst = sys_.measure(base)
-        add("intersection-measure-reproduces", worst == claimed)
+        claimed = parse_fraction(res["intersection_measure"])
+        add("intersection-measure-reproduces", min(measures) == claimed)
     elif kind == "haystack-verify":
         vectors = [tuple(v) for v in report["results"]["vectors"]]
         verdict = verify_haystack_sample(vectors, int(cfg["rank"]))
@@ -624,16 +611,6 @@ def _verify_report(report: dict) -> list[dict]:
     return checks
 
 
-def _member_shift(sys_: FiniteSystem, x, lam_total, bset) -> bool:
-    shift = sys_.phi(lam_total)
-    back = (
-        tuple((a - s) % d for a, s, d in zip(x, shift, sys_.moduli, strict=True))
-        if sys_.moduli
-        else ()
-    )
-    return back in bset
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -654,7 +631,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", help="report path (default stdout); with --verify-only, the report to check")
     parser.add_argument("--csv", help="CSV export path for tabular outputs")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     parser.add_argument("--seed", type=int, help="overrides the config seed")
     parser.add_argument(
         "--verify-only",
@@ -662,51 +641,38 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="recheck the witnesses in an existing report instead of running",
     )
     args = parser.parse_args(argv)
-
+    # the one mapping from exceptions to exit codes, for runs and replays alike
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _log(f"config error: {exc}")
+        return _serve(args)
+    except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
+        _log(f"config error: {f'missing field {exc}' if isinstance(exc, KeyError) else exc}")
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        _log(f"hard failure: {exc}")
+        return 1
 
+
+def _serve(args: argparse.Namespace) -> int:
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     if cfg.get("experiment", args.experiment) != args.experiment:
-        _log("config error: config 'experiment' does not match the subcommand")
-        return 2
+        raise ConfigError("config 'experiment' does not match the subcommand")
 
     seed = args.seed if args.seed is not None else cfg.get("seed")
 
     if args.verify_only:
         if not args.out:
-            _log("config error: --verify-only needs --out pointing at the report")
-            return 2
-        try:
-            with open(args.out) as fh:
-                report = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _log(f"config error: {exc}")
-            return 2
-        try:
-            checks = _verify_report(report)
-        except ConfigError as exc:
-            _log(f"config error: {exc}")
-            return 2
+            raise ConfigError("--verify-only needs --out pointing at the report")
+        with open(args.out) as fh:
+            checks = _verify_report(json.load(fh))
         for chk in checks:
             _log(f"{'PASS' if chk['pass'] else 'FAIL'}  {chk['name']}")
         return 0 if all(c["pass"] for c in checks) else 1
 
     start = time.monotonic()
-    try:
-        results, verdicts, rows, header = _RUNNERS[args.experiment](cfg, seed, args.threads)
-    except ConfigError as exc:
-        _log(f"config error: {exc}")
-        return 2
-    except (KeyError, TypeError, ValueError) as exc:
-        _log(f"config error: {exc}")
-        return 2
-    except (AssertionError, RuntimeError) as exc:
-        _log(f"hard failure: {exc}")
-        return 1
+    results, verdicts, rows, header = _RUNNERS[args.experiment](cfg, seed)
     elapsed = time.monotonic() - start
 
     report = {
@@ -729,8 +695,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(body)
     if args.csv:
         if rows is None:
-            _log("config error: this experiment has no tabular output for --csv")
-            return 2
+            raise ConfigError("this experiment has no tabular output for --csv")
         _write_csv(args.csv, header, rows)
         _log(f"csv written to {args.csv}")
     for v in verdicts:

@@ -7,7 +7,8 @@ every rank has a pure-Python exact path.  Selection:
     LATSPEC_KERNELS = auto | numpy | python
 
 ``auto`` (the default) means numpy.  Both backends return identical results;
-the int64 scan is only entered when a determinant bound proves the
+the int64 scan is only entered when a determinant bound from the coordinate
+spread (determinants of difference vectors ignore translation) proves the
 arithmetic cannot overflow and the value-indexed tables fit under
 ``TABLE_LIMIT``, otherwise the call silently degrades to the exact Python
 path.  Ranks other than 2 and 3 always use the Python path.
@@ -47,11 +48,20 @@ def det_bound(max_abs_coord: int, rank: int) -> int:
     return fact * (2 * max_abs_coord) ** rank
 
 
+def _spread_bound(points: Sequence[tuple[int, ...]], rank: int) -> int:
+    # determinants of difference vectors ignore translation: bound by the spread
+    spread = max(max(col) - min(col) for col in zip(*points))
+    return det_bound((spread + 1) // 2, rank)
+
+
 def _int64_ok(points: Sequence[tuple[int, ...]], rank: int, limit: int) -> bool:
-    if rank not in (2, 3) or not points:
-        return False
-    c = max(abs(x) for p in points for x in p)
-    return det_bound(c, rank) < _INT64_SAFE and limit <= TABLE_LIMIT
+    return rank in (2, 3) and _spread_bound(points, rank) < _INT64_SAFE and limit <= TABLE_LIMIT
+
+
+def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
+    # translate in Python first: the spread fits int64, the coordinates need not
+    lows = [min(col) for col in zip(*points)]
+    return np.asarray([[x - lo for x, lo in zip(p, lows)] for p in points], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +172,11 @@ def distinct_abs_dets(
     if len(points) < rank + 1:
         return set()
     if backend_name() == "numpy":
-        c = max(abs(x) for p in points for x in p)
-        limit = det_bound(c, rank)
+        limit = _spread_bound(points, rank)
         if cap is not None:
             limit = min(limit, cap)
         if _int64_ok(points, rank, limit):
-            return _distinct_np(np.asarray(points, dtype=np.int64), rank, limit)
+            return _distinct_np(_int64_points(points), rank, limit)
     return _distinct_py(points, rank, cap)
 
 
@@ -183,5 +192,5 @@ def find_det_witnesses(
     if not targets or len(points) < rank + 1:
         return {}
     if backend_name() == "numpy" and _int64_ok(points, rank, targets[-1]):
-        return _witness_np(np.asarray(points, dtype=np.int64), rank, targets)
+        return _witness_np(_int64_points(points), rank, targets)
     return _witness_py(points, rank, targets)

@@ -193,92 +193,52 @@ class SpectralMeasure:
 
 @dataclass(frozen=True)
 class _FiniteTables:
-    sys: FiniteSystem
-    bset: frozenset
-    elements: tuple
-    index: dict
-    n_char: int
     order: int
-    labels: tuple
-    exps_on_lambda: tuple          # per character: exponent vector on Z^r
+    labels: tuple                  # dual labels, in carrier (flat index) order
+    exps_on_lambda: np.ndarray     # (n_char, rank) exponent vector on Z^r per character
     exp_matrix: np.ndarray         # (n_char, |A|) exponents of chi(h)
     weight_matrix: np.ndarray      # (n_char, order) integer root-count vectors
     reduction: np.ndarray          # (order, deg) reduction matrix mod Phi_order
-    b_count: int
 
 
 @lru_cache(maxsize=256)
 def _finite_tables(sys_: FiniteSystem, bset: frozenset) -> _FiniteTables:
-    els = tuple(sys_.elements())
-    index = {e: i for i, e in enumerate(els)}
     n = sys_.size
     order = sys_.exponent
-    mods = sys_.moduli
-    s = len(mods)
-    label_iter = tuple(product(*(range(d) for d in mods))) if s else ((),)
-    if s:
-        el_arr = np.array(els, dtype=np.int64)
-        lab_arr = np.array(label_iter, dtype=np.int64)
-        coord_w = np.array([order // d for d in mods], dtype=np.int64)
-        exp_matrix = ((lab_arr * coord_w) @ el_arr.T) % order
-    else:
-        exp_matrix = np.zeros((1, 1), dtype=np.int64)
-    labels = label_iter
-    exps_on_lambda = []
-    for c in labels:
-        exps_on_lambda.append(
-            tuple(
-                sum(c[i] * g[i] * (order // mods[i]) for i in range(s)) % order
-                for g in sys_.gens
-            )
-        )
-    # difference counts of B
-    n_b = np.zeros(n, dtype=np.int64)
-    for a in bset:
-        for b in bset:
-            diff = tuple((x - y) % d for x, y, d in zip(a, b, mods, strict=True))
-            n_b[index[diff]] += 1
-    weight_matrix = np.zeros((len(labels), order), dtype=np.int64)
-    for ci in range(len(labels)):
+    # the dual of A is labelled by A itself: label c pairs with h as
+    # sum_i c_i h_i (order / d_i) mod order
+    every = sys_.vectors(np.arange(n))
+    weighted = every * (order // np.array(sys_.moduli, dtype=np.int64))
+    gens = np.array(sys_.gens, dtype=np.int64).reshape(sys_.rank, len(sys_.moduli))
+    # difference counts n_B(d) = #{(a, b) in B^2 : a - b = d}, with the
+    # |B|^2 pair table freed before the |A|^2 exponent table is built
+    b_idx = sys_.index(bset)
+    n_b = np.bincount(sys_.translate(b_idx[:, None], -sys_.vectors(b_idx)).ravel(), minlength=n)
+    exp_matrix = (weighted @ every.T) % order
+    weight_matrix = np.zeros((n, order), dtype=np.int64)
+    for ci in range(n):
         np.add.at(weight_matrix[ci], exp_matrix[ci], n_b)
     rows = reduction_rows(order)
     reduction = np.array(rows, dtype=np.int64)
     if rows and max(abs(x) for row in rows for x in row) > 1 << 40:
         raise AssertionError("reduction matrix entries unexpectedly large")
     return _FiniteTables(
-        sys=sys_,
-        bset=bset,
-        elements=els,
-        index=index,
-        n_char=len(labels),
         order=order,
-        labels=labels,
-        exps_on_lambda=tuple(exps_on_lambda),
+        labels=tuple(sys_.elements()),
+        exps_on_lambda=(weighted @ gens.T) % order,
         exp_matrix=exp_matrix,
         weight_matrix=weight_matrix,
         reduction=reduction,
-        b_count=len(bset),
     )
-
-
-def _coset_mass(sys_: FiniteSystem, bset: frozenset, subgroup: frozenset) -> Fraction:
-    """sigma_B of the characters trivial on a subgroup image, by the coset formula."""
-    if not sys_.moduli:
-        return Fraction(len(bset), 1)
-    seen: set[Element] = set()
-    acc = 0
-    for x in sys_.elements():
-        if x in seen:
-            continue
-        coset = {sys_.add(x, h) for h in subgroup}
-        seen |= coset
-        acc += len(coset & bset) ** 2
-    return Fraction(acc, len(subgroup) * sys_.size)
 
 
 @lru_cache(maxsize=65536)
 def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: Element) -> Fraction:
-    return _coset_mass(sys_, bset, sys_.subgroup([g]))
+    """sigma_B of the characters trivial on <g>, by the coset formula: the sum
+    over cosets C of |C ∩ B|^2, over |<g>| * |A|."""
+    labels = sys_.coset_labels([g])
+    per_coset = np.bincount(labels[sys_.index(bset)], minlength=sys_.size)
+    return Fraction(int(per_coset @ per_coset), sys_.order_of(g) * sys_.size)
 
 
 def spectral_measure(sys_: FiniteSystem, b: Iterable[Element]) -> SpectralMeasure:
@@ -299,13 +259,14 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
     t = _finite_tables(sys_, bset)
     n = sys_.size
     den = Fraction(n * n)
-    mu_b = Fraction(t.b_count, n)
+    mu_b = Fraction(len(bset), n)
     atoms = []
     reduced_all = t.weight_matrix @ t.reduction
+    exps_all = t.exps_on_lambda.tolist()
     for ci, label in enumerate(t.labels):
         vec = tuple(int(x) for x in t.weight_matrix[ci])
         red = reduced_all[ci]
-        char = FiniteCharacter(order=t.order, exps=t.exps_on_lambda[ci], dual_label=label)
+        char = FiniteCharacter(order=t.order, exps=tuple(exps_all[ci]), dual_label=label)
         rat = rational_value_of_reduced([int(x) for x in red])
         if rat is not None:
             w = Weight.of(Fraction(int(rat)) / den)
@@ -321,7 +282,7 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
         for k, c in enumerate(a.vec):
             total_vec[k] += c
     total_red = reduce_root_vector(t.order, total_vec)
-    if rational_value_of_reduced(total_red) != t.b_count * n:
+    if rational_value_of_reduced(total_red) != len(bset) * n:
         raise AssertionError("atom total must equal mu(B)")
     return SpectralMeasure(
         kind="finite",
@@ -499,8 +460,7 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
         value = raw / sigma.normalization
         # independent atom route: sum the annihilating root-count vectors
         t = _finite_tables(sys_, sigma.base_set)
-        exps = np.array(t.exps_on_lambda, dtype=np.int64)
-        phases = (exps @ np.array(c, dtype=np.int64)) % t.order
+        phases = (t.exps_on_lambda @ np.array(c, dtype=np.int64)) % t.order
         vec = t.weight_matrix[phases == 0].sum(axis=0)
         red = vec @ t.reduction
         atom_value = rational_value_of_reduced([int(x) for x in red])
@@ -584,17 +544,17 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[Element], lam_box) -> Bochner
     violations = []
     results: dict[Element, bool] = {}
     col = np.arange(order)[None, :]
+    in_b = sys_.mask(bset)
     for lam in lams:
         g = sys_.phi(lam)
         if g not in results:
-            gi = t.index[g]
-            exps_g = t.exp_matrix[:, gi]
+            exps_g = t.exp_matrix[:, sys_.index([g])[0]]
             gathered = t.weight_matrix[
-                np.arange(t.n_char)[:, None], (col - exps_g[:, None]) % order
+                np.arange(len(t.labels))[:, None], (col - exps_g[:, None]) % order
             ]
             p_vec = gathered.sum(axis=0)
             red = p_vec @ t.reduction
-            cnt = sum(1 for x in bset if sys_.add(x, g) in bset)
+            cnt = int(np.count_nonzero(sys_.overlap(in_b, g)))
             ok = int(red[0]) == cnt * n and not any(int(x) for x in red[1:])
             results[g] = ok
         checked += 1
@@ -993,8 +953,9 @@ def shrink_rational_spectrum(
         comps = ergodic_components(sys_, L)
         q_b = [comp for comp in comps if comp.measure(bset) > 0]
         c = min(comp.weight for comp in q_b)
-        sub = sys_.subgroup([sys_.phi(col) for col in _scaled_basis(sys_.rank, n)])
-        trivial_on = _coset_mass(sys_, bset, sub)
+        # the coset formula over the components: each coset C of phi(L) adds
+        # |C ∩ B|^2 / (|C| |A|) = weight * nu(B)^2
+        trivial_on = sum(comp.weight * comp.measure(bset) ** 2 for comp in q_b)
         pi_mass = (mu_b - trivial_on) / (mu_b * mu_b)
         if pi_mass == 0:
             selected = _select(q_b, bset)
@@ -1030,10 +991,6 @@ def shrink_rational_spectrum(
                 tried=tuple(tried),
             )
     raise AssertionError("shrinking must succeed at the carrier exponent")
-
-
-def _scaled_basis(rank: int, n: int):
-    return [tuple(n if i == j else 0 for i in range(rank)) for j in range(rank)]
 
 
 def _select(comps: Sequence[ErgodicComponent], bset: frozenset) -> ErgodicComponent:
@@ -1116,72 +1073,52 @@ def intersection_theorem_search(
     order = comp_sys.order_of(g1)
     nu_b = comp_sys.measure(comp_b)
     m_candidates = _positive_elements(sspec, order + 1)
+    in_b = comp_sys.mask(comp_b)
     m1 = None
     for m in m_candidates:
-        shift = comp_sys.scale(m, g1)
-        inter = {x for x in comp_b if comp_sys.add(x, shift) in comp_b}
-        if comp_sys.measure(inter) > nu_b * nu_b / 2:
+        # b1 = {x in B : x + m*g1 in B}
+        b1 = comp_sys.overlap(in_b, comp_sys.scale(-m, g1))
+        if Fraction(int(np.count_nonzero(b1)), comp_sys.size) > nu_b * nu_b / 2:
             m1 = m
-            b1 = frozenset(inter)
             break
     if m1 is None:
         raise AssertionError(
             "no m1 with a large self-intersection along the averaging set "
             "(the averaging-set spec is not universal)"
         )
+    b_idx = np.flatnonzero(in_b)
+    m_shifts = comp_sys.multiples([m % order for m in m_candidates], g1)
     witnesses = []
     for probe in probe_list:
-        shifted_sets = []
+        # per probe vector, the options m*g1 + phi(lam_k) and the union of
+        # the translates of B by them
+        option_rows = []
+        j = b1.copy()
         for lam_k in probe:
-            base_shift = comp_sys.phi(lam_k)
-            options = []
-            for m in m_candidates:
-                shift = comp_sys.add(comp_sys.scale(m, g1), base_shift)
-                options.append((m, shift))
-            union = set()
-            for _, shift in options:
-                union |= {comp_sys.add(x, shift) for x in comp_b}
-            shifted_sets.append((options, union))
-        j = set(b1)
-        for _, union in shifted_sets:
+            shifts = m_shifts + np.array(comp_sys.phi(lam_k), dtype=np.int64)
+            union = np.zeros(comp_sys.size, dtype=bool)
+            union[comp_sys.translate(b_idx[:, None], shifts)] = True
             j &= union
-        if not j:
+            option_rows.append(shifts)
+        if not j.any():
             raise AssertionError("union-bound stage lost positivity: library bug")
-        x = min(j)
+        # the least flat index is the lexicographically least point
+        x = int(np.argmax(j))
         ms = []
-        for options, _ in shifted_sets:
-            hit = None
-            for m, shift in options:
-                back = tuple(
-                    (xx - ss) % d
-                    for xx, ss, d in zip(x, shift, comp_sys.moduli, strict=True)
-                ) if comp_sys.moduli else ()
-                if back in comp_b:
-                    hit = m
-                    break
-            if hit is None:
+        for shifts in option_rows:
+            back_in_b = in_b[comp_sys.translate(x, -shifts)]
+            if not back_in_b.any():
                 raise AssertionError("common point lost its translate: library bug")
-            ms.append(hit)
+            ms.append(m_candidates[int(np.argmax(back_in_b))])
         witnesses.append(ProbeWitness(probe=probe, ms=tuple(ms)))
     # exact ambient re-verification of the displayed intersection
     n = shrink.n
-    inter = set(bset)
-    shift1 = sys_.phi(tuple(m1 * n * x for x in lam))
-    inter &= {x for x in bset if _shift_in(sys_, x, shift1, bset)}
-    worst = sys_.measure(inter)
-    if worst <= 0:
+    measures = ambient_intersections(
+        sys_, bset, n, lam, m1, [(w.ms, w.probe) for w in witnesses]
+    )
+    if min(measures) <= 0:
         raise AssertionError("ambient intersection is null: library bug")
-    for w in witnesses:
-        current = set(inter)
-        for m_k, lam_k in zip(w.ms, w.probe, strict=True):
-            shift = sys_.phi(
-                tuple(m_k * n * lx + n * lk for lx, lk in zip(lam, lam_k, strict=True))
-            )
-            current &= {x for x in bset if _shift_in(sys_, x, shift, bset)}
-        mu_i = sys_.measure(current)
-        if mu_i <= 0:
-            raise AssertionError("ambient intersection is null: library bug")
-        worst = min(worst, mu_i)
+    worst = min(measures)
     return IntersectionWitness(
         n=n,
         lam=lam,
@@ -1202,8 +1139,30 @@ def _positive_elements(sspec: ErgodicSetSpec, count: int) -> list[int]:
     return [sspec.offset + sspec.step * t for t in range(first, first + count)]
 
 
-def _shift_in(sys_: FiniteSystem, x: Element, shift: Element, bset: frozenset) -> bool:
-    # x in (shift).B  <=>  x - shift in B; with +shift translation this is
-    # x in B + shift, i.e. x - shift in B.
-    back = tuple((a - s) % d for a, s, d in zip(x, shift, sys_.moduli, strict=True)) if sys_.moduli else ()
-    return back in bset
+def ambient_intersections(
+    sys_: FiniteSystem,
+    b: Iterable[Element],
+    n: int,
+    lam: Sequence[int],
+    m1: int,
+    probes: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
+) -> list[Fraction]:
+    """Exact measures of the displayed intersections in the ambient system.
+
+    The first entry is mu(I) for I = B ∩ (B + phi(m1*n*lam)); then one entry
+    per probe ``(ms, vectors)``: mu of I intersected with every
+    B + phi(m_k*n*lam + n*lam_k).
+    """
+    in_b = sys_.mask(b)
+
+    def meets(vec) -> np.ndarray:
+        return sys_.overlap(in_b, sys_.phi(tuple(vec)))
+
+    base = meets(m1 * n * x for x in lam)
+    current = [base]
+    for ms, vectors in probes:
+        inter = base
+        for m_k, lam_k in zip(ms, vectors, strict=True):
+            inter = inter & meets(m_k * n * lx + n * lk for lx, lk in zip(lam, lam_k, strict=True))
+        current.append(inter)
+    return [Fraction(int(np.count_nonzero(m)), sys_.size) for m in current]

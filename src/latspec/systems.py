@@ -3,7 +3,10 @@
 Two model classes are supported.  Finite systems are translation actions on
 a finite abelian group A (held as tuples modulo an invariant-factor chain)
 through a homomorphism phi: Z^r -> A given by generator images; every
-measure is an exact Fraction.  Kronecker systems are torus rotations
+measure is an exact Fraction.  Internally each element also has a flat index
+in [0, |A|), its lexicographic mixed-radix number, and sets, subgroups and
+cosets are index arrays or boolean masks over the carrier built from one
+primitive, ``FiniteSystem.translate``.  Kronecker systems are torus rotations
 x -> x + Theta*lam with FormalReal frequency entries and sets restricted to
 disjoint unions of rational half-open boxes, so Lebesgue measures and
 character identities stay exact in the declared-symbol model.
@@ -13,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .formal import FormalReal
 from .lattice import (
@@ -32,6 +38,23 @@ Element = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # finite systems
+
+@lru_cache(maxsize=64)
+def _index_table(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(coords, strides, mods)`` of the lexicographic numbering of a carrier.
+
+    Row i of ``coords`` is the element with flat index i, and
+    ``coords[i] @ strides == i``; the rows come in ``itertools.product`` order.
+    """
+    size = prod(moduli)
+    coords = np.indices(moduli, dtype=np.int64).reshape(len(moduli), size).T
+    coords = np.ascontiguousarray(coords)
+    strides = np.array([prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=np.int64)
+    mods = np.array(moduli, dtype=np.int64)
+    for arr in (coords, strides, mods):
+        arr.setflags(write=False)
+    return coords, strides, mods
+
 
 @dataclass(frozen=True)
 class FiniteSystem:
@@ -56,7 +79,7 @@ class FiniteSystem:
         return self.moduli[-1] if self.moduli else 1
 
     def elements(self) -> list[Element]:
-        return [tuple(e) for e in product(*(range(d) for d in self.moduli))]
+        return list(map(tuple, _index_table(self.moduli)[0].tolist()))
 
     def reduce(self, x: Sequence[int]) -> Element:
         return tuple(int(v) % d for v, d in zip(x, self.moduli, strict=True))
@@ -83,28 +106,70 @@ class FiniteSystem:
         return lcm(*(d // gcd(x, d) for x, d in zip(g, self.moduli)))
 
     def subgroup(self, generators: Iterable[Element]) -> frozenset[Element]:
-        zero = tuple(0 for _ in self.moduli)
-        closed = {zero}
-        frontier = [zero]
-        gens = [tuple(g) for g in generators]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.add(x, g)
-                if y not in closed:
-                    closed.add(y)
-                    frontier.append(y)
-        return frozenset(closed)
+        return self.points(np.flatnonzero(self.coset_labels(generators) == 0))
 
     def measure(self, s: Iterable[Element]) -> Fraction:
         return Fraction(len(set(s)), self.size)
+
+    # -- flat indices ------------------------------------------------------
+
+    def index(self, xs: Iterable[Element]) -> np.ndarray:
+        """Flat indices of the elements xs, each read modulo the moduli."""
+        _, strides, mods = _index_table(self.moduli)
+        rows = list(xs)
+        return (np.array(rows, dtype=np.int64).reshape(len(rows), len(mods)) % mods) @ strides
+
+    def mask(self, xs: Iterable[Element]) -> np.ndarray:
+        """Indicator of the set of elements xs over the flat indices."""
+        out = np.zeros(self.size, dtype=bool)
+        out[self.index(xs)] = True
+        return out
+
+    def points(self, idx: np.ndarray) -> frozenset[Element]:
+        return frozenset(map(tuple, self.vectors(idx).tolist()))
+
+    def vectors(self, idx: np.ndarray) -> np.ndarray:
+        """Coordinate rows of the elements at flat indices idx."""
+        return _index_table(self.moduli)[0][idx]
+
+    def multiples(self, ks: Iterable[int], g: Element) -> np.ndarray:
+        """Coordinate rows k * g for k in ks (not reduced)."""
+        return np.outer(np.array(list(ks), dtype=np.int64), np.array(g, dtype=np.int64))
+
+    def translate(self, idx, g) -> np.ndarray:
+        """Flat indices of x + g for the x at flat indices idx.
+
+        ``g`` is a coordinate row, or an array of rows whose leading axes
+        broadcast against ``idx``.
+        """
+        coords, strides, mods = _index_table(self.moduli)
+        return ((coords[idx] + np.asarray(g, dtype=np.int64)) % mods) @ strides
+
+    def overlap(self, mask: np.ndarray, g: Element) -> np.ndarray:
+        """Indicator of B ∩ (B + g), for the set B with indicator mask."""
+        back = self.translate(np.arange(self.size), -np.asarray(g, dtype=np.int64))
+        return mask & mask[back]
+
+    def coset_labels(self, generators: Iterable[Element]) -> np.ndarray:
+        """Least flat index in the coset of each element modulo <generators>.
+
+        Per generator g, log2(order of g) doubling steps take the minimum
+        along x, x + g, x + 2g, ...; the subgroup itself is labelled 0.
+        """
+        every = np.arange(self.size)
+        labels = every
+        for g in generators:
+            step = self.translate(every, g)
+            for _ in range((self.order_of(g) - 1).bit_length()):
+                labels = np.minimum(labels, labels[step])
+                step = step[step]
+        return labels
 
 
 def finite_system_from_parts(
     rank: int,
     moduli: Sequence[int],
     gens: Sequence[Sequence[int]],
-    require_ergodic: bool = True,
 ) -> FiniteSystem:
     mods = tuple(int(d) for d in moduli if int(d) != 1)
     if any(d < 1 for d in mods):
@@ -118,7 +183,7 @@ def finite_system_from_parts(
         tuple(int(g[i]) % mods[t] for t, i in enumerate(keep)) for g in gens
     )
     sys_ = FiniteSystem(rank=rank, moduli=mods, gens=images)
-    if require_ergodic and len(sys_.subgroup(images)) != sys_.size:
+    if sys_.coset_labels(images).any():
         raise ValueError("generator images do not generate the group (non-ergodic)")
     return sys_
 
@@ -129,7 +194,7 @@ def finite_system(L: SubLattice) -> FiniteSystem:
     d = q.invariant_factors
     u = q.to_normal
     gens = [[u[i][j] for i in range(L.rank)] for j in range(L.rank)]
-    return finite_system_from_parts(L.rank, d, gens, require_ergodic=True)
+    return finite_system_from_parts(L.rank, d, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +244,17 @@ def orbit_saturation(
     (N -> infinity) union is returned; a finite ``terms`` gives the partial
     union over the first ``terms`` elements of S.
     """
-    g = sys_.phi(lam)
-    bset = {tuple(x) for x in b}
     if terms is not None and sspec is None:
         raise ValueError("terms requires an ErgodicSetSpec")
-    if sspec is None:
-        shifts = sys_.subgroup([g])
-    elif terms is None:
-        step_sub = sys_.subgroup([sys_.scale(sspec.step, g)])
-        base = sys_.scale(sspec.offset, g)
-        shifts = frozenset(sys_.add(base, h) for h in step_sub)
-    else:
-        shifts = frozenset(sys_.scale(m, g) for m in sspec.elements(terms))
-    sat = {sys_.add(x, s) for x in bset for s in shifts}
-    return frozenset(sat), sys_.measure(sat)
+    g = sys_.phi(lam)
+    order = sys_.order_of(g)
+    # k and k + order give the same shift, and the first ``order`` terms of
+    # an interval or progression already meet every reachable residue
+    count = order if terms is None else min(terms, order)
+    ks = sorted({k % order for k in (sspec or ErgodicSetSpec()).elements(count)})
+    sat = np.zeros(sys_.size, dtype=bool)
+    sat[sys_.translate(sys_.index(b)[:, None], sys_.multiples(ks, g))] = True
+    return sys_.points(np.flatnonzero(sat)), Fraction(int(sat.sum()), sys_.size)
 
 
 def is_ergodic_direction(sys_, lam) -> bool:
@@ -248,19 +310,12 @@ def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicCompone
     """
     if L.rank != sys_.rank:
         raise ValueError("rank mismatch")
-    images = [sys_.phi(col) for col in mat_columns(L.basis_matrix)]
-    sub = sys_.subgroup(images)
-    seen: set[Element] = set()
-    comps = []
-    for x in sys_.elements():
-        if x in seen:
-            continue
-        coset = frozenset(sys_.add(x, h) for h in sub)
-        seen |= coset
-        comps.append(
-            ErgodicComponent(support=coset, weight=Fraction(len(coset), sys_.size))
-        )
-    return comps
+    labels = sys_.coset_labels(sys_.phi(col) for col in mat_columns(L.basis_matrix))
+    by_label = np.argsort(labels, kind="stable")
+    _, starts = np.unique(labels[by_label], return_index=True)
+    cosets = np.split(by_label, starts[1:])
+    weight = Fraction(len(cosets[0]), sys_.size)
+    return [ErgodicComponent(support=sys_.points(c), weight=weight) for c in cosets]
 
 
 def birkhoff_annihilator_average(
@@ -269,12 +324,16 @@ def birkhoff_annihilator_average(
     """(1/n) * sum_{k<n} mu(B intersect (k*lam).B), exact."""
     if n < 1:
         raise ValueError("horizon must be positive")
-    bset = frozenset(tuple(x) for x in b)
     g = sys_.phi(lam)
-    total = 0
-    for k in range(n):
-        shift = sys_.scale(k, g)
-        total += sum(1 for x in bset if sys_.add(x, shift) in bset)
+    order = sys_.order_of(g)
+    # the term of k depends on k mod order only: count each residue once,
+    # weighted by how many k < n share it
+    ks = range(min(n, order))
+    in_b = sys_.mask(b)
+    b_idx = np.flatnonzero(in_b)
+    hits = in_b[sys_.translate(b_idx[:, None], sys_.multiples(ks, g))]
+    per_k = hits.sum(axis=0).tolist()
+    total = sum(c * ((n - k + order - 1) // order) for k, c in zip(ks, per_k))
     return Fraction(total, n * sys_.size)
 
 
@@ -310,7 +369,7 @@ def component_presentation(
     s = len(sys_.moduli)
     base = min(comp.support)
     if s == 0:
-        one_point = finite_system_from_parts(sys_.rank, (), [()] * sys_.rank, False)
+        one_point = finite_system_from_parts(sys_.rank, (), [()] * sys_.rank)
         return ComponentPresentation(
             system=one_point, base=base, to_component={(): ()}, from_component={(): ()}
         )
@@ -347,7 +406,7 @@ def component_presentation(
         return tuple(z[i] for i in range(s) if factors[i] != 1)
 
     comp_gens = [relabel(g) for g in images]
-    comp_sys = finite_system_from_parts(sys_.rank, factors, _pad(comp_gens, factors), True)
+    comp_sys = finite_system_from_parts(sys_.rank, factors, _pad(comp_gens, factors))
     to_comp = {}
     from_comp = {}
     for x in sorted(comp.support):

@@ -63,7 +63,10 @@ def _window_points(rank: int, window: int):
 
 
 def _parse_density(value) -> Fraction:
-    d = Fraction(value)
+    try:
+        d = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"density {value!r} has a zero denominator") from None
     if not 0 <= d <= 1:
         raise ValueError("density must lie in [0, 1]")
     return d

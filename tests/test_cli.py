@@ -258,3 +258,60 @@ def test_csv_rejected_without_tabular_output(tmp_path):
         )
         == 2
     )
+
+
+def test_refusals_exit_2_without_traceback(tmp_path, capsys):
+    system = {"kind": "finite", "matrix": [[2, 0], [0, 2]]}
+    set_b = {"kind": "elements", "points": [[0, 0]]}
+    configs = [
+        ("decompose", {"experiment": "decompose", "system": system, "set_b": set_b, "eps_o": "1/0"}),
+        (
+            "decompose",
+            {
+                "experiment": "decompose",
+                "system": system,
+                "set_b": set_b,
+                "eps_o": {"num": "1", "den": "0"},
+            },
+        ),
+        (
+            "density",
+            {
+                "experiment": "density",
+                "rank": 2,
+                "set": {"kind": "random", "density": "1/0", "seed": 1},
+                "windows": [4],
+            },
+        ),
+    ]
+    for i, (experiment, cfg) in enumerate(configs):
+        path = write_cfg(tmp_path, f"cfg{i}.json", cfg)
+        assert run_cli([experiment, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+    # a malformed report given to --verify-only is refused the same way
+    cfg = write_cfg(tmp_path, "density.json", configs[2][1])
+    report = write_cfg(tmp_path, "report.json", {"experiment": "density"})
+    assert run_cli(["density", "--config", cfg, "--out", report, "--verify-only"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+
+
+def test_set_elements_are_read_modulo_the_moduli(tmp_path):
+    def report(points, name):
+        cfg = write_cfg(
+            tmp_path,
+            f"{name}.json",
+            {
+                "experiment": "spectral-report",
+                "system": {"kind": "finite", "matrix": [[2, 0], [0, 4]]},
+                "set_b": {"kind": "elements", "points": points},
+            },
+        )
+        out = tmp_path / f"{name}_report.json"
+        assert run_cli(["spectral-report", "--config", cfg, "--out", out]) == 0
+        return json.loads(out.read_text())["results"]
+
+    assert report([[10**20 + 1, 0], [3, -1]], "raw") == report([[1, 0], [1, 3]], "reduced")

@@ -109,3 +109,22 @@ def test_rank_one_uses_python_path(monkeypatch):
     monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
     pts = [(0,), (3,), (7,)]
     assert kernels.distinct_abs_dets(pts, 1) == {3, 4, 7}
+
+
+def test_translated_grid_stays_on_the_int64_scan(monkeypatch):
+    # the determinant bound follows the coordinate spread, so a grid far from
+    # the origin is scanned like the same grid at the origin
+    def refuse(*args):
+        raise AssertionError("exact Python path taken")
+
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    monkeypatch.setattr(kernels, "_distinct_py", refuse)
+    monkeypatch.setattr(kernels, "_witness_py", refuse)
+    grid = [(x, y) for x in range(12) for y in range(12)]
+    shifted = [(x + 5000, y + 5000) for x, y in grid]
+    spectrum = kernels.distinct_abs_dets(grid, 2)
+    targets = sorted(spectrum)[:5] + sorted(spectrum)[-5:]
+    assert kernels.distinct_abs_dets(shifted, 2) == spectrum
+    assert kernels.find_det_witnesses(shifted, 2, targets) == kernels.find_det_witnesses(
+        grid, 2, targets
+    )

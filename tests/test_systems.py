@@ -272,3 +272,85 @@ def test_ergodic_set_spec_validation():
     assert ap.elements(3) == [3, 5, 7]
     assert not ap.universal
     assert ErgodicSetSpec().universal
+
+
+# ---------------------------------------------------------------------------
+# flat-index routines against a brute-force tuple reference
+
+def _ref_mul(mods, k, g):
+    return tuple((k * x) % d for x, d in zip(g, mods))
+
+
+def _ref_add(mods, a, b):
+    return tuple((x + y) % d for x, y, d in zip(a, b, mods))
+
+
+def _ref_order(mods, g):
+    k = 1
+    while any(_ref_mul(mods, k, g)):
+        k += 1
+    return k
+
+
+def _ref_shifts(mods, b, g, ks):
+    return frozenset(_ref_add(mods, x, _ref_mul(mods, k, g)) for x in b for k in ks)
+
+
+def _ref_components(sys_, images):
+    mods = sys_.moduli
+    zero = tuple(0 for _ in mods)
+    sub = {zero}
+    grown = True
+    while grown:
+        new = {_ref_add(mods, h, g) for h in sub for g in images} - sub
+        sub |= new
+        grown = bool(new)
+    seen, cosets = set(), []
+    for x in product(*(range(d) for d in mods)):
+        if x not in seen:
+            coset = frozenset(_ref_add(mods, x, h) for h in sub)
+            seen |= coset
+            cosets.append(coset)
+    return cosets
+
+
+def _directions(rank):
+    units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    return units + [(1,) * rank, (2,) + (-1,) * (rank - 1), (3,) + (0,) * (rank - 1)]
+
+
+def test_flat_index_routines_match_tuple_reference():
+    fleet = random_fleet(4242, 12)
+    assert {s.rank for s, _ in fleet} == {1, 2, 3}
+    ap = ErgodicSetSpec(kind="ap", offset=1, step=2)
+    for sys_, b in fleet:
+        mods = sys_.moduli
+        assert sys_.elements() == list(product(*(range(d) for d in mods)))
+        for lam in _directions(sys_.rank):
+            g = sys_.phi(lam)
+            order = _ref_order(mods, g)
+            expected = {
+                (None, None): _ref_shifts(mods, b, g, range(order)),
+                (ap, None): _ref_shifts(mods, b, g, [1 + 2 * t for t in range(2 * order)]),
+                (ap, 3): _ref_shifts(mods, b, g, [1, 3, 5]),
+                (ErgodicSetSpec(), 3): _ref_shifts(mods, b, g, [0, 1, 2]),
+            }
+            for (spec, terms), sat in expected.items():
+                got, mu = orbit_saturation(sys_, b, lam, spec, terms)
+                assert got == sat and mu == Fraction(len(sat), sys_.size)
+            for n in (1, 2, order, order + 3):
+                total = sum(
+                    sum(1 for x in b if _ref_add(mods, x, _ref_mul(mods, k, g)) in b)
+                    for k in range(n)
+                )
+                assert birkhoff_annihilator_average(sys_, b, lam, n) == Fraction(
+                    total, n * sys_.size
+                )
+        for L in [scale_lattice(sys_.rank, n) for n in (1, 2, 3)] + [
+            sublattice([[2 if i == j else int(j == i + 1) for j in range(sys_.rank)] for i in range(sys_.rank)])
+        ]:
+            images = [sys_.phi(tuple(L.basis_matrix[i][j] for i in range(L.rank))) for j in range(L.rank)]
+            comps = ergodic_components(sys_, L)
+            cosets = _ref_components(sys_, images)
+            assert [c.support for c in comps] == cosets
+            assert all(c.weight == Fraction(len(c.support), sys_.size) for c in comps)
