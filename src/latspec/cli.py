@@ -81,6 +81,24 @@ class ConfigError(Exception):
     pass
 
 
+#: the most lambdas a box bound may ask for: (2 * bound + 1) ** rank, for
+#: `coord_bound` (expand-scan) and `lambda_bound` (spectral-report), checked
+#: before the box is built; a full box of rank-6 tuples is about 100 MB, and
+#: the default lambda_bound of 4 stays within it up to rank 6
+BOX_LIMIT = 10**6
+
+
+def _box_bound(cfg: dict, key: str, rank: int, default: Optional[int] = None) -> int:
+    bound = int(cfg[key] if default is None else cfg.get(key, default))
+    if bound < 0:
+        raise ConfigError(f"{key} must be nonnegative, got {bound}")
+    if (2 * bound + 1) ** rank > BOX_LIMIT:
+        raise ConfigError(
+            f"{key} {bound} asks for (2*{bound}+1)^{rank} lambdas, over the limit of {BOX_LIMIT}"
+        )
+    return bound
+
+
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -261,7 +279,7 @@ def _run_expand_scan(cfg: dict, seed: Optional[int]):
     if not isinstance(sys_, FiniteSystem):
         raise ConfigError("expand-scan requires a finite system")
     bset = _parse_set_b(sys_, cfg["set_b"])
-    bound = int(cfg["coord_bound"])
+    bound = _box_bound(cfg, "coord_bound", sys_.rank)
     sspec = _parse_sspec(cfg.get("ergodic_set")) if "ergodic_set" in cfg else None
     candidates = _candidate_box(sys_.rank, bound)
 
@@ -309,9 +327,9 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
     sys_ = _parse_system(cfg["system"])
     bset = _parse_set_b(sys_, cfg["set_b"])
     if isinstance(sys_, FiniteSystem):
+        lam_bound = _box_bound(cfg, "lambda_bound", sys_.rank, default=4)
         sigma = spectral_measure(sys_, bset)
         tilde = normalized(sigma)
-        lam_bound = int(cfg.get("lambda_bound", 4))
         boch = verify_bochner(sys_, bset, lam_bound)
         mu_b = sigma.total.value
         results = {

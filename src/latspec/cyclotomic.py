@@ -4,14 +4,19 @@ A sum of N-th roots of unity is held as an integer vector over the power
 basis 1, z, ..., z^(N-1) and decided (zero test, rationality test) by
 reduction modulo the N-th cyclotomic polynomial.  This is what lets the
 spectral identities be checked as identities rather than numerically.
+For display, the real part of such a vector is enclosed on the integer
+rounding grid of ``intervals``: one table of cosine enclosures per order N,
+held as integer numerators, and one integer dot product per vector.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from .intervals import Iv, cospi, round_out
+from .intervals import _GRID_BITS, Iv, cospi
 
 
 def _polydiv_exact(num: list[int], den: Sequence[int]) -> list[int]:
@@ -93,16 +98,40 @@ def root_vector_is_value(n: int, vec: Sequence[int], value: int) -> bool:
     return not any(reduce_root_vector(n, work))
 
 
+@lru_cache(maxsize=None)
+def _cos_grid(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Grid numerators (lo_k, hi_k) of the enclosures cospi(2k/n), k < n.
+
+    cospi returns an exact point (0 or +-1) or a Taylor enclosure rounded out
+    onto the 2**-_GRID_BITS grid, so both ends are integers over 2**_GRID_BITS.
+    """
+    scale = 1 << _GRID_BITS
+    los, his = [], []
+    for k in range(n):
+        iv = cospi(Fraction(2 * k, n))
+        lo, hi = iv.lo * scale, iv.hi * scale
+        if lo.denominator != 1 or hi.denominator != 1:
+            raise AssertionError("cosine enclosure off the rounding grid")
+        los.append(lo.numerator)
+        his.append(hi.numerator)
+    return tuple(los), tuple(his)
+
+
 def enclose_real_root_vector(n: int, vec: Sequence[int]) -> Iv:
     """Certified interval for the real part Re(sum_k vec[k] * z^k).
 
+    One signed integer dot product against the cosine table of order n: a
+    positive coefficient takes lo_k into the lower end and hi_k into the upper
+    one, a negative coefficient the other way round.  The sum is exact and on
+    the grid, so this is the rounded-out sum of the scaled cosine enclosures.
     Used only for display of irrational weights; decisions go through the
     exact reductions above.
     """
-    total = Iv.point(0)
-    from fractions import Fraction
-
-    for k, c in enumerate(vec):
-        if c:
-            total = total + cospi(Fraction(2 * k, n)).scale(c)
-    return round_out(total)
+    if len(vec) > n:
+        raise ValueError("root vector longer than the order")
+    los, his = _cos_grid(n)
+    # a negative c moves c * (hi_k - lo_k) from the plain dot products
+    slack = sum(c * (h - l) for c, l, h in zip(vec, los, his) if c < 0)
+    lo = sum(map(mul, vec, los)) + slack
+    hi = sum(map(mul, vec, his)) - slack
+    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))

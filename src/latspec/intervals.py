@@ -4,7 +4,10 @@ Supports the certified enclosures needed for torus-system weights:
 sin(pi*q) and cos(pi*q) for rational q via argument reduction plus an
 alternating Taylor series, with pi pinned between 50-digit rational bounds.
 All endpoints are Fractions; rounding, when applied, only ever widens an
-interval, so every enclosure stays sound.
+interval, so every enclosure stays sound.  Rounding goes onto a 2**-192
+grid, and the Taylor series runs on integer numerators over that grid
+(each term exactly p / (m * 2**192) for integers p and m), building a
+Fraction only for the final enclosure.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Union
 
 Rat = Union[int, Fraction]
@@ -100,24 +104,52 @@ def round_out(iv: Iv, bits: int = _GRID_BITS) -> Iv:
     return Iv(lo, Fraction(hi_num, scale))
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
 def _sin_taylor(x: Iv, terms: int = 14) -> Iv:
-    """Enclose sin(x) for 0 <= x <= pi/2 by the alternating series."""
-    xsq = round_out(x.square())
-    term = x
-    total = x
-    sign = -1
-    fact_arg = 1
-    for _ in range(terms):
-        fact_arg += 2
-        term = round_out(term * xsq).scale(Fraction(1, (fact_arg - 1) * fact_arg))
-        total = total + term.scale(sign)
-        sign = -sign
-    # one extra term bounds the truncation error
-    fact_arg += 2
-    err = round_out(term * xsq).scale(Fraction(1, (fact_arg - 1) * fact_arg))
-    bound = max(abs(err.lo), abs(err.hi))
-    out = Iv(total.lo - bound, total.hi + bound)
-    return round_out(out.intersect(Iv(Fraction(0), Fraction(1))))
+    """Enclose sin(x) for 0 <= x <= pi/2 by the alternating series.
+
+    Term k >= 1 is round_out(term_{k-1} * round_out(x^2)) / ((2k)(2k+1)),
+    i.e. an integer numerator p over m_k * 2**_GRID_BITS with m_k = (2k)(2k+1),
+    so the whole series runs on integers with floor and ceil divisions.  One
+    extra term bounds the truncation error; the result is clipped to [0, 1]
+    and rounded out.  Every step is the exact rational of the interval
+    formulation, so the enclosure is exactly that of Iv arithmetic.
+    """
+    if x.lo < 0:
+        raise ValueError("sin series needs x >= 0")
+    bits = _GRID_BITS
+    lo_n, lo_d = x.lo.numerator, x.lo.denominator
+    hi_n, hi_d = x.hi.numerator, x.hi.denominator
+    # x^2 rounded out onto the grid, as numerators over 2**bits
+    sq_lo = (lo_n * lo_n << bits) // (lo_d * lo_d)
+    sq_hi = _ceil_div(hi_n * hi_n << bits, hi_d * hi_d)
+    ms = [(2 * k) * (2 * k + 1) for k in range(1, terms + 2)]
+    common = lcm(*ms)
+    # the signed sum of the terms, in units of 2**-bits / common
+    s_lo = s_hi = 0
+    t_lo, t_lo_d, t_hi, t_hi_d = lo_n, lo_d, hi_n, hi_d
+    for k, m in enumerate(ms, start=1):
+        # every term is nonnegative, so its product with x^2 pairs like ends
+        t_lo, t_hi = (t_lo * sq_lo) // t_lo_d, _ceil_div(t_hi * sq_hi, t_hi_d)
+        t_lo_d = t_hi_d = m << bits
+        w = common // m
+        if k > terms:
+            # the first omitted term bounds the truncation error both ways
+            s_lo -= t_hi * w
+            s_hi += t_hi * w
+        elif k % 2:
+            s_lo -= t_hi * w
+            s_hi -= t_lo * w
+        else:
+            s_lo += t_lo * w
+            s_hi += t_hi * w
+    # x + sum, rounded out onto the grid and clipped to [0, 1]
+    lo = max((lo_n * common << bits) + s_lo * lo_d, 0) // (lo_d * common)
+    hi = min(_ceil_div((hi_n * common << bits) + s_hi * hi_d, hi_d * common), 1 << bits)
+    return Iv(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def sinpi(q: Rat) -> Iv:

@@ -261,15 +261,15 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
     den = Fraction(n * n)
     mu_b = Fraction(len(bset), n)
     atoms = []
-    reduced_all = t.weight_matrix @ t.reduction
+    vecs = t.weight_matrix.tolist()
+    reduced_all = (t.weight_matrix @ t.reduction).tolist()
     exps_all = t.exps_on_lambda.tolist()
-    for ci, label in enumerate(t.labels):
-        vec = tuple(int(x) for x in t.weight_matrix[ci])
-        red = reduced_all[ci]
-        char = FiniteCharacter(order=t.order, exps=tuple(exps_all[ci]), dual_label=label)
-        rat = rational_value_of_reduced([int(x) for x in red])
+    for label, vec, red, exps in zip(t.labels, vecs, reduced_all, exps_all):
+        vec = tuple(vec)
+        char = FiniteCharacter(order=t.order, exps=tuple(exps), dual_label=label)
+        rat = rational_value_of_reduced(red)
         if rat is not None:
-            w = Weight.of(Fraction(int(rat)) / den)
+            w = Weight.of(Fraction(rat) / den)
         else:
             iv = enclose_real_root_vector(t.order, vec)
             w = Weight.interval(round_out(iv.scale(Fraction(1) / den)))
@@ -277,11 +277,7 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
     trivial = [a for a in atoms if a.character.is_trivial]
     if len(trivial) != 1 or trivial[0].weight.value != mu_b * mu_b:
         raise AssertionError("trivial atom mass must equal mu(B)^2")
-    total_vec = [0] * t.order
-    for a in atoms:
-        for k, c in enumerate(a.vec):
-            total_vec[k] += c
-    total_red = reduce_root_vector(t.order, total_vec)
+    total_red = reduce_root_vector(t.order, t.weight_matrix.sum(axis=0).tolist())
     if rational_value_of_reduced(total_red) != len(bset) * n:
         raise AssertionError("atom total must equal mu(B)")
     return SpectralMeasure(
@@ -950,28 +946,25 @@ def shrink_rational_spectrum(
     for n in _factorial_candidates(sys_.exponent):
         tried.append(n)
         L = scale_lattice(sys_.rank, n)
-        comps = ergodic_components(sys_, L)
-        q_b = [comp for comp in comps if comp.measure(bset) > 0]
-        c = min(comp.weight for comp in q_b)
+        # each component with its nu(B), measured once; only those meeting B
+        q_b = []
+        for comp in ergodic_components(sys_, L):
+            hits = len(bset & comp.support)
+            if hits:
+                q_b.append((comp, Fraction(hits, len(comp.support))))
+        c = min(comp.weight for comp, _ in q_b)
         # the coset formula over the components: each coset C of phi(L) adds
         # |C ∩ B|^2 / (|C| |A|) = weight * nu(B)^2
-        trivial_on = sum(comp.weight * comp.measure(bset) ** 2 for comp in q_b)
+        trivial_on = sum(comp.weight * nu**2 for comp, nu in q_b)
         pi_mass = (mu_b - trivial_on) / (mu_b * mu_b)
         if pi_mass == 0:
-            selected = _select(q_b, bset)
+            selected, nu_b = _select(q_b)
         else:
-            t_set = []
-            for comp in q_b:
-                nu = comp.measure(bset)
-                mass = 1 / nu - 1
-                in_s1 = mass >= 3 * pi_mass
-                in_s2 = nu <= mu_b / 3
-                if not in_s1 and not in_s2:
-                    t_set.append(comp)
+            # drop the Markov-bad families: mass 1/nu - 1 >= 3 pi_mass, or nu <= mu(B)/3
+            t_set = [(comp, nu) for comp, nu in q_b if 1 / nu - 1 < 3 * pi_mass and nu > mu_b / 3]
             if not t_set:
                 raise AssertionError("Markov selection produced an empty component family")
-            selected = _select(t_set, bset)
-        nu_b = selected.measure(bset)
+            selected, nu_b = _select(t_set)
         mass = 1 / nu_b - 1
         if mass < eps_o:
             pres = component_presentation(sys_, L, selected)
@@ -993,15 +986,12 @@ def shrink_rational_spectrum(
     raise AssertionError("shrinking must succeed at the carrier exponent")
 
 
-def _select(comps: Sequence[ErgodicComponent], bset: frozenset) -> ErgodicComponent:
-    """Deterministic pick: largest nu(B), ties to the least support representative."""
-    best = None
-    best_key = None
-    for comp in comps:
-        key = (comp.measure(bset), tuple(-x for x in min(comp.support)))
-        if best is None or key > best_key:
-            best, best_key = comp, key
-    return best
+def _select(
+    comps: Sequence[tuple[ErgodicComponent, Fraction]]
+) -> tuple[ErgodicComponent, Fraction]:
+    """Deterministic pick of (component, nu(B)): largest nu(B), ties to the
+    least support representative."""
+    return max(comps, key=lambda pair: (pair[1], tuple(-x for x in min(pair[0].support))))
 
 
 # ---------------------------------------------------------------------------

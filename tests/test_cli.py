@@ -315,3 +315,27 @@ def test_set_elements_are_read_modulo_the_moduli(tmp_path):
         return json.loads(out.read_text())["results"]
 
     assert report([[10**20 + 1, 0], [3, -1]], "raw") == report([[1, 0], [1, 3]], "reduced")
+
+
+def test_box_bounds_are_refused_before_the_box_is_built(tmp_path, capsys):
+    system = {"kind": "finite", "matrix": [[2, 0], [0, 2]]}
+    set_b = {"kind": "elements", "points": [[0, 0]]}
+    base = {
+        "spectral-report": ("lambda_bound", {"experiment": "spectral-report", "system": system, "set_b": set_b}),
+        "expand-scan": ("coord_bound", {"experiment": "expand-scan", "system": system, "set_b": set_b}),
+    }
+    # -1 used to pass vacuously (no lambda checked), 10**20 ended in an
+    # OverflowError traceback, and a 1001 x 1001 box is past the limit
+    for experiment, (key, cfg) in base.items():
+        for i, bound in enumerate((-1, 10**20, 500)):
+            path = write_cfg(tmp_path, f"{experiment}{i}.json", {**cfg, key: bound})
+            assert run_cli([experiment, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+            assert key in err
+    # a zero bound is a box of one lambda, and still runs
+    path = write_cfg(tmp_path, "zero.json", {**base["spectral-report"][1], "lambda_bound": 0})
+    out = tmp_path / "zero-report.json"
+    assert run_cli(["spectral-report", "--config", path, "--out", out]) == 0
+    assert json.loads(out.read_text())["results"]["bochner_checked"] == 1

@@ -1,11 +1,13 @@
 """Certified intervals, formal reals and exact root-of-unity arithmetic."""
 
+import random
 from fractions import Fraction
-from math import cos, pi, sin
+from math import cos, gcd, pi, sin
 
 import pytest
 
 from latspec.cyclotomic import (
+    _cos_grid,
     cyclotomic_polynomial,
     enclose_real_root_vector,
     rational_value_of_reduced,
@@ -13,7 +15,16 @@ from latspec.cyclotomic import (
     root_vector_is_value,
 )
 from latspec.formal import FormalReal
-from latspec.intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
+from latspec.intervals import (
+    _GRID_BITS,
+    PI,
+    Iv,
+    _sin_taylor,
+    cospi,
+    round_out,
+    sinpi,
+    sinpi_sq_exact,
+)
 
 
 def test_pi_bounds():
@@ -67,6 +78,39 @@ def test_interval_ops_outward():
     assert b.square().lo == 0
 
 
+def _sin_taylor_reference(x: Iv, terms: int = 14) -> Iv:
+    """The series on Iv / Fraction arithmetic, term by term."""
+    xsq = round_out(x.square())
+    term = x
+    total = x
+    sign = -1
+    fact_arg = 1
+    for _ in range(terms):
+        fact_arg += 2
+        term = round_out(term * xsq).scale(Fraction(1, (fact_arg - 1) * fact_arg))
+        total = total + term.scale(sign)
+        sign = -sign
+    fact_arg += 2
+    err = round_out(term * xsq).scale(Fraction(1, (fact_arg - 1) * fact_arg))
+    bound = max(abs(err.lo), abs(err.hi))
+    out = Iv(total.lo - bound, total.hi + bound)
+    return round_out(out.intersect(Iv(Fraction(0), Fraction(1))))
+
+
+def test_integer_sin_taylor_equals_fraction_series():
+    angles = [
+        Fraction(k, n) for n in range(3, 121) for k in range(1, (n + 1) // 2) if gcd(k, n) == 1
+    ]
+    assert len(angles) > 2000
+    for q in angles:
+        x = PI.scale(q)
+        assert _sin_taylor(x) == _sin_taylor_reference(x), q
+    # other series lengths, including none: only the error term
+    for terms in (0, 1, 5):
+        x = PI.scale(Fraction(3, 7))
+        assert _sin_taylor(x, terms) == _sin_taylor_reference(x, terms)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic
 
@@ -103,6 +147,36 @@ def test_enclose_real_root_vector():
     assert iv.lo <= Fraction(ref).limit_denominator(10**9) <= iv.hi or (
         float(iv.lo) - 1e-9 <= ref <= float(iv.hi) + 1e-9
     )
+
+
+def test_cos_grid_lies_on_the_rounding_grid():
+    scale = 1 << _GRID_BITS
+    for n in (1, 2, 3, 4, 5, 6, 12, 30, 60, 120):
+        los, his = _cos_grid(n)
+        assert len(los) == len(his) == n
+        for k, (lo, hi) in enumerate(zip(los, his)):
+            iv = cospi(Fraction(2 * k, n))
+            assert (Fraction(lo, scale), Fraction(hi, scale)) == (iv.lo, iv.hi)
+            assert lo <= hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12, 60, 120])
+def test_enclose_real_root_vector_equals_term_by_term_sum(n):
+    rng = random.Random(1000 + n)
+    for _ in range(6):
+        size = rng.randint(1, n)
+        vec = [rng.randint(-40, 40) * rng.randint(0, 1) for _ in range(size)]
+        ref = Iv.point(0)
+        for k, c in enumerate(vec):
+            if c:
+                ref = ref + cospi(Fraction(2 * k, n)).scale(c)
+        iv = enclose_real_root_vector(n, vec)
+        assert iv == round_out(ref)
+        value = sum(c * cos(2 * pi * k / n) for k, c in enumerate(vec))
+        assert iv.lo - Fraction(1, 10**9) <= Fraction(value) <= iv.hi + Fraction(1, 10**9)
+        assert float(iv.width) < 1e-20
+    with pytest.raises(ValueError):
+        enclose_real_root_vector(n, [1] * (n + 1))
 
 
 # ---------------------------------------------------------------------------
