@@ -117,21 +117,25 @@ def _cos_grid(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(los), tuple(his)
 
 
-def enclose_real_root_vector(n: int, vec: Sequence[int]) -> Iv:
-    """Certified interval for the real part Re(sum_k vec[k] * z^k).
+def enclose_real_root_vector(n: int, vec: Sequence[int], den: int = 1) -> Iv:
+    """Certified interval for the real part Re(sum_k vec[k] * z^k) / den.
 
     One signed integer dot product against the cosine table of order n: a
     positive coefficient takes lo_k into the lower end and hi_k into the upper
     one, a negative coefficient the other way round.  The sum is exact and on
     the grid, so this is the rounded-out sum of the scaled cosine enclosures.
-    Used only for display of irrational weights; decisions go through the
-    exact reductions above.
+    A positive ``den`` divides the grid numerators with floor and ceil, which
+    is that sum scaled by 1/den and rounded out onto the grid again.  Used
+    only for display of irrational weights; decisions go through the exact
+    reductions above.
     """
     if len(vec) > n:
         raise ValueError("root vector longer than the order")
+    if den < 1:
+        raise ValueError("den must be positive")
     los, his = _cos_grid(n)
     # a negative c moves c * (hi_k - lo_k) from the plain dot products
     slack = sum(c * (h - l) for c, l, h in zip(vec, los, his) if c < 0)
-    lo = sum(map(mul, vec, los)) + slack
-    hi = sum(map(mul, vec, his)) - slack
+    lo = (sum(map(mul, vec, los)) + slack) // den
+    hi = -((slack - sum(map(mul, vec, his))) // den)
     return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))

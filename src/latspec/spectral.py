@@ -271,8 +271,7 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
         if rat is not None:
             w = Weight.of(Fraction(rat) / den)
         else:
-            iv = enclose_real_root_vector(t.order, vec)
-            w = Weight.interval(round_out(iv.scale(Fraction(1) / den)))
+            w = Weight.interval(enclose_real_root_vector(t.order, vec, n * n))
         atoms.append(Atom(character=char, weight=w, vec=vec, den=den))
     trivial = [a for a in atoms if a.character.is_trivial]
     if len(trivial) != 1 or trivial[0].weight.value != mu_b * mu_b:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from . import kernels
@@ -58,7 +58,18 @@ def point_set(points: Sequence, rank: int, window: int, generator: Optional[dict
     return PointSet(rank=rank, window=window, points=pts, generator=generator)
 
 
-def _window_points(rank: int, window: int):
+#: most points a ``full``, ``random`` or ``congruence`` part may materialize,
+#: counted before any point is built
+POINT_LIMIT = 10**6
+
+
+def _admit(kind: str, count: int) -> None:
+    if count > POINT_LIMIT:
+        raise ValueError(f"{kind} set of {count} points, over the limit of {POINT_LIMIT}")
+
+
+def _window_points(kind: str, rank: int, window: int):
+    _admit(kind, max(2 * window + 1, 0) ** rank)
     return product(range(-window, window + 1), repeat=rank)
 
 
@@ -75,15 +86,25 @@ def _parse_density(value) -> Fraction:
 def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
     """Materialize a generator descriptor on the given window.
 
-    Kinds: ``full``, ``congruence`` (offset + modulus * Z^rank), ``random``
-    (seeded splitmix64, one 64-bit draw per window point in lexicographic
-    order), ``explicit``, ``union``, ``intersection``, ``translate``.  The
-    same descriptor, rank, window and seed always regenerate the identical
-    set.
+    Kinds and their cost, for a window of W = (2 * window + 1)^rank points:
+
+    - ``full``: all W points;
+    - ``congruence`` (offset + modulus * Z^rank): the product of one
+      progression per axis, O(|E|) points, never the whole window;
+    - ``random`` (seeded splitmix64): one 64-bit draw per window point in
+      lexicographic order, O(W);
+    - ``explicit``: the listed points, clipped to the window;
+    - ``union``, ``intersection``, ``translate``: the cost of their parts
+      plus set operations on the results.
+
+    A ``full``, ``random`` or ``congruence`` part that would materialize
+    more than ``POINT_LIMIT`` points is refused with ``ValueError`` before
+    any point is built.  The same descriptor, rank, window and seed always
+    regenerate the identical set.
     """
     kind = descriptor.get("kind")
     if kind == "full":
-        pts = set(_window_points(rank, window))
+        pts = set(_window_points(kind, rank, window))
     elif kind == "congruence":
         n = int(descriptor["modulus"])
         if n < 1:
@@ -91,19 +112,20 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
         offset = tuple(int(x) for x in descriptor.get("offset", (0,) * rank))
         if len(offset) != rank:
             raise ValueError("offset rank mismatch")
-        pts = {
-            p
-            for p in _window_points(rank, window)
-            if all((x - o) % n == 0 for x, o in zip(p, offset))
-        }
+        # the least x >= -window with x = o (mod n), then every n-th to window
+        axes = [range(-window + (o + window) % n, window + 1, n) for o in offset]
+        _admit("congruence", prod(len(axis) for axis in axes))
+        pts = set(product(*axes))
     elif kind == "random":
         density = _parse_density(descriptor["density"])
         seed = int(descriptor["seed"])
         threshold = (density.numerator << 64) // density.denominator
         rng = SplitMix64(seed)
-        pts = {p for p in _window_points(rank, window) if rng.next_u64() < threshold}
+        pts = {p for p in _window_points(kind, rank, window) if rng.next_u64() < threshold}
     elif kind == "explicit":
         pts = {tuple(int(x) for x in p) for p in descriptor["points"]}
+        if any(len(p) != rank for p in pts):
+            raise ValueError("point rank mismatch")
         pts = {p for p in pts if all(abs(x) <= window for x in p)}
     elif kind == "union":
         pts = set()
@@ -111,11 +133,15 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
             pts |= build_point_set(part, rank, window).points
     elif kind == "intersection":
         parts = descriptor["parts"]
+        if not parts:
+            raise ValueError("an intersection needs at least one part")
         pts = set(build_point_set(parts[0], rank, window).points)
         for part in parts[1:]:
             pts &= build_point_set(part, rank, window).points
     elif kind == "translate":
         offset = tuple(int(x) for x in descriptor["offset"])
+        if len(offset) != rank:
+            raise ValueError("offset rank mismatch")
         base = build_point_set(descriptor["base"], rank, window)
         pts = {
             tuple(x + o for x, o in zip(p, offset))

@@ -339,3 +339,29 @@ def test_box_bounds_are_refused_before_the_box_is_built(tmp_path, capsys):
     out = tmp_path / "zero-report.json"
     assert run_cli(["spectral-report", "--config", path, "--out", out]) == 0
     assert json.loads(out.read_text())["results"]["bochner_checked"] == 1
+
+
+def test_point_and_simplex_limits_exit_2_with_one_line(tmp_path, capsys):
+    line = {"kind": "explicit", "points": [[x, 0] for x in range(-950, 950)]}
+    configs = [
+        # (2 * 10**5 + 1)^2 window points, and 4 * 10**10 for a congruence set mod 1
+        ({"experiment": "density", "rank": 2, "set": {"kind": "full"}, "windows": [10**5]}, "points"),
+        (
+            {
+                "experiment": "volume-spectrum",
+                "rank": 2,
+                "window": 10**5,
+                "set": {"kind": "congruence", "modulus": 1, "offset": [0, 0]},
+            },
+            "points",
+        ),
+        # C(1900, 3) triangles
+        ({"experiment": "volume-spectrum", "rank": 2, "window": 1000, "set": line}, "simplices"),
+    ]
+    for i, (cfg, word) in enumerate(configs):
+        path = write_cfg(tmp_path, f"cfg{i}.json", cfg)
+        assert run_cli([cfg["experiment"], "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+        assert word in err and "over" in err

@@ -179,6 +179,21 @@ def test_enclose_real_root_vector_equals_term_by_term_sum(n):
         enclose_real_root_vector(n, [1] * (n + 1))
 
 
+@pytest.mark.parametrize("n", [3, 5, 12, 60, 120])
+def test_enclosure_divided_on_the_grid_equals_scaled_round_out(n):
+    # the spectral atoms divide each enclosure by |A|^2 on the grid numerators;
+    # the endpoints must be those of Iv.scale(1 / den) followed by round_out
+    rng = random.Random(2000 + n)
+    for den in (1, 2, 9, 144, 441**2, 3600**2, rng.randint(2, 10**9)):
+        for _ in range(4):
+            vec = [rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(rng.randint(1, n))]
+            ref = round_out(enclose_real_root_vector(n, vec).scale(Fraction(1, den)))
+            got = enclose_real_root_vector(n, vec, den)
+            assert (got.lo, got.hi) == (ref.lo, ref.hi)
+    with pytest.raises(ValueError):
+        enclose_real_root_vector(n, [1], 0)
+
+
 # ---------------------------------------------------------------------------
 # formal reals
 

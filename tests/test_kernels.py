@@ -128,3 +128,53 @@ def test_translated_grid_stays_on_the_int64_scan(monkeypatch):
     assert kernels.find_det_witnesses(shifted, 2, targets) == kernels.find_det_witnesses(
         grid, 2, targets
     )
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_square_blocks_match_the_python_path(monkeypatch, rank):
+    def refuse(*args):
+        raise AssertionError("exact Python path taken")
+
+    line = [tuple(t * c for c in (1, 2, -3)[:rank]) for t in range(-4, 6)]
+    plane = [(x, y, 2 * x - y) for x in range(-2, 3) for y in range(-2, 2)]
+    cases = {
+        "generic": _random_points(50 + rank, 22, rank, 7),
+        "collinear": line,
+        "one simplex": _random_points(60 + rank, rank + 1, rank, 5),
+    }
+    if rank == 3:
+        cases["coplanar"] = plane
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    for name, pts in cases.items():
+        bound = kernels._spread_bound(pts, rank)
+        caps = [None, -2, -1, 0, 1, 17, bound - 1, bound, bound + 5]
+        want_spectra = {cap: kernels._distinct_py(pts, rank, cap) for cap in caps}
+        targets = sorted(want_spectra[None]) + [bound]
+        want_witnesses = kernels._witness_py(pts, rank, targets)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_distinct_py", refuse)
+            m.setattr(kernels, "_witness_py", refuse)
+            for cap in caps:
+                assert kernels.distinct_abs_dets(pts, rank, cap) == want_spectra[cap], (name, cap)
+            assert kernels.find_det_witnesses(pts, rank, targets) == want_witnesses, name
+        if name == "generic":
+            assert max(want_witnesses.values())[0] > 0  # some witness lies past the first block
+        else:
+            assert (name == "one simplex") == bool(want_spectra[None])
+
+
+def test_subset_limit_is_checked_before_the_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scan started")
+
+    for name in ("_blocks", "_distinct_py", "_witness_py"):
+        monkeypatch.setattr(kernels, name, refuse)
+    # C(1900, 3) and C(400, 4) both exceed 10^9
+    for rank, n in ((2, 1900), (3, 400)):
+        pts = [(x,) + (0,) * (rank - 1) for x in range(n)]
+        for backend in BACKENDS:
+            monkeypatch.setenv("LATSPEC_KERNELS", backend)
+            with pytest.raises(ValueError, match="simplices"):
+                kernels.distinct_abs_dets(pts, rank)
+            with pytest.raises(ValueError, match="simplices"):
+                kernels.find_det_witnesses(pts, rank, [1])

@@ -4,9 +4,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latspec import volume
 from latspec.volume import (
     SearchBounds,
     ap_certificate,
@@ -253,6 +254,106 @@ def test_pattern_search_exhaustion():
 def test_congruence_generator_matches_grid():
     desc = {"kind": "congruence", "modulus": 2, "offset": [0, 0]}
     assert build_point_set(desc, 2, 6).points == grid(2, 6, step=2).points
+
+
+def _reference_points(desc, rank, window):
+    """The window-filter reference: every window point tested against the descriptor."""
+    box = set(product(range(-window, window + 1), repeat=rank))
+    kind = desc["kind"]
+    if kind == "full":
+        return box
+    if kind == "random":  # only the densities 0 and 1, whose sets the seed cannot change
+        return box if desc["density"] == "1" else set()
+    if kind == "congruence":
+        n, offset = desc["modulus"], desc["offset"]
+        return {p for p in box if all((x - o) % n == 0 for x, o in zip(p, offset))}
+    if kind == "translate":
+        base = _reference_points(desc["base"], rank, window)
+        return {tuple(x + o for x, o in zip(p, desc["offset"])) for p in base} & box
+    parts = [_reference_points(part, rank, window) for part in desc["parts"]]
+    return set.union(*parts) if kind == "union" else set.intersection(*parts)
+
+
+def _descriptors(rank):
+    vec = st.lists(st.integers(-20, 20), min_size=rank, max_size=rank)
+    leaves = st.one_of(
+        st.builds(
+            lambda n, o: {"kind": "congruence", "modulus": n, "offset": o},
+            st.integers(1, 14),  # past 2 * window + 1 for every window drawn
+            vec,
+        ),
+        st.sampled_from(
+            [
+                {"kind": "full"},
+                {"kind": "random", "density": "0", "seed": 5},
+                {"kind": "random", "density": "1", "seed": 6},
+            ]
+        ),
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.builds(lambda b, o: {"kind": "translate", "base": b, "offset": o}, kids, vec),
+            st.builds(lambda ps: {"kind": "union", "parts": ps}, st.lists(kids, min_size=1, max_size=3)),
+            st.builds(
+                lambda ps: {"kind": "intersection", "parts": ps}, st.lists(kids, min_size=1, max_size=3)
+            ),
+        ),
+        max_leaves=4,
+    )
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(st.just(rank), st.integers(0, 6 if rank < 3 else 3), _descriptors(rank))
+    )
+)
+@settings(max_examples=150, deadline=None)
+@example((1, 0, {"kind": "congruence", "modulus": 3, "offset": [-7]}))
+@example((2, 0, {"kind": "congruence", "modulus": 2, "offset": [1, 0]}))
+@example((2, 3, {"kind": "congruence", "modulus": 9, "offset": [-13, 4]}))
+@example((3, 2, {"kind": "congruence", "modulus": 1, "offset": [-5, 0, 9]}))
+@example((3, 3, {"kind": "translate", "base": {"kind": "full"}, "offset": [-3, 2, 0]}))
+def test_congruence_sets_match_the_window_filter(case):
+    rank, window, desc = case
+    assert build_point_set(desc, rank, window).points == _reference_points(desc, rank, window)
+
+
+def test_point_limit_is_checked_before_any_point_is_built():
+    big = 10**5
+    for desc in (
+        {"kind": "full"},
+        {"kind": "random", "density": "1/2", "seed": 1},
+        {"kind": "congruence", "modulus": 2, "offset": [0, 0]},
+        {"kind": "translate", "base": {"kind": "full"}, "offset": [1, 0]},
+        {"kind": "union", "parts": [{"kind": "explicit", "points": [[0, 0]]}, {"kind": "full"}]},
+    ):
+        with pytest.raises(ValueError, match="over the limit"):
+            build_point_set(desc, 2, big)
+    # a sparse congruence set on the same window is built from its own points
+    sparse = build_point_set({"kind": "congruence", "modulus": 1000, "offset": [1, -1]}, 2, big)
+    assert len(sparse) == 200**2
+
+
+def test_point_limit_counts_the_points_of_each_part(monkeypatch):
+    monkeypatch.setattr(volume, "POINT_LIMIT", 100)
+    assert len(build_point_set({"kind": "full"}, 2, 4)) == 81
+    assert len(build_point_set({"kind": "congruence", "modulus": 2, "offset": [1, 1]}, 2, 9)) == 100
+    with pytest.raises(ValueError, match="121 points"):
+        build_point_set({"kind": "random", "density": "0", "seed": 1}, 2, 5)
+    with pytest.raises(ValueError, match="110 points"):
+        build_point_set({"kind": "congruence", "modulus": 2, "offset": [0, 1]}, 2, 10)
+
+
+def test_malformed_descriptors_are_refused():
+    for desc in (
+        {"kind": "explicit", "points": [[0, 0], [1, 2, 3]]},
+        {"kind": "translate", "base": {"kind": "full"}, "offset": [1]},
+        {"kind": "congruence", "modulus": 2, "offset": [0, 0, 0]},
+        {"kind": "intersection", "parts": []},
+    ):
+        with pytest.raises(ValueError):
+            build_point_set(desc, 2, 3)
 
 
 def test_random_generator_reproducible():
