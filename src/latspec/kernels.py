@@ -14,7 +14,8 @@ spread (determinants of difference vectors ignore translation) proves the
 arithmetic cannot overflow and the value-indexed tables fit under
 ``TABLE_LIMIT``, otherwise the call silently degrades to the exact Python
 path.  Ranks other than 2 and 3 always use the Python path.  Both paths
-refuse a scan of more than ``SUBSET_LIMIT`` subsets before it starts.
+refuse a rank below 1, and a scan of more than ``SUBSET_LIMIT`` subsets,
+before it starts.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def _spread_bound(points: Sequence[tuple[int, ...]], rank: int) -> int:
 
 
 def _subsets(n: int, rank: int) -> int:
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     count = comb(n, rank + 1)
     if count > SUBSET_LIMIT:
         raise ValueError(f"C({n}, {rank + 1}) = {count} simplices, over {SUBSET_LIMIT}")
@@ -187,8 +190,9 @@ def find_det_witnesses(
     Returns a map target -> (i_0 < ... < i_rank); absent targets are simply
     missing from the map.  The scan order is identical across backends.
     """
+    subsets = _subsets(len(points), rank)
     targets = sorted({int(t) for t in targets if t > 0})
-    if not targets or not _subsets(len(points), rank):
+    if not targets or not subsets:
         return {}
     if backend_name() == "numpy" and _int64_ok(points, rank, targets[-1]):
         return _witness_np(_int64_points(points), rank, targets)

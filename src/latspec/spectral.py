@@ -2,12 +2,13 @@
 
 For a finite system the spectral measure of a set B is atomic with one atom
 per character of the carrier; weights |c_hat|^2 live in a cyclotomic field
-and are kept as exact root-of-unity vectors, while every mass a theorem is
-checked against (trivial atom, annihilator and subgroup masses, totals) is
-computed by the exact rational coset formulas and cross-checked against the
-atom sums by cyclotomic reduction.  Kronecker systems get truncated atom
-lists with certified interval weights and an exact Parseval tail bound;
-interval-valued verdicts are flagged as estimates, never promoted.
+and are decided from one row of root counts per character, while every mass
+a theorem is checked against (trivial atom, annihilator and subgroup masses,
+totals) is computed by the exact rational coset formulas and cross-checked
+against the atom sums by cyclotomic reduction.  Kronecker systems get
+truncated atom lists with certified interval weights and an exact Parseval
+tail bound; interval-valued verdicts are flagged as estimates, never
+promoted.
 
 On top of the measures sit the quantitative checks: the Bochner identity,
 the expansion lower bound mu(S lam.B) >= 1 / normalized_mass(annihilator),
@@ -28,12 +29,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import (
-    enclose_real_root_vector,
-    rational_value_of_reduced,
-    reduce_root_vector,
-    reduction_rows,
-)
+from .cyclotomic import enclose_real_root_vector, reduction_rows
 from .formal import FormalReal
 from .intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
@@ -45,12 +41,13 @@ from .systems import (
     Element,
     FiniteSystem,
     KroneckerSystem,
-    box_overlap_volume,
+    box_grid,
     component_presentation,
     ergodic_components,
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     orbit_saturation,
+    shift_cells,
 )
 
 # ---------------------------------------------------------------------------
@@ -68,20 +65,9 @@ class FiniteCharacter:
     exps: tuple[int, ...]
     dual_label: tuple[int, ...]
 
-    def eval_exponent(self, lam) -> int:
-        c = as_coords(lam)
-        return sum(e * x for e, x in zip(self.exps, c, strict=True)) % self.order
-
-    def annihilates(self, lam) -> bool:
-        return self.eval_exponent(lam) == 0
-
     @property
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps)
-
-    @property
-    def is_rational(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -163,9 +149,6 @@ ZERO_WEIGHT = Weight.of(0)
 class Atom:
     character: Character
     weight: Weight
-    # finite systems: the weight as an exact root-of-unity vector vec / den
-    vec: Optional[tuple[int, ...]] = None
-    den: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -191,44 +174,76 @@ class SpectralMeasure:
 # ---------------------------------------------------------------------------
 # finite-system tables (shared by the measure, Bochner and mass routines)
 
+#: most cells either finite table may take, checked before it is allocated:
+#: the |B|^2 difference pairs behind n_B and the |A| x exponent root counts
+CELL_LIMIT = 2 * 10**7
+
+
 @dataclass(frozen=True)
 class _FiniteTables:
     order: int
-    labels: tuple                  # dual labels, in carrier (flat index) order
-    exps_on_lambda: np.ndarray     # (n_char, rank) exponent vector on Z^r per character
-    exp_matrix: np.ndarray         # (n_char, |A|) exponents of chi(h)
-    weight_matrix: np.ndarray      # (n_char, order) integer root-count vectors
-    reduction: np.ndarray          # (order, deg) reduction matrix mod Phi_order
+    dual: np.ndarray               # (|A|, s) pairing rows: chi_c(h) = z^(dual[c] @ h)
+    exps_on_lambda: np.ndarray     # (|A|, rank) exponent vector on Z^r per character
+    root_counts: np.ndarray        # (|A|, order) #{(a, b) in B^2 : chi_c(a - b) = z^k}
+
+    def exponents_at(self, g: Element) -> np.ndarray:
+        """The exponent of chi_c(g) for every character c, in carrier order."""
+        return (self.dual @ np.array(g, dtype=np.int64)) % self.order
+
+
+@lru_cache(maxsize=None)
+def _reduction(order: int) -> np.ndarray:
+    """``reduction_rows(order)`` as one read-only int64 matrix."""
+    red = np.array(reduction_rows(order), dtype=np.int64)
+    red.setflags(write=False)
+    return red
+
+
+def _root_values(order: int, vecs: np.ndarray) -> list[Optional[int]]:
+    """The integer each row v of vecs equals as sum_k v[k] z^k, None where irrational.
+
+    z is a primitive ``order``-th root of unity; a row is rational exactly when
+    its reduction modulo the cyclotomic polynomial has no z^1.. coordinates.
+    """
+    red = np.atleast_2d(vecs) @ _reduction(order)
+    irrational = red[:, 1:].any(axis=1).tolist()
+    return [None if irr else v for v, irr in zip(red[:, 0].tolist(), irrational)]
 
 
 @lru_cache(maxsize=256)
 def _finite_tables(sys_: FiniteSystem, bset: frozenset) -> _FiniteTables:
     n = sys_.size
     order = sys_.exponent
+    pairs = len(bset) ** 2
+    if pairs > CELL_LIMIT:
+        raise ValueError(f"|B|^2 = {pairs} difference pairs, over the limit of {CELL_LIMIT}")
+    if n * order > CELL_LIMIT:
+        raise ValueError(
+            f"|A| x exponent = {n} x {order} root counts, over the limit of {CELL_LIMIT}"
+        )
+    # every sum of root-count rows totals at most |A| |B|^2, so its reduction fits int64
+    if n * pairs * int(np.abs(_reduction(order)).max()) >= 1 << 63:
+        raise ValueError(f"root-count reductions of order {order} would overflow int64")
     # the dual of A is labelled by A itself: label c pairs with h as
     # sum_i c_i h_i (order / d_i) mod order
     every = sys_.vectors(np.arange(n))
-    weighted = every * (order // np.array(sys_.moduli, dtype=np.int64))
+    dual = every * (order // np.array(sys_.moduli, dtype=np.int64))
     gens = np.array(sys_.gens, dtype=np.int64).reshape(sys_.rank, len(sys_.moduli))
-    # difference counts n_B(d) = #{(a, b) in B^2 : a - b = d}, with the
-    # |B|^2 pair table freed before the |A|^2 exponent table is built
+    # difference counts n_B(d) = #{(a, b) in B^2 : a - b = d}
     b_idx = sys_.index(bset)
     n_b = np.bincount(sys_.translate(b_idx[:, None], -sys_.vectors(b_idx)).ravel(), minlength=n)
-    exp_matrix = (weighted @ every.T) % order
-    weight_matrix = np.zeros((n, order), dtype=np.int64)
-    for ci in range(n):
-        np.add.at(weight_matrix[ci], exp_matrix[ci], n_b)
-    rows = reduction_rows(order)
-    reduction = np.array(rows, dtype=np.int64)
-    if rows and max(abs(x) for row in rows for x in row) > 1 << 40:
-        raise AssertionError("reduction matrix entries unexpectedly large")
+    # one histogram of the support of n_B per character, by the exponent of
+    # chi_c(d); the float64 weights sum integers below |B|^2 < 2^53 exactly
+    support = np.flatnonzero(n_b)
+    diffs, counts = every[support], n_b[support]
+    root_counts = np.empty((n, order), dtype=np.int64)
+    for c, row in enumerate(dual):
+        root_counts[c] = np.bincount((diffs @ row) % order, weights=counts, minlength=order)
     return _FiniteTables(
         order=order,
-        labels=tuple(sys_.elements()),
-        exps_on_lambda=(weighted @ gens.T) % order,
-        exp_matrix=exp_matrix,
-        weight_matrix=weight_matrix,
-        reduction=reduction,
+        dual=dual,
+        exps_on_lambda=(dual @ gens.T) % order,
+        root_counts=root_counts,
     )
 
 
@@ -244,8 +259,9 @@ def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: Element) -> Fract
 def spectral_measure(sys_: FiniteSystem, b: Iterable[Element]) -> SpectralMeasure:
     """Exact atomic spectral measure of b on a finite system.
 
-    One atom per carrier character, weight |c_hat|^2 held as an exact
-    root-of-unity vector over den = |A|^2; the trivial atom and the total are
+    One atom per carrier character.  Its weight |c_hat|^2 is the root-count
+    row of the character over |A|^2: exact when the row sums to a rational,
+    a certified enclosure otherwise.  The trivial atom and the total are
     verified against mu(B)^2 and mu(B) during construction.
     """
     bset = frozenset(tuple(x) for x in b)
@@ -258,26 +274,21 @@ def spectral_measure(sys_: FiniteSystem, b: Iterable[Element]) -> SpectralMeasur
 def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMeasure:
     t = _finite_tables(sys_, bset)
     n = sys_.size
-    den = Fraction(n * n)
     mu_b = Fraction(len(bset), n)
     atoms = []
-    vecs = t.weight_matrix.tolist()
-    reduced_all = (t.weight_matrix @ t.reduction).tolist()
-    exps_all = t.exps_on_lambda.tolist()
-    for label, vec, red, exps in zip(t.labels, vecs, reduced_all, exps_all):
-        vec = tuple(vec)
+    rows = t.root_counts.tolist()
+    values = _root_values(t.order, t.root_counts)
+    for label, exps, row, value in zip(sys_.elements(), t.exps_on_lambda.tolist(), rows, values):
         char = FiniteCharacter(order=t.order, exps=tuple(exps), dual_label=label)
-        rat = rational_value_of_reduced(red)
-        if rat is not None:
-            w = Weight.of(Fraction(rat) / den)
+        if value is not None:
+            w = Weight.of(Fraction(value, n * n))
         else:
-            w = Weight.interval(enclose_real_root_vector(t.order, vec, n * n))
-        atoms.append(Atom(character=char, weight=w, vec=vec, den=den))
+            w = Weight.interval(enclose_real_root_vector(t.order, row, n * n))
+        atoms.append(Atom(character=char, weight=w))
     trivial = [a for a in atoms if a.character.is_trivial]
     if len(trivial) != 1 or trivial[0].weight.value != mu_b * mu_b:
         raise AssertionError("trivial atom mass must equal mu(B)^2")
-    total_red = reduce_root_vector(t.order, t.weight_matrix.sum(axis=0).tolist())
-    if rational_value_of_reduced(total_red) != len(bset) * n:
+    if _root_values(t.order, t.root_counts.sum(axis=0))[0] != len(bset) * n:
         raise AssertionError("atom total must equal mu(B)")
     return SpectralMeasure(
         kind="finite",
@@ -405,26 +416,13 @@ def spectral_measure_kronecker(
 # ---------------------------------------------------------------------------
 # masses and identities
 
-@lru_cache(maxsize=512)
-def _normalized_finite(sys_: FiniteSystem, bset: frozenset) -> SpectralMeasure:
-    return normalized(_spectral_measure_cached(sys_, bset))
-
-
 def normalized(sigma: SpectralMeasure) -> SpectralMeasure:
     """Divide by the trivial-atom mass, making the trivial atom exactly 1."""
     if not sigma.trivial.exact or sigma.trivial.value == 0:
         raise ValueError("non-ergodic or null set")
     t = sigma.trivial.value
     inv = Fraction(1) / t
-    atoms = tuple(
-        Atom(
-            character=a.character,
-            weight=a.weight.scale(inv),
-            vec=a.vec,
-            den=None if a.den is None else a.den * t,
-        )
-        for a in sigma.atoms
-    )
+    atoms = tuple(Atom(character=a.character, weight=a.weight.scale(inv)) for a in sigma.atoms)
     return SpectralMeasure(
         kind=sigma.kind,
         system=sigma.system,
@@ -456,12 +454,10 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
         # independent atom route: sum the annihilating root-count vectors
         t = _finite_tables(sys_, sigma.base_set)
         phases = (t.exps_on_lambda @ np.array(c, dtype=np.int64)) % t.order
-        vec = t.weight_matrix[phases == 0].sum(axis=0)
-        red = vec @ t.reduction
-        atom_value = rational_value_of_reduced([int(x) for x in red])
+        atom_value = _root_values(t.order, t.root_counts[phases == 0].sum(axis=0))[0]
         if atom_value is None:
             raise AssertionError("annihilator atom sum must be rational")
-        if Fraction(int(atom_value), sys_.size**2) / sigma.normalization != value:
+        if Fraction(atom_value, sys_.size**2) / sigma.normalization != value:
             raise AssertionError("coset formula disagrees with atom sum")
         return Weight.of(value)
     acc = ZERO_WEIGHT
@@ -483,10 +479,9 @@ def _kron_rational_annihilator_exact(
     """
     w = [f.rational for f in sys_.direction_value(lam)]
     d = lcm(*(x.denominator for x in w)) if w else 1
-    total = Fraction(0)
-    for m in range(d):
-        total += box_overlap_volume(b, [m * x for x in w])
-    return total / d
+    q, cells = box_grid(b, w)
+    hits = sum(len(cells & shift_cells(cells, q, [m * x for x in w])) for m in range(d))
+    return Fraction(hits, d * q**b.dim)
 
 
 def rational_mass_excluding_trivial(sigma: SpectralMeasure) -> Weight:
@@ -539,19 +534,16 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[Element], lam_box) -> Bochner
     violations = []
     results: dict[Element, bool] = {}
     col = np.arange(order)[None, :]
+    chars = np.arange(n)[:, None]
     in_b = sys_.mask(bset)
     for lam in lams:
         g = sys_.phi(lam)
         if g not in results:
-            exps_g = t.exp_matrix[:, sys_.index([g])[0]]
-            gathered = t.weight_matrix[
-                np.arange(len(t.labels))[:, None], (col - exps_g[:, None]) % order
-            ]
-            p_vec = gathered.sum(axis=0)
-            red = p_vec @ t.reduction
+            # sum_c chi_c(g) |A|^2 |c_hat|^2 as one root vector: row c times z^e
+            # is row c shifted by the exponent e of chi_c(g)
+            shifted = t.root_counts[chars, (col - t.exponents_at(g)[:, None]) % order]
             cnt = int(np.count_nonzero(sys_.overlap(in_b, g)))
-            ok = int(red[0]) == cnt * n and not any(int(x) for x in red[1:])
-            results[g] = ok
+            results[g] = _root_values(order, shifted.sum(axis=0))[0] == cnt * n
         checked += 1
         if not results[g]:
             violations.append(tuple(lam))
@@ -589,9 +581,9 @@ def expansion_bound_check(
     applicable = sspec is None or sspec.universal
     if isinstance(sys_, FiniteSystem):
         bset = frozenset(tuple(x) for x in b)
-        tilde = _normalized_finite(sys_, bset)
-        mass = annihilator_mass(tilde, c).value
-        bound = Fraction(1) / mass
+        sigma = spectral_measure(sys_, bset)
+        # 1 / normalized mass = trivial mass / raw mass
+        bound = sigma.trivial.value / annihilator_mass(sigma, c).value
         _, measured = orbit_saturation(sys_, bset, c, sspec)
         ok = measured >= bound
         if applicable and not ok:

@@ -166,6 +166,11 @@ class FiniteSystem:
         return labels
 
 
+#: most elements a finite carrier may have, checked before any per-element
+#: table is built
+CARRIER_LIMIT = 10**7
+
+
 def finite_system_from_parts(
     rank: int,
     moduli: Sequence[int],
@@ -176,8 +181,14 @@ def finite_system_from_parts(
         raise ValueError("moduli must be positive")
     if any(b % a for a, b in zip(mods, mods[1:])):
         raise ValueError("moduli must form a divisibility chain")
+    size = prod(mods)
+    if size > CARRIER_LIMIT:
+        raise ValueError(f"carrier of {size} elements, over the limit of {CARRIER_LIMIT}")
     if len(gens) != rank:
         raise ValueError("need one generator image per basis vector")
+    for g in gens:
+        if len(g) != len(moduli):
+            raise ValueError(f"generator image {list(g)} has {len(g)} entries for {len(moduli)} moduli")
     keep = [i for i, d in enumerate(moduli) if int(d) != 1]
     images = tuple(
         tuple(int(g[i]) % mods[t] for t, i in enumerate(keep)) for g in gens
@@ -610,34 +621,40 @@ class KroneckerSaturation:
     note: str = ""
 
 
-def _box_grid_cells(b: BoxUnion, q: int) -> set[tuple[int, ...]]:
-    cells: set[tuple[int, ...]] = set()
-    for box in b.boxes:
-        ranges = [range(int(a * q), int(bb * q)) for a, bb in box.bounds]
-        cells |= set(product(*ranges))
-    return cells
+#: most cells q^dim of the rational grid 1/q * Z^dim on which box overlaps
+#: and rational orbits are counted, checked before any cell is built
+GRID_LIMIT = 10**6
 
 
-def box_overlap_volume(
-    b: BoxUnion, shift: Sequence[Fraction], grid_limit: int = 10**6
-) -> Fraction:
-    """Exact Lebesgue volume of b intersected with its translate by shift mod 1."""
-    shift = [Fraction(x) % 1 for x in shift]
+def box_grid(b: BoxUnion, shifts: Sequence[Fraction]) -> tuple[int, set[tuple[int, ...]]]:
+    """``(q, cells)``: the least grid 1/q * Z^dim carrying the bounds of b and
+    the shifts, and the grid cells that b covers."""
     q = lcm(
-        *(x.denominator for x in shift),
+        *(x.denominator for x in shifts),
         *(x.denominator for box in b.boxes for a_b in box.bounds for x in a_b),
     )
-    if q**b.dim > grid_limit:
-        raise ValueError("rational overlap grid too fine; raise grid_limit")
-    cells = _box_grid_cells(b, q)
+    if q**b.dim > GRID_LIMIT:
+        raise ValueError(f"rational grid of {q}^{b.dim} cells, over the limit of {GRID_LIMIT}")
+    cells: set[tuple[int, ...]] = set()
+    for box in b.boxes:
+        cells |= set(product(*(range(int(lo * q), int(hi * q)) for lo, hi in box.bounds)))
+    return q, cells
+
+
+def shift_cells(cells: set[tuple[int, ...]], q: int, shift: Sequence[Fraction]) -> set:
+    """The cells translated by shift mod 1, on the grid of ``box_grid``."""
     off = [int(x * q) for x in shift]
-    shifted = {tuple((c + o) % q for c, o in zip(cell, off)) for cell in cells}
-    return Fraction(len(cells & shifted), q**b.dim)
+    return {tuple((c + o) % q for c, o in zip(cell, off)) for cell in cells}
 
 
-def kronecker_orbit_saturation(
-    sys_: KroneckerSystem, b: BoxUnion, lam, grid_limit: int = 10**6
-) -> KroneckerSaturation:
+def box_overlap_volume(b: BoxUnion, shift: Sequence[Fraction]) -> Fraction:
+    """Exact Lebesgue volume of b intersected with its translate by shift mod 1."""
+    shift = [Fraction(x) for x in shift]
+    q, cells = box_grid(b, shift)
+    return Fraction(len(cells & shift_cells(cells, q, shift)), q**b.dim)
+
+
+def kronecker_orbit_saturation(sys_: KroneckerSystem, b: BoxUnion, lam) -> KroneckerSaturation:
     w = sys_.direction_value(lam)
     if b.dim != sys_.dim:
         raise ValueError("set dimension mismatch")
@@ -649,17 +666,9 @@ def kronecker_orbit_saturation(
             note="irrational direction: estimate only; see spectral expansion bound",
         )
     shifts = [f.rational for f in w]
-    q = lcm(
-        *(f.denominator for f in shifts),
-        *(x.denominator for box in b.boxes for a_b in box.bounds for x in a_b),
-    )
-    if q**b.dim > grid_limit:
-        raise ValueError("rational orbit grid too fine; raise grid_limit")
-    base_cells = _box_grid_cells(b, q)
+    q, base_cells = box_grid(b, shifts)
     cells: set[tuple[int, ...]] = set()
-    period = lcm(*(f.denominator for f in shifts))
-    for m in range(period):
-        off = [int((m * f) % 1 * q) for f in shifts]
-        cells |= {tuple((c + o) % q for c, o in zip(cell, off)) for cell in base_cells}
+    for m in range(lcm(*(f.denominator for f in shifts))):
+        cells |= shift_cells(base_cells, q, [m * f for f in shifts])
     vol = Fraction(len(cells), q**b.dim)
     return KroneckerSaturation(lower=vol, upper=vol, exact=True)

@@ -1,6 +1,7 @@
 """CLI runner: determinism, exit codes, CSV, witness re-verification."""
 
 import json
+import time
 
 from latspec.cli import main, parse_fraction, ser_fraction
 
@@ -365,3 +366,36 @@ def test_point_and_simplex_limits_exit_2_with_one_line(tmp_path, capsys):
         assert "Traceback" not in err
         assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
         assert word in err and "over" in err
+
+
+def _cyclic_cfg(experiment, moduli, gens, points):
+    return {
+        "experiment": experiment,
+        "system": {"kind": "finite", "rank": len(gens), "moduli": moduli, "gens": gens},
+        "set_b": {"kind": "elements", "points": points},
+    }
+
+
+def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
+    rank0 = {"experiment": "volume-spectrum", "rank": 0, "window": 2, "set": {"kind": "full"}}
+    configs = [
+        # a 10^5 x 10^5 exponent table used to end in an allocation traceback
+        (_cyclic_cfg("spectral-report", [10**5], [[1]], [[0], [1]]), "numpy", "root counts"),
+        (_cyclic_cfg("decompose", [10**12], [[1]], [[0]]), "numpy", "carrier"),
+        # a long generator row used to be truncated and run, a short one to crash
+        (_cyclic_cfg("decompose", [4], [[1, 5]], [[0]]), "numpy", "generator image"),
+        (_cyclic_cfg("decompose", [2, 4], [[1]], [[0, 0]]), "numpy", "generator image"),
+        # rank 0 used to be refused with a reason from inside the scan
+        (rank0, "numpy", "rank must be at least 1, got 0"),
+        (rank0, "python", "rank must be at least 1, got 0"),
+    ]
+    for i, (cfg, backend, reason) in enumerate(configs):
+        monkeypatch.setenv("LATSPEC_KERNELS", backend)
+        path = write_cfg(tmp_path, f"cfg{i}.json", cfg)
+        start = time.perf_counter()
+        assert run_cli([cfg["experiment"], "--config", path]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+        assert reason in err

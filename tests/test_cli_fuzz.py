@@ -1,11 +1,12 @@
-"""Config fuzzing of the point-set subcommands.
+"""Config fuzzing of the point-set and finite-system subcommands.
 
 Every config ends in one of three ways: it runs (exit 0), it fails its
 verdict (exit 1) or it is refused with a one-line reason (exit 2).  No
 config may end in an escaping exception or a traceback on stderr.  Sizes
-stay small so the whole property runs in a few seconds, but the values
-reach past the valid ranges: zero and negative moduli, windows and caps,
-densities outside [0, 1], too-short probes, non-increasing windows.
+stay small so each property runs in a few seconds, but the values reach
+past the valid ranges: zero, negative and non-chain moduli, generator rows
+of the wrong length, windows, caps and bounds below zero, densities outside
+[0, 1], too-short probes, non-increasing windows.
 """
 
 import io
@@ -85,11 +86,7 @@ def _configs(draw):
     return cfg
 
 
-@given(_configs())
-# a cap of -1 used to end in an IndexError traceback on the int64 scan
-@example({"experiment": "volume-spectrum", "rank": 2, "window": 2, "set": {"kind": "full"}, "cap": -1})
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_point_set_configs_exit_0_1_or_2_without_traceback(cfg):
+def _check_exit(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -101,3 +98,125 @@ def test_point_set_configs_exit_0_1_or_2_without_traceback(cfg):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@given(_configs())
+# a cap of -1 used to end in an IndexError traceback on the int64 scan
+@example({"experiment": "volume-spectrum", "rank": 2, "window": 2, "set": {"kind": "full"}, "cap": -1})
+# rank 0 used to be refused with a reason from inside the scan
+@example({"experiment": "volume-spectrum", "rank": 0, "window": 2, "set": {"kind": "full"}})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_point_set_configs_exit_0_1_or_2_without_traceback(cfg):
+    _check_exit(cfg)
+
+
+def _ints(length, bound=9):
+    return st.lists(st.integers(-bound, bound), min_size=length, max_size=length)
+
+
+@st.composite
+def _finite_system(draw, rank):
+    """``(width, descriptor)`` of an ergodic system: a triangular matrix with
+    a nonzero diagonal, or a divisibility chain of width at most the rank (the
+    one-point system at rank 0) whose generator images start with the
+    standard basis."""
+    if draw(st.booleans()):
+        matrix = [
+            [0] * i + [draw(st.sampled_from([1, 2, 3, -2]))] + draw(_ints(rank - i - 1, 3))
+            for i in range(rank)
+        ]
+        return rank, {"kind": "finite", "matrix": matrix}
+    moduli = [draw(st.integers(2, 6))] if rank else []
+    if rank > 1 and draw(st.booleans()):
+        moduli.append(moduli[-1] * draw(st.integers(1, 3)))
+    width = len(moduli)
+    gens = [[int(i == j) for i in range(width)] for j in range(width)]
+    gens += draw(st.lists(_ints(width), min_size=rank - width, max_size=rank - width))
+    return width, {"kind": "finite", "rank": rank, "moduli": moduli, "gens": gens}
+
+
+_ERGODIC_SETS = st.one_of(
+    st.just({"kind": "interval"}),
+    st.builds(lambda o, s: {"kind": "ap", "offset": o, "step": s}, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+# one fault per config at most, so that most configs get past the parser
+_FAULTS = st.sampled_from(
+    [None] * 8
+    + [
+        "rank 0", "zero modulus", "negative modulus", "non-chain", "long gens row",
+        "short gens row", "gens row dropped", "long point", "no points", "boxes",
+        "eps_o", "p", "probe", "ergodic_set", "bound", "field dropped",
+    ]
+)
+
+
+@st.composite
+def _finite_configs(draw):
+    fault = draw(_FAULTS)
+    rank = 0 if fault == "rank 0" else draw(st.integers(1, 3))
+    width, system = draw(_finite_system(rank))
+    moduli, gens = system.get("moduli"), system.get("gens", system.get("matrix"))
+    if moduli and fault in ("zero modulus", "negative modulus", "non-chain"):
+        moduli[draw(st.integers(0, width - 1))] = {"zero modulus": 0, "negative modulus": -4}.get(fault, 7)
+    if gens and fault in ("long gens row", "short gens row"):
+        gens[-1] = draw(_ints(len(gens[-1]) + (1 if fault.startswith("long") else -1)))
+    if gens and fault == "gens row dropped":
+        gens.pop()
+    if "moduli" in system and draw(st.booleans()):
+        points = {"kind": "elements", "points": draw(st.lists(_ints(width), min_size=1, max_size=8))}
+    else:
+        points = {"kind": "preimages", "points": draw(st.lists(_ints(rank), min_size=1, max_size=8))}
+    if fault == "long point":
+        points["points"][0].append(1)
+    points = {"no points": {"kind": "elements", "points": []}, "boxes": {"kind": "boxes"}}.get(fault, points)
+    experiment = draw(st.sampled_from(["intersect", "expand-scan", "decompose", "spectral-report"]))
+    cfg = {"experiment": experiment, "system": system, "set_b": points}
+    if experiment == "spectral-report":
+        cfg["lambda_bound"] = -1 if fault == "bound" else draw(st.integers(0, 2))
+    elif experiment == "decompose":
+        good = st.sampled_from(["1/10", "1/2", "2", 3])
+        cfg["eps_o"] = draw(st.sampled_from(["0", "-1/3", "1/0"]) if fault == "eps_o" else good)
+        if draw(st.booleans()):
+            cfg["sublattice"] = [[3 * int(i == j) for i in range(rank)] for j in range(rank)]
+    elif experiment == "intersect":
+        p = draw(st.integers(-1, 1) if fault == "p" else st.integers(2, 3))
+        probe = [draw(_ints(rank, 3)) for _ in range(max(p - 1, 0))]
+        if fault == "probe":
+            probe = probe[1:] if draw(st.booleans()) else [v + [0] for v in probe]
+        cfg["p"], cfg["probes"] = p, [probe]
+    else:
+        cfg["coord_bound"] = -1 if fault == "bound" else draw(st.integers(0, 2))
+    if experiment in ("intersect", "expand-scan") and draw(st.booleans()):
+        cfg["ergodic_set"] = draw(_ERGODIC_SETS)
+    if fault == "ergodic_set":
+        cfg["ergodic_set"] = draw(
+            st.sampled_from([{"kind": "ap", "step": 0}, {"kind": "interval", "offset": 1}, {"kind": "bogus"}])
+        )
+    if fault == "field dropped":
+        del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
+    return cfg
+
+
+def _cyclic(modulus, gens):
+    return {
+        "system": {"kind": "finite", "rank": len(gens), "moduli": [modulus], "gens": gens},
+        "set_b": {"kind": "elements", "points": [[0]]},
+    }
+
+
+@given(_finite_configs())
+# each of these ended in a traceback (exit 1) or ran on a misread system
+@example({"experiment": "spectral-report", **_cyclic(10**5, [[1]])})
+@example({"experiment": "decompose", **_cyclic(10**12, [[1]])})
+@example({"experiment": "decompose", **_cyclic(4, [[1, 5]])})
+@example(
+    {
+        "experiment": "decompose",
+        "system": {"kind": "finite", "rank": 1, "moduli": [2, 4], "gens": [[1]]},
+        "set_b": {"kind": "elements", "points": [[0, 0]]},
+    }
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_finite_system_configs_exit_0_1_or_2_without_traceback(cfg):
+    _check_exit(cfg)

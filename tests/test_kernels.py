@@ -178,3 +178,15 @@ def test_subset_limit_is_checked_before_the_scan(monkeypatch):
                 kernels.distinct_abs_dets(pts, rank)
             with pytest.raises(ValueError, match="simplices"):
                 kernels.find_det_witnesses(pts, rank, [1])
+
+
+def test_rank_below_one_is_refused_before_the_scan(monkeypatch):
+    # rank 0 used to fail inside the scan: an empty max() on the int64 path,
+    # an empty determinant on the Python path
+    for backend in BACKENDS:
+        monkeypatch.setenv("LATSPEC_KERNELS", backend)
+        for rank, pts in ((0, [()]), (0, []), (-1, [(0,), (1,)])):
+            with pytest.raises(ValueError, match=f"rank must be at least 1, got {rank}"):
+                kernels.distinct_abs_dets(pts, rank)
+            with pytest.raises(ValueError, match=f"rank must be at least 1, got {rank}"):
+                kernels.find_det_witnesses(pts, rank, [1])

@@ -1,8 +1,13 @@
 """Spectral measures and the quantitative checks, exact on finite systems."""
 
+import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
+import numpy as np
 import pytest
 
 from _fleet import random_fleet
@@ -10,6 +15,7 @@ from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
+from latspec import spectral
 from latspec.spectral import (
     IrrationalPart,
     KroneckerCharacter,
@@ -33,6 +39,7 @@ from latspec.systems import (
     BoxUnion,
     ErgodicSetSpec,
     birkhoff_annihilator_average,
+    box_overlap_volume,
     finite_system,
     finite_system_from_parts,
     kronecker_system,
@@ -134,6 +141,73 @@ def test_bochner_examples_and_fleet():
     assert rep.ok and rep.checked == 81
     for sys_, b in random_fleet(99, 20):
         assert verify_bochner(sys_, b, 4).ok
+
+
+def _exponent_matrix_tables(sys_, b):
+    """The |A| x |A| construction the finite tables replaced: chi_c(h) for
+    every pair (c, h), then one np.add.at of the difference counts per c."""
+    n, order = sys_.size, sys_.exponent
+    every = sys_.vectors(np.arange(n))
+    exp_matrix = (every * (order // np.array(sys_.moduli, dtype=np.int64)) @ every.T) % order
+    n_b = np.zeros(n, dtype=np.int64)
+    for x, y in product(b, repeat=2):
+        n_b[sys_.index([tuple(u - v for u, v in zip(x, y))])[0]] += 1
+    root_counts = np.zeros((n, order), dtype=np.int64)
+    for c in range(n):
+        np.add.at(root_counts[c], exp_matrix[c], n_b)
+    return exp_matrix, root_counts
+
+
+def test_root_counts_and_bochner_exponents_match_the_exponent_matrix():
+    for sys_, b in random_fleet(23, 30):
+        t = spectral._finite_tables(sys_, b)
+        exp_matrix, root_counts = _exponent_matrix_tables(sys_, b)
+        assert np.array_equal(t.root_counts, root_counts)
+        for h, g in enumerate(sys_.elements()):
+            assert np.array_equal(t.exponents_at(g), exp_matrix[:, h])
+
+
+def test_finite_tables_stay_small_on_a_3600_point_carrier():
+    # the |A| x |A| exponent matrix alone took 104 MB here, 198 MiB at peak
+    sys_ = finite_system_from_parts(2, [60, 60], [[1, 0], [0, 1]])
+    b = frozenset(random.Random(5).sample(sys_.elements(), 1200))
+    sys_.vectors(0)  # the coordinate table is cached per moduli
+    tracemalloc.start()
+    try:
+        t = spectral._finite_tables(sys_, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert t.root_counts.shape == (3600, 60)
+
+
+def test_cell_limit_is_checked_before_the_tables_are_built():
+    cyclic = finite_system_from_parts(1, [10**5], [[1]])
+    cube = finite_system_from_parts(13, [2] * 13, [[int(i == j) for i in range(13)] for j in range(13)])
+    cube_b = frozenset(cube.elements()[:4500])
+    for sys_, b, reason in (
+        (cyclic, {(0,), (1,)}, "100000 x 100000 root counts, over the limit of 20000000"),
+        (cube, cube_b, "20250000 difference pairs, over the limit of 20000000"),
+    ):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=reason):
+                spectral._finite_tables(sys_, frozenset(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and time.perf_counter() - start < 0.5
+
+
+def test_expansion_bound_is_one_over_the_normalized_annihilator_mass():
+    for sys_, b in random_fleet(41, 15):
+        tilde = normalized(spectral_measure(sys_, b))
+        for lam in product(range(-2, 3), repeat=sys_.rank):
+            if any(lam):
+                chk = expansion_bound_check(sys_, b, lam)
+                assert chk.bound.value == 1 / annihilator_mass(tilde, lam).value
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +620,20 @@ def test_kronecker_two_dimensional_rational_direction():
     chk = expansion_bound_check(ks, box, (0, 1))
     assert not chk.estimate and chk.ok
     assert chk.measured.value >= chk.bound.value
+
+
+def test_rational_annihilator_is_the_period_average_of_box_overlaps():
+    a, c = FormalReal.sym("alpha"), FormalReal.sym("beta")
+    ks = kronecker_system(2, 2, [[Fraction(1, 3), a], [Fraction(2, 5), c]])
+    b = BoxUnion.of(
+        [(Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4))],
+        [(Fraction(1, 2), Fraction(5, 6)), (Fraction(0), Fraction(1, 10))],
+    )
+    for lam in ((1, 0), (2, 0), (-4, 0), (15, 0)):
+        w = [f.rational for f in ks.direction_value(lam)]
+        period = lcm(*(x.denominator for x in w))
+        average = sum(box_overlap_volume(b, [m * x for x in w]) for m in range(period)) / period
+        assert spectral._kron_rational_annihilator_exact(ks, b, lam) == average
 
 
 def test_kronecker_annihilator_nesting():

@@ -9,11 +9,14 @@ from _fleet import random_fleet
 from latspec.formal import FormalReal
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
+from latspec import systems
 from latspec.systems import (
     Box,
     BoxUnion,
     ErgodicSetSpec,
+    FiniteSystem,
     birkhoff_annihilator_average,
+    box_overlap_volume,
     component_presentation,
     ergodic_components,
     finite_system,
@@ -64,6 +67,32 @@ def test_finite_system_quotient_is_consistent():
 def test_non_ergodic_parts_rejected():
     with pytest.raises(ValueError, match="non-ergodic"):
         finite_system_from_parts(2, (2, 2), [(1, 0), (1, 0)])
+
+
+def test_carrier_limit_is_checked_before_the_carrier_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("carrier built")
+
+    monkeypatch.setattr(FiniteSystem, "coset_labels", refuse)
+    # 10^12 elements used to end in a 7.28 TiB allocation error
+    with pytest.raises(ValueError, match="carrier of 1000000000000 elements, over the limit of 10000000"):
+        finite_system_from_parts(1, [10**12], [[1]])
+    with pytest.raises(ValueError, match="over the limit"):
+        finite_system(sublattice([[10**4, 0], [0, 10**4]]))
+    with pytest.raises(AssertionError, match="carrier built"):
+        finite_system_from_parts(1, [systems.CARRIER_LIMIT], [[1]])
+
+
+def test_generator_rows_must_match_the_moduli():
+    # a long row was truncated silently, a short one ended in an IndexError
+    with pytest.raises(ValueError, match=r"generator image \[1, 5\] has 2 entries for 1 moduli"):
+        finite_system_from_parts(1, [4], [[1, 5]])
+    with pytest.raises(ValueError, match=r"generator image \[1\] has 1 entries for 2 moduli"):
+        finite_system_from_parts(1, [2, 4], [[1]])
+    # factor-1 entries count: the row is checked before they are dropped
+    with pytest.raises(ValueError, match="entries for 2 moduli"):
+        finite_system_from_parts(1, [1, 4], [[1]])
+    assert finite_system_from_parts(1, [1, 4], [[0, 1]]).moduli == (4,)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +281,19 @@ def test_kronecker_rational_direction_saturation_exact():
     b2 = BoxUnion.of([(Fraction(0), Fraction(1, 2))])
     sat2 = kronecker_orbit_saturation(ks, b2, (0, 1))
     assert sat2.exact and sat2.lower == 1
+
+
+def test_rational_grid_is_refused_over_its_limit():
+    ks = kronecker_system(2, 2, [[Fraction(1, 3), 0], [0, Fraction(1, 5)]], require_ergodic=False)
+    fine = BoxUnion.of([(Fraction(0), Fraction(1, 1009)), (Fraction(0), Fraction(1, 1013))])
+    with pytest.raises(ValueError, match=r"grid of 1022117\^2 cells, over the limit of 1000000"):
+        box_overlap_volume(fine, [0, 0])
+    # the direction's shift 1/3 refines the grid by 3
+    with pytest.raises(ValueError, match=r"grid of 3066351\^2 cells, over the limit of 1000000"):
+        kronecker_orbit_saturation(ks, fine, (1, 0))
+    # one axis of 1001 cells stays inside the limit
+    line = BoxUnion.of([(Fraction(0), Fraction(1, 1001))])
+    assert box_overlap_volume(line, [Fraction(1, 2002)]) == Fraction(1, 2002)
 
 
 def test_kronecker_irrational_direction_is_estimate():
