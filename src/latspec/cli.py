@@ -163,11 +163,15 @@ def _parse_system(desc: dict):
 def _parse_set_b(sys_, desc: dict):
     kind = desc.get("kind")
     if isinstance(sys_, FiniteSystem):
+        if kind not in ("elements", "preimages"):
+            raise ConfigError("finite set_b kinds: 'elements', 'preimages'")
+        width = len(sys_.moduli) if kind == "elements" else sys_.rank
+        for p in desc["points"]:
+            if len(p) != width:
+                raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
         if kind == "elements":
             return frozenset(sys_.reduce(p) for p in desc["points"])
-        if kind == "preimages":
-            return frozenset(sys_.phi(tuple(int(x) for x in p)) for p in desc["points"])
-        raise ConfigError("finite set_b kinds: 'elements', 'preimages'")
+        return frozenset(sys_.phi(tuple(int(x) for x in p)) for p in desc["points"])
     if kind == "boxes":
         return BoxUnion.of(
             *[
@@ -290,7 +294,8 @@ def _run_expand_scan(cfg: dict, seed: Optional[int]):
     for lam, mu in measured:
         chk = expansion_bound_check(sys_, bset, lam, sspec)
         ok = bool(chk.ok)
-        all_ok = all_ok and ok
+        # a step > 1 averaging set is not universal: its rows are reported only
+        all_ok = all_ok and (ok or not chk.applicable)
         rows.append(
             list(lam)
             + [

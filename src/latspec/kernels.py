@@ -8,21 +8,40 @@ every rank has a pure-Python exact path.  Selection:
 
     LATSPEC_KERNELS = auto | numpy | python
 
-``auto`` (the default) means numpy.  Both backends return identical results;
-the int64 scan is only entered when a determinant bound from the coordinate
-spread (determinants of difference vectors ignore translation) proves the
-arithmetic cannot overflow and the value-indexed tables fit under
-``TABLE_LIMIT``, otherwise the call silently degrades to the exact Python
-path.  Ranks other than 2 and 3 always use the Python path.  Both paths
-refuse a rank below 1, and a scan of more than ``SUBSET_LIMIT`` subsets,
-before it starts.
+``auto`` (the default) means numpy.  Both backends return identical results.
+Two bounds decide whether the int64 scan runs, both from the coordinate
+spreads (determinants of difference vectors ignore translation):
+
+- overflow: ``det_bound`` r! * (2c)^r, with c half the largest spread,
+  must stay below 2^62;
+- table: no simplex covers more than half of its bounding box at rank 2 or
+  a third at rank 3, so no |det| exceeds U = prod(spreads) at rank 2 and
+  U = 2 * prod(spreads) at rank 3 (``_simplex_bound``); the value-indexed
+  flag table has min(U, cap) + 1 entries and must fit under ``TABLE_LIMIT``.
+
+Otherwise the call silently degrades to the exact Python path.
+
+The int64 spectrum scan stops once its answer is complete.  The blocks of
+the first sorted point hold every r x r minor of the differences p_i - p_0,
+so the gcd g of their values is the r-th determinantal divisor and every
+|det| is a multiple of it (no value at all: the points lie in one
+hyperplane, the spectrum is empty).  Once g, 2g, ... up to min(U, cap) are
+all flagged, no later block can add a value.  The check costs
+O(min(U, cap) / g) and runs only after that many entries were scanned since
+the last one, so it never costs more than the scan.  The Python path stays
+exhaustive.
+
+Ranks other than 2 and 3 always use the Python path.  Both paths refuse a
+rank below 1, and a scan of more than ``SUBSET_LIMIT`` subsets, before it
+starts; admission counts C(n, r+1) subsets, not the ones an early stop
+visits.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,10 +71,15 @@ def det_bound(max_abs_coord: int, rank: int) -> int:
     return factorial(rank) * (2 * max_abs_coord) ** rank
 
 
-def _spread_bound(points: Sequence[tuple[int, ...]], rank: int) -> int:
-    # determinants of difference vectors ignore translation: bound by the spread
-    spread = max(max(col) - min(col) for col in zip(*points))
-    return det_bound((spread + 1) // 2, rank)
+def _spreads(points: Sequence[tuple[int, ...]]) -> list[int]:
+    # determinants of difference vectors ignore translation: bound by the spreads
+    return [max(col) - min(col) for col in zip(*points)]
+
+
+def _simplex_bound(spreads: Sequence[int], rank: int) -> int:
+    """U >= every |det| at rank 2 or 3: a triangle covers at most half of its
+    bounding box, a tetrahedron at most a third, and |det| = rank! * volume."""
+    return (1 if rank == 2 else 2) * prod(spreads)
 
 
 def _subsets(n: int, rank: int) -> int:
@@ -67,8 +91,10 @@ def _subsets(n: int, rank: int) -> int:
     return count
 
 
-def _int64_ok(points: Sequence[tuple[int, ...]], rank: int, limit: int) -> bool:
-    return rank in (2, 3) and _spread_bound(points, rank) < _INT64_SAFE and limit <= TABLE_LIMIT
+def _int64_ok(spreads: Sequence[int], rank: int, limit: int) -> bool:
+    # the spread bound guards the int64 arithmetic, ``limit`` sizes the table
+    overflow = det_bound((max(spreads) + 1) // 2, rank) >= _INT64_SAFE
+    return rank in (2, 3) and not overflow and limit <= TABLE_LIMIT
 
 
 def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -80,32 +106,61 @@ def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # int64 scan (ranks 2 and 3)
 
-def _blocks(pts: np.ndarray, rank: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield ``(prefix, M)`` blocks covering every (rank+1)-subset.
+def _base(pts: np.ndarray, rank: int, i: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield the ``(prefix, M)`` blocks whose subsets start at point i.
 
     A block fixes the first rank-1 indices (``prefix``: ``(i,)`` for rank 2,
     ``(i, j)`` for rank 3); with s = prefix[-1] + 1, ``M[a, b]`` is the |det|
     of the subset ``prefix + (s + a, s + b)``.  M is symmetric with a zero
     diagonal, and its entries with a < b in row-major order, block after
-    block, list the subsets lexicographically.
+    block and base after base, list the subsets lexicographically.
     """
-    n = pts.shape[0]
-    for i in range(n - rank):
-        d = pts[i + 1 :] - pts[i]
-        if rank == 2:
-            yield (i,), np.abs(np.outer(d[:, 0], d[:, 1]) - np.outer(d[:, 1], d[:, 0]))
-            continue
-        # normals[a, b] = d_a x d_b over the points after i: one cross call per i
-        normals = np.cross(d[:, None], d[None, :])
-        for a in range(len(d) - 2):
-            yield (i, i + 1 + a), np.abs(normals[a, a + 1 :] @ d[a + 1 :].T)
+    d = pts[i + 1 :] - pts[i]
+    if rank == 2:
+        # outer(y, x) is the transpose of outer(x, y)
+        xy = np.outer(d[:, 0], d[:, 1])
+        m = xy - xy.T
+        yield (i,), np.abs(m, out=m)
+        return
+    # normals[a, b] = d_a x d_b over the points after i: one cross call per i
+    normals = np.cross(d[:, None], d[None, :])
+    for a in range(len(d) - 2):
+        m = normals[a, a + 1 :] @ d[a + 1 :].T
+        yield (i, i + 1 + a), np.abs(m, out=m)
+
+
+def _blocks(pts: np.ndarray, rank: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Every base in turn: blocks covering all (rank+1)-subsets, in order."""
+    for i in range(pts.shape[0] - rank):
+        yield from _base(pts, rank, i)
 
 
 def _distinct_np(pts: np.ndarray, rank: int, limit: int, cut: bool) -> set[int]:
-    # without a cut below the spread bound every |det| already fits the table
+    # without a cut below U every |det| already fits the table
     flags = np.zeros(limit + 1, dtype=bool)
-    for _, m in _blocks(pts, rank):
+    # base 0 holds every r x r minor of the differences p_i - p_0, so the gcd
+    # of its values divides every |det|; values above a cut still count
+    g = scanned = 0
+    for _, m in _base(pts, rank, 0):
         flags[m[m <= limit] if cut else m] = True
+        scanned += m.size
+        if cut:
+            g = gcd(g, int(np.gcd.reduce(m[m > limit])))
+    flags[0] = False
+    g = gcd(g, int(np.gcd.reduce(np.flatnonzero(flags))))
+    if not g:
+        return set()  # every minor vanishes: the points lie in one hyperplane
+    # the answer is complete once g, 2g, ... <= limit are all flagged; a check
+    # reads want.size flags, so it waits for as many entries scanned
+    want = flags[g::g]
+    for i in range(1, pts.shape[0] - rank):
+        if scanned >= want.size:
+            if np.count_nonzero(want) == want.size:
+                break
+            scanned = 0
+        for _, m in _base(pts, rank, i):
+            flags[m[m <= limit] if cut else m] = True
+            scanned += m.size
     flags[0] = False
     return set(np.flatnonzero(flags).tolist())
 
@@ -174,11 +229,12 @@ def distinct_abs_dets(
     """
     if not _subsets(len(points), rank) or (cap is not None and cap < 1):
         return set()
-    if backend_name() == "numpy":
-        bound = _spread_bound(points, rank)
-        limit = bound if cap is None else min(bound, cap)
-        if _int64_ok(points, rank, limit):
-            return _distinct_np(_int64_points(points), rank, limit, limit < bound)
+    if backend_name() == "numpy" and rank in (2, 3):
+        spreads = _spreads(points)
+        top = _simplex_bound(spreads, rank)
+        limit = top if cap is None else min(top, cap)
+        if _int64_ok(spreads, rank, limit):
+            return _distinct_np(_int64_points(points), rank, limit, limit < top)
     return _distinct_py(points, rank, cap)
 
 
@@ -194,6 +250,6 @@ def find_det_witnesses(
     targets = sorted({int(t) for t in targets if t > 0})
     if not targets or not subsets:
         return {}
-    if backend_name() == "numpy" and _int64_ok(points, rank, targets[-1]):
+    if backend_name() == "numpy" and _int64_ok(_spreads(points), rank, targets[-1]):
         return _witness_np(_int64_points(points), rank, targets)
     return _witness_py(points, rank, targets)

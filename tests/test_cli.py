@@ -388,6 +388,14 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         # rank 0 used to be refused with a reason from inside the scan
         (rank0, "numpy", "rank must be at least 1, got 0"),
         (rank0, "python", "rank must be at least 1, got 0"),
+        # an element of the wrong length used to be refused with a zip() message
+        (_cyclic_cfg("spectral-report", [4], [[1], [0]], [[0], [1, 2]]), "numpy", "set_b element [1, 2] has length 2, expected 1"),
+        (_cyclic_cfg("spectral-report", [2, 4], [[1, 0], [0, 1]], [[1]]), "numpy", "set_b element [1] has length 1, expected 2"),
+        (
+            {**_cyclic_cfg("decompose", [4], [[1], [0]], []), "set_b": {"kind": "preimages", "points": [[1, 2, 3]]}},
+            "numpy",
+            "set_b preimage [1, 2, 3] has length 3, expected 2",
+        ),
     ]
     for i, (cfg, backend, reason) in enumerate(configs):
         monkeypatch.setenv("LATSPEC_KERNELS", backend)
@@ -399,3 +407,21 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
         assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
         assert reason in err
+
+
+def test_expand_scan_verdict_skips_rows_that_are_not_asserted(tmp_path):
+    # a step-2 averaging set is not a universal ergodic set, so its rows
+    # report the comparison without asserting it; the scan used to exit 1
+    cfg = {
+        "experiment": "expand-scan",
+        "system": {"kind": "finite", "rank": 2, "moduli": [4], "gens": [[1], [0]]},
+        "set_b": {"kind": "preimages", "points": [[4, -6], [-2, -5]]},
+        "coord_bound": 1,
+        "ergodic_set": {"kind": "ap", "offset": 0, "step": 2},
+    }
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out, csv_path = tmp_path / "report.json", tmp_path / "scan.csv"
+    assert run_cli(["expand-scan", "--config", path, "--out", out, "--csv", csv_path]) == 0
+    assert json.loads(out.read_text())["verdicts"] == [{"name": "expansion-bounds-hold", "pass": True}]
+    holds = [line.rsplit(",", 1)[1] for line in csv_path.read_text().splitlines()[1:]]
+    assert len(holds) == 8 and "0" in holds  # the CSV still shows every comparison

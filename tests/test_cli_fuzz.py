@@ -15,6 +15,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -86,28 +87,70 @@ def _configs(draw):
     return cfg
 
 
-def _check_exit(cfg):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.json")
+def _check_exit(cfg, backend="numpy"):
+    """Serve ``cfg`` on one kernel backend; return the exit code and the
+    report body without its two volatile fields (None when refused)."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.setenv("LATSPEC_KERNELS", backend)
+        path, report = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "r.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([cfg["experiment"], "--config", path, "--out", os.path.join(tmp, "r.json")])
+            code = main([cfg["experiment"], "--config", path, "--out", report])
+        body = None
+        if os.path.exists(report):
+            with open(report) as fh:
+                body = json.load(fh)
+            del body["generated_at"], body["elapsed_seconds"]
     assert code in (0, 1, 2), code
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1
+    return code, body
 
 
-@given(_configs())
+#: most points per rank whose spectrum the Python path replays in the property
+_REPLAYED = {1: 40, 2: 40, 3: 16}
+
+
+@st.composite
+def _volume_configs(draw):
+    """Valid volume-spectrum configs, most of them small enough to replay."""
+    rank = draw(st.integers(1, 3))
+    sets = [
+        {"kind": "full"},
+        {"kind": "congruence", "modulus": draw(st.integers(1, 3)), "offset": draw(_vec(rank))},
+        {"kind": "random", "density": draw(st.sampled_from(["1/3", "1/2"])), "seed": draw(st.integers(0, 2**64 - 1))},
+    ]
+    explicit = {"kind": "explicit", "points": draw(st.lists(_vec(rank), max_size=14))}
+    desc = draw(st.sampled_from(sets + [explicit]))
+    # explicit sets stay small on any window
+    window = 6 if desc is explicit else draw(st.integers(1, 1 if rank == 3 else 3))
+    if draw(st.booleans()):
+        desc = {"kind": "translate", "base": desc, "offset": draw(_vec(rank))}
+    cfg = {"experiment": "volume-spectrum", "rank": rank, "window": window, "set": desc}
+    if draw(st.booleans()):
+        cfg["cap"] = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        cfg["ap_max"] = draw(st.integers(1, 4))
+    return cfg
+
+
+@given(st.one_of(_configs(), _volume_configs()))
 # a cap of -1 used to end in an IndexError traceback on the int64 scan
 @example({"experiment": "volume-spectrum", "rank": 2, "window": 2, "set": {"kind": "full"}, "cap": -1})
 # rank 0 used to be refused with a reason from inside the scan
 @example({"experiment": "volume-spectrum", "rank": 0, "window": 2, "set": {"kind": "full"}})
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# a cap between the gcd and the simplex bound, with an AP certificate
+@example({"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "congruence", "modulus": 2, "offset": [1, 0]}, "cap": 20, "ap_max": 3})
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_point_set_configs_exit_0_1_or_2_without_traceback(cfg):
-    _check_exit(cfg)
+    code, body = _check_exit(cfg)
+    # small volume spectra: the exhaustive Python path must give the same report
+    if body and cfg["experiment"] == "volume-spectrum":
+        if body["results"]["point_count"] <= _REPLAYED.get(int(cfg["rank"]), 0):
+            assert _check_exit(cfg, "python") == (code, body)
 
 
 def _ints(length, bound=9):

@@ -6,13 +6,21 @@ overflow int64 must fall back to the exact path silently.
 """
 
 from itertools import product
+from math import gcd, prod
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from latspec import kernels
 from latspec.prng import SplitMix64
 
 BACKENDS = ["python", "numpy"]
+
+
+def _refuse(*args):
+    raise AssertionError("exact Python path taken")
 
 
 def _random_points(seed, n, rank, bound):
@@ -114,12 +122,9 @@ def test_rank_one_uses_python_path(monkeypatch):
 def test_translated_grid_stays_on_the_int64_scan(monkeypatch):
     # the determinant bound follows the coordinate spread, so a grid far from
     # the origin is scanned like the same grid at the origin
-    def refuse(*args):
-        raise AssertionError("exact Python path taken")
-
     monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
-    monkeypatch.setattr(kernels, "_distinct_py", refuse)
-    monkeypatch.setattr(kernels, "_witness_py", refuse)
+    monkeypatch.setattr(kernels, "_distinct_py", _refuse)
+    monkeypatch.setattr(kernels, "_witness_py", _refuse)
     grid = [(x, y) for x in range(12) for y in range(12)]
     shifted = [(x + 5000, y + 5000) for x, y in grid]
     spectrum = kernels.distinct_abs_dets(grid, 2)
@@ -132,9 +137,6 @@ def test_translated_grid_stays_on_the_int64_scan(monkeypatch):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_square_blocks_match_the_python_path(monkeypatch, rank):
-    def refuse(*args):
-        raise AssertionError("exact Python path taken")
-
     line = [tuple(t * c for c in (1, 2, -3)[:rank]) for t in range(-4, 6)]
     plane = [(x, y, 2 * x - y) for x in range(-2, 3) for y in range(-2, 2)]
     cases = {
@@ -146,14 +148,14 @@ def test_square_blocks_match_the_python_path(monkeypatch, rank):
         cases["coplanar"] = plane
     monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
     for name, pts in cases.items():
-        bound = kernels._spread_bound(pts, rank)
+        bound = kernels._simplex_bound(kernels._spreads(pts), rank)
         caps = [None, -2, -1, 0, 1, 17, bound - 1, bound, bound + 5]
         want_spectra = {cap: kernels._distinct_py(pts, rank, cap) for cap in caps}
         targets = sorted(want_spectra[None]) + [bound]
         want_witnesses = kernels._witness_py(pts, rank, targets)
         with monkeypatch.context() as m:
-            m.setattr(kernels, "_distinct_py", refuse)
-            m.setattr(kernels, "_witness_py", refuse)
+            m.setattr(kernels, "_distinct_py", _refuse)
+            m.setattr(kernels, "_witness_py", _refuse)
             for cap in caps:
                 assert kernels.distinct_abs_dets(pts, rank, cap) == want_spectra[cap], (name, cap)
             assert kernels.find_det_witnesses(pts, rank, targets) == want_witnesses, name
@@ -190,3 +192,121 @@ def test_rank_below_one_is_refused_before_the_scan(monkeypatch):
                 kernels.distinct_abs_dets(pts, rank)
             with pytest.raises(ValueError, match=f"rank must be at least 1, got {rank}"):
                 kernels.find_det_witnesses(pts, rank, [1])
+
+
+@st.composite
+def _scan_inputs(draw):
+    """``(rank, points)``: full boxes, congruence sets, random sets and
+    collinear or coplanar sets, each possibly translated far from 0."""
+    rank = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["full", "congruence", "random", "flat"]))
+    if kind == "full":
+        spans = draw(st.lists(st.integers(0, 4 if rank == 2 else 2), min_size=rank, max_size=rank))
+        if rank == 3:
+            spans[-1] = min(spans[-1], 1)  # at most 18 points for the Python oracle
+        pts = list(product(*(range(s + 1) for s in spans)))
+    elif kind == "congruence":
+        n = draw(st.integers(1, 5))
+        offset = draw(st.lists(st.integers(0, n - 1), min_size=rank, max_size=rank))
+        cells = product(range(draw(st.integers(1, 5 if rank == 2 else 2))), repeat=rank)
+        pts = [tuple(o + n * c for o, c in zip(offset, cell)) for cell in cells]
+    elif kind == "random":
+        coord = st.integers(-6, 6)
+        pts = draw(
+            st.lists(
+                st.tuples(*[coord] * rank), min_size=rank + 1, max_size=20 if rank == 2 else 12
+            )
+        )
+    else:
+        # integer combinations of rank-1 directions: a line or a plane
+        dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=rank - 1, max_size=rank - 1))
+        coeffs = product(range(-2, 3), repeat=rank - 1)
+        pts = [tuple(sum(c * v[k] for c, v in zip(cs, dirs)) for k in range(rank)) for cs in coeffs]
+    shift = draw(st.sampled_from([0, 7, -(10**6)]))
+    return rank, sorted({tuple(x + shift for x in p) for p in pts})
+
+
+@given(
+    _scan_inputs(),
+    st.sampled_from(["none", "below g", "g to U", "above U"]),
+    st.integers(0, 10**6),
+)
+# caps that the first base alone leaves without a value, or with values whose
+# gcd is 2 while the spectrum's is 1: the gcd must count values above the cap
+@example((2, [(0, 3), (0, 6), (3, 3), (4, 6), (5, 3), (6, 0), (6, 1)]), "g to U", 0)
+@example((2, [(0, 0), (0, 3), (2, 0), (2, 5), (4, 0), (5, 4), (6, 1)]), "g to U", 6)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_early_stopped_spectrum_matches_the_python_path(case, where, pick):
+    rank, pts = case
+    spectrum = kernels._distinct_py(pts, rank, None)
+    g, top = gcd(*spectrum), kernels._simplex_bound(kernels._spreads(pts), rank)
+    cap = {
+        "none": None,
+        "below g": pick % max(g, 1),
+        "g to U": max(g, 1) + pick % max(top - g + 1, 1),
+        "above U": top + 1 + pick % 50,
+    }[where]
+    want = {v for v in spectrum if cap is None or v <= cap}
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("LATSPEC_KERNELS", "numpy")
+        m.setattr(kernels, "_distinct_py", _refuse)
+        assert kernels.distinct_abs_dets(pts, rank, cap) == want
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_simplex_bound_covers_every_det_and_is_met_on_full_boxes(rank):
+    for seed in range(6):
+        pts = _random_points(70 + seed, 16 if rank == 2 else 10, rank, 5)
+        assert kernels._simplex_bound(kernels._spreads(pts), rank) >= max(
+            kernels._distinct_py(pts, rank, None)
+        )
+    for spans in ((1,) * rank, (4, 2, 1)[:rank], (3, 1, 2)[:rank]):
+        box = list(product(*(range(-1, s) for s in spans)))
+        bound = kernels._simplex_bound(kernels._spreads(box), rank)
+        assert bound == max(kernels._distinct_py(box, rank, None)) == (rank - 1) * prod(spans)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_first_base_gcd_is_the_spectrum_gcd(rank):
+    # sheared and scaled random sets, so the gcd is seldom 1
+    shears = ([[2, 1], [0, 3]], [[1, 0, 2], [0, 2, 1], [0, 0, 3]])
+    shear = np.array(shears[rank - 2])
+    for seed in range(8):
+        raw = _random_points(90 + seed, 9 if rank == 2 else 7, rank, 3)
+        pts = sorted(tuple(int(x) for x in shear @ p * (1 + seed % 3)) for p in raw)
+        first = kernels._base(kernels._int64_points(pts), rank, 0)
+        base_gcd = gcd(*(int(np.gcd.reduce(m, axis=None)) for _, m in first))
+        assert base_gcd == gcd(*kernels._distinct_py(pts, rank, None)) > 0
+
+
+def test_dense_windows_stop_after_two_bases(monkeypatch):
+    # the 15 x 15 grid and the modulus-11 congruence set with 15 points per
+    # axis: every multiple of g up to U appears within the first two bases
+    visited = []
+    base = kernels._base
+
+    def counting(pts, rank, i):
+        visited.append(i)
+        return base(pts, rank, i)
+
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    monkeypatch.setattr(kernels, "_base", counting)
+    grid = [(x, y) for x in range(-7, 8) for y in range(-7, 8)]
+    congruence = [(3 + 11 * a - 82, 5 + 11 * b - 82) for a in range(15) for b in range(15)]
+    for pts, g in ((grid, 1), (congruence, 121)):
+        visited.clear()
+        assert kernels.distinct_abs_dets(pts, 2) == {g * k for k in range(1, 197)}
+        assert len(pts) == 225 and visited in ([0], [0, 1])
+
+
+def test_rank3_table_sized_by_the_simplex_bound_stays_on_int64(monkeypatch):
+    # |coord| <= 200: the spread bound 3! * spread^3 exceeds TABLE_LIMIT, the
+    # simplex bound 2 * prod(spreads) does not
+    pts = _random_points(77, 16, 3, 200)
+    spreads = kernels._spreads(pts)
+    assert kernels.det_bound((max(spreads) + 1) // 2, 3) > kernels.TABLE_LIMIT
+    assert kernels._simplex_bound(spreads, 3) <= kernels.TABLE_LIMIT
+    want = kernels._distinct_py(pts, 3, None)
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    monkeypatch.setattr(kernels, "_distinct_py", _refuse)
+    assert kernels.distinct_abs_dets(pts, 3) == want
