@@ -27,7 +27,6 @@ from .spectral import (
     directional_expansion_theorem_check,
     expansion_bound_check,
     intersection_theorem_search,
-    normalized,
     rational_mass_excluding_trivial,
     shrink_rational_spectrum,
     small_intersection_bound,

@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import __version__
 from .formal import FormalReal
-from .haystack import make_haystack, verify_haystack_sample
+from .haystack import admit_subsets, make_haystack, verify_haystack_sample
 from .lattice import is_primitive, sublattice
 from .spectral import (
     Weight,
@@ -35,7 +35,6 @@ from .spectral import (
     annihilator_mass,
     expansion_bound_check,
     intersection_theorem_search,
-    normalized,
     rational_mass_excluding_trivial,
     shrink_rational_spectrum,
     spectral_measure,
@@ -136,10 +135,10 @@ def _parse_formal(entry) -> FormalReal:
         return FormalReal.of(parse_fraction(entry))
     if isinstance(entry, dict):
         rational = parse_fraction(entry.get("rational", 0))
-        terms = tuple(
-            (name, parse_fraction(coeff))
-            for name, coeff in sorted(entry.get("symbols", {}).items())
-        )
+        symbols = entry.get("symbols", {})
+        if not isinstance(symbols, dict):
+            raise ConfigError(f"frequency symbols must map names to rationals, got {symbols!r}")
+        terms = tuple((name, parse_fraction(coeff)) for name, coeff in sorted(symbols.items()))
         return FormalReal(rational, terms)
     raise ConfigError(f"cannot parse frequency entry {entry!r}")
 
@@ -334,17 +333,20 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
     if isinstance(sys_, FiniteSystem):
         lam_bound = _box_bound(cfg, "lambda_bound", sys_.rank, default=4)
         sigma = spectral_measure(sys_, bset)
-        tilde = normalized(sigma)
         boch = verify_bochner(sys_, bset, lam_bound)
         mu_b = sigma.total.value
+        # normalized figures are raw masses over the trivial mass mu(B)^2
+        t = sigma.trivial.value
         results = {
             "kind": "finite",
             "carrier_moduli": list(sys_.moduli),
             "mu_b": ser_fraction(mu_b),
             "total_mass": ser_weight(sigma.total),
             "trivial_mass": ser_weight(sigma.trivial),
-            "normalized_total": ser_weight(tilde.total),
-            "rational_nontrivial_mass": ser_weight(rational_mass_excluding_trivial(tilde)),
+            "normalized_total": ser_fraction(mu_b / t),
+            "rational_nontrivial_mass": ser_weight(
+                rational_mass_excluding_trivial(sigma).scale(1 / t)
+            ),
             "atoms": [
                 {"label": list(a.character.dual_label), "weight": ser_weight(a.weight)}
                 for a in sigma.atoms
@@ -360,6 +362,9 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
     trunc = int(cfg.get("trunc", 64))
     sigma = spectral_measure_kronecker(sys_, bset, trunc)
     lam_list = cfg.get("annihilator_lambdas", [])
+    for lam in lam_list:
+        if len(lam) != sys_.rank:
+            raise ConfigError(f"annihilator lambda {lam} has length {len(lam)}, expected {sys_.rank}")
     ann = {
         json.dumps(lam): ser_weight(annihilator_mass(sigma, tuple(lam)))
         for lam in lam_list
@@ -371,7 +376,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
         "tail": ser_weight(sigma.tail),
         "trivial_mass": ser_weight(sigma.trivial),
         "rational_nontrivial_mass": ser_weight(
-            rational_mass_excluding_trivial(normalized(sigma))
+            rational_mass_excluding_trivial(sigma).scale(1 / sigma.trivial.value)
         ),
         "annihilator_masses": ann,
         "atom_count": len(sigma.atoms),
@@ -469,12 +474,14 @@ def _run_haystack_verify(cfg: dict, seed: Optional[int]):
         vectors = [tuple(int(x) for x in v) for v in cfg["vectors"]]
     else:
         _require(cfg, "multipliers", "count")
-        vectors = [
-            h.coords
-            for h in make_haystack(
-                cfg.get("basis"), [int(m) for m in cfg["multipliers"]], int(cfg["count"])
-            )
-        ]
+        multipliers = [int(m) for m in cfg["multipliers"]]
+        count = int(cfg["count"])
+        # the elements are distinct vectors of len(multipliers) coordinates, so
+        # both refusals of verify_haystack_sample are known before any is built
+        if count > 0 and len(multipliers) != rank:
+            raise ValueError("vector rank does not match r")
+        admit_subsets(count, rank)
+        vectors = [h.coords for h in make_haystack(cfg.get("basis"), multipliers, count)]
     verdict = verify_haystack_sample(vectors, rank)
     results = {
         "vectors": [list(v) for v in vectors],

@@ -21,6 +21,14 @@ from .lattice import LatVec, as_coords, det_exact, is_primitive, mat_from_column
 SUBSET_LIMIT = 10**6
 
 
+def admit_subsets(count: int, r: int) -> None:
+    """Refuse a sample of ``count`` distinct vectors with over SUBSET_LIMIT r-subsets."""
+    if 0 <= r <= count and comb(count, r) > SUBSET_LIMIT:
+        raise ValueError(
+            f"sample has {comb(count, r)} r-subsets (> {SUBSET_LIMIT}); verify a smaller sample"
+        )
+
+
 def _check_multipliers(multipliers: Sequence[int]) -> tuple[int, ...]:
     m = tuple(int(x) for x in multipliers)
     if any(x <= 1 for x in m):
@@ -116,23 +124,19 @@ def verify_haystack_sample(vectors: Sequence, r: int) -> HaystackVerdict:
     Duplicates are collapsed first (the property quantifies over distinct
     elements).  The first violation in sample order is reported: a
     non-primitive element, or the lexicographically least (by position)
-    singular r-subset.  Fewer than r distinct vectors pass vacuously.
+    singular r-subset.  Fewer than r distinct vectors pass vacuously; r must
+    be at least 1.
     """
-    seen: list[tuple[int, ...]] = []
-    for v in vectors:
-        c = as_coords(v)
-        if len(c) != r:
-            raise ValueError("vector rank does not match r")
-        if c not in seen:
-            seen.append(c)
+    if r < 1:
+        raise ValueError(f"rank must be at least 1, got {r}")
+    coords = [as_coords(v) for v in vectors]
+    if any(len(c) != r for c in coords):
+        raise ValueError("vector rank does not match r")
+    seen = list(dict.fromkeys(coords))
     for c in seen:
         if not is_primitive(c):
             return HaystackVerdict(ok=False, non_primitive=c)
-    if len(seen) >= r and comb(len(seen), r) > SUBSET_LIMIT:
-        raise ValueError(
-            f"sample has {comb(len(seen), r)} r-subsets (> {SUBSET_LIMIT}); "
-            "verify a smaller sample"
-        )
+    admit_subsets(len(seen), r)
     for subset in combinations(seen, r):
         if det_exact(mat_from_columns(subset)) == 0:
             return HaystackVerdict(ok=False, singular_subset=subset)

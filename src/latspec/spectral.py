@@ -11,7 +11,7 @@ tail bound; interval-valued verdicts are flagged as estimates, never
 promoted.
 
 On top of the measures sit the quantitative checks: the Bochner identity,
-the expansion lower bound mu(S lam.B) >= 1 / normalized_mass(annihilator),
+the expansion lower bound mu(S lam.B) >= mu(B)^2 / sigma_B(annihilator),
 the small-annihilator scan over a haystack, the finite-measure-space
 small-intersection dichotomy, rational-spectrum shrinking through ergodic
 decomposition under n * Z^r, and the intersection-witness search that chains
@@ -57,11 +57,10 @@ from .systems import (
 class FiniteCharacter:
     """Character of Z^r pulled back from the dual of a finite carrier.
 
-    Evaluation at lam is z^(sum exps[j] * lam[j]) for z the primitive
-    ``order``-th root of unity; always rational (finite order).
+    Evaluation at lam is z^(sum exps[j] * lam[j]) for z a primitive root of
+    unity of the carrier exponent; always rational (finite order).
     """
 
-    order: int
     exps: tuple[int, ...]
     dual_label: tuple[int, ...]
 
@@ -153,12 +152,12 @@ class Atom:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Atomic spectral measure of a set, possibly rescaled.
+    """Atomic spectral measure sigma_B of a set, at its raw scale.
 
-    ``normalization`` is the exact scalar the raw measure was divided by
-    (1 for sigma_B itself, mu(B)^2 after ``normalized``).  ``total`` and
-    ``trivial`` are the full mass and the trivial-atom mass at the current
-    scale; for finite systems the tail is exactly zero.
+    ``total`` is the full mass mu(B) and ``trivial`` the trivial-atom mass
+    mu(B)^2, both exact and positive; for finite systems the tail is exactly
+    zero.  The normalized measure of the expansion bound is sigma_B / mu(B)^2:
+    a normalized figure is one division of a raw mass by ``trivial``.
     """
 
     kind: str
@@ -168,7 +167,6 @@ class SpectralMeasure:
     tail: Weight
     total: Weight
     trivial: Weight
-    normalization: Fraction = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,7 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
     rows = t.root_counts.tolist()
     values = _root_values(t.order, t.root_counts)
     for label, exps, row, value in zip(sys_.elements(), t.exps_on_lambda.tolist(), rows, values):
-        char = FiniteCharacter(order=t.order, exps=tuple(exps), dual_label=label)
+        char = FiniteCharacter(exps=tuple(exps), dual_label=label)
         if value is not None:
             w = Weight.of(Fraction(value, n * n))
         else:
@@ -303,6 +301,12 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
 
 # ---------------------------------------------------------------------------
 # Kronecker spectral measure
+
+#: most atoms a truncated Kronecker measure may enumerate, (2 * trunc + 1)^dim,
+#: checked before the first atom is built; a dim-2 atom takes about 0.27 ms
+#: and 1.1 KB (CPython 3.11 on a 2-core VM), so the limit is about 27 s
+ATOM_LIMIT = 10**5
+
 
 @dataclass(frozen=True)
 class _CIv:
@@ -380,12 +384,18 @@ def spectral_measure_kronecker(
 
     Atoms are enumerated for |k|_inf <= trunc with certified interval
     weights; the Parseval identity makes mu(B) minus the enumerated mass an
-    exact nonnegative tail bound, attached to the result.
+    exact nonnegative tail bound, attached to the result.  More than
+    ``ATOM_LIMIT`` atoms are refused with ``ValueError`` before any is built.
     """
     if trunc < 0:
         raise ValueError("truncation radius must be nonnegative")
     if b.dim != sys_.dim:
         raise ValueError("set dimension mismatch")
+    count = (2 * trunc + 1) ** sys_.dim
+    if count > ATOM_LIMIT:
+        raise ValueError(
+            f"(2*{trunc}+1)^{sys_.dim} = {count} atoms, over the limit of {ATOM_LIMIT}"
+        )
     cert = kronecker_ergodicity_certificate(sys_)
     if not cert["ergodic"]:
         # the trivial-atom identity below presumes ergodicity; a nonzero
@@ -416,29 +426,11 @@ def spectral_measure_kronecker(
 # ---------------------------------------------------------------------------
 # masses and identities
 
-def normalized(sigma: SpectralMeasure) -> SpectralMeasure:
-    """Divide by the trivial-atom mass, making the trivial atom exactly 1."""
-    if not sigma.trivial.exact or sigma.trivial.value == 0:
-        raise ValueError("non-ergodic or null set")
-    t = sigma.trivial.value
-    inv = Fraction(1) / t
-    atoms = tuple(Atom(character=a.character, weight=a.weight.scale(inv)) for a in sigma.atoms)
-    return SpectralMeasure(
-        kind=sigma.kind,
-        system=sigma.system,
-        base_set=sigma.base_set,
-        atoms=atoms,
-        tail=sigma.tail.scale(inv),
-        total=sigma.total.scale(inv),
-        trivial=Weight.of(1),
-        normalization=sigma.normalization * t,
-    )
-
-
 def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
-    """Mass of the characters with xi(lam) = 1, at the measure's scale.
+    """Raw mass sigma_B of the characters with xi(lam) = 1.
 
-    lam = 0 returns the total mass (every character annihilates 0).  Finite
+    Divide by ``sigma.trivial.value`` for the normalized mass.  lam = 0
+    returns the total mass (every character annihilates 0).  Finite
     systems give an exact rational, computed by the coset formula and
     cross-checked against the cyclotomic atom sum; Kronecker systems give a
     certified interval including the tail.
@@ -449,15 +441,14 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
     if sigma.kind == "finite":
         sys_: FiniteSystem = sigma.system
         g = sys_.phi(c)
-        raw = _cyclic_coset_mass(sys_, sigma.base_set, g)
-        value = raw / sigma.normalization
+        value = _cyclic_coset_mass(sys_, sigma.base_set, g)
         # independent atom route: sum the annihilating root-count vectors
         t = _finite_tables(sys_, sigma.base_set)
         phases = (t.exps_on_lambda @ np.array(c, dtype=np.int64)) % t.order
         atom_value = _root_values(t.order, t.root_counts[phases == 0].sum(axis=0))[0]
         if atom_value is None:
             raise AssertionError("annihilator atom sum must be rational")
-        if Fraction(atom_value, sys_.size**2) / sigma.normalization != value:
+        if Fraction(atom_value, sys_.size**2) != value:
             raise AssertionError("coset formula disagrees with atom sum")
         return Weight.of(value)
     acc = ZERO_WEIGHT
@@ -514,20 +505,17 @@ class BochnerReport:
         return self.ok
 
 
-def verify_bochner(sys_: FiniteSystem, b: Iterable[Element], lam_box) -> BochnerReport:
-    """Exact check of mu(B ∩ lam.B) against the character sum.
+def verify_bochner(sys_: FiniteSystem, b: Iterable[Element], lam_box: int) -> BochnerReport:
+    """Exact check of mu(B ∩ lam.B) against the character sum of sigma_B.
 
-    ``lam_box`` is either an integer bound (all lam in [-bound, bound]^rank)
-    or an explicit list of lam.  The character sum is evaluated in the
-    cyclotomic integers and compared to the counting value after reduction;
-    distinct lam sharing an image are checked once.
+    Every lam in [-lam_box, lam_box]^rank is checked.  The character sum is
+    evaluated in the cyclotomic integers at the raw scale, |A|^2 sigma_B, and
+    compared to |A| times the counting value after reduction; distinct lam
+    sharing an image are checked once.
     """
     bset = frozenset(tuple(x) for x in b)
     t = _finite_tables(sys_, bset)
-    if isinstance(lam_box, int):
-        lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
-    else:
-        lams = [as_coords(v) for v in lam_box]
+    lams = product(range(-lam_box, lam_box + 1), repeat=sys_.rank)
     n = sys_.size
     order = t.order
     checked = 0
@@ -566,7 +554,7 @@ def expansion_bound_check(
     lam,
     sspec: Optional[ErgodicSetSpec] = None,
 ) -> ExpansionCheck:
-    """Check mu(S lam.B) >= 1 / normalized_annihilator_mass(lam).
+    """Check mu(S lam.B) >= mu(B)^2 / sigma_B(annihilator of lam).
 
     Exact on finite systems, where a false verdict raises (it would be a
     library bug).  Averaging specs with step > 1 are not universal ergodic
@@ -582,7 +570,6 @@ def expansion_bound_check(
     if isinstance(sys_, FiniteSystem):
         bset = frozenset(tuple(x) for x in b)
         sigma = spectral_measure(sys_, bset)
-        # 1 / normalized mass = trivial mass / raw mass
         bound = sigma.trivial.value / annihilator_mass(sigma, c).value
         _, measured = orbit_saturation(sys_, bset, c, sspec)
         ok = measured >= bound
@@ -597,19 +584,20 @@ def expansion_bound_check(
             applicable=applicable,
             estimate=False,
         )
-    sigma = normalized(spectral_measure_kronecker(sys_, b))
+    sigma = spectral_measure_kronecker(sys_, b)
+    t = sigma.trivial.value
     mass = annihilator_mass(sigma, c)
-    bound = Weight(Fraction(1) / mass.upper, Fraction(1) / max(mass.lower, Fraction(1)), False)
+    bound = Weight(t / mass.upper, 1 / max(mass.lower / t, Fraction(1)), False)
     sat = kronecker_orbit_saturation(sys_, b, c)
     if sat.exact:
         # rational direction: the annihilator mass is the exact average of
         # mu(B ∩ m lam.B) over one period, and must land inside the atom
         # interval
-        exact_mass = _kron_rational_annihilator_exact(sys_, b, c) / sigma.normalization
+        exact_mass = _kron_rational_annihilator_exact(sys_, b, c)
         if not mass.lower <= exact_mass <= mass.upper:
             raise AssertionError("period-average mass escapes the atom interval")
         measured = Weight.of(sat.lower)
-        exact_bound = Weight.of(Fraction(1) / exact_mass)
+        exact_bound = Weight.of(t / exact_mass)
         ok = measured.value >= exact_bound.value
         if applicable and not ok:
             raise AssertionError(
@@ -694,7 +682,7 @@ def small_intersection_bound(
 
 @dataclass(frozen=True)
 class IrrationalPart:
-    """The certified-irrational part of a normalized spectral measure."""
+    """The certified-irrational part of a spectral measure, at its raw scale."""
 
     kind: str
     system: object
@@ -823,10 +811,11 @@ def directional_expansion_theorem_check(
 
     Requires the normalized rational nontrivial mass to be at most eps_o and
     eps > eps_o.  The admissible delta interval from those two numbers is
-    split at its midpoint, the irrational part is scanned for a small
-    annihilator, and the resulting direction's expansion is verified (exact
-    on finite systems, certified-estimate on torus systems).  eps >= 1 makes
-    the conclusion vacuous and is refused as such.
+    split at its midpoint, the raw irrational part is scanned for an
+    annihilator below delta * mu(B)^2, and the resulting direction's
+    expansion is verified (exact on finite systems, certified-estimate on
+    torus systems).  eps >= 1 makes the conclusion vacuous and is refused as
+    such.
     """
     eps_o = Fraction(eps_o)
     eps = Fraction(eps)
@@ -836,10 +825,11 @@ def directional_expansion_theorem_check(
         raise ValueError("eps must exceed eps_o")
     if isinstance(sys_, FiniteSystem):
         bset = frozenset(tuple(x) for x in b)
-        sigma = normalized(spectral_measure(sys_, bset))
+        sigma = spectral_measure(sys_, bset)
     else:
-        sigma = normalized(spectral_measure_kronecker(sys_, b, trunc))
-    ratmass = rational_mass_excluding_trivial(sigma)
+        sigma = spectral_measure_kronecker(sys_, b, trunc)
+    t = sigma.trivial.value
+    ratmass = rational_mass_excluding_trivial(sigma).scale(1 / t)
     if ratmass.lower > eps_o:
         return DirectionalExpansionResult(
             status="refused",
@@ -861,7 +851,7 @@ def directional_expansion_theorem_check(
     hi = (1 - (1 + eps_o) * (1 - eps)) / (1 - eps)
     delta = hi / 2
     tau = irrational_part(sigma)
-    hit = haystack_annihilator_search(tau, sample, delta, sigma.system.rank)
+    hit = haystack_annihilator_search(tau, sample, delta * t, sigma.system.rank)
     check = expansion_bound_check(sys_, b, hit.lam, sspec)
     target = 1 - eps
     if check.estimate:
@@ -960,8 +950,8 @@ def shrink_rational_spectrum(
         if mass < eps_o:
             pres = component_presentation(sys_, L, selected)
             comp_b = pres.restrict(bset)
-            sigma = normalized(spectral_measure(pres.system, comp_b))
-            recomputed = rational_mass_excluding_trivial(sigma).value
+            sigma = spectral_measure(pres.system, comp_b)
+            recomputed = rational_mass_excluding_trivial(sigma).value / sigma.trivial.value
             if recomputed != mass:
                 raise AssertionError("component mass disagrees with its presentation")
             return ShrinkResult(

@@ -359,13 +359,11 @@ class ComponentPresentation:
     ``system`` is the coset rewritten as a group translation action of Z^r,
     where Z^r is identified with L through the columns of its basis matrix.
     ``to_component`` relabels carrier points of the ambient system lying in
-    the support; ``base`` is the support's lexicographically least point.
+    the support, with the support's lexicographically least point as 0.
     """
 
     system: FiniteSystem
-    base: Element
     to_component: dict
-    from_component: dict
 
     def restrict(self, s: Iterable[Element]) -> frozenset[Element]:
         return frozenset(
@@ -381,9 +379,7 @@ def component_presentation(
     base = min(comp.support)
     if s == 0:
         one_point = finite_system_from_parts(sys_.rank, (), [()] * sys_.rank)
-        return ComponentPresentation(
-            system=one_point, base=base, to_component={(): ()}, from_component={(): ()}
-        )
+        return ComponentPresentation(system=one_point, to_component={(): ()})
     # subgroup G = <images> inside A, presented through its own Smith chain:
     # lift G to the lattice spanned by the images and the relations diag(moduli),
     # express the relations in a basis of that lattice, and take its Smith form.
@@ -417,30 +413,13 @@ def component_presentation(
         return tuple(z[i] for i in range(s) if factors[i] != 1)
 
     comp_gens = [relabel(g) for g in images]
-    comp_sys = finite_system_from_parts(sys_.rank, factors, _pad(comp_gens, factors))
-    to_comp = {}
-    from_comp = {}
-    for x in sorted(comp.support):
-        diff = tuple((a - b_) % d for a, b_, d in zip(x, base, sys_.moduli))
-        label = relabel(diff)
-        to_comp[x] = label
-        from_comp[label] = x
-    return ComponentPresentation(
-        system=comp_sys, base=base, to_component=to_comp, from_component=from_comp
-    )
-
-
-def _pad(gens: list[Element], factors: tuple[int, ...]) -> list[list[int]]:
-    # relabel() already dropped the factor-1 coordinates; rebuild full-width
-    # rows so finite_system_from_parts can drop them again consistently.
-    keep = [i for i, f in enumerate(factors) if f != 1]
-    out = []
-    for g in gens:
-        row = [0] * len(factors)
-        for pos, i in enumerate(keep):
-            row[i] = g[pos]
-        out.append(row)
-    return out
+    # relabel() drops the factor-1 coordinates, so the chain goes without them
+    comp_sys = finite_system_from_parts(sys_.rank, [f for f in factors if f != 1], comp_gens)
+    to_comp = {
+        x: relabel(tuple((a - b_) % d for a, b_, d in zip(x, base, sys_.moduli)))
+        for x in comp.support
+    }
+    return ComponentPresentation(system=comp_sys, to_component=to_comp)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ class PointSet:
     rank: int
     window: int
     points: frozenset[Point]
-    generator: Optional[dict] = None
 
     @property
     def sorted_points(self) -> list[Point]:
@@ -48,14 +47,14 @@ class PointSet:
         return len(self.points)
 
 
-def point_set(points: Sequence, rank: int, window: int, generator: Optional[dict] = None) -> PointSet:
+def point_set(points: Sequence, rank: int, window: int) -> PointSet:
     pts = frozenset(as_coords(p) for p in points)
     for p in pts:
         if len(p) != rank:
             raise ValueError("point rank mismatch")
         if any(abs(x) > window for x in p):
             raise ValueError(f"point {p} outside window [-{window}, {window}]^{rank}")
-    return PointSet(rank=rank, window=window, points=pts, generator=generator)
+    return PointSet(rank=rank, window=window, points=pts)
 
 
 #: most points a ``full``, ``random`` or ``congruence`` part may materialize,
@@ -150,7 +149,7 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
         pts = {p for p in pts if all(abs(x) <= window for x in p)}
     else:
         raise ValueError(f"unknown point-set kind: {kind!r}")
-    return PointSet(rank=rank, window=window, points=frozenset(pts), generator=dict(descriptor))
+    return PointSet(rank=rank, window=window, points=frozenset(pts))
 
 
 @dataclass(frozen=True)
@@ -314,11 +313,8 @@ class SearchBounds:
     m_max: int = 6
     lambda_count: int = 6
     multipliers: Optional[tuple[int, ...]] = None
-    lambda_candidates: Optional[tuple[Point, ...]] = None
 
     def candidates(self, rank: int) -> list[Point]:
-        if self.lambda_candidates is not None:
-            return [as_coords(v) for v in self.lambda_candidates]
         mult = self.multipliers
         if mult is None:
             primes = (2, 3, 5, 7, 11, 13, 17)
@@ -420,5 +416,4 @@ def scale_point_set(e: PointSet, n: int) -> PointSet:
         rank=e.rank,
         window=e.window * n,
         points=frozenset(tuple(n * x for x in p) for p in e.points),
-        generator=None,
     )

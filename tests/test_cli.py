@@ -425,3 +425,47 @@ def test_expand_scan_verdict_skips_rows_that_are_not_asserted(tmp_path):
     assert json.loads(out.read_text())["verdicts"] == [{"name": "expansion-bounds-hold", "pass": True}]
     holds = [line.rsplit(",", 1)[1] for line in csv_path.read_text().splitlines()[1:]]
     assert len(holds) == 8 and "0" in holds  # the CSV still shows every comparison
+
+
+def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
+    alpha = {"symbols": {"alpha": "1"}}
+    configs = [
+        # 129^3 atoms at the default trunc would take about 9 min and 2.8 GB
+        (
+            {
+                "experiment": "spectral-report",
+                "system": {"kind": "kronecker", "rank": 3, "dim": 3, "theta": [[alpha, "0", "0"], ["0", alpha, "0"], ["0", "0", alpha]]},
+                "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]] * 3]},
+            },
+            "(2*64+1)^3 = 2146689 atoms, over the limit of 100000",
+        ),
+        # used to be refused with a zip() message
+        (
+            {
+                "experiment": "spectral-report",
+                "system": {"kind": "kronecker", "rank": 2, "dim": 1, "theta": [[alpha, "1/3"]]},
+                "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]},
+                "trunc": 2,
+                "annihilator_lambdas": [[0, 1, 2]],
+            },
+            "annihilator lambda [0, 1, 2] has length 3, expected 2",
+        ),
+        # C(10^6, 2) pairs, and a rank mismatch, refused before the sample is generated
+        (
+            {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 10**6},
+            "sample has 499999500000 r-subsets (> 1000000)",
+        ),
+        (
+            {"experiment": "haystack-verify", "rank": 1, "multipliers": [2, 3], "count": 10**6},
+            "vector rank does not match r",
+        ),
+    ]
+    for i, (cfg, reason) in enumerate(configs):
+        path = write_cfg(tmp_path, f"cfg{i}.json", cfg)
+        start = time.perf_counter()
+        assert run_cli([cfg["experiment"], "--config", path]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+        assert reason in err

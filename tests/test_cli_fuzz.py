@@ -1,4 +1,5 @@
-"""Config fuzzing of the point-set and finite-system subcommands.
+"""Config fuzzing of the point-set, finite-system, haystack and Kronecker
+subcommands.
 
 Every config ends in one of three ways: it runs (exit 0), it fails its
 verdict (exit 1) or it is refused with a one-line reason (exit 2).  No
@@ -6,7 +7,9 @@ config may end in an escaping exception or a traceback on stderr.  Sizes
 stay small so each property runs in a few seconds, but the values reach
 past the valid ranges: zero, negative and non-chain moduli, generator rows
 of the wrong length, windows, caps and bounds below zero, densities outside
-[0, 1], too-short probes, non-increasing windows.
+[0, 1], too-short probes, non-increasing windows, haystack counts and ranks
+that do not match the multipliers, non-ergodic or malformed frequency
+matrices, and boxes that are empty, overlapping or outside the torus.
 """
 
 import io
@@ -262,4 +265,139 @@ def _cyclic(modulus, gens):
 )
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_finite_system_configs_exit_0_1_or_2_without_traceback(cfg):
+    _check_exit(cfg)
+
+
+_MULTIPLIERS = st.sampled_from([(2, 3), (3, 4), (2, 3, 5), (2, 5, 9), (6, 10, 15), (2, 3, 5, 7)])
+_HAYSTACK_FAULTS = st.sampled_from(
+    [None] * 8 + ["rank", "multipliers", "count", "basis", "vector length", "field dropped"]
+)
+
+
+@st.composite
+def _haystack_configs(draw):
+    """Samples as vector lists or as haystack prefixes, at most one fault each."""
+    fault = draw(_HAYSTACK_FAULTS)
+    multipliers = list(draw(_MULTIPLIERS))
+    rank = len(multipliers)
+    if fault == "multipliers":
+        multipliers = draw(st.lists(st.integers(-1, 12), max_size=4))
+    cfg = {"experiment": "haystack-verify", "rank": draw(st.integers(-1, 4)) if fault == "rank" else rank}
+    if draw(st.booleans()):
+        vectors = draw(st.lists(_ints(rank, 12), max_size=10))
+        if fault == "vector length" and vectors:
+            vectors[-1] = vectors[-1][1:]
+        cfg["vectors"] = vectors
+    else:
+        cfg["multipliers"] = multipliers
+        cfg["count"] = draw(st.integers(-2, 0) if fault == "count" else st.integers(0, 12))
+        if draw(st.booleans()) or fault == "basis":
+            # a unimodular basis, or a singular or ragged one
+            basis = [[int(i == j) + (j == i + 1) for i in range(rank)] for j in range(rank)]
+            if fault == "basis":
+                basis = draw(st.sampled_from([basis[:-1], [row + [0] for row in basis], [[0] * rank] * rank]))
+            cfg["basis"] = basis
+    if fault == "field dropped":
+        del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
+    return cfg
+
+
+@given(_haystack_configs())
+# C(10^6, 2) pairs, and a rank mismatch: each used to generate the whole sample first
+@example({"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 10**6})
+@example({"experiment": "haystack-verify", "rank": 1, "multipliers": [2, 3], "count": 10**6})
+# rank 0 with no vectors ended in an IndexError traceback
+@example({"experiment": "haystack-verify", "rank": 0, "vectors": []})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_haystack_configs_exit_0_1_or_2_without_traceback(cfg):
+    _check_exit(cfg)
+
+
+_SYMBOLS = ({"symbols": {"alpha": "1"}}, {"symbols": {"beta": "1"}})
+_RATIONALS = st.sampled_from([0, 1, "1/3", "-2/5", "1/2"])
+_EXTRA = st.one_of(
+    _RATIONALS,
+    st.sampled_from([{"symbols": {"alpha": "1", "beta": "1/3"}}, {"symbols": {"beta": "-2"}, "rational": "1/2"}]),
+)
+_ENDS = ("0", "1/6", "1/3", "1/2", "2/3", "1")
+_KRONECKER_FAULTS = st.sampled_from(
+    [None] * 11
+    + [
+        "non-ergodic", "bad entry", "row count", "row length", "bad box", "overlap",
+        "no boxes", "box dim", "trunc", "lambda", "field dropped",
+    ]
+)
+
+
+def _interval(draw):
+    i, j = sorted(draw(st.lists(st.integers(0, len(_ENDS) - 1), min_size=2, max_size=2, unique=True)))
+    return [_ENDS[i], _ENDS[j]]
+
+
+@st.composite
+def _kronecker_configs(draw):
+    """Ergodic torus systems of dim 1-2 (row i carries its own symbol) with
+    disjoint boxes, and at most one fault each."""
+    fault = draw(_KRONECKER_FAULTS)
+    rank = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    theta = [
+        [_SYMBOLS[i] if fault != "non-ergodic" else draw(_RATIONALS)] + draw(st.lists(_EXTRA, min_size=rank - 1, max_size=rank - 1))
+        for i in range(dim)
+    ]
+    if fault == "bad entry":
+        theta[-1][-1] = draw(st.sampled_from([[1], "1/0", None, {"symbols": ["alpha"]}]))
+    elif fault == "row count":
+        theta = theta[:-1] if dim == 2 else theta * 2
+    elif fault == "row length":
+        theta[0].append(0)
+    boxes = [[_interval(draw) for _ in range(dim)]]
+    if draw(st.booleans()):
+        # a second box, disjoint from the first along the first axis
+        boxes = [[["0", "1/3"]] + boxes[0][1:], [["1/2", "1"]] + [_interval(draw) for _ in range(dim - 1)]]
+    if fault == "bad box":
+        boxes[0][0] = draw(st.sampled_from([["1/2", "1/2"], ["2/3", "1/3"], ["-1/4", "1/2"], ["0", "3/2"], ["0", "1/0"]]))
+    elif fault == "overlap":
+        boxes.append(boxes[0])
+    elif fault == "no boxes":
+        boxes = []
+    elif fault == "box dim":
+        boxes[0].append(["0", "1"])
+    cfg = {
+        "experiment": "spectral-report",
+        "system": {"kind": "kronecker", "rank": rank, "dim": dim, "theta": theta},
+        "set_b": {"kind": "boxes", "boxes": boxes},
+        "trunc": -1 if fault == "trunc" else draw(st.integers(0, 6)),
+    }
+    if draw(st.booleans()) or fault == "lambda":
+        width = rank + 1 if fault == "lambda" else rank
+        cfg["annihilator_lambdas"] = draw(st.lists(_ints(width, 4), min_size=fault == "lambda", max_size=3))
+    if fault == "field dropped":
+        del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
+    return cfg
+
+
+_ALPHA = {"symbols": {"alpha": "1"}}
+
+
+@given(_kronecker_configs())
+# 129^3 atoms at the default trunc used to be enumerated for minutes
+@example(
+    {
+        "experiment": "spectral-report",
+        "system": {"kind": "kronecker", "rank": 1, "dim": 3, "theta": [[_ALPHA], [_ALPHA], [_ALPHA]]},
+        "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]] * 3]},
+    }
+)
+# a symbol list in place of a symbol map ended in an AttributeError traceback
+@example(
+    {
+        "experiment": "spectral-report",
+        "system": {"kind": "kronecker", "rank": 1, "dim": 1, "theta": [[{"symbols": ["alpha"]}]]},
+        "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]},
+        "trunc": 2,
+    }
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_kronecker_configs_exit_0_1_or_2_without_traceback(cfg):
     _check_exit(cfg)

@@ -1,5 +1,6 @@
 """Haystack construction and finite-sample verification."""
 
+import time
 import warnings
 from itertools import combinations
 from math import gcd
@@ -64,6 +65,11 @@ def test_verdict_guard_rail():
     sample = [(1, k) for k in range(2000)]
     with pytest.raises(ValueError, match="r-subsets"):
         verify_haystack_sample(sample, 2)
+    # the duplicate scan used to be quadratic: 20 000 vectors took 19 s to refuse
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="r-subsets"):
+        verify_haystack_sample([(1, k) for k in range(20000)], 2)
+    assert time.perf_counter() - start < 1
 
 
 @st.composite

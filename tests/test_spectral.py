@@ -16,7 +16,9 @@ from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
 from latspec import spectral
+from latspec.cli import _parse_set_b, _parse_system, _run_spectral_report, ser_weight
 from latspec.spectral import (
+    Atom,
     IrrationalPart,
     KroneckerCharacter,
     Weight,
@@ -27,9 +29,9 @@ from latspec.spectral import (
     haystack_annihilator_search,
     intersection_theorem_search,
     irrational_part,
-    normalized,
     rational_mass_excluding_trivial,
     shrink_rational_spectrum,
+    SpectralMeasure,
     small_intersection_bound,
     spectral_measure,
     spectral_measure_kronecker,
@@ -70,10 +72,9 @@ def test_z4_measure_examples():
     assert sigma.trivial.value == Fraction(1, 16)
     assert annihilator_mass(sigma, (1, 0)).value == Fraction(1, 16)
     assert annihilator_mass(sigma, (2, 0)).value == Fraction(1, 8)
-    tilde = normalized(sigma)
-    assert tilde.trivial.value == 1
-    assert tilde.total.value == 4
-    assert all(a.weight.value == 1 for a in tilde.atoms)
+    t = sigma.trivial.value
+    assert sigma.total.value / t == 4
+    assert all(a.weight.value / t == 1 for a in sigma.atoms)
 
 
 def test_irrational_weights_on_z5():
@@ -97,10 +98,10 @@ def test_normalized_rejects_null():
 
 
 def test_rational_mass_examples():
-    t22 = normalized(spectral_measure(z2z2(), {(0, 0)}))
-    assert rational_mass_excluding_trivial(t22).value == 3
-    full = normalized(spectral_measure(z2z2(), set(z2z2().elements())))
-    assert rational_mass_excluding_trivial(full).value == 0
+    s22 = spectral_measure(z2z2(), {(0, 0)})
+    assert rational_mass_excluding_trivial(s22).value / s22.trivial.value == 3
+    full = spectral_measure(z2z2(), set(z2z2().elements()))
+    assert rational_mass_excluding_trivial(full).value / full.trivial.value == 0
 
 
 def test_fleet_identities():
@@ -109,8 +110,7 @@ def test_fleet_identities():
         mu_b = sys_.measure(b)
         assert sigma.trivial.value == mu_b * mu_b
         assert sigma.total.value == mu_b
-        tilde = normalized(sigma)
-        assert tilde.total.value == 1 / mu_b
+        assert sigma.total.value / sigma.trivial.value == 1 / mu_b
         seen = set()
         for lam in product(range(-4, 5), repeat=sys_.rank):
             if all(x == 0 for x in lam):
@@ -203,11 +203,11 @@ def test_cell_limit_is_checked_before_the_tables_are_built():
 
 def test_expansion_bound_is_one_over_the_normalized_annihilator_mass():
     for sys_, b in random_fleet(41, 15):
-        tilde = normalized(spectral_measure(sys_, b))
+        sigma = spectral_measure(sys_, b)
         for lam in product(range(-2, 3), repeat=sys_.rank):
             if any(lam):
                 chk = expansion_bound_check(sys_, b, lam)
-                assert chk.bound.value == 1 / annihilator_mass(tilde, lam).value
+                assert chk.bound.value == 1 / (annihilator_mass(sigma, lam).value / sigma.trivial.value)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,8 @@ def test_shrink_conclusions_on_fleet():
         mu_b = sys_.measure(b)
         # conclusion 1: rational nontrivial mass below eps_o, recomputed
         comp_b = res.presentation.restrict(b)
-        sigma = normalized(spectral_measure(res.presentation.system, comp_b))
-        assert rational_mass_excluding_trivial(sigma).value == res.rational_mass < eps_o
+        sigma = spectral_measure(res.presentation.system, comp_b)
+        assert rational_mass_excluding_trivial(sigma).value / sigma.trivial.value == res.rational_mass < eps_o
         # conclusion 2: measure disjunction
         assert res.nu_b >= Fraction(1, 3) or mu_b < 3 * res.nu_b
         # conclusion 3: mu(cap F lam.B) >= c * nu(cap F lam.B) on random F
@@ -541,15 +541,30 @@ def test_kronecker_rational_mass_certificate():
     a = FormalReal.sym("alpha")
     ks = kronecker_system(1, 1, [[a]])
     b = BoxUnion.of([(Fraction(0), Fraction(1, 2))])
-    tilde = normalized(spectral_measure_kronecker(ks, b, 16))
+    sigma = spectral_measure_kronecker(ks, b, 16)
     # ergodicity certifies there is no rational atom anywhere, tail included
-    assert rational_mass_excluding_trivial(tilde).value == 0
-    tau = irrational_part(tilde)
-    assert tau.atoms and tau.total.upper > 0
+    assert rational_mass_excluding_trivial(sigma).value / sigma.trivial.value == 0
+    tau = irrational_part(sigma)
+    assert tau.atoms and tau.total.upper / sigma.trivial.value > 0
     # mixed rational/irrational frequencies stay ergodic and stay certified
     mixed = kronecker_system(2, 1, [[a, Fraction(1, 3)]])
-    sig2 = normalized(spectral_measure_kronecker(mixed, b, 8))
-    assert rational_mass_excluding_trivial(sig2).value == 0
+    sig2 = spectral_measure_kronecker(mixed, b, 8)
+    assert rational_mass_excluding_trivial(sig2).value / sig2.trivial.value == 0
+
+
+def test_atom_limit_is_checked_before_any_atom_is_built(monkeypatch):
+    a, bsym = FormalReal.sym("alpha"), FormalReal.sym("beta")
+    ks = kronecker_system(2, 2, [[a, FormalReal.of(0)], [FormalReal.of(0), bsym]])
+    box = BoxUnion.of([(Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 3))])
+    monkeypatch.setattr(spectral, "ATOM_LIMIT", 25)
+    assert len(spectral_measure_kronecker(ks, box, 2).atoms) == 25
+
+    def no_atoms(*args):
+        raise AssertionError("an atom was built")
+
+    monkeypatch.setattr(spectral, "_kron_weight", no_atoms)
+    with pytest.raises(ValueError, match=r"\(2\*3\+1\)\^2 = 49 atoms, over the limit of 25"):
+        spectral_measure_kronecker(ks, box, 3)
 
 
 def test_kronecker_spectral_measure_rejects_non_ergodic():
@@ -649,3 +664,109 @@ def test_kronecker_annihilator_nesting():
             assert m.lower >= prev.lower and m.upper <= prev.upper
         prev = m
     assert prev.upper - prev.lower < Fraction(1, 100)
+
+
+# ---------------------------------------------------------------------------
+# raw scale against the rescaled measure
+
+
+def _rescaled(sigma):
+    """The measure divided by its trivial-atom mass, atom by atom, as the
+    library once built it; returns the copy and the scalar it divided by."""
+    if not sigma.trivial.exact or sigma.trivial.value == 0:
+        raise ValueError("non-ergodic or null set")
+    t = sigma.trivial.value
+    inv = Fraction(1) / t
+    atoms = tuple(Atom(character=a.character, weight=a.weight.scale(inv)) for a in sigma.atoms)
+    tilde = SpectralMeasure(
+        kind=sigma.kind,
+        system=sigma.system,
+        base_set=sigma.base_set,
+        atoms=atoms,
+        tail=sigma.tail.scale(inv),
+        total=sigma.total.scale(inv),
+        trivial=Weight.of(1),
+    )
+    return tilde, t
+
+
+def _rescaled_pipeline(tilde, eps_o, eps, sample):
+    """(rational_mass, delta, lam) of the expansion pipeline run on the
+    rescaled measure, with delta and lam None unless it reaches the scan."""
+    ratmass = rational_mass_excluding_trivial(tilde)
+    if ratmass.upper > eps_o or eps >= 1:
+        return ratmass, None, None
+    delta = (1 - (1 + eps_o) * (1 - eps)) / (1 - eps) / 2
+    hit = haystack_annihilator_search(irrational_part(tilde), sample, delta, tilde.system.rank)
+    return ratmass, delta, hit.lam
+
+
+def _sample(rank, count=8):
+    if rank == 1:
+        return [(k,) for k in range(1, count + 1)]
+    return [h.coords for h in make_haystack(None, (2, 3, 5)[:rank], count)]
+
+
+def _check_pipeline(sys_, b, tilde, eps_o, eps, sample, **kw):
+    res = directional_expansion_theorem_check(sys_, b, eps_o, eps, sample, **kw)
+    assert (res.rational_mass, res.delta, res.lam) == _rescaled_pipeline(tilde, eps_o, eps, sample)
+
+
+def test_raw_scale_matches_the_rescaled_measure(monkeypatch):
+    for sys_, b in random_fleet(97, 12):
+        tilde, _ = _rescaled(spectral_measure(sys_, b))
+        cfg = {
+            "system": {
+                "kind": "finite",
+                "rank": sys_.rank,
+                "moduli": list(sys_.moduli),
+                "gens": [list(g) for g in sys_.gens],
+            },
+            "set_b": {"kind": "elements", "points": [list(x) for x in sorted(b)]},
+            "lambda_bound": 1,
+        }
+        results = _run_spectral_report(cfg, None)[0]
+        assert results["normalized_total"] == ser_weight(tilde.total)
+        assert results["rational_nontrivial_mass"] == ser_weight(rational_mass_excluding_trivial(tilde))
+        r = rational_mass_excluding_trivial(tilde).value
+        # (r, (r + 1) / 2) reaches the scan when r < 1, (r / 2, r + 1) is
+        # refused when r > 0, and (r, r + 1) is vacuous
+        for eps_o, eps in ((r, (r + 1) / 2), (r / 2, r + 1), (r, r + 1))[r >= 1:]:
+            _check_pipeline(sys_, b, tilde, eps_o, eps, _sample(sys_.rank))
+    alpha, beta = {"symbols": {"alpha": "1"}}, {"symbols": {"beta": "1"}}
+    cases = [
+        # dim 1: irrational, mixed rational, and the mixed system along its
+        # rational direction; dim 2: an irrational direction that annihilates
+        # the characters (0, k), so the bound's upper end drops below 1
+        ([[alpha, beta]], ["1/2"], (1, 1), 16),
+        ([[alpha, "1/3"]], ["1/3"], (1, 0), 16),
+        ([[alpha, "1/3"]], ["1/6"], (0, 1), 16),
+        ([[alpha, "0"], ["0", beta]], ["1/2", "1/3"], (1, 0), 10),
+    ]
+    kronecker = spectral.spectral_measure_kronecker
+    estimates = []
+    for theta, his, lam, trunc in cases:
+        cfg = {
+            "system": {"kind": "kronecker", "rank": 2, "dim": len(theta), "theta": theta},
+            "set_b": {"kind": "boxes", "boxes": [[["0", hi] for hi in his]]},
+            "trunc": trunc,
+        }
+        ks, box = _parse_system(cfg["system"]), _parse_set_b(None, cfg["set_b"])
+        tilde, t = _rescaled(kronecker(ks, box, trunc))
+        results = _run_spectral_report(cfg, None)[0]
+        assert results["rational_nontrivial_mass"] == ser_weight(rational_mass_excluding_trivial(tilde))
+        # the expansion bound, both ends, and the pipeline at the truncation of the case
+        monkeypatch.setattr(spectral, "spectral_measure_kronecker", lambda s, b, k=trunc: kronecker(s, b, k))
+        mass = annihilator_mass(tilde, lam)
+        chk = expansion_bound_check(ks, box, lam)
+        estimates.append(chk.estimate)
+        if chk.estimate:
+            assert chk.bound == Weight(1 / mass.upper, 1 / max(mass.lower, Fraction(1)), False)
+        else:
+            exact_mass = spectral._kron_rational_annihilator_exact(ks, box, lam) / t
+            assert mass.lower <= exact_mass <= mass.upper
+            assert chk.bound == Weight.of(1 / exact_mass)
+        sample = [(0, 1)] + _sample(2, 20)
+        _check_pipeline(ks, box, tilde, Fraction(0), Fraction(1, 2), sample, trunc=trunc)
+        monkeypatch.undo()
+    assert estimates == [True, True, False, True]
