@@ -6,9 +6,8 @@ model systems with exact measures, spectral measures with their expansion
 and intersection checks, and a config-driven CLI.
 """
 
-from .haystack import Haystack, HaystackVerdict, make_haystack, verify_haystack_sample
+from .haystack import HaystackVerdict, make_haystack, verify_haystack_sample
 from .lattice import (
-    LatVec,
     QuotientStructure,
     SubLattice,
     complete_to_basis,

@@ -187,7 +187,7 @@ def _parse_haystack(desc: Optional[dict], rank: int) -> list[tuple[int, ...]]:
     multipliers = tuple(int(m) for m in desc.get("multipliers", primes[:rank]))
     count = int(desc.get("count", 8))
     basis = desc.get("basis")
-    return [h.coords for h in make_haystack(basis, multipliers, count)]
+    return make_haystack(basis, multipliers, count)
 
 
 def _parse_sspec(desc: Optional[dict]) -> ErgodicSetSpec:
@@ -277,6 +277,15 @@ def _candidate_box(rank: int, bound: int) -> list[tuple[int, ...]]:
 
 
 def _run_expand_scan(cfg: dict, seed: Optional[int]):
+    """Scan every nonzero lambda in the coordinate box.
+
+    Each CSV row's ``measure`` and ``bound_holds`` use the configured
+    ``ergodic_set`` (S = Z without one).  ``max_expansion``, ``argmax_lambda``
+    and the verdict always take S = Z, through ``max_directional_expansion``:
+    they state directional expandability, which is defined by full orbits.
+    With an ``ap`` set whose step shares a factor with the exponent they can
+    exceed every ``measure`` in the CSV.
+    """
     _require(cfg, "system", "set_b", "coord_bound")
     sys_ = _parse_system(cfg["system"])
     if not isinstance(sys_, FiniteSystem):
@@ -481,7 +490,7 @@ def _run_haystack_verify(cfg: dict, seed: Optional[int]):
         if count > 0 and len(multipliers) != rank:
             raise ValueError("vector rank does not match r")
         admit_subsets(count, rank)
-        vectors = [h.coords for h in make_haystack(cfg.get("basis"), multipliers, count)]
+        vectors = make_haystack(cfg.get("basis"), multipliers, count)
     verdict = verify_haystack_sample(vectors, rank)
     results = {
         "vectors": [list(v) for v in vectors],

@@ -16,6 +16,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 from .intervals import _GRID_BITS, Iv, cospi
 
 
@@ -52,23 +54,35 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k: coordinates of z^k over the power basis 1..z^(deg-1), k < n."""
+def reduction_matrix(n: int) -> np.ndarray:
+    """Read-only int64 matrix whose row k holds the coordinates of z^k over the
+    power basis 1..z^(deg-1), k < n.
+
+    Row k >= deg is row k-1 moved up one power, with its z^deg coordinate
+    folded back through the cyclotomic polynomial.  Every entry is checked to
+    be below 2**63 / (1 + max |phi_i|), so no step of that recurrence can
+    have wrapped around int64.
+    """
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for k in range(min(n, deg)):
-        rows.append(tuple(1 if i == k else 0 for i in range(deg)))
-    cur = list(rows[-1]) if rows else []
-    for _ in range(deg, n):
-        carry = cur[deg - 1]
-        nxt = [0] + cur[: deg - 1]
+    low = np.array(phi[:deg], dtype=np.int64)
+    rows = np.zeros((n, deg), dtype=np.int64)
+    rows[np.arange(deg), np.arange(deg)] = 1
+    for k in range(deg, n):
+        rows[k, 1:] = rows[k - 1, :-1]
+        carry = rows[k - 1, deg - 1]
         if carry:
-            for i in range(deg):
-                nxt[i] -= carry * phi[i]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return tuple(rows)
+            rows[k] -= carry * low
+    if max(int(rows.max()), -int(rows.min())) * (1 + max(map(abs, phi))) >= 1 << 63:
+        raise OverflowError(f"reduction rows of order {n} do not fit int64")
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k: coordinates of z^k over the power basis 1..z^(deg-1), k < n."""
+    return tuple(map(tuple, reduction_matrix(n).tolist()))
 
 
 def reduce_root_vector(n: int, vec: Sequence[int]) -> tuple[int, ...]:

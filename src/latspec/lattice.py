@@ -4,10 +4,12 @@ Everything here runs on plain Python integers, so there is no precision
 ceiling: Hermite and Smith reductions, fraction-free determinants and
 unimodular completions stay exact for arbitrarily large entries.
 
-Matrix convention: a matrix is a sequence of rows, and the *columns* of a
-basis matrix generate the lattice.  The canonical column Hermite form used
-throughout is lower triangular with positive pivots; in each pivot row the
-entries to the left of the pivot are reduced into ``[0, pivot)``.  Two
+Vectors are plain tuples of integers.  Matrix convention: a matrix is a
+sequence of rows, and the *columns* of a basis matrix generate the lattice.
+Every reduction is a chain of 2x2 unimodular steps on a pair of rows or
+columns (``_step``, ``_rows``, ``_cols``).  The canonical column Hermite
+form used throughout is lower triangular with positive pivots; in each pivot
+row the entries to the left of the pivot are reduced into ``[0, pivot)``.  Two
 sublattices are equal exactly when their canonical basis matrices are equal.
 """
 
@@ -20,46 +22,8 @@ from typing import Iterable, Sequence
 Matrix = list[list[int]]
 
 
-@dataclass(frozen=True)
-class LatVec:
-    """A point of Z^r with arbitrary-precision integer coordinates."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if not self.coords:
-            raise ValueError("rank must be at least 1")
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
-
-    def __add__(self, other: "LatVec") -> "LatVec":
-        return LatVec(tuple(a + b for a, b in zip(self.coords, as_coords(other), strict=True)))
-
-    def __sub__(self, other: "LatVec") -> "LatVec":
-        return LatVec(tuple(a - b for a, b in zip(self.coords, as_coords(other), strict=True)))
-
-    def __neg__(self) -> "LatVec":
-        return LatVec(tuple(-a for a in self.coords))
-
-    def __mul__(self, n: int) -> "LatVec":
-        return LatVec(tuple(n * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-
 def as_coords(v) -> tuple[int, ...]:
-    """Coerce a LatVec or any integer sequence to a coordinate tuple."""
-    if isinstance(v, LatVec):
-        return v.coords
+    """Coerce any integer sequence to a coordinate tuple."""
     return tuple(int(c) for c in v)
 
 
@@ -68,10 +32,7 @@ def is_primitive(v) -> bool:
     c = as_coords(v)
     if not c:
         raise ValueError("rank must be at least 1")
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*c) == 1
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -87,6 +48,45 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_x, -old_y
     return old_r, old_x, old_y
+
+
+Block = tuple[int, int, int, int]
+
+
+def _step(pivot: int, entry: int) -> Block:
+    """Unimodular block (a, b, c, d) that clears ``entry`` against ``pivot``.
+
+    Applied as new_pivot = a*pivot + b*entry, new_entry = c*pivot + d*entry.
+    A pivot dividing the entry is kept and the entry subtracted away; otherwise
+    the pivot becomes the gcd through the extended-gcd block.
+    """
+    if pivot != 0 and entry % pivot == 0:
+        return 1, 0, -(entry // pivot), 1
+    g, x, y = _xgcd(pivot, entry)
+    return x, y, -(entry // g), pivot // g
+
+
+def _rows(mats: Iterable[Matrix], i: int, j: int, block: Block) -> None:
+    """In each matrix, rows i and j become a*r_i + b*r_j and c*r_i + d*r_j."""
+    a, b, c, d = block
+    keep_i = a == 1 and b == 0
+    for M in mats:
+        ri, rj = M[i], M[j]
+        if not keep_i:
+            M[i] = [a * u + b * v for u, v in zip(ri, rj)]
+        M[j] = [c * u + d * v for u, v in zip(ri, rj)]
+
+
+def _cols(mats: Iterable[Matrix], i: int, j: int, block: Block) -> None:
+    """In each matrix, columns i and j become a*c_i + b*c_j and c*c_i + d*c_j."""
+    a, b, c, d = block
+    keep_i = a == 1 and b == 0
+    for M in mats:
+        for row in M:
+            u, v = row[i], row[j]
+            if not keep_i:
+                row[i] = a * u + b * v
+            row[j] = c * u + d * v
 
 
 def _to_matrix(M) -> Matrix:
@@ -165,40 +165,17 @@ def _column_echelon(M) -> tuple[Matrix, Matrix, list[tuple[int, int]]]:
         if piv >= cols:
             break
         for j in range(piv + 1, cols):
-            if H[i][j] == 0:
-                continue
-            a, b = H[i][piv], H[i][j]
-            if a != 0 and b % a == 0:
-                q = b // a
-                for t in range(rows):
-                    H[t][j] -= q * H[t][piv]
-                for t in range(cols):
-                    U[t][j] -= q * U[t][piv]
-                continue
-            g, x, y = _xgcd(a, b)
-            p, q = a // g, b // g
-            for t in range(rows):
-                hp, hj = H[t][piv], H[t][j]
-                H[t][piv] = x * hp + y * hj
-                H[t][j] = p * hj - q * hp
-            for t in range(cols):
-                up, uj = U[t][piv], U[t][j]
-                U[t][piv] = x * up + y * uj
-                U[t][j] = p * uj - q * up
+            if H[i][j]:
+                _cols((H, U), piv, j, _step(H[i][piv], H[i][j]))
         if H[i][piv] == 0:
             continue
         if H[i][piv] < 0:
-            for t in range(rows):
-                H[t][piv] = -H[t][piv]
-            for t in range(cols):
-                U[t][piv] = -U[t][piv]
+            for row in H + U:
+                row[piv] = -row[piv]
         for _, j2 in pivots:
             q = H[i][j2] // H[i][piv]
             if q:
-                for t in range(rows):
-                    H[t][j2] -= q * H[t][piv]
-                for t in range(cols):
-                    U[t][j2] -= q * U[t][piv]
+                _cols((H, U), piv, j2, (1, 0, -q, 1))
         pivots.append((i, piv))
         piv += 1
     return H, U, pivots
@@ -244,16 +221,7 @@ def snf(M) -> QuotientStructure:
         raise ValueError("matrix must be square")
     U = mat_identity(n)
     V = mat_identity(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for t in range(n):
-            A[t][i], A[t][j] = A[t][j], A[t][i]
-            V[t][i], V[t][j] = V[t][j], V[t][i]
-
+    swap = (0, 1, 1, 0)
     for t in range(n):
         # pull some nonzero entry of the trailing block into position (t, t)
         pivot = next(
@@ -263,55 +231,19 @@ def snf(M) -> QuotientStructure:
         if pivot is None:
             raise ValueError("singular matrix")
         if pivot[0] != t:
-            swap_rows(t, pivot[0])
+            _rows((A, U), t, pivot[0], swap)
         if pivot[1] != t:
-            swap_cols(t, pivot[1])
+            _cols((A, V), t, pivot[1], swap)
         while True:
             # termination: divisible entries are cleared by plain subtraction
             # (pivot row/column untouched); a gcd block runs only when the
             # pivot shrinks strictly, so the cleaning loop cannot cycle.
             for i in range(t + 1, n):
-                if A[i][t] == 0:
-                    continue
-                a, b = A[t][t], A[i][t]
-                if b % a == 0:
-                    q = b // a
-                    for j in range(n):
-                        A[i][j] -= q * A[t][j]
-                    for j in range(n):
-                        U[i][j] -= q * U[t][j]
-                    continue
-                g, x, y = _xgcd(a, b)
-                p, q = a // g, b // g
-                for j in range(n):
-                    at, ai = A[t][j], A[i][j]
-                    A[t][j] = x * at + y * ai
-                    A[i][j] = p * ai - q * at
-                for j in range(n):
-                    ut, ui = U[t][j], U[i][j]
-                    U[t][j] = x * ut + y * ui
-                    U[i][j] = p * ui - q * ut
+                if A[i][t]:
+                    _rows((A, U), t, i, _step(A[t][t], A[i][t]))
             for j in range(t + 1, n):
-                if A[t][j] == 0:
-                    continue
-                a, b = A[t][t], A[t][j]
-                if b % a == 0:
-                    q = b // a
-                    for i in range(n):
-                        A[i][j] -= q * A[i][t]
-                    for i in range(n):
-                        V[i][j] -= q * V[i][t]
-                    continue
-                g, x, y = _xgcd(a, b)
-                p, q = a // g, b // g
-                for i in range(n):
-                    at, aj = A[i][t], A[i][j]
-                    A[i][t] = x * at + y * aj
-                    A[i][j] = p * aj - q * at
-                for i in range(n):
-                    vt, vj = V[i][t], V[i][j]
-                    V[i][t] = x * vt + y * vj
-                    V[i][j] = p * vj - q * vt
+                if A[t][j]:
+                    _cols((A, V), t, j, _step(A[t][t], A[t][j]))
             if any(A[i][t] for i in range(t + 1, n)):
                 continue
             if any(A[t][j] for j in range(t + 1, n)):
@@ -324,16 +256,10 @@ def snf(M) -> QuotientStructure:
             )
             if bad is None:
                 break
-            i = bad[0]
-            for j in range(n):
-                A[t][j] += A[i][j]
-            for j in range(n):
-                U[t][j] += U[i][j]
+            _rows((A, U), t, bad[0], (1, 1, 0, 1))
         if A[t][t] < 0:
-            for j in range(n):
-                A[t][j] = -A[t][j]
-            for j in range(n):
-                U[t][j] = -U[t][j]
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
     factors = tuple(A[t][t] for t in range(n))
     return QuotientStructure(
         invariant_factors=factors,
@@ -363,19 +289,13 @@ def complete_to_basis(v) -> Matrix:
         if b == 0:
             continue
         g, x, y = _xgcd(a, b)
-        p, q = a // g, b // g
         c[0], c[i] = g, 0
-        # fold the inverse block [[p, -y], [q, x]] into columns 0 and i
-        for t in range(r):
-            u0, ui = inv[t][0], inv[t][i]
-            inv[t][0] = u0 * p + ui * q
-            inv[t][i] = -u0 * y + ui * x
+        # fold the inverse block [[a/g, -y], [b/g, x]] into columns 0 and i
+        _cols((inv,), 0, i, (a // g, b // g, -y, x))
     if c[0] == -1:
         # only reachable when every other coordinate is zero: negate two
         # columns (determinant unchanged) to land on +1
-        for t in range(r):
-            inv[t][0] = -inv[t][0]
-            inv[t][1] = -inv[t][1]
+        _cols((inv,), 0, 1, (-1, 0, 0, -1))
     if det_exact(inv) != 1:  # defensive: the block chain has determinant 1
         raise AssertionError("unimodular completion lost determinant 1")
     return inv
@@ -419,14 +339,22 @@ def contains(L: SubLattice, v) -> bool:
     c = as_coords(v)
     if len(c) != L.rank:
         raise ValueError("rank mismatch")
-    B = L.basis_matrix
-    y = [0] * L.rank
-    for i in range(L.rank):
-        rem = c[i] - sum(B[i][j] * y[j] for j in range(i))
-        if rem % B[i][i]:
-            return False
-        y[i] = rem // B[i][i]
-    return True
+    return solve_lower(L.basis_matrix, c) is not None
+
+
+def solve_lower(B: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
+    """Integer y with B @ y = v for lower-triangular B, or None if there is none.
+
+    B has one row per entry of v and a nonzero diagonal; entries right of the
+    diagonal (as in the first columns of a wide Hermite form) are not read.
+    """
+    y: list[int] = []
+    for i, row in enumerate(B):
+        rem = v[i] - sum(row[j] * y[j] for j in range(i))
+        if rem % row[i]:
+            return None
+        y.append(rem // row[i])
+    return y
 
 
 def smallest_scale_inside(L: SubLattice) -> int:

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import enclose_real_root_vector, reduction_rows
+from .cyclotomic import enclose_real_root_vector, reduction_matrix
 from .formal import FormalReal
 from .intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
@@ -189,21 +189,13 @@ class _FiniteTables:
         return (self.dual @ np.array(g, dtype=np.int64)) % self.order
 
 
-@lru_cache(maxsize=None)
-def _reduction(order: int) -> np.ndarray:
-    """``reduction_rows(order)`` as one read-only int64 matrix."""
-    red = np.array(reduction_rows(order), dtype=np.int64)
-    red.setflags(write=False)
-    return red
-
-
 def _root_values(order: int, vecs: np.ndarray) -> list[Optional[int]]:
     """The integer each row v of vecs equals as sum_k v[k] z^k, None where irrational.
 
     z is a primitive ``order``-th root of unity; a row is rational exactly when
     its reduction modulo the cyclotomic polynomial has no z^1.. coordinates.
     """
-    red = np.atleast_2d(vecs) @ _reduction(order)
+    red = np.atleast_2d(vecs) @ reduction_matrix(order)
     irrational = red[:, 1:].any(axis=1).tolist()
     return [None if irr else v for v, irr in zip(red[:, 0].tolist(), irrational)]
 
@@ -220,7 +212,7 @@ def _finite_tables(sys_: FiniteSystem, bset: frozenset) -> _FiniteTables:
             f"|A| x exponent = {n} x {order} root counts, over the limit of {CELL_LIMIT}"
         )
     # every sum of root-count rows totals at most |A| |B|^2, so its reduction fits int64
-    if n * pairs * int(np.abs(_reduction(order)).max()) >= 1 << 63:
+    if n * pairs * int(np.abs(reduction_matrix(order)).max()) >= 1 << 63:
         raise ValueError(f"root-count reductions of order {order} would overflow int64")
     # the dual of A is labelled by A itself: label c pairs with h as
     # sum_i c_i h_i (order / d_i) mod order
@@ -566,12 +558,24 @@ def expansion_bound_check(
     c = as_coords(lam)
     if all(x == 0 for x in c):
         raise ValueError("direction must be nonzero")
+    if isinstance(sys_, FiniteSystem):
+        b = frozenset(tuple(x) for x in b)
+        return _expansion_bound(sys_, b, spectral_measure(sys_, b), c, sspec)
+    return _expansion_bound(sys_, b, spectral_measure_kronecker(sys_, b), c, sspec)
+
+
+def _expansion_bound(
+    sys_, b, sigma: SpectralMeasure, c: tuple[int, ...], sspec: Optional[ErgodicSetSpec]
+) -> ExpansionCheck:
+    """expansion_bound_check read off sigma, the measure of b the caller holds.
+
+    b is a frozenset of elements on finite systems and c a nonzero direction;
+    a Kronecker sigma is read at whatever truncation it was built.
+    """
     applicable = sspec is None or sspec.universal
     if isinstance(sys_, FiniteSystem):
-        bset = frozenset(tuple(x) for x in b)
-        sigma = spectral_measure(sys_, bset)
         bound = sigma.trivial.value / annihilator_mass(sigma, c).value
-        _, measured = orbit_saturation(sys_, bset, c, sspec)
+        _, measured = orbit_saturation(sys_, b, c, sspec)
         ok = measured >= bound
         if applicable and not ok:
             raise AssertionError(
@@ -584,7 +588,6 @@ def expansion_bound_check(
             applicable=applicable,
             estimate=False,
         )
-    sigma = spectral_measure_kronecker(sys_, b)
     t = sigma.trivial.value
     mass = annihilator_mass(sigma, c)
     bound = Weight(t / mass.upper, 1 / max(mass.lower / t, Fraction(1)), False)
@@ -824,8 +827,8 @@ def directional_expansion_theorem_check(
     if eps <= eps_o:
         raise ValueError("eps must exceed eps_o")
     if isinstance(sys_, FiniteSystem):
-        bset = frozenset(tuple(x) for x in b)
-        sigma = spectral_measure(sys_, bset)
+        b = frozenset(tuple(x) for x in b)
+        sigma = spectral_measure(sys_, b)
     else:
         sigma = spectral_measure_kronecker(sys_, b, trunc)
     t = sigma.trivial.value
@@ -852,7 +855,9 @@ def directional_expansion_theorem_check(
     delta = hi / 2
     tau = irrational_part(sigma)
     hit = haystack_annihilator_search(tau, sample, delta * t, sigma.system.rank)
-    check = expansion_bound_check(sys_, b, hit.lam, sspec)
+    if all(x == 0 for x in hit.lam):
+        raise ValueError("direction must be nonzero")
+    check = _expansion_bound(sys_, b, sigma, hit.lam, sspec)
     target = 1 - eps
     if check.estimate:
         if check.measured.lower <= target:

@@ -31,6 +31,7 @@ from .lattice import (
     kernel_basis,
     mat_columns,
     snf,
+    solve_lower,
 )
 
 Element = tuple[int, ...]
@@ -388,15 +389,11 @@ def component_presentation(
     ]
     m = [[cols[j][i] for j in range(len(cols))] for i in range(s)]
     h, _ = hnf(m)
-    hb = [[h[i][j] for j in range(s)] for i in range(s)]
 
     def solve_hb(vec: Sequence[int]) -> list[int]:
-        y = [0] * s
-        for i in range(s):
-            rem = vec[i] - sum(hb[i][j] * y[j] for j in range(i))
-            if rem % hb[i][i]:
-                raise ArithmeticError("point not in the subgroup lattice")
-            y[i] = rem // hb[i][i]
+        y = solve_lower(h, vec)
+        if y is None:
+            raise ArithmeticError("point not in the subgroup lattice")
         return y
 
     relations = [

@@ -319,7 +319,7 @@ class SearchBounds:
         if mult is None:
             primes = (2, 3, 5, 7, 11, 13, 17)
             mult = primes[:rank]
-        return [h.coords for h in make_haystack(None, mult, self.lambda_count)]
+        return make_haystack(None, mult, self.lambda_count)
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def test_criterion_05_haystacks():
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sample = [h.coords for h in make_haystack(None, ms, 8)]
+                sample = make_haystack(None, ms, 8)
             verdict = verify_haystack_sample(sample, r)
             assert verdict.ok, (ms, verdict)
             count += 1
@@ -258,7 +258,7 @@ def test_criterion_09_intersection_theorem():
         if sys_.rank == 1:
             sample = [(1,)]
         else:
-            sample = [h.coords for h in make_haystack(None, (2, 3, 5)[: sys_.rank], 8)]
+            sample = make_haystack(None, (2, 3, 5)[: sys_.rank], 8)
         for p in (2, 3):
             probes = [
                 [tuple(rng.randint(-2, 2) for _ in range(sys_.rank)) for _ in range(p - 1)]

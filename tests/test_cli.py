@@ -2,8 +2,10 @@
 
 import json
 import time
+from fractions import Fraction
 
 from latspec.cli import main, parse_fraction, ser_fraction
+from latspec.haystack import COUNT_LIMIT
 
 
 def run_cli(args):
@@ -469,3 +471,62 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
         assert "Traceback" not in err
         assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
         assert reason in err
+
+
+def _refused_in_one_line(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    start = time.perf_counter()
+    assert run_cli([cfg["experiment"], "--config", path]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_intersect_haystack_count_is_refused_before_any_element(tmp_path, capsys):
+    # 16 000 elements used to be built in about 6 s, where 8 suffice
+    cfg = {
+        "experiment": "intersect",
+        "system": {"kind": "finite", "matrix": [[2, 0], [0, 2]]},
+        "set_b": {"kind": "preimages", "points": [[0, 0]]},
+        "p": 2,
+        "probes": [[[1, 0]]],
+        "haystack": {"multipliers": [2, 3], "count": 16000},
+    }
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert f"haystack count 16000 is over the limit of {COUNT_LIMIT}" in err
+
+
+def test_pattern_search_lambda_count_is_refused_before_any_element(tmp_path, capsys):
+    # 12 000 candidates used to be built in about 5 s; the first gives the witness
+    cfg = {
+        "experiment": "pattern-search",
+        "rank": 2,
+        "window": 8,
+        "set": {"kind": "full"},
+        "p": 2,
+        "probes": [[[0, 1]]],
+        "bounds": {"n_max": 2, "m_max": 2, "lambda_count": 12000},
+    }
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert f"haystack count 12000 is over the limit of {COUNT_LIMIT}" in err
+
+
+def test_expand_scan_max_expansion_takes_full_orbits_under_an_ap_set(tmp_path):
+    # on Z/4 a step-2 progression saturates B = {0} to {0, 2} at most, while
+    # the full orbit of phi(lambda) = 1 is the whole carrier
+    base = _cyclic_cfg("expand-scan", [4], [[1], [0]], [[0]])
+    base["coord_bound"] = 1
+    measures, maxima = {}, {}
+    for name, extra in (("z", {}), ("ap", {"ergodic_set": {"kind": "ap", "offset": 0, "step": 2}})):
+        path = write_cfg(tmp_path, f"{name}.json", {**base, **extra})
+        out, csv_path = tmp_path / f"{name}.json.out", tmp_path / f"{name}.csv"
+        assert run_cli(["expand-scan", "--config", path, "--out", out, "--csv", csv_path]) == 0
+        results = json.loads(out.read_text())["results"]
+        maxima[name] = (parse_fraction(results["max_expansion"]), results["argmax_lambda"], results["verdict"])
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        measures[name] = [Fraction(int(r[2]), int(r[3])) for r in rows]
+    assert maxima["ap"] == maxima["z"] == (1, [-1, -1], "directionally expandable within candidates")
+    assert max(measures["z"]) == 1
+    assert max(measures["ap"]) == Fraction(1, 2)

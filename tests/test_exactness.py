@@ -12,6 +12,8 @@ from latspec.cyclotomic import (
     enclose_real_root_vector,
     rational_value_of_reduced,
     reduce_root_vector,
+    reduction_matrix,
+    reduction_rows,
     root_vector_is_value,
 )
 from latspec.formal import FormalReal
@@ -120,6 +122,34 @@ def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _reduction_rows_reference(n):
+    """The Python-tuple recurrence reduction_rows used before numpy built it."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rows = []
+    for k in range(min(n, deg)):
+        rows.append(tuple(1 if i == k else 0 for i in range(deg)))
+    cur = list(rows[-1]) if rows else []
+    for _ in range(deg, n):
+        carry = cur[deg - 1]
+        nxt = [0] + cur[: deg - 1]
+        if carry:
+            for i in range(deg):
+                nxt[i] -= carry * phi[i]
+        rows.append(tuple(nxt))
+        cur = nxt
+    return tuple(rows)
+
+
+def test_reduction_rows_match_the_tuple_recurrence():
+    for n in [*range(1, 301), 1001, 1155, 2310]:
+        rows = reduction_rows(n)
+        assert rows == _reduction_rows_reference(n)
+        assert all(type(x) is int for row in rows[-3:] for x in row)
+        assert reduction_matrix(n).tolist() == [list(row) for row in rows]
+        assert not reduction_matrix(n).flags.writeable
 
 
 def test_sum_of_all_roots_is_zero():

@@ -56,7 +56,7 @@ def z4():
     return finite_system(sublattice([[4, 0], [0, 1]]))
 
 
-HAYSTACK = [h.coords for h in make_haystack(None, (2, 3), 8)]
+HAYSTACK = make_haystack(None, (2, 3), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +355,35 @@ def test_directional_expansion_kronecker_estimate():
     a, bsym = FormalReal.sym("alpha"), FormalReal.sym("beta")
     ks = kronecker_system(2, 1, [[a, bsym]])
     b = BoxUnion.of([(Fraction(0), Fraction(1, 2))])
-    sample = [h.coords for h in make_haystack(None, (2, 3), 40)]
+    sample = make_haystack(None, (2, 3), 40)
     res = directional_expansion_theorem_check(ks, b, Fraction(0), Fraction(1, 10), sample, trunc=32)
     assert res.ok and res.estimate
     assert res.measured.lower > Fraction(9, 10)
+
+
+def test_directional_expansion_builds_one_kronecker_measure(monkeypatch):
+    a, b, c = (FormalReal.sym(x) for x in ("alpha", "beta", "gamma"))
+    built = []
+
+    def counted(sys_, box, trunc=64):
+        built.append(trunc)
+        return spectral_measure_kronecker(sys_, box, trunc)
+
+    monkeypatch.setattr(spectral, "spectral_measure_kronecker", counted)
+    sample = make_haystack(None, (2, 3), 60)
+    half = (Fraction(0), Fraction(1, 2))
+    # in dim 3 a second measure at the default truncation would be over ATOM_LIMIT
+    for theta in ([[a, b], [b, c]], [[a, b], [b, c], [c, a]]):
+        ks = kronecker_system(2, len(theta), theta)
+        box = BoxUnion.of([half] * len(theta))
+        built.clear()
+        res = directional_expansion_theorem_check(ks, box, Fraction(0), Fraction(3, 4), sample, trunc=4)
+        assert built == [4]
+        assert res.ok and res.estimate
+        sigma = spectral_measure_kronecker(ks, box, 4)
+        t = sigma.trivial.value
+        mass = annihilator_mass(sigma, res.lam)
+        assert res.bound == Weight(t / mass.upper, 1 / max(mass.lower / t, Fraction(1)), False)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +495,7 @@ def sample_for_rank(rank):
     # so the scan list degenerates to the single direction (1,)
     if rank == 1:
         return [(1,)]
-    return [h.coords for h in make_haystack(None, (2, 3, 5)[:rank], 8)]
+    return make_haystack(None, (2, 3, 5)[:rank], 8)
 
 
 def test_intersection_fleet():
@@ -704,7 +729,7 @@ def _rescaled_pipeline(tilde, eps_o, eps, sample):
 def _sample(rank, count=8):
     if rank == 1:
         return [(k,) for k in range(1, count + 1)]
-    return [h.coords for h in make_haystack(None, (2, 3, 5)[:rank], count)]
+    return make_haystack(None, (2, 3, 5)[:rank], count)
 
 
 def _check_pipeline(sys_, b, tilde, eps_o, eps, sample, **kw):
