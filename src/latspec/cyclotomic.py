@@ -4,52 +4,72 @@ A sum of N-th roots of unity is held as an integer vector over the power
 basis 1, z, ..., z^(N-1) and decided (zero test, rationality test) by
 reduction modulo the N-th cyclotomic polynomial.  This is what lets the
 spectral identities be checked as identities rather than numerically.
+The N-th cyclotomic polynomial is the product of (x^d - 1)^mu(N/d) over the
+divisors d of N, multiplied and divided out exactly on Python-int
+coefficient lists.
+
 For display, the real part of such a vector is enclosed on the integer
 rounding grid of ``intervals``: one table of cosine enclosures per order N,
-held as integer numerators, and one integer dot product per vector.
+held as integer numerators, one integer Taylor evaluation per first-quadrant
+angle.  ``enclose_real_root_rows`` encloses many vectors at once with int64
+products of the rows against that table cut into 32-bit limbs, which is the
+exact integer dot product of each row with the table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
-from typing import Sequence
 
 import numpy as np
 
-from .intervals import _GRID_BITS, Iv, cospi
+from .intervals import _GRID_BITS, Iv, sinpi_grid
 
 
-def _polydiv_exact(num: list[int], den: Sequence[int]) -> list[int]:
-    """Quotient of num by monic den over Z; raises if the division is inexact."""
-    num = list(num)
-    dn = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        out[i - dn] = c
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n, and
+    mu(n/d) is nonzero only for d = n / (a product of distinct primes of n).
+    The factors with mu = 1 are multiplied in first, then each factor with
+    mu = -1 is divided out; both are one pass over the coefficient list, and
+    a division that leaves a remainder raises.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
+    # d = n over an even (ups) or odd (downs) number of distinct primes of n
+    ups, downs = [n], []
+    for p in _prime_factors(n):
+        ups, downs = ups + [d // p for d in downs], downs + [d // p for d in ups]
+    poly = [1]
+    for d in ups:
+        # poly * (x^d - 1): coefficient i is poly[i - d] - poly[i]
+        out = [0] * d + poly
+        for i, c in enumerate(poly):
+            out[i] -= c
+        poly = out
+    for d in downs:
+        # q with q * (x^d - 1) = poly, i.e. poly[i] = q[i - d] - q[i], solved upwards
+        q = [0] * (len(poly) - d)
+        for i in range(len(q)):
+            q[i] = (q[i - d] if i >= d else 0) - poly[i]
+        if poly[len(q):] != q[len(q) - d:]:
+            raise ArithmeticError("inexact polynomial division")
+        poly = q
     return tuple(poly)
 
 
@@ -80,76 +100,104 @@ def reduction_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k: coordinates of z^k over the power basis 1..z^(deg-1), k < n."""
-    return tuple(map(tuple, reduction_matrix(n).tolist()))
-
-
-def reduce_root_vector(n: int, vec: Sequence[int]) -> tuple[int, ...]:
-    """Canonical coordinates of sum_k vec[k] * z^k modulo the n-th cyclotomic polynomial."""
-    rows = reduction_rows(n)
-    deg = len(rows[0])
-    out = [0] * deg
-    for k, c in enumerate(vec):
-        if c:
-            row = rows[k]
-            for i in range(deg):
-                out[i] += c * row[i]
-    return tuple(out)
-
-
-def rational_value_of_reduced(reduced: Sequence[int]):
-    """The integer this reduced vector equals, or None if it is irrational."""
-    if any(reduced[1:]):
-        return None
-    return reduced[0]
-
-
-def root_vector_is_value(n: int, vec: Sequence[int], value: int) -> bool:
-    """Exact test: does sum_k vec[k] * z^k equal the integer value?"""
-    work = list(vec) + [0] * max(0, 1 - len(vec))
-    work[0] -= value
-    return not any(reduce_root_vector(n, work))
-
-
-@lru_cache(maxsize=None)
 def _cos_grid(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Grid numerators (lo_k, hi_k) of the enclosures cospi(2k/n), k < n.
 
-    cospi returns an exact point (0 or +-1) or a Taylor enclosure rounded out
-    onto the 2**-_GRID_BITS grid, so both ends are integers over 2**_GRID_BITS.
+    cos(2 pi k / n) = sin(pi u / 2n) with u = 4k + n mod 4n, which is
+    -sin(pi (u - 2n) / 2n) past u = 2n and sin(pi (2n - u) / 2n) past u = n;
+    so each entry is +-sinpi(t / 2n) for one first-quadrant t, evaluated
+    once by ``intervals.sinpi_grid``.  These are the numerators of
+    ``cospi(Fraction(2 * k, n))`` over 2**_GRID_BITS.
     """
-    scale = 1 << _GRID_BITS
+    m = 2 * n
+    sines: dict[int, tuple[int, int]] = {}
     los, his = [], []
     for k in range(n):
-        iv = cospi(Fraction(2 * k, n))
-        lo, hi = iv.lo * scale, iv.hi * scale
-        if lo.denominator != 1 or hi.denominator != 1:
-            raise AssertionError("cosine enclosure off the rounding grid")
-        los.append(lo.numerator)
-        his.append(hi.numerator)
+        u = (4 * k + n) % (2 * m)
+        negative = u > m
+        if negative:
+            u -= m
+        t = min(u, m - u)
+        if t not in sines:
+            sines[t] = sinpi_grid(t, m)
+        lo, hi = sines[t]
+        if negative:
+            lo, hi = -hi, -lo
+        los.append(lo)
+        his.append(hi)
     return tuple(los), tuple(his)
 
 
-def enclose_real_root_vector(n: int, vec: Sequence[int], den: int = 1) -> Iv:
-    """Certified interval for the real part Re(sum_k vec[k] * z^k) / den.
+_LIMB_BITS = 32
+#: limbs of a table numerator offset into [0, 2**(_GRID_BITS + 1)]
+_LIMBS = -(-(_GRID_BITS + 2) // _LIMB_BITS)
 
-    One signed integer dot product against the cosine table of order n: a
-    positive coefficient takes lo_k into the lower end and hi_k into the upper
-    one, a negative coefficient the other way round.  The sum is exact and on
-    the grid, so this is the rounded-out sum of the scaled cosine enclosures.
-    A positive ``den`` divides the grid numerators with floor and ceil, which
-    is that sum scaled by 1/den and rounded out onto the grid again.  Used
-    only for display of irrational weights; decisions go through the exact
-    reductions above.
+
+@lru_cache(maxsize=None)
+def _cos_limbs(n: int) -> np.ndarray:
+    """Read-only (n, 2 * _LIMBS) int64 table: the 32-bit limbs, low first, of
+    2**_GRID_BITS + lo_k and then of 2**_GRID_BITS + hi_k."""
+    off = 1 << _GRID_BITS
+    data = b"".join(
+        (v + off).to_bytes(_LIMBS * _LIMB_BITS // 8, "little") for ends in zip(*_cos_grid(n)) for v in ends
+    )
+    table = np.frombuffer(data, dtype="<u4").astype(np.int64).reshape(n, 2 * _LIMBS)
+    table.setflags(write=False)
+    return table
+
+
+def _join_limbs(limbs: list[int]) -> int:
+    out = 0
+    for v in reversed(limbs):
+        out = (out << _LIMB_BITS) + v
+    return out
+
+
+def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
+    """Certified intervals for Re(sum_k row[k] * z^k) / den, one per row.
+
+    z is a primitive n-th root of unity and rows is an integer array with n
+    columns.  A positive coefficient takes lo_k of the cosine table into the
+    lower end and hi_k into the upper one, a negative coefficient the other
+    way round; the sum is exact and on the grid, so this is the rounded-out
+    sum of the scaled cosine enclosures.  ``den`` divides the grid numerators
+    with floor and ceil, which is that sum scaled by 1/den and rounded out
+    onto the grid again.
+
+    The dot products run in int64 on the table offset by 2**_GRID_BITS and
+    cut into 32-bit limbs; with at most 2**31 in absolute value per row, no
+    limb product can wrap.  Used only for display of irrational weights;
+    decisions go through the exact reductions above.
     """
-    if len(vec) > n:
-        raise ValueError("root vector longer than the order")
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"root rows must be a 2-D array with {n} columns")
     if den < 1:
         raise ValueError("den must be positive")
-    los, his = _cos_grid(n)
-    # a negative c moves c * (hi_k - lo_k) from the plain dot products
-    slack = sum(c * (h - l) for c, l, h in zip(vec, los, his) if c < 0)
-    lo = (sum(map(mul, vec, los)) + slack) // den
-    hi = -((slack - sum(map(mul, vec, his))) // den)
-    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+    if not len(rows):
+        return []  # no cosine table is built for a measure without irrational weights
+    signed = np.flatnonzero(rows.min(axis=1) < 0)
+    negative = np.minimum(rows[signed], 0)
+    totals = rows.sum(axis=1)
+    weight = totals.copy()  # sum of |c| per row
+    weight[signed] -= 2 * negative.sum(axis=1)
+    if max(int(rows.max()), -int(rows.min())) >= 1 << 31 or int(weight.max()) >= 1 << 31:
+        raise OverflowError("root rows over 2**31 in absolute value")
+    table = _cos_limbs(n)
+    both = rows @ table
+    lower, upper = both[:, :_LIMBS], both[:, _LIMBS:]
+    # a negative c pairs with hi_k in the lower end and with lo_k in the
+    # upper one: it adds c * (hi_k - lo_k) to the first, takes it from the second
+    swap = negative @ table
+    swap = swap[:, _LIMBS:] - swap[:, :_LIMBS]
+    lower[signed] += swap
+    upper[signed] -= swap
+    lower, upper, offsets = lower.tolist(), upper.tolist(), totals.tolist()
+    scale = 1 << _GRID_BITS
+    out = []
+    for lo, hi, total in zip(lower, upper, offsets):
+        shift = total << _GRID_BITS
+        lo_n = (_join_limbs(lo) - shift) // den
+        hi_n = -((shift - _join_limbs(hi)) // den)
+        out.append(Iv(Fraction(lo_n, scale), Fraction(hi_n, scale)))
+    return out

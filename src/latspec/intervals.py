@@ -7,7 +7,9 @@ All endpoints are Fractions; rounding, when applied, only ever widens an
 interval, so every enclosure stays sound.  Rounding goes onto a 2**-192
 grid, and the Taylor series runs on integer numerators over that grid
 (each term exactly p / (m * 2**192) for integers p and m), building a
-Fraction only for the final enclosure.
+Fraction only for the final enclosure.  ``sinpi_grid`` hands the same
+integer enclosure of sin(pi t / m) to the cosine tables of ``cyclotomic``
+without building a Fraction at all.
 """
 
 from __future__ import annotations
@@ -108,21 +110,18 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _sin_taylor(x: Iv, terms: int = 14) -> Iv:
-    """Enclose sin(x) for 0 <= x <= pi/2 by the alternating series.
+def _sin_taylor_grid(lo_n: int, lo_d: int, hi_n: int, hi_d: int, terms: int = 14) -> tuple[int, int]:
+    """Grid numerators of the enclosure of sin(x) for x in [lo_n/lo_d, hi_n/hi_d],
+    0 <= x <= pi/2, by the alternating series.
 
     Term k >= 1 is round_out(term_{k-1} * round_out(x^2)) / ((2k)(2k+1)),
     i.e. an integer numerator p over m_k * 2**_GRID_BITS with m_k = (2k)(2k+1),
     so the whole series runs on integers with floor and ceil divisions.  One
     extra term bounds the truncation error; the result is clipped to [0, 1]
-    and rounded out.  Every step is the exact rational of the interval
-    formulation, so the enclosure is exactly that of Iv arithmetic.
+    and rounded out.  Every step is a floor or ceil of a rational value, so
+    the numerators do not depend on how the ends are written as fractions.
     """
-    if x.lo < 0:
-        raise ValueError("sin series needs x >= 0")
     bits = _GRID_BITS
-    lo_n, lo_d = x.lo.numerator, x.lo.denominator
-    hi_n, hi_d = x.hi.numerator, x.hi.denominator
     # x^2 rounded out onto the grid, as numerators over 2**bits
     sq_lo = (lo_n * lo_n << bits) // (lo_d * lo_d)
     sq_hi = _ceil_div(hi_n * hi_n << bits, hi_d * hi_d)
@@ -149,7 +148,35 @@ def _sin_taylor(x: Iv, terms: int = 14) -> Iv:
     # x + sum, rounded out onto the grid and clipped to [0, 1]
     lo = max((lo_n * common << bits) + s_lo * lo_d, 0) // (lo_d * common)
     hi = min(_ceil_div((hi_n * common << bits) + s_hi * hi_d, hi_d * common), 1 << bits)
-    return Iv(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+    return lo, hi
+
+
+def _sin_taylor(x: Iv, terms: int = 14) -> Iv:
+    """Enclose sin(x) for 0 <= x <= pi/2 on the rounding grid; see _sin_taylor_grid.
+
+    Every step is the exact rational of the interval formulation, so the
+    enclosure is exactly that of Iv arithmetic.
+    """
+    if x.lo < 0:
+        raise ValueError("sin series needs x >= 0")
+    lo, hi = _sin_taylor_grid(
+        x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, terms
+    )
+    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+
+
+def sinpi_grid(t: int, m: int) -> tuple[int, int]:
+    """Grid numerators of sinpi(t / m) for integers 0 <= 2t <= m.
+
+    The enclosure is that of sinpi, read without building a Fraction: pi t / m
+    is bracketed by the pi bounds times t / m, unreduced.
+    """
+    if t == 0:
+        return 0, 0
+    if 2 * t == m:
+        return 1 << _GRID_BITS, 1 << _GRID_BITS
+    den = m * 10**50
+    return _sin_taylor_grid(_PI_DIGITS * t, den, (_PI_DIGITS + 1) * t, den)
 
 
 def sinpi(q: Rat) -> Iv:

@@ -28,8 +28,9 @@ from math import comb, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclotomic import enclose_real_root_vector, reduction_matrix
+from .cyclotomic import enclose_real_root_rows, reduction_matrix
 from .formal import FormalReal
 from .intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
@@ -173,7 +174,8 @@ class SpectralMeasure:
 # finite-system tables (shared by the measure, Bochner and mass routines)
 
 #: most cells either finite table may take, checked before it is allocated:
-#: the |B|^2 difference pairs behind n_B and the |A| x exponent root counts
+#: the |B|^2 difference pairs behind n_B and the |A| x exponent root counts;
+#: the Bochner check gathers at most this many cells per chunk of images
 CELL_LIMIT = 2 * 10**7
 
 
@@ -184,9 +186,10 @@ class _FiniteTables:
     exps_on_lambda: np.ndarray     # (|A|, rank) exponent vector on Z^r per character
     root_counts: np.ndarray        # (|A|, order) #{(a, b) in B^2 : chi_c(a - b) = z^k}
 
-    def exponents_at(self, g: Element) -> np.ndarray:
-        """The exponent of chi_c(g) for every character c, in carrier order."""
-        return (self.dual @ np.array(g, dtype=np.int64)) % self.order
+    def exponents_at(self, g) -> np.ndarray:
+        """The exponent of chi_c(g) for every character c, in carrier order;
+        an array of coordinate rows g gives one such row per element."""
+        return (np.asarray(g, dtype=np.int64) @ self.dual.T) % self.order
 
 
 def _root_values(order: int, vecs: np.ndarray) -> list[Optional[int]]:
@@ -266,14 +269,15 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
     n = sys_.size
     mu_b = Fraction(len(bset), n)
     atoms = []
-    rows = t.root_counts.tolist()
     values = _root_values(t.order, t.root_counts)
-    for label, exps, row, value in zip(sys_.elements(), t.exps_on_lambda.tolist(), rows, values):
+    irrational = [c for c, value in enumerate(values) if value is None]
+    enclosures = iter(enclose_real_root_rows(t.order, t.root_counts[irrational], n * n))
+    for label, exps, value in zip(sys_.elements(), t.exps_on_lambda.tolist(), values):
         char = FiniteCharacter(exps=tuple(exps), dual_label=label)
         if value is not None:
             w = Weight.of(Fraction(value, n * n))
         else:
-            w = Weight.interval(enclose_real_root_vector(t.order, row, n * n))
+            w = Weight.interval(next(enclosures))
         atoms.append(Atom(character=char, weight=w))
     trivial = [a for a in atoms if a.character.is_trivial]
     if len(trivial) != 1 or trivial[0].weight.value != mu_b * mu_b:
@@ -504,30 +508,33 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[Element], lam_box: int) -> Bo
     evaluated in the cyclotomic integers at the raw scale, |A|^2 sigma_B, and
     compared to |A| times the counting value after reduction; distinct lam
     sharing an image are checked once.
+
+    The images are taken in chunks of at most ``CELL_LIMIT`` cells per array;
+    each chunk gets its exponents, reductions and overlap counts in one array
+    pass apiece, and each image one gather of shifted root-count rows.
     """
     bset = frozenset(tuple(x) for x in b)
     t = _finite_tables(sys_, bset)
-    lams = product(range(-lam_box, lam_box + 1), repeat=sys_.rank)
-    n = sys_.size
-    order = t.order
-    checked = 0
-    violations = []
-    results: dict[Element, bool] = {}
-    col = np.arange(order)[None, :]
-    chars = np.arange(n)[:, None]
+    n, order = sys_.size, t.order
+    lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
+    gens = np.array(sys_.gens, dtype=np.int64).reshape(sys_.rank, len(sys_.moduli))
+    flat = sys_.translate(0, np.array(lams, dtype=np.int64).reshape(len(lams), sys_.rank) @ gens)
+    images, which = np.unique(flat, return_inverse=True)
+    windows = sliding_window_view(np.tile(t.root_counts, 2), order, axis=1)
+    chars = np.arange(n)
     in_b = sys_.mask(bset)
-    for lam in lams:
-        g = sys_.phi(lam)
-        if g not in results:
-            # sum_c chi_c(g) |A|^2 |c_hat|^2 as one root vector: row c times z^e
-            # is row c shifted by the exponent e of chi_c(g)
-            shifted = t.root_counts[chars, (col - t.exponents_at(g)[:, None]) % order]
-            cnt = int(np.count_nonzero(sys_.overlap(in_b, g)))
-            results[g] = _root_values(order, shifted.sum(axis=0))[0] == cnt * n
-        checked += 1
-        if not results[g]:
-            violations.append(tuple(lam))
-    return BochnerReport(ok=not violations, checked=checked, violations=tuple(violations))
+    b_idx = np.flatnonzero(in_b)[:, None]
+    chunk = max(1, CELL_LIMIT // (n * max(order, len(sys_.moduli))))
+    ok = []
+    for lo in range(0, len(images), chunk):
+        g = sys_.vectors(images[lo:lo + chunk])
+        # sum_c chi_c(g) |A|^2 |c_hat|^2 as one root vector per image: row c
+        # times z^e is the window of the doubled row c starting at order - e
+        sums = np.array([windows[chars, start].sum(axis=0) for start in order - t.exponents_at(g)])
+        counts = np.count_nonzero(in_b[sys_.translate(b_idx, -g)], axis=0).tolist()
+        ok += [v == cnt * n for v, cnt in zip(_root_values(order, sums), counts)]
+    violations = tuple(lam for lam, i in zip(lams, which.tolist()) if not ok[i])
+    return BochnerReport(ok=not violations, checked=len(lams), violations=violations)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,19 @@
 """Certified intervals, formal reals and exact root-of-unity arithmetic."""
 
+import hashlib
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from math import cos, gcd, pi, sin
 
+import numpy as np
 import pytest
 
 from latspec.cyclotomic import (
     _cos_grid,
     cyclotomic_polynomial,
-    enclose_real_root_vector,
-    rational_value_of_reduced,
-    reduce_root_vector,
+    enclose_real_root_rows,
     reduction_matrix,
-    reduction_rows,
-    root_vector_is_value,
 )
 from latspec.formal import FormalReal
 from latspec.intervals import (
@@ -27,6 +26,7 @@ from latspec.intervals import (
     sinpi,
     sinpi_sq_exact,
 )
+from latspec.spectral import _root_values
 
 
 def test_pi_bounds():
@@ -124,8 +124,56 @@ def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def _polydiv_exact(num, den):
+    """Quotient of num by monic den over Z; raises if the division is inexact."""
+    num = list(num)
+    dn = len(den) - 1
+    out = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        out[i - dn] = c
+        if c:
+            for j in range(dn + 1):
+                num[i - dn + j] -= c * den[j]
+    if any(num):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+def _cyclotomic_polynomials_reference(ns):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d, by long division."""
+    memo = {}
+
+    def phi(n):
+        if n not in memo:
+            poly = [-1] + [0] * (n - 1) + [1]
+            for d in range(1, n):
+                if n % d == 0:
+                    poly = _polydiv_exact(poly, phi(d))
+            memo[n] = tuple(poly)
+        return memo[n]
+
+    return {n: phi(n) for n in ns}
+
+
+def test_cyclotomic_polynomials_equal_the_division_reference():
+    ns = [*range(1, 401), 1155, 2310]
+    for n, poly in _cyclotomic_polynomials_reference(ns).items():
+        assert cyclotomic_polynomial(n) == poly, n
+    # the division reference takes 0.3-0.7 s for each of these; pinned by
+    # the SHA-256 of their coefficients as the reference gave them
+    pinned = {
+        3003: "6e258a24e84f9f304f394462e3c7b531c1674510bc816b3541711ce3f14d5f64",
+        4095: "37efb3a5cecbb411a86a23679de7061b67bae8348f1edec317a3ee784d209712",
+        4472: "7b7e58141088b4e9bff96cfbda88e768acad0655d41c33921d8dbdf688fab79a",
+    }
+    for n, digest in pinned.items():
+        coeffs = ",".join(map(str, cyclotomic_polynomial(n)))
+        assert hashlib.sha256(coeffs.encode()).hexdigest() == digest, n
+
+
 def _reduction_rows_reference(n):
-    """The Python-tuple recurrence reduction_rows used before numpy built it."""
+    """The Python-tuple recurrence the reduction rows were first built by."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rows = []
@@ -145,34 +193,36 @@ def _reduction_rows_reference(n):
 
 def test_reduction_rows_match_the_tuple_recurrence():
     for n in [*range(1, 301), 1001, 1155, 2310]:
-        rows = reduction_rows(n)
-        assert rows == _reduction_rows_reference(n)
-        assert all(type(x) is int for row in rows[-3:] for x in row)
-        assert reduction_matrix(n).tolist() == [list(row) for row in rows]
-        assert not reduction_matrix(n).flags.writeable
+        red = reduction_matrix(n)
+        assert red.tolist() == [list(row) for row in _reduction_rows_reference(n)]
+        assert red.dtype == np.int64 and not red.flags.writeable
 
 
 def test_sum_of_all_roots_is_zero():
     for n in (2, 3, 4, 5, 6, 8, 12, 30):
-        vec = [1] * n
-        assert rational_value_of_reduced(reduce_root_vector(n, vec)) == 0
+        assert _root_values(n, np.ones(n, dtype=np.int64)) == [0]
 
 
 def test_root_vector_value_checks():
-    # 1 + z^2 = 0 for z = i
-    assert root_vector_is_value(4, [1, 0, 1, 0], 0)
-    # z + z^3 = -... for n=4: i + (-i) = 0
-    assert root_vector_is_value(4, [0, 1, 0, 1], 0)
-    # geometric identity: 1 + z + z^2 + z^3 + z^4 = 0 at n = 5
-    assert root_vector_is_value(5, [1] * 5, 0)
-    # and a genuinely irrational value is not rational
-    red = reduce_root_vector(5, [0, 1, 0, 0, 1])  # z + z^4 = 2 cos(2 pi / 5)
-    assert rational_value_of_reduced(red) is None
+    rows = np.array(
+        [
+            [1, 0, 1, 0],  # 1 + z^2 = 0 for z = i
+            [0, 1, 0, 1],  # z + z^3 = i + (-i) = 0
+            [3, 0, 0, 0],  # a constant is its own value
+            [2, 1, 1, 1],  # 1 + (1 + z + z^2 + z^3) = 1
+            [0, 1, 0, 0],  # z = i is irrational
+        ]
+    )
+    assert _root_values(4, rows) == [0, 0, 3, 1, None]
+    # geometric identity: 1 + z + z^2 + z^3 + z^4 = 0 at n = 5, while
+    # z + z^4 = 2 cos(2 pi / 5) is not rational
+    assert _root_values(5, np.array([[1] * 5, [0, 1, 0, 0, 1]])) == [0, None]
 
 
 def test_enclose_real_root_vector():
     # z + z^4 at n = 5 is the golden-ratio conjugate 2cos(72 deg)
-    iv = enclose_real_root_vector(5, [0, 1, 0, 0, 1])
+    (iv,) = enclose_real_root_rows(5, [[0, 1, 0, 0, 1]])
+    assert enclose_real_root_rows(5, np.zeros((0, 5))) == []
     ref = 2 * cos(2 * pi / 5)
     assert iv.lo <= Fraction(ref).limit_denominator(10**9) <= iv.hi or (
         float(iv.lo) - 1e-9 <= ref <= float(iv.hi) + 1e-9
@@ -181,32 +231,51 @@ def test_enclose_real_root_vector():
 
 def test_cos_grid_lies_on_the_rounding_grid():
     scale = 1 << _GRID_BITS
-    for n in (1, 2, 3, 4, 5, 6, 12, 30, 60, 120):
+    for n in range(1, 257):
         los, his = _cos_grid(n)
         assert len(los) == len(his) == n
         for k, (lo, hi) in enumerate(zip(los, his)):
             iv = cospi(Fraction(2 * k, n))
-            assert (Fraction(lo, scale), Fraction(hi, scale)) == (iv.lo, iv.hi)
+            assert (Fraction(lo, scale), Fraction(hi, scale)) == (iv.lo, iv.hi), (n, k)
             assert lo <= hi
+
+
+def _enclose_reference(n, vec, den=1):
+    """One root vector at a time: the signed Python dot product against the
+    cosine table, with a negative coefficient taking hi_k into the lower end."""
+    los, his = _cos_grid(n)
+    slack = sum(c * (h - l) for c, l, h in zip(vec, los, his) if c < 0)
+    lo = (sum(c * l for c, l in zip(vec, los)) + slack) // den
+    hi = -((slack - sum(c * h for c, h in zip(vec, his))) // den)
+    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+
+
+def _padded(n, vecs):
+    return np.array([vec + [0] * (n - len(vec)) for vec in vecs], dtype=np.int64).reshape(len(vecs), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12, 60, 120])
 def test_enclose_real_root_vector_equals_term_by_term_sum(n):
     rng = random.Random(1000 + n)
+    vecs = []
     for _ in range(6):
         size = rng.randint(1, n)
-        vec = [rng.randint(-40, 40) * rng.randint(0, 1) for _ in range(size)]
+        vecs.append([rng.randint(-40, 40) * rng.randint(0, 1) for _ in range(size)])
+    ivs = enclose_real_root_rows(n, _padded(n, vecs))
+    assert len(ivs) == len(vecs)
+    for vec, iv in zip(vecs, ivs):
         ref = Iv.point(0)
         for k, c in enumerate(vec):
             if c:
                 ref = ref + cospi(Fraction(2 * k, n)).scale(c)
-        iv = enclose_real_root_vector(n, vec)
-        assert iv == round_out(ref)
+        assert iv == round_out(ref) == _enclose_reference(n, vec)
         value = sum(c * cos(2 * pi * k / n) for k, c in enumerate(vec))
         assert iv.lo - Fraction(1, 10**9) <= Fraction(value) <= iv.hi + Fraction(1, 10**9)
         assert float(iv.width) < 1e-20
     with pytest.raises(ValueError):
-        enclose_real_root_vector(n, [1] * (n + 1))
+        enclose_real_root_rows(n, [[1] * (n + 1)])
+    with pytest.raises(OverflowError):
+        enclose_real_root_rows(n, [[1 << 30] * 2 + [0] * (n - 2)] if n > 1 else [[1 << 31]])
 
 
 @pytest.mark.parametrize("n", [3, 5, 12, 60, 120])
@@ -215,13 +284,13 @@ def test_enclosure_divided_on_the_grid_equals_scaled_round_out(n):
     # the endpoints must be those of Iv.scale(1 / den) followed by round_out
     rng = random.Random(2000 + n)
     for den in (1, 2, 9, 144, 441**2, 3600**2, rng.randint(2, 10**9)):
-        for _ in range(4):
-            vec = [rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(rng.randint(1, n))]
-            ref = round_out(enclose_real_root_vector(n, vec).scale(Fraction(1, den)))
-            got = enclose_real_root_vector(n, vec, den)
-            assert (got.lo, got.hi) == (ref.lo, ref.hi)
+        vecs = [[rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(rng.randint(1, n))] for _ in range(4)]
+        got = enclose_real_root_rows(n, _padded(n, vecs), den)
+        for vec, iv in zip(vecs, got):
+            ref = round_out(_enclose_reference(n, vec).scale(Fraction(1, den)))
+            assert (iv.lo, iv.hi) == (ref.lo, ref.hi) == astuple(_enclose_reference(n, vec, den))
     with pytest.raises(ValueError):
-        enclose_real_root_vector(n, [1], 0)
+        enclose_real_root_rows(n, _padded(n, [[1]]), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Spectral measures and the quantitative checks, exact on finite systems."""
 
+import dataclasses
 import random
 import time
 import tracemalloc
@@ -141,6 +142,104 @@ def test_bochner_examples_and_fleet():
     assert rep.ok and rep.checked == 81
     for sys_, b in random_fleet(99, 20):
         assert verify_bochner(sys_, b, 4).ok
+
+
+def _bochner_reference(sys_, b, lam_box):
+    """verify_bochner one lam at a time: every root-count row rolled by the
+    exponent of chi_c(phi(lam)) and summed, against the overlap mask."""
+    t = spectral._finite_tables(sys_, frozenset(b))
+    in_b = sys_.mask(b)
+    lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
+    violations = []
+    for lam in lams:
+        g = sys_.phi(lam)
+        total = sum(np.roll(row, e) for row, e in zip(t.root_counts, t.exponents_at(g).tolist()))
+        cnt = int(np.count_nonzero(sys_.overlap(in_b, g)))
+        if spectral._root_values(t.order, total)[0] != cnt * sys_.size:
+            violations.append(lam)
+    return spectral.BochnerReport(ok=not violations, checked=len(lams), violations=tuple(violations))
+
+
+def _bochner_systems(seed):
+    """Random Z/n and (Z/d)^2 systems of rank 2, each with a random set B."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(4):
+        n = rng.randint(2, 30)
+        sys_ = finite_system_from_parts(2, [n], [[1], [rng.randrange(n)]])
+        d = rng.randint(2, 6)
+        k = rng.randrange(d)
+        split = finite_system_from_parts(2, [d, d], [[1, 0], [k, 1]])
+        for s in (sys_, split):
+            els = s.elements()
+            out.append((s, frozenset(rng.sample(els, rng.randint(1, len(els))))))
+    return out
+
+
+def _perturb_tables(monkeypatch, move):
+    """Patch the finite tables: ``move(rows)`` edits a copy of the root counts."""
+    real = spectral._finite_tables
+
+    def perturbed(sys_, bset):
+        t = real(sys_, bset)
+        rows = t.root_counts.copy()
+        move(rows)
+        return dataclasses.replace(t, root_counts=rows)
+
+    monkeypatch.setattr(spectral, "_finite_tables", perturbed)
+
+
+def _trade_with_the_trivial_row(rows):
+    # one count moves from the last character's row to the trivial one's:
+    # the atom sum then misses exactly where chi_last(g) != 1
+    rows[0, 0] += 1
+    rows[-1, 0] -= 1
+
+
+def test_bochner_matches_a_per_image_reference(monkeypatch):
+    cases = _bochner_systems(71)
+    for sys_, b in cases:
+        for lam_box in range(4):
+            assert verify_bochner(sys_, b, lam_box) == _bochner_reference(sys_, b, lam_box)
+    # with a table off by one count, the violations come in lam order
+    _perturb_tables(monkeypatch, _trade_with_the_trivial_row)
+    partial = 0
+    for sys_, b in cases:
+        for lam_box in range(4):
+            got = verify_bochner(sys_, b, lam_box)
+            assert got == _bochner_reference(sys_, b, lam_box)
+            partial += 0 < len(got.violations) < got.checked
+    assert partial > 5
+
+
+def test_bochner_catches_one_perturbed_root_count_row(monkeypatch):
+    sys_ = finite_system_from_parts(2, [12], [[1], [5]])
+    b = frozenset(random.Random(9).sample(sys_.elements(), 5))
+    assert verify_bochner(sys_, b, 2).ok
+
+    def move(rows):
+        # one count of character 7 moved from z^0 to z^1: the row total stays
+        rows[7, 0] -= 1
+        rows[7, 1] += 1
+
+    _perturb_tables(monkeypatch, move)
+    rep = verify_bochner(sys_, b, 2)
+    # z^e (z - 1) is never zero, so every lam misses
+    assert not rep.ok and rep.checked == 25
+    assert rep.violations == tuple(product(range(-2, 3), repeat=2))
+
+
+def test_bochner_report_does_not_depend_on_the_chunking(monkeypatch):
+    cases = _bochner_systems(81)
+    _perturb_tables(monkeypatch, _trade_with_the_trivial_row)
+    whole = [verify_bochner(sys_, b, 3) for sys_, b in cases]
+    assert any(0 < len(r.violations) < r.checked for r in whole)
+    for per_chunk in (1, 2, 5):
+        for (sys_, b), ref in zip(cases, whole):
+            # room for the tables, but only a few images per chunk
+            cells = sys_.size * sys_.exponent
+            monkeypatch.setattr(spectral, "CELL_LIMIT", max(cells * per_chunk, len(b) ** 2))
+            assert verify_bochner(sys_, b, 3) == ref
 
 
 def _exponent_matrix_tables(sys_, b):
