@@ -1,8 +1,11 @@
 """CLI runner: determinism, exit codes, CSV, witness re-verification."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
+
+import pytest
 
 from latspec.cli import main, parse_fraction, ser_fraction
 from latspec.haystack import COUNT_LIMIT
@@ -530,3 +533,116 @@ def test_expand_scan_max_expansion_takes_full_orbits_under_an_ap_set(tmp_path):
     assert maxima["ap"] == maxima["z"] == (1, [-1, -1], "directionally expandable within candidates")
     assert max(measures["z"]) == 1
     assert max(measures["ap"]) == Fraction(1, 2)
+
+
+#: finite configs with the SHA-256 of their ``results`` + ``verdicts`` (sorted
+#: JSON) and of their CSV, pinned so that a change of element representation
+#: cannot move a report body
+GOLDEN_FINITE = {
+    "spectral-report-elements": (
+        {
+            "experiment": "spectral-report",
+            "system": {"kind": "finite", "rank": 2, "moduli": [2, 6], "gens": [[1, 1], [0, 1]]},
+            "set_b": {"kind": "elements", "points": [[0, 0], [1, 3], [0, 5], [7, -1], [1, 2]]},
+            "lambda_bound": 2,
+        },
+        "3ca8dd170a25e26511063ac93b9684d84cb6dd0920bff0ddfac3c592b9ecc883",
+        None,
+    ),
+    "spectral-report-preimages": (
+        {
+            "experiment": "spectral-report",
+            "system": {"kind": "finite", "matrix": [[3, 1], [-1, 4]]},
+            "set_b": {"kind": "preimages", "points": [[0, 0], [1, 0], [2, 1], [-5, 7]]},
+            "lambda_bound": 3,
+        },
+        "54f178b4aeb3cc6e2c2bb55e85b09bcd80b11cde83407341435ab4027e854edd",
+        None,
+    ),
+    "factor-one-rank-1": (
+        {
+            "experiment": "spectral-report",
+            "system": {"kind": "finite", "rank": 1, "moduli": [1, 9], "gens": [[0, 2]]},
+            "set_b": {"kind": "elements", "points": [[0], [4], [13]]},
+        },
+        "2e5437afd670f31e28e91582677d58d28ba140aab7d138bf2b2e5684712f82e4",
+        None,
+    ),
+    "factor-one-rank-2": (
+        {
+            "experiment": "decompose",
+            "system": {"kind": "finite", "rank": 2, "moduli": [2, 1, 4], "gens": [[1, 0, 1], [0, 0, 1]]},
+            "set_b": {"kind": "preimages", "points": [[0, 0], [1, 0], [1, 3]]},
+            "sublattice": [[2, 0], [0, 2]],
+            "eps_o": "1/10",
+        },
+        "671f07ff83c9deb42885cf6ae49f2b368a29b8ff687ab66304cfa541ec4ef33c",
+        None,
+    ),
+    "factor-one-rank-3": (
+        {
+            "experiment": "spectral-report",
+            "system": {"kind": "finite", "rank": 3, "moduli": [1, 2, 6], "gens": [[0, 1, 0], [0, 0, 1], [0, 1, 3]]},
+            "set_b": {"kind": "preimages", "points": [[0, 0, 0], [1, 1, 0], [0, 2, 1]]},
+            "lambda_bound": 1,
+        },
+        "0751ab242c862cde0d73d294a9a8756fd903130e630d992cf1f4d1e179d0adfc",
+        None,
+    ),
+    # two components tie on nu(B) = 1: the lexicographically least wins
+    "decompose-rank-3": (
+        {
+            "experiment": "decompose",
+            "system": {"kind": "finite", "matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 4]]},
+            "set_b": {"kind": "preimages", "points": [[0, 1, 1], [0, 1, 3], [1, 0, 0], [1, 0, 2]]},
+            "sublattice": [[2, 0, 0], [0, 1, 0], [1, 0, 2]],
+            "eps_o": "1/10",
+        },
+        "8673337d81a909e5425eeec52f40edff03d36a7467af60a4c106ec1e2fe888bc",
+        None,
+    ),
+    "intersect": (
+        {
+            "experiment": "intersect",
+            "system": {"kind": "finite", "rank": 2, "moduli": [6], "gens": [[1], [2]]},
+            "set_b": {"kind": "elements", "points": [[0], [1], [3]]},
+            "p": 3,
+            "probes": [[[1, 0], [0, 1]], [[2, -1], [1, 1]]],
+            "haystack": {"multipliers": [2, 3], "count": 8},
+        },
+        "a9e6ca7608b45634d4d997a52e9c37180fcffe66391fe01f46a3a2568dc02497",
+        None,
+    ),
+    "expand-scan-ap": (
+        {
+            "experiment": "expand-scan",
+            "system": {"kind": "finite", "rank": 2, "moduli": [2, 4], "gens": [[1, 1], [0, 1]]},
+            "set_b": {"kind": "preimages", "points": [[0, 0], [1, 2], [3, -1]]},
+            "coord_bound": 2,
+            "ergodic_set": {"kind": "ap", "offset": 1, "step": 3},
+        },
+        "e0b987f375f62e93764b4cd11b39c2c0c2e25961e7042c6d343f075d49819506",
+        "f06038df5a822697616da1507497878a1f35f253719e01840242be87a1f5cfb5",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FINITE))
+def test_finite_reports_match_their_golden_digests(tmp_path, name):
+    cfg, body_digest, csv_digest = GOLDEN_FINITE[name]
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out, csv_path = tmp_path / "report.json", tmp_path / "rows.csv"
+    args = [cfg["experiment"], "--config", path, "--out", out]
+    if csv_digest:
+        args += ["--csv", csv_path]
+    assert run_cli(args) == 0
+    report = json.loads(out.read_text())
+    body = json.dumps({"results": report["results"], "verdicts": report["verdicts"]}, sort_keys=True)
+    assert _sha256(body) == body_digest
+    if csv_digest:
+        assert _sha256(csv_path.read_text()) == csv_digest
+    assert run_cli([cfg["experiment"], "--config", path, "--out", out, "--verify-only"]) == 0
