@@ -143,15 +143,25 @@ def _parse_formal(entry) -> FormalReal:
     raise ConfigError(f"cannot parse frequency entry {entry!r}")
 
 
+def _integral(value, what: str):
+    """value itself, once no entry of it (nested lists included) is a JSON
+    boolean or a non-integral number."""
+    if isinstance(value, list):
+        for entry in value:
+            _integral(entry, what)
+    elif isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{what} entry {json.dumps(value)} is not an integer")
+    return value
+
+
 def _parse_system(desc: dict):
     kind = desc.get("kind")
     if kind == "finite":
         if "matrix" in desc:
-            return finite_system(sublattice(desc["matrix"]))
+            return finite_system(sublattice(_integral(desc["matrix"], "matrix")))
         if "moduli" in desc:
-            return finite_system_from_parts(
-                int(desc["rank"]), [int(d) for d in desc["moduli"]], desc["gens"]
-            )
+            moduli = [int(d) for d in _integral(desc["moduli"], "moduli")]
+            return finite_system_from_parts(int(desc["rank"]), moduli, _integral(desc["gens"], "gens"))
         raise ConfigError("finite system needs 'matrix' or 'moduli' + 'gens'")
     if kind == "kronecker":
         theta = [[_parse_formal(e) for e in row] for row in desc["theta"]]
@@ -165,12 +175,13 @@ def _parse_set_b(sys_, desc: dict):
         if kind not in ("elements", "preimages"):
             raise ConfigError("finite set_b kinds: 'elements', 'preimages'")
         width = len(sys_.moduli) if kind == "elements" else sys_.rank
-        for p in desc["points"]:
+        points = _integral(desc["points"], f"set_b {kind[:-1]}")
+        for p in points:
             if len(p) != width:
                 raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
         if kind == "elements":
-            return frozenset(sys_.reduce(p) for p in desc["points"])
-        return frozenset(sys_.phi(tuple(int(x) for x in p)) for p in desc["points"])
+            return frozenset(sys_.index(points).tolist())
+        return frozenset(sys_.phi(p) for p in points)
     if kind == "boxes":
         return BoxUnion.of(
             *[
@@ -346,6 +357,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
         mu_b = sigma.total.value
         # normalized figures are raw masses over the trivial mass mu(B)^2
         t = sigma.trivial.value
+        labels = sys_.vectors([a.character.dual_label for a in sigma.atoms]).tolist()
         results = {
             "kind": "finite",
             "carrier_moduli": list(sys_.moduli),
@@ -357,8 +369,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
                 rational_mass_excluding_trivial(sigma).scale(1 / t)
             ),
             "atoms": [
-                {"label": list(a.character.dual_label), "weight": ser_weight(a.weight)}
-                for a in sigma.atoms
+                {"label": label, "weight": ser_weight(a.weight)} for label, a in zip(labels, sigma.atoms)
             ],
             "bochner_checked": boch.checked,
         }
@@ -412,7 +423,7 @@ def _run_decompose(cfg: dict, seed: Optional[int]):
         comps = ergodic_components(sys_, L)
         weight_sum = sum((c.weight for c in comps), start=Fraction(0))
         results["components"] = [
-            {"support": [list(x) for x in sorted(c.support)], "weight": ser_fraction(c.weight)}
+            {"support": sys_.vectors(sorted(c.support)).tolist(), "weight": ser_fraction(c.weight)}
             for c in comps
         ]
         verdicts.append({"name": "component-weights-sum-to-one", "pass": weight_sum == 1})
@@ -427,7 +438,7 @@ def _run_decompose(cfg: dict, seed: Optional[int]):
     mu_b = sys_.measure(bset)
     results["shrink"] = {
         "n": shrink.n,
-        "component_support": [list(x) for x in sorted(shrink.component.support)],
+        "component_support": sys_.vectors(sorted(shrink.component.support)).tolist(),
         "c": ser_fraction(shrink.c),
         "nu_b": ser_fraction(shrink.nu_b),
         "rational_nontrivial_mass": ser_fraction(shrink.rational_mass),

@@ -103,13 +103,6 @@ def mat_identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
-    n, k, m = len(A), len(B), len(B[0])
-    if len(A[0]) != k:
-        raise ValueError("dimension mismatch")
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 def mat_from_columns(cols: Iterable[Sequence[int]]) -> Matrix:
     cols = [as_coords(c) for c in cols]
     r = len(cols[0])

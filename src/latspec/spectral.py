@@ -39,7 +39,6 @@ from .systems import (
     ComponentPresentation,
     ErgodicComponent,
     ErgodicSetSpec,
-    Element,
     FiniteSystem,
     KroneckerSystem,
     box_grid,
@@ -63,7 +62,7 @@ class FiniteCharacter:
     """
 
     exps: tuple[int, ...]
-    dual_label: tuple[int, ...]
+    dual_label: int
 
     @property
     def is_trivial(self) -> bool:
@@ -221,9 +220,9 @@ def _finite_tables(sys_: FiniteSystem, bset: frozenset) -> _FiniteTables:
     # sum_i c_i h_i (order / d_i) mod order
     every = sys_.vectors(np.arange(n))
     dual = every * (order // np.array(sys_.moduli, dtype=np.int64))
-    gens = np.array(sys_.gens, dtype=np.int64).reshape(sys_.rank, len(sys_.moduli))
+    gens = sys_.vectors(list(sys_.gens))
     # difference counts n_B(d) = #{(a, b) in B^2 : a - b = d}
-    b_idx = sys_.index(bset)
+    b_idx = np.fromiter(bset, dtype=np.int64)
     n_b = np.bincount(sys_.translate(b_idx[:, None], -sys_.vectors(b_idx)).ravel(), minlength=n)
     # one histogram of the support of n_B per character, by the exponent of
     # chi_c(d); the float64 weights sum integers below |B|^2 < 2^53 exactly
@@ -241,15 +240,15 @@ def _finite_tables(sys_: FiniteSystem, bset: frozenset) -> _FiniteTables:
 
 
 @lru_cache(maxsize=65536)
-def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: Element) -> Fraction:
+def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: int) -> Fraction:
     """sigma_B of the characters trivial on <g>, by the coset formula: the sum
     over cosets C of |C ∩ B|^2, over |<g>| * |A|."""
     labels = sys_.coset_labels([g])
-    per_coset = np.bincount(labels[sys_.index(bset)], minlength=sys_.size)
+    per_coset = np.bincount(labels[np.fromiter(bset, dtype=np.int64)], minlength=sys_.size)
     return Fraction(int(per_coset @ per_coset), sys_.order_of(g) * sys_.size)
 
 
-def spectral_measure(sys_: FiniteSystem, b: Iterable[Element]) -> SpectralMeasure:
+def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> SpectralMeasure:
     """Exact atomic spectral measure of b on a finite system.
 
     One atom per carrier character.  Its weight |c_hat|^2 is the root-count
@@ -257,7 +256,7 @@ def spectral_measure(sys_: FiniteSystem, b: Iterable[Element]) -> SpectralMeasur
     a certified enclosure otherwise.  The trivial atom and the total are
     verified against mu(B)^2 and mu(B) during construction.
     """
-    bset = frozenset(tuple(x) for x in b)
+    bset = frozenset(b)
     if not bset:
         raise ValueError("set must have positive measure")
     return _spectral_measure_cached(sys_, bset)
@@ -272,7 +271,7 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
     values = _root_values(t.order, t.root_counts)
     irrational = [c for c, value in enumerate(values) if value is None]
     enclosures = iter(enclose_real_root_rows(t.order, t.root_counts[irrational], n * n))
-    for label, exps, value in zip(sys_.elements(), t.exps_on_lambda.tolist(), values):
+    for label, (exps, value) in enumerate(zip(t.exps_on_lambda.tolist(), values)):
         char = FiniteCharacter(exps=tuple(exps), dual_label=label)
         if value is not None:
             w = Weight.of(Fraction(value, n * n))
@@ -501,7 +500,7 @@ class BochnerReport:
         return self.ok
 
 
-def verify_bochner(sys_: FiniteSystem, b: Iterable[Element], lam_box: int) -> BochnerReport:
+def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> BochnerReport:
     """Exact check of mu(B ∩ lam.B) against the character sum of sigma_B.
 
     Every lam in [-lam_box, lam_box]^rank is checked.  The character sum is
@@ -513,11 +512,11 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[Element], lam_box: int) -> Bo
     each chunk gets its exponents, reductions and overlap counts in one array
     pass apiece, and each image one gather of shifted root-count rows.
     """
-    bset = frozenset(tuple(x) for x in b)
+    bset = frozenset(b)
     t = _finite_tables(sys_, bset)
     n, order = sys_.size, t.order
     lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
-    gens = np.array(sys_.gens, dtype=np.int64).reshape(sys_.rank, len(sys_.moduli))
+    gens = sys_.vectors(list(sys_.gens))
     flat = sys_.translate(0, np.array(lams, dtype=np.int64).reshape(len(lams), sys_.rank) @ gens)
     images, which = np.unique(flat, return_inverse=True)
     windows = sliding_window_view(np.tile(t.root_counts, 2), order, axis=1)
@@ -566,19 +565,19 @@ def expansion_bound_check(
     if all(x == 0 for x in c):
         raise ValueError("direction must be nonzero")
     if isinstance(sys_, FiniteSystem):
-        b = frozenset(tuple(x) for x in b)
-        return _expansion_bound(sys_, b, spectral_measure(sys_, b), c, sspec)
-    return _expansion_bound(sys_, b, spectral_measure_kronecker(sys_, b), c, sspec)
+        return _expansion_bound(spectral_measure(sys_, b), c, sspec)
+    return _expansion_bound(spectral_measure_kronecker(sys_, b), c, sspec)
 
 
 def _expansion_bound(
-    sys_, b, sigma: SpectralMeasure, c: tuple[int, ...], sspec: Optional[ErgodicSetSpec]
+    sigma: SpectralMeasure, c: tuple[int, ...], sspec: Optional[ErgodicSetSpec]
 ) -> ExpansionCheck:
-    """expansion_bound_check read off sigma, the measure of b the caller holds.
+    """expansion_bound_check read off sigma, the measure the caller holds of
+    its base set B, along the nonzero direction c.
 
-    b is a frozenset of elements on finite systems and c a nonzero direction;
-    a Kronecker sigma is read at whatever truncation it was built.
+    A Kronecker sigma is read at whatever truncation it was built.
     """
+    sys_, b = sigma.system, sigma.base_set
     applicable = sspec is None or sspec.universal
     if isinstance(sys_, FiniteSystem):
         bound = sigma.trivial.value / annihilator_mass(sigma, c).value
@@ -636,10 +635,6 @@ class SmallIntersectionResult:
     threshold: Fraction
     violating_subset: Optional[tuple[int, ...]] = None
     violating_measure: Optional[Fraction] = None
-
-    @property
-    def hypothesis_holds(self) -> bool:
-        return self.violating_subset is None
 
 
 def small_intersection_bound(
@@ -834,7 +829,6 @@ def directional_expansion_theorem_check(
     if eps <= eps_o:
         raise ValueError("eps must exceed eps_o")
     if isinstance(sys_, FiniteSystem):
-        b = frozenset(tuple(x) for x in b)
         sigma = spectral_measure(sys_, b)
     else:
         sigma = spectral_measure_kronecker(sys_, b, trunc)
@@ -864,7 +858,7 @@ def directional_expansion_theorem_check(
     hit = haystack_annihilator_search(tau, sample, delta * t, sigma.system.rank)
     if all(x == 0 for x in hit.lam):
         raise ValueError("direction must be nonzero")
-    check = _expansion_bound(sys_, b, sigma, hit.lam, sspec)
+    check = _expansion_bound(sigma, hit.lam, sspec)
     target = 1 - eps
     if check.estimate:
         if check.measured.lower <= target:
@@ -916,7 +910,7 @@ def _factorial_candidates(exponent: int) -> list[int]:
 
 
 def shrink_rational_spectrum(
-    sys_: FiniteSystem, b: Iterable[Element], eps_o: Fraction
+    sys_: FiniteSystem, b: Iterable[int], eps_o: Fraction
 ) -> ShrinkResult:
     """Find n and an ergodic component of the n * Z^r sub-action whose
     normalized rational nontrivial mass falls below eps_o.
@@ -931,7 +925,7 @@ def shrink_rational_spectrum(
     eps_o = Fraction(eps_o)
     if eps_o <= 0:
         raise ValueError("eps_o must be positive")
-    bset = frozenset(tuple(x) for x in b)
+    bset = frozenset(b)
     if not bset:
         raise ValueError("set must have positive measure")
     mu_b = sys_.measure(bset)
@@ -983,8 +977,9 @@ def _select(
     comps: Sequence[tuple[ErgodicComponent, Fraction]]
 ) -> tuple[ErgodicComponent, Fraction]:
     """Deterministic pick of (component, nu(B)): largest nu(B), ties to the
-    least support representative."""
-    return max(comps, key=lambda pair: (pair[1], tuple(-x for x in min(pair[0].support))))
+    least support representative (least flat index, lexicographically least
+    point)."""
+    return max(comps, key=lambda pair: (pair[1], -min(pair[0].support)))
 
 
 # ---------------------------------------------------------------------------
@@ -1012,7 +1007,7 @@ class IntersectionWitness:
 
 def intersection_theorem_search(
     sys_: FiniteSystem,
-    b: Iterable[Element],
+    b: Iterable[int],
     p: int,
     sample: Sequence,
     sspec: Optional[ErgodicSetSpec] = None,
@@ -1030,7 +1025,7 @@ def intersection_theorem_search(
     if p < 2:
         raise ValueError("p must be at least 2")
     sspec = sspec or ErgodicSetSpec()
-    bset = frozenset(tuple(x) for x in b)
+    bset = frozenset(b)
     mu_b = sys_.measure(bset)
     if mu_b == 0:
         raise ValueError("set must have positive measure")
@@ -1060,7 +1055,7 @@ def intersection_theorem_search(
     m1 = None
     for m in m_candidates:
         # b1 = {x in B : x + m*g1 in B}
-        b1 = comp_sys.overlap(in_b, comp_sys.scale(-m, g1))
+        b1 = comp_sys.overlap(in_b, comp_sys.phi([-m * x for x in lam]))
         if Fraction(int(np.count_nonzero(b1)), comp_sys.size) > nu_b * nu_b / 2:
             m1 = m
             break
@@ -1078,7 +1073,7 @@ def intersection_theorem_search(
         option_rows = []
         j = b1.copy()
         for lam_k in probe:
-            shifts = m_shifts + np.array(comp_sys.phi(lam_k), dtype=np.int64)
+            shifts = m_shifts + comp_sys.vectors(comp_sys.phi(lam_k))
             union = np.zeros(comp_sys.size, dtype=bool)
             union[comp_sys.translate(b_idx[:, None], shifts)] = True
             j &= union
@@ -1124,7 +1119,7 @@ def _positive_elements(sspec: ErgodicSetSpec, count: int) -> list[int]:
 
 def ambient_intersections(
     sys_: FiniteSystem,
-    b: Iterable[Element],
+    b: Iterable[int],
     n: int,
     lam: Sequence[int],
     m1: int,

@@ -1,22 +1,22 @@
 """Concrete measure-preserving Z^r-systems with exactly computable measures.
 
 Two model classes are supported.  Finite systems are translation actions on
-a finite abelian group A (held as tuples modulo an invariant-factor chain)
-through a homomorphism phi: Z^r -> A given by generator images; every
-measure is an exact Fraction.  Internally each element also has a flat index
-in [0, |A|), its lexicographic mixed-radix number, and sets, subgroups and
-cosets are index arrays or boolean masks over the carrier built from one
-primitive, ``FiniteSystem.translate``.  Kronecker systems are torus rotations
-x -> x + Theta*lam with FormalReal frequency entries and sets restricted to
-disjoint unions of rational half-open boxes, so Lebesgue measures and
-character identities stay exact in the declared-symbol model.
+a finite abelian group A (an invariant-factor chain of moduli) through a
+homomorphism phi: Z^r -> A given by generator images; every measure is an
+exact Fraction.  An element of A is its flat index in [0, |A|), the
+lexicographic mixed-radix number of its coordinates, and a set is a frozenset
+of flat indices.  Coordinates enter through ``FiniteSystem.index`` and the
+constructors and leave through ``FiniteSystem.vectors``.  Kronecker systems
+are torus rotations x -> x + Theta*lam with FormalReal frequency entries and
+sets restricted to disjoint unions of rational half-open boxes, so Lebesgue
+measures and character identities stay exact in the declared-symbol model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
@@ -33,8 +33,6 @@ from .lattice import (
     snf,
     solve_lower,
 )
-
-Element = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -57,19 +55,29 @@ def _index_table(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     return coords, strides, mods
 
 
+def _flat(moduli: Sequence[int], x: Iterable[int]) -> int:
+    """Flat index of the coordinate row x read modulo the moduli, exact for
+    entries of any size."""
+    i = 0
+    for v, d in zip(x, moduli, strict=True):
+        i = i * d + int(v) % d
+    return i
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """Ergodic translation action of Z^rank on a finite abelian group.
 
     ``moduli`` is the invariant-factor chain (entries > 1, each dividing the
-    next); the empty tuple is the one-point system.  ``gens[j]`` is the image
-    of the j-th standard basis vector, and surjectivity of the induced
-    homomorphism (checked by the constructors) is exactly ergodicity.
+    next); the empty tuple is the one-point system.  ``gens[j]`` is the flat
+    index of the image of the j-th standard basis vector, and surjectivity
+    of the induced homomorphism (checked by the constructors) is exactly
+    ergodicity.
     """
 
     rank: int
     moduli: tuple[int, ...]
-    gens: tuple[Element, ...]
+    gens: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -79,63 +87,47 @@ class FiniteSystem:
     def exponent(self) -> int:
         return self.moduli[-1] if self.moduli else 1
 
-    def elements(self) -> list[Element]:
-        return list(map(tuple, _index_table(self.moduli)[0].tolist()))
+    @cached_property
+    def _gen_columns(self) -> list[tuple[int, ...]]:
+        return list(zip(*self.vectors(list(self.gens)).tolist()))
 
-    def reduce(self, x: Sequence[int]) -> Element:
-        return tuple(int(v) % d for v, d in zip(x, self.moduli, strict=True))
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.moduli, strict=True))
-
-    def scale(self, m: int, a: Element) -> Element:
-        return tuple((m * x) % d for x, d in zip(a, self.moduli, strict=True))
-
-    def phi(self, lam) -> Element:
+    def phi(self, lam) -> int:
+        """Flat index of phi(lam), in Python integers for lam of any size."""
         c = as_coords(lam)
         if len(c) != self.rank:
             raise ValueError("rank mismatch")
-        acc = tuple(0 for _ in self.moduli)
-        for coeff, g in zip(c, self.gens):
-            if coeff:
-                acc = self.add(acc, self.scale(coeff, g))
-        return acc
+        return _flat(self.moduli, (sum(x * g for x, g in zip(c, col)) for col in self._gen_columns))
 
-    def order_of(self, g: Element) -> int:
+    def order_of(self, g: int) -> int:
         if not self.moduli:
             return 1
-        return lcm(*(d // gcd(x, d) for x, d in zip(g, self.moduli)))
+        return lcm(*(d // gcd(x, d) for x, d in zip(self.vectors(g).tolist(), self.moduli)))
 
-    def subgroup(self, generators: Iterable[Element]) -> frozenset[Element]:
-        return self.points(np.flatnonzero(self.coset_labels(generators) == 0))
+    def subgroup(self, generators: Iterable[int]) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.coset_labels(generators) == 0).tolist())
 
-    def measure(self, s: Iterable[Element]) -> Fraction:
+    def measure(self, s: Iterable[int]) -> Fraction:
         return Fraction(len(set(s)), self.size)
 
-    # -- flat indices ------------------------------------------------------
+    # -- coordinates and arrays --------------------------------------------
 
-    def index(self, xs: Iterable[Element]) -> np.ndarray:
-        """Flat indices of the elements xs, each read modulo the moduli."""
-        _, strides, mods = _index_table(self.moduli)
-        rows = list(xs)
-        return (np.array(rows, dtype=np.int64).reshape(len(rows), len(mods)) % mods) @ strides
+    def index(self, xs: Iterable[Sequence[int]]) -> np.ndarray:
+        """Flat indices of the coordinate rows xs, each read modulo the moduli."""
+        return np.array([_flat(self.moduli, x) for x in xs], dtype=np.int64)
 
-    def mask(self, xs: Iterable[Element]) -> np.ndarray:
-        """Indicator of the set of elements xs over the flat indices."""
-        out = np.zeros(self.size, dtype=bool)
-        out[self.index(xs)] = True
-        return out
-
-    def points(self, idx: np.ndarray) -> frozenset[Element]:
-        return frozenset(map(tuple, self.vectors(idx).tolist()))
-
-    def vectors(self, idx: np.ndarray) -> np.ndarray:
+    def vectors(self, idx) -> np.ndarray:
         """Coordinate rows of the elements at flat indices idx."""
         return _index_table(self.moduli)[0][idx]
 
-    def multiples(self, ks: Iterable[int], g: Element) -> np.ndarray:
+    def mask(self, s: Iterable[int]) -> np.ndarray:
+        """Indicator of the set s over the flat indices."""
+        out = np.zeros(self.size, dtype=bool)
+        out[np.fromiter(s, dtype=np.int64)] = True
+        return out
+
+    def multiples(self, ks: Iterable[int], g: int) -> np.ndarray:
         """Coordinate rows k * g for k in ks (not reduced)."""
-        return np.outer(np.array(list(ks), dtype=np.int64), np.array(g, dtype=np.int64))
+        return np.outer(np.array(list(ks), dtype=np.int64), self.vectors(g))
 
     def translate(self, idx, g) -> np.ndarray:
         """Flat indices of x + g for the x at flat indices idx.
@@ -146,12 +138,12 @@ class FiniteSystem:
         coords, strides, mods = _index_table(self.moduli)
         return ((coords[idx] + np.asarray(g, dtype=np.int64)) % mods) @ strides
 
-    def overlap(self, mask: np.ndarray, g: Element) -> np.ndarray:
+    def overlap(self, mask: np.ndarray, g: int) -> np.ndarray:
         """Indicator of B ∩ (B + g), for the set B with indicator mask."""
-        back = self.translate(np.arange(self.size), -np.asarray(g, dtype=np.int64))
+        back = self.translate(np.arange(self.size), -self.vectors(g))
         return mask & mask[back]
 
-    def coset_labels(self, generators: Iterable[Element]) -> np.ndarray:
+    def coset_labels(self, generators: Iterable[int]) -> np.ndarray:
         """Least flat index in the coset of each element modulo <generators>.
 
         Per generator g, log2(order of g) doubling steps take the minimum
@@ -160,7 +152,7 @@ class FiniteSystem:
         every = np.arange(self.size)
         labels = every
         for g in generators:
-            step = self.translate(every, g)
+            step = self.translate(every, self.vectors(g))
             for _ in range((self.order_of(g) - 1).bit_length()):
                 labels = np.minimum(labels, labels[step])
                 step = step[step]
@@ -191,9 +183,7 @@ def finite_system_from_parts(
         if len(g) != len(moduli):
             raise ValueError(f"generator image {list(g)} has {len(g)} entries for {len(moduli)} moduli")
     keep = [i for i, d in enumerate(moduli) if int(d) != 1]
-    images = tuple(
-        tuple(int(g[i]) % mods[t] for t, i in enumerate(keep)) for g in gens
-    )
+    images = tuple(_flat(mods, [g[i] for i in keep]) for g in gens)
     sys_ = FiniteSystem(rank=rank, moduli=mods, gens=images)
     if sys_.coset_labels(images).any():
         raise ValueError("generator images do not generate the group (non-ergodic)")
@@ -244,11 +234,11 @@ class ErgodicSetSpec:
 
 def orbit_saturation(
     sys_: FiniteSystem,
-    b: Iterable[Element],
+    b: Iterable[int],
     lam,
     sspec: Optional[ErgodicSetSpec] = None,
     terms: Optional[int] = None,
-) -> tuple[frozenset[Element], Fraction]:
+) -> tuple[frozenset[int], Fraction]:
     """The union of shifts of b along an averaging set, with its exact measure.
 
     ``sspec=None`` means S = Z: the union over the full cyclic subgroup
@@ -265,8 +255,8 @@ def orbit_saturation(
     count = order if terms is None else min(terms, order)
     ks = sorted({k % order for k in (sspec or ErgodicSetSpec()).elements(count)})
     sat = np.zeros(sys_.size, dtype=bool)
-    sat[sys_.translate(sys_.index(b)[:, None], sys_.multiples(ks, g))] = True
-    return sys_.points(np.flatnonzero(sat)), Fraction(int(sat.sum()), sys_.size)
+    sat[sys_.translate(np.fromiter(b, dtype=np.int64)[:, None], sys_.multiples(ks, g))] = True
+    return frozenset(np.flatnonzero(sat).tolist()), Fraction(int(sat.sum()), sys_.size)
 
 
 def is_ergodic_direction(sys_, lam) -> bool:
@@ -280,7 +270,7 @@ def is_ergodic_direction(sys_, lam) -> bool:
 
 
 def max_directional_expansion(
-    sys_: FiniteSystem, b: Iterable[Element], candidates: Sequence
+    sys_: FiniteSystem, b: Iterable[int], candidates: Sequence
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exact maximum of the full-orbit saturation over candidate directions.
 
@@ -292,7 +282,7 @@ def max_directional_expansion(
         raise ValueError("no candidates")
     if any(all(x == 0 for x in c) for c in cands):
         raise ValueError("candidates must be nonzero")
-    bset = frozenset(tuple(x) for x in b)
+    bset = frozenset(b)
     best: Optional[tuple[Fraction, tuple[int, ...]]] = None
     for lam in cands:
         _, mu = orbit_saturation(sys_, bset, lam)
@@ -305,12 +295,11 @@ def max_directional_expansion(
 class ErgodicComponent:
     """One ergodic piece of the action of a finite-index sublattice."""
 
-    support: frozenset[Element]
+    support: frozenset[int]
     weight: Fraction
 
-    def measure(self, s: Iterable[Element]) -> Fraction:
-        sset = {tuple(x) for x in s}
-        return Fraction(len(sset & self.support), len(self.support))
+    def measure(self, s: Iterable[int]) -> Fraction:
+        return Fraction(len(self.support.intersection(s)), len(self.support))
 
 
 def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicComponent]:
@@ -327,11 +316,11 @@ def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicCompone
     _, starts = np.unique(labels[by_label], return_index=True)
     cosets = np.split(by_label, starts[1:])
     weight = Fraction(len(cosets[0]), sys_.size)
-    return [ErgodicComponent(support=sys_.points(c), weight=weight) for c in cosets]
+    return [ErgodicComponent(support=frozenset(c.tolist()), weight=weight) for c in cosets]
 
 
 def birkhoff_annihilator_average(
-    sys_: FiniteSystem, b: Iterable[Element], lam, n: int
+    sys_: FiniteSystem, b: Iterable[int], lam, n: int
 ) -> Fraction:
     """(1/n) * sum_{k<n} mu(B intersect (k*lam).B), exact."""
     if n < 1:
@@ -353,38 +342,61 @@ def birkhoff_annihilator_average(
 # component presentation (the sub-action of a sublattice on one coset,
 # rewritten as an ergodic finite system in its own right)
 
-@dataclass(frozen=True)
+# compared by identity: an array field has no single truth value to compare by
+@dataclass(frozen=True, eq=False)
 class ComponentPresentation:
     """A component of the L-action presented as an ergodic system.
 
     ``system`` is the coset rewritten as a group translation action of Z^r,
     where Z^r is identified with L through the columns of its basis matrix.
-    ``to_component`` relabels carrier points of the ambient system lying in
-    the support, with the support's lexicographically least point as 0.
+    ``to_component`` is a read-only array over the ambient carrier: the flat
+    index in ``system`` of each point of the support, with the support's
+    least point as 0, and -1 off the support.
     """
 
     system: FiniteSystem
-    to_component: dict
+    to_component: np.ndarray
 
-    def restrict(self, s: Iterable[Element]) -> frozenset[Element]:
-        return frozenset(
-            self.to_component[x] for x in s if x in self.to_component
-        )
+    def restrict(self, s: Iterable[int]) -> frozenset[int]:
+        labels = self.to_component[np.fromiter(s, dtype=np.int64)]
+        return frozenset(labels[labels >= 0].tolist())
 
 
 def component_presentation(
     sys_: FiniteSystem, L: SubLattice, comp: ErgodicComponent
 ) -> ComponentPresentation:
     images = [sys_.phi(col) for col in mat_columns(L.basis_matrix)]
+    comp_sys = _image_system(sys_, images)
+    # equivariance fills the support from its least point: x + g_j maps to
+    # to_comp[x] + relabel(g_j), one coset of <g_1, ..., g_(j-1)> at a time,
+    # until the next translate is a coset already labelled
+    to_comp = np.full(sys_.size, -1, dtype=np.int64)
+    members = np.array([min(comp.support)])
+    to_comp[members] = 0
+    for g, c in zip(images, comp_sys.gens):
+        coset, layers = members, [members]
+        while True:
+            nxt = sys_.translate(coset, sys_.vectors(g))
+            if to_comp[nxt[0]] >= 0:
+                break
+            to_comp[nxt] = comp_sys.translate(to_comp[coset], comp_sys.vectors(c))
+            layers.append(nxt)
+            coset = nxt
+        members = np.concatenate(layers)
+    to_comp.setflags(write=False)
+    return ComponentPresentation(system=comp_sys, to_component=to_comp)
+
+
+def _image_system(sys_: FiniteSystem, images: Sequence[int]) -> FiniteSystem:
+    """The subgroup G = <images> of A as an ergodic system of Z^rank, with
+    image j as the image of the j-th basis vector."""
     s = len(sys_.moduli)
-    base = min(comp.support)
     if s == 0:
-        one_point = finite_system_from_parts(sys_.rank, (), [()] * sys_.rank)
-        return ComponentPresentation(system=one_point, to_component={(): ()})
-    # subgroup G = <images> inside A, presented through its own Smith chain:
-    # lift G to the lattice spanned by the images and the relations diag(moduli),
-    # express the relations in a basis of that lattice, and take its Smith form.
-    cols = [list(g) for g in images] + [
+        return finite_system_from_parts(sys_.rank, (), [()] * sys_.rank)
+    # present G through its own Smith chain: lift G to the lattice spanned by
+    # the images and the relations diag(moduli), express the relations in a
+    # basis of that lattice, and take its Smith form
+    cols = sys_.vectors(list(images)).tolist() + [
         [sys_.moduli[i] if i == j else 0 for i in range(s)] for j in range(s)
     ]
     m = [[cols[j][i] for j in range(len(cols))] for i in range(s)]
@@ -404,19 +416,15 @@ def component_presentation(
     factors = q.invariant_factors
     u = q.to_normal
 
-    def relabel(a: Element) -> Element:
+    def relabel(a: Sequence[int]) -> list[int]:
         y = solve_hb(list(a))
         z = [sum(u[i][j] * y[j] for j in range(s)) % factors[i] for i in range(s)]
-        return tuple(z[i] for i in range(s) if factors[i] != 1)
+        return [z[i] for i in range(s) if factors[i] != 1]
 
-    comp_gens = [relabel(g) for g in images]
     # relabel() drops the factor-1 coordinates, so the chain goes without them
-    comp_sys = finite_system_from_parts(sys_.rank, [f for f in factors if f != 1], comp_gens)
-    to_comp = {
-        x: relabel(tuple((a - b_) % d for a, b_, d in zip(x, base, sys_.moduli)))
-        for x in comp.support
-    }
-    return ComponentPresentation(system=comp_sys, to_component=to_comp)
+    return finite_system_from_parts(
+        sys_.rank, [f for f in factors if f != 1], [relabel(a) for a in cols[: len(images)]]
+    )
 
 
 # ---------------------------------------------------------------------------

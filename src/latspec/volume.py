@@ -407,13 +407,3 @@ def pattern_search(
                     return PatternSearchResult(ok=True, witnesses=tuple(witnesses))
     return PatternSearchResult(ok=False, reason="exhausted bounds")
 
-
-def scale_point_set(e: PointSet, n: int) -> PointSet:
-    """Dilate every point by n (window scales along)."""
-    if n < 1:
-        raise ValueError("scale must be positive")
-    return PointSet(
-        rank=e.rank,
-        window=e.window * n,
-        points=frozenset(tuple(n * x for x in p) for p in e.points),
-    )

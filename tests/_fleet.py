@@ -1,4 +1,5 @@
-"""Deterministic random fleets of small ergodic systems for the test suites."""
+"""Deterministic random fleets of small ergodic systems for the test suites,
+and the coordinate view of their sets of flat indices."""
 
 from latspec.lattice import det_exact, sublattice
 from latspec.prng import SplitMix64
@@ -6,7 +7,8 @@ from latspec.systems import finite_system
 
 
 def random_fleet(seed, count, rank_choices=(1, 2, 3), order_max=64, entry=4):
-    """``count`` pairs (system, nonempty set B), reproducible from the seed."""
+    """``count`` pairs (system, nonempty set B of flat indices), reproducible
+    from the seed."""
     rng = SplitMix64(seed)
     fleet = []
     while len(fleet) < count:
@@ -16,9 +18,18 @@ def random_fleet(seed, count, rank_choices=(1, 2, 3), order_max=64, entry=4):
         if d == 0 or abs(d) > order_max:
             continue
         sys_ = finite_system(sublattice(m))
-        els = sys_.elements()
-        b = frozenset(e for e in els if rng.below(2) == 0)
+        b = frozenset(e for e in range(sys_.size) if rng.below(2) == 0)
         if not b:
-            b = frozenset({els[rng.below(len(els))]})
+            b = frozenset({rng.below(sys_.size)})
         fleet.append((sys_, b))
     return fleet
+
+
+def pts(sys_, *xs):
+    """The set of flat indices of the coordinate rows xs."""
+    return frozenset(sys_.index(xs).tolist())
+
+
+def tuples(sys_, s):
+    """The set s of flat indices as coordinate tuples."""
+    return frozenset(map(tuple, sys_.vectors(sorted(s)).tolist()))

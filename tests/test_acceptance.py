@@ -15,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from _fleet import random_fleet
+from _fleet import pts, random_fleet, tuples
 from latspec.cli import main as cli_main
 from latspec.formal import FormalReal
 from latspec.haystack import make_haystack, verify_haystack_sample
@@ -126,7 +126,8 @@ def test_criterion_04_expansion_bound(fleet):
                 assert chk.ok and chk.measured.value >= chk.bound.value
                 checked += 1
     # documented tight cases
-    tight1 = expansion_bound_check(finite_system(scale_lattice(2, 2)), {(0, 0)}, (1, 0))
+    s22 = finite_system(scale_lattice(2, 2))
+    tight1 = expansion_bound_check(s22, pts(s22, (0, 0)), (1, 0))
     assert tight1.bound.value == tight1.measured.value == Fraction(1, 2)
     z4 = finite_system(sublattice([[4, 0], [0, 1]]))
     tight2 = expansion_bound_check(z4, {z4.phi((0, 0))}, (1, 0))
@@ -228,12 +229,13 @@ def test_criterion_08_shrink_rational_spectrum(fleet):
                 tuple(res.n * rng.randint(-3, 3) for _ in range(sys_.rank))
                 for _ in range(size)
             ]
-            inter = set(b)
+            bt = tuples(sys_, b)
+            inter = set(bt)
             for f in fs:
-                shift = sys_.phi(f)
+                shift = tuple(sys_.vectors(sys_.phi(f)).tolist())
                 inter &= {
                     x
-                    for x in b
+                    for x in bt
                     if (
                         tuple(
                             (xx - ss) % d
@@ -242,8 +244,9 @@ def test_criterion_08_shrink_rational_spectrum(fleet):
                         if sys_.moduli
                         else ()
                     )
-                    in b
+                    in bt
                 }
+            inter = sys_.index(inter).tolist()
             assert sys_.measure(inter) >= res.c * res.component.measure(inter)
     elapsed = time.monotonic() - start
     _report(8, elapsed, f"(n, nu, c) conclusions exact on {len(fleet)} instances x 100 subsets", budget=120.0)

@@ -646,3 +646,55 @@ def test_finite_reports_match_their_golden_digests(tmp_path, name):
     if csv_digest:
         assert _sha256(csv_path.read_text()) == csv_digest
     assert run_cli([cfg["experiment"], "--config", path, "--out", out, "--verify-only"]) == 0
+
+
+_Z4_MATRIX = {"kind": "finite", "matrix": [[4]]}
+
+
+@pytest.mark.parametrize(
+    "system, set_b, reason",
+    [
+        # each of these used to be truncated to an integer and run with exit 0
+        (_Z4_MATRIX, {"kind": "elements", "points": [[1.5]]}, "set_b element entry 1.5 is not an integer"),
+        (_Z4_MATRIX, {"kind": "elements", "points": [[True]]}, "set_b element entry true is not an integer"),
+        (_Z4_MATRIX, {"kind": "preimages", "points": [[0.9]]}, "set_b preimage entry 0.9 is not an integer"),
+        (_Z4_MATRIX, {"kind": "preimages", "points": [[False]]}, "set_b preimage entry false is not an integer"),
+        (
+            {"kind": "finite", "rank": 1, "moduli": [4], "gens": [[1.7]]},
+            {"kind": "elements", "points": [[0]]},
+            "gens entry 1.7 is not an integer",
+        ),
+        (
+            {"kind": "finite", "rank": 1, "moduli": [4], "gens": [[True]]},
+            {"kind": "elements", "points": [[0]]},
+            "gens entry true is not an integer",
+        ),
+        (
+            {"kind": "finite", "rank": 1, "moduli": [4.5], "gens": [[1]]},
+            {"kind": "elements", "points": [[0]]},
+            "moduli entry 4.5 is not an integer",
+        ),
+        (
+            {"kind": "finite", "rank": 1, "moduli": [True], "gens": [[1]]},
+            {"kind": "elements", "points": [[0]]},
+            "moduli entry true is not an integer",
+        ),
+        ({"kind": "finite", "matrix": [[4.2]]}, {"kind": "elements", "points": [[0]]}, "matrix entry 4.2 is not an integer"),
+        ({"kind": "finite", "matrix": [[True]]}, {"kind": "elements", "points": []}, "matrix entry true is not an integer"),
+    ],
+)
+def test_non_integer_finite_coordinates_exit_2_with_one_line(tmp_path, capsys, system, set_b, reason):
+    cfg = {"experiment": "spectral-report", "system": system, "set_b": set_b}
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert reason in err
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    def results(system, points, name):
+        cfg = {"experiment": "spectral-report", "system": system, "set_b": {"kind": "elements", "points": points}}
+        out = tmp_path / f"{name}.json"
+        assert run_cli(["spectral-report", "--config", write_cfg(tmp_path, f"{name}.cfg", cfg), "--out", out]) == 0
+        return json.loads(out.read_text())["results"]
+
+    floats = results({"kind": "finite", "rank": 1, "moduli": [4.0], "gens": [[1.0]]}, [[1.0], [6.0]], "floats")
+    assert floats == results({"kind": "finite", "rank": 1, "moduli": [4], "gens": [[1]]}, [[1], [2]], "ints")

@@ -21,7 +21,6 @@ from latspec.lattice import (
     is_primitive,
     kernel_basis,
     mat_columns,
-    mat_mul,
     scale_lattice,
     smallest_scale_inside,
     snf,
@@ -55,6 +54,11 @@ def oracle_adjugate(m):
             cof = (-1) ** (i + j) * (oracle_det(minor) if minor else 1)
             adj[j][i] = cof
     return adj
+
+
+def mat_mul(a, b):
+    """The integer matrix product a b, entry by entry."""
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def oracle_member(m, v):

@@ -11,7 +11,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from _fleet import random_fleet
+from _fleet import pts, random_fleet, tuples
 from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
@@ -65,7 +65,7 @@ HAYSTACK = make_haystack(None, (2, 3), 8)
 
 def test_z4_measure_examples():
     sys_ = z4()
-    b = frozenset({(0,)})
+    b = pts(sys_, (0,))
     sigma = spectral_measure(sys_, b)
     assert len(sigma.atoms) == 4
     assert all(a.weight.exact and a.weight.value == Fraction(1, 16) for a in sigma.atoms)
@@ -81,7 +81,7 @@ def test_z4_measure_examples():
 def test_irrational_weights_on_z5():
     # indicator of a 2-point set in Z/5 has irrational |c_hat|^2 atoms
     sys_ = finite_system_from_parts(2, (5,), [(1,), (2,)])
-    b = frozenset({(0,), (1,)})
+    b = pts(sys_, (0,), (1,))
     sigma = spectral_measure(sys_, b)
     irrational = [a for a in sigma.atoms if not a.weight.exact]
     assert irrational
@@ -99,9 +99,9 @@ def test_normalized_rejects_null():
 
 
 def test_rational_mass_examples():
-    s22 = spectral_measure(z2z2(), {(0, 0)})
+    s22 = spectral_measure(z2z2(), pts(z2z2(), (0, 0)))
     assert rational_mass_excluding_trivial(s22).value / s22.trivial.value == 3
-    full = spectral_measure(z2z2(), set(z2z2().elements()))
+    full = spectral_measure(z2z2(), set(range(z2z2().size)))
     assert rational_mass_excluding_trivial(full).value / full.trivial.value == 0
 
 
@@ -137,7 +137,7 @@ def test_birkhoff_cross_module_identity():
 
 def test_bochner_examples_and_fleet():
     sys_ = z4()
-    b = frozenset({(0,)})
+    b = pts(sys_, (0,))
     rep = verify_bochner(sys_, b, 4)
     assert rep.ok and rep.checked == 81
     for sys_, b in random_fleet(99, 20):
@@ -153,7 +153,7 @@ def _bochner_reference(sys_, b, lam_box):
     violations = []
     for lam in lams:
         g = sys_.phi(lam)
-        total = sum(np.roll(row, e) for row, e in zip(t.root_counts, t.exponents_at(g).tolist()))
+        total = sum(np.roll(row, e) for row, e in zip(t.root_counts, t.exponents_at(sys_.vectors(g)).tolist()))
         cnt = int(np.count_nonzero(sys_.overlap(in_b, g)))
         if spectral._root_values(t.order, total)[0] != cnt * sys_.size:
             violations.append(lam)
@@ -171,7 +171,7 @@ def _bochner_systems(seed):
         k = rng.randrange(d)
         split = finite_system_from_parts(2, [d, d], [[1, 0], [k, 1]])
         for s in (sys_, split):
-            els = s.elements()
+            els = range(s.size)
             out.append((s, frozenset(rng.sample(els, rng.randint(1, len(els))))))
     return out
 
@@ -214,7 +214,7 @@ def test_bochner_matches_a_per_image_reference(monkeypatch):
 
 def test_bochner_catches_one_perturbed_root_count_row(monkeypatch):
     sys_ = finite_system_from_parts(2, [12], [[1], [5]])
-    b = frozenset(random.Random(9).sample(sys_.elements(), 5))
+    b = frozenset(random.Random(9).sample(range(sys_.size), 5))
     assert verify_bochner(sys_, b, 2).ok
 
     def move(rows):
@@ -249,7 +249,7 @@ def _exponent_matrix_tables(sys_, b):
     every = sys_.vectors(np.arange(n))
     exp_matrix = (every * (order // np.array(sys_.moduli, dtype=np.int64)) @ every.T) % order
     n_b = np.zeros(n, dtype=np.int64)
-    for x, y in product(b, repeat=2):
+    for x, y in product(sys_.vectors(sorted(b)).tolist(), repeat=2):
         n_b[sys_.index([tuple(u - v for u, v in zip(x, y))])[0]] += 1
     root_counts = np.zeros((n, order), dtype=np.int64)
     for c in range(n):
@@ -262,14 +262,14 @@ def test_root_counts_and_bochner_exponents_match_the_exponent_matrix():
         t = spectral._finite_tables(sys_, b)
         exp_matrix, root_counts = _exponent_matrix_tables(sys_, b)
         assert np.array_equal(t.root_counts, root_counts)
-        for h, g in enumerate(sys_.elements()):
+        for h, g in enumerate(sys_.vectors(np.arange(sys_.size))):
             assert np.array_equal(t.exponents_at(g), exp_matrix[:, h])
 
 
 def test_finite_tables_stay_small_on_a_3600_point_carrier():
     # the |A| x |A| exponent matrix alone took 104 MB here, 198 MiB at peak
     sys_ = finite_system_from_parts(2, [60, 60], [[1, 0], [0, 1]])
-    b = frozenset(random.Random(5).sample(sys_.elements(), 1200))
+    b = frozenset(random.Random(5).sample(range(sys_.size), 1200))
     sys_.vectors(0)  # the coordinate table is cached per moduli
     tracemalloc.start()
     try:
@@ -284,9 +284,9 @@ def test_finite_tables_stay_small_on_a_3600_point_carrier():
 def test_cell_limit_is_checked_before_the_tables_are_built():
     cyclic = finite_system_from_parts(1, [10**5], [[1]])
     cube = finite_system_from_parts(13, [2] * 13, [[int(i == j) for i in range(13)] for j in range(13)])
-    cube_b = frozenset(cube.elements()[:4500])
+    cube_b = frozenset(range(4500))
     for sys_, b, reason in (
-        (cyclic, {(0,), (1,)}, "100000 x 100000 root counts, over the limit of 20000000"),
+        (cyclic, pts(cyclic, (0,), (1,)), "100000 x 100000 root counts, over the limit of 20000000"),
         (cube, cube_b, "20250000 difference pairs, over the limit of 20000000"),
     ):
         start = time.perf_counter()
@@ -313,11 +313,11 @@ def test_expansion_bound_is_one_over_the_normalized_annihilator_mass():
 # expansion bound
 
 def test_expansion_bound_documented_tight_cases():
-    chk = expansion_bound_check(z2z2(), {(0, 0)}, (1, 0))
+    chk = expansion_bound_check(z2z2(), pts(z2z2(), (0, 0)), (1, 0))
     assert chk.bound.value == chk.measured.value == Fraction(1, 2)
-    chk4 = expansion_bound_check(z4(), {(0,)}, (1, 0))
+    chk4 = expansion_bound_check(z4(), pts(z4(), (0,)), (1, 0))
     assert chk4.bound.value == chk4.measured.value == 1
-    full = expansion_bound_check(z2z2(), set(z2z2().elements()), (1, 1))
+    full = expansion_bound_check(z2z2(), set(range(z2z2().size)), (1, 1))
     assert full.bound.value == full.measured.value == 1
 
 
@@ -340,7 +340,7 @@ def test_expansion_bound_fleet_property():
 def test_expansion_bound_nonuniversal_spec_not_asserted():
     # step-2 averaging on (Z/2)^2 genuinely violates the inequality
     sys_ = z2z2()
-    chk = expansion_bound_check(sys_, {(0, 0)}, (1, 0), ErgodicSetSpec(kind="ap", step=2))
+    chk = expansion_bound_check(sys_, pts(sys_, (0, 0)), (1, 0), ErgodicSetSpec(kind="ap", step=2))
     assert not chk.applicable
     assert not chk.ok  # measured 1/4 < bound 1/2, reported but not raised
 
@@ -433,7 +433,7 @@ def test_haystack_search_sample_too_short():
 
 def test_directional_expansion_finite_ok():
     sys_ = finite_system_from_parts(2, (5,), [(1,), (2,)])
-    b = frozenset({(0,), (1,), (2,)})
+    b = pts(sys_, (0,), (1,), (2,))
     res = directional_expansion_theorem_check(sys_, b, Fraction(2, 3), Fraction(9, 10), HAYSTACK)
     assert res.ok and res.lam == (2, 3)
     assert res.measured.value > Fraction(1, 10)
@@ -442,7 +442,7 @@ def test_directional_expansion_finite_ok():
 
 def test_directional_expansion_refusal_and_vacuous():
     sys_ = z4()
-    b = frozenset({(0,)})
+    b = pts(sys_, (0,))
     refused = directional_expansion_theorem_check(sys_, b, Fraction(1, 10), Fraction(1, 2), HAYSTACK)
     assert refused.status == "refused"
     assert refused.rational_mass.value == 3
@@ -489,16 +489,16 @@ def test_directional_expansion_builds_one_kronecker_measure(monkeypatch):
 # shrinking the rational spectrum
 
 def test_shrink_documented_cases():
-    res = shrink_rational_spectrum(z2z2(), {(0, 0)}, Fraction(1, 10))
+    res = shrink_rational_spectrum(z2z2(), pts(z2z2(), (0, 0)), Fraction(1, 10))
     assert res.n == 2
     assert res.nu_b == 1 and res.c == Fraction(1, 4)
     assert res.rational_mass == 0
-    assert sorted(res.component.support) == [(0, 0)]
+    assert z2z2().vectors(sorted(res.component.support)).tolist() == [[0, 0]]
 
-    full = shrink_rational_spectrum(z2z2(), set(z2z2().elements()), Fraction(1, 10))
+    full = shrink_rational_spectrum(z2z2(), set(range(z2z2().size)), Fraction(1, 10))
     assert full.n == 1 and full.c == 1 and full.nu_b == 1
 
-    res4 = shrink_rational_spectrum(z4(), {(0,)}, Fraction(1, 10))
+    res4 = shrink_rational_spectrum(z4(), pts(z4(), (0,)), Fraction(1, 10))
     assert res4.n == 4
 
 
@@ -521,12 +521,13 @@ def test_shrink_conclusions_on_fleet():
                 tuple(res.n * rng.randint(-3, 3) for _ in range(sys_.rank))
                 for _ in range(size)
             ]
-            inter = set(b)
+            bt = tuples(sys_, b)
+            inter = set(bt)
             for f in fs:
-                shift = sys_.phi(f)
+                shift = tuple(sys_.vectors(sys_.phi(f)).tolist())
                 inter &= {
                     x
-                    for x in b
+                    for x in bt
                     if (
                         tuple(
                             (xx - ss) % d
@@ -535,8 +536,9 @@ def test_shrink_conclusions_on_fleet():
                         if sys_.moduli
                         else ()
                     )
-                    in b
+                    in bt
                 }
+            inter = sys_.index(inter).tolist()
             mu_i = sys_.measure(inter)
             nu_i = res.component.measure(inter)
             assert mu_i >= res.c * nu_i
@@ -547,23 +549,23 @@ def test_shrink_conclusions_on_fleet():
 
 def test_intersection_documented_cases():
     one_point = finite_system(sublattice([[1, 0], [0, 1]]))
-    w = intersection_theorem_search(one_point, {()}, 2, HAYSTACK, probes=[[(1, 1)]])
+    w = intersection_theorem_search(one_point, pts(one_point, ()), 2, HAYSTACK, probes=[[(1, 1)]])
     assert w.measure == 1
 
     s22 = z2z2()
-    w22 = intersection_theorem_search(s22, {(0, 0)}, 2, HAYSTACK, probes=[[(1, 0)]])
+    w22 = intersection_theorem_search(s22, pts(s22, (0, 0)), 2, HAYSTACK, probes=[[(1, 0)]])
     assert w22.n == 2 and w22.measure > 0
 
     s5 = finite_system_from_parts(2, (5,), [(1,), (2,)])
-    w5 = intersection_theorem_search(s5, {(0,), (1,)}, 2, HAYSTACK, probes=[[(3, 1)]])
+    w5 = intersection_theorem_search(s5, pts(s5, (0,), (1,)), 2, HAYSTACK, probes=[[(3, 1)]])
     assert w5.measure > 0
     # exhaustive oracle: some (n, lam, m1, m2) with positive measure exists
     # at tiny bounds, and the returned witness is among the valid ones
-    assert _oracle_validates_witness(s5, {(0,), (1,)}, w5)
+    assert _oracle_validates_witness(s5, pts(s5, (0,), (1,)), w5)
 
 
 def _oracle_validates_witness(sys_, b, w):
-    bset = frozenset(b)
+    bset = tuples(sys_, b)
     inter = set(bset)
     shifts = [tuple(w.m1 * w.n * x for x in w.lam)]
     for pw in w.probes:
@@ -572,7 +574,7 @@ def _oracle_validates_witness(sys_, b, w):
                 tuple(m_k * w.n * lx + w.n * lk for lx, lk in zip(w.lam, lam_k))
             )
     for lam_total in shifts:
-        shift = sys_.phi(lam_total)
+        shift = tuple(sys_.vectors(sys_.phi(lam_total)).tolist())
         inter &= {
             x
             for x in bset
@@ -844,9 +846,9 @@ def test_raw_scale_matches_the_rescaled_measure(monkeypatch):
                 "kind": "finite",
                 "rank": sys_.rank,
                 "moduli": list(sys_.moduli),
-                "gens": [list(g) for g in sys_.gens],
+                "gens": sys_.vectors(list(sys_.gens)).tolist(),
             },
-            "set_b": {"kind": "elements", "points": [list(x) for x in sorted(b)]},
+            "set_b": {"kind": "elements", "points": sys_.vectors(sorted(b)).tolist()},
             "lambda_bound": 1,
         }
         results = _run_spectral_report(cfg, None)[0]

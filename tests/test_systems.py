@@ -3,9 +3,10 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from _fleet import random_fleet
+from _fleet import pts, random_fleet, tuples
 from latspec.formal import FormalReal
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
@@ -60,7 +61,7 @@ def test_finite_system_quotient_is_consistent():
         zero = tuple(0 for _ in s.moduli)
         for j in range(L.rank):
             col = tuple(L.basis_matrix[i][j] for i in range(L.rank))
-            assert s.phi(col) == zero
+            assert s.phi(col) == 0 and tuple(s.vectors(s.phi(col)).tolist()) == zero
         assert len(s.subgroup(s.gens)) == s.size
 
 
@@ -100,26 +101,26 @@ def test_generator_rows_must_match_the_moduli():
 
 def test_orbit_saturation_examples():
     s = z2z2()
-    b = frozenset({(0, 0)})
+    b = pts(s, (0, 0))
     sat, mu = orbit_saturation(s, b, (1, 0))
-    assert sat == frozenset({(0, 0), (1, 0)}) and mu == Fraction(1, 2)
+    assert sat == pts(s, (0, 0), (1, 0)) and mu == Fraction(1, 2)
     s4 = z4()
     _, mu4 = orbit_saturation(s4, {s4.phi((0, 0))}, (1, 0))
     assert mu4 == 1
-    _, full = orbit_saturation(s, set(s.elements()), (1, 0))
+    _, full = orbit_saturation(s, set(range(s.size)), (1, 0))
     assert full == 1
 
 
 def test_orbit_saturation_idempotent():
     s = z2z2()
-    sat, _ = orbit_saturation(s, {(0, 0)}, (1, 0))
+    sat, _ = orbit_saturation(s, pts(s, (0, 0)), (1, 0))
     sat2, _ = orbit_saturation(s, sat, (1, 0))
     assert sat2 == sat
 
 
 def test_partial_saturation_monotone_and_stabilizes():
     s4 = z4()
-    b = frozenset({(0,)})
+    b = pts(s4, (0,))
     spec = ErgodicSetSpec()
     prev = Fraction(0)
     for n_terms in range(1, 7):
@@ -133,11 +134,11 @@ def test_partial_saturation_monotone_and_stabilizes():
 
 def test_ap_spec_saturation():
     s4 = z4()
-    b = frozenset({(0,)})
+    b = pts(s4, (0,))
     spec = ErgodicSetSpec(kind="ap", offset=1, step=2)
     sat, mu = orbit_saturation(s4, b, (1, 0), spec)
     # shifts 1 + 2Z of the generator reach {1, 3}
-    assert sat == frozenset({(1,), (3,)}) and mu == Fraction(1, 2)
+    assert sat == pts(s4, (1,), (3,)) and mu == Fraction(1, 2)
 
 
 def test_is_ergodic_direction():
@@ -161,11 +162,11 @@ def test_ergodic_direction_saturates_every_set():
 def test_max_directional_expansion_examples():
     s = z2z2()
     cands = [v for v in product(range(-3, 4), repeat=2) if v != (0, 0)]
-    mu, lam = max_directional_expansion(s, {(0, 0)}, cands)
+    mu, lam = max_directional_expansion(s, pts(s, (0, 0)), cands)
     assert mu == Fraction(1, 2)
-    mu4, _ = max_directional_expansion(z4(), {(0,)}, cands)
+    mu4, _ = max_directional_expansion(z4(), pts(z4(), (0,)), cands)
     assert mu4 == 1
-    full, _ = max_directional_expansion(s, set(s.elements()), cands)
+    full, _ = max_directional_expansion(s, set(range(s.size)), cands)
     assert full == 1
 
 
@@ -174,11 +175,11 @@ def test_max_directional_expansion_examples():
 
 def test_birkhoff_examples():
     s4 = z4()
-    assert birkhoff_annihilator_average(s4, {(0,)}, (1, 0), 4) == Fraction(1, 16)
+    assert birkhoff_annihilator_average(s4, pts(s4, (0,)), (1, 0), 4) == Fraction(1, 16)
     s = z2z2()
-    assert birkhoff_annihilator_average(s, {(0, 0)}, (1, 0), 2) == Fraction(1, 8)
+    assert birkhoff_annihilator_average(s, pts(s, (0, 0)), (1, 0), 2) == Fraction(1, 8)
     # lam = 0: every term is mu(B)
-    assert birkhoff_annihilator_average(s, {(0, 0)}, (0, 0), 5) == Fraction(1, 4)
+    assert birkhoff_annihilator_average(s, pts(s, (0, 0)), (0, 0), 5) == Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,7 @@ def test_components_examples():
     assert len(whole) == 1 and whole[0].weight == 1
     s4 = z4()
     comps4 = ergodic_components(s4, sublattice([[2, 0], [0, 1]]))
-    assert [sorted(c.support) for c in comps4] == [[(0,), (2,)], [(1,), (3,)]]
+    assert [sorted(tuples(s4, c.support)) for c in comps4] == [[(0,), (2,)], [(1,), (3,)]]
     assert all(c.weight == Fraction(1, 2) for c in comps4)
 
 
@@ -219,14 +220,18 @@ def test_component_presentation_equivariance():
         pres = component_presentation(sys_, L, comps[0])
         comp_sys = pres.system
         assert comp_sys.size == len(comps[0].support)
-        # relabeling is a bijection intertwining the scaled action
-        assert sorted(pres.to_component.values()) == sorted(comp_sys.elements())
+        # relabeling is a bijection intertwining the scaled action, and -1
+        # off the support
+        support = sorted(comps[0].support)
+        assert sorted(pres.to_component[support].tolist()) == list(range(comp_sys.size))
+        assert np.count_nonzero(pres.to_component >= 0) == len(support)
+        assert not pres.to_component.flags.writeable
         for _ in range(10):
-            x = sorted(comps[0].support)[rng.below(len(comps[0].support))]
+            x = support[rng.below(len(support))]
             lam = tuple(rng.randint(-3, 3) for _ in range(sys_.rank))
-            moved = sys_.add(x, sys_.phi(tuple(n * v for v in lam)))
-            assert pres.to_component[moved] == comp_sys.add(
-                pres.to_component[x], comp_sys.phi(lam)
+            moved = _add(sys_, x, sys_.phi(tuple(n * v for v in lam)))
+            assert pres.to_component[moved] == _add(
+                comp_sys, int(pres.to_component[x]), comp_sys.phi(lam)
             )
 
 
@@ -334,6 +339,12 @@ def _ref_order(mods, g):
     return k
 
 
+def _add(sys_, a, b):
+    """a + b for flat indices, through the tuple reference."""
+    x, y = map(tuple, sys_.vectors([a, b]).tolist())
+    return int(sys_.index([_ref_add(sys_.moduli, x, y)])[0])
+
+
 def _ref_shifts(mods, b, g, ks):
     return frozenset(_ref_add(mods, x, _ref_mul(mods, k, g)) for x in b for k in ks)
 
@@ -365,11 +376,14 @@ def test_flat_index_routines_match_tuple_reference():
     fleet = random_fleet(4242, 12)
     assert {s.rank for s, _ in fleet} == {1, 2, 3}
     ap = ErgodicSetSpec(kind="ap", offset=1, step=2)
-    for sys_, b in fleet:
+    for sys_, b_idx in fleet:
         mods = sys_.moduli
-        assert sys_.elements() == list(product(*(range(d) for d in mods)))
+        assert list(map(tuple, sys_.vectors(np.arange(sys_.size)).tolist())) == list(
+            product(*(range(d) for d in mods))
+        )
+        b = tuples(sys_, b_idx)
         for lam in _directions(sys_.rank):
-            g = sys_.phi(lam)
+            g = tuple(sys_.vectors(sys_.phi(lam)).tolist())
             order = _ref_order(mods, g)
             expected = {
                 (None, None): _ref_shifts(mods, b, g, range(order)),
@@ -378,14 +392,14 @@ def test_flat_index_routines_match_tuple_reference():
                 (ErgodicSetSpec(), 3): _ref_shifts(mods, b, g, [0, 1, 2]),
             }
             for (spec, terms), sat in expected.items():
-                got, mu = orbit_saturation(sys_, b, lam, spec, terms)
-                assert got == sat and mu == Fraction(len(sat), sys_.size)
+                got, mu = orbit_saturation(sys_, b_idx, lam, spec, terms)
+                assert tuples(sys_, got) == sat and mu == Fraction(len(sat), sys_.size)
             for n in (1, 2, order, order + 3):
                 total = sum(
                     sum(1 for x in b if _ref_add(mods, x, _ref_mul(mods, k, g)) in b)
                     for k in range(n)
                 )
-                assert birkhoff_annihilator_average(sys_, b, lam, n) == Fraction(
+                assert birkhoff_annihilator_average(sys_, b_idx, lam, n) == Fraction(
                     total, n * sys_.size
                 )
         for L in [scale_lattice(sys_.rank, n) for n in (1, 2, 3)] + [
@@ -393,6 +407,26 @@ def test_flat_index_routines_match_tuple_reference():
         ]:
             images = [sys_.phi(tuple(L.basis_matrix[i][j] for i in range(L.rank))) for j in range(L.rank)]
             comps = ergodic_components(sys_, L)
-            cosets = _ref_components(sys_, images)
-            assert [c.support for c in comps] == cosets
+            cosets = _ref_components(sys_, list(map(tuple, sys_.vectors(images).tolist())))
+            assert [tuples(sys_, c.support) for c in comps] == cosets
             assert all(c.weight == Fraction(len(c.support), sys_.size) for c in comps)
+
+
+def test_flat_indices_round_trip_and_phi_is_exact_near_2_to_the_70():
+    rng = SplitMix64(70)
+    for sys_, _ in random_fleet(7070, 12):
+        every = np.arange(sys_.size)
+        assert sys_.index(sys_.vectors(every)).tolist() == every.tolist()
+        gen_rows = sys_.vectors(list(sys_.gens)).tolist()
+        for _ in range(8):
+            a, b = (
+                [(-1) ** rng.below(2) * 2**70 + rng.randint(-2**20, 2**20) for _ in range(sys_.rank)]
+                for _ in range(2)
+            )
+            # phi(a) in Python integers: the unreduced coordinate row, then index
+            ref = [sum(x * row[i] for x, row in zip(a, gen_rows)) for i in range(len(sys_.moduli))]
+            assert sys_.phi(a) == sys_.index([ref])[0]
+            assert sys_.vectors(sys_.phi(a)).tolist() == [r % d for r, d in zip(ref, sys_.moduli)]
+            assert sys_.phi([x + y for x, y in zip(a, b)]) == sys_.translate(
+                sys_.phi(a), sys_.vectors(sys_.phi(b))
+            )

@@ -14,7 +14,6 @@ from latspec.volume import (
     build_point_set,
     pattern_search,
     point_set,
-    scale_point_set,
     simplex_det,
     upper_density_estimate,
     verify_pattern_witness,
@@ -132,6 +131,11 @@ def test_spectrum_rank3_matches_oracle():
     pts = [p for p in product(range(-2, 3), repeat=3) if sum(p) % 2 == 0]
     e = point_set(pts, 3, 2)
     assert volume_spectrum(e) == oracle_spectrum(pts, 3)
+
+
+def scale_point_set(e, n):
+    """Every point dilated by n, in a window n times as wide."""
+    return point_set([tuple(n * x for x in p) for p in e.points], e.rank, e.window * n)
 
 
 def test_spectrum_dilation_scaling():
