@@ -88,7 +88,7 @@ BOX_LIMIT = 10**6
 
 
 def _box_bound(cfg: dict, key: str, rank: int, default: Optional[int] = None) -> int:
-    bound = int(cfg[key] if default is None else cfg.get(key, default))
+    bound = _int(cfg[key] if default is None else cfg.get(key, default), key)
     if bound < 0:
         raise ConfigError(f"{key} must be nonnegative, got {bound}")
     if (2 * bound + 1) ** rank > BOX_LIMIT:
@@ -154,6 +154,11 @@ def _integral(value, what: str):
     return value
 
 
+def _int(value, what: str) -> int:
+    """A scalar integer field, refused like ``_integral`` instead of truncated."""
+    return int(_integral(value, what))
+
+
 def _parse_system(desc: dict):
     kind = desc.get("kind")
     if kind == "finite":
@@ -161,11 +166,12 @@ def _parse_system(desc: dict):
             return finite_system(sublattice(_integral(desc["matrix"], "matrix")))
         if "moduli" in desc:
             moduli = [int(d) for d in _integral(desc["moduli"], "moduli")]
-            return finite_system_from_parts(int(desc["rank"]), moduli, _integral(desc["gens"], "gens"))
+            rank = _int(desc["rank"], "rank")
+            return finite_system_from_parts(rank, moduli, _integral(desc["gens"], "gens"))
         raise ConfigError("finite system needs 'matrix' or 'moduli' + 'gens'")
     if kind == "kronecker":
         theta = [[_parse_formal(e) for e in row] for row in desc["theta"]]
-        return kronecker_system(int(desc["rank"]), int(desc["dim"]), theta)
+        return kronecker_system(_int(desc["rank"], "rank"), _int(desc["dim"], "dim"), theta)
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -195,8 +201,8 @@ def _parse_set_b(sys_, desc: dict):
 def _parse_haystack(desc: Optional[dict], rank: int) -> list[tuple[int, ...]]:
     desc = desc or {}
     primes = (2, 3, 5, 7, 11, 13, 17)
-    multipliers = tuple(int(m) for m in desc.get("multipliers", primes[:rank]))
-    count = int(desc.get("count", 8))
+    multipliers = tuple(int(m) for m in _integral(desc.get("multipliers", primes[:rank]), "multipliers"))
+    count = _int(desc.get("count", 8), "count")
     basis = desc.get("basis")
     return make_haystack(basis, multipliers, count)
 
@@ -206,9 +212,14 @@ def _parse_sspec(desc: Optional[dict]) -> ErgodicSetSpec:
         return ErgodicSetSpec()
     return ErgodicSetSpec(
         kind=desc.get("kind", "interval"),
-        offset=int(desc.get("offset", 0)),
-        step=int(desc.get("step", 1)),
+        offset=_int(desc.get("offset", 0), "offset"),
+        step=_int(desc.get("step", 1), "step"),
     )
+
+
+def _point_set(cfg: dict, seed: Optional[int]):
+    rank, window = _int(cfg["rank"], "rank"), _int(cfg["window"], "window")
+    return build_point_set(_seeded(cfg["set"], seed), rank, window)
 
 
 def _require(cfg: dict, *keys):
@@ -222,13 +233,13 @@ def _require(cfg: dict, *keys):
 
 def _run_volume_spectrum(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "window", "set")
-    e = build_point_set(_seeded(cfg["set"], seed), int(cfg["rank"]), int(cfg["window"]))
+    e = _point_set(cfg, seed)
     cap = cfg.get("cap")
-    spectrum = sorted(volume_spectrum(e, None if cap is None else int(cap)))
+    spectrum = sorted(volume_spectrum(e, None if cap is None else _int(cap, "cap")))
     results = {"point_count": len(e), "spectrum": spectrum}
     verdicts = []
     if "ap_max" in cfg:
-        cert = ap_certificate(e, int(cfg["ap_max"]))
+        cert = ap_certificate(e, _int(cfg["ap_max"], "ap_max"))
         results["ap_certificate"] = {
             "ok": cert.ok,
             "n": cert.n,
@@ -252,7 +263,7 @@ def _run_volume_spectrum(cfg: dict, seed: Optional[int]):
 
 def _run_pattern_search(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "window", "set", "p", "probes")
-    e = build_point_set(_seeded(cfg["set"], seed), int(cfg["rank"]), int(cfg["window"]))
+    e = _point_set(cfg, seed)
     bounds_cfg = cfg.get("bounds", {})
     bounds = SearchBounds(
         n_max=int(bounds_cfg.get("n_max", 6)),
@@ -260,7 +271,7 @@ def _run_pattern_search(cfg: dict, seed: Optional[int]):
         lambda_count=int(bounds_cfg.get("lambda_count", 6)),
         multipliers=tuple(bounds_cfg["multipliers"]) if "multipliers" in bounds_cfg else None,
     )
-    res = pattern_search(e, int(cfg["p"]), cfg["probes"], bounds)
+    res = pattern_search(e, _int(cfg["p"], "p"), cfg["probes"], bounds)
     results = {
         "ok": res.ok,
         "reason": res.reason,
@@ -379,7 +390,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
             {"name": "bochner-identity", "pass": bool(boch.ok)},
         ]
         return results, verdicts, None, None
-    trunc = int(cfg.get("trunc", 64))
+    trunc = _int(cfg.get("trunc", 64), "trunc")
     sigma = spectral_measure_kronecker(sys_, bset, trunc)
     lam_list = cfg.get("annihilator_lambdas", [])
     for lam in lam_list:
@@ -465,7 +476,7 @@ def _run_intersect(cfg: dict, seed: Optional[int]):
     sample = _parse_haystack(cfg.get("haystack"), sys_.rank)
     sspec = _parse_sspec(cfg.get("ergodic_set"))
     witness = intersection_theorem_search(
-        sys_, bset, int(cfg["p"]), sample, sspec, cfg["probes"]
+        sys_, bset, _int(cfg["p"], "p"), sample, sspec, cfg["probes"]
     )
     results = {
         "n": witness.n,
@@ -489,13 +500,13 @@ def _run_intersect(cfg: dict, seed: Optional[int]):
 
 def _run_haystack_verify(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank")
-    rank = int(cfg["rank"])
+    rank = _int(cfg["rank"], "rank")
     if "vectors" in cfg:
         vectors = [tuple(int(x) for x in v) for v in cfg["vectors"]]
     else:
         _require(cfg, "multipliers", "count")
-        multipliers = [int(m) for m in cfg["multipliers"]]
-        count = int(cfg["count"])
+        multipliers = [int(m) for m in _integral(cfg["multipliers"], "multipliers")]
+        count = _int(cfg["count"], "count")
         # the elements are distinct vectors of len(multipliers) coordinates, so
         # both refusals of verify_haystack_sample are known before any is built
         if count > 0 and len(multipliers) != rank:
@@ -517,9 +528,9 @@ def _run_haystack_verify(cfg: dict, seed: Optional[int]):
 
 def _run_density(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "set", "windows")
-    rank = int(cfg["rank"])
+    rank = _int(cfg["rank"], "rank")
     est = upper_density_estimate(
-        _seeded(cfg["set"], seed), rank, [int(n) for n in cfg["windows"]]
+        _seeded(cfg["set"], seed), rank, [int(n) for n in _integral(cfg["windows"], "windows")]
     )
     results = {
         "windows": list(est.windows),
@@ -571,7 +582,7 @@ def _verify_report(report: dict) -> list[dict]:
         checks.append({"name": name, "pass": bool(ok)})
 
     if kind == "volume-spectrum":
-        e = build_point_set(_seeded(cfg["set"], seed), int(cfg["rank"]), int(cfg["window"]))
+        e = _point_set(cfg, seed)
         cert = report["results"].get("ap_certificate")
         if cert and cert["ok"]:
             for m_str, rec in cert["witnesses"].items():
@@ -582,7 +593,7 @@ def _verify_report(report: dict) -> list[dict]:
                 )
                 add(f"ap-witness-m={m_str}", ok)
     elif kind == "pattern-search":
-        e = build_point_set(_seeded(cfg["set"], seed), int(cfg["rank"]), int(cfg["window"]))
+        e = _point_set(cfg, seed)
         for i, w in enumerate(report["results"]["witnesses"]):
             witness = PatternWitness(
                 n=w["n"],
@@ -617,7 +628,7 @@ def _verify_report(report: dict) -> list[dict]:
         add("intersection-measure-reproduces", min(measures) == claimed)
     elif kind == "haystack-verify":
         vectors = [tuple(v) for v in report["results"]["vectors"]]
-        verdict = verify_haystack_sample(vectors, int(cfg["rank"]))
+        verdict = verify_haystack_sample(vectors, _int(cfg["rank"], "rank"))
         add("haystack-verdict-reproduces", verdict.ok == report["results"]["ok"])
     elif kind == "spectral-report":
         sys_ = _parse_system(cfg["system"])
@@ -633,7 +644,7 @@ def _verify_report(report: dict) -> list[dict]:
                 ser_weight(sigma.trivial) == report["results"]["trivial_mass"],
             )
         else:
-            sigma = spectral_measure_kronecker(sys_, bset, int(cfg.get("trunc", 64)))
+            sigma = spectral_measure_kronecker(sys_, bset, _int(cfg.get("trunc", 64), "trunc"))
             add(
                 "tail-reproduces",
                 ser_weight(sigma.tail) == report["results"]["tail"],
@@ -649,9 +660,8 @@ def _verify_report(report: dict) -> list[dict]:
             shrink.rational_mass < eps_o,
         )
     elif kind == "density":
-        est = upper_density_estimate(
-            _seeded(cfg["set"], seed), int(cfg["rank"]), cfg["windows"]
-        )
+        windows = [int(n) for n in _integral(cfg["windows"], "windows")]
+        est = upper_density_estimate(_seeded(cfg["set"], seed), _int(cfg["rank"], "rank"), windows)
         add(
             "densities-reproduce",
             [ser_fraction(d) for d in est.densities] == report["results"]["densities"],

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclotomic import enclose_real_root_rows, reduction_matrix
-from .formal import FormalReal
 from .intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
 from .systems import (
@@ -47,7 +46,6 @@ from .systems import (
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     orbit_saturation,
-    shift_cells,
 )
 
 # ---------------------------------------------------------------------------
@@ -71,28 +69,32 @@ class FiniteCharacter:
 
 @dataclass(frozen=True)
 class KroneckerCharacter:
-    """Torus character xi_k(lam) = e(k^T Theta lam) via its pairing row."""
+    """Torus character xi_k(lam) = e(k^T Theta lam) via its pairing row.
+
+    The row k^T Theta is held in integers over ``den``: ``rat`` is den times
+    its rational part and ``sym[t]`` den times its coefficients of symbol t.
+    """
 
     freq: tuple[int, ...]
-    pairing: tuple[FormalReal, ...]
-
-    def phase(self, lam) -> FormalReal:
-        c = as_coords(lam)
-        return sum(
-            (p * x for p, x in zip(self.pairing, c, strict=True)),
-            start=FormalReal.of(0),
-        )
+    den: int
+    rat: tuple[int, ...]
+    sym: tuple[tuple[int, ...], ...]
 
     def annihilates(self, lam) -> bool:
-        return self.phase(lam).is_integer
+        c = as_coords(lam)
+        return all(_dot(row, c) == 0 for row in self.sym) and _dot(self.rat, c) % self.den == 0
 
     @property
     def is_trivial(self) -> bool:
-        return all(p.is_integer for p in self.pairing)
+        return self.is_rational and all(x % self.den == 0 for x in self.rat)
 
     @property
     def is_rational(self) -> bool:
-        return all(p.is_rational for p in self.pairing)
+        return not any(any(row) for row in self.sym)
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v, strict=True))
 
 
 Character = Union[FiniteCharacter, KroneckerCharacter]
@@ -239,13 +241,18 @@ def _finite_tables(sys_: FiniteSystem, bset: frozenset) -> _FiniteTables:
     )
 
 
+def _coset_mass(sys_: FiniteSystem, cells: np.ndarray, g: int) -> Fraction:
+    """Sum over the cosets C of <g> of |C ∩ B|^2, over |<g>| * |A|, for B an
+    index array or a mask: sigma_B of the characters trivial on <g>, and the
+    mean of mu(B ∩ (B + m*g)) over one period of m."""
+    labels = sys_.coset_labels([g])
+    per_coset = np.bincount(labels[cells], minlength=sys_.size)
+    return Fraction(int(per_coset @ per_coset), sys_.order_of(g) * sys_.size)
+
+
 @lru_cache(maxsize=65536)
 def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: int) -> Fraction:
-    """sigma_B of the characters trivial on <g>, by the coset formula: the sum
-    over cosets C of |C ∩ B|^2, over |<g>| * |A|."""
-    labels = sys_.coset_labels([g])
-    per_coset = np.bincount(labels[np.fromiter(bset, dtype=np.int64)], minlength=sys_.size)
-    return Fraction(int(per_coset @ per_coset), sys_.order_of(g) * sys_.size)
+    return _coset_mass(sys_, np.fromiter(bset, dtype=np.int64), g)
 
 
 def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> SpectralMeasure:
@@ -404,7 +411,7 @@ def spectral_measure_kronecker(
         w = _kron_weight(b, k)
         lo_sum += w.lower
         hi_sum += w.upper
-        char = KroneckerCharacter(freq=k, pairing=tuple(sys_.pairing(k)))
+        char = KroneckerCharacter(k, sys_.den, *sys_.pairing(k))
         atoms.append(Atom(character=char, weight=w))
     tail = Weight(max(Fraction(0), mu_b - hi_sum), max(Fraction(0), mu_b - lo_sum), False)
     return SpectralMeasure(
@@ -455,19 +462,14 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
     return acc.clamp(Fraction(0), sigma.total.upper)
 
 
-def _kron_rational_annihilator_exact(
-    sys_: KroneckerSystem, b: BoxUnion, lam
-) -> Fraction:
+def _kron_rational_annihilator_exact(sys_: KroneckerSystem, b: BoxUnion, lam) -> Fraction:
     """sigma_B of the annihilator of a rational torus direction, exactly.
 
     The correlation sequence mu(B ∩ m lam.B) is periodic, so the mass equals
-    its plain average over one period (tail included, no truncation error).
+    its plain average over one period (tail included, no truncation error):
+    the coset formula on the rational grid that carries B and Theta lam.
     """
-    w = [f.rational for f in sys_.direction_value(lam)]
-    d = lcm(*(x.denominator for x in w)) if w else 1
-    q, cells = box_grid(b, w)
-    hits = sum(len(cells & shift_cells(cells, q, [m * x for x in w])) for m in range(d))
-    return Fraction(hits, d * q**b.dim)
+    return _coset_mass(*box_grid(b, sys_.rational_shift(lam)))
 
 
 def rational_mass_excluding_trivial(sigma: SpectralMeasure) -> Weight:

@@ -7,9 +7,13 @@ exact Fraction.  An element of A is its flat index in [0, |A|), the
 lexicographic mixed-radix number of its coordinates, and a set is a frozenset
 of flat indices.  Coordinates enter through ``FiniteSystem.index`` and the
 constructors and leave through ``FiniteSystem.vectors``.  Kronecker systems
-are torus rotations x -> x + Theta*lam with FormalReal frequency entries and
-sets restricted to disjoint unions of rational half-open boxes, so Lebesgue
-measures and character identities stay exact in the declared-symbol model.
+are torus rotations x -> x + Theta*lam with sets restricted to disjoint
+unions of rational half-open boxes.  Theta is given with formal-real entries
+and held as integer matrices over one common denominator, so every character
+and direction identity is integer arithmetic in the declared-symbol model.
+A rational direction moves the torus on a grid 1/q * Z^dim, which is the
+finite carrier (Z/q)^dim: box overlaps and rational orbits are finite-system
+translates and cosets there, and Lebesgue measures stay exact.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -102,9 +105,6 @@ class FiniteSystem:
         if not self.moduli:
             return 1
         return lcm(*(d // gcd(x, d) for x, d in zip(self.vectors(g).tolist(), self.moduli)))
-
-    def subgroup(self, generators: Iterable[int]) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.coset_labels(generators) == 0).tolist())
 
     def measure(self, s: Iterable[int]) -> Fraction:
         return Fraction(len(set(s)), self.size)
@@ -265,7 +265,7 @@ def is_ergodic_direction(sys_, lam) -> bool:
     if all(x == 0 for x in c):
         raise ValueError("direction must be nonzero")
     if isinstance(sys_, KroneckerSystem):
-        return _kronecker_direction_ergodic(sys_, c)
+        return not _symbol_kernel(sys_.shift(c)[1], sys_.dim)
     return sys_.order_of(sys_.phi(c)) == sys_.size
 
 
@@ -486,54 +486,56 @@ class BoxUnion:
 
 @dataclass(frozen=True)
 class KroneckerSystem:
-    """Torus rotation action lam.x = x + Theta*lam mod 1 on [0,1)^dim."""
+    """Torus rotation action lam.x = x + Theta*lam mod 1 on [0,1)^dim.
+
+    Theta is held in integers over one common denominator:
+    den * Theta = rat + sum_t sym[t] * alpha_t, where ``rat`` and each
+    ``sym[t]`` are dim x rank integer matrices, one per name of ``symbols``
+    (sorted).
+    """
 
     rank: int
     dim: int
-    theta: tuple[tuple[FormalReal, ...], ...]  # dim rows, rank columns
+    symbols: tuple[str, ...]
+    den: int
+    rat: tuple[tuple[int, ...], ...]
+    sym: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def direction_value(self, lam) -> list[FormalReal]:
-        c = as_coords(lam)
-        if len(c) != self.rank:
-            raise ValueError("rank mismatch")
-        return [
-            sum((row[j] * c[j] for j in range(self.rank)), start=FormalReal.of(0))
-            for row in self.theta
-        ]
-
-    def pairing(self, freq: Sequence[int]) -> list[FormalReal]:
+    def pairing(self, freq: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """den * k^T Theta: its rational row and one coefficient row per symbol."""
         k = [int(x) for x in freq]
         if len(k) != self.dim:
             raise ValueError("frequency dimension mismatch")
-        return [
-            sum((self.theta[i][j] * k[i] for i in range(self.dim)), start=FormalReal.of(0))
-            for j in range(self.rank)
-        ]
+        return _dots(zip(*self.rat), k), tuple(_dots(zip(*m), k) for m in self.sym)
+
+    def shift(self, lam) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """den * Theta lam: its rational column and one coefficient column per symbol."""
+        c = as_coords(lam)
+        if len(c) != self.rank:
+            raise ValueError("rank mismatch")
+        return _dots(self.rat, c), tuple(_dots(m, c) for m in self.sym)
+
+    def rational_shift(self, lam) -> Optional[tuple[Fraction, ...]]:
+        """Theta lam when no symbol survives in it, else None."""
+        rat, sym = self.shift(lam)
+        if any(any(col) for col in sym):
+            return None
+        return tuple(Fraction(x, self.den) for x in rat)
 
 
-def _symbol_kernel(forms: Sequence[Sequence[FormalReal]]) -> list[tuple[int, ...]]:
-    """Integer kernel of the symbol-coefficient matrix of a family of forms.
+def _dots(vectors: Iterable[Sequence[int]], x: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(v, x)) for v in vectors)
 
-    ``forms[i]`` lists the FormalReal entries attached to coordinate i of the
-    frequency vector k; a frequency k kills every irrational part exactly
-    when k lies in this kernel.  Empty kernel basis means only k = 0.
+
+def _symbol_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
+    """Integer kernel of symbol-coefficient rows, each the coefficients of one
+    symbol in one entry of k^T Theta (or k^T Theta lam) as a linear form in k.
+
+    A frequency kills every irrational part exactly when it lies in this
+    kernel; without rows (no symbols) every k does, as for one zero row.
+    Empty kernel means only k = 0.
     """
-    dim = len(forms)
-    symbols = sorted({name for row in forms for f in row for name in f.symbols()})
-    if not symbols or not forms[0]:
-        # no irrational content at all: every k kills the (empty) symbol part
-        return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    ncols = len(forms[0])
-    rows = []
-    for j in range(ncols):
-        for t in symbols:
-            rows.append([forms[i][j].coeff(t) for i in range(dim)])
-    # scale each row to integers
-    int_rows = []
-    for row in rows:
-        den = lcm(*(f.denominator for f in row)) if row else 1
-        int_rows.append([int(f * den) for f in row])
-    return kernel_basis(int_rows)
+    return kernel_basis(rows or [[0] * dim])
 
 
 def kronecker_ergodicity_certificate(sys_: KroneckerSystem) -> dict:
@@ -546,16 +548,14 @@ def kronecker_ergodicity_certificate(sys_: KroneckerSystem) -> dict:
     genuine violating frequency, so triviality of that kernel is equivalent
     to ergodicity.  No search box is involved.
     """
-    forms = [[sys_.theta[i][j] for j in range(sys_.rank)] for i in range(sys_.dim)]
-    kernel = _symbol_kernel(forms)
+    # one row per column j of Theta and symbol t, in that order
+    rows = [[m[i][j] for i in range(sys_.dim)] for j in range(sys_.rank) for m in sys_.sym]
+    kernel = _symbol_kernel(rows, sys_.dim)
     witness = None
     if kernel:
         k0 = kernel[0]
-        rationals = [
-            sum((sys_.theta[i][j].rational * k0[i] for i in range(sys_.dim)), Fraction(0))
-            for j in range(sys_.rank)
-        ]
-        d = lcm(*(q.denominator for q in rationals)) if rationals else 1
+        rat, _ = sys_.pairing(k0)
+        d = lcm(*(sys_.den // gcd(x, sys_.den) for x in rat))
         witness = tuple(d * x for x in k0)
     return {
         "ergodic": not kernel,
@@ -568,13 +568,20 @@ def kronecker_ergodicity_certificate(sys_: KroneckerSystem) -> dict:
 def kronecker_system(
     rank: int, dim: int, theta: Sequence[Sequence[FormalReal]], require_ergodic: bool = True
 ) -> KroneckerSystem:
-    rows = tuple(
-        tuple(x if isinstance(x, FormalReal) else FormalReal.of(x) for x in row)
-        for row in theta
-    )
+    rows = [[x if isinstance(x, FormalReal) else FormalReal.of(x) for x in row] for row in theta]
     if len(rows) != dim or any(len(r) != rank for r in rows):
         raise ValueError("theta must be dim x rank")
-    sys_ = KroneckerSystem(rank=rank, dim=dim, theta=rows)
+    entries = [x for row in rows for x in row]
+    symbols = tuple(sorted({name for x in entries for name in x.symbols()}))
+    den = lcm(*(q.denominator for x in entries for q in (x.rational, *(c for _, c in x.terms))))
+    sys_ = KroneckerSystem(
+        rank=rank,
+        dim=dim,
+        symbols=symbols,
+        den=den,
+        rat=tuple(tuple(int(x.rational * den) for x in row) for row in rows),
+        sym=tuple(tuple(tuple(int(x.coeff(t) * den) for x in row) for row in rows) for t in symbols),
+    )
     if require_ergodic:
         cert = kronecker_ergodicity_certificate(sys_)
         if not cert["ergodic"]:
@@ -582,12 +589,6 @@ def kronecker_system(
                 f"frequency matrix is not ergodic; violating frequency {cert['witness_frequency']}"
             )
     return sys_
-
-
-def _kronecker_direction_ergodic(sys_: KroneckerSystem, lam: Sequence[int]) -> bool:
-    w = sys_.direction_value(lam)
-    forms = [[w[i]] for i in range(sys_.dim)]
-    return not _symbol_kernel(forms)
 
 
 @dataclass(frozen=True)
@@ -606,53 +607,49 @@ class KroneckerSaturation:
 
 
 #: most cells q^dim of the rational grid 1/q * Z^dim on which box overlaps
-#: and rational orbits are counted, checked before any cell is built
+#: and rational orbits are counted, checked before any array is built
 GRID_LIMIT = 10**6
 
 
-def box_grid(b: BoxUnion, shifts: Sequence[Fraction]) -> tuple[int, set[tuple[int, ...]]]:
-    """``(q, cells)``: the least grid 1/q * Z^dim carrying the bounds of b and
-    the shifts, and the grid cells that b covers."""
+def box_grid(b: BoxUnion, shift: Sequence[Fraction]) -> tuple[FiniteSystem, np.ndarray, int]:
+    """``(grid, cells, g)`` for the least grid 1/q * Z^dim carrying the bounds
+    of b and the shift: the grid as the finite carrier (Z/q)^dim, with Z^dim
+    acting by unit steps, the indicator of the cells b covers, and the shift
+    as the element g."""
     q = lcm(
-        *(x.denominator for x in shifts),
+        *(x.denominator for x in shift),
         *(x.denominator for box in b.boxes for a_b in box.bounds for x in a_b),
     )
     if q**b.dim > GRID_LIMIT:
         raise ValueError(f"rational grid of {q}^{b.dim} cells, over the limit of {GRID_LIMIT}")
-    cells: set[tuple[int, ...]] = set()
+    shape = (q,) * b.dim
+    cells = np.zeros(shape, dtype=bool)
     for box in b.boxes:
-        cells |= set(product(*(range(int(lo * q), int(hi * q)) for lo, hi in box.bounds)))
-    return q, cells
-
-
-def shift_cells(cells: set[tuple[int, ...]], q: int, shift: Sequence[Fraction]) -> set:
-    """The cells translated by shift mod 1, on the grid of ``box_grid``."""
-    off = [int(x * q) for x in shift]
-    return {tuple((c + o) % q for c, o in zip(cell, off)) for cell in cells}
+        cells[tuple(slice(int(lo * q), int(hi * q)) for lo, hi in box.bounds)] = True
+    units = tuple(_flat(shape, [int(i == j) for i in range(b.dim)]) for j in range(b.dim))
+    grid = FiniteSystem(rank=b.dim, moduli=shape if q > 1 else (), gens=units)
+    return grid, cells.reshape(-1), _flat(shape, (x * q for x in shift))
 
 
 def box_overlap_volume(b: BoxUnion, shift: Sequence[Fraction]) -> Fraction:
     """Exact Lebesgue volume of b intersected with its translate by shift mod 1."""
-    shift = [Fraction(x) for x in shift]
-    q, cells = box_grid(b, shift)
-    return Fraction(len(cells & shift_cells(cells, q, shift)), q**b.dim)
+    grid, cells, g = box_grid(b, [Fraction(x) for x in shift])
+    return Fraction(int(grid.overlap(cells, g).sum()), grid.size)
 
 
 def kronecker_orbit_saturation(sys_: KroneckerSystem, b: BoxUnion, lam) -> KroneckerSaturation:
-    w = sys_.direction_value(lam)
+    shift = sys_.rational_shift(lam)
     if b.dim != sys_.dim:
         raise ValueError("set dimension mismatch")
-    if not all(f.is_rational for f in w):
+    if shift is None:
         return KroneckerSaturation(
             lower=b.volume(),
             upper=Fraction(1),
             exact=False,
             note="irrational direction: estimate only; see spectral expansion bound",
         )
-    shifts = [f.rational for f in w]
-    q, base_cells = box_grid(b, shifts)
-    cells: set[tuple[int, ...]] = set()
-    for m in range(lcm(*(f.denominator for f in shifts))):
-        cells |= shift_cells(base_cells, q, [m * f for f in shifts])
-    vol = Fraction(len(cells), q**b.dim)
+    grid, cells, g = box_grid(b, shift)
+    # the orbit of b is the union of the cosets of <g> that b meets
+    met = np.unique(grid.coset_labels([g])[cells])
+    vol = Fraction(len(met) * grid.order_of(g), grid.size)
     return KroneckerSaturation(lower=vol, upper=vol, exact=True)

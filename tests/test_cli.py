@@ -698,3 +698,123 @@ def test_integral_floats_read_as_integers(tmp_path):
 
     floats = results({"kind": "finite", "rank": 1, "moduli": [4.0], "gens": [[1.0]]}, [[1.0], [6.0]], "floats")
     assert floats == results({"kind": "finite", "rank": 1, "moduli": [4], "gens": [[1]]}, [[1], [2]], "ints")
+
+
+_FINITE_2 = {"kind": "finite", "rank": 2, "moduli": [4], "gens": [[1], [0]]}
+_KRONECKER_2 = {"kind": "kronecker", "rank": 2, "dim": 1, "theta": [[{"symbols": {"alpha": "1"}}, "1/3"]]}
+
+_INTERSECT = {
+    "experiment": "intersect",
+    "system": {"kind": "finite", "rank": 2, "moduli": [6], "gens": [[1], [2]]},
+    "set_b": {"kind": "elements", "points": [[0], [1], [3]]},
+    "p": 3,
+    "probes": [[[1, 0], [0, 1]], [[2, -1], [1, 1]]],
+    "haystack": {"multipliers": [2, 3], "count": 8},
+}
+
+#: one working config per scalar integer field, and the path to that field
+_INTEGER_FIELDS = {
+    "rank": ({"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "full"}}, ["rank"]),
+    "window": ({"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "full"}}, ["window"]),
+    "cap": ({"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "full"}, "cap": 5}, ["cap"]),
+    "ap_max": (
+        {"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "full"}, "ap_max": 2},
+        ["ap_max"],
+    ),
+    "windows": ({"experiment": "density", "rank": 2, "set": {"kind": "full"}, "windows": [2, 3]}, ["windows", 1]),
+    "system-rank": (
+        {"experiment": "expand-scan", "system": _FINITE_2, "set_b": {"kind": "elements", "points": [[0]]}, "coord_bound": 1},
+        ["system", "rank"],
+    ),
+    "coord_bound": (
+        {"experiment": "expand-scan", "system": _FINITE_2, "set_b": {"kind": "elements", "points": [[0]]}, "coord_bound": 1},
+        ["coord_bound"],
+    ),
+    "offset": (
+        {
+            "experiment": "expand-scan",
+            "system": _FINITE_2,
+            "set_b": {"kind": "elements", "points": [[0]]},
+            "coord_bound": 1,
+            "ergodic_set": {"kind": "ap", "offset": 1, "step": 1},
+        },
+        ["ergodic_set", "offset"],
+    ),
+    "step": (
+        {
+            "experiment": "expand-scan",
+            "system": _FINITE_2,
+            "set_b": {"kind": "elements", "points": [[0]]},
+            "coord_bound": 1,
+            "ergodic_set": {"kind": "ap", "offset": 1, "step": 1},
+        },
+        ["ergodic_set", "step"],
+    ),
+    "lambda_bound": (
+        {"experiment": "spectral-report", "system": _FINITE_2, "set_b": {"kind": "elements", "points": [[0]]}, "lambda_bound": 1},
+        ["lambda_bound"],
+    ),
+    "kronecker-rank": (
+        {"experiment": "spectral-report", "system": _KRONECKER_2, "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]}, "trunc": 2},
+        ["system", "rank"],
+    ),
+    "dim": (
+        {"experiment": "spectral-report", "system": _KRONECKER_2, "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]}, "trunc": 2},
+        ["system", "dim"],
+    ),
+    "trunc": (
+        {"experiment": "spectral-report", "system": _KRONECKER_2, "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]}, "trunc": 2},
+        ["trunc"],
+    ),
+    "p": (
+        _INTERSECT,
+        ["p"],
+    ),
+    "count": (
+        _INTERSECT,
+        ["haystack", "count"],
+    ),
+    "multipliers": (
+        _INTERSECT,
+        ["haystack", "multipliers", 0],
+    ),
+    "haystack-verify-count": (
+        {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 4},
+        ["count"],
+    ),
+    "haystack-verify-multipliers": (
+        {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 4},
+        ["multipliers", 1],
+    ),
+}
+
+
+def _set_field(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_FIELDS))
+def test_scalar_integer_fields_refuse_fractions_and_read_integral_floats(tmp_path, capsys, name):
+    cfg, path = _INTEGER_FIELDS[name]
+    field = next(key for key in reversed(path) if isinstance(key, str))
+    node = cfg
+    for key in path:
+        node = node[key]
+    out = tmp_path / "report.json"
+    assert run_cli([cfg["experiment"], "--config", write_cfg(tmp_path, "ok.json", cfg), "--out", out]) == 0
+    body = json.loads(out.read_text())["results"]
+    # an integral float reads as the integer it is
+    floated = write_cfg(tmp_path, "float.json", _set_field(cfg, path, float(node)))
+    assert run_cli([cfg["experiment"], "--config", floated, "--out", out]) == 0
+    assert json.loads(out.read_text())["results"] == body
+    capsys.readouterr()
+    # a fraction used to be truncated and run
+    bad = write_cfg(tmp_path, "bad.json", _set_field(cfg, path, node + 0.5))
+    assert run_cli([cfg["experiment"], "--config", bad]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: {field} entry {node + 0.5} is not an integer"

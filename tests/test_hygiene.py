@@ -1,0 +1,66 @@
+"""Static hygiene of the package sources, checked with the standard ``ast``.
+
+Two rules catch what a refactor leaves behind: an import no longer used in
+its module, and a private module-level name nothing refers to any more.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "latspec"
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _loads(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the tree, attribute names included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for name, tree in _trees().items():
+        if name == "__init__.py":  # its imports are the package's re-exports
+            continue
+        used = _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}:{node.lineno} {bound}")
+    assert not unused
+
+
+def test_every_private_module_name_is_referenced():
+    trees = _trees()
+    referenced = set()
+    for tree in trees.values():
+        referenced |= _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__") and private not in referenced:
+                    orphans.append(f"{name}:{node.lineno} {private}")
+    assert not orphans

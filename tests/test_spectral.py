@@ -395,7 +395,7 @@ def test_small_intersection_randomized_against_oracle():
 
 def test_haystack_search_single_irrational_atom():
     a = FormalReal.sym("alpha")
-    char = KroneckerCharacter(freq=(1,), pairing=(a, FormalReal.of(0)))
+    char = KroneckerCharacter((1,), 1, *kronecker_system(2, 1, [[a, FormalReal.of(0)]]).pairing((1,)))
     tau = IrrationalPart(
         kind="kronecker",
         system=None,
@@ -771,7 +771,7 @@ def test_rational_annihilator_is_the_period_average_of_box_overlaps():
         [(Fraction(1, 2), Fraction(5, 6)), (Fraction(0), Fraction(1, 10))],
     )
     for lam in ((1, 0), (2, 0), (-4, 0), (15, 0)):
-        w = [f.rational for f in ks.direction_value(lam)]
+        w = ks.rational_shift(lam)
         period = lcm(*(x.denominator for x in w))
         average = sum(box_overlap_volume(b, [m * x for x in w]) for m in range(period)) / period
         assert spectral._kron_rational_annihilator_exact(ks, b, lam) == average

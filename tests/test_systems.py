@@ -1,5 +1,6 @@
 """Finite and Kronecker model systems: exact measures and decompositions."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,7 @@ from _fleet import pts, random_fleet, tuples
 from latspec.formal import FormalReal
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
-from latspec import systems
+from latspec import spectral, systems
 from latspec.systems import (
     Box,
     BoxUnion,
@@ -62,7 +63,7 @@ def test_finite_system_quotient_is_consistent():
         for j in range(L.rank):
             col = tuple(L.basis_matrix[i][j] for i in range(L.rank))
             assert s.phi(col) == 0 and tuple(s.vectors(s.phi(col)).tolist()) == zero
-        assert len(s.subgroup(s.gens)) == s.size
+        assert not s.coset_labels(s.gens).any()
 
 
 def test_non_ergodic_parts_rejected():
@@ -430,3 +431,220 @@ def test_flat_indices_round_trip_and_phi_is_exact_near_2_to_the_70():
             assert sys_.phi([x + y for x, y in zip(a, b)]) == sys_.translate(
                 sys_.phi(a), sys_.vectors(sys_.phi(b))
             )
+
+
+# ---------------------------------------------------------------------------
+# Kronecker systems against their formal-real and tuple-set references
+
+def _ref_grid(b, shifts):
+    """The least grid 1/q * Z^dim carrying b and the shifts, and the set of
+    cell tuples b covers."""
+    q = np.lcm.reduce(
+        [x.denominator for s in shifts for x in s]
+        + [x.denominator for box in b.boxes for a_b in box.bounds for x in a_b]
+    )
+    cells = set()
+    for box in b.boxes:
+        cells |= set(product(*(range(int(lo * q), int(hi * q)) for lo, hi in box.bounds)))
+    return int(q), cells
+
+
+def _ref_shift_cells(cells, q, shift):
+    off = [int(x * q) for x in shift]
+    return {tuple((c + o) % q for c, o in zip(cell, off)) for cell in cells}
+
+
+def _ref_period(shift):
+    return int(np.lcm.reduce([x.denominator for x in shift]))
+
+
+def _ref_overlap(b, shift):
+    q, cells = _ref_grid(b, [shift])
+    return Fraction(len(cells & _ref_shift_cells(cells, q, shift)), q**b.dim)
+
+
+def _ref_annihilator(b, shift):
+    """Mean of mu(B ∩ (B + m * shift)) over one period, shift by shift."""
+    d = _ref_period(shift)
+    q, cells = _ref_grid(b, [shift])
+    hits = sum(len(cells & _ref_shift_cells(cells, q, [m * x for x in shift])) for m in range(d))
+    return Fraction(hits, d * q**b.dim)
+
+
+def _ref_saturation(b, shift):
+    q, cells = _ref_grid(b, [shift])
+    union = set()
+    for m in range(_ref_period(shift)):
+        union |= _ref_shift_cells(cells, q, [m * x for x in shift])
+    return Fraction(len(union), q**b.dim)
+
+
+DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+def _random_box_union(rng, dim):
+    """Disjoint boxes, one in each strip of the first axis, on grids of at
+    most 24^dim cells."""
+    strips = 1 + rng.below(2)
+    boxes = []
+    for i in range(strips):
+        box = []
+        for _ in range(dim):
+            den = DENOMINATORS[rng.below(len(DENOMINATORS))]
+            lo = rng.below(den)
+            box.append((Fraction(lo, den), Fraction(lo + 1 + rng.below(den - lo), den)))
+        # squeeze the first axis into the strip [i / strips, (i + 1) / strips)
+        box[0] = tuple((i + x) / strips for x in box[0])
+        boxes.append(box)
+    return BoxUnion.of(*boxes)
+
+
+def _random_shift(rng, dim):
+    """Entries in [-2, 2], integers included."""
+    shift = []
+    for _ in range(dim):
+        den = DENOMINATORS[rng.below(len(DENOMINATORS))]
+        shift.append(Fraction(rng.below(4 * den + 1) - 2 * den, den))
+    return shift
+
+
+def test_rational_grid_routes_match_the_tuple_set_reference():
+    rng = SplitMix64(20261018)
+    for trial in range(120):
+        dim = 1 + trial % 3
+        b = _random_box_union(rng, dim)
+        shift = _random_shift(rng, dim)
+        # column 0 carries one symbol per row (ergodic), column 1 the shift
+        ks = kronecker_system(
+            2, dim, [[FormalReal.sym(f"a{i}"), x] for i, x in enumerate(shift)]
+        )
+        assert box_overlap_volume(b, shift) == _ref_overlap(b, shift)
+        assert spectral._kron_rational_annihilator_exact(ks, b, (0, 1)) == _ref_annihilator(b, shift)
+        sat = kronecker_orbit_saturation(ks, b, (0, 1))
+        assert sat.exact and sat.lower == sat.upper == _ref_saturation(b, shift)
+
+
+def test_one_point_grid():
+    whole = BoxUnion.of([(Fraction(0), Fraction(1))] * 2)
+    ks = kronecker_system(2, 2, [[FormalReal.sym("a"), 3], [FormalReal.sym("b"), -1]])
+    grid, cells, g = systems.box_grid(whole, [Fraction(3), Fraction(-1)])
+    assert grid.size == 1 and grid.moduli == () and cells.tolist() == [True] and g == 0
+    assert box_overlap_volume(whole, [2, -5]) == 1 == _ref_overlap(whole, [Fraction(2), Fraction(-5)])
+    assert spectral._kron_rational_annihilator_exact(ks, whole, (0, 1)) == 1
+    assert kronecker_orbit_saturation(ks, whole, (0, 1)).lower == 1
+
+
+def test_period_99991_direction_is_quick():
+    ks = kronecker_system(2, 1, [[FormalReal.sym("alpha"), Fraction(1, 99991)]])
+    b = BoxUnion.of([(Fraction(0), Fraction(1, 3))])
+    start = time.perf_counter()
+    sat = kronecker_orbit_saturation(ks, b, (0, 1))
+    mass = spectral._kron_rational_annihilator_exact(ks, b, (0, 1))
+    assert time.perf_counter() - start < 1
+    # the grid 1/(3 * 99991) * Z splits into three cosets of the shift, and
+    # b meets them in 33331, 33330 and 33330 cells
+    assert sat.exact and sat.lower == 1
+    assert mass == Fraction(33331**2 + 2 * 33330**2, 99991 * 3 * 99991)
+
+
+def _ref_formal_theta(sys_):
+    """Theta back as FormalReal entries, from the integer matrices."""
+    return [
+        [
+            FormalReal(
+                Fraction(sys_.rat[i][j], sys_.den),
+                tuple((t, Fraction(m[i][j], sys_.den)) for t, m in zip(sys_.symbols, sys_.sym)),
+            )
+            for j in range(sys_.rank)
+        ]
+        for i in range(sys_.dim)
+    ]
+
+
+def _ref_pairing(theta, k):
+    return [sum((theta[i][j] * k[i] for i in range(len(k))), start=FormalReal.of(0)) for j in range(len(theta[0]))]
+
+
+def _ref_symbol_kernel(forms):
+    """Integer kernel of the symbol-coefficient matrix of FormalReal forms,
+    each row scaled to integers by the lcm of its own denominators."""
+    dim = len(forms)
+    symbols = sorted({name for row in forms for f in row for name in f.symbols()})
+    if not symbols or not forms[0]:
+        return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+    rows = [[forms[i][j].coeff(t) for i in range(dim)] for j in range(len(forms[0])) for t in symbols]
+    scaled = []
+    for row in rows:
+        den = int(np.lcm.reduce([f.denominator for f in row]))
+        scaled.append([int(f * den) for f in row])
+    return systems.kernel_basis(scaled)
+
+
+def _ref_certificate(theta):
+    kernel = _ref_symbol_kernel(theta)
+    witness = None
+    if kernel:
+        k0 = kernel[0]
+        rationals = [f.rational for f in _ref_pairing(theta, k0)]
+        d = int(np.lcm.reduce([q.denominator for q in rationals]))
+        witness = tuple(d * x for x in k0)
+    return not kernel, len(kernel), witness
+
+
+def _random_theta(rng, rank, dim):
+    names = ("alpha", "beta", "gamma")[: 1 + rng.below(3)]
+    entries = []
+    for _ in range(dim):
+        row = []
+        for _ in range(rank):
+            x = FormalReal.of(Fraction(rng.below(13) - 6, 1 + rng.below(6)))
+            for name in names:
+                if rng.below(3) == 0:
+                    x = x + FormalReal.sym(name, Fraction(rng.below(7) - 3, 1 + rng.below(4)))
+            row.append(x)
+        entries.append(row)
+    return entries
+
+
+def test_integer_theta_matches_the_formal_real_reference():
+    rng = SplitMix64(1018)
+    seen = {"annihilates": set(), "trivial": set(), "rational": set(), "ergodic": set(), "direction": set()}
+    for trial in range(150):
+        rank, dim = 1 + rng.below(3), 1 + rng.below(3)
+        theta = _random_theta(rng, rank, dim)
+        ks = kronecker_system(rank, dim, theta, require_ergodic=False)
+        assert _ref_formal_theta(ks) == theta
+        cert = kronecker_ergodicity_certificate(ks)
+        assert (cert["ergodic"], cert["kernel_rank"], cert["witness_frequency"]) == _ref_certificate(theta)
+        seen["ergodic"].add(cert["ergodic"])
+        if cert["witness_frequency"] is not None:
+            p = _ref_pairing(theta, cert["witness_frequency"])
+            assert all(f.is_integer for f in p)
+        for _ in range(4):
+            k = tuple(rng.below(7) - 3 for _ in range(dim))
+            if trial % 5 == 0 and cert["witness_frequency"] is not None:
+                k = cert["witness_frequency"]
+            char = spectral.KroneckerCharacter(k, ks.den, *ks.pairing(k))
+            p = _ref_pairing(theta, k)
+            assert char.is_trivial == all(f.is_integer for f in p)
+            assert char.is_rational == all(f.is_rational for f in p)
+            seen["trivial"].add(char.is_trivial)
+            seen["rational"].add(char.is_rational)
+            for _ in range(3):
+                lam = tuple(rng.below(13) - 6 for _ in range(rank))
+                value = sum((f * x for f, x in zip(p, lam)), start=FormalReal.of(0))
+                assert char.annihilates(lam) == value.is_integer
+                seen["annihilates"].add(char.annihilates(lam))
+        for _ in range(3):
+            lam = tuple(rng.below(7) - 3 for _ in range(rank))
+            if not any(lam):
+                continue
+            w = [sum((theta[i][j] * lam[j] for j in range(rank)), start=FormalReal.of(0)) for i in range(dim)]
+            assert ks.rational_shift(lam) == (
+                tuple(f.rational for f in w) if all(f.is_rational for f in w) else None
+            )
+            ergodic = is_ergodic_direction(ks, lam)
+            assert ergodic == (not _ref_symbol_kernel([[f] for f in w]))
+            seen["direction"].add(ergodic)
+    # every predicate was seen both ways
+    assert all(v == {True, False} for v in seen.values()), seen
