@@ -9,7 +9,7 @@ import pytest
 
 from _fleet import pts, random_fleet, tuples
 from latspec.formal import FormalReal
-from latspec.lattice import scale_lattice, sublattice
+from latspec.lattice import kernel_basis, scale_lattice, sublattice
 from latspec.prng import SplitMix64
 from latspec import spectral, systems
 from latspec.systems import (
@@ -577,7 +577,7 @@ def _ref_symbol_kernel(forms):
     for row in rows:
         den = int(np.lcm.reduce([f.denominator for f in row]))
         scaled.append([int(f * den) for f in row])
-    return systems.kernel_basis(scaled)
+    return kernel_basis(scaled)
 
 
 def _ref_certificate(theta):
