@@ -203,8 +203,7 @@ def _parse_haystack(desc: Optional[dict], rank: int) -> list[tuple[int, ...]]:
     primes = (2, 3, 5, 7, 11, 13, 17)
     multipliers = tuple(int(m) for m in _integral(desc.get("multipliers", primes[:rank]), "multipliers"))
     count = _int(desc.get("count", 8), "count")
-    basis = desc.get("basis")
-    return make_haystack(basis, multipliers, count)
+    return make_haystack(_integral(desc.get("basis"), "basis"), multipliers, count)
 
 
 def _parse_sspec(desc: Optional[dict]) -> ErgodicSetSpec:
@@ -266,12 +265,12 @@ def _run_pattern_search(cfg: dict, seed: Optional[int]):
     e = _point_set(cfg, seed)
     bounds_cfg = cfg.get("bounds", {})
     bounds = SearchBounds(
-        n_max=int(bounds_cfg.get("n_max", 6)),
-        m_max=int(bounds_cfg.get("m_max", 6)),
-        lambda_count=int(bounds_cfg.get("lambda_count", 6)),
-        multipliers=tuple(bounds_cfg["multipliers"]) if "multipliers" in bounds_cfg else None,
+        n_max=_int(bounds_cfg.get("n_max", 6), "n_max"),
+        m_max=_int(bounds_cfg.get("m_max", 6), "m_max"),
+        lambda_count=_int(bounds_cfg.get("lambda_count", 6), "lambda_count"),
+        multipliers=tuple(_integral(bounds_cfg["multipliers"], "multipliers")) if "multipliers" in bounds_cfg else None,
     )
-    res = pattern_search(e, _int(cfg["p"], "p"), cfg["probes"], bounds)
+    res = pattern_search(e, _int(cfg["p"], "p"), _integral(cfg["probes"], "probes"), bounds)
     results = {
         "ok": res.ok,
         "reason": res.reason,
@@ -392,7 +391,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
         return results, verdicts, None, None
     trunc = _int(cfg.get("trunc", 64), "trunc")
     sigma = spectral_measure_kronecker(sys_, bset, trunc)
-    lam_list = cfg.get("annihilator_lambdas", [])
+    lam_list = [[int(x) for x in lam] for lam in _integral(cfg.get("annihilator_lambdas", []), "annihilator_lambdas")]
     for lam in lam_list:
         if len(lam) != sys_.rank:
             raise ConfigError(f"annihilator lambda {lam} has length {len(lam)}, expected {sys_.rank}")
@@ -430,7 +429,7 @@ def _run_decompose(cfg: dict, seed: Optional[int]):
     results = {}
     verdicts = []
     if "sublattice" in cfg:
-        L = sublattice(cfg["sublattice"])
+        L = sublattice(_integral(cfg["sublattice"], "sublattice"))
         comps = ergodic_components(sys_, L)
         weight_sum = sum((c.weight for c in comps), start=Fraction(0))
         results["components"] = [
@@ -476,7 +475,7 @@ def _run_intersect(cfg: dict, seed: Optional[int]):
     sample = _parse_haystack(cfg.get("haystack"), sys_.rank)
     sspec = _parse_sspec(cfg.get("ergodic_set"))
     witness = intersection_theorem_search(
-        sys_, bset, _int(cfg["p"], "p"), sample, sspec, cfg["probes"]
+        sys_, bset, _int(cfg["p"], "p"), sample, sspec, _integral(cfg["probes"], "probes")
     )
     results = {
         "n": witness.n,
@@ -502,7 +501,7 @@ def _run_haystack_verify(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank")
     rank = _int(cfg["rank"], "rank")
     if "vectors" in cfg:
-        vectors = [tuple(int(x) for x in v) for v in cfg["vectors"]]
+        vectors = [tuple(int(x) for x in v) for v in _integral(cfg["vectors"], "vectors")]
     else:
         _require(cfg, "multipliers", "count")
         multipliers = [int(m) for m in _integral(cfg["multipliers"], "multipliers")]
@@ -512,7 +511,7 @@ def _run_haystack_verify(cfg: dict, seed: Optional[int]):
         if count > 0 and len(multipliers) != rank:
             raise ValueError("vector rank does not match r")
         admit_subsets(count, rank)
-        vectors = make_haystack(cfg.get("basis"), multipliers, count)
+        vectors = make_haystack(_integral(cfg.get("basis"), "basis"), multipliers, count)
     verdict = verify_haystack_sample(vectors, rank)
     results = {
         "vectors": [list(v) for v in vectors],

@@ -1,12 +1,10 @@
 """Exact arithmetic with roots of unity.
 
-A sum of N-th roots of unity is held as an integer vector over the power
-basis 1, z, ..., z^(N-1) and decided (zero test, rationality test) by
-reduction modulo the N-th cyclotomic polynomial.  This is what lets the
-spectral identities be checked as identities rather than numerically.
-The N-th cyclotomic polynomial is the product of (x^d - 1)^mu(N/d) over the
-divisors d of N, multiplied and divided out exactly on Python-int
-coefficient lists.
+A sum x of d-th roots of unity is held as an integer vector over the powers
+1, z, ..., z^(d-1).  Summed over its Galois conjugates it is an integer, a
+combination of Ramanujan sums, and when every conjugate is real the traces
+of x and x^2 decide whether x is rational.  So the spectral identities are
+checked as integer identities rather than numerically.
 
 For display, the real part of such a vector is enclosed on the integer
 rounding grid of ``intervals``: one table of cosine enclosures per order N,
@@ -26,77 +24,44 @@ import numpy as np
 from .intervals import _GRID_BITS, Iv, sinpi_grid
 
 
-def _prime_factors(n: int) -> list[int]:
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+def _mobius_terms(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (t, t * mu(d / t)) over the divisors t of d with d / t a
+    product of distinct primes, the divisors where mu(d / t) is nonzero."""
+    terms, m, p = [(d, d)], d, 1
+    while m > 1:
+        # the next trial divisor, or m itself once it must be prime
+        p = p + 1 if p * p <= m else m
+        if m % p == 0:
+            terms += [(t // p, -c // p) for t, c in terms]
+            while m % p == 0:
+                m //= p
+    return tuple(terms)
 
-    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n, and
-    mu(n/d) is nonzero only for d = n / (a product of distinct primes of n).
-    The factors with mu = 1 are multiplied in first, then each factor with
-    mu = -1 is divided out; both are one pass over the coefficient list, and
-    a division that leaves a remainder raises.
+
+def totient(d: int) -> int:
+    return sum(c for _, c in _mobius_terms(d))
+
+
+def ramanujan_sums(rows) -> tuple[np.ndarray, list[bool]]:
+    """``(R, rational)`` for the rows x = sum_j row[j] z^j, z a primitive d-th
+    root of unity and d the column count.
+
+    R[:, e] = sum_j rows[:, j] c_d(j + e) is the sum of z^(u e) x_u over the
+    conjugates x_u, u a unit mod d; the Ramanujan sum c_d(k) is the sum of
+    t mu(d / t) over the t dividing d and k (Hardy and Wright, Thm 272), so R
+    sums the rows folded modulo each such t.  A row symmetric under j -> -j
+    has real conjugates, and is then rational exactly when
+    phi(d) Tr(x^2) = Tr(x)^2 (Cauchy-Schwarz), Tr(x^2) = sum_j rows[:, j] R[:, j].
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    # d = n over an even (ups) or odd (downs) number of distinct primes of n
-    ups, downs = [n], []
-    for p in _prime_factors(n):
-        ups, downs = ups + [d // p for d in downs], downs + [d // p for d in ups]
-    poly = [1]
-    for d in ups:
-        # poly * (x^d - 1): coefficient i is poly[i - d] - poly[i]
-        out = [0] * d + poly
-        for i, c in enumerate(poly):
-            out[i] -= c
-        poly = out
-    for d in downs:
-        # q with q * (x^d - 1) = poly, i.e. poly[i] = q[i - d] - q[i], solved upwards
-        q = [0] * (len(poly) - d)
-        for i in range(len(q)):
-            q[i] = (q[i - d] if i >= d else 0) - poly[i]
-        if poly[len(q):] != q[len(q) - d:]:
-            raise ArithmeticError("inexact polynomial division")
-        poly = q
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def reduction_matrix(n: int) -> np.ndarray:
-    """Read-only int64 matrix whose row k holds the coordinates of z^k over the
-    power basis 1..z^(deg-1), k < n.
-
-    Row k >= deg is row k-1 moved up one power, with its z^deg coordinate
-    folded back through the cyclotomic polynomial.  Every entry is checked to
-    be below 2**63 / (1 + max |phi_i|), so no step of that recurrence can
-    have wrapped around int64.
-    """
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    low = np.array(phi[:deg], dtype=np.int64)
-    rows = np.zeros((n, deg), dtype=np.int64)
-    rows[np.arange(deg), np.arange(deg)] = 1
-    for k in range(deg, n):
-        rows[k, 1:] = rows[k - 1, :-1]
-        carry = rows[k - 1, deg - 1]
-        if carry:
-            rows[k] -= carry * low
-    if max(int(rows.max()), -int(rows.min())) * (1 + max(map(abs, phi))) >= 1 << 63:
-        raise OverflowError(f"reduction rows of order {n} do not fit int64")
-    rows.setflags(write=False)
-    return rows
+    rows = np.asarray(rows, dtype=np.int64)
+    k, d = rows.shape
+    back = -np.arange(d)
+    sums = np.zeros((k, d), dtype=np.int64)
+    for t, c in _mobius_terms(d):
+        sums += c * rows.reshape(k, d // t, t).sum(axis=1)[:, back % t]
+    phi, squares = totient(d), (rows * sums).sum(axis=1).tolist()
+    return sums, [phi * sq == tr * tr for sq, tr in zip(squares, sums[:, 0].tolist())]
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +132,7 @@ def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
     The dot products run in int64 on the table offset by 2**_GRID_BITS and
     cut into 32-bit limbs; with at most 2**31 in absolute value per row, no
     limb product can wrap.  Used only for display of irrational weights;
-    decisions go through the exact reductions above.
+    decisions go through the exact integer traces above.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != n:

@@ -1,14 +1,14 @@
 """Spectral measures of sets under Z^r-actions and the expansion pipeline.
 
 For a finite system the spectral measure of a set B is atomic with one atom
-per character of the carrier; weights |c_hat|^2 live in a cyclotomic field
-and are decided from one row of root counts per character, while every mass
-a theorem is checked against (trivial atom, annihilator and subgroup masses,
-totals) is computed by the exact rational coset formulas and cross-checked
-against the atom sums by cyclotomic reduction.  Kronecker systems get
-truncated atom lists with certified interval weights and an exact Parseval
-tail bound; interval-valued verdicts are flagged as estimates, never
-promoted.
+per character of the carrier.  The characters fall into Galois orbits, one
+per cyclic subgroup, each with one integer row of root counts; an orbit's
+weights are rational together or not at all, and its sums are integer
+Ramanujan sums.  Every mass a theorem is checked against is computed by the
+exact rational coset formulas and cross-checked against those orbit sums.
+Kronecker systems get truncated atom lists with certified interval weights
+and an exact Parseval tail bound; interval-valued verdicts are flagged as
+estimates, never promoted.
 
 On top of the measures sit the quantitative checks: the Bochner identity,
 the expansion lower bound mu(S lam.B) >= mu(B)^2 / sigma_B(annihilator),
@@ -28,14 +28,15 @@ from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclotomic import enclose_real_root_rows, reduction_matrix
+from .cyclotomic import enclose_real_root_rows, ramanujan_sums, totient
 from .intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
 from .systems import (
+    BLOCK_CELLS,
     BoxUnion,
     ComponentPresentation,
+    CyclicSubgroups,
     ErgodicComponent,
     ErgodicSetSpec,
     FiniteSystem,
@@ -174,71 +175,60 @@ class SpectralMeasure:
 # ---------------------------------------------------------------------------
 # finite-system tables (shared by the measure, Bochner and mass routines)
 
-#: most cells either finite table may take, checked before it is allocated:
-#: the |B|^2 difference pairs behind n_B and the |A| x exponent root counts;
-#: the Bochner check gathers at most this many cells per chunk of images
+#: most root counts |A| x exponent, one per character and power of z, that a finite
+#: measure may stand for; checked first, it bounds the steps of the subgroup index
 CELL_LIMIT = 2 * 10**7
 
 
-@dataclass(frozen=True)
-class _FiniteTables:
-    order: int
-    dual: np.ndarray               # (|A|, s) pairing rows: chi_c(h) = z^(dual[c] @ h)
-    exps_on_lambda: np.ndarray     # (|A|, rank) exponent vector on Z^r per character
-    root_counts: np.ndarray        # (|A|, order) #{(a, b) in B^2 : chi_c(a - b) = z^k}
+@dataclass(frozen=True, eq=False)
+class _OrbitTables:
+    """The characters of A in Galois orbits, one per cyclic subgroup <c>.
 
-    def exponents_at(self, g) -> np.ndarray:
-        """The exponent of chi_c(g) for every character c, in carrier order;
-        an array of coordinate rows g gives one such row per element."""
-        return (np.asarray(g, dtype=np.int64) @ self.dual.T) % self.order
-
-
-def _root_values(order: int, vecs: np.ndarray) -> list[Optional[int]]:
-    """The integer each row v of vecs equals as sum_k v[k] z^k, None where irrational.
-
-    z is a primitive ``order``-th root of unity; a row is rational exactly when
-    its reduction modulo the cyclotomic polynomial has no z^1.. coordinates.
+    Label c pairs with h as z^(pairing(c) @ h), z a primitive exponent-th
+    root of unity; orbit o holds the u * c, u a unit and c its least label.
+    ``rows[o, k]`` counts the (a, b) in B^2 with chi_c(a - b) = z^k, so
+    |A|^2 |u*c hat|^2 = sum_k rows[o, k] z^(u k); ``sums[o, e]`` is the sum
+    over the orbit of chi(g) |A|^2 |chi hat|^2 for any g with chi_c(g) = z^e
+    (read only at such e), and ``rational[o]`` tells whether the orbit's
+    weights are rational.
     """
-    red = np.atleast_2d(vecs) @ reduction_matrix(order)
-    irrational = red[:, 1:].any(axis=1).tolist()
-    return [None if irr else v for v, irr in zip(red[:, 0].tolist(), irrational)]
+
+    subgroups: CyclicSubgroups
+    pairing: np.ndarray
+    rows: np.ndarray
+    sums: np.ndarray
+    rational: np.ndarray
+
+
+def _with_sums(sub: CyclicSubgroups, pairing: np.ndarray, rows: np.ndarray) -> _OrbitTables:
+    exponent = rows.shape[1]
+    traces, rational = ramanujan_sums(rows)
+    # over z each of the phi(d) characters of order d recurs phi(N) / phi(d) times
+    repeats = totient(exponent) // np.bincount(sub.subgroup_of)
+    return _OrbitTables(sub, pairing, rows, traces // repeats[:, None], np.array(rational, dtype=bool))
 
 
 @lru_cache(maxsize=256)
-def _finite_tables(sys_: FiniteSystem, bset: frozenset) -> _FiniteTables:
-    n = sys_.size
-    order = sys_.exponent
-    pairs = len(bset) ** 2
-    if pairs > CELL_LIMIT:
-        raise ValueError(f"|B|^2 = {pairs} difference pairs, over the limit of {CELL_LIMIT}")
+def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
+    n, order = sys_.size, sys_.exponent
     if n * order > CELL_LIMIT:
-        raise ValueError(
-            f"|A| x exponent = {n} x {order} root counts, over the limit of {CELL_LIMIT}"
-        )
-    # every sum of root-count rows totals at most |A| |B|^2, so its reduction fits int64
-    if n * pairs * int(np.abs(reduction_matrix(order)).max()) >= 1 << 63:
-        raise ValueError(f"root-count reductions of order {order} would overflow int64")
-    # the dual of A is labelled by A itself: label c pairs with h as
-    # sum_i c_i h_i (order / d_i) mod order
-    every = sys_.vectors(np.arange(n))
-    dual = every * (order // np.array(sys_.moduli, dtype=np.int64))
-    gens = sys_.vectors(list(sys_.gens))
-    # difference counts n_B(d) = #{(a, b) in B^2 : a - b = d}
-    b_idx = np.fromiter(bset, dtype=np.int64)
-    n_b = np.bincount(sys_.translate(b_idx[:, None], -sys_.vectors(b_idx)).ravel(), minlength=n)
-    # one histogram of the support of n_B per character, by the exponent of
-    # chi_c(d); the float64 weights sum integers below |B|^2 < 2^53 exactly
-    support = np.flatnonzero(n_b)
-    diffs, counts = every[support], n_b[support]
-    root_counts = np.empty((n, order), dtype=np.int64)
-    for c, row in enumerate(dual):
-        root_counts[c] = np.bincount((diffs @ row) % order, weights=counts, minlength=order)
-    return _FiniteTables(
-        order=order,
-        dual=dual,
-        exps_on_lambda=(dual @ gens.T) % order,
-        root_counts=root_counts,
-    )
+        raise ValueError(f"|A| x exponent = {n} x {order} root counts, over the limit of {CELL_LIMIT}")
+    # |B|^4 phi(exponent) bounds every orbit sum and each product of a row with them
+    bound = len(bset) ** 4 * totient(order)
+    if bound >= 1 << 63:
+        raise ValueError(f"|B|^4 x phi(exponent) = {bound} bounds the orbit sums, over int64")
+    sub = sys_.cyclic_subgroups()
+    pairing = sys_.vectors(sub.generator) * (order // np.array(sys_.moduli, dtype=np.int64))
+    b = sys_.vectors(np.fromiter(bset, dtype=np.int64))
+    rows = np.zeros((len(pairing), order), dtype=np.int64)
+    for row, c, d in zip(rows, pairing, sub.order.tolist()):
+        # the cyclic autocorrelation of B's histogram over the values of chi_c
+        step = order // d
+        hist = np.bincount((b @ c) % order // step, minlength=d)
+        full = np.convolve(hist, hist[::-1])
+        row[::step] = full[d - 1:]
+        row[step::step] += full[:d - 1]
+    return _with_sums(sub, pairing, rows)
 
 
 def _coset_mass(sys_: FiniteSystem, cells: np.ndarray, g: int) -> Fraction:
@@ -258,10 +248,10 @@ def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: int) -> Fraction:
 def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> SpectralMeasure:
     """Exact atomic spectral measure of b on a finite system.
 
-    One atom per carrier character.  Its weight |c_hat|^2 is the root-count
-    row of the character over |A|^2: exact when the row sums to a rational,
-    a certified enclosure otherwise.  The trivial atom and the total are
-    verified against mu(B)^2 and mu(B) during construction.
+    One atom per carrier character, in label order.  A Galois orbit's weights
+    are rational together, each its trace over phi(d) |A|^2, or each a
+    certified enclosure read from the orbit's row moved by its unit.  The
+    trivial atom and the total are verified against mu(B)^2 and mu(B).
     """
     bset = frozenset(b)
     if not bset:
@@ -271,24 +261,34 @@ def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> SpectralMeasure:
 
 @lru_cache(maxsize=512)
 def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMeasure:
-    t = _finite_tables(sys_, bset)
-    n = sys_.size
+    t = _orbit_tables(sys_, bset)
+    n, order = sys_.size, sys_.exponent
     mu_b = Fraction(len(bset), n)
-    atoms = []
-    values = _root_values(t.order, t.root_counts)
-    irrational = [c for c, value in enumerate(values) if value is None]
-    enclosures = iter(enclose_real_root_rows(t.order, t.root_counts[irrational], n * n))
-    for label, (exps, value) in enumerate(zip(t.exps_on_lambda.tolist(), values)):
-        char = FiniteCharacter(exps=tuple(exps), dual_label=label)
-        if value is not None:
-            w = Weight.of(Fraction(value, n * n))
-        else:
-            w = Weight.interval(next(enclosures))
-        atoms.append(Atom(character=char, weight=w))
+    orbit_of = t.subgroups.subgroup_of
+    # a rational orbit's trace is shared evenly by its characters
+    traces = zip(t.sums[:, 0].tolist(), np.bincount(orbit_of).tolist(), t.rational)
+    by_orbit = [Weight.of(Fraction(tr, k * n * n)) if rational else None for tr, k, rational in traces]
+    weights = [by_orbit[o] for o in orbit_of.tolist()]
+    irrational = np.flatnonzero(~t.rational[orbit_of])
+    block = max(1, BLOCK_CELLS // order)
+    for lo in range(0, len(irrational), block):
+        # the row of u * c is the orbit's row moved from k to u * k
+        chars = irrational[lo:lo + block]
+        rows = np.empty((len(chars), order), dtype=np.int64)
+        moved = t.subgroups.unit_of[chars, None] * np.arange(order) % order
+        rows[np.arange(len(chars))[:, None], moved] = t.rows[orbit_of[chars]]
+        for c, iv in zip(chars.tolist(), enclose_real_root_rows(order, rows, n * n)):
+            weights[c] = Weight.interval(iv)
+    # chi_(u c)(lam) = chi_c(lam)^u
+    exps = t.subgroups.unit_of[:, None] * (t.pairing @ sys_.vectors(list(sys_.gens)).T)[orbit_of] % order
+    atoms = [
+        Atom(character=FiniteCharacter(exps=tuple(e), dual_label=label), weight=w)
+        for label, (e, w) in enumerate(zip(exps.tolist(), weights))
+    ]
     trivial = [a for a in atoms if a.character.is_trivial]
     if len(trivial) != 1 or trivial[0].weight.value != mu_b * mu_b:
         raise AssertionError("trivial atom mass must equal mu(B)^2")
-    if _root_values(t.order, t.root_counts.sum(axis=0))[0] != len(bset) * n:
+    if int(t.sums[:, 0].sum()) != len(bset) * n:
         raise AssertionError("atom total must equal mu(B)")
     return SpectralMeasure(
         kind="finite",
@@ -434,8 +434,8 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
     Divide by ``sigma.trivial.value`` for the normalized mass.  lam = 0
     returns the total mass (every character annihilates 0).  Finite
     systems give an exact rational, computed by the coset formula and
-    cross-checked against the cyclotomic atom sum; Kronecker systems give a
-    certified interval including the tail.
+    cross-checked against the traces of the annihilating orbits; Kronecker
+    systems give a certified interval including the tail.
     """
     c = as_coords(lam)
     if all(x == 0 for x in c):
@@ -444,13 +444,10 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
         sys_: FiniteSystem = sigma.system
         g = sys_.phi(c)
         value = _cyclic_coset_mass(sys_, sigma.base_set, g)
-        # independent atom route: sum the annihilating root-count vectors
-        t = _finite_tables(sys_, sigma.base_set)
-        phases = (t.exps_on_lambda @ np.array(c, dtype=np.int64)) % t.order
-        atom_value = _root_values(t.order, t.root_counts[phases == 0].sum(axis=0))[0]
-        if atom_value is None:
-            raise AssertionError("annihilator atom sum must be rational")
-        if Fraction(atom_value, sys_.size**2) != value:
+        # independent atom route: the traces of the orbits trivial on g
+        t = _orbit_tables(sys_, sigma.base_set)
+        on_g = (t.pairing @ sys_.vectors(g)) % sys_.exponent == 0
+        if Fraction(int(t.sums[on_g, 0].sum()), sys_.size**2) != value:
             raise AssertionError("coset formula disagrees with atom sum")
         return Weight.of(value)
     acc = ZERO_WEIGHT
@@ -505,35 +502,27 @@ class BochnerReport:
 def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> BochnerReport:
     """Exact check of mu(B ∩ lam.B) against the character sum of sigma_B.
 
-    Every lam in [-lam_box, lam_box]^rank is checked.  The character sum is
-    evaluated in the cyclotomic integers at the raw scale, |A|^2 sigma_B, and
-    compared to |A| times the counting value after reduction; distinct lam
-    sharing an image are checked once.
-
-    The images are taken in chunks of at most ``CELL_LIMIT`` cells per array;
-    each chunk gets its exponents, reductions and overlap counts in one array
-    pass apiece, and each image one gather of shifted root-count rows.
+    Every lam in [-lam_box, lam_box]^rank is checked, distinct lam sharing an
+    image once.  The character sum at the raw scale, |A|^2 sigma_B, adds one
+    integer Ramanujan sum per Galois orbit and is compared to |A| times the
+    counting value.
     """
     bset = frozenset(b)
-    t = _finite_tables(sys_, bset)
-    n, order = sys_.size, t.order
+    t = _orbit_tables(sys_, bset)
     lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
     gens = sys_.vectors(list(sys_.gens))
     flat = sys_.translate(0, np.array(lams, dtype=np.int64).reshape(len(lams), sys_.rank) @ gens)
     images, which = np.unique(flat, return_inverse=True)
-    windows = sliding_window_view(np.tile(t.root_counts, 2), order, axis=1)
-    chars = np.arange(n)
+    g = sys_.vectors(images)
+    sums = sum(row[(g @ c) % sys_.exponent] for c, row in zip(t.pairing, t.sums))
     in_b = sys_.mask(bset)
     b_idx = np.flatnonzero(in_b)[:, None]
-    chunk = max(1, CELL_LIMIT // (n * max(order, len(sys_.moduli))))
-    ok = []
-    for lo in range(0, len(images), chunk):
-        g = sys_.vectors(images[lo:lo + chunk])
-        # sum_c chi_c(g) |A|^2 |c_hat|^2 as one root vector per image: row c
-        # times z^e is the window of the doubled row c starting at order - e
-        sums = np.array([windows[chars, start].sum(axis=0) for start in order - t.exponents_at(g)])
-        counts = np.count_nonzero(in_b[sys_.translate(b_idx, -g)], axis=0).tolist()
-        ok += [v == cnt * n for v, cnt in zip(_root_values(order, sums), counts)]
+    # |B ∩ (B + g)| for blocks of images, |B| x s coordinates per image
+    block = max(1, BLOCK_CELLS // (len(bset) * max(1, len(sys_.moduli))))
+    counts = np.concatenate(
+        [np.count_nonzero(in_b[sys_.translate(b_idx, -g[lo:lo + block])], axis=0) for lo in range(0, len(g), block)]
+    )
+    ok = (sums == counts * sys_.size).tolist()
     violations = tuple(lam for lam, i in zip(lams, which.tolist()) if not ok[i])
     return BochnerReport(ok=not violations, checked=len(lams), violations=violations)
 

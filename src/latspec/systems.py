@@ -58,6 +58,49 @@ def _index_table(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     return coords, strides, mods
 
 
+#: cells of one block of a batched array pass; it sets memory, never a result
+BLOCK_CELLS = 1 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class CyclicSubgroups:
+    """The cyclic subgroups of a carrier, numbered by their least generators.
+
+    Subgroup s has order ``order[s]`` and least generator ``generator[s]``;
+    element x generates subgroup ``subgroup_of[x]`` and is ``unit_of[x]``
+    times its least generator, a unit mod the exponent.  Read-only arrays.
+    """
+
+    generator: np.ndarray
+    order: np.ndarray
+    subgroup_of: np.ndarray
+    unit_of: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _cyclic_subgroups(moduli: tuple[int, ...]) -> CyclicSubgroups:
+    """The least generator of <x> is the least u * x over the units u mod the
+    exponent, taken in blocks of ``BLOCK_CELLS`` coordinates."""
+    coords, strides, mods = _index_table(moduli)
+    exponent = moduli[-1] if moduli else 1
+    units = [u for u in range(1, exponent) if gcd(u, exponent) == 1] or [1]
+    least, unit = np.arange(len(coords)), np.ones(len(coords), dtype=np.int64)
+    block = max(1, BLOCK_CELLS // max(1, coords.size))
+    for lo in range(0, len(units), block):
+        us = units[lo:lo + block]
+        ux = (coords * np.array(us)[:, None, None] % mods) @ strides
+        best, low = ux.argmin(axis=0), ux.min(axis=0)
+        smaller = low < least
+        least[smaller], unit[smaller] = low[smaller], np.array([pow(u, -1, exponent) for u in us])[best[smaller]]
+    generator, subgroup_of = np.unique(least, return_inverse=True)
+    # x has order N / gcd(N, its coordinates scaled to Z/N)
+    order = exponent // np.gcd(np.gcd.reduce(coords[generator] * (exponent // mods), axis=1), exponent)
+    out = CyclicSubgroups(generator, order, subgroup_of, unit)
+    for arr in vars(out).values():
+        arr.setflags(write=False)
+    return out
+
+
 def _flat(moduli: Sequence[int], x: Iterable[int]) -> int:
     """Flat index of the coordinate row x read modulo the moduli, exact for
     entries of any size."""
@@ -118,6 +161,9 @@ class FiniteSystem:
     def vectors(self, idx) -> np.ndarray:
         """Coordinate rows of the elements at flat indices idx."""
         return _index_table(self.moduli)[0][idx]
+
+    def cyclic_subgroups(self) -> CyclicSubgroups:
+        return _cyclic_subgroups(self.moduli)
 
     def mask(self, s: Iterable[int]) -> np.ndarray:
         """Indicator of the set s over the flat indices."""

@@ -712,7 +712,17 @@ _INTERSECT = {
     "haystack": {"multipliers": [2, 3], "count": 8},
 }
 
-#: one working config per scalar integer field, and the path to that field
+_PATTERN = {
+    "experiment": "pattern-search",
+    "rank": 2,
+    "window": 8,
+    "set": {"kind": "full"},
+    "p": 2,
+    "probes": [[[0, 1]]],
+    "bounds": {"n_max": 2, "m_max": 2, "lambda_count": 3, "multipliers": [2, 3]},
+}
+
+#: one working config per integer field, and the path to one entry of it
 _INTEGER_FIELDS = {
     "rank": ({"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "full"}}, ["rank"]),
     "window": ({"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "full"}}, ["window"]),
@@ -785,6 +795,44 @@ _INTEGER_FIELDS = {
     "haystack-verify-multipliers": (
         {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 4},
         ["multipliers", 1],
+    ),
+    # the fields below used to be truncated and run
+    "n_max": (_PATTERN, ["bounds", "n_max"]),
+    "m_max": (_PATTERN, ["bounds", "m_max"]),
+    "lambda_count": (_PATTERN, ["bounds", "lambda_count"]),
+    "bounds-multipliers": (_PATTERN, ["bounds", "multipliers", 1]),
+    "pattern-probes": (_PATTERN, ["probes", 0, 0, 1]),
+    "intersect-probes": (_INTERSECT, ["probes", 1, 0, 0]),
+    "haystack-basis": (
+        {**_INTERSECT, "haystack": {"multipliers": [2, 3], "count": 8, "basis": [[1, 0], [1, 1]]}},
+        ["haystack", "basis", 1, 0],
+    ),
+    "haystack-verify-vectors": (
+        {"experiment": "haystack-verify", "rank": 2, "vectors": [[1, 2], [3, 1]]},
+        ["vectors", 0, 0],
+    ),
+    "haystack-verify-basis": (
+        {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 4, "basis": [[1, 0], [1, 1]]},
+        ["basis", 1, 1],
+    ),
+    "sublattice": (
+        {
+            "experiment": "decompose",
+            "system": _FINITE_2,
+            "set_b": {"kind": "elements", "points": [[0], [1]]},
+            "sublattice": [[2, 0], [0, 2]],
+        },
+        ["sublattice", 0, 0],
+    ),
+    "annihilator_lambdas": (
+        {
+            "experiment": "spectral-report",
+            "system": _KRONECKER_2,
+            "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]},
+            "trunc": 2,
+            "annihilator_lambdas": [[0, 1]],
+        },
+        ["annihilator_lambdas", 0, 1],
     ),
 }
 

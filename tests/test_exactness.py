@@ -9,12 +9,9 @@ from math import cos, gcd, pi, sin
 import numpy as np
 import pytest
 
-from latspec.cyclotomic import (
-    _cos_grid,
-    cyclotomic_polynomial,
-    enclose_real_root_rows,
-    reduction_matrix,
-)
+from _cyclotomic import cyclotomic_polynomial, reduction_matrix, root_values
+from _fleet import random_fleet
+from latspec.cyclotomic import _cos_grid, enclose_real_root_rows, ramanujan_sums, totient
 from latspec.formal import FormalReal
 from latspec.intervals import (
     _GRID_BITS,
@@ -26,7 +23,7 @@ from latspec.intervals import (
     sinpi,
     sinpi_sq_exact,
 )
-from latspec.spectral import _root_values
+from latspec.spectral import _orbit_tables
 
 
 def test_pi_bounds():
@@ -198,9 +195,17 @@ def test_reduction_rows_match_the_tuple_recurrence():
         assert red.dtype == np.int64 and not red.flags.writeable
 
 
+def _trace_values(rows):
+    """The value of each row by the trace test: an integer, or None where irrational."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    sums, rational = ramanujan_sums(rows)
+    phi = totient(rows.shape[1])
+    return [tr // phi if ok else None for tr, ok in zip(sums[:, 0].tolist(), rational)]
+
+
 def test_sum_of_all_roots_is_zero():
     for n in (2, 3, 4, 5, 6, 8, 12, 30):
-        assert _root_values(n, np.ones(n, dtype=np.int64)) == [0]
+        assert _trace_values(np.ones(n, dtype=np.int64)) == root_values(n, np.ones(n, dtype=np.int64)) == [0]
 
 
 def test_root_vector_value_checks():
@@ -210,13 +215,54 @@ def test_root_vector_value_checks():
             [0, 1, 0, 1],  # z + z^3 = i + (-i) = 0
             [3, 0, 0, 0],  # a constant is its own value
             [2, 1, 1, 1],  # 1 + (1 + z + z^2 + z^3) = 1
-            [0, 1, 0, 0],  # z = i is irrational
         ]
     )
-    assert _root_values(4, rows) == [0, 0, 3, 1, None]
+    assert _trace_values(rows) == root_values(4, rows) == [0, 0, 3, 1]
     # geometric identity: 1 + z + z^2 + z^3 + z^4 = 0 at n = 5, while
     # z + z^4 = 2 cos(2 pi / 5) is not rational
-    assert _root_values(5, np.array([[1] * 5, [0, 1, 0, 0, 1]])) == [0, None]
+    rows = np.array([[1] * 5, [0, 1, 0, 0, 1]])
+    assert _trace_values(rows) == root_values(5, rows) == [0, None]
+    # at n = 8, z + z^7 = sqrt(2) is irrational and z^2 + z^6 = i - i = 0
+    rows = np.array([[0, 1, 0, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0, 1, 0]])
+    assert _trace_values(rows) == root_values(8, rows) == [None, 0]
+
+
+def _ramanujan_reference(d, rows):
+    """R[:, e] = sum_j rows[:, j] c_d(j + e), each c_d(k) the value of the sum
+    of z^(u k) over the units u mod d, decided by the reduction oracle."""
+    units = np.array([u for u in range(1, d + 1) if gcd(u, d) == 1])
+    c = [root_values(d, np.bincount(units * k % d, minlength=d))[0] for k in range(d)]
+    return np.array([[sum(row[j] * c[(j + e) % d] for j in range(d)) for e in range(d)] for row in rows])
+
+
+def test_trace_test_agrees_with_reduction_modulo_phi():
+    rng = random.Random(17)
+    for d in range(1, 61):
+        hists = [[rng.randint(0, 3) * rng.randint(0, 1) for _ in range(d)] for _ in range(4)]
+        hists.append([0] * (d - 1) + [2])
+        # autocorrelation rows: the (a, b) with a - b = j, a histogram's own pairs
+        rows = np.array([[sum(h[i] * h[(i + j) % d] for i in range(d)) for j in range(d)] for h in hists])
+        sums, rational = ramanujan_sums(rows)
+        assert np.array_equal(sums, _ramanujan_reference(d, rows)), d
+        values = root_values(d, rows)
+        assert rational == [v is not None for v in values], d
+        assert _trace_values(rows) == values, d
+    # every orbit of the fleet, with each character's own row moved by its unit
+    for sys_, b in random_fleet(5, 25):
+        t = _orbit_tables(sys_, b)
+        n = sys_.exponent
+        for c in range(sys_.size):
+            o = t.subgroups.subgroup_of[c]
+            row = np.zeros(n, dtype=np.int64)
+            row[t.subgroups.unit_of[c] * np.arange(n) % n] = t.rows[o]
+            (value,) = root_values(n, row)
+            assert t.rational[o] == (value is not None)
+        for o in range(len(t.rows)):
+            chars = np.flatnonzero(t.subgroups.subgroup_of == o)
+            moved = t.subgroups.unit_of[chars, None] * np.arange(n) % n
+            total = np.zeros(n, dtype=np.int64)
+            np.add.at(total, moved, np.broadcast_to(t.rows[o], moved.shape))
+            assert root_values(n, total) == [t.sums[o, 0]]
 
 
 def test_enclose_real_root_vector():

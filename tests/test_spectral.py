@@ -11,6 +11,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from _cyclotomic import root_values
 from _fleet import pts, random_fleet, tuples
 from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
@@ -144,18 +145,32 @@ def test_bochner_examples_and_fleet():
         assert verify_bochner(sys_, b, 4).ok
 
 
+def _character_rows(sys_, t):
+    """Each character's own root-count row over Z/exponent: its orbit's row
+    moved from k to u * k, u its unit."""
+    n = sys_.exponent
+    rows = np.zeros((sys_.size, n), dtype=np.int64)
+    for c in range(sys_.size):
+        rows[c, t.subgroups.unit_of[c] * np.arange(n) % n] = t.rows[t.subgroups.subgroup_of[c]]
+    return rows
+
+
 def _bochner_reference(sys_, b, lam_box):
-    """verify_bochner one lam at a time: every root-count row rolled by the
-    exponent of chi_c(phi(lam)) and summed, against the overlap mask."""
-    t = spectral._finite_tables(sys_, frozenset(b))
+    """verify_bochner one lam at a time: every character's row rolled by the
+    exponent of chi_c(phi(lam)) and summed, decided by reduction modulo the
+    cyclotomic polynomial, against the overlap mask."""
+    t = spectral._orbit_tables(sys_, frozenset(b))
+    rows = _character_rows(sys_, t)
+    dual = sys_.vectors(np.arange(sys_.size)) * (sys_.exponent // np.array(sys_.moduli, dtype=np.int64))
     in_b = sys_.mask(b)
     lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
     violations = []
     for lam in lams:
         g = sys_.phi(lam)
-        total = sum(np.roll(row, e) for row, e in zip(t.root_counts, t.exponents_at(sys_.vectors(g)).tolist()))
+        exps = (dual @ sys_.vectors(g)) % sys_.exponent
+        total = sum(np.roll(row, e) for row, e in zip(rows, exps.tolist()))
         cnt = int(np.count_nonzero(sys_.overlap(in_b, g)))
-        if spectral._root_values(t.order, total)[0] != cnt * sys_.size:
+        if root_values(sys_.exponent, total)[0] != cnt * sys_.size:
             violations.append(lam)
     return spectral.BochnerReport(ok=not violations, checked=len(lams), violations=tuple(violations))
 
@@ -177,21 +192,22 @@ def _bochner_systems(seed):
 
 
 def _perturb_tables(monkeypatch, move):
-    """Patch the finite tables: ``move(rows)`` edits a copy of the root counts."""
-    real = spectral._finite_tables
+    """Patch the orbit tables: ``move(sys_, rows)`` edits a copy of the orbit
+    rows, and the orbit sums are rebuilt from them."""
+    real = spectral._orbit_tables
 
     def perturbed(sys_, bset):
         t = real(sys_, bset)
-        rows = t.root_counts.copy()
-        move(rows)
-        return dataclasses.replace(t, root_counts=rows)
+        rows = t.rows.copy()
+        move(sys_, rows)
+        return spectral._with_sums(t.subgroups, t.pairing, rows)
 
-    monkeypatch.setattr(spectral, "_finite_tables", perturbed)
+    monkeypatch.setattr(spectral, "_orbit_tables", perturbed)
 
 
-def _trade_with_the_trivial_row(rows):
-    # one count moves from the last character's row to the trivial one's:
-    # the atom sum then misses exactly where chi_last(g) != 1
+def _trade_with_the_trivial_row(sys_, rows):
+    # one count moves from the last orbit's row to the trivial one's: the
+    # character sum then misses where the last orbit's Ramanujan sum is not 1
     rows[0, 0] += 1
     rows[-1, 0] -= 1
 
@@ -217,29 +233,32 @@ def test_bochner_catches_one_perturbed_root_count_row(monkeypatch):
     b = frozenset(random.Random(9).sample(range(sys_.size), 5))
     assert verify_bochner(sys_, b, 2).ok
 
-    def move(rows):
-        # one count of character 7 moved from z^0 to z^1: the row total stays
-        rows[7, 0] -= 1
-        rows[7, 1] += 1
+    def move(sys_, rows):
+        # one count of the orbit of character 7, {1, 5, 7, 11}, moved from
+        # z^0 to z^1: each row total stays, and the count of u * c moves to z^u
+        o = sys_.cyclic_subgroups().subgroup_of[7]
+        rows[o, 0] -= 1
+        rows[o, 1] += 1
 
     _perturb_tables(monkeypatch, move)
     rep = verify_bochner(sys_, b, 2)
-    # z^e (z - 1) is never zero, so every lam misses
+    # the sum moves by c_12(e + 1) - c_12(e), and c_12 is 0 at odd e and
+    # nonzero at even e, so every lam misses
     assert not rep.ok and rep.checked == 25
     assert rep.violations == tuple(product(range(-2, 3), repeat=2))
 
 
 def test_bochner_report_does_not_depend_on_the_chunking(monkeypatch):
+    # all images of a box go through the orbit sums in one array pass; the
+    # verdict on a lam must not depend on which other images share that pass
     cases = _bochner_systems(81)
     _perturb_tables(monkeypatch, _trade_with_the_trivial_row)
     whole = [verify_bochner(sys_, b, 3) for sys_, b in cases]
     assert any(0 < len(r.violations) < r.checked for r in whole)
-    for per_chunk in (1, 2, 5):
+    for box in range(3):
         for (sys_, b), ref in zip(cases, whole):
-            # room for the tables, but only a few images per chunk
-            cells = sys_.size * sys_.exponent
-            monkeypatch.setattr(spectral, "CELL_LIMIT", max(cells * per_chunk, len(b) ** 2))
-            assert verify_bochner(sys_, b, 3) == ref
+            inner = tuple(lam for lam in ref.violations if max(map(abs, lam)) <= box)
+            assert verify_bochner(sys_, b, box).violations == inner
 
 
 def _exponent_matrix_tables(sys_, b):
@@ -259,11 +278,18 @@ def _exponent_matrix_tables(sys_, b):
 
 def test_root_counts_and_bochner_exponents_match_the_exponent_matrix():
     for sys_, b in random_fleet(23, 30):
-        t = spectral._finite_tables(sys_, b)
+        t = spectral._orbit_tables(sys_, b)
         exp_matrix, root_counts = _exponent_matrix_tables(sys_, b)
-        assert np.array_equal(t.root_counts, root_counts)
+        assert np.array_equal(_character_rows(sys_, t), root_counts)
+        sub = t.subgroups
         for h, g in enumerate(sys_.vectors(np.arange(sys_.size))):
-            assert np.array_equal(t.exponents_at(g), exp_matrix[:, h])
+            # the phase of each orbit at h, and of each character u * c
+            phases = (t.pairing @ g) % sys_.exponent
+            assert np.array_equal(phases, exp_matrix[sub.generator, h])
+            assert np.array_equal(sub.unit_of * phases[sub.subgroup_of] % sys_.exponent, exp_matrix[:, h])
+        # each atom's exponents on Z^r, chi_c at the generator images
+        exps = [a.character.exps for a in spectral_measure(sys_, b).atoms]
+        assert exps == [tuple(row) for row in exp_matrix[:, list(sys_.gens)].tolist()]
 
 
 def test_finite_tables_stay_small_on_a_3600_point_carrier():
@@ -273,31 +299,79 @@ def test_finite_tables_stay_small_on_a_3600_point_carrier():
     sys_.vectors(0)  # the coordinate table is cached per moduli
     tracemalloc.start()
     try:
-        t = spectral._finite_tables(sys_, b)
+        t = spectral._orbit_tables(sys_, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
-    assert t.root_counts.shape == (3600, 60)
+    # one row per cyclic subgroup of (Z/60)^2, over Z/60
+    assert t.rows.shape == (350, 60)
+
+
+def _refused_quickly_and_small(call, reason):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=reason):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and time.perf_counter() - start < 0.5
+
+
+#: (Z/271)^2: phi(271) = 270, so the orbit sums admit |B| up to 13595
+_Z271 = finite_system_from_parts(2, [271, 271], [[1, 0], [0, 1]])
 
 
 def test_cell_limit_is_checked_before_the_tables_are_built():
     cyclic = finite_system_from_parts(1, [10**5], [[1]])
-    cube = finite_system_from_parts(13, [2] * 13, [[int(i == j) for i in range(13)] for j in range(13)])
-    cube_b = frozenset(range(4500))
-    for sys_, b, reason in (
-        (cyclic, pts(cyclic, (0,), (1,)), "100000 x 100000 root counts, over the limit of 20000000"),
-        (cube, cube_b, "20250000 difference pairs, over the limit of 20000000"),
-    ):
-        start = time.perf_counter()
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=reason):
-                spectral._finite_tables(sys_, frozenset(b))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20 and time.perf_counter() - start < 0.5
+    b = pts(cyclic, (0,), (1,))
+    _refused_quickly_and_small(
+        lambda: spectral._orbit_tables(cyclic, b), "100000 x 100000 root counts, over the limit of 20000000"
+    )
+    # the int64 guard of the orbit sums refuses before any table is built
+    over = frozenset(range(13596))
+    _refused_quickly_and_small(lambda: spectral._orbit_tables(_Z271, over), "9225892455303237120 bounds the orbit sums")
+
+
+def test_orbit_sum_guard_admits_up_to_its_boundary():
+    # |B|^4 phi(271) = 13595^4 * 270 < 2^63 <= 13596^4 * 270
+    assert 13595**4 * 270 < 1 << 63 <= 13596**4 * 270
+    b = frozenset(random.Random(6).sample(range(_Z271.size), 13595))
+    t = spectral._orbit_tables(_Z271, b)
+    # Parseval: the orbit traces add up to |A| |B|
+    assert int(t.sums[:, 0].sum()) == _Z271.size * len(b)
+    with pytest.raises(ValueError, match="over int64"):
+        spectral._orbit_tables(_Z271, b | {min(set(range(_Z271.size)) - b)})
+
+
+def test_finite_measure_scales_to_a_2000_point_cyclic_carrier():
+    # one integer row per divisor of 2000; the cyclotomic reduction of every
+    # row took over 8 s here
+    sys_ = finite_system_from_parts(1, [2000], [[1]])
+    b = frozenset(random.Random(7).sample(range(sys_.size), 667))
+    start = time.perf_counter()
+    sigma = spectral_measure(sys_, b)
+    assert verify_bochner(sys_, b, 4).ok
+    assert time.perf_counter() - start < 2
+    assert len(sigma.atoms) == 2000
+
+
+def test_finite_measure_memory_on_a_10000_point_split_carrier():
+    # the |B|^2 difference table and the |A| x exponent root counts took
+    # 340 MiB at peak here
+    sys_ = finite_system_from_parts(2, [100, 100], [[1, 0], [0, 1]])
+    b = frozenset(random.Random(8).sample(range(sys_.size), 3333))
+    sys_.vectors(0)  # the coordinate table is cached per moduli
+    tracemalloc.start()
+    try:
+        sigma = spectral_measure(sys_, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert sigma.total.value == Fraction(3333, 10**4)
 
 
 def test_expansion_bound_is_one_over_the_normalized_annihilator_mass():

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import gcd
 from itertools import product
 
 import numpy as np
@@ -648,3 +649,30 @@ def test_integer_theta_matches_the_formal_real_reference():
             seen["direction"].add(ergodic)
     # every predicate was seen both ways
     assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_cyclic_subgroup_index_matches_a_brute_force_enumeration():
+    one_point = finite_system_from_parts(2, [1], [[0], [0]])
+    carriers = {sys_.moduli: sys_ for sys_, _ in random_fleet(29, 40)}
+    carriers[()] = one_point
+    assert len(carriers) > 10
+    for sys_ in carriers.values():
+        idx = sys_.cyclic_subgroups()
+        every = range(sys_.size)
+        # <x> as the set of its multiples
+        span = {x: frozenset(sys_.translate(0, sys_.multiples(range(sys_.order_of(x)), x)).tolist()) for x in every}
+        assert {span[g] for g in idx.generator.tolist()} == set(span.values())
+        assert len(idx.generator) == len(set(span.values()))
+        for s, (g, d) in enumerate(zip(idx.generator.tolist(), idx.order.tolist())):
+            generators = [x for x in every if idx.subgroup_of[x] == s]
+            # the generator sets partition A, one per subgroup, least generator first
+            assert generators == [x for x in every if span[x] == span[g]]
+            assert g == min(generators) and d == len(span[g])
+        for x in every:
+            u = int(idx.unit_of[x])
+            g = int(idx.generator[idx.subgroup_of[x]])
+            assert gcd(u, sys_.exponent) == 1
+            assert sys_.translate(0, sys_.multiples([u], g))[0] == x
+        for arr in (idx.generator, idx.order, idx.subgroup_of, idx.unit_of):
+            assert not arr.flags.writeable
+    assert one_point.cyclic_subgroups().generator.tolist() == [0]
