@@ -175,8 +175,8 @@ class SpectralMeasure:
 # ---------------------------------------------------------------------------
 # finite-system tables (shared by the measure, Bochner and mass routines)
 
-#: most root counts |A| x exponent, one per character and power of z, that a finite
-#: measure may stand for; checked first, it bounds the steps of the subgroup index
+#: most root counts |A| x exponent of a finite measure, checked first (it bounds the
+#: steps of the subgroup index), and most coordinates orbits x |B| x s of its rows
 CELL_LIMIT = 2 * 10**7
 
 
@@ -218,6 +218,9 @@ def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
     if bound >= 1 << 63:
         raise ValueError(f"|B|^4 x phi(exponent) = {bound} bounds the orbit sums, over int64")
     sub = sys_.cyclic_subgroups()
+    cells = len(sub.generator) * len(bset) * max(1, len(sys_.moduli))
+    if cells > CELL_LIMIT:
+        raise ValueError(f"orbits x |B| x s = {cells} coordinates, over the limit of {CELL_LIMIT}")
     pairing = sys_.vectors(sub.generator) * (order // np.array(sys_.moduli, dtype=np.int64))
     b = sys_.vectors(np.fromiter(bset, dtype=np.int64))
     rows = np.zeros((len(pairing), order), dtype=np.int64)
@@ -518,10 +521,10 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> Bochne
     in_b = sys_.mask(bset)
     b_idx = np.flatnonzero(in_b)[:, None]
     # |B ∩ (B + g)| for blocks of images, |B| x s coordinates per image
-    block = max(1, BLOCK_CELLS // (len(bset) * max(1, len(sys_.moduli))))
-    counts = np.concatenate(
-        [np.count_nonzero(in_b[sys_.translate(b_idx, -g[lo:lo + block])], axis=0) for lo in range(0, len(g), block)]
-    )
+    block = max(1, BLOCK_CELLS // max(1, len(bset) * len(sys_.moduli)))
+    counts = np.zeros(len(g), dtype=np.int64)
+    for lo in range(0, len(g), block):
+        counts[lo:lo + block] = np.count_nonzero(in_b[sys_.translate(b_idx, -g[lo:lo + block])], axis=0)
     ok = (sums == counts * sys_.size).tolist()
     violations = tuple(lam for lam, i in zip(lams, which.tolist()) if not ok[i])
     return BochnerReport(ok=not violations, checked=len(lams), violations=violations)
@@ -711,11 +714,7 @@ def irrational_part(sigma: SpectralMeasure) -> IrrationalPart:
             tail=ZERO_WEIGHT,
             total=ZERO_WEIGHT,
         )
-    atoms = tuple(
-        a
-        for a in sigma.atoms
-        if not a.character.is_trivial and not a.character.is_rational
-    )
+    atoms = tuple(a for a in sigma.atoms if not a.character.is_rational)
     lo = sum((a.weight.lower for a in atoms), start=Fraction(0))
     hi = sum((a.weight.upper for a in atoms), start=Fraction(0)) + sigma.tail.upper
     return IrrationalPart(

@@ -17,7 +17,7 @@ from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
-from latspec import spectral
+from latspec import spectral, systems
 from latspec.cli import _parse_set_b, _parse_system, _run_spectral_report, ser_weight
 from latspec.spectral import (
     Atom,
@@ -143,6 +143,9 @@ def test_bochner_examples_and_fleet():
     assert rep.ok and rep.checked == 81
     for sys_, b in random_fleet(99, 20):
         assert verify_bochner(sys_, b, 4).ok
+    # no lams, or an empty B: zero sums against zero counts
+    assert verify_bochner(sys_, b, -1) == spectral.BochnerReport(ok=True, checked=0)
+    assert verify_bochner(sys_, (), 1) == spectral.BochnerReport(ok=True, checked=3**sys_.rank)
 
 
 def _character_rows(sys_, t):
@@ -189,6 +192,10 @@ def _bochner_systems(seed):
             els = range(s.size)
             out.append((s, frozenset(rng.sample(els, rng.randint(1, len(els))))))
     return out
+
+
+#: the cached tables, whichever function a test patches in their place
+_ORBIT_TABLES = spectral._orbit_tables
 
 
 def _perturb_tables(monkeypatch, move):
@@ -248,7 +255,56 @@ def test_bochner_catches_one_perturbed_root_count_row(monkeypatch):
     assert rep.violations == tuple(product(range(-2, 3), repeat=2))
 
 
+def _clear_finite_caches():
+    systems._cyclic_subgroups.cache_clear()
+    _ORBIT_TABLES.cache_clear()
+    spectral._spectral_measure_cached.cache_clear()
+
+
+def _finite_outputs(cases, lam_box):
+    """Each case's Bochner report, atoms (None where the tables fail the
+    measure's own checks) and subgroup index arrays, built from empty caches."""
+    _clear_finite_caches()
+    out = []
+    for sys_, b in cases:
+        try:
+            atoms = spectral_measure(sys_, b).atoms
+        except AssertionError:
+            atoms = None
+        sub = sys_.cyclic_subgroups()
+        arrays = tuple(a.tolist() for a in (sub.generator, sub.order, sub.subgroup_of, sub.unit_of))
+        out.append((verify_bochner(sys_, b, lam_box), atoms, arrays))
+    return out
+
+
 def test_bochner_report_does_not_depend_on_the_chunking(monkeypatch):
+    # BLOCK_CELLS sets how many images the Bochner counts, irrational
+    # characters the enclosures and units the subgroup index take per array
+    # pass; with 1, 2 or 5 of each per pass nothing may change
+    cases = _bochner_systems(81)
+    try:
+        for perturbed in (False, True):
+            if perturbed:
+                _perturb_tables(monkeypatch, _trade_with_the_trivial_row)
+            whole = _finite_outputs(cases, 3)
+            assert all(atoms is None for _, atoms, _ in whole) == perturbed
+            assert any(0 < len(r.violations) < r.checked for r, _, _ in whole) == perturbed
+            for case, ref in zip(cases, whole):
+                sys_, b = case
+                s = len(sys_.moduli)
+                # cells per image, per character and per unit
+                for cells in (len(b) * s, sys_.exponent, sys_.size * s):
+                    for per_block in (1, 2, 5):
+                        monkeypatch.setattr(spectral, "BLOCK_CELLS", cells * per_block)
+                        monkeypatch.setattr(systems, "BLOCK_CELLS", cells * per_block)
+                        assert _finite_outputs([case], 3) == [ref]
+            monkeypatch.undo()
+    finally:
+        # later tests get tables built at the default block size
+        _clear_finite_caches()
+
+
+def test_bochner_verdict_on_a_lam_does_not_depend_on_its_box(monkeypatch):
     # all images of a box go through the orbit sums in one array pass; the
     # verdict on a lam must not depend on which other images share that pass
     cases = _bochner_systems(81)
@@ -333,6 +389,19 @@ def test_cell_limit_is_checked_before_the_tables_are_built():
     # the int64 guard of the orbit sums refuses before any table is built
     over = frozenset(range(13596))
     _refused_quickly_and_small(lambda: spectral._orbit_tables(_Z271, over), "9225892455303237120 bounds the orbit sums")
+
+
+def test_orbit_coordinates_are_refused_before_the_rows_are_built():
+    # (Z/2)^13 has 8192 orbits of one character each: B is read 8192 times,
+    # 13 coordinates a point, and 8192 * 187 * 13 <= 2 * 10^7 < 8192 * 188 * 13
+    cube = finite_system_from_parts(13, [2] * 13, np.eye(13, dtype=int).tolist())
+    assert len(cube.cyclic_subgroups().generator) == 8192  # the index is cached per moduli
+    assert spectral._orbit_tables(cube, frozenset(range(187))).rows.shape == (8192, 2)
+    for size in (188, 4473):
+        over = frozenset(range(size))
+        _refused_quickly_and_small(
+            lambda: spectral._orbit_tables(cube, over), rf"orbits x \|B\| x s = {8192 * size * 13} coordinates"
+        )
 
 
 def test_orbit_sum_guard_admits_up_to_its_boundary():
