@@ -55,6 +55,8 @@ from .systems import (
 from .volume import (
     PatternWitness,
     SearchBounds,
+    _int,
+    _integral,
     ap_certificate,
     build_point_set,
     pattern_search,
@@ -109,8 +111,8 @@ def ser_fraction(q: Fraction) -> dict:
 def parse_fraction(value) -> Fraction:
     try:
         if isinstance(value, dict):
-            return Fraction(int(value["num"]), int(value["den"]))
-        if isinstance(value, (str, int, float)):
+            return Fraction(_int(value["num"], "num"), _int(value["den"], "den"))
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
             return Fraction(value)
     except ZeroDivisionError:
         raise ConfigError(f"zero denominator in rational {value!r}") from None
@@ -141,22 +143,6 @@ def _parse_formal(entry) -> FormalReal:
         terms = tuple((name, parse_fraction(coeff)) for name, coeff in sorted(symbols.items()))
         return FormalReal(rational, terms)
     raise ConfigError(f"cannot parse frequency entry {entry!r}")
-
-
-def _integral(value, what: str):
-    """value itself, once no entry of it (nested lists included) is a JSON
-    boolean or a non-integral number."""
-    if isinstance(value, list):
-        for entry in value:
-            _integral(entry, what)
-    elif isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{what} entry {json.dumps(value)} is not an integer")
-    return value
-
-
-def _int(value, what: str) -> int:
-    """A scalar integer field, refused like ``_integral`` instead of truncated."""
-    return int(_integral(value, what))
 
 
 def _parse_system(desc: dict):

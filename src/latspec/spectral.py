@@ -1,21 +1,24 @@
 """Spectral measures of sets under Z^r-actions and the expansion pipeline.
 
 For a finite system the spectral measure of a set B is atomic with one atom
-per character of the carrier.  The characters fall into Galois orbits, one
-per cyclic subgroup, each with one integer row of root counts; an orbit's
-weights are rational together or not at all, and its sums are integer
-Ramanujan sums.  Every mass a theorem is checked against is computed by the
-exact rational coset formulas and cross-checked against those orbit sums.
-Kronecker systems get truncated atom lists with certified interval weights
-and an exact Parseval tail bound; interval-valued verdicts are flagged as
-estimates, never promoted.
+per character of the carrier, held as its dual label.  The characters fall
+into Galois orbits, one per cyclic subgroup, each with one integer row of
+root counts; an orbit's weights are rational together or not at all, and
+its sums are integer Ramanujan sums.  Every mass a theorem is checked
+against is computed by the exact rational coset formulas and cross-checked
+against those orbit sums.  Kronecker systems get truncated atom lists with
+certified interval weights and an exact Parseval tail bound; interval-valued
+verdicts are flagged as estimates, never promoted.  A torus character is its
+frequency k, and whether it annihilates a direction is read from the
+system's integer shift of that direction.
 
 On top of the measures sit the quantitative checks: the Bochner identity,
 the expansion lower bound mu(S lam.B) >= mu(B)^2 / sigma_B(annihilator),
 the small-annihilator scan over a haystack, the finite-measure-space
 small-intersection dichotomy, rational-spectrum shrinking through ergodic
-decomposition under n * Z^r, and the intersection-witness search that chains
-all of the above.
+decomposition under n * Z^r (on the coset labels of its image, one component
+materialised), and the intersection-witness search that chains all of the
+above.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .systems import (
     FiniteSystem,
     KroneckerSystem,
     box_grid,
+    component_labels,
     component_presentation,
-    ergodic_components,
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     orbit_saturation,
@@ -54,48 +57,17 @@ from .systems import (
 
 @dataclass(frozen=True)
 class FiniteCharacter:
-    """Character of Z^r pulled back from the dual of a finite carrier.
+    """Character of Z^r pulled back from the dual of a finite carrier: label c
+    pairs with phi(lam) as in the orbit tables, and label 0 is trivial."""
 
-    Evaluation at lam is z^(sum exps[j] * lam[j]) for z a primitive root of
-    unity of the carrier exponent; always rational (finite order).
-    """
-
-    exps: tuple[int, ...]
     dual_label: int
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exps)
 
 
 @dataclass(frozen=True)
 class KroneckerCharacter:
-    """Torus character xi_k(lam) = e(k^T Theta lam) via its pairing row.
-
-    The row k^T Theta is held in integers over ``den``: ``rat`` is den times
-    its rational part and ``sym[t]`` den times its coefficients of symbol t.
-    """
+    """Torus character xi_k(lam) = e(k^T Theta lam); its system decides the rest."""
 
     freq: tuple[int, ...]
-    den: int
-    rat: tuple[int, ...]
-    sym: tuple[tuple[int, ...], ...]
-
-    def annihilates(self, lam) -> bool:
-        c = as_coords(lam)
-        return all(_dot(row, c) == 0 for row in self.sym) and _dot(self.rat, c) % self.den == 0
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.is_rational and all(x % self.den == 0 for x in self.rat)
-
-    @property
-    def is_rational(self) -> bool:
-        return not any(any(row) for row in self.sym)
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v, strict=True))
 
 
 Character = Union[FiniteCharacter, KroneckerCharacter]
@@ -184,8 +156,9 @@ CELL_LIMIT = 2 * 10**7
 class _OrbitTables:
     """The characters of A in Galois orbits, one per cyclic subgroup <c>.
 
-    Label c pairs with h as z^(pairing(c) @ h), z a primitive exponent-th
-    root of unity; orbit o holds the u * c, u a unit and c its least label.
+    Label c pairs with h as z^(e_c @ h), z a primitive exponent-th root of
+    unity and e_c the coordinates of c scaled to Z/exponent; orbit o holds
+    the u * c, u a unit and c its least label, whose e_c is ``pairing[o]``.
     ``rows[o, k]`` counts the (a, b) in B^2 with chi_c(a - b) = z^k, so
     |A|^2 |u*c hat|^2 = sum_k rows[o, k] z^(u k); ``sums[o, e]`` is the sum
     over the orbit of chi(g) |A|^2 |chi hat|^2 for any g with chi_c(g) = z^e
@@ -238,9 +211,14 @@ def _coset_mass(sys_: FiniteSystem, cells: np.ndarray, g: int) -> Fraction:
     """Sum over the cosets C of <g> of |C ∩ B|^2, over |<g>| * |A|, for B an
     index array or a mask: sigma_B of the characters trivial on <g>, and the
     mean of mu(B ∩ (B + m*g)) over one period of m."""
-    labels = sys_.coset_labels([g])
-    per_coset = np.bincount(labels[cells], minlength=sys_.size)
-    return Fraction(int(per_coset @ per_coset), sys_.order_of(g) * sys_.size)
+    per_coset = np.bincount(sys_.coset_labels([g])[cells], minlength=sys_.size)
+    return _trivial_on(per_coset, sys_.order_of(g), sys_.size)
+
+
+def _trivial_on(per_coset: np.ndarray, subgroup: int, size: int) -> Fraction:
+    """sigma_B of the characters trivial on a subgroup H of A, read from the
+    counts |C ∩ B| over the cosets C of H: sum |C ∩ B|^2 over |H| * |A|."""
+    return Fraction(int(per_coset @ per_coset), subgroup * size)
 
 
 @lru_cache(maxsize=65536)
@@ -282,14 +260,7 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
         rows[np.arange(len(chars))[:, None], moved] = t.rows[orbit_of[chars]]
         for c, iv in zip(chars.tolist(), enclose_real_root_rows(order, rows, n * n)):
             weights[c] = Weight.interval(iv)
-    # chi_(u c)(lam) = chi_c(lam)^u
-    exps = t.subgroups.unit_of[:, None] * (t.pairing @ sys_.vectors(list(sys_.gens)).T)[orbit_of] % order
-    atoms = [
-        Atom(character=FiniteCharacter(exps=tuple(e), dual_label=label), weight=w)
-        for label, (e, w) in enumerate(zip(exps.tolist(), weights))
-    ]
-    trivial = [a for a in atoms if a.character.is_trivial]
-    if len(trivial) != 1 or trivial[0].weight.value != mu_b * mu_b:
+    if weights[0].value != mu_b * mu_b:
         raise AssertionError("trivial atom mass must equal mu(B)^2")
     if int(t.sums[:, 0].sum()) != len(bset) * n:
         raise AssertionError("atom total must equal mu(B)")
@@ -297,7 +268,7 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMea
         kind="finite",
         system=sys_,
         base_set=bset,
-        atoms=tuple(atoms),
+        atoms=tuple(Atom(FiniteCharacter(label), w) for label, w in enumerate(weights)),
         tail=ZERO_WEIGHT,
         total=Weight.of(mu_b),
         trivial=Weight.of(mu_b * mu_b),
@@ -414,8 +385,7 @@ def spectral_measure_kronecker(
         w = _kron_weight(b, k)
         lo_sum += w.lower
         hi_sum += w.upper
-        char = KroneckerCharacter(k, sys_.den, *sys_.pairing(k))
-        atoms.append(Atom(character=char, weight=w))
+        atoms.append(Atom(character=KroneckerCharacter(k), weight=w))
     tail = Weight(max(Fraction(0), mu_b - hi_sum), max(Fraction(0), mu_b - lo_sum), False)
     return SpectralMeasure(
         kind="kronecker",
@@ -430,6 +400,22 @@ def spectral_measure_kronecker(
 
 # ---------------------------------------------------------------------------
 # masses and identities
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v, strict=True))
+
+
+def _annihilated(sys_: KroneckerSystem, atoms: Sequence[Atom], lam) -> Weight:
+    """Total weight of the atoms whose character is 1 at lam: those k with no
+    symbol left in k . (den Theta lam) and its rational part 0 mod den."""
+    rat, sym = sys_.shift(lam)
+    acc = ZERO_WEIGHT
+    for a in atoms:
+        k = a.character.freq
+        if _dot(k, rat) % sys_.den == 0 and not any(_dot(k, col) for col in sym):
+            acc = acc + a.weight
+    return acc
+
 
 def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
     """Raw mass sigma_B of the characters with xi(lam) = 1.
@@ -453,10 +439,7 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
         if Fraction(int(t.sums[on_g, 0].sum()), sys_.size**2) != value:
             raise AssertionError("coset formula disagrees with atom sum")
         return Weight.of(value)
-    acc = ZERO_WEIGHT
-    for a in sigma.atoms:
-        if a.character.annihilates(c):
-            acc = acc + a.weight
+    acc = _annihilated(sigma.system, sigma.atoms, c)
     # the annihilating share of the tail is anywhere in [0, tail.upper]
     acc = Weight(acc.lower, acc.upper + sigma.tail.upper, False)
     return acc.clamp(Fraction(0), sigma.total.upper)
@@ -476,20 +459,13 @@ def rational_mass_excluding_trivial(sigma: SpectralMeasure) -> Weight:
     """Mass on rational, nontrivial characters.
 
     Finite systems: every atom is rational, so this is total - trivial,
-    exactly.  Kronecker systems: the enumerated rational mass, exact zero
-    when it vanishes; the measure exists only for ergodic systems, where
-    the frequency matrix certifies that only k = 0 pairs rationally, so no
-    rational mass hides in the tail.
+    exactly.  Kronecker systems: exactly zero; the measure exists only for
+    ergodic systems, where the frequency matrix certifies that only k = 0
+    pairs rationally, atoms and tail alike.
     """
     if sigma.kind == "finite":
         return Weight.of(sigma.total.value - sigma.trivial.value)
-    enumerated = ZERO_WEIGHT
-    for a in sigma.atoms:
-        if a.character.is_rational and not a.character.is_trivial:
-            enumerated = enumerated + a.weight
-    if enumerated.lower == enumerated.upper == 0:
-        return Weight.of(0)
-    return enumerated
+    return ZERO_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -690,10 +666,7 @@ class IrrationalPart:
     total: Weight
 
     def annihilator_mass(self, lam) -> Weight:
-        acc = ZERO_WEIGHT
-        for a in self.atoms:
-            if a.character.annihilates(lam):
-                acc = acc + a.weight
+        acc = _annihilated(self.system, self.atoms, lam) if self.atoms else ZERO_WEIGHT
         acc = Weight(acc.lower, acc.upper + self.tail.upper, self.tail.upper == 0 and acc.exact)
         return acc.clamp(Fraction(0), self.total.upper)
 
@@ -714,7 +687,7 @@ def irrational_part(sigma: SpectralMeasure) -> IrrationalPart:
             tail=ZERO_WEIGHT,
             total=ZERO_WEIGHT,
         )
-    atoms = tuple(a for a in sigma.atoms if not a.character.is_rational)
+    atoms = tuple(a for a in sigma.atoms if any(a.character.freq))
     lo = sum((a.weight.lower for a in atoms), start=Fraction(0))
     hi = sum((a.weight.upper for a in atoms), start=Fraction(0)) + sigma.tail.upper
     return IrrationalPart(
@@ -907,10 +880,13 @@ def shrink_rational_spectrum(
 
     Scans n through 1!, 2!, 3!, ... short-circuited at the carrier exponent,
     where success is guaranteed (the sub-action is trivial, components are
-    points).  At each n the component is selected from the complement of the
-    two Markov-bad families: rational mass at least three times the ambient
-    pulled-back mass, or nu(B) at most mu(B)/3.  The returned component is
-    re-measured through its standalone presentation as a cross-check.
+    points).  The components are the cosets of H = phi(n * Z^r), each of
+    weight |H| / |A|, read off their labels and their counts |C ∩ B|.  At
+    each n the component is selected from the complement of the two
+    Markov-bad families: rational mass at least three times the ambient
+    pulled-back mass, or nu(B) at most mu(B)/3; the largest nu(B) wins, ties
+    to the least label.  The returned component is re-measured through its
+    standalone presentation as a cross-check.
     """
     eps_o = Fraction(eps_o)
     if eps_o <= 0:
@@ -918,32 +894,31 @@ def shrink_rational_spectrum(
     bset = frozenset(b)
     if not bset:
         raise ValueError("set must have positive measure")
-    mu_b = sys_.measure(bset)
+    size = sys_.size
+    mu_b = Fraction(len(bset), size)
+    b_idx = np.fromiter(bset, dtype=np.int64)
     tried = []
     for n in _factorial_candidates(sys_.exponent):
         tried.append(n)
         L = scale_lattice(sys_.rank, n)
-        # each component with its nu(B), measured once; only those meeting B
-        q_b = []
-        for comp in ergodic_components(sys_, L):
-            hits = len(bset & comp.support)
-            if hits:
-                q_b.append((comp, Fraction(hits, len(comp.support))))
-        c = min(comp.weight for comp, _ in q_b)
-        # the coset formula over the components: each coset C of phi(L) adds
-        # |C ∩ B|^2 / (|C| |A|) = weight * nu(B)^2
-        trivial_on = sum(comp.weight * nu**2 for comp, nu in q_b)
-        pi_mass = (mu_b - trivial_on) / (mu_b * mu_b)
-        if pi_mass == 0:
-            selected, nu_b = _select(q_b)
-        else:
-            # drop the Markov-bad families: mass 1/nu - 1 >= 3 pi_mass, or nu <= mu(B)/3
-            t_set = [(comp, nu) for comp, nu in q_b if 1 / nu - 1 < 3 * pi_mass and nu > mu_b / 3]
-            if not t_set:
-                raise AssertionError("Markov selection produced an empty component family")
-            selected, nu_b = _select(t_set)
+        labels = component_labels(sys_, L)
+        h = int(np.count_nonzero(labels == 0))
+        hits = np.bincount(labels[b_idx], minlength=size)
+        pi_mass = (mu_b - _trivial_on(hits, h, size)) / (mu_b * mu_b)
+        # nu = hits / |H|; the bad families are 1/nu - 1 >= 3 pi_mass and
+        # nu <= mu(B)/3, so a component is kept when hits exceeds both floors
+        floor = 0
+        if pi_mass:
+            p, q = pi_mass.numerator, pi_mass.denominator
+            floor = max(h * q // (q + 3 * p), h * len(bset) // (3 * size))
+        kept = np.where(hits > floor, hits, 0)
+        if not kept.any():
+            raise AssertionError("Markov selection produced an empty component family")
+        label = int(np.argmax(kept))
+        nu_b = Fraction(int(kept[label]), h)
         mass = 1 / nu_b - 1
         if mass < eps_o:
+            selected = ErgodicComponent(frozenset(np.flatnonzero(labels == label).tolist()), Fraction(h, size))
             pres = component_presentation(sys_, L, selected)
             comp_b = pres.restrict(bset)
             sigma = spectral_measure(pres.system, comp_b)
@@ -954,22 +929,13 @@ def shrink_rational_spectrum(
                 n=n,
                 component=selected,
                 presentation=pres,
-                c=c,
+                c=selected.weight,
                 nu_b=nu_b,
                 rational_mass=mass,
                 pi_mass=pi_mass,
                 tried=tuple(tried),
             )
     raise AssertionError("shrinking must succeed at the carrier exponent")
-
-
-def _select(
-    comps: Sequence[tuple[ErgodicComponent, Fraction]]
-) -> tuple[ErgodicComponent, Fraction]:
-    """Deterministic pick of (component, nu(B)): largest nu(B), ties to the
-    least support representative (least flat index, lexicographically least
-    point)."""
-    return max(comps, key=lambda pair: (pair[1], -min(pair[0].support)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ Two model classes are supported.  Finite systems are translation actions on
 a finite abelian group A (an invariant-factor chain of moduli) through a
 homomorphism phi: Z^r -> A given by generator images; every measure is an
 exact Fraction.  An element of A is its flat index in [0, |A|), the
-lexicographic mixed-radix number of its coordinates, and a set is a frozenset
-of flat indices.  Coordinates enter through ``FiniteSystem.index`` and the
-constructors and leave through ``FiniteSystem.vectors``.  Kronecker systems
-are torus rotations x -> x + Theta*lam with sets restricted to disjoint
-unions of rational half-open boxes.  Theta is given with formal-real entries
-and held as integer matrices over one common denominator, so every character
-and direction identity is integer arithmetic in the declared-symbol model.
+lexicographic mixed-radix number of its coordinates, and a set is any
+iterable of flat indices: a frozenset where it keys a cache, a sorted index
+array where a mask was built (a saturation).  The ergodic components of a
+sublattice are the coset labels of its image.  Coordinates enter through
+``FiniteSystem.index`` and the constructors and leave through
+``FiniteSystem.vectors``.  Kronecker systems are torus rotations
+x -> x + Theta*lam with sets restricted to disjoint unions of rational
+half-open boxes.  Theta is given with formal-real entries and held as
+integer matrices over one common denominator, so every character and
+direction identity is integer arithmetic in the declared-symbol model.
 A rational direction moves the torus on a grid 1/q * Z^dim, which is the
 finite carrier (Z/q)^dim: box overlaps and rational orbits are finite-system
 translates and cosets there, and Lebesgue measures stay exact.
@@ -284,8 +287,9 @@ def orbit_saturation(
     lam,
     sspec: Optional[ErgodicSetSpec] = None,
     terms: Optional[int] = None,
-) -> tuple[frozenset[int], Fraction]:
-    """The union of shifts of b along an averaging set, with its exact measure.
+) -> tuple[np.ndarray, Fraction]:
+    """The union of shifts of b along an averaging set, as its sorted flat
+    indices, with its exact measure.
 
     ``sspec=None`` means S = Z: the union over the full cyclic subgroup
     generated by phi(lam).  With a spec and ``terms=None`` the stabilized
@@ -302,7 +306,8 @@ def orbit_saturation(
     ks = sorted({k % order for k in (sspec or ErgodicSetSpec()).elements(count)})
     sat = np.zeros(sys_.size, dtype=bool)
     sat[sys_.translate(np.fromiter(b, dtype=np.int64)[:, None], sys_.multiples(ks, g))] = True
-    return frozenset(np.flatnonzero(sat).tolist()), Fraction(int(sat.sum()), sys_.size)
+    idx = np.flatnonzero(sat)
+    return idx, Fraction(len(idx), sys_.size)
 
 
 def is_ergodic_direction(sys_, lam) -> bool:
@@ -348,6 +353,14 @@ class ErgodicComponent:
         return Fraction(len(self.support.intersection(s)), len(self.support))
 
 
+def component_labels(sys_: FiniteSystem, L: SubLattice) -> np.ndarray:
+    """The ergodic component of each point under the sub-action of L: the
+    least flat index of its coset of the image subgroup phi(L)."""
+    if L.rank != sys_.rank:
+        raise ValueError("rank mismatch")
+    return sys_.coset_labels(sys_.phi(col) for col in mat_columns(L.basis_matrix))
+
+
 def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicComponent]:
     """Decompose the uniform measure under the sub-action of L.
 
@@ -355,9 +368,7 @@ def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicCompone
     normalized counting measure and weight |coset| / |A|; they are listed by
     lexicographically least representative.
     """
-    if L.rank != sys_.rank:
-        raise ValueError("rank mismatch")
-    labels = sys_.coset_labels(sys_.phi(col) for col in mat_columns(L.basis_matrix))
+    labels = component_labels(sys_, L)
     by_label = np.argsort(labels, kind="stable")
     _, starts = np.unique(labels[by_label], return_index=True)
     cosets = np.split(by_label, starts[1:])

@@ -14,6 +14,7 @@ inside the set, with (n, lam, m_1) shared across all probe tuples.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -72,7 +73,25 @@ def _window_points(kind: str, rank: int, window: int):
     return product(range(-window, window + 1), repeat=rank)
 
 
+def _integral(value, what: str):
+    """value itself, once no entry of it (nested lists included) is a JSON
+    boolean or a non-integral number."""
+    if isinstance(value, (list, tuple)):
+        for entry in value:
+            _integral(entry, what)
+    elif isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} entry {json.dumps(value)} is not an integer")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """A scalar integer field, refused like ``_integral`` instead of truncated."""
+    return int(_integral(value, what))
+
+
 def _parse_density(value) -> Fraction:
+    if isinstance(value, bool):
+        raise ValueError(f"density {json.dumps(value)} is not a rational")
     try:
         d = Fraction(value)
     except ZeroDivisionError:
@@ -105,10 +124,10 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
     if kind == "full":
         pts = set(_window_points(kind, rank, window))
     elif kind == "congruence":
-        n = int(descriptor["modulus"])
+        n = _int(descriptor["modulus"], "modulus")
         if n < 1:
             raise ValueError("modulus must be positive")
-        offset = tuple(int(x) for x in descriptor.get("offset", (0,) * rank))
+        offset = tuple(int(x) for x in _integral(descriptor.get("offset", (0,) * rank), "offset"))
         if len(offset) != rank:
             raise ValueError("offset rank mismatch")
         # the least x >= -window with x = o (mod n), then every n-th to window
@@ -117,12 +136,12 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
         pts = set(product(*axes))
     elif kind == "random":
         density = _parse_density(descriptor["density"])
-        seed = int(descriptor["seed"])
+        seed = _int(descriptor["seed"], "seed")
         threshold = (density.numerator << 64) // density.denominator
         rng = SplitMix64(seed)
         pts = {p for p in _window_points(kind, rank, window) if rng.next_u64() < threshold}
     elif kind == "explicit":
-        pts = {tuple(int(x) for x in p) for p in descriptor["points"]}
+        pts = {tuple(int(x) for x in p) for p in _integral(descriptor["points"], "points")}
         if any(len(p) != rank for p in pts):
             raise ValueError("point rank mismatch")
         pts = {p for p in pts if all(abs(x) <= window for x in p)}
@@ -138,7 +157,7 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
         for part in parts[1:]:
             pts &= build_point_set(part, rank, window).points
     elif kind == "translate":
-        offset = tuple(int(x) for x in descriptor["offset"])
+        offset = tuple(int(x) for x in _integral(descriptor["offset"], "offset"))
         if len(offset) != rank:
             raise ValueError("offset rank mismatch")
         base = build_point_set(descriptor["base"], rank, window)

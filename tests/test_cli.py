@@ -834,6 +834,28 @@ _INTEGER_FIELDS = {
         },
         ["annihilator_lambdas", 0, 1],
     ),
+    # the point-set fields below, shared by volume-spectrum, pattern-search
+    # and density, used to be truncated and run
+    "congruence-modulus": (
+        {"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "congruence", "modulus": 2}},
+        ["set", "modulus"],
+    ),
+    "congruence-offset": (
+        {"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "congruence", "modulus": 2, "offset": [1, 0]}},
+        ["set", "offset", 0],
+    ),
+    "random-seed": (
+        {"experiment": "density", "rank": 2, "set": {"kind": "random", "density": "1/2", "seed": 3}, "windows": [2, 3]},
+        ["set", "seed"],
+    ),
+    "explicit-points": (
+        {"experiment": "volume-spectrum", "rank": 2, "window": 3, "set": {"kind": "explicit", "points": [[0, 0], [1, 0], [0, 1], [2, 1]]}},
+        ["set", "points", 3, 1],
+    ),
+    "translate-offset": (
+        {**_PATTERN, "set": {"kind": "translate", "offset": [1, 0], "base": {"kind": "full"}}},
+        ["set", "offset", 0],
+    ),
 }
 
 
@@ -866,3 +888,38 @@ def test_scalar_integer_fields_refuse_fractions_and_read_integral_floats(tmp_pat
     assert run_cli([cfg["experiment"], "--config", bad]) == 2
     err = capsys.readouterr().err.strip()
     assert err == f"config error: {field} entry {node + 0.5} is not an integer"
+
+
+_DECOMPOSE = {
+    "experiment": "decompose",
+    "system": _FINITE_2,
+    "set_b": {"kind": "elements", "points": [[0], [1]]},
+    "eps_o": "1/10",
+}
+_KRONECKER_REPORT = {
+    "experiment": "spectral-report",
+    "system": _KRONECKER_2,
+    "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]},
+    "trunc": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, path, reason",
+    [
+        # each of these used to read true as 1 and run with exit 0
+        (_INTEGER_FIELDS["congruence-modulus"][0], ["set", "modulus"], "modulus entry true is not an integer"),
+        (_KRONECKER_REPORT, ["system", "theta", 0, 1], "cannot parse rational from True"),
+        (_KRONECKER_REPORT, ["system", "theta", 0, 0, "symbols", "alpha"], "cannot parse rational from True"),
+        (_KRONECKER_REPORT, ["set_b", "boxes", 0, 0, 1], "cannot parse rational from True"),
+        (_DECOMPOSE, ["eps_o"], "cannot parse rational from True"),
+        ({**_DECOMPOSE, "eps_o": {"num": "1", "den": "10"}}, ["eps_o", "num"], "num entry true is not an integer"),
+        (_INTEGER_FIELDS["random-seed"][0], ["set", "density"], "density true is not a rational"),
+    ],
+    ids=["congruence-modulus", "theta-entry", "symbol-coefficient", "box-bound", "eps_o", "eps_o-num", "random-density"],
+)
+def test_json_booleans_are_refused_where_numbers_are_read(tmp_path, capsys, cfg, path, reason):
+    out = tmp_path / "report.json"
+    assert run_cli([cfg["experiment"], "--config", write_cfg(tmp_path, "ok.json", cfg), "--out", out]) == 0
+    capsys.readouterr()
+    assert reason in _refused_in_one_line(tmp_path, capsys, _set_field(cfg, path, True))

@@ -20,6 +20,8 @@ from latspec.spectral import (
     _expansion_bound,
     directional_expansion_theorem_check,
     expansion_bound_check,
+    irrational_part,
+    rational_mass_excluding_trivial,
     spectral_measure_kronecker,
 )
 from latspec.systems import (
@@ -280,12 +282,30 @@ def _pipelines():
     return out
 
 
+def _rational_and_irrational_masses():
+    out = []
+    for name, trunc in (("d1", 12), ("d1-neg", 12), ("d2", 4), ("d2-mixed", 3), ("d3", 2), ("d3-rational", 2)):
+        s = SYSTEMS[name]
+        for b in BOXES[s.dim]:
+            sigma = spectral_measure_kronecker(s, b, trunc)
+            tau = irrational_part(sigma)
+            out.append(
+                [rational_mass_excluding_trivial(sigma), tau.total, len(tau.atoms)]
+                + [tau.annihilator_mass(lam) for lam in DIRECTIONS[s.rank]]
+            )
+    return out
+
+
 GOLDEN_LIBRARY = {
     "certificates": (_certificates, "883344b26ad93bf23ae05284149ffebd0b1315fb5c8e90f9fd8db4b9992231a5"),
     "ergodic-directions": (_ergodic_directions, "e6e34f2dea199f9277a621d9f9e1076bddee9cb342909fad605a8c66ce184587"),
     "orbit-saturations": (_saturations, "3ab6120e663da280063fd3e2b7f15e4bfb1e842689e9f88524a8cb545f3b961b"),
     "box-overlaps": (_overlaps, "b89589f3ae4db4b9144231c1dd2341def9f594be2b82e1820841838c7be63bfb"),
     "expansion-checks": (_expansion_checks, "faa9b5e56b64e85c7acfecb92a1f452d14c57bd8ecf35bca3b168a94eeb14235"),
+    "rational-and-irrational-masses": (
+        _rational_and_irrational_masses,
+        "aaabde10514765b37179cda80214a3f8b2fcc3644dac0cdce2ead3b9f40d60ae",
+    ),
     "pipelines": (_pipelines, "bac9510493c8da37514f6139f167cda580ad3faaf6839cd55c6ed3347ab77ba3"),
 }
 

@@ -44,6 +44,8 @@ from latspec.systems import (
     ErgodicSetSpec,
     birkhoff_annihilator_average,
     box_overlap_volume,
+    component_presentation,
+    ergodic_components,
     finite_system,
     finite_system_from_parts,
     kronecker_system,
@@ -343,9 +345,13 @@ def test_root_counts_and_bochner_exponents_match_the_exponent_matrix():
             phases = (t.pairing @ g) % sys_.exponent
             assert np.array_equal(phases, exp_matrix[sub.generator, h])
             assert np.array_equal(sub.unit_of * phases[sub.subgroup_of] % sys_.exponent, exp_matrix[:, h])
-        # each atom's exponents on Z^r, chi_c at the generator images
-        exps = [a.character.exps for a in spectral_measure(sys_, b).atoms]
-        assert exps == [tuple(row) for row in exp_matrix[:, list(sys_.gens)].tolist()]
+        # each atom's label and its exponents on Z^r, chi_c at the generator
+        # images, read through the orbit tables: chi_(u c) = chi_c^u
+        labels = [a.character.dual_label for a in spectral_measure(sys_, b).atoms]
+        assert labels == list(range(sys_.size))
+        at_gens = (t.pairing @ sys_.vectors(list(sys_.gens)).T)[sub.subgroup_of[labels]]
+        exps = sub.unit_of[labels, None] * at_gens % sys_.exponent
+        assert np.array_equal(exps, exp_matrix[:, list(sys_.gens)])
 
 
 def test_finite_tables_stay_small_on_a_3600_point_carrier():
@@ -538,15 +544,11 @@ def test_small_intersection_randomized_against_oracle():
 
 def test_haystack_search_single_irrational_atom():
     a = FormalReal.sym("alpha")
-    char = KroneckerCharacter((1,), 1, *kronecker_system(2, 1, [[a, FormalReal.of(0)]]).pairing((1,)))
     tau = IrrationalPart(
         kind="kronecker",
-        system=None,
-        atoms=(  # one atom of weight 1 at xi(lam) = e(alpha * lam_1)
-            __import__("latspec.spectral", fromlist=["Atom"]).Atom(
-                character=char, weight=Weight.of(1)
-            ),
-        ),
+        system=kronecker_system(2, 1, [[a, FormalReal.of(0)]]),
+        # one atom of weight 1 at xi(lam) = e(alpha * lam_1)
+        atoms=(Atom(character=KroneckerCharacter((1,)), weight=Weight.of(1)),),
         tail=ZERO_WEIGHT,
         total=Weight.of(1),
     )
@@ -685,6 +687,44 @@ def test_shrink_conclusions_on_fleet():
             mu_i = sys_.measure(inter)
             nu_i = res.component.measure(inter)
             assert mu_i >= res.c * nu_i
+
+
+def _shrink_reference(sys_, b, eps_o):
+    """shrink_rational_spectrum one materialised component at a time: each
+    coset of phi(n * Z^r) as an ErgodicComponent with its nu(B), the masses
+    as Fraction sums over them, and the pick by (nu(B), -least point)."""
+    bset = frozenset(b)
+    mu_b = sys_.measure(bset)
+    tried = []
+    for n in spectral._factorial_candidates(sys_.exponent):
+        tried.append(n)
+        L = scale_lattice(sys_.rank, n)
+        q_b = []
+        for comp in ergodic_components(sys_, L):
+            hits = len(bset & comp.support)
+            if hits:
+                q_b.append((comp, Fraction(hits, len(comp.support))))
+        c = min(comp.weight for comp, _ in q_b)
+        pi_mass = (mu_b - sum(comp.weight * nu**2 for comp, nu in q_b)) / (mu_b * mu_b)
+        if pi_mass != 0:
+            q_b = [(comp, nu) for comp, nu in q_b if 1 / nu - 1 < 3 * pi_mass and nu > mu_b / 3]
+        selected, nu_b = max(q_b, key=lambda pair: (pair[1], -min(pair[0].support)))
+        if 1 / nu_b - 1 < eps_o:
+            pres = component_presentation(sys_, L, selected)
+            return spectral.ShrinkResult(n, selected, pres, c, nu_b, 1 / nu_b - 1, pi_mass, tuple(tried))
+    raise AssertionError("shrinking must succeed at the carrier exponent")
+
+
+def test_shrink_matches_the_per_component_reference():
+    for seed in (3, 5, 7):
+        for sys_, b in random_fleet(seed, 12, order_max=216):
+            for eps_o in (Fraction(1, 50), Fraction(1, 10), Fraction(1, 3)):
+                got, ref = shrink_rational_spectrum(sys_, b, eps_o), _shrink_reference(sys_, b, eps_o)
+                assert (got.n, got.component, got.c, got.nu_b, got.rational_mass, got.pi_mass, got.tried) == (
+                    ref.n, ref.component, ref.c, ref.nu_b, ref.rational_mass, ref.pi_mass, ref.tried
+                )
+                assert got.presentation.system == ref.presentation.system
+                assert np.array_equal(got.presentation.to_component, ref.presentation.to_component)
 
 
 # ---------------------------------------------------------------------------
