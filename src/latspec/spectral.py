@@ -494,14 +494,8 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> Bochne
     images, which = np.unique(flat, return_inverse=True)
     g = sys_.vectors(images)
     sums = sum(row[(g @ c) % sys_.exponent] for c, row in zip(t.pairing, t.sums))
-    in_b = sys_.mask(bset)
-    b_idx = np.flatnonzero(in_b)[:, None]
-    # |B ∩ (B + g)| for blocks of images, |B| x s coordinates per image
-    block = max(1, BLOCK_CELLS // max(1, len(bset) * len(sys_.moduli)))
-    counts = np.zeros(len(g), dtype=np.int64)
-    for lo in range(0, len(g), block):
-        counts[lo:lo + block] = np.count_nonzero(in_b[sys_.translate(b_idx, -g[lo:lo + block])], axis=0)
-    ok = (sums == counts * sys_.size).tolist()
+    # |B ∩ (B + g)| counts the b in B with b - g in B
+    ok = (sums == sys_.overlap_counts(sys_.mask(bset), -g) * sys_.size).tolist()
     violations = tuple(lam for lam, i in zip(lams, which.tolist()) if not ok[i])
     return BochnerReport(ok=not violations, checked=len(lams), violations=violations)
 
@@ -803,12 +797,6 @@ def directional_expansion_theorem_check(
             rational_mass=ratmass,
             note=f"rational nontrivial mass exceeds eps_o = {eps_o}",
         )
-    if not ratmass.exact and ratmass.upper > eps_o:
-        return DirectionalExpansionResult(
-            status="refused",
-            rational_mass=ratmass,
-            note="rational mass cannot be certified below eps_o at this truncation",
-        )
     if eps >= 1:
         return DirectionalExpansionResult(
             status="vacuous",
@@ -882,11 +870,10 @@ def shrink_rational_spectrum(
     where success is guaranteed (the sub-action is trivial, components are
     points).  The components are the cosets of H = phi(n * Z^r), each of
     weight |H| / |A|, read off their labels and their counts |C ∩ B|.  At
-    each n the component is selected from the complement of the two
-    Markov-bad families: rational mass at least three times the ambient
-    pulled-back mass, or nu(B) at most mu(B)/3; the largest nu(B) wins, ties
-    to the least label.  The returned component is re-measured through its
-    standalone presentation as a cross-check.
+    each n the component of largest nu(B) is taken, ties to the least label:
+    it lies outside both Markov-bad families (rational mass at least three
+    times the ambient pulled-back mass, or nu(B) at most mu(B)/3).  It is
+    re-measured through its standalone presentation as a cross-check.
     """
     eps_o = Fraction(eps_o)
     if eps_o <= 0:
@@ -905,17 +892,10 @@ def shrink_rational_spectrum(
         h = int(np.count_nonzero(labels == 0))
         hits = np.bincount(labels[b_idx], minlength=size)
         pi_mass = (mu_b - _trivial_on(hits, h, size)) / (mu_b * mu_b)
-        # nu = hits / |H|; the bad families are 1/nu - 1 >= 3 pi_mass and
-        # nu <= mu(B)/3, so a component is kept when hits exceeds both floors
-        floor = 0
-        if pi_mass:
-            p, q = pi_mass.numerator, pi_mass.denominator
-            floor = max(h * q // (q + 3 * p), h * len(bset) // (3 * size))
-        kept = np.where(hits > floor, hits, 0)
-        if not kept.any():
-            raise AssertionError("Markov selection produced an empty component family")
-        label = int(np.argmax(kept))
-        nu_b = Fraction(int(kept[label]), h)
+        # nu = hits / |H|; the largest nu has 1/nu - 1 <= pi_mass and nu >= mu(B),
+        # outside both Markov-bad families
+        label = int(np.argmax(hits))
+        nu_b = Fraction(int(hits[label]), h)
         mass = 1 / nu_b - 1
         if mass < eps_o:
             selected = ErgodicComponent(frozenset(np.flatnonzero(labels == label).tolist()), Fraction(h, size))
@@ -1022,17 +1002,16 @@ def intersection_theorem_search(
         )
     b_idx = np.flatnonzero(in_b)
     m_shifts = comp_sys.multiples([m % order for m in m_candidates], g1)
+    step = comp_sys.phi([sspec.step * x for x in lam])
     witnesses = []
     for probe in probe_list:
-        # per probe vector, the options m*g1 + phi(lam_k) and the union of
-        # the translates of B by them
+        # per probe vector, the options m*g1 + phi(lam_k) and the union of the
+        # translates of B by them, the window of B + shifts[0] over <step * g1>
         option_rows = []
         j = b1.copy()
         for lam_k in probe:
             shifts = m_shifts + comp_sys.vectors(comp_sys.phi(lam_k))
-            union = np.zeros(comp_sys.size, dtype=bool)
-            union[comp_sys.translate(b_idx[:, None], shifts)] = True
-            j &= union
+            j &= comp_sys.window(comp_sys.mask(comp_sys.translate(b_idx, shifts[0])), step, order + 1, np.logical_or)
             option_rows.append(shifts)
         if not j.any():
             raise AssertionError("union-bound stage lost positivity: library bug")

@@ -6,17 +6,19 @@ homomorphism phi: Z^r -> A given by generator images; every measure is an
 exact Fraction.  An element of A is its flat index in [0, |A|), the
 lexicographic mixed-radix number of its coordinates, and a set is any
 iterable of flat indices: a frozenset where it keys a cache, a sorted index
-array where a mask was built (a saturation).  The ergodic components of a
-sublattice are the coset labels of its image.  Coordinates enter through
-``FiniteSystem.index`` and the constructors and leave through
-``FiniteSystem.vectors``.  Kronecker systems are torus rotations
-x -> x + Theta*lam with sets restricted to disjoint unions of rational
-half-open boxes.  Theta is given with formal-real entries and held as
-integer matrices over one common denominator, so every character and
-direction identity is integer arithmetic in the declared-symbol model.
+array where a mask was built (a saturation).  Every cyclic orbit is one
+``FiniteSystem.window``: the ergodic components of a sublattice are the
+minimum windows (coset labels) of its image, and saturations are windows
+of unions.  Coordinates enter through ``FiniteSystem.index`` and the
+constructors and leave through ``FiniteSystem.vectors``.  Kronecker systems
+are torus rotations x -> x + Theta*lam with sets restricted to disjoint
+unions of rational half-open boxes.  Theta is given with formal-real
+entries and held as integer matrices over one common denominator, so every
+character and direction identity is integer arithmetic in the
+declared-symbol model.
 A rational direction moves the torus on a grid 1/q * Z^dim, which is the
 finite carrier (Z/q)^dim: box overlaps and rational orbits are finite-system
-translates and cosets there, and Lebesgue measures stay exact.
+translates and windows there, and Lebesgue measures stay exact.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class FiniteSystem:
     def mask(self, s: Iterable[int]) -> np.ndarray:
         """Indicator of the set s over the flat indices."""
         out = np.zeros(self.size, dtype=bool)
-        out[np.fromiter(s, dtype=np.int64)] = True
+        out[s if isinstance(s, np.ndarray) else np.fromiter(s, dtype=np.int64)] = True
         return out
 
     def multiples(self, ks: Iterable[int], g: int) -> np.ndarray:
@@ -192,19 +194,39 @@ class FiniteSystem:
         back = self.translate(np.arange(self.size), -self.vectors(g))
         return mask & mask[back]
 
-    def coset_labels(self, generators: Iterable[int]) -> np.ndarray:
-        """Least flat index in the coset of each element modulo <generators>.
+    def overlap_counts(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """How many b in B have b + r in B, per coordinate row r, for the set B
+        with indicator mask; |B| x s coordinates a row, ``BLOCK_CELLS`` a block."""
+        b_idx = np.flatnonzero(mask)[:, None]
+        block = max(1, BLOCK_CELLS // max(1, len(b_idx) * len(self.moduli)))
+        counts = np.zeros(len(rows), dtype=np.int64)
+        for lo in range(0, len(rows), block):
+            counts[lo:lo + block] = np.count_nonzero(mask[self.translate(b_idx, rows[lo:lo + block])], axis=0)
+        return counts
 
-        Per generator g, log2(order of g) doubling steps take the minimum
-        along x, x + g, x + 2g, ...; the subgroup itself is labelled 0.
-        """
-        every = np.arange(self.size)
-        labels = every
+    def window(self, values: np.ndarray, g: int, count: int, op) -> np.ndarray:
+        """op of values at x, x + g, ..., x + (count - 1) * g for every x (count
+        >= 1), in log2(count) gathers: per bit of count, double the window and
+        its step map, then widen both by one step for a set bit.  Past the order
+        of g the window repeats <g>, so count is capped at a power of two: right
+        for an idempotent op only (``np.minimum``, ``np.logical_or``)."""
+        count = min(count, 1 << (self.order_of(g) - 1).bit_length())
+        out, step = values, self.translate(np.arange(self.size), self.vectors(g))
+        one = step
+        for bit in bin(count)[3:]:
+            out = op(out, out[step])
+            step = step[step]
+            if bit == "1":
+                out = op(values, out[one])
+                step = step[one]
+        return out
+
+    def coset_labels(self, generators: Iterable[int]) -> np.ndarray:
+        """Least flat index in the coset of each element modulo <generators>,
+        the minimum window over each generator's cyclic subgroup in turn."""
+        labels = np.arange(self.size)
         for g in generators:
-            step = self.translate(every, self.vectors(g))
-            for _ in range((self.order_of(g) - 1).bit_length()):
-                labels = np.minimum(labels, labels[step])
-                step = step[step]
+            labels = self.window(labels, g, self.size, np.minimum)
         return labels
 
 
@@ -298,15 +320,17 @@ def orbit_saturation(
     """
     if terms is not None and sspec is None:
         raise ValueError("terms requires an ErgodicSetSpec")
-    g = sys_.phi(lam)
-    order = sys_.order_of(g)
-    # k and k + order give the same shift, and the first ``order`` terms of
-    # an interval or progression already meet every reachable residue
-    count = order if terms is None else min(terms, order)
-    ks = sorted({k % order for k in (sspec or ErgodicSetSpec()).elements(count)})
-    sat = np.zeros(sys_.size, dtype=bool)
-    sat[sys_.translate(np.fromiter(b, dtype=np.int64)[:, None], sys_.multiples(ks, g))] = True
-    idx = np.flatnonzero(sat)
+    sspec = sspec or ErgodicSetSpec()
+    g = sys_.vectors(sys_.phi(lam)).tolist()
+    if terms is not None and terms < 1:
+        return np.zeros(0, dtype=np.int64), Fraction(0)
+    # S shifts B by offset * g + t * step * g for t < terms: the window of
+    # B + offset * g along -step * g, all of <step * g> once terms reaches its order
+    shift = [sspec.offset * x % d for x, d in zip(g, sys_.moduli)]
+    start = np.fromiter(b, dtype=np.int64)
+    start = sys_.mask(sys_.translate(start, shift) if any(shift) else start)
+    back = _flat(sys_.moduli, [-sspec.step * x for x in g])
+    idx = np.flatnonzero(sys_.window(start, back, terms or sys_.size, np.logical_or))
     return idx, Fraction(len(idx), sys_.size)
 
 
@@ -386,12 +410,8 @@ def birkhoff_annihilator_average(
     order = sys_.order_of(g)
     # the term of k depends on k mod order only: count each residue once,
     # weighted by how many k < n share it
-    ks = range(min(n, order))
-    in_b = sys_.mask(b)
-    b_idx = np.flatnonzero(in_b)
-    hits = in_b[sys_.translate(b_idx[:, None], sys_.multiples(ks, g))]
-    per_k = hits.sum(axis=0).tolist()
-    total = sum(c * ((n - k + order - 1) // order) for k, c in zip(ks, per_k))
+    per_k = sys_.overlap_counts(sys_.mask(b), sys_.multiples(range(min(n, order)), g)).tolist()
+    total = sum(c * ((n - k + order - 1) // order) for k, c in enumerate(per_k))
     return Fraction(total, n * sys_.size)
 
 
@@ -707,6 +727,6 @@ def kronecker_orbit_saturation(sys_: KroneckerSystem, b: BoxUnion, lam) -> Krone
         )
     grid, cells, g = box_grid(b, shift)
     # the orbit of b is the union of the cosets of <g> that b meets
-    met = np.unique(grid.coset_labels([g])[cells])
-    vol = Fraction(len(met) * grid.order_of(g), grid.size)
+    orbit = grid.window(cells, g, grid.size, np.logical_or)
+    vol = Fraction(int(np.count_nonzero(orbit)), grid.size)
     return KroneckerSaturation(lower=vol, upper=vol, exact=True)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -412,6 +413,22 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
         assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
         assert reason in err
+
+
+def test_expand_scan_refusal_on_a_6000_point_cyclic_carrier_stays_small(tmp_path, capsys):
+    # the saturations ahead of the refusal built |B| x order translates,
+    # 184 MiB traced; on Z/40000 they ended in an allocation traceback
+    cfg = {**_cyclic_cfg("expand-scan", [6000], [[1]], [[x] for x in range(0, 6000, 3)]), "coord_bound": 1}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    tracemalloc.start()
+    try:
+        code = run_cli(["expand-scan", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.strip()
+    assert code == 2 and peak < 16 * 2**20, peak
+    assert err == "config error: |A| x exponent = 6000 x 6000 root counts, over the limit of 20000000"
 
 
 def test_expand_scan_verdict_skips_rows_that_are_not_asserted(tmp_path):

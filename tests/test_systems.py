@@ -1,6 +1,8 @@
 """Finite and Kronecker model systems: exact measures and decompositions."""
 
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from itertools import product
@@ -144,6 +146,68 @@ def test_ap_spec_saturation():
     assert sat.tolist() == sorted(pts(s4, (1,), (3,))) and mu == Fraction(1, 2)
 
 
+def _ref_window(sys_, values, g, count, fold):
+    """fold of values along x, x + g, ..., x + (count - 1) * g, one point at a
+    time through the tuple reference."""
+    mods, gv = sys_.moduli, tuple(sys_.vectors(g).tolist())
+    out = []
+    for x in map(tuple, sys_.vectors(np.arange(sys_.size)).tolist()):
+        walk = [_ref_add(mods, x, _ref_mul(mods, t, gv)) for t in range(count)]
+        out.append(fold(values[i] for i in sys_.index(walk).tolist()))
+    return out
+
+
+def test_window_matches_a_brute_force_fold():
+    rng = SplitMix64(15)
+    seen = set()
+    for sys_, _ in random_fleet(1515, 10):
+        for g in (rng.below(sys_.size), rng.below(sys_.size)):
+            order = sys_.order_of(g)
+            counts = {order - 1, order, order + 1, 2 * order + 1, 1 + rng.below(2 * order + 1)}
+            counts |= {2**k + d for k in range(1, (2 * order).bit_length()) for d in (-1, 1)}
+            ints = np.array([rng.below(50) for _ in range(sys_.size)], dtype=np.int64)
+            bools = np.array([rng.below(3) == 0 for _ in range(sys_.size)])
+            for count in sorted(c for c in counts if 1 <= c <= 2 * order + 1):
+                seen.add((count < order, count == order))
+                assert sys_.window(ints, g, count, np.minimum).tolist() == _ref_window(sys_, ints, g, count, min)
+                assert sys_.window(bools, g, count, np.logical_or).tolist() == _ref_window(sys_, bools, g, count, any)
+    # windows shorter than, equal to and longer than the orbit were all seen
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def _traced(call):
+    """``(result, seconds, peak traced bytes)`` of call()."""
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, time.perf_counter() - start, peak
+
+
+#: Z/6000 with B the 2000 multiples of 3
+_Z6000 = finite_system_from_parts(1, [6000], [[1]])
+_THIRDS = frozenset(range(0, 6000, 3))
+
+
+def test_saturations_on_a_6000_point_cyclic_carrier_stay_small():
+    # the |B| x order translate batch of S = Z peaked at 183 MiB traced
+    _Z6000.vectors(0)  # the coordinate table is cached per moduli
+    cases = [
+        (None, None, Fraction(1)),
+        # B + 2 + <3> is the residue class of 2
+        (ErgodicSetSpec(kind="ap", offset=2, step=3), None, Fraction(1, 3)),
+        (ErgodicSetSpec(), 3000, Fraction(1)),
+    ]
+    for spec, terms, expected in cases:
+        (sat, mu), seconds, peak = _traced(lambda: orbit_saturation(_Z6000, _THIRDS, (1,), spec, terms))
+        assert mu == expected and len(sat) == mu * _Z6000.size
+        assert seconds < 0.5 and peak < 8 * 2**20, (spec, seconds, peak)
+    assert orbit_saturation(_Z6000, _THIRDS, (1,), cases[1][0])[0].tolist() == list(range(2, 6000, 3))
+
+
 def test_is_ergodic_direction():
     s = z2z2()
     for lam in [(1, 0), (0, 1), (1, 1), (3, 5)]:
@@ -183,6 +247,18 @@ def test_birkhoff_examples():
     assert birkhoff_annihilator_average(s, pts(s, (0, 0)), (1, 0), 2) == Fraction(1, 8)
     # lam = 0: every term is mu(B)
     assert birkhoff_annihilator_average(s, pts(s, (0, 0)), (0, 0), 5) == Fraction(1, 4)
+
+
+def test_birkhoff_average_on_a_6000_point_cyclic_carrier_stays_small():
+    # the |B| x min(n, order) translates in one array peaked at 183 MiB traced
+    b = frozenset(random.Random(15).sample(range(_Z6000.size), 2000))
+    _Z6000.vectors(0)
+    # over one period of the generator the terms add up to |B|^2, and the
+    # next term is k = 0 again
+    for n, total in ((6000, 2000**2), (6001, 2000**2 + 2000)):
+        avg, _, peak = _traced(lambda: birkhoff_annihilator_average(_Z6000, b, (1,), n))
+        assert avg == Fraction(total, n * _Z6000.size)
+        assert peak < 64 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
