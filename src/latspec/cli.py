@@ -22,14 +22,18 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .formal import FormalReal
 from .haystack import admit_subsets, make_haystack, verify_haystack_sample
 from .lattice import is_primitive, sublattice
 from .spectral import (
+    GRID,
     Weight,
     ambient_intersections,
     annihilator_mass,
@@ -125,6 +129,131 @@ def ser_weight(w: Weight) -> dict:
     return {"lower": float(w.lower), "upper": float(w.upper), "exact": False}
 
 
+def _ser_label_weights(weights: list) -> list[dict]:
+    """ser_weight of each entry of ``FiniteSpectralMeasure.label_weights``:
+    an exact Fraction, or grid numerators read as floats (int true division
+    is correctly rounded, so lo / GRID is float(Fraction(lo, GRID))).  One
+    dict per distinct entry: an orbit shares its Fraction and a conjugate
+    pair its numerators."""
+    shown: dict[int, dict] = {}
+    for w in weights:
+        if id(w) not in shown:
+            exact = isinstance(w, Fraction)
+            shown[id(w)] = ser_fraction(w) if exact else {"lower": w[0] / GRID, "upper": w[1] / GRID, "exact": False}
+    return [shown[id(w)] for w in weights]
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values: list) -> list[str]:
+    out = list(map(float.__repr__, values))
+    if "nan" in out or "inf" in out or "-inf" in out:
+        out = [_FLOAT_WORDS.get(r, r) for r in out]
+    return out
+
+
+#: encoders of a list of JSON scalars of one type, as json.dumps writes them
+_SCALARS = {
+    str: lambda values: list(map(encode_basestring_ascii, values)),
+    int: lambda values: list(map(int.__repr__, values)),
+    float: _floats,
+    bool: lambda values: ["true" if v else "false" for v in values],
+    type(None): lambda values: ["null"] * len(values),
+}
+
+
+def _stdlib(values: list, nl: str) -> list[str]:
+    # JSON text holds no raw newline, so a nested value is indented by its newlines
+    return [json.dumps(v, indent=2, sort_keys=True).replace("\n", nl) for v in values]
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    The stdlib writes an indented document through its pure-Python encoder,
+    one generator step per token.  Here the members of a list are encoded
+    together: scalars of one type by one ``map``, dicts of one key set and
+    lists of one length by encoding each key's (or position's) values as
+    one list and filling a template per member, a dict met twice once.
+    Types and keys outside JSON's (non-str keys, subclasses) go to the
+    stdlib itself, which also raises for what it cannot encode.
+    """
+    return _json_one(obj, "\n")
+
+
+def _json_one(obj, nl: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = sorted(obj.items())
+        if not all(type(k) is str for k, _ in items):
+            return _stdlib([obj], nl)[0]
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([encode_basestring_ascii(k) + ": " + _json_one(v, inner) for k, v in items]) + nl + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_json_many(obj, inner)) + nl + "]"
+    encode = _SCALARS.get(kind)
+    return encode([obj])[0] if encode else _stdlib([obj], nl)[0]
+
+
+def _json_many(values, nl: str) -> list[str]:
+    """The JSON text of each of values, nested at the indentation nl."""
+    if len(values) == 1:
+        return [_json_one(values[0], nl)]
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind in _SCALARS:
+            return _SCALARS[kind](values)
+        inner = nl + "  "
+        if kind is dict:
+            # a dict met twice is encoded once
+            distinct = {id(v): v for v in values}
+            if len(distinct) < len(values):
+                texts = dict(zip(distinct, _json_many(list(distinct.values()), nl)))
+                return [texts[id(v)] for v in values]
+            shapes = set(map(tuple, values))
+            if len(shapes) == 1:
+                keys = shapes.pop()
+                if not keys:
+                    return ["{}"] * len(values)
+                if not all(type(k) is str for k in keys):
+                    return _stdlib(values, nl)
+                keys = sorted(keys)
+                columns = [_json_many([v[k] for v in values], inner) for k in keys]
+                heads = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys]
+                return list(map(("{{" + inner + ("," + inner).join(heads) + nl + "}}").format, *columns))
+        elif kind is list or kind is tuple:
+            lengths = set(map(len, values))
+            if len(lengths) == 1:
+                size = lengths.pop()
+                if not size:
+                    return ["[]"] * len(values)
+                texts = _json_many(list(chain.from_iterable(values)), inner)
+                columns = [texts[i::size] for i in range(size)]
+                return list(map(("[" + inner + ("," + inner).join(["{}"] * size) + nl + "]").format, *columns))
+        else:
+            return _stdlib(values, nl)
+    # mixed members: each group of one type and shape is encoded together
+    groups: dict = {}
+    for i, v in enumerate(values):
+        kind = type(v)
+        shape = tuple(v) if kind is dict else len(v) if kind is list or kind is tuple else None
+        groups.setdefault((kind, shape), []).append(i)
+    out = [""] * len(values)
+    for members in groups.values():
+        for i, text in zip(members, _json_many([values[i] for i in members], nl)):
+            out[i] = text
+    return out
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -173,7 +302,11 @@ def _parse_set_b(sys_, desc: dict):
                 raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
         if kind == "elements":
             return frozenset(sys_.index(points).tolist())
-        return frozenset(sys_.phi(p) for p in points)
+        # reduced mod the exponent, each product with a generator column is
+        # below exponent * modulus <= 10**14 under the carrier limit
+        reduced = [[int(x) % sys_.exponent for x in p] for p in points]
+        images = sys_.vectors(list(sys_.gens))
+        return frozenset(sys_.translate(0, np.array(reduced, dtype=np.int64).reshape(len(points), sys_.rank) @ images).tolist())
     if kind == "boxes":
         return BoxUnion.of(
             *[
@@ -353,7 +486,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
         mu_b = sigma.total.value
         # normalized figures are raw masses over the trivial mass mu(B)^2
         t = sigma.trivial.value
-        labels = sys_.vectors([a.character.dual_label for a in sigma.atoms]).tolist()
+        labels = sys_.vectors(range(sys_.size)).tolist()
         results = {
             "kind": "finite",
             "carrier_moduli": list(sys_.moduli),
@@ -365,7 +498,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
                 rational_mass_excluding_trivial(sigma).scale(1 / t)
             ),
             "atoms": [
-                {"label": label, "weight": ser_weight(a.weight)} for label, a in zip(labels, sigma.atoms)
+                {"label": label, "weight": shown} for label, shown in zip(labels, _ser_label_weights(sigma.label_weights))
             ],
             "bochner_checked": boch.checked,
         }
@@ -731,7 +864,7 @@ def _serve(args: argparse.Namespace) -> int:
         "results": results,
         "verdicts": verdicts,
     }
-    body = json.dumps(report, indent=2, sort_keys=True)
+    body = json_text(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body + "\n")

@@ -9,9 +9,12 @@ checked as integer identities rather than numerically.
 For display, the real part of such a vector is enclosed on the integer
 rounding grid of ``intervals``: one table of cosine enclosures per order N,
 held as integer numerators, one integer Taylor evaluation per first-quadrant
-angle.  ``enclose_real_root_rows`` encloses many vectors at once with int64
+angle.  ``enclose_real_root_grid`` encloses many vectors at once with int64
 products of the rows against that table cut into 32-bit limbs, which is the
-exact integer dot product of each row with the table.
+exact integer dot product of each row with the table; the limbs are carried
+in one array pass and each end is read by one ``int.from_bytes``, so it
+returns the grid numerators as Python integers without building a
+Fraction.  ``enclose_real_root_rows`` wraps them as ``Iv``s.
 """
 
 from __future__ import annotations
@@ -111,15 +114,9 @@ def _cos_limbs(n: int) -> np.ndarray:
     return table
 
 
-def _join_limbs(limbs: list[int]) -> int:
-    out = 0
-    for v in reversed(limbs):
-        out = (out << _LIMB_BITS) + v
-    return out
-
-
-def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
-    """Certified intervals for Re(sum_k row[k] * z^k) / den, one per row.
+def enclose_real_root_grid(n: int, rows, den: int = 1) -> tuple[list[int], list[int]]:
+    """Grid numerators (lo, hi) of certified enclosures of
+    Re(sum_k row[k] * z^k) / den, one pair per row, over 2**_GRID_BITS.
 
     z is a primitive n-th root of unity and rows is an integer array with n
     columns.  A positive coefficient takes lo_k of the cosine table into the
@@ -131,8 +128,11 @@ def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
 
     The dot products run in int64 on the table offset by 2**_GRID_BITS and
     cut into 32-bit limbs; with at most 2**31 in absolute value per row, no
-    limb product can wrap.  Used only for display of irrational weights;
-    decisions go through the exact integer traces above.
+    limb product can wrap.  The offset, row total times 2**_GRID_BITS, is
+    taken from its own limb, and the limbs are carried into [0, 2**32) in one
+    array pass, the top one signed, so each end is one ``int.from_bytes``.
+    Used only for display of irrational weights; decisions go through the
+    exact integer traces above.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != n:
@@ -140,7 +140,7 @@ def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
     if den < 1:
         raise ValueError("den must be positive")
     if not len(rows):
-        return []  # no cosine table is built for a measure without irrational weights
+        return [], []  # no cosine table is built for a measure without irrational weights
     signed = np.flatnonzero(rows.min(axis=1) < 0)
     negative = np.minimum(rows[signed], 0)
     totals = rows.sum(axis=1)
@@ -150,19 +150,29 @@ def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
         raise OverflowError("root rows over 2**31 in absolute value")
     table = _cos_limbs(n)
     both = rows @ table
-    lower, upper = both[:, :_LIMBS], both[:, _LIMBS:]
     # a negative c pairs with hi_k in the lower end and with lo_k in the
     # upper one: it adds c * (hi_k - lo_k) to the first, takes it from the second
     swap = negative @ table
     swap = swap[:, _LIMBS:] - swap[:, :_LIMBS]
-    lower[signed] += swap
-    upper[signed] -= swap
-    lower, upper, offsets = lower.tolist(), upper.tolist(), totals.tolist()
+    both[signed, :_LIMBS] += swap
+    both[signed, _LIMBS:] -= swap
+    limbs = both.reshape(2 * len(rows), _LIMBS)
+    limbs[:, _GRID_BITS // _LIMB_BITS] -= np.repeat(totals, 2)
+    for i in range(_LIMBS - 1):
+        # each limb stays within weight * 2**32 plus a carry below 2**31
+        limbs[:, i + 1] += limbs[:, i] >> _LIMB_BITS
+    limbs &= (1 << _LIMB_BITS) - 1
+    data = limbs.astype("<u4").tobytes()
+    size = _LIMBS * _LIMB_BITS // 8
+    # the top limb is the signed high part, so the ends are read two's complement
+    ends = [int.from_bytes(data[i:i + size], "little", signed=True) for i in range(0, len(data), size)]
+    if den == 1:
+        return ends[::2], ends[1::2]
+    return [lo // den for lo in ends[::2]], [-(-hi // den) for hi in ends[1::2]]
+
+
+def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
+    """``enclose_real_root_grid`` as intervals: certified enclosures of
+    Re(sum_k row[k] * z^k) / den on the rounding grid, one per row."""
     scale = 1 << _GRID_BITS
-    out = []
-    for lo, hi, total in zip(lower, upper, offsets):
-        shift = total << _GRID_BITS
-        lo_n = (_join_limbs(lo) - shift) // den
-        hi_n = -((shift - _join_limbs(hi)) // den)
-        out.append(Iv(Fraction(lo_n, scale), Fraction(hi_n, scale)))
-    return out
+    return [Iv(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(*enclose_real_root_grid(n, rows, den))]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Optional, Union
 
 Rat = Union[int, Fraction]
@@ -110,7 +111,19 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _sin_taylor_grid(lo_n: int, lo_d: int, hi_n: int, hi_d: int, terms: int = 14) -> tuple[int, int]:
+def _series(terms: int) -> tuple[list[int], int, list[int]]:
+    """(m_k, common, common / m_k) for the Taylor terms k = 1 .. terms + 1,
+    m_k = (2k)(2k+1) and common their least common multiple."""
+    ms = [(2 * k) * (2 * k + 1) for k in range(1, terms + 2)]
+    common = lcm(*ms)
+    return ms, common, [common // m for m in ms]
+
+
+_TERMS = 14
+_SERIES = _series(_TERMS)
+
+
+def _sin_taylor_grid(lo_n: int, lo_d: int, hi_n: int, hi_d: int, terms: int = _TERMS) -> tuple[int, int]:
     """Grid numerators of the enclosure of sin(x) for x in [lo_n/lo_d, hi_n/hi_d],
     0 <= x <= pi/2, by the alternating series.
 
@@ -125,33 +138,32 @@ def _sin_taylor_grid(lo_n: int, lo_d: int, hi_n: int, hi_d: int, terms: int = 14
     # x^2 rounded out onto the grid, as numerators over 2**bits
     sq_lo = (lo_n * lo_n << bits) // (lo_d * lo_d)
     sq_hi = _ceil_div(hi_n * hi_n << bits, hi_d * hi_d)
-    ms = [(2 * k) * (2 * k + 1) for k in range(1, terms + 2)]
-    common = lcm(*ms)
-    # the signed sum of the terms, in units of 2**-bits / common
-    s_lo = s_hi = 0
-    t_lo, t_lo_d, t_hi, t_hi_d = lo_n, lo_d, hi_n, hi_d
-    for k, m in enumerate(ms, start=1):
-        # every term is nonnegative, so its product with x^2 pairs like ends
-        t_lo, t_hi = (t_lo * sq_lo) // t_lo_d, _ceil_div(t_hi * sq_hi, t_hi_d)
-        t_lo_d = t_hi_d = m << bits
-        w = common // m
-        if k > terms:
-            # the first omitted term bounds the truncation error both ways
-            s_lo -= t_hi * w
-            s_hi += t_hi * w
-        elif k % 2:
-            s_lo -= t_hi * w
-            s_hi -= t_lo * w
-        else:
-            s_lo += t_lo * w
-            s_hi += t_hi * w
+    ms, common, weights = _SERIES if terms == _TERMS else _series(terms)
+    # every term is nonnegative, so its product with x^2 pairs like ends
+    t_lo, t_hi = (lo_n * sq_lo) // lo_d, _ceil_div(hi_n * sq_hi, hi_d)
+    lows, highs = [t_lo], [t_hi]
+    for m in ms[:-1]:
+        if not t_hi:
+            break  # 0 <= t_lo <= t_hi, and every later term is 0 as well
+        # floor(a / (m * 2**bits)) is floor(floor(a / 2**bits) / m), a shift
+        # and a one-limb division; ceil likewise on -a
+        t_lo, t_hi = (t_lo * sq_lo >> bits) // m, -((-t_hi * sq_hi >> bits) // m)
+        lows.append(t_lo)
+        highs.append(t_hi)
+    # the signed sum of the terms, in units of 2**-bits / common: terms 1, 3,
+    # ... are subtracted and 2, 4, ... added; the first omitted term bounds
+    # the truncation error both ways
+    lows, highs = list(map(mul, lows, weights)), list(map(mul, highs, weights))
+    error = highs[terms] if len(highs) > terms else 0
+    s_lo = sum(lows[1:terms:2]) - sum(highs[0:terms:2]) - error
+    s_hi = sum(highs[1:terms:2]) - sum(lows[0:terms:2]) + error
     # x + sum, rounded out onto the grid and clipped to [0, 1]
     lo = max((lo_n * common << bits) + s_lo * lo_d, 0) // (lo_d * common)
     hi = min(_ceil_div((hi_n * common << bits) + s_hi * hi_d, hi_d * common), 1 << bits)
     return lo, hi
 
 
-def _sin_taylor(x: Iv, terms: int = 14) -> Iv:
+def _sin_taylor(x: Iv, terms: int = _TERMS) -> Iv:
     """Enclose sin(x) for 0 <= x <= pi/2 on the rounding grid; see _sin_taylor_grid.
 
     Every step is the exact rational of the interval formulation, so the

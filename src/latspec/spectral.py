@@ -25,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import enclose_real_root_rows, ramanujan_sums, totient
-from .intervals import PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
+from .cyclotomic import enclose_real_root_grid, ramanujan_sums, totient
+from .intervals import _GRID_BITS, PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
 from .systems import (
     BLOCK_CELLS,
@@ -132,7 +132,9 @@ class SpectralMeasure:
     ``total`` is the full mass mu(B) and ``trivial`` the trivial-atom mass
     mu(B)^2, both exact and positive; for finite systems the tail is exactly
     zero.  The normalized measure of the expansion bound is sigma_B / mu(B)^2:
-    a normalized figure is one division of a raw mass by ``trivial``.
+    a normalized figure is one division of a raw mass by ``trivial``.  A
+    finite system's measure is a ``FiniteSpectralMeasure``, whose atoms are
+    built on first read.
     """
 
     kind: str
@@ -226,7 +228,7 @@ def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: int) -> Fraction:
     return _coset_mass(sys_, np.fromiter(bset, dtype=np.int64), g)
 
 
-def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> SpectralMeasure:
+def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> FiniteSpectralMeasure:
     """Exact atomic spectral measure of b on a finite system.
 
     One atom per carrier character, in label order.  A Galois orbit's weights
@@ -240,39 +242,87 @@ def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> SpectralMeasure:
     return _spectral_measure_cached(sys_, bset)
 
 
+#: an interval weight of a finite measure is a pair of integers over GRID
+GRID = 1 << _GRID_BITS
+
+
+class FiniteSpectralMeasure(SpectralMeasure):
+    """sigma_B on a finite system, held as its construction computed it: the
+    orbit tables and the exact weight of each rational orbit.
+
+    The enclosures of the irrational weights and the atoms are built on first
+    read and kept on the instance; the masses the theorems use come from the
+    tables and never need them.
+    """
+
+    def __init__(self, sys_: FiniteSystem, bset: frozenset, tables: _OrbitTables, orbit_weights: list):
+        mu_b = Fraction(len(bset), sys_.size)
+        fields = {
+            "kind": "finite",
+            "system": sys_,
+            "base_set": bset,
+            "tail": ZERO_WEIGHT,
+            "total": Weight.of(mu_b),
+            "trivial": Weight.of(mu_b * mu_b),
+            "tables": tables,
+            "orbit_weights": orbit_weights,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def label_weights(self) -> list:
+        """One weight per label: the exact value of a rational orbit's
+        characters as a Fraction, shared by the orbit, or the grid numerators
+        (lo, hi) over GRID of an interval weight."""
+        t, sys_ = self.tables, self.system
+        order = t.rows.shape[1]
+        orbit_of = t.subgroups.subgroup_of
+        weights = [self.orbit_weights[o] for o in orbit_of.tolist()]
+        labels = np.arange(sys_.size)
+        negated = sys_.translate(0, -sys_.vectors(labels))
+        # chi_(-c) is the conjugate of chi_c, of the same real weight; its row
+        # is the reflection k -> -k and the cosine table is symmetric, so the
+        # enclosure is the same integers: one per conjugate pair
+        irrational = np.flatnonzero(~t.rational[orbit_of] & (labels < negated))
+        block = max(1, BLOCK_CELLS // order)
+        for lo in range(0, len(irrational), block):
+            # the row of u * c is the orbit's row moved from k to u * k
+            chars = irrational[lo:lo + block]
+            rows = np.empty((len(chars), order), dtype=np.int64)
+            moved = t.subgroups.unit_of[chars, None] * np.arange(order) % order
+            rows[np.arange(len(chars))[:, None], moved] = t.rows[orbit_of[chars]]
+            ends = zip(*enclose_real_root_grid(order, rows, sys_.size**2))
+            for c, d, end in zip(chars.tolist(), negated[chars].tolist(), ends):
+                weights[c] = weights[d] = end
+        return weights
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        by_orbit = [None if q is None else Weight.of(q) for q in self.orbit_weights]
+        orbit_of = self.tables.subgroups.subgroup_of.tolist()
+        return tuple(
+            Atom(
+                FiniteCharacter(label),
+                Weight(Fraction(w[0], GRID), Fraction(w[1], GRID), False) if by_orbit[o] is None else by_orbit[o],
+            )
+            for label, (o, w) in enumerate(zip(orbit_of, self.label_weights))
+        )
+
+
 @lru_cache(maxsize=512)
-def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> SpectralMeasure:
+def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> FiniteSpectralMeasure:
     t = _orbit_tables(sys_, bset)
-    n, order = sys_.size, sys_.exponent
+    n = sys_.size
     mu_b = Fraction(len(bset), n)
-    orbit_of = t.subgroups.subgroup_of
     # a rational orbit's trace is shared evenly by its characters
-    traces = zip(t.sums[:, 0].tolist(), np.bincount(orbit_of).tolist(), t.rational)
-    by_orbit = [Weight.of(Fraction(tr, k * n * n)) if rational else None for tr, k, rational in traces]
-    weights = [by_orbit[o] for o in orbit_of.tolist()]
-    irrational = np.flatnonzero(~t.rational[orbit_of])
-    block = max(1, BLOCK_CELLS // order)
-    for lo in range(0, len(irrational), block):
-        # the row of u * c is the orbit's row moved from k to u * k
-        chars = irrational[lo:lo + block]
-        rows = np.empty((len(chars), order), dtype=np.int64)
-        moved = t.subgroups.unit_of[chars, None] * np.arange(order) % order
-        rows[np.arange(len(chars))[:, None], moved] = t.rows[orbit_of[chars]]
-        for c, iv in zip(chars.tolist(), enclose_real_root_rows(order, rows, n * n)):
-            weights[c] = Weight.interval(iv)
-    if weights[0].value != mu_b * mu_b:
+    traces = zip(t.sums[:, 0].tolist(), np.bincount(t.subgroups.subgroup_of).tolist(), t.rational)
+    orbit_weights = [Fraction(tr, k * n * n) if rational else None for tr, k, rational in traces]
+    if orbit_weights[t.subgroups.subgroup_of[0]] != mu_b * mu_b:
         raise AssertionError("trivial atom mass must equal mu(B)^2")
     if int(t.sums[:, 0].sum()) != len(bset) * n:
         raise AssertionError("atom total must equal mu(B)")
-    return SpectralMeasure(
-        kind="finite",
-        system=sys_,
-        base_set=bset,
-        atoms=tuple(Atom(FiniteCharacter(label), w) for label, w in enumerate(weights)),
-        tail=ZERO_WEIGHT,
-        total=Weight.of(mu_b),
-        trivial=Weight.of(mu_b * mu_b),
-    )
+    return FiniteSpectralMeasure(sys_, bset, t, orbit_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +543,12 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> Bochne
     flat = sys_.translate(0, np.array(lams, dtype=np.int64).reshape(len(lams), sys_.rank) @ gens)
     images, which = np.unique(flat, return_inverse=True)
     g = sys_.vectors(images)
-    sums = sum(row[(g @ c) % sys_.exponent] for c, row in zip(t.pairing, t.sums))
+    # the orbit sums at each image's phases, one gather for a block of images
+    by_phase, offsets = t.sums.ravel(), np.arange(len(t.sums)) * sys_.exponent
+    block = max(1, BLOCK_CELLS // len(offsets))
+    sums = np.empty(len(g), dtype=np.int64)
+    for lo in range(0, len(g), block):
+        sums[lo:lo + block] = by_phase[(g[lo:lo + block] @ t.pairing.T) % sys_.exponent + offsets].sum(axis=1)
     # |B ∩ (B + g)| counts the b in B with b - g in B
     ok = (sums == sys_.overlap_counts(sys_.mask(bset), -g) * sys_.size).tolist()
     violations = tuple(lam for lam, i in zip(lams, which.tolist()) if not ok[i])

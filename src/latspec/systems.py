@@ -403,15 +403,23 @@ def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicCompone
 def birkhoff_annihilator_average(
     sys_: FiniteSystem, b: Iterable[int], lam, n: int
 ) -> Fraction:
-    """(1/n) * sum_{k<n} mu(B intersect (k*lam).B), exact."""
+    """(1/n) * sum_{k<n} mu(B intersect (k*lam).B), exact.
+
+    With n = q * order + r, the q full periods of k are the coset formula:
+    over one period the terms add up to the sum over the cosets C of <g> of
+    |C ∩ B|^2.  The r < order terms left are the sum over x in B of the
+    ``np.add`` window of 1_B at x, x + g, ..., x + (r - 1) * g, a window
+    shorter than the order, which ``window`` never caps.
+    """
     if n < 1:
         raise ValueError("horizon must be positive")
     g = sys_.phi(lam)
-    order = sys_.order_of(g)
-    # the term of k depends on k mod order only: count each residue once,
-    # weighted by how many k < n share it
-    per_k = sys_.overlap_counts(sys_.mask(b), sys_.multiples(range(min(n, order)), g)).tolist()
-    total = sum(c * ((n - k + order - 1) // order) for k, c in enumerate(per_k))
+    q, r = divmod(n, sys_.order_of(g))
+    in_b = sys_.mask(b)
+    per_coset = np.bincount(sys_.coset_labels([g])[in_b], minlength=sys_.size)
+    total = q * int(per_coset @ per_coset)
+    if r:
+        total += int(sys_.window(in_b.astype(np.int64), g, r, np.add)[in_b].sum())
     return Fraction(total, n * sys_.size)
 
 

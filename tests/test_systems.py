@@ -261,6 +261,23 @@ def test_birkhoff_average_on_a_6000_point_cyclic_carrier_stays_small():
         assert peak < 64 * 2**20, peak
 
 
+def test_birkhoff_average_matches_a_brute_force_sum():
+    # full periods go through the coset formula and the remainder through an
+    # np.add window; both must agree with the term-by-term sum on either side
+    # of the order
+    for sys_, b in random_fleet(41, 20):
+        mods = sys_.moduli
+        rng = random.Random(sys_.size)
+        lam = tuple(rng.randint(-3, 3) for _ in range(sys_.rank))
+        g = tuple(sys_.vectors(sys_.phi(lam)).tolist())
+        order = _ref_order(mods, g)
+        coords = tuples(sys_, b)
+        overlaps = [sum(_ref_add(mods, x, _ref_mul(mods, k, g)) in coords for x in coords) for k in range(order)]
+        for n in sorted({1, 2, 7, max(1, order - 1), order, 2 * order + 3}):
+            total = sum(overlaps[k % order] for k in range(n))
+            assert birkhoff_annihilator_average(sys_, b, lam, n) == Fraction(total, n * sys_.size), (mods, lam, n)
+
+
 # ---------------------------------------------------------------------------
 # ergodic components
 
