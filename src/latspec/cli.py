@@ -801,24 +801,23 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+# built once per process: ``main`` only parses
+_PARSER = argparse.ArgumentParser(prog="latspec", description="exact lattice-dynamics experiments")
+_PARSER.add_argument("experiment", choices=EXPERIMENTS)
+_PARSER.add_argument("--config", required=True, help="JSON config path")
+_PARSER.add_argument("--out", help="report path (default stdout); with --verify-only, the report to check")
+_PARSER.add_argument("--csv", help="CSV export path for tabular outputs")
+_PARSER.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
+_PARSER.add_argument("--seed", type=int, help="overrides the config seed")
+_PARSER.add_argument(
+    "--verify-only",
+    action="store_true",
+    help="recheck the witnesses in an existing report instead of running",
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="latspec", description="exact lattice-dynamics experiments"
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--out", help="report path (default stdout); with --verify-only, the report to check")
-    parser.add_argument("--csv", help="CSV export path for tabular outputs")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
-    parser.add_argument("--seed", type=int, help="overrides the config seed")
-    parser.add_argument(
-        "--verify-only",
-        action="store_true",
-        help="recheck the witnesses in an existing report instead of running",
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # the one mapping from exceptions to exit codes, for runs and replays alike
     try:
         return _serve(args)

@@ -1,10 +1,15 @@
 """Enumeration kernels for simplex-determinant spectra.
 
 The (r+1)-subset determinant scans are the only hot numeric loops in the
-package.  Ranks 2 and 3 run one vectorized int64 NumPy scan: ``_blocks``
-fixes the first r-1 indices and yields the square |det| matrix over the
-points after them (O(n^2) memory per block, no index lists or gathers);
-every rank has a pure-Python exact path.  Selection:
+package.  Ranks 2 and 3 run one vectorized int64 NumPy scan over the
+difference vectors d of the points after each base point (``_base``): at
+rank 2 one square |det| matrix per base, the antisymmetric part of
+outer(d_x, d_y); at rank 3 one product of the normals d_a x d_b with d per
+base, cut into chunks of rows of about ``CHUNK_CELLS`` entries (O(n^2)
+memory per block either way, no index lists or gathers).  Every rank has a
+pure-Python exact path; at ranks 2 and 3 it uses the same closed forms in
+Python ints, the differences taken once per base, and Bareiss
+(``lattice.det_exact``) per subset elsewhere.  Selection:
 
     LATSPEC_KERNELS = auto | numpy | python
 
@@ -54,6 +59,10 @@ _INT64_SAFE = 1 << 62
 TABLE_LIMIT = 1 << 27
 #: most (rank+1)-subsets a scan will enumerate, checked before it starts
 SUBSET_LIMIT = 10**9
+#: about how many int64 entries one rank-3 block holds
+CHUNK_CELLS = 1 << 16
+# the cyclic coordinate shifts of a cross product: (d x e)_j = d_{j+1} e_{j+2} - d_{j+2} e_{j+1}
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def backend_name() -> str:
@@ -98,35 +107,46 @@ def _int64_ok(spreads: Sequence[int], rank: int, limit: int) -> bool:
 
 
 def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
-    # translate in Python first: the spread fits int64, the coordinates need not
-    lows = [min(col) for col in zip(*points)]
-    return np.asarray([[x - lo for x, lo in zip(p, lows)] for p in points], dtype=np.int64)
+    # translate in Python ints first (one object column at a time): the spread
+    # fits int64, the coordinates need not
+    cols = [np.array(col, dtype=object) - min(col) for col in zip(*points)]
+    return np.array(cols, dtype=np.int64).T
 
 
 # ---------------------------------------------------------------------------
 # int64 scan (ranks 2 and 3)
 
 def _base(pts: np.ndarray, rank: int, i: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield the ``(prefix, M)`` blocks whose subsets start at point i.
+    """Yield the ``(corner, M)`` blocks whose subsets start at point i.
 
-    A block fixes the first rank-1 indices (``prefix``: ``(i,)`` for rank 2,
-    ``(i, j)`` for rank 3); with s = prefix[-1] + 1, ``M[a, b]`` is the |det|
-    of the subset ``prefix + (s + a, s + b)``.  M is symmetric with a zero
-    diagonal, and its entries with a < b in row-major order, block after
-    block and base after base, list the subsets lexicographically.
+    ``corner`` is the subset of M's first entry: the entry at multi-index u
+    is the |det| of ``(corner[0], corner[1] + u[0], corner[2] + u[1], ...)``.
+    Rank 2 gives one square M over the points after i.  Rank 3 cuts the rows
+    a of M[a, b, c] = |det(d_a, d_b, d_c)| into chunks of about
+    ``CHUNK_CELLS`` entries, b and c running from the chunk's first row + 1
+    on.  An entry whose indices are not increasing repeats the value of the
+    sorted subset, which lies in the same block and earlier in row-major
+    order, or is 0.  So the increasing entries, block after block and base
+    after base, list the subsets lexicographically, and the first entry of a
+    value in that order is the lexicographically first subset realizing it.
     """
     d = pts[i + 1 :] - pts[i]
     if rank == 2:
         # outer(y, x) is the transpose of outer(x, y)
-        xy = np.outer(d[:, 0], d[:, 1])
+        xy = np.multiply.outer(d[:, 0], d[:, 1])
         m = xy - xy.T
-        yield (i,), np.abs(m, out=m)
+        yield (i, i + 1, i + 1), np.abs(m, out=m)
         return
-    # normals[a, b] = d_a x d_b over the points after i: one cross call per i
-    normals = np.cross(d[:, None], d[None, :])
-    for a in range(len(d) - 2):
-        m = normals[a, a + 1 :] @ d[a + 1 :].T
-        yield (i, i + 1 + a), np.abs(m, out=m)
+    k = len(d)
+    a = 0
+    while a < k - 2:
+        stop = min(k - 2, a + max(1, CHUNK_CELLS // (k - a - 1) ** 2))
+        # normals[a', b] = d_a' x d_b for the rows a' of the chunk and b > a
+        r, c = d[a:stop, None], d[None, a + 1 :]
+        normals = r[..., _NEXT] * c[..., _PREV] - r[..., _PREV] * c[..., _NEXT]
+        m = normals @ d[a + 1 :].T
+        yield (i, i + 1 + a, i + 2 + a, i + 2 + a), np.abs(m, out=m)
+        a = stop
 
 
 def _blocks(pts: np.ndarray, rank: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
@@ -171,16 +191,15 @@ def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tup
     wanted = np.zeros(limit + 2, dtype=bool)
     wanted[targets] = True
     found: dict[int, tuple[int, ...]] = {}
-    for prefix, m in _blocks(pts, rank):
+    for corner, m in _blocks(pts, rank):
         hits = np.flatnonzero(wanted[np.minimum(m, limit + 1)])
         if not hits.size:
             continue
-        # the first row-major hit per value is the lexicographically first subset,
-        # above the diagonal: M is symmetric, the mirror (a, b) of (b, a) comes first
+        # the first row-major hit per value is the lexicographically first subset
         values, first = np.unique(m.flat[hits], return_index=True)
-        s, k = prefix[-1] + 1, m.shape[0]
-        for v, t in zip(values.tolist(), hits[first].tolist()):
-            found[v] = (*prefix, s + t // k, s + t % k)
+        cells = np.column_stack(np.unravel_index(hits[first], m.shape)) + corner[1:]
+        for v, cell in zip(values.tolist(), cells.tolist()):
+            found[v] = (corner[0], *cell)
         wanted[values] = False
         if len(found) == len(targets):
             break
@@ -196,9 +215,36 @@ def _diff_det(points: Sequence[tuple[int, ...]], idx: tuple[int, ...]) -> int:
     return det_exact([[cols[j][i] for j in range(len(cols))] for i in range(len(base))])
 
 
+def _rows_py(points: Sequence[tuple[int, ...]], rank: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Yield ``(prefix, row)`` in lexicographic order: ``row[t]`` is the |det|
+    of the subset ``prefix + (prefix[-1] + 1 + t,)``.
+
+    Ranks 2 and 3 take the difference vectors once per base point and use the
+    int64 scan's formulas in Python ints: a 2 x 2 minor, and a cross product
+    dotted with the third vector.  Other ranks run Bareiss per subset.
+    """
+    n = len(points)
+    if rank not in (2, 3):
+        for prefix in combinations(range(n), rank):
+            yield prefix, [abs(_diff_det(points, (*prefix, c))) for c in range(prefix[-1] + 1, n)]
+        return
+    for i, p in enumerate(points[: n - rank]):
+        d = [tuple(x - y for x, y in zip(q, p)) for q in points[i + 1 :]]
+        if rank == 2:
+            for a, (xa, ya) in enumerate(d):
+                yield (i, i + 1 + a), [abs(xa * yb - ya * xb) for xb, yb in d[a + 1 :]]
+            continue
+        for a, (xa, ya, za) in enumerate(d):
+            for b in range(a + 1, len(d)):
+                xb, yb, zb = d[b]
+                nx, ny, nz = ya * zb - za * yb, za * xb - xa * zb, xa * yb - ya * xb
+                row = [abs(nx * xc + ny * yc + nz * zc) for xc, yc, zc in d[b + 1 :]]
+                yield (i, i + 1 + a, i + 1 + b), row
+
+
 def _distinct_py(points: Sequence[tuple[int, ...]], rank: int, limit: Optional[int]) -> set[int]:
-    dets = (abs(_diff_det(points, idx)) for idx in combinations(range(len(points)), rank + 1))
-    return {d for d in dets if d != 0 and (limit is None or d <= limit)}
+    dets = {v for _, row in _rows_py(points, rank) for v in row}
+    return {v for v in dets if v != 0 and (limit is None or v <= limit)}
 
 
 def _witness_py(
@@ -206,13 +252,12 @@ def _witness_py(
 ) -> dict[int, tuple[int, ...]]:
     pending = set(targets)
     found: dict[int, tuple[int, ...]] = {}
-    for idx in combinations(range(len(points)), rank + 1):
+    for prefix, row in _rows_py(points, rank):
         if not pending:
             break
-        d = abs(_diff_det(points, idx))
-        if d in pending:
-            found[d] = idx
-            pending.discard(d)
+        for v in pending.intersection(row):
+            found[v] = (*prefix, prefix[-1] + 1 + row.index(v))
+        pending.difference_update(row)
     return found
 
 

@@ -295,9 +295,6 @@ class ErgodicSetSpec:
         if self.kind == "interval" and (self.offset != 0 or self.step != 1):
             raise ValueError("interval spec has offset 0 and step 1")
 
-    def elements(self, count: int) -> list[int]:
-        return [self.offset + self.step * t for t in range(count)]
-
     @property
     def universal(self) -> bool:
         return self.step == 1

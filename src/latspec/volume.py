@@ -17,9 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import compress, product
 from math import gcd, prod
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import kernels
 from .haystack import make_haystack
@@ -37,7 +40,7 @@ class PointSet:
     window: int
     points: frozenset[Point]
 
-    @property
+    @cached_property
     def sorted_points(self) -> list[Point]:
         return sorted(self.points)
 
@@ -69,8 +72,10 @@ def _admit(kind: str, count: int) -> None:
 
 
 def _window_points(kind: str, rank: int, window: int):
-    _admit(kind, max(2 * window + 1, 0) ** rank)
-    return product(range(-window, window + 1), repeat=rank)
+    """The W window points in lexicographic order, and W, once admitted."""
+    count = max(2 * window + 1, 0) ** rank
+    _admit(kind, count)
+    return product(range(-window, window + 1), repeat=rank), count
 
 
 def _integral(value, what: str):
@@ -110,7 +115,7 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
     - ``congruence`` (offset + modulus * Z^rank): the product of one
       progression per axis, O(|E|) points, never the whole window;
     - ``random`` (seeded splitmix64): one 64-bit draw per window point in
-      lexicographic order, O(W);
+      lexicographic order, all W drawn as one uint64 array, O(W);
     - ``explicit``: the listed points, clipped to the window;
     - ``union``, ``intersection``, ``translate``: the cost of their parts
       plus set operations on the results.
@@ -122,7 +127,7 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
     """
     kind = descriptor.get("kind")
     if kind == "full":
-        pts = set(_window_points(kind, rank, window))
+        pts = set(_window_points(kind, rank, window)[0])
     elif kind == "congruence":
         n = _int(descriptor["modulus"], "modulus")
         if n < 1:
@@ -138,8 +143,12 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
         density = _parse_density(descriptor["density"])
         seed = _int(descriptor["seed"], "seed")
         threshold = (density.numerator << 64) // density.denominator
-        rng = SplitMix64(seed)
-        pts = {p for p in _window_points(kind, rank, window) if rng.next_u64() < threshold}
+        window_points, count = _window_points(kind, rank, window)
+        if threshold >> 64:  # density 1: every 64-bit draw lies below 2^64
+            pts = set(window_points)
+        else:
+            keep = SplitMix64(seed).next_u64_array(count) < np.uint64(threshold)
+            pts = set(compress(window_points, keep.tolist()))
     elif kind == "explicit":
         pts = {tuple(int(x) for x in p) for p in _integral(descriptor["points"], "points")}
         if any(len(p) != rank for p in pts):

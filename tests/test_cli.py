@@ -1,5 +1,6 @@
 """CLI runner: determinism, exit codes, CSV, witness re-verification."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -251,6 +252,37 @@ def test_density_cli_with_seed_override(tmp_path):
     assert json.loads(c.read_text())["results"] != json.loads(a.read_text())["results"]
     assert (tmp_path / "d.csv").read_text().splitlines()[0] == "window,num,den"
     assert run_cli(["density", "--config", cfg, "--out", a, "--verify-only"]) == 0
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    cfg = write_cfg(
+        tmp_path,
+        "d.json",
+        {"experiment": "density", "rank": 2, "set": {"kind": "random", "density": "1/2"}, "windows": [3], "seed": 1},
+    )
+    plain, seeded, again = (tmp_path / name for name in ("plain.json", "seeded.json", "again.json"))
+    assert run_cli(["density", "--config", cfg, "--out", plain]) == 0
+    # a --seed call, then a --verify-only call, then a plain call: nothing carries over
+    assert run_cli(["density", "--config", cfg, "--out", seeded, "--seed", 2]) == 0
+    assert run_cli(["density", "--config", cfg, "--out", seeded, "--verify-only"]) == 0
+    assert run_cli(["density", "--config", cfg, "--out", again]) == 0
+    first, last = (strip_volatile(json.loads(p.read_text())) for p in (plain, again))
+    assert first == last and first["seed"] == 1
+    assert json.loads(seeded.read_text())["seed"] == 2
+
+
+def test_help_exits_0_and_an_unknown_subcommand_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0 and "verify-only" in capsys.readouterr().out
+    cfg = write_cfg(tmp_path, "d.json", {"experiment": "density"})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["no-such-experiment", "--config", cfg])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_csv_rejected_without_tabular_output(tmp_path):

@@ -5,7 +5,7 @@ identical spectra and identical witness index tuples; inputs that could
 overflow int64 must fall back to the exact path silently.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd, prod
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from latspec import kernels
+from latspec.lattice import det_exact
 from latspec.prng import SplitMix64
 
 BACKENDS = ["python", "numpy"]
@@ -163,6 +164,70 @@ def test_square_blocks_match_the_python_path(monkeypatch, rank):
             assert max(want_witnesses.values())[0] > 0  # some witness lies past the first block
         else:
             assert (name == "one simplex") == bool(want_spectra[None])
+
+
+def _bareiss_per_subset(pts, rank):
+    """``(subset, |det|)`` for every (rank+1)-subset in lexicographic order,
+    one difference matrix and one Bareiss elimination per subset."""
+    for idx in combinations(range(len(pts)), rank + 1):
+        base = pts[idx[0]]
+        rows = [[pts[j][k] - base[k] for j in idx[1:]] for k in range(rank)]
+        yield idx, abs(det_exact(rows))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_exact_path_matches_bareiss_per_subset(rank):
+    generic = _random_points(120 + rank, {1: 12, 2: 16, 3: 11, 4: 8}[rank], rank, 7)
+    cases = {
+        "generic": generic,
+        # coordinates past 2^63, and determinants far past int64
+        "huge": [tuple(x * (1 << 64) + x * x for x in p) for p in generic],
+        "far": [tuple(x + (1 << 70) for x in p) for p in generic],
+    }
+    if rank > 1:
+        # the last coordinate is a linear form in the others: one hyperplane
+        flat = _random_points(130 + rank, 9, rank - 1, 4)
+        cases["flat"] = [(*p, 2 * p[0] - sum(p[1:])) for p in flat]
+    for name, pts in cases.items():
+        dets = list(_bareiss_per_subset(pts, rank))
+        spectrum = sorted({v for _, v in dets if v})
+        assert bool(spectrum) == (name != "flat"), name
+        top = spectrum[-1] if spectrum else 1
+        caps = [None, -1, 0, 1, spectrum[len(spectrum) // 2] if spectrum else 2, top, top + 1]
+        for cap in caps:
+            want = {v for v in spectrum if cap is None or v <= cap}
+            assert kernels._distinct_py(pts, rank, cap) == want, (name, cap)
+        first = {}
+        for idx, v in dets:
+            first.setdefault(v, idx)
+        targets = spectrum + [top + 1]
+        want_witnesses = {v: first[v] for v in spectrum}
+        assert kernels._witness_py(pts, rank, targets) == want_witnesses, name
+
+
+def test_rank3_blocks_across_chunk_boundaries_match_the_python_path(monkeypatch):
+    pts = _random_points(88, 52, 3, 6)
+    # 51 points follow the first one: its base spans two chunks of rows
+    assert len(list(kernels._base(kernels._int64_points(pts), 3, 0))) == 2
+    caps = [None, 40, 3000]
+    want_spectra = {cap: kernels._distinct_py(pts, 3, cap) for cap in caps}
+    targets = sorted(want_spectra[None]) + [kernels.det_bound(6, 3)]
+    want_witnesses = kernels._witness_py(pts, 3, targets)
+
+    def past_first_chunk(idx):
+        k = len(pts) - idx[0] - 1
+        return idx[1] - idx[0] - 1 >= max(1, kernels.CHUNK_CELLS // (k - 1) ** 2)
+
+    assert any(past_first_chunk(idx) for idx in want_witnesses.values())
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    monkeypatch.setattr(kernels, "_distinct_py", _refuse)
+    monkeypatch.setattr(kernels, "_witness_py", _refuse)
+    # the default chunks, one row per chunk, and ragged chunks of a few rows
+    for cells in (kernels.CHUNK_CELLS, 1, 5000):
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
+        for cap in caps:
+            assert kernels.distinct_abs_dets(pts, 3, cap) == want_spectra[cap], (cells, cap)
+        assert kernels.find_det_witnesses(pts, 3, targets) == want_witnesses, cells
 
 
 def test_subset_limit_is_checked_before_the_scan(monkeypatch):

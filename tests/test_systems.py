@@ -412,7 +412,7 @@ def test_ergodic_set_spec_validation():
     with pytest.raises(ValueError):
         ErgodicSetSpec(kind="ap", step=0)
     ap = ErgodicSetSpec(kind="ap", offset=3, step=2)
-    assert ap.elements(3) == [3, 5, 7]
+    assert spectral._positive_elements(ap, 3) == [3, 5, 7]
     assert not ap.universal
     assert ErgodicSetSpec().universal
 

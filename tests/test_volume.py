@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latspec import volume
+from latspec.prng import SplitMix64
 from latspec.volume import (
     SearchBounds,
     ap_certificate,
@@ -367,6 +368,42 @@ def test_random_generator_reproducible():
     assert a.points == b.points
     frac = Fraction(len(a.points), 17**2)
     assert Fraction(1, 6) < frac < Fraction(1, 2)  # crude sanity band
+
+
+def _random_reference(density, seed, rank, window):
+    """The random kind one draw per window point, in lexicographic order: a
+    point is kept when its draw lies below floor(density * 2^64)."""
+    threshold = (density.numerator << 64) // density.denominator
+    rng = SplitMix64(seed)
+    window_points = product(range(-window, window + 1), repeat=rank)
+    return {p for p in window_points if rng.next_u64() < threshold}
+
+
+@pytest.mark.parametrize("rank, window", [(1, 40), (2, 7), (3, 3)])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_random_sets_match_one_draw_per_point(rank, window, seed):
+    rng = SplitMix64(seed)
+    draws = [rng.next_u64() for _ in range((2 * window + 1) ** rank)]
+    # a density whose threshold is exactly the median draw: that point is left out
+    hit = sorted(draws)[len(draws) // 2]
+    sets = {}
+    for density in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(hit, 1 << 64)):
+        desc = {"kind": "random", "density": str(density), "seed": seed}
+        sets[density] = build_point_set(desc, rank, window).points
+        assert sets[density] == _random_reference(density, seed, rank, window), density
+    assert not sets[0] and len(sets[1]) == len(draws)
+    window_points = list(product(range(-window, window + 1), repeat=rank))
+    at_hit = sets[Fraction(hit, 1 << 64)]
+    assert window_points[draws.index(hit)] not in at_hit
+    assert len(at_hit) == sum(u < hit for u in draws)
+
+
+def test_sorted_points_are_sorted_once_and_leave_equality_alone():
+    a = build_point_set({"kind": "congruence", "modulus": 3, "offset": [1, 2]}, 2, 7)
+    b = build_point_set({"kind": "congruence", "modulus": 3, "offset": [1, 2]}, 2, 7)
+    assert a.sorted_points is a.sorted_points
+    assert a.sorted_points == sorted(a.points)
+    assert a == b and hash(a) == hash(b) and {a, b} == {b}
 
 
 def test_boolean_combinators():
