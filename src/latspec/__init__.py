@@ -16,6 +16,7 @@ from .lattice import (
     hnf,
     is_primitive,
     scale_lattice,
+    simplex_det,
     smallest_scale_inside,
     snf,
     sublattice,
@@ -54,7 +55,6 @@ from .volume import (
     ap_certificate,
     build_point_set,
     pattern_search,
-    simplex_det,
     upper_density_estimate,
     volume_spectrum,
 )

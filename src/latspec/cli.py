@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .formal import FormalReal
-from .haystack import admit_subsets, make_haystack, verify_haystack_sample
-from .lattice import is_primitive, sublattice
+from .haystack import MULTIPLIERS, admit_subsets, make_haystack, verify_haystack_sample
+from .lattice import is_primitive, simplex_det, sublattice
 from .spectral import (
     GRID,
     Weight,
@@ -64,23 +64,10 @@ from .volume import (
     ap_certificate,
     build_point_set,
     pattern_search,
-    simplex_det,
     upper_density_estimate,
     verify_pattern_witness,
     volume_spectrum,
 )
-
-EXPERIMENTS = (
-    "volume-spectrum",
-    "pattern-search",
-    "expand-scan",
-    "spectral-report",
-    "decompose",
-    "intersect",
-    "haystack-verify",
-    "density",
-)
-
 
 class ConfigError(Exception):
     pass
@@ -317,27 +304,42 @@ def _parse_set_b(sys_, desc: dict):
     raise ConfigError("kronecker set_b kind must be 'boxes'")
 
 
+def _system_and_set(cfg: dict, experiment: str):
+    """The system and the set B of a config, for runs and replays alike;
+    every experiment but spectral-report requires a finite system."""
+    sys_ = _parse_system(cfg["system"])
+    if experiment != "spectral-report" and not isinstance(sys_, FiniteSystem):
+        raise ConfigError(f"{experiment} requires a finite system")
+    return sys_, _parse_set_b(sys_, cfg["set_b"])
+
+
 def _parse_haystack(desc: Optional[dict], rank: int) -> list[tuple[int, ...]]:
     desc = desc or {}
-    primes = (2, 3, 5, 7, 11, 13, 17)
-    multipliers = tuple(int(m) for m in _integral(desc.get("multipliers", primes[:rank]), "multipliers"))
+    multipliers = tuple(int(m) for m in _integral(desc.get("multipliers", MULTIPLIERS[:rank]), "multipliers"))
     count = _int(desc.get("count", 8), "count")
     return make_haystack(_integral(desc.get("basis"), "basis"), multipliers, count)
 
 
 def _parse_sspec(desc: Optional[dict]) -> ErgodicSetSpec:
-    if not desc:
-        return ErgodicSetSpec()
-    return ErgodicSetSpec(
-        kind=desc.get("kind", "interval"),
-        offset=_int(desc.get("offset", 0), "offset"),
-        step=_int(desc.get("step", 1), "step"),
-    )
+    desc = desc or {}
+    offset, step = _int(desc.get("offset", 0), "offset"), _int(desc.get("step", 1), "step")
+    kind = desc.get("kind", "interval")
+    if kind not in ("interval", "ap"):
+        raise ConfigError("kind must be 'interval' or 'ap'")
+    sspec = ErgodicSetSpec(offset=offset, step=step)
+    if kind == "interval" and (offset, step) != (0, 1):
+        raise ConfigError("interval spec has offset 0 and step 1")
+    return sspec
 
 
 def _point_set(cfg: dict, seed: Optional[int]):
     rank, window = _int(cfg["rank"], "rank"), _int(cfg["window"], "window")
     return build_point_set(_seeded(cfg["set"], seed), rank, window)
+
+
+def _densities(cfg: dict, seed: Optional[int]):
+    rank, desc = _int(cfg["rank"], "rank"), _seeded(cfg["set"], seed)
+    return upper_density_estimate(desc, rank, [int(n) for n in _integral(cfg["windows"], "windows")])
 
 
 def _require(cfg: dict, *keys):
@@ -427,10 +429,7 @@ def _run_expand_scan(cfg: dict, seed: Optional[int]):
     exceed every ``measure`` in the CSV.
     """
     _require(cfg, "system", "set_b", "coord_bound")
-    sys_ = _parse_system(cfg["system"])
-    if not isinstance(sys_, FiniteSystem):
-        raise ConfigError("expand-scan requires a finite system")
-    bset = _parse_set_b(sys_, cfg["set_b"])
+    sys_, bset = _system_and_set(cfg, "expand-scan")
     bound = _box_bound(cfg, "coord_bound", sys_.rank)
     sspec = _parse_sspec(cfg.get("ergodic_set")) if "ergodic_set" in cfg else None
     candidates = _candidate_box(sys_.rank, bound)
@@ -477,8 +476,7 @@ def _run_expand_scan(cfg: dict, seed: Optional[int]):
 
 def _run_spectral_report(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b")
-    sys_ = _parse_system(cfg["system"])
-    bset = _parse_set_b(sys_, cfg["set_b"])
+    sys_, bset = _system_and_set(cfg, "spectral-report")
     if isinstance(sys_, FiniteSystem):
         lam_bound = _box_bound(cfg, "lambda_bound", sys_.rank, default=4)
         sigma = spectral_measure(sys_, bset)
@@ -541,10 +539,7 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
 
 def _run_decompose(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b")
-    sys_ = _parse_system(cfg["system"])
-    if not isinstance(sys_, FiniteSystem):
-        raise ConfigError("decompose requires a finite system")
-    bset = _parse_set_b(sys_, cfg["set_b"])
+    sys_, bset = _system_and_set(cfg, "decompose")
     results = {}
     verdicts = []
     if "sublattice" in cfg:
@@ -587,10 +582,7 @@ def _run_decompose(cfg: dict, seed: Optional[int]):
 
 def _run_intersect(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b", "p", "probes")
-    sys_ = _parse_system(cfg["system"])
-    if not isinstance(sys_, FiniteSystem):
-        raise ConfigError("intersect requires a finite system")
-    bset = _parse_set_b(sys_, cfg["set_b"])
+    sys_, bset = _system_and_set(cfg, "intersect")
     sample = _parse_haystack(cfg.get("haystack"), sys_.rank)
     sspec = _parse_sspec(cfg.get("ergodic_set"))
     witness = intersection_theorem_search(
@@ -646,10 +638,7 @@ def _run_haystack_verify(cfg: dict, seed: Optional[int]):
 
 def _run_density(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "set", "windows")
-    rank = _int(cfg["rank"], "rank")
-    est = upper_density_estimate(
-        _seeded(cfg["set"], seed), rank, [int(n) for n in _integral(cfg["windows"], "windows")]
-    )
+    est = _densities(cfg, seed)
     results = {
         "windows": list(est.windows),
         "densities": [ser_fraction(d) for d in est.densities],
@@ -667,9 +656,8 @@ def _seeded(set_desc: dict, seed: Optional[int]) -> dict:
     desc = dict(set_desc)
     if desc.get("kind") == "random" and "seed" not in desc and seed is not None:
         desc["seed"] = seed
-    for key in ("parts",):
-        if key in desc:
-            desc[key] = [_seeded(p, seed) for p in desc[key]]
+    if "parts" in desc:
+        desc["parts"] = [_seeded(p, seed) for p in desc["parts"]]
     if "base" in desc:
         desc["base"] = _seeded(desc["base"], seed)
     return desc
@@ -722,15 +710,13 @@ def _verify_report(report: dict) -> list[dict]:
             )
             add(f"pattern-witness-{i}", verify_pattern_witness(e, witness))
     elif kind == "expand-scan":
-        sys_ = _parse_system(cfg["system"])
-        bset = _parse_set_b(sys_, cfg["set_b"])
+        sys_, bset = _system_and_set(cfg, kind)
         lam = tuple(report["results"]["argmax_lambda"])
         mu = parse_fraction(report["results"]["max_expansion"])
         _, measured = orbit_saturation(sys_, bset, lam)
         add("argmax-measure-reproduces", measured == mu)
     elif kind == "intersect":
-        sys_ = _parse_system(cfg["system"])
-        bset = _parse_set_b(sys_, cfg["set_b"])
+        sys_, bset = _system_and_set(cfg, kind)
         res = report["results"]
         measures = ambient_intersections(
             sys_,
@@ -749,8 +735,7 @@ def _verify_report(report: dict) -> list[dict]:
         verdict = verify_haystack_sample(vectors, _int(cfg["rank"], "rank"))
         add("haystack-verdict-reproduces", verdict.ok == report["results"]["ok"])
     elif kind == "spectral-report":
-        sys_ = _parse_system(cfg["system"])
-        bset = _parse_set_b(sys_, cfg["set_b"])
+        sys_, bset = _system_and_set(cfg, kind)
         if isinstance(sys_, FiniteSystem):
             sigma = spectral_measure(sys_, bset)
             add(
@@ -768,8 +753,7 @@ def _verify_report(report: dict) -> list[dict]:
                 ser_weight(sigma.tail) == report["results"]["tail"],
             )
     elif kind == "decompose":
-        sys_ = _parse_system(cfg["system"])
-        bset = _parse_set_b(sys_, cfg["set_b"])
+        sys_, bset = _system_and_set(cfg, kind)
         eps_o = parse_fraction(cfg.get("eps_o", "1/10"))
         shrink = shrink_rational_spectrum(sys_, bset, eps_o)
         add("shrink-n-reproduces", shrink.n == report["results"]["shrink"]["n"])
@@ -778,8 +762,7 @@ def _verify_report(report: dict) -> list[dict]:
             shrink.rational_mass < eps_o,
         )
     elif kind == "density":
-        windows = [int(n) for n in _integral(cfg["windows"], "windows")]
-        est = upper_density_estimate(_seeded(cfg["set"], seed), _int(cfg["rank"], "rank"), windows)
+        est = _densities(cfg, seed)
         add(
             "densities-reproduce",
             [ser_fraction(d) for d in est.densities] == report["results"]["densities"],
@@ -803,7 +786,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 # built once per process: ``main`` only parses
 _PARSER = argparse.ArgumentParser(prog="latspec", description="exact lattice-dynamics experiments")
-_PARSER.add_argument("experiment", choices=EXPERIMENTS)
+_PARSER.add_argument("experiment", choices=_RUNNERS)
 _PARSER.add_argument("--config", required=True, help="JSON config path")
 _PARSER.add_argument("--out", help="report path (default stdout); with --verify-only, the report to check")
 _PARSER.add_argument("--csv", help="CSV export path for tabular outputs")

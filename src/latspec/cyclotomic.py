@@ -8,23 +8,22 @@ checked as integer identities rather than numerically.
 
 For display, the real part of such a vector is enclosed on the integer
 rounding grid of ``intervals``: one table of cosine enclosures per order N,
-held as integer numerators, one integer Taylor evaluation per first-quadrant
-angle.  ``enclose_real_root_grid`` encloses many vectors at once with int64
-products of the rows against that table cut into 32-bit limbs, which is the
-exact integer dot product of each row with the table; the limbs are carried
-in one array pass and each end is read by one ``int.from_bytes``, so it
-returns the grid numerators as Python integers without building a
-Fraction.  ``enclose_real_root_rows`` wraps them as ``Iv``s.
+held as integer numerators, one ``intervals.sinpi_grid`` evaluation per
+first-quadrant angle, the route ``sinpi`` and ``cospi`` take as well.
+``enclose_real_root_grid`` encloses many vectors at once with int64 products
+of the rows against that table cut into 32-bit limbs, which is the exact
+integer dot product of each row with the table; the limbs are carried in one
+array pass and each end is read by one ``int.from_bytes``, so it returns the
+grid numerators as Python integers without building a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .intervals import _GRID_BITS, Iv, sinpi_grid
+from .intervals import _GRID_BITS, sinpi_grid
 
 
 @lru_cache(maxsize=None)
@@ -170,9 +169,3 @@ def enclose_real_root_grid(n: int, rows, den: int = 1) -> tuple[list[int], list[
         return ends[::2], ends[1::2]
     return [lo // den for lo in ends[::2]], [-(-hi // den) for hi in ends[1::2]]
 
-
-def enclose_real_root_rows(n: int, rows, den: int = 1) -> list[Iv]:
-    """``enclose_real_root_grid`` as intervals: certified enclosures of
-    Re(sum_k row[k] * z^k) / den on the rounding grid, one per row."""
-    scale = 1 << _GRID_BITS
-    return [Iv(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(*enclose_real_root_grid(n, rows, den))]

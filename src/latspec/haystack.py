@@ -21,6 +21,9 @@ from typing import Optional, Sequence
 
 from .lattice import as_coords, det_exact, is_primitive, mat_from_columns
 
+#: the multipliers of a rank-r haystack when none are given: the first r primes
+MULTIPLIERS = (2, 3, 5, 7, 11, 13, 17)
+
 #: verify_haystack_sample refuses to enumerate more r-subsets than this.
 SUBSET_LIMIT = 10**6
 

@@ -7,9 +7,10 @@ All endpoints are Fractions; rounding, when applied, only ever widens an
 interval, so every enclosure stays sound.  Rounding goes onto a 2**-192
 grid, and the Taylor series runs on integer numerators over that grid
 (each term exactly p / (m * 2**192) for integers p and m), building a
-Fraction only for the final enclosure.  ``sinpi_grid`` hands the same
-integer enclosure of sin(pi t / m) to the cosine tables of ``cyclotomic``
-without building a Fraction at all.
+Fraction only for the final enclosure.  ``sinpi_grid`` is the one route to
+sin(pi t / m): ``sinpi`` and ``cospi`` wrap its grid numerators as an
+``Iv``, and the cosine tables of ``cyclotomic`` read them without building
+a Fraction at all.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class Iv:
         if q >= 0:
             return Iv(self.lo * q, self.hi * q)
         return Iv(self.hi * q, self.lo * q)
-
-    def shift(self, q: Rat) -> "Iv":
-        q = Fraction(q)
-        return Iv(self.lo + q, self.hi + q)
 
     def square(self) -> "Iv":
         if self.lo >= 0:
@@ -163,28 +160,14 @@ def _sin_taylor_grid(lo_n: int, lo_d: int, hi_n: int, hi_d: int, terms: int = _T
     return lo, hi
 
 
-def _sin_taylor(x: Iv, terms: int = _TERMS) -> Iv:
-    """Enclose sin(x) for 0 <= x <= pi/2 on the rounding grid; see _sin_taylor_grid.
-
-    Every step is the exact rational of the interval formulation, so the
-    enclosure is exactly that of Iv arithmetic.
-    """
-    if x.lo < 0:
-        raise ValueError("sin series needs x >= 0")
-    lo, hi = _sin_taylor_grid(
-        x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, terms
-    )
-    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
-
-
 def sinpi_grid(t: int, m: int) -> tuple[int, int]:
-    """Grid numerators of sinpi(t / m) for integers 0 <= 2t <= m.
+    """Grid numerators of the enclosure of sin(pi t / m) for integers
+    0 <= 2t <= m, exact at t / m = 1/2 (and at 0, where every term is 0).
 
-    The enclosure is that of sinpi, read without building a Fraction: pi t / m
-    is bracketed by the pi bounds times t / m, unreduced.
+    pi t / m is bracketed by the pi bounds times t / m, unreduced: the
+    series takes floors and ceilings of rationals, so the numerators do not
+    depend on how t / m is written.
     """
-    if t == 0:
-        return 0, 0
     if 2 * t == m:
         return 1 << _GRID_BITS, 1 << _GRID_BITS
     den = m * 10**50
@@ -202,11 +185,8 @@ def _sinpi_cached(q: Fraction) -> Iv:
         return -_sinpi_cached(q - 1)
     if q > Fraction(1, 2):
         q = 1 - q
-    if q == 0:
-        return Iv.point(0)
-    if q == Fraction(1, 2):
-        return Iv.point(1)
-    return _sin_taylor(PI.scale(q))
+    lo, hi = sinpi_grid(q.numerator, q.denominator)
+    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
 
 
 def cospi(q: Rat) -> Iv:

@@ -9,7 +9,7 @@ base, cut into chunks of rows of about ``CHUNK_CELLS`` entries (O(n^2)
 memory per block either way, no index lists or gathers).  Every rank has a
 pure-Python exact path; at ranks 2 and 3 it uses the same closed forms in
 Python ints, the differences taken once per base, and Bareiss
-(``lattice.det_exact``) per subset elsewhere.  Selection:
+(``lattice.simplex_det``) per subset elsewhere.  Selection:
 
     LATSPEC_KERNELS = auto | numpy | python
 
@@ -51,7 +51,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .lattice import det_exact
+from .lattice import simplex_det
 
 _ENV = "LATSPEC_KERNELS"
 _INT64_SAFE = 1 << 62
@@ -209,12 +209,6 @@ def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tup
 # ---------------------------------------------------------------------------
 # exact Python path (any rank, no overflow ceiling)
 
-def _diff_det(points: Sequence[tuple[int, ...]], idx: tuple[int, ...]) -> int:
-    base = points[idx[0]]
-    cols = [[points[j][i] - base[i] for i in range(len(base))] for j in idx[1:]]
-    return det_exact([[cols[j][i] for j in range(len(cols))] for i in range(len(base))])
-
-
 def _rows_py(points: Sequence[tuple[int, ...]], rank: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Yield ``(prefix, row)`` in lexicographic order: ``row[t]`` is the |det|
     of the subset ``prefix + (prefix[-1] + 1 + t,)``.
@@ -226,7 +220,8 @@ def _rows_py(points: Sequence[tuple[int, ...]], rank: int) -> Iterator[tuple[tup
     n = len(points)
     if rank not in (2, 3):
         for prefix in combinations(range(n), rank):
-            yield prefix, [abs(_diff_det(points, (*prefix, c))) for c in range(prefix[-1] + 1, n)]
+            base = [points[j] for j in prefix]
+            yield prefix, [abs(simplex_det(base + [points[c]])) for c in range(prefix[-1] + 1, n)]
         return
     for i, p in enumerate(points[: n - rank]):
         d = [tuple(x - y for x, y in zip(q, p)) for q in points[i + 1 :]]

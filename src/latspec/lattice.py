@@ -142,6 +142,17 @@ def det_exact(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def simplex_det(vertices: Sequence) -> int:
+    """det(v_1 - v_0, ..., v_r - v_0) for r+1 vertices of rank r, exact: the
+    r!-scaled signed volume of the simplex."""
+    vs = [as_coords(v) for v in vertices]
+    r = len(vs[0])
+    if len(vs) != r + 1:
+        raise ValueError(f"expected {r + 1} vertices for rank {r}, got {len(vs)}")
+    cols = [tuple(v[i] - vs[0][i] for i in range(r)) for v in vs[1:]]
+    return det_exact(mat_from_columns(cols))
+
+
 def _column_echelon(M) -> tuple[Matrix, Matrix, list[tuple[int, int]]]:
     """Column-reduce M over Z by unimodular column operations.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +44,7 @@ from .systems import (
     ErgodicSetSpec,
     FiniteSystem,
     KroneckerSystem,
+    _dots,
     box_grid,
     component_labels,
     component_presentation,
@@ -132,12 +133,12 @@ class SpectralMeasure:
     ``total`` is the full mass mu(B) and ``trivial`` the trivial-atom mass
     mu(B)^2, both exact and positive; for finite systems the tail is exactly
     zero.  The normalized measure of the expansion bound is sigma_B / mu(B)^2:
-    a normalized figure is one division of a raw mass by ``trivial``.  A
-    finite system's measure is a ``FiniteSpectralMeasure``, whose atoms are
-    built on first read.
+    a normalized figure is one division of a raw mass by ``trivial``.  The
+    type of ``system`` tells the two models apart: a ``FiniteSystem``'s
+    measure is a ``FiniteSpectralMeasure``, whose atoms are built on first
+    read.
     """
 
-    kind: str
     system: object
     base_set: object
     atoms: tuple[Atom, ...]
@@ -197,7 +198,7 @@ def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
     if cells > CELL_LIMIT:
         raise ValueError(f"orbits x |B| x s = {cells} coordinates, over the limit of {CELL_LIMIT}")
     pairing = sys_.vectors(sub.generator) * (order // np.array(sys_.moduli, dtype=np.int64))
-    b = sys_.vectors(np.fromiter(bset, dtype=np.int64))
+    b = sys_.vectors(sys_.cells(bset))
     rows = np.zeros((len(pairing), order), dtype=np.int64)
     for row, c, d in zip(rows, pairing, sub.order.tolist()):
         # the cyclic autocorrelation of B's histogram over the values of chi_c
@@ -225,7 +226,7 @@ def _trivial_on(per_coset: np.ndarray, subgroup: int, size: int) -> Fraction:
 
 @lru_cache(maxsize=65536)
 def _cyclic_coset_mass(sys_: FiniteSystem, bset: frozenset, g: int) -> Fraction:
-    return _coset_mass(sys_, np.fromiter(bset, dtype=np.int64), g)
+    return _coset_mass(sys_, sys_.cells(bset), g)
 
 
 def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> FiniteSpectralMeasure:
@@ -258,7 +259,6 @@ class FiniteSpectralMeasure(SpectralMeasure):
     def __init__(self, sys_: FiniteSystem, bset: frozenset, tables: _OrbitTables, orbit_weights: list):
         mu_b = Fraction(len(bset), sys_.size)
         fields = {
-            "kind": "finite",
             "system": sys_,
             "base_set": bset,
             "tail": ZERO_WEIGHT,
@@ -438,7 +438,6 @@ def spectral_measure_kronecker(
         atoms.append(Atom(character=KroneckerCharacter(k), weight=w))
     tail = Weight(max(Fraction(0), mu_b - hi_sum), max(Fraction(0), mu_b - lo_sum), False)
     return SpectralMeasure(
-        kind="kronecker",
         system=sys_,
         base_set=b,
         atoms=tuple(atoms),
@@ -451,18 +450,14 @@ def spectral_measure_kronecker(
 # ---------------------------------------------------------------------------
 # masses and identities
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v, strict=True))
-
-
 def _annihilated(sys_: KroneckerSystem, atoms: Sequence[Atom], lam) -> Weight:
     """Total weight of the atoms whose character is 1 at lam: those k with no
     symbol left in k . (den Theta lam) and its rational part 0 mod den."""
     rat, sym = sys_.shift(lam)
     acc = ZERO_WEIGHT
     for a in atoms:
-        k = a.character.freq
-        if _dot(k, rat) % sys_.den == 0 and not any(_dot(k, col) for col in sym):
+        on_rat, *on_sym = _dots((rat, *sym), a.character.freq)
+        if on_rat % sys_.den == 0 and not any(on_sym):
             acc = acc + a.weight
     return acc
 
@@ -479,8 +474,8 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
     c = as_coords(lam)
     if all(x == 0 for x in c):
         return sigma.total
-    if sigma.kind == "finite":
-        sys_: FiniteSystem = sigma.system
+    sys_ = sigma.system
+    if isinstance(sys_, FiniteSystem):
         g = sys_.phi(c)
         value = _cyclic_coset_mass(sys_, sigma.base_set, g)
         # independent atom route: the traces of the orbits trivial on g
@@ -489,7 +484,7 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
         if Fraction(int(t.sums[on_g, 0].sum()), sys_.size**2) != value:
             raise AssertionError("coset formula disagrees with atom sum")
         return Weight.of(value)
-    acc = _annihilated(sigma.system, sigma.atoms, c)
+    acc = _annihilated(sys_, sigma.atoms, c)
     # the annihilating share of the tail is anywhere in [0, tail.upper]
     acc = Weight(acc.lower, acc.upper + sigma.tail.upper, False)
     return acc.clamp(Fraction(0), sigma.total.upper)
@@ -513,7 +508,7 @@ def rational_mass_excluding_trivial(sigma: SpectralMeasure) -> Weight:
     ergodic systems, where the frequency matrix certifies that only k = 0
     pairs rationally, atoms and tail alike.
     """
-    if sigma.kind == "finite":
+    if isinstance(sigma.system, FiniteSystem):
         return Weight.of(sigma.total.value - sigma.trivial.value)
     return ZERO_WEIGHT
 
@@ -708,7 +703,6 @@ def small_intersection_bound(
 class IrrationalPart:
     """The certified-irrational part of a spectral measure, at its raw scale."""
 
-    kind: str
     system: object
     atoms: tuple[Atom, ...]
     tail: Weight
@@ -728,19 +722,12 @@ def irrational_part(sigma: SpectralMeasure) -> IrrationalPart:
     no irrational atoms by construction, so their irrational part is the
     zero measure.
     """
-    if sigma.kind == "finite":
-        return IrrationalPart(
-            kind="finite",
-            system=sigma.system,
-            atoms=(),
-            tail=ZERO_WEIGHT,
-            total=ZERO_WEIGHT,
-        )
+    if isinstance(sigma.system, FiniteSystem):
+        return IrrationalPart(system=sigma.system, atoms=(), tail=ZERO_WEIGHT, total=ZERO_WEIGHT)
     atoms = tuple(a for a in sigma.atoms if any(a.character.freq))
     lo = sum((a.weight.lower for a in atoms), start=Fraction(0))
     hi = sum((a.weight.upper for a in atoms), start=Fraction(0)) + sigma.tail.upper
     return IrrationalPart(
-        kind="kronecker",
         system=sigma.system,
         atoms=atoms,
         tail=sigma.tail,
@@ -753,10 +740,6 @@ class HaystackSearchResult:
     lam: tuple[int, ...]
     index: int
     mass: Weight
-
-
-def _ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 def haystack_annihilator_search(
@@ -774,7 +757,7 @@ def haystack_annihilator_search(
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    required = _ceil_fraction(Fraction(rank) * tau.total.upper / delta)
+    required = ceil(Fraction(rank) * tau.total.upper / delta)
     if len(sample) < max(required, 1):
         raise ValueError(
             f"sample too short: need at least {max(required, 1)} haystack elements"
@@ -938,7 +921,7 @@ def shrink_rational_spectrum(
         raise ValueError("set must have positive measure")
     size = sys_.size
     mu_b = Fraction(len(bset), size)
-    b_idx = np.fromiter(bset, dtype=np.int64)
+    b_idx = sys_.cells(bset)
     tried = []
     for n in _factorial_candidates(sys_.exponent):
         tried.append(n)

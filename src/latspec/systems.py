@@ -6,7 +6,9 @@ homomorphism phi: Z^r -> A given by generator images; every measure is an
 exact Fraction.  An element of A is its flat index in [0, |A|), the
 lexicographic mixed-radix number of its coordinates, and a set is any
 iterable of flat indices: a frozenset where it keys a cache, a sorted index
-array where a mask was built (a saturation).  Every cyclic orbit is one
+array where a mask was built (a saturation).  ``FiniteSystem.cells`` is the
+one conversion of a set to an index array, and it refuses an element
+outside [0, |A|).  Every cyclic orbit is one
 ``FiniteSystem.window``: the ergodic components of a sublattice are the
 minimum windows (coset labels) of its image, and saturations are windows
 of unions.  Coordinates enter through ``FiniteSystem.index`` and the
@@ -106,6 +108,19 @@ def _cyclic_subgroups(moduli: tuple[int, ...]) -> CyclicSubgroups:
     return out
 
 
+def _cells(s: Iterable[int], size: int) -> np.ndarray:
+    """The int64 index array of the set s over [0, size); an element outside
+    is refused, never wrapped."""
+    try:
+        idx = s if isinstance(s, np.ndarray) else np.fromiter(s, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"set element past int64, outside [0, {size})") from None
+    if idx.size and not 0 <= idx.min() <= idx.max() < size:
+        bad = idx[(idx < 0) | (idx >= size)][0]
+        raise ValueError(f"set element {bad} outside [0, {size})")
+    return idx
+
+
 def _flat(moduli: Sequence[int], x: Iterable[int]) -> int:
     """Flat index of the coordinate row x read modulo the moduli, exact for
     entries of any size."""
@@ -155,7 +170,11 @@ class FiniteSystem:
         return lcm(*(d // gcd(x, d) for x, d in zip(self.vectors(g).tolist(), self.moduli)))
 
     def measure(self, s: Iterable[int]) -> Fraction:
-        return Fraction(len(set(s)), self.size)
+        return Fraction(len(np.unique(self.cells(s))), self.size)
+
+    def cells(self, s: Iterable[int]) -> np.ndarray:
+        """The int64 index array of the set s, refusing an element outside [0, |A|)."""
+        return _cells(s, self.size)
 
     # -- coordinates and arrays --------------------------------------------
 
@@ -173,7 +192,7 @@ class FiniteSystem:
     def mask(self, s: Iterable[int]) -> np.ndarray:
         """Indicator of the set s over the flat indices."""
         out = np.zeros(self.size, dtype=bool)
-        out[s if isinstance(s, np.ndarray) else np.fromiter(s, dtype=np.int64)] = True
+        out[self.cells(s)] = True
         return out
 
     def multiples(self, ks: Iterable[int], g: int) -> np.ndarray:
@@ -275,25 +294,20 @@ def finite_system(L: SubLattice) -> FiniteSystem:
 
 @dataclass(frozen=True)
 class ErgodicSetSpec:
-    """An averaging subset of Z given by its finite sections S_N.
+    """An averaging subset of Z given by its finite sections
+    S_N = offset + step * [0, N); the interval [0, N) is offset 0, step 1.
 
-    ``interval`` is S_N = [0, N); ``ap`` is S_N = offset + step * [0, N).
     Only step = 1 families average correctly on every system; wider steps
     are still valid saturation scans but the expansion inequality is not
     asserted for them.
     """
 
-    kind: str = "interval"
     offset: int = 0
     step: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("interval", "ap"):
-            raise ValueError("kind must be 'interval' or 'ap'")
         if self.step < 1:
             raise ValueError("step must be a positive integer")
-        if self.kind == "interval" and (self.offset != 0 or self.step != 1):
-            raise ValueError("interval spec has offset 0 and step 1")
 
     @property
     def universal(self) -> bool:
@@ -319,12 +333,12 @@ def orbit_saturation(
         raise ValueError("terms requires an ErgodicSetSpec")
     sspec = sspec or ErgodicSetSpec()
     g = sys_.vectors(sys_.phi(lam)).tolist()
+    start = sys_.cells(b)
     if terms is not None and terms < 1:
         return np.zeros(0, dtype=np.int64), Fraction(0)
     # S shifts B by offset * g + t * step * g for t < terms: the window of
     # B + offset * g along -step * g, all of <step * g> once terms reaches its order
     shift = [sspec.offset * x % d for x, d in zip(g, sys_.moduli)]
-    start = np.fromiter(b, dtype=np.int64)
     start = sys_.mask(sys_.translate(start, shift) if any(shift) else start)
     back = _flat(sys_.moduli, [-sspec.step * x for x in g])
     idx = np.flatnonzero(sys_.window(start, back, terms or sys_.size, np.logical_or))
@@ -440,7 +454,7 @@ class ComponentPresentation:
     to_component: np.ndarray
 
     def restrict(self, s: Iterable[int]) -> frozenset[int]:
-        labels = self.to_component[np.fromiter(s, dtype=np.int64)]
+        labels = self.to_component[_cells(s, len(self.to_component))]
         return frozenset(labels[labels >= 0].tolist())
 
 

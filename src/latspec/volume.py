@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .haystack import make_haystack
-from .lattice import as_coords, det_exact, is_primitive, mat_from_columns
+from .haystack import MULTIPLIERS, make_haystack
+from .lattice import as_coords, is_primitive, simplex_det
 from .prng import SplitMix64
 
 Point = tuple[int, ...]
@@ -73,7 +73,7 @@ def _admit(kind: str, count: int) -> None:
 
 def _window_points(kind: str, rank: int, window: int):
     """The W window points in lexicographic order, and W, once admitted."""
-    count = max(2 * window + 1, 0) ** rank
+    count = (2 * window + 1) ** rank
     _admit(kind, count)
     return product(range(-window, window + 1), repeat=rank), count
 
@@ -122,9 +122,11 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
 
     A ``full``, ``random`` or ``congruence`` part that would materialize
     more than ``POINT_LIMIT`` points is refused with ``ValueError`` before
-    any point is built.  The same descriptor, rank, window and seed always
-    regenerate the identical set.
+    any point is built, and so is a window below 0.  The same descriptor,
+    rank, window and seed always regenerate the identical set.
     """
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
     kind = descriptor.get("kind")
     if kind == "full":
         pts = set(_window_points(kind, rank, window)[0])
@@ -204,16 +206,6 @@ def upper_density_estimate(descriptor: dict, rank: int, window_sizes: Sequence[i
 # ---------------------------------------------------------------------------
 # simplices and spectra
 
-def simplex_det(vertices: Sequence) -> int:
-    """det(v_1 - v_0, ..., v_r - v_0) for r+1 vertices of rank r, exact."""
-    vs = [as_coords(v) for v in vertices]
-    r = len(vs[0])
-    if len(vs) != r + 1:
-        raise ValueError(f"expected {r + 1} vertices for rank {r}, got {len(vs)}")
-    cols = [tuple(v[i] - vs[0][i] for i in range(r)) for v in vs[1:]]
-    return det_exact(mat_from_columns(cols))
-
-
 @dataclass(frozen=True)
 class SimplexRecord:
     vertices: tuple[Point, ...]
@@ -267,9 +259,7 @@ def ap_certificate(e: PointSet, m_max: int) -> ApCertificate:
     spectrum = volume_spectrum(e)
     if not spectrum:
         return ApCertificate(ok=False, reason="no nondegenerate simplex")
-    g = 0
-    for v in spectrum:
-        g = gcd(g, v)
+    g = gcd(*spectrum)
     candidates = [g] + [v for v in sorted(spectrum) if v != g]
     best_n = None
     best_missing: tuple[int, ...] = tuple(range(1, m_max + 1))
@@ -343,10 +333,7 @@ class SearchBounds:
     multipliers: Optional[tuple[int, ...]] = None
 
     def candidates(self, rank: int) -> list[Point]:
-        mult = self.multipliers
-        if mult is None:
-            primes = (2, 3, 5, 7, 11, 13, 17)
-            mult = primes[:rank]
+        mult = MULTIPLIERS[:rank] if self.multipliers is None else self.multipliers
         return make_haystack(None, mult, self.lambda_count)
 
 
@@ -393,10 +380,8 @@ def pattern_search(
         return PatternSearchResult(ok=False, reason="empty point set")
     members = e.points
     base_order = e.sorted_points
+    # make_haystack asserts that every candidate is primitive
     lams = bounds.candidates(r)
-    for lam in lams:
-        if not is_primitive(lam):
-            return PatternSearchResult(ok=False, reason=f"candidate {lam} not primitive")
     for n in range(1, bounds.n_max + 1):
         for lam in lams:
             for m1 in _signed_range(bounds.m_max):

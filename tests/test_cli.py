@@ -565,6 +565,63 @@ def test_pattern_search_lambda_count_is_refused_before_any_element(tmp_path, cap
     assert f"haystack count 12000 is over the limit of {COUNT_LIMIT}" in err
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "volume-spectrum", "rank": 2, "window": -1, "set": {"kind": "full"}},
+        {"experiment": "density", "rank": 2, "windows": [-3, -1, 2], "set": {"kind": "full"}},
+    ],
+    ids=["volume-spectrum", "density"],
+)
+def test_negative_windows_exit_2_with_one_line(tmp_path, capsys, cfg):
+    # both used to exit 0: an empty spectrum, and densities 0/25 and 0/1 for
+    # boxes that do not exist
+    assert "window must be nonnegative, got -" in _refused_in_one_line(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("experiment", ["expand-scan", "intersect"])
+@pytest.mark.parametrize(
+    "ergodic_set, reason",
+    [
+        ({"kind": "interval", "offset": 1}, "interval spec has offset 0 and step 1"),
+        ({"kind": "geometric"}, "kind must be 'interval' or 'ap'"),
+    ],
+)
+def test_ergodic_set_refusals_exit_2_with_one_line(tmp_path, capsys, experiment, ergodic_set, reason):
+    cfg = {
+        "experiment": experiment,
+        "system": {"kind": "finite", "matrix": [[2, 0], [0, 2]]},
+        "set_b": {"kind": "preimages", "points": [[0, 0]]},
+        "coord_bound": 1,
+        "p": 2,
+        "probes": [[[1, 0]]],
+        "ergodic_set": ergodic_set,
+    }
+    assert _refused_in_one_line(tmp_path, capsys, cfg).strip() == f"config error: {reason}"
+
+
+@pytest.mark.parametrize(
+    "experiment, results",
+    [
+        ("expand-scan", {"argmax_lambda": [1, 0], "max_expansion": "1/2"}),
+        ("decompose", {"shrink": {"n": 1}}),
+        ("intersect", {"n": 1, "lambda": [1, 0], "m1": 1, "probes": [], "intersection_measure": "1/2"}),
+    ],
+)
+def test_replays_of_finite_experiments_refuse_a_kronecker_system(tmp_path, capsys, experiment, results):
+    # the replays used to parse the system without the runner's check, and
+    # ended in a traceback or an unrelated message
+    cfg = {
+        "experiment": experiment,
+        "system": {"kind": "kronecker", "rank": 2, "dim": 1, "theta": [[{"symbols": {"alpha": "1"}}, "1/3"]]},
+        "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]},
+    }
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    report = write_cfg(tmp_path, "report.json", {"experiment": experiment, "config": cfg, "results": results})
+    assert run_cli([experiment, "--config", path, "--out", report, "--verify-only"]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {experiment} requires a finite system"
+
+
 def test_expand_scan_max_expansion_takes_full_orbits_under_an_ap_set(tmp_path):
     # on Z/4 a step-2 progression saturates B = {0} to {0, 2} at most, while
     # the full orbit of phi(lambda) = 1 is the whole carrier

@@ -11,16 +11,17 @@ import pytest
 
 from _cyclotomic import cyclotomic_polynomial, reduction_matrix, root_values
 from _fleet import random_fleet
-from latspec.cyclotomic import _cos_grid, enclose_real_root_rows, ramanujan_sums, totient
+from latspec.cyclotomic import _cos_grid, enclose_real_root_grid, ramanujan_sums, totient
 from latspec.formal import FormalReal
 from latspec.intervals import (
     _GRID_BITS,
     PI,
     Iv,
-    _sin_taylor,
+    _sin_taylor_grid,
     cospi,
     round_out,
     sinpi,
+    sinpi_grid,
     sinpi_sq_exact,
 )
 from latspec.spectral import _orbit_tables
@@ -96,6 +97,12 @@ def _sin_taylor_reference(x: Iv, terms: int = 14) -> Iv:
     return round_out(out.intersect(Iv(Fraction(0), Fraction(1))))
 
 
+def _sin_taylor_iv(x: Iv, terms: int = 14) -> Iv:
+    """``_sin_taylor_grid`` on the ends of x, read as an interval."""
+    lo, hi = _sin_taylor_grid(x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, terms)
+    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+
+
 def test_integer_sin_taylor_equals_fraction_series():
     angles = [
         Fraction(k, n) for n in range(3, 121) for k in range(1, (n + 1) // 2) if gcd(k, n) == 1
@@ -103,11 +110,38 @@ def test_integer_sin_taylor_equals_fraction_series():
     assert len(angles) > 2000
     for q in angles:
         x = PI.scale(q)
-        assert _sin_taylor(x) == _sin_taylor_reference(x), q
+        assert _sin_taylor_iv(x) == _sin_taylor_reference(x), q
     # other series lengths, including none: only the error term
     for terms in (0, 1, 5):
         x = PI.scale(Fraction(3, 7))
-        assert _sin_taylor(x, terms) == _sin_taylor_reference(x, terms)
+        assert _sin_taylor_iv(x, terms) == _sin_taylor_reference(x, terms)
+
+
+def _sin_from_grid(k: int, n: int) -> Iv:
+    """sin(pi k / n) as the Iv of the ``sinpi_grid`` numerators, brought to
+    the first quadrant on the unreduced k / n."""
+    k %= 2 * n
+    lo, hi = sinpi_grid(min(k % n, n - k % n), n)
+    if k > n:
+        lo, hi = -hi, -lo
+    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+
+
+def test_sinpi_and_cospi_are_the_grid_enclosures():
+    # every first-quadrant angle k / n with n < 400 (cospi reads the same
+    # route through q + 1/2), then every quadrant for small n, and
+    # denominators up to 10**12
+    for n in range(1, 400):
+        for k in range(n // 2 + 1):
+            if gcd(k, n) == 1:
+                assert sinpi(Fraction(k, n)) == _sin_from_grid(k, n), (k, n)
+    rng = random.Random(19)
+    cases = [(k, n) for n in range(1, 25) for k in range(-3 * n, 5 * n)]
+    cases += [(rng.randrange(-3 * n, 3 * n), n) for n in (rng.randint(1, 10**12) for _ in range(300))]
+    for k, n in cases:
+        q = Fraction(k, n)
+        assert sinpi(q) == _sin_from_grid(k, n), q
+        assert cospi(q) == _sin_from_grid(2 * k + n, 2 * n), q
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +299,16 @@ def test_trace_test_agrees_with_reduction_modulo_phi():
             assert root_values(n, total) == [t.sums[o, 0]]
 
 
+def _enclosures(n, rows, den=1):
+    """``enclose_real_root_grid`` read as intervals, one per row."""
+    scale = 1 << _GRID_BITS
+    return [Iv(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(*enclose_real_root_grid(n, rows, den))]
+
+
 def test_enclose_real_root_vector():
     # z + z^4 at n = 5 is the golden-ratio conjugate 2cos(72 deg)
-    (iv,) = enclose_real_root_rows(5, [[0, 1, 0, 0, 1]])
-    assert enclose_real_root_rows(5, np.zeros((0, 5))) == []
+    (iv,) = _enclosures(5, [[0, 1, 0, 0, 1]])
+    assert _enclosures(5, np.zeros((0, 5))) == []
     ref = 2 * cos(2 * pi / 5)
     assert iv.lo <= Fraction(ref).limit_denominator(10**9) <= iv.hi or (
         float(iv.lo) - 1e-9 <= ref <= float(iv.hi) + 1e-9
@@ -307,7 +347,7 @@ def test_enclose_real_root_vector_equals_term_by_term_sum(n):
     for _ in range(6):
         size = rng.randint(1, n)
         vecs.append([rng.randint(-40, 40) * rng.randint(0, 1) for _ in range(size)])
-    ivs = enclose_real_root_rows(n, _padded(n, vecs))
+    ivs = _enclosures(n, _padded(n, vecs))
     assert len(ivs) == len(vecs)
     for vec, iv in zip(vecs, ivs):
         ref = Iv.point(0)
@@ -319,9 +359,9 @@ def test_enclose_real_root_vector_equals_term_by_term_sum(n):
         assert iv.lo - Fraction(1, 10**9) <= Fraction(value) <= iv.hi + Fraction(1, 10**9)
         assert float(iv.width) < 1e-20
     with pytest.raises(ValueError):
-        enclose_real_root_rows(n, [[1] * (n + 1)])
+        _enclosures(n, [[1] * (n + 1)])
     with pytest.raises(OverflowError):
-        enclose_real_root_rows(n, [[1 << 30] * 2 + [0] * (n - 2)] if n > 1 else [[1 << 31]])
+        _enclosures(n, [[1 << 30] * 2 + [0] * (n - 2)] if n > 1 else [[1 << 31]])
 
 
 @pytest.mark.parametrize("n", [3, 5, 12, 60, 120])
@@ -331,12 +371,12 @@ def test_enclosure_divided_on_the_grid_equals_scaled_round_out(n):
     rng = random.Random(2000 + n)
     for den in (1, 2, 9, 144, 441**2, 3600**2, rng.randint(2, 10**9)):
         vecs = [[rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(rng.randint(1, n))] for _ in range(4)]
-        got = enclose_real_root_rows(n, _padded(n, vecs), den)
+        got = _enclosures(n, _padded(n, vecs), den)
         for vec, iv in zip(vecs, got):
             ref = round_out(_enclose_reference(n, vec).scale(Fraction(1, den)))
             assert (iv.lo, iv.hi) == (ref.lo, ref.hi) == astuple(_enclose_reference(n, vec, den))
     with pytest.raises(ValueError):
-        enclose_real_root_rows(n, _padded(n, [[1]]), 0)
+        _enclosures(n, _padded(n, [[1]]), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,9 @@ SPECS = [
     (None, None),
     (ErgodicSetSpec(), None),
     (ErgodicSetSpec(), 3),
-    (ErgodicSetSpec(kind="ap", offset=1, step=2), None),
-    (ErgodicSetSpec(kind="ap", offset=1, step=2), 2),
-    (ErgodicSetSpec(kind="ap", offset=-2, step=3), None),
+    (ErgodicSetSpec(offset=1, step=2), None),
+    (ErgodicSetSpec(offset=1, step=2), 2),
+    (ErgodicSetSpec(offset=-2, step=3), None),
 ]
 
 
@@ -83,7 +83,7 @@ def _intersections():
         sample = [(1,)] if sys_.rank == 1 else make_haystack(None, (2, 3, 5)[: sys_.rank], 8)
         for p in (2, 3):
             probes = [[tuple(rng.randint(-2, 2) for _ in range(sys_.rank)) for _ in range(p - 1)] for _ in range(2)]
-            for sspec in (None, ErgodicSetSpec(kind="ap", offset=1, step=1)):
+            for sspec in (None, ErgodicSetSpec(offset=1, step=1)):
                 out.append(_outcome(lambda: intersection_theorem_search(sys_, b, p, sample, sspec, probes)))
     return out
 

@@ -1,7 +1,8 @@
 """Static hygiene of the package sources, checked with the standard ``ast``.
 
 Two rules catch what a refactor leaves behind: an import no longer used in
-its module, and a private module-level name nothing refers to any more.
+its module, and a private module-level name nothing refers to any more.  A
+third keeps one conversion of a set to an index array.
 """
 
 import ast
@@ -64,3 +65,21 @@ def test_every_private_module_name_is_referenced():
                 if private.startswith("_") and not private.startswith("__") and private not in referenced:
                     orphans.append(f"{name}:{node.lineno} {private}")
     assert not orphans
+
+
+def test_sets_become_index_arrays_only_in_the_refusing_conversion():
+    # systems._cells is the one np.fromiter: it refuses an element outside
+    # the carrier, which numpy would wrap or fail on with IndexError
+    def fromiters(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "fromiter"
+            or isinstance(node, ast.Name) and node.id == "fromiter"
+        ]
+
+    trees = _trees()
+    cells = [f for f in ast.walk(trees["systems.py"]) if isinstance(f, ast.FunctionDef) and f.name == "_cells"]
+    assert len(cells) == 1 and fromiters(cells[0])
+    sites = {name: fromiters(tree) for name, tree in trees.items()}
+    assert {name: lines for name, lines in sites.items() if lines} == {"systems.py": fromiters(cells[0])}

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from _fleet import random_fleet
 from latspec import cli, spectral
 from latspec.cli import _parse_set_b, _ser_label_weights, json_text, main, ser_fraction
-from latspec.cyclotomic import enclose_real_root_rows
-from latspec.spectral import GRID, spectral_measure
+from latspec.cyclotomic import enclose_real_root_grid
+from latspec.spectral import spectral_measure
 from test_cli import GOLDEN_FINITE
 from test_kronecker_golden import GOLDEN_REPORTS
 
@@ -104,8 +104,8 @@ def test_each_interval_weight_is_the_enclosure_of_its_own_row():
             irrational += 1
             row = np.zeros(n, dtype=np.int64)
             row[t.subgroups.unit_of[c] * np.arange(n) % n] = t.rows[t.subgroups.subgroup_of[c]]
-            (iv,) = enclose_real_root_rows(n, row[None, :], sys_.size**2)
-            assert (Fraction(w[0], GRID), Fraction(w[1], GRID)) == (iv.lo, iv.hi)
+            (lo,), (hi,) = enclose_real_root_grid(n, row[None, :], sys_.size**2)
+            assert (w[0], w[1]) == (lo, hi)
     assert irrational > 100
 
 

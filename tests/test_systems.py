@@ -140,7 +140,7 @@ def test_partial_saturation_monotone_and_stabilizes():
 def test_ap_spec_saturation():
     s4 = z4()
     b = pts(s4, (0,))
-    spec = ErgodicSetSpec(kind="ap", offset=1, step=2)
+    spec = ErgodicSetSpec(offset=1, step=2)
     sat, mu = orbit_saturation(s4, b, (1, 0), spec)
     # shifts 1 + 2Z of the generator reach {1, 3}
     assert sat.tolist() == sorted(pts(s4, (1,), (3,))) and mu == Fraction(1, 2)
@@ -198,7 +198,7 @@ def test_saturations_on_a_6000_point_cyclic_carrier_stay_small():
     cases = [
         (None, None, Fraction(1)),
         # B + 2 + <3> is the residue class of 2
-        (ErgodicSetSpec(kind="ap", offset=2, step=3), None, Fraction(1, 3)),
+        (ErgodicSetSpec(offset=2, step=3), None, Fraction(1, 3)),
         (ErgodicSetSpec(), 3000, Fraction(1)),
     ]
     for spec, terms, expected in cases:
@@ -408,10 +408,8 @@ def test_kronecker_irrational_direction_is_estimate():
 
 def test_ergodic_set_spec_validation():
     with pytest.raises(ValueError):
-        ErgodicSetSpec(kind="interval", offset=1)
-    with pytest.raises(ValueError):
-        ErgodicSetSpec(kind="ap", step=0)
-    ap = ErgodicSetSpec(kind="ap", offset=3, step=2)
+        ErgodicSetSpec(step=0)
+    ap = ErgodicSetSpec(offset=3, step=2)
     assert spectral._positive_elements(ap, 3) == [3, 5, 7]
     assert not ap.universal
     assert ErgodicSetSpec().universal
@@ -471,7 +469,7 @@ def _directions(rank):
 def test_flat_index_routines_match_tuple_reference():
     fleet = random_fleet(4242, 12)
     assert {s.rank for s, _ in fleet} == {1, 2, 3}
-    ap = ErgodicSetSpec(kind="ap", offset=1, step=2)
+    ap = ErgodicSetSpec(offset=1, step=2)
     for sys_, b_idx in fleet:
         mods = sys_.moduli
         assert list(map(tuple, sys_.vectors(np.arange(sys_.size)).tolist())) == list(
