@@ -63,6 +63,7 @@ from .volume import (
     _integral,
     ap_certificate,
     build_point_set,
+    parse_fraction,
     pattern_search,
     upper_density_estimate,
     verify_pattern_witness,
@@ -97,17 +98,6 @@ def _box_bound(cfg: dict, key: str, rank: int, default: Optional[int] = None) ->
 def ser_fraction(q: Fraction) -> dict:
     q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def parse_fraction(value) -> Fraction:
-    try:
-        if isinstance(value, dict):
-            return Fraction(_int(value["num"], "num"), _int(value["den"], "den"))
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            return Fraction(value)
-    except ZeroDivisionError:
-        raise ConfigError(f"zero denominator in rational {value!r}") from None
-    raise ConfigError(f"cannot parse rational from {value!r}")
 
 
 def ser_weight(w: Weight) -> dict:
@@ -248,6 +238,13 @@ def _log(msg: str) -> None:
 # ---------------------------------------------------------------------------
 # config parsing
 
+def _object(value, what: str) -> dict:
+    """A config field that must be a JSON object, refused by name otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _parse_formal(entry) -> FormalReal:
     if isinstance(entry, (int, str)):
         return FormalReal.of(parse_fraction(entry))
@@ -307,21 +304,21 @@ def _parse_set_b(sys_, desc: dict):
 def _system_and_set(cfg: dict, experiment: str):
     """The system and the set B of a config, for runs and replays alike;
     every experiment but spectral-report requires a finite system."""
-    sys_ = _parse_system(cfg["system"])
+    sys_ = _parse_system(_object(cfg["system"], "system"))
     if experiment != "spectral-report" and not isinstance(sys_, FiniteSystem):
         raise ConfigError(f"{experiment} requires a finite system")
-    return sys_, _parse_set_b(sys_, cfg["set_b"])
+    return sys_, _parse_set_b(sys_, _object(cfg["set_b"], "set_b"))
 
 
-def _parse_haystack(desc: Optional[dict], rank: int) -> list[tuple[int, ...]]:
-    desc = desc or {}
+def _parse_haystack(cfg: dict, rank: int) -> list[tuple[int, ...]]:
+    desc = _object(cfg.get("haystack", {}), "haystack")
     multipliers = tuple(int(m) for m in _integral(desc.get("multipliers", MULTIPLIERS[:rank]), "multipliers"))
     count = _int(desc.get("count", 8), "count")
     return make_haystack(_integral(desc.get("basis"), "basis"), multipliers, count)
 
 
-def _parse_sspec(desc: Optional[dict]) -> ErgodicSetSpec:
-    desc = desc or {}
+def _parse_sspec(cfg: dict) -> ErgodicSetSpec:
+    desc = _object(cfg.get("ergodic_set", {}), "ergodic_set")
     offset, step = _int(desc.get("offset", 0), "offset"), _int(desc.get("step", 1), "step")
     kind = desc.get("kind", "interval")
     if kind not in ("interval", "ap"):
@@ -384,7 +381,7 @@ def _run_volume_spectrum(cfg: dict, seed: Optional[int]):
 def _run_pattern_search(cfg: dict, seed: Optional[int]):
     _require(cfg, "rank", "window", "set", "p", "probes")
     e = _point_set(cfg, seed)
-    bounds_cfg = cfg.get("bounds", {})
+    bounds_cfg = _object(cfg.get("bounds", {}), "bounds")
     bounds = SearchBounds(
         n_max=_int(bounds_cfg.get("n_max", 6), "n_max"),
         m_max=_int(bounds_cfg.get("m_max", 6), "m_max"),
@@ -431,7 +428,7 @@ def _run_expand_scan(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b", "coord_bound")
     sys_, bset = _system_and_set(cfg, "expand-scan")
     bound = _box_bound(cfg, "coord_bound", sys_.rank)
-    sspec = _parse_sspec(cfg.get("ergodic_set")) if "ergodic_set" in cfg else None
+    sspec = _parse_sspec(cfg) if "ergodic_set" in cfg else None
     candidates = _candidate_box(sys_.rank, bound)
 
     measured = [(lam, orbit_saturation(sys_, bset, lam, sspec)[1]) for lam in candidates]
@@ -583,8 +580,8 @@ def _run_decompose(cfg: dict, seed: Optional[int]):
 def _run_intersect(cfg: dict, seed: Optional[int]):
     _require(cfg, "system", "set_b", "p", "probes")
     sys_, bset = _system_and_set(cfg, "intersect")
-    sample = _parse_haystack(cfg.get("haystack"), sys_.rank)
-    sspec = _parse_sspec(cfg.get("ergodic_set"))
+    sample = _parse_haystack(cfg, sys_.rank)
+    sspec = _parse_sspec(cfg)
     witness = intersection_theorem_search(
         sys_, bset, _int(cfg["p"], "p"), sample, sspec, _integral(cfg["probes"], "probes")
     )
@@ -651,15 +648,18 @@ def _run_density(cfg: dict, seed: Optional[int]):
     return results, [], rows, ["window", "num", "den"]
 
 
-def _seeded(set_desc: dict, seed: Optional[int]) -> dict:
-    """Inject the experiment seed into seedless random generators."""
-    desc = dict(set_desc)
+def _seeded(set_desc, seed: Optional[int], what: str = "set") -> dict:
+    """Inject the experiment seed into seedless random generators; every
+    descriptor of the tree must be a JSON object, and ``parts`` a list."""
+    desc = dict(_object(set_desc, what))
     if desc.get("kind") == "random" and "seed" not in desc and seed is not None:
         desc["seed"] = seed
     if "parts" in desc:
-        desc["parts"] = [_seeded(p, seed) for p in desc["parts"]]
+        if not isinstance(desc["parts"], list):
+            raise ConfigError(f"{what}.parts must be a JSON array, got {json.dumps(desc['parts'])}")
+        desc["parts"] = [_seeded(p, seed, f"{what}.parts[{i}]") for i, p in enumerate(desc["parts"])]
     if "base" in desc:
-        desc["base"] = _seeded(desc["base"], seed)
+        desc["base"] = _seeded(desc["base"], seed, f"{what}.base")
     return desc
 
 

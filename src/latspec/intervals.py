@@ -1,16 +1,20 @@
-"""Outward-rounded rational interval arithmetic.
+"""Exact and outward-rounded rational interval arithmetic on one type.
 
-Supports the certified enclosures needed for torus-system weights:
-sin(pi*q) and cos(pi*q) for rational q via argument reduction plus an
-alternating Taylor series, with pi pinned between 50-digit rational bounds.
-All endpoints are Fractions; rounding, when applied, only ever widens an
-interval, so every enclosure stays sound.  Rounding goes onto a 2**-192
-grid, and the Taylor series runs on integer numerators over that grid
-(each term exactly p / (m * 2**192) for integers p and m), building a
-Fraction only for the final enclosure.  ``sinpi_grid`` is the one route to
-sin(pi t / m): ``sinpi`` and ``cospi`` wrap its grid numerators as an
-``Iv``, and the cosine tables of ``cyclotomic`` read them without building
-a Fraction at all.
+A ``Weight`` is a mass or a real held as rational ends: an exact value
+(``Weight.of``, lower == upper) or a certified enclosure.  Arithmetic keeps
+the flag honest: a result is exact only when every operand is, and
+``round_out``, ``PI``, ``sinpi`` and ``cospi`` are enclosures even where
+their ends meet.  It supports the certified enclosures needed for
+torus-system weights: sin(pi*q) and cos(pi*q) for rational q via argument
+reduction plus an alternating Taylor series, with pi pinned between
+50-digit rational bounds.  All endpoints are Fractions; rounding, when
+applied, only ever widens an interval, so every enclosure stays sound.
+Rounding goes onto a 2**-192 grid, and the Taylor series runs on integer
+numerators over that grid (each term exactly p / (m * 2**192) for integers
+p and m), building a Fraction only for the final enclosure.
+``sinpi_grid`` is the one route to sin(pi t / m): ``sinpi`` and ``cospi``
+wrap its grid numerators as a ``Weight``, and the cosine tables of
+``cyclotomic`` read them without building a Fraction at all.
 """
 
 from __future__ import annotations
@@ -25,83 +29,88 @@ from typing import Optional, Union
 Rat = Union[int, Fraction]
 
 _PI_DIGITS = 314159265358979323846264338327950288419716939937510
-PI_LO = Fraction(_PI_DIGITS, 10**50)
-PI_HI = Fraction(_PI_DIGITS + 1, 10**50)
 
 #: endpoints are rounded onto this grid after transcendental evaluations
 _GRID_BITS = 192
 
 
 @dataclass(frozen=True)
-class Iv:
-    lo: Fraction
-    hi: Fraction
+class Weight:
+    """A mass or a real: an exact rational, or a certified interval enclosure.
+
+    ``exact`` is part of the value: an arithmetic result is exact only when
+    every operand is, and ``Weight.of`` is the one exact constructor.
+    """
+
+    lower: Fraction
+    upper: Fraction
+    exact: bool
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if self.lower > self.upper:
             raise ValueError("interval endpoints out of order")
 
     @classmethod
-    def point(cls, q: Rat) -> "Iv":
+    def of(cls, q: Rat) -> "Weight":
         q = Fraction(q)
-        return cls(q, q)
+        return cls(q, q, True)
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    def value(self) -> Fraction:
+        if not self.exact:
+            raise ValueError("weight is an interval, not an exact value")
+        return self.lower
 
-    def contains(self, q: Rat) -> bool:
-        return self.lo <= Fraction(q) <= self.hi
+    def __add__(self, other: "Weight") -> "Weight":
+        return Weight(self.lower + other.lower, self.upper + other.upper, self.exact and other.exact)
 
-    def __add__(self, other: "Iv") -> "Iv":
-        return Iv(self.lo + other.lo, self.hi + other.hi)
+    def __sub__(self, other: "Weight") -> "Weight":
+        return Weight(self.lower - other.upper, self.upper - other.lower, self.exact and other.exact)
 
-    def __sub__(self, other: "Iv") -> "Iv":
-        return Iv(self.lo - other.hi, self.hi - other.lo)
+    def __neg__(self) -> "Weight":
+        return Weight(-self.upper, -self.lower, self.exact)
 
-    def __neg__(self) -> "Iv":
-        return Iv(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Iv") -> "Iv":
+    def __mul__(self, other: "Weight") -> "Weight":
         products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
+            self.lower * other.lower,
+            self.lower * other.upper,
+            self.upper * other.lower,
+            self.upper * other.upper,
         )
-        return Iv(min(products), max(products))
+        return Weight(min(products), max(products), self.exact and other.exact)
 
-    def scale(self, q: Rat) -> "Iv":
+    def scale(self, q: Rat) -> "Weight":
         q = Fraction(q)
         if q >= 0:
-            return Iv(self.lo * q, self.hi * q)
-        return Iv(self.hi * q, self.lo * q)
+            return Weight(self.lower * q, self.upper * q, self.exact)
+        return Weight(self.upper * q, self.lower * q, self.exact)
 
-    def square(self) -> "Iv":
-        if self.lo >= 0:
-            return Iv(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return Iv(self.hi * self.hi, self.lo * self.lo)
-        return Iv(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
+    def square(self) -> "Weight":
+        if self.lower >= 0:
+            return Weight(self.lower * self.lower, self.upper * self.upper, self.exact)
+        if self.upper <= 0:
+            return Weight(self.upper * self.upper, self.lower * self.lower, self.exact)
+        return Weight(Fraction(0), max(self.lower * self.lower, self.upper * self.upper), self.exact)
 
-    def recip(self) -> "Iv":
-        if self.lo <= 0 <= self.hi:
+    def recip(self) -> "Weight":
+        if self.lower <= 0 <= self.upper:
             raise ZeroDivisionError("interval contains zero")
-        return Iv(1 / self.hi, 1 / self.lo)
+        return Weight(1 / self.upper, 1 / self.lower, self.exact)
 
-    def intersect(self, other: "Iv") -> "Iv":
-        return Iv(max(self.lo, other.lo), min(self.hi, other.hi))
-
-
-PI = Iv(PI_LO, PI_HI)
+    def clamp(self, lo: Fraction, hi: Fraction) -> "Weight":
+        return Weight(max(self.lower, lo), min(self.upper, hi), self.exact)
 
 
-def round_out(iv: Iv, bits: int = _GRID_BITS) -> Iv:
-    """Widen endpoints onto a 2**-bits grid to keep denominators bounded."""
-    scale = 1 << bits
-    lo = Fraction((iv.lo.numerator * scale) // iv.lo.denominator, scale)
-    hi_num = -((-iv.hi.numerator * scale) // iv.hi.denominator)
-    return Iv(lo, Fraction(hi_num, scale))
+PI = Weight(Fraction(_PI_DIGITS, 10**50), Fraction(_PI_DIGITS + 1, 10**50), False)
+
+
+def round_out(w: Weight) -> Weight:
+    """Widen the ends onto the 2**-_GRID_BITS grid to keep denominators
+    bounded; the result is an enclosure."""
+    scale = 1 << _GRID_BITS
+    lo = Fraction((w.lower.numerator * scale) // w.lower.denominator, scale)
+    hi_num = -((-w.upper.numerator * scale) // w.upper.denominator)
+    return Weight(lo, Fraction(hi_num, scale), False)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -174,22 +183,22 @@ def sinpi_grid(t: int, m: int) -> tuple[int, int]:
     return _sin_taylor_grid(_PI_DIGITS * t, den, (_PI_DIGITS + 1) * t, den)
 
 
-def sinpi(q: Rat) -> Iv:
+def sinpi(q: Rat) -> Weight:
     """Certified enclosure of sin(pi*q) for rational q."""
     return _sinpi_cached(Fraction(q) % 2)
 
 
 @lru_cache(maxsize=65536)
-def _sinpi_cached(q: Fraction) -> Iv:
+def _sinpi_cached(q: Fraction) -> Weight:
     if q > 1:
         return -_sinpi_cached(q - 1)
     if q > Fraction(1, 2):
         q = 1 - q
     lo, hi = sinpi_grid(q.numerator, q.denominator)
-    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
 
 
-def cospi(q: Rat) -> Iv:
+def cospi(q: Rat) -> Weight:
     """Certified enclosure of cos(pi*q) for rational q."""
     return sinpi(Fraction(q) + Fraction(1, 2))
 

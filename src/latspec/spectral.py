@@ -8,9 +8,11 @@ its sums are integer Ramanujan sums.  Every mass a theorem is checked
 against is computed by the exact rational coset formulas and cross-checked
 against those orbit sums.  Kronecker systems get truncated atom lists with
 certified interval weights and an exact Parseval tail bound; interval-valued
-verdicts are flagged as estimates, never promoted.  A torus character is its
-frequency k, and whether it annihilates a direction is read from the
-system's integer shift of that direction.
+verdicts are flagged as estimates, never promoted.  Every mass is an
+``intervals.Weight``, exact or an enclosure; an atom's character is a label
+only, the dual label of a finite character or the frequency k of a torus
+one, and whether k annihilates a direction is read from the system's integer
+shift of that direction.
 
 On top of the measures sit the quantitative checks: the Bochner identity,
 the expansion lower bound mu(S lam.B) >= mu(B)^2 / sigma_B(annihilator),
@@ -33,7 +35,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .cyclotomic import enclose_real_root_grid, ramanujan_sums, totient
-from .intervals import _GRID_BITS, PI, Iv, cospi, round_out, sinpi, sinpi_sq_exact
+from .intervals import _GRID_BITS, PI, Weight, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
 from .systems import (
     BLOCK_CELLS,
@@ -54,75 +56,18 @@ from .systems import (
 )
 
 # ---------------------------------------------------------------------------
-# characters
-
-@dataclass(frozen=True)
-class FiniteCharacter:
-    """Character of Z^r pulled back from the dual of a finite carrier: label c
-    pairs with phi(lam) as in the orbit tables, and label 0 is trivial."""
-
-    dual_label: int
-
-
-@dataclass(frozen=True)
-class KroneckerCharacter:
-    """Torus character xi_k(lam) = e(k^T Theta lam); its system decides the rest."""
-
-    freq: tuple[int, ...]
-
-
-Character = Union[FiniteCharacter, KroneckerCharacter]
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-@dataclass(frozen=True)
-class Weight:
-    """A mass: an exact rational, or a certified interval enclosure."""
-
-    lower: Fraction
-    upper: Fraction
-    exact: bool
-
-    @classmethod
-    def of(cls, q) -> "Weight":
-        q = Fraction(q)
-        return cls(q, q, True)
-
-    @classmethod
-    def interval(cls, iv: Iv) -> "Weight":
-        return cls(iv.lo, iv.hi, False)
-
-    @property
-    def value(self) -> Fraction:
-        if not self.exact:
-            raise ValueError("weight is an interval, not an exact value")
-        return self.lower
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            self.lower + other.lower,
-            self.upper + other.upper,
-            self.exact and other.exact,
-        )
-
-    def scale(self, q: Fraction) -> "Weight":
-        q = Fraction(q)
-        if q >= 0:
-            return Weight(self.lower * q, self.upper * q, self.exact)
-        return Weight(self.upper * q, self.lower * q, self.exact)
-
-    def clamp(self, lo: Fraction, hi: Fraction) -> "Weight":
-        return Weight(max(self.lower, lo), min(self.upper, hi), self.exact)
-
+# atoms
 
 ZERO_WEIGHT = Weight.of(0)
 
 
 @dataclass(frozen=True)
 class Atom:
-    character: Character
+    """A character and its mass.  The character is a label only: the dual
+    label c of a finite carrier (0 is trivial), or the frequency k of a torus
+    character xi_k(lam) = e(k^T Theta lam); its system decides the rest."""
+
+    character: Union[int, tuple[int, ...]]
     weight: Weight
 
 
@@ -303,7 +248,7 @@ class FiniteSpectralMeasure(SpectralMeasure):
         orbit_of = self.tables.subgroups.subgroup_of.tolist()
         return tuple(
             Atom(
-                FiniteCharacter(label),
+                label,
                 Weight(Fraction(w[0], GRID), Fraction(w[1], GRID), False) if by_orbit[o] is None else by_orbit[o],
             )
             for label, (o, w) in enumerate(zip(orbit_of, self.label_weights))
@@ -334,44 +279,29 @@ def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> FiniteSpect
 ATOM_LIMIT = 10**5
 
 
-@dataclass(frozen=True)
-class _CIv:
-    re: Iv
-    im: Iv
-
-    def __add__(self, other: "_CIv") -> "_CIv":
-        return _CIv(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "_CIv") -> "_CIv":
-        return _CIv(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def abs_sq(self) -> Iv:
-        return self.re.square() + self.im.square()
-
-
-def _interval_factor_sq(k: int, length: Fraction) -> tuple[Fraction, Optional[Iv]]:
-    """(exact_part, interval_part) with |f(k)|^2 = exact_part * interval_part."""
+def _factor_sq(k: int, length: Fraction) -> Weight:
+    """|f(k)|^2 for f the Fourier coefficient of an interval of this length:
+    length^2 at k = 0, else sin(pi k length)^2 / (pi k)^2, exact in the sine
+    where its square is rational (an exact 0 where the sine is 0)."""
     if k == 0:
-        return length * length, None
+        return Weight.of(length * length)
     s2 = sinpi_sq_exact(Fraction(k) * length)
-    pik_sq = PI.square().scale(Fraction(k * k))
+    if s2 == 0:
+        return ZERO_WEIGHT
+    inv_pik_sq = PI.square().scale(Fraction(k * k)).recip()
     if s2 is not None:
-        if s2 == 0:
-            return Fraction(0), None
-        return s2, pik_sq.recip()
-    return Fraction(1), sinpi(Fraction(k) * length).square() * pik_sq.recip()
+        return inv_pik_sq.scale(s2)
+    return sinpi(Fraction(k) * length).square() * inv_pik_sq
 
 
-def _complex_factor(k: int, a: Fraction, b: Fraction) -> _CIv:
+def _complex_factor(k: int, a: Fraction, b: Fraction) -> tuple[Weight, Weight]:
+    """Real and imaginary parts of the Fourier coefficient of [a, b) at k."""
     if k == 0:
-        return _CIv(Iv.point(b - a), Iv.point(0))
+        return Weight.of(b - a), ZERO_WEIGHT
     x = cospi(2 * k * a) - cospi(2 * k * b)
     y = sinpi(2 * k * b) - sinpi(2 * k * a)
     denom = PI.scale(Fraction(2 * k)).recip()
-    return _CIv(y * denom, -(x * denom))
+    return y * denom, -(x * denom)
 
 
 def _kron_weight(b: BoxUnion, k: tuple[int, ...]) -> Weight:
@@ -379,28 +309,21 @@ def _kron_weight(b: BoxUnion, k: tuple[int, ...]) -> Weight:
         v = b.volume()
         return Weight.of(v * v)
     if len(b.boxes) == 1:
-        box = b.boxes[0]
-        exact = Fraction(1)
-        iv: Optional[Iv] = None
-        for kj, (lo, hi) in zip(k, box.bounds, strict=True):
-            e, part = _interval_factor_sq(kj, hi - lo)
-            exact *= e
-            if exact == 0:
-                return Weight.of(0)
-            if part is not None:
-                iv = part if iv is None else iv * part
-        if iv is None:
-            return Weight.of(exact)
-        scaled = round_out(iv.scale(exact))
-        return Weight.interval(scaled.intersect(Iv(Fraction(0), Fraction(1))))
-    total = _CIv(Iv.point(0), Iv.point(0))
+        w = Weight.of(1)
+        for kj, (lo, hi) in zip(k, b.boxes[0].bounds, strict=True):
+            f = _factor_sq(kj, hi - lo)
+            if f == ZERO_WEIGHT:
+                return f
+            w = w * f
+        return round_out(w).clamp(Fraction(0), Fraction(1))
+    total_re = total_im = ZERO_WEIGHT
     for box in b.boxes:
-        f = _CIv(Iv.point(1), Iv.point(0))
+        re, im = Weight.of(1), ZERO_WEIGHT
         for kj, (lo, hi) in zip(k, box.bounds, strict=True):
-            f = f * _complex_factor(kj, lo, hi)
-        total = total + f
-    sq = round_out(total.abs_sq()).intersect(Iv(Fraction(0), Fraction(1)))
-    return Weight.interval(sq)
+            x, y = _complex_factor(kj, lo, hi)
+            re, im = re * x - im * y, re * y + im * x
+        total_re, total_im = total_re + re, total_im + im
+    return round_out(total_re.square() + total_im.square()).clamp(Fraction(0), Fraction(1))
 
 
 def spectral_measure_kronecker(
@@ -428,19 +351,13 @@ def spectral_measure_kronecker(
         # frequency with rational pairing would scale to an integer one
         raise ValueError("system is not ergodic; spectral measure undefined here")
     mu_b = b.volume()
-    atoms = []
-    lo_sum = Fraction(0)
-    hi_sum = Fraction(0)
-    for k in product(range(-trunc, trunc + 1), repeat=sys_.dim):
-        w = _kron_weight(b, k)
-        lo_sum += w.lower
-        hi_sum += w.upper
-        atoms.append(Atom(character=KroneckerCharacter(k), weight=w))
-    tail = Weight(max(Fraction(0), mu_b - hi_sum), max(Fraction(0), mu_b - lo_sum), False)
+    atoms = tuple(Atom(k, _kron_weight(b, k)) for k in product(range(-trunc, trunc + 1), repeat=sys_.dim))
+    mass = sum((a.weight for a in atoms), ZERO_WEIGHT)
+    tail = Weight(max(Fraction(0), mu_b - mass.upper), max(Fraction(0), mu_b - mass.lower), False)
     return SpectralMeasure(
         system=sys_,
         base_set=b,
-        atoms=tuple(atoms),
+        atoms=atoms,
         tail=tail,
         total=Weight.of(mu_b),
         trivial=Weight.of(mu_b * mu_b),
@@ -456,7 +373,7 @@ def _annihilated(sys_: KroneckerSystem, atoms: Sequence[Atom], lam) -> Weight:
     rat, sym = sys_.shift(lam)
     acc = ZERO_WEIGHT
     for a in atoms:
-        on_rat, *on_sym = _dots((rat, *sym), a.character.freq)
+        on_rat, *on_sym = _dots((rat, *sym), a.character)
         if on_rat % sys_.den == 0 and not any(on_sym):
             acc = acc + a.weight
     return acc
@@ -724,14 +641,13 @@ def irrational_part(sigma: SpectralMeasure) -> IrrationalPart:
     """
     if isinstance(sigma.system, FiniteSystem):
         return IrrationalPart(system=sigma.system, atoms=(), tail=ZERO_WEIGHT, total=ZERO_WEIGHT)
-    atoms = tuple(a for a in sigma.atoms if any(a.character.freq))
-    lo = sum((a.weight.lower for a in atoms), start=Fraction(0))
-    hi = sum((a.weight.upper for a in atoms), start=Fraction(0)) + sigma.tail.upper
+    atoms = tuple(a for a in sigma.atoms if any(a.character))
+    mass = sum((a.weight for a in atoms), ZERO_WEIGHT)
     return IrrationalPart(
         system=sigma.system,
         atoms=atoms,
         tail=sigma.tail,
-        total=Weight(lo, hi, lo == hi),
+        total=Weight(mass.lower, mass.upper + sigma.tail.upper, mass.exact and sigma.tail.upper == 0),
     )
 
 

@@ -94,13 +94,23 @@ def _int(value, what: str) -> int:
     return int(_integral(value, what))
 
 
+def parse_fraction(value) -> Fraction:
+    """An exact rational field, written as "3/4", an integer or
+    {"num": "...", "den": "..."}; a boolean is refused like ``_integral``."""
+    try:
+        if isinstance(value, dict):
+            return Fraction(_int(value["num"], "num"), _int(value["den"], "den"))
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {value!r}") from None
+    raise ValueError(f"cannot parse rational from {value!r}")
+
+
 def _parse_density(value) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"density {json.dumps(value)} is not a rational")
-    try:
-        d = Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"density {value!r} has a zero denominator") from None
+    d = parse_fraction(value)
     if not 0 <= d <= 1:
         raise ValueError("density must lie in [0, 1]")
     return d

@@ -1029,3 +1029,57 @@ def test_json_booleans_are_refused_where_numbers_are_read(tmp_path, capsys, cfg,
     assert run_cli([cfg["experiment"], "--config", write_cfg(tmp_path, "ok.json", cfg), "--out", out]) == 0
     capsys.readouterr()
     assert reason in _refused_in_one_line(tmp_path, capsys, _set_field(cfg, path, True))
+
+
+_SPECTRAL_FINITE = {"experiment": "spectral-report", "system": _FINITE_2, "set_b": {"kind": "elements", "points": [[0]]}}
+
+#: one working config per JSON-object field, the path to it and the name a refusal gives it
+_OBJECT_FIELDS = {
+    "expand-scan-system": (EX2_CFG, ["system"], "system"),
+    "expand-scan-set_b": (EX2_CFG, ["set_b"], "set_b"),
+    "expand-scan-ergodic_set": ({**EX2_CFG, "ergodic_set": {"kind": "interval"}}, ["ergodic_set"], "ergodic_set"),
+    "spectral-report-system": (_SPECTRAL_FINITE, ["system"], "system"),
+    "spectral-report-set_b": (_SPECTRAL_FINITE, ["set_b"], "set_b"),
+    "spectral-report-kronecker-set_b": (_KRONECKER_REPORT, ["set_b"], "set_b"),
+    "decompose-system": (_DECOMPOSE, ["system"], "system"),
+    "decompose-set_b": (_DECOMPOSE, ["set_b"], "set_b"),
+    "intersect-system": (_INTERSECT, ["system"], "system"),
+    "intersect-set_b": (_INTERSECT, ["set_b"], "set_b"),
+    "intersect-ergodic_set": ({**_INTERSECT, "ergodic_set": {"kind": "interval"}}, ["ergodic_set"], "ergodic_set"),
+    "intersect-haystack": (_INTERSECT, ["haystack"], "haystack"),
+    "pattern-search-bounds": (_PATTERN, ["bounds"], "bounds"),
+    "volume-spectrum-set": (_INTEGER_FIELDS["rank"][0], ["set"], "set"),
+    "density-set-parts": (
+        {"experiment": "density", "rank": 2, "set": {"kind": "union", "parts": [{"kind": "full"}]}, "windows": [2]},
+        ["set", "parts", 0],
+        "set.parts[0]",
+    ),
+    "pattern-search-set-base": (
+        {**_PATTERN, "set": {"kind": "translate", "offset": [1, 0], "base": {"kind": "full"}}},
+        ["set", "base"],
+        "set.base",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECT_FIELDS))
+def test_object_fields_of_the_wrong_shape_are_refused_by_name(tmp_path, capsys, name):
+    # null, a list, a string, a number or a bool used to end in an
+    # AttributeError traceback (exit 1), or in a refusal naming no field
+    cfg, path, what = _OBJECT_FIELDS[name]
+    assert run_cli([cfg["experiment"], "--config", write_cfg(tmp_path, "ok.json", cfg), "--out", tmp_path / "r.json"]) == 0
+    capsys.readouterr()
+    for value in (None, [], [{"kind": "full"}], "full", 3, 2.5, True):
+        err = _refused_in_one_line(tmp_path, capsys, _set_field(cfg, path, value))
+        assert err.strip() == f"config error: {what} must be a JSON object, got {json.dumps(value)}"
+
+
+def test_density_reads_every_rational_form(tmp_path):
+    # {"num", "den"} used to be refused: "argument should be a string or a Rational instance"
+    bodies = []
+    for density in ("1/3", {"num": "1", "den": "3"}, {"num": 2, "den": 6}):
+        cfg = {"experiment": "density", "rank": 2, "set": {"kind": "random", "density": density, "seed": 5}, "windows": [2, 4]}
+        out = tmp_path / "r.json"
+        assert run_cli(["density", "--config", write_cfg(tmp_path, "d.json", cfg), "--out", out]) == 0
+        bodies.append(json.loads(out.read_text())["results"])
+    assert bodies[0] == bodies[1] == bodies[2]

@@ -7,9 +7,11 @@ config may end in an escaping exception or a traceback on stderr.  Sizes
 stay small so each property runs in a few seconds, but the values reach
 past the valid ranges: zero, negative and non-chain moduli, generator rows
 of the wrong length, windows, caps and bounds below zero, densities outside
-[0, 1], too-short probes, non-increasing windows, haystack counts and ranks
-that do not match the multipliers, non-ergodic or malformed frequency
-matrices, and boxes that are empty, overlapping or outside the torus.
+[0, 1] or with a zero denominator, too-short probes, non-increasing
+windows, haystack counts and ranks that do not match the multipliers,
+non-ergodic or malformed frequency matrices, boxes that are empty,
+overlapping or outside the torus, and JSON objects replaced by null, a
+list, a string, a number or a bool.
 """
 
 import io
@@ -26,6 +28,34 @@ from latspec.cli import main
 
 _INT = st.integers(-3, 9)
 
+#: a rational written as {"num": "...", "den": "..."}, zero denominators included
+_NUM_DEN = st.builds(lambda n, d: {"num": str(n), "den": str(d)}, st.integers(-1, 4), st.integers(0, 3))
+
+_NON_OBJECTS = st.sampled_from([None, [], [{"kind": "full"}], "full", 0, 2.5, True])
+
+
+def _objects_in(node, path=()):
+    """The paths of the JSON objects nested in node, node itself excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        if isinstance(child, dict):
+            yield path + (key,)
+        yield from _objects_in(child, path + (key,))
+
+
+def _replace_an_object(draw, cfg):
+    """One time in eight, one nested JSON object of a copy of cfg replaced by
+    a non-object (the strategies share some dicts between configs)."""
+    paths = list(_objects_in(cfg))
+    if paths and draw(st.integers(0, 7)) == 0:
+        cfg = json.loads(json.dumps(cfg))
+        *parents, last = draw(st.sampled_from(paths))
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = draw(_NON_OBJECTS)
+    return cfg
+
 
 def _vec(rank):
     return st.lists(st.integers(-6, 6), min_size=max(rank, 0), max_size=max(rank, 0))
@@ -41,7 +71,7 @@ def _sets(rank):
         ),
         st.builds(
             lambda d, s: {"kind": "random", "density": d, "seed": s},
-            st.sampled_from(["0", "1", "1/2", "1/3", "3/2", "-1/4", "1/0"]),
+            st.one_of(st.sampled_from(["0", "1", "1/2", "1/3", "3/2", "-1/4", "1/0"]), _NUM_DEN),
             st.integers(0, 2**64 - 1),
         ),
         st.builds(
@@ -87,7 +117,7 @@ def _configs(draw):
         cfg["windows"] = draw(st.lists(st.integers(-2, 6), max_size=4))
     if draw(st.booleans()):
         del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
-    return cfg
+    return _replace_an_object(draw, cfg)
 
 
 def _check_exit(cfg, backend="numpy"):
@@ -124,7 +154,7 @@ def _volume_configs(draw):
     sets = [
         {"kind": "full"},
         {"kind": "congruence", "modulus": draw(st.integers(1, 3)), "offset": draw(_vec(rank))},
-        {"kind": "random", "density": draw(st.sampled_from(["1/3", "1/2"])), "seed": draw(st.integers(0, 2**64 - 1))},
+        {"kind": "random", "density": draw(st.sampled_from(["1/3", "1/2", {"num": "1", "den": "3"}])), "seed": draw(st.integers(0, 2**64 - 1))},
     ]
     explicit = {"kind": "explicit", "points": draw(st.lists(_vec(rank), max_size=14))}
     desc = draw(st.sampled_from(sets + [explicit]))
@@ -241,7 +271,7 @@ def _finite_configs(draw):
         )
     if fault == "field dropped":
         del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
-    return cfg
+    return _replace_an_object(draw, cfg)
 
 
 def _cyclic(modulus, gens):
@@ -374,7 +404,7 @@ def _kronecker_configs(draw):
         cfg["annihilator_lambdas"] = draw(st.lists(_ints(width, 4), min_size=fault == "lambda", max_size=3))
     if fault == "field dropped":
         del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
-    return cfg
+    return _replace_an_object(draw, cfg)
 
 
 _ALPHA = {"symbols": {"alpha": "1"}}

@@ -16,7 +16,7 @@ from latspec.formal import FormalReal
 from latspec.intervals import (
     _GRID_BITS,
     PI,
-    Iv,
+    Weight,
     _sin_taylor_grid,
     cospi,
     round_out,
@@ -29,30 +29,30 @@ from latspec.spectral import _orbit_tables
 
 def test_pi_bounds():
     # classic sandwich 333/106 < pi < 355/113 must strictly contain our bounds
-    assert Fraction(333, 106) < PI.lo < PI.hi < Fraction(355, 113)
-    assert abs(float(PI.lo) - pi) < 1e-15
-    assert float(PI.width) < 1e-49
+    assert Fraction(333, 106) < PI.lower < PI.upper < Fraction(355, 113)
+    assert abs(float(PI.lower) - pi) < 1e-15
+    assert float(PI.upper - PI.lower) < 1e-49
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 12), Fraction(1, 7), Fraction(2, 5), Fraction(9, 8), Fraction(-1, 3), Fraction(13, 6)])
 def test_sinpi_matches_float(q):
     iv = sinpi(q)
     ref = sin(pi * float(q))
-    assert iv.lo - Fraction(1, 10**12) <= Fraction(ref) <= iv.hi + Fraction(1, 10**12)
-    assert float(iv.width) < 1e-20
+    assert iv.lower - Fraction(1, 10**12) <= Fraction(ref) <= iv.upper + Fraction(1, 10**12)
+    assert float(iv.upper - iv.lower) < 1e-20
 
 
 @pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
 def test_sinpi_exact_points(q):
     iv = sinpi(q)
-    assert iv.lo == iv.hi == Fraction(round(sin(pi * float(q))))
+    assert iv.lower == iv.upper == Fraction(round(sin(pi * float(q))))
 
 
 def test_cospi_matches_float():
     for q in (Fraction(1, 5), Fraction(3, 7), Fraction(5, 4)):
         iv = cospi(q)
-        assert iv.contains(Fraction(cos(pi * float(q))).limit_denominator(10**12)) or (
-            iv.lo - Fraction(1, 10**10) <= Fraction(cos(pi * float(q))) <= iv.hi + Fraction(1, 10**10)
+        assert iv.lower <= Fraction(cos(pi * float(q))).limit_denominator(10**12) <= iv.upper or (
+            iv.lower - Fraction(1, 10**10) <= Fraction(cos(pi * float(q))) <= iv.upper + Fraction(1, 10**10)
         )
 
 
@@ -66,20 +66,58 @@ def test_sinpi_sq_exact_table():
 
 
 def test_interval_ops_outward():
-    a = Iv(Fraction(1, 3), Fraction(1, 2))
-    b = Iv(Fraction(-2), Fraction(3))
+    a = Weight(Fraction(1, 3), Fraction(1, 2), False)
+    b = Weight(Fraction(-2), Fraction(3), False)
     prod = a * b
-    assert prod.lo == -1 and prod.hi == Fraction(3, 2)
-    assert (a - a).contains(0)
-    r = round_out(Iv(Fraction(1, 3), Fraction(1, 3)))
-    assert r.lo <= Fraction(1, 3) <= r.hi
+    assert prod.lower == -1 and prod.upper == Fraction(3, 2)
+    assert (a - a).lower <= 0 <= (a - a).upper
+    r = round_out(Weight(Fraction(1, 3), Fraction(1, 3), False))
+    assert r.lower <= Fraction(1, 3) <= r.upper
     with pytest.raises(ZeroDivisionError):
         b.recip()
-    assert b.square().lo == 0
+    assert b.square().lower == 0
 
 
-def _sin_taylor_reference(x: Iv, terms: int = 14) -> Iv:
-    """The series on Iv / Fraction arithmetic, term by term."""
+def test_weight_refuses_ends_out_of_order():
+    # an exact weight and an enclosure alike; this used to be accepted silently
+    with pytest.raises(ValueError, match="out of order"):
+        Weight(Fraction(2), Fraction(1), False)
+    with pytest.raises(ValueError, match="out of order"):
+        Weight(Fraction(2), Fraction(1), True)
+    with pytest.raises(ValueError, match="out of order"):
+        Weight.of(1).clamp(Fraction(2), Fraction(3))
+
+
+def test_weight_arithmetic_is_exact_only_on_exact_operands():
+    a, b = Weight.of(Fraction(1, 3)), Weight.of(-2)
+    enclosure = Weight(Fraction(1, 4), Fraction(1, 2), False)
+    exact_results = [a + b, a - b, -a, a * b, a.scale(-3), b.square(), b.recip(), a.clamp(Fraction(0), Fraction(1))]
+    assert [w.exact for w in exact_results] == [True] * len(exact_results)
+    assert [w.value for w in exact_results] == [
+        Fraction(-5, 3), Fraction(7, 3), Fraction(-1, 3), Fraction(-2, 3), -1, 4, Fraction(-1, 2), Fraction(1, 3)
+    ]
+    mixed = [
+        a + enclosure, enclosure + a, a - enclosure, enclosure - a, -enclosure, a * enclosure, enclosure * b,
+        enclosure.scale(2), enclosure.square(), enclosure.recip(), enclosure.clamp(Fraction(0), Fraction(1)),
+    ]
+    assert not any(w.exact for w in mixed)
+    # an enclosure stays one where its ends meet
+    assert Weight(Fraction(1, 3), Fraction(1, 3), False) * Weight.of(1) == Weight(Fraction(1, 3), Fraction(1, 3), False)
+
+
+def test_transcendental_results_are_enclosures_even_where_the_ends_meet():
+    results = [round_out(Weight.of(Fraction(1, 2))), round_out(Weight.of(Fraction(1, 3))), PI, sinpi(0), sinpi(Fraction(1, 2)), cospi(0)]
+    assert not any(w.exact for w in results)
+    assert results[0].lower == results[0].upper == Fraction(1, 2)
+    assert sinpi(0).lower == sinpi(0).upper == 0
+    assert cospi(0).lower == cospi(0).upper == sinpi(Fraction(1, 2)).upper == 1
+    for w in results:
+        with pytest.raises(ValueError, match="not an exact value"):
+            w.value
+
+
+def _sin_taylor_reference(x: Weight, terms: int = 14) -> Weight:
+    """The series on Weight / Fraction arithmetic, term by term."""
     xsq = round_out(x.square())
     term = x
     total = x
@@ -92,15 +130,15 @@ def _sin_taylor_reference(x: Iv, terms: int = 14) -> Iv:
         sign = -sign
     fact_arg += 2
     err = round_out(term * xsq).scale(Fraction(1, (fact_arg - 1) * fact_arg))
-    bound = max(abs(err.lo), abs(err.hi))
-    out = Iv(total.lo - bound, total.hi + bound)
-    return round_out(out.intersect(Iv(Fraction(0), Fraction(1))))
+    bound = max(abs(err.lower), abs(err.upper))
+    out = Weight(total.lower - bound, total.upper + bound, False)
+    return round_out(out.clamp(Fraction(0), Fraction(1)))
 
 
-def _sin_taylor_iv(x: Iv, terms: int = 14) -> Iv:
+def _sin_taylor_iv(x: Weight, terms: int = 14) -> Weight:
     """``_sin_taylor_grid`` on the ends of x, read as an interval."""
-    lo, hi = _sin_taylor_grid(x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, terms)
-    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+    lo, hi = _sin_taylor_grid(x.lower.numerator, x.lower.denominator, x.upper.numerator, x.upper.denominator, terms)
+    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
 
 
 def test_integer_sin_taylor_equals_fraction_series():
@@ -117,14 +155,14 @@ def test_integer_sin_taylor_equals_fraction_series():
         assert _sin_taylor_iv(x, terms) == _sin_taylor_reference(x, terms)
 
 
-def _sin_from_grid(k: int, n: int) -> Iv:
-    """sin(pi k / n) as the Iv of the ``sinpi_grid`` numerators, brought to
+def _sin_from_grid(k: int, n: int) -> Weight:
+    """sin(pi k / n) as the Weight of the ``sinpi_grid`` numerators, brought to
     the first quadrant on the unreduced k / n."""
     k %= 2 * n
     lo, hi = sinpi_grid(min(k % n, n - k % n), n)
     if k > n:
         lo, hi = -hi, -lo
-    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
 
 
 def test_sinpi_and_cospi_are_the_grid_enclosures():
@@ -302,7 +340,7 @@ def test_trace_test_agrees_with_reduction_modulo_phi():
 def _enclosures(n, rows, den=1):
     """``enclose_real_root_grid`` read as intervals, one per row."""
     scale = 1 << _GRID_BITS
-    return [Iv(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(*enclose_real_root_grid(n, rows, den))]
+    return [Weight(Fraction(lo, scale), Fraction(hi, scale), False) for lo, hi in zip(*enclose_real_root_grid(n, rows, den))]
 
 
 def test_enclose_real_root_vector():
@@ -310,8 +348,8 @@ def test_enclose_real_root_vector():
     (iv,) = _enclosures(5, [[0, 1, 0, 0, 1]])
     assert _enclosures(5, np.zeros((0, 5))) == []
     ref = 2 * cos(2 * pi / 5)
-    assert iv.lo <= Fraction(ref).limit_denominator(10**9) <= iv.hi or (
-        float(iv.lo) - 1e-9 <= ref <= float(iv.hi) + 1e-9
+    assert iv.lower <= Fraction(ref).limit_denominator(10**9) <= iv.upper or (
+        float(iv.lower) - 1e-9 <= ref <= float(iv.upper) + 1e-9
     )
 
 
@@ -322,7 +360,7 @@ def test_cos_grid_lies_on_the_rounding_grid():
         assert len(los) == len(his) == n
         for k, (lo, hi) in enumerate(zip(los, his)):
             iv = cospi(Fraction(2 * k, n))
-            assert (Fraction(lo, scale), Fraction(hi, scale)) == (iv.lo, iv.hi), (n, k)
+            assert (Fraction(lo, scale), Fraction(hi, scale)) == (iv.lower, iv.upper), (n, k)
             assert lo <= hi
 
 
@@ -333,7 +371,7 @@ def _enclose_reference(n, vec, den=1):
     slack = sum(c * (h - l) for c, l, h in zip(vec, los, his) if c < 0)
     lo = (sum(c * l for c, l in zip(vec, los)) + slack) // den
     hi = -((slack - sum(c * h for c, h in zip(vec, his))) // den)
-    return Iv(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS))
+    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
 
 
 def _padded(n, vecs):
@@ -350,14 +388,14 @@ def test_enclose_real_root_vector_equals_term_by_term_sum(n):
     ivs = _enclosures(n, _padded(n, vecs))
     assert len(ivs) == len(vecs)
     for vec, iv in zip(vecs, ivs):
-        ref = Iv.point(0)
+        ref = Weight.of(0)
         for k, c in enumerate(vec):
             if c:
                 ref = ref + cospi(Fraction(2 * k, n)).scale(c)
         assert iv == round_out(ref) == _enclose_reference(n, vec)
         value = sum(c * cos(2 * pi * k / n) for k, c in enumerate(vec))
-        assert iv.lo - Fraction(1, 10**9) <= Fraction(value) <= iv.hi + Fraction(1, 10**9)
-        assert float(iv.width) < 1e-20
+        assert iv.lower - Fraction(1, 10**9) <= Fraction(value) <= iv.upper + Fraction(1, 10**9)
+        assert float(iv.upper - iv.lower) < 1e-20
     with pytest.raises(ValueError):
         _enclosures(n, [[1] * (n + 1)])
     with pytest.raises(OverflowError):
@@ -367,14 +405,14 @@ def test_enclose_real_root_vector_equals_term_by_term_sum(n):
 @pytest.mark.parametrize("n", [3, 5, 12, 60, 120])
 def test_enclosure_divided_on_the_grid_equals_scaled_round_out(n):
     # the spectral atoms divide each enclosure by |A|^2 on the grid numerators;
-    # the endpoints must be those of Iv.scale(1 / den) followed by round_out
+    # the endpoints must be those of Weight.scale(1 / den) followed by round_out
     rng = random.Random(2000 + n)
     for den in (1, 2, 9, 144, 441**2, 3600**2, rng.randint(2, 10**9)):
         vecs = [[rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(rng.randint(1, n))] for _ in range(4)]
         got = _enclosures(n, _padded(n, vecs), den)
         for vec, iv in zip(vecs, got):
             ref = round_out(_enclose_reference(n, vec).scale(Fraction(1, den)))
-            assert (iv.lo, iv.hi) == (ref.lo, ref.hi) == astuple(_enclose_reference(n, vec, den))
+            assert (iv.lower, iv.upper, iv.exact) == (ref.lower, ref.upper, ref.exact) == astuple(_enclose_reference(n, vec, den))
     with pytest.raises(ValueError):
         _enclosures(n, _padded(n, [[1]]), 0)
 

@@ -116,7 +116,7 @@ def test_printed_weights_equal_the_atom_weights():
         shown = _ser_label_weights(sigma.label_weights)
         assert len(shown) == len(sigma.atoms) == sys_.size
         for label, (atom, entry) in enumerate(zip(sigma.atoms, shown)):
-            assert atom.character.dual_label == label
+            assert atom.character == label
             w = atom.weight
             if w.exact:
                 assert entry == ser_fraction(w.value)

@@ -22,7 +22,6 @@ from latspec.cli import _parse_set_b, _parse_system, _run_spectral_report, ser_w
 from latspec.spectral import (
     Atom,
     IrrationalPart,
-    KroneckerCharacter,
     Weight,
     ZERO_WEIGHT,
     annihilator_mass,
@@ -374,7 +373,7 @@ def test_root_counts_and_bochner_exponents_match_the_exponent_matrix():
             assert np.array_equal(sub.unit_of * phases[sub.subgroup_of] % sys_.exponent, exp_matrix[:, h])
         # each atom's label and its exponents on Z^r, chi_c at the generator
         # images, read through the orbit tables: chi_(u c) = chi_c^u
-        labels = [a.character.dual_label for a in spectral_measure(sys_, b).atoms]
+        labels = [a.character for a in spectral_measure(sys_, b).atoms]
         assert labels == list(range(sys_.size))
         at_gens = (t.pairing @ sys_.vectors(list(sys_.gens)).T)[sub.subgroup_of[labels]]
         exps = sub.unit_of[labels, None] * at_gens % sys_.exponent
@@ -574,7 +573,7 @@ def test_haystack_search_single_irrational_atom():
     tau = IrrationalPart(
         system=kronecker_system(2, 1, [[a, FormalReal.of(0)]]),
         # one atom of weight 1 at xi(lam) = e(alpha * lam_1)
-        atoms=(Atom(character=KroneckerCharacter((1,)), weight=Weight.of(1)),),
+        atoms=(Atom(character=(1,), weight=Weight.of(1)),),
         tail=ZERO_WEIGHT,
         total=Weight.of(1),
     )
@@ -834,7 +833,7 @@ def test_kronecker_interval_weights():
     ks = kronecker_system(1, 1, [[a]])
     b = BoxUnion.of([(Fraction(0), Fraction(1, 2))])
     sigma = spectral_measure_kronecker(ks, b, trunc=8)
-    by_freq = {at.character.freq: at for at in sigma.atoms}
+    by_freq = {at.character: at for at in sigma.atoms}
     assert by_freq[(0,)].weight.value == Fraction(1, 4)
     for k in (2, 4, 6, 8):
         assert by_freq[(k,)].weight.exact and by_freq[(k,)].weight.value == 0
@@ -915,7 +914,7 @@ def test_kronecker_full_torus_single_atom():
     b = BoxUnion.of([(Fraction(0), Fraction(1))])
     sigma = spectral_measure_kronecker(ks, b, trunc=4)
     for at in sigma.atoms:
-        expected = Fraction(1) if at.character.freq == (0,) else Fraction(0)
+        expected = Fraction(1) if at.character == (0,) else Fraction(0)
         assert at.weight.exact and at.weight.value == expected
     assert sigma.tail.lower == sigma.tail.upper == 0
 
@@ -940,10 +939,10 @@ def test_kronecker_two_dimensional_torus():
     mu = box.volume()
     lo = sum((at.weight.lower for at in sig.atoms), start=Fraction(0))
     assert lo <= mu and sig.tail.lower >= 0
-    trivial = [at for at in sig.atoms if at.character.freq == (0, 0)][0]
+    trivial = [at for at in sig.atoms if at.character == (0, 0)][0]
     assert trivial.weight.value == mu * mu
     # closed form at k = (1, 0): sin^2(pi/2)/pi^2 times the second length squared
-    w10 = [at for at in sig.atoms if at.character.freq == (1, 0)][0].weight
+    w10 = [at for at in sig.atoms if at.character == (1, 0)][0].weight
     assert abs(float(w10.lower) - (1 / 3.141592653589793**2) / 9) < 1e-12
     # union of 2-d boxes drives the complex-interval sum path
     union = BoxUnion.of(

@@ -720,7 +720,7 @@ def test_integer_theta_matches_the_formal_real_reference():
             k = tuple(rng.below(7) - 3 for _ in range(dim))
             if trial % 5 == 0 and cert["witness_frequency"] is not None:
                 k = cert["witness_frequency"]
-            atom = [spectral.Atom(spectral.KroneckerCharacter(k), spectral.Weight.of(1))]
+            atom = [spectral.Atom(k, spectral.Weight.of(1))]
 
             def annihilates(lam):
                 # k against the system's integer shift den * Theta lam
