@@ -1,14 +1,19 @@
 """Config-driven experiment runner.
 
 Every verification and search in the library is exposed as a subcommand
-taking a JSON config and emitting a JSON report.  Exact rationals are
+taking a JSON config and emitting a JSON report.  Each subcommand has one
+table in ``TABLES``, field -> (reader, default), and nested objects have
+tables of their own (``SYSTEMS``, ``SET_B``, ``THETA_ENTRY``,
+``ERGODIC_SET``, ``BOUNDS``, ``HAYSTACK`` and ``volume.POINT_SETS``); runs
+and ``--verify-only`` replays both read the config through them with
+``config.read``, which refuses unknown fields.  Exact rationals are
 serialized as {"num": "...", "den": "..."} string pairs; interval-valued
 estimates as {"lower": float, "upper": float, "exact": false}.  Reports are
 deterministic for a fixed config and seed except for the "generated_at" and
-"elapsed_seconds" fields.  Exit codes: 0 success, 1 failed verdict or hard
-failure, 2 config error (a malformed config or report, refused with a
-one-line reason).  Logs go to stderr; the report goes to --out or
-stdout.
+"elapsed_seconds" fields, and echo the config as given.  Exit codes: 0
+success, 1 failed verdict or hard failure, 2 config error (a malformed
+config or report, refused with a one-line reason).  Logs go to stderr; the
+report goes to --out or stdout.
 
 Subcommands: volume-spectrum, pattern-search, expand-scan, spectral-report,
 decompose, intersect, haystack-verify, density.
@@ -29,50 +34,23 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .config import REQUIRED, ConfigError, array, at_most, integer, mapping, parse_fraction, rational, raw, read, read_kind
 from .formal import FormalReal
 from .haystack import MULTIPLIERS, admit_subsets, make_haystack, verify_haystack_sample
 from .lattice import is_primitive, simplex_det, sublattice
 from .spectral import (
-    GRID,
-    Weight,
-    ambient_intersections,
-    annihilator_mass,
-    expansion_bound_check,
-    intersection_theorem_search,
-    rational_mass_excluding_trivial,
-    shrink_rational_spectrum,
-    spectral_measure,
-    spectral_measure_kronecker,
+    GRID, Weight, ambient_intersections, annihilator_mass, expansion_bound_check, intersection_theorem_search,
+    rational_mass_excluding_trivial, shrink_rational_spectrum, spectral_measure, spectral_measure_kronecker,
     verify_bochner,
 )
 from .systems import (
-    BoxUnion,
-    ErgodicSetSpec,
-    FiniteSystem,
-    ergodic_components,
-    finite_system,
-    finite_system_from_parts,
-    kronecker_system,
-    max_directional_expansion,
-    orbit_saturation,
+    BoxUnion, ErgodicSetSpec, FiniteSystem, KroneckerSystem, ergodic_components, finite_system,
+    finite_system_from_parts, kronecker_system, max_directional_expansion, orbit_saturation,
 )
 from .volume import (
-    PatternWitness,
-    SearchBounds,
-    _int,
-    _integral,
-    ap_certificate,
-    build_point_set,
-    parse_fraction,
-    pattern_search,
-    upper_density_estimate,
-    verify_pattern_witness,
-    volume_spectrum,
+    AP_LIMIT, RANK_LIMIT, PatternWitness, SearchBounds, SetTree, ap_certificate, build_point_set, pattern_search,
+    point_set_tree, upper_density_estimate, verify_pattern_witness, volume_spectrum,
 )
-
-class ConfigError(Exception):
-    pass
-
 
 #: the most lambdas a box bound may ask for: (2 * bound + 1) ** rank, for
 #: `coord_bound` (expand-scan) and `lambda_bound` (spectral-report), checked
@@ -81,14 +59,11 @@ class ConfigError(Exception):
 BOX_LIMIT = 10**6
 
 
-def _box_bound(cfg: dict, key: str, rank: int, default: Optional[int] = None) -> int:
-    bound = _int(cfg[key] if default is None else cfg.get(key, default), key)
+def _box_bound(bound: int, key: str, rank: int) -> int:
     if bound < 0:
         raise ConfigError(f"{key} must be nonnegative, got {bound}")
     if (2 * bound + 1) ** rank > BOX_LIMIT:
-        raise ConfigError(
-            f"{key} {bound} asks for (2*{bound}+1)^{rank} lambdas, over the limit of {BOX_LIMIT}"
-        )
+        raise ConfigError(f"{key} {bound} asks for (2*{bound}+1)^{rank} lambdas, over the limit of {BOX_LIMIT}")
     return bound
 
 
@@ -236,186 +211,195 @@ def _log(msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config tables: field -> (reader, default), read by config.read
 
-def _object(value, what: str) -> dict:
-    """A config field that must be a JSON object, refused by name otherwise."""
+
+def theta_entry(value, path: str) -> FormalReal:
+    """A Kronecker frequency: a rational, or an object of ``THETA_ENTRY``."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {json.dumps(value)}")
-    return value
+        return FormalReal.of(parse_fraction(value))
+    fields = read(value, THETA_ENTRY, path)
+    return FormalReal(fields["rational"], tuple(sorted(fields["symbols"].items())))
 
 
-def _parse_formal(entry) -> FormalReal:
-    if isinstance(entry, (int, str)):
-        return FormalReal.of(parse_fraction(entry))
-    if isinstance(entry, dict):
-        rational = parse_fraction(entry.get("rational", 0))
-        symbols = entry.get("symbols", {})
-        if not isinstance(symbols, dict):
-            raise ConfigError(f"frequency symbols must map names to rationals, got {symbols!r}")
-        terms = tuple((name, parse_fraction(coeff)) for name, coeff in sorted(symbols.items()))
-        return FormalReal(rational, terms)
-    raise ConfigError(f"cannot parse frequency entry {entry!r}")
+THETA_ENTRY = {"rational": (rational, 0), "symbols": (mapping(rational), {})}
+
+#: a finite system takes ``matrix``, or ``rank``, ``moduli`` and ``gens``
+SYSTEMS = {
+    "finite": {"matrix": (array(integer, 2), None), "rank": (integer, None), "moduli": (array(integer), None), "gens": (array(integer, 2), None)},
+    "kronecker": {"rank": (integer, REQUIRED), "dim": (integer, REQUIRED), "theta": (array(theta_entry, 2), REQUIRED)},
+}
 
 
-def _parse_system(desc: dict):
-    kind = desc.get("kind")
-    if kind == "finite":
-        if "matrix" in desc:
-            return finite_system(sublattice(_integral(desc["matrix"], "matrix")))
-        if "moduli" in desc:
-            moduli = [int(d) for d in _integral(desc["moduli"], "moduli")]
-            rank = _int(desc["rank"], "rank")
-            return finite_system_from_parts(rank, moduli, _integral(desc["gens"], "gens"))
-        raise ConfigError("finite system needs 'matrix' or 'moduli' + 'gens'")
-    if kind == "kronecker":
-        theta = [[_parse_formal(e) for e in row] for row in desc["theta"]]
-        return kronecker_system(_int(desc["rank"], "rank"), _int(desc["dim"], "dim"), theta)
-    raise ConfigError(f"unknown system kind {kind!r}")
+def system(value, path: str):
+    """A finite or Kronecker system of ``SYSTEMS``."""
+    fields = read_kind(value, SYSTEMS, path)
+    if fields["kind"] == "kronecker":
+        return kronecker_system(fields["rank"], fields["dim"], fields["theta"])
+    if fields["matrix"] is not None:
+        return finite_system(sublattice(fields["matrix"]))
+    if None in (fields["rank"], fields["moduli"], fields["gens"]):
+        raise ConfigError("finite system needs 'matrix' or 'rank' + 'moduli' + 'gens'")
+    return finite_system_from_parts(fields["rank"], fields["moduli"], fields["gens"])
 
 
-def _parse_set_b(sys_, desc: dict):
-    kind = desc.get("kind")
-    if isinstance(sys_, FiniteSystem):
-        if kind not in ("elements", "preimages"):
-            raise ConfigError("finite set_b kinds: 'elements', 'preimages'")
-        width = len(sys_.moduli) if kind == "elements" else sys_.rank
-        points = _integral(desc["points"], f"set_b {kind[:-1]}")
-        for p in points:
-            if len(p) != width:
-                raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
-        if kind == "elements":
-            return frozenset(sys_.index(points).tolist())
-        # reduced mod the exponent, each product with a generator column is
-        # below exponent * modulus <= 10**14 under the carrier limit
-        reduced = [[int(x) % sys_.exponent for x in p] for p in points]
-        images = sys_.vectors(list(sys_.gens))
-        return frozenset(sys_.translate(0, np.array(reduced, dtype=np.int64).reshape(len(points), sys_.rank) @ images).tolist())
+def set_b(value, path: str) -> dict:
+    """The fields of a set of ``SET_B``, made a set by ``_set_b`` once its system is read."""
+    return read_kind(value, SET_B, path)
+
+
+#: elements and preimages are sets of a finite system, boxes of a Kronecker one
+SET_B = {
+    "elements": {"points": (array(integer, 2, "set_b element"), REQUIRED)},
+    "preimages": {"points": (array(integer, 2, "set_b preimage"), REQUIRED)},
+    "boxes": {"boxes": (array(rational, 3), REQUIRED)},
+}
+
+
+def _set_b(sys_, fields: dict):
+    kind = fields["kind"]
+    if isinstance(sys_, KroneckerSystem):
+        if kind != "boxes":
+            raise ConfigError("kronecker set_b kind must be 'boxes'")
+        return BoxUnion.of(*fields["boxes"])
     if kind == "boxes":
-        return BoxUnion.of(
-            *[
-                [(parse_fraction(lo), parse_fraction(hi)) for lo, hi in box]
-                for box in desc["boxes"]
-            ]
-        )
-    raise ConfigError("kronecker set_b kind must be 'boxes'")
+        raise ConfigError("finite set_b kinds: 'elements', 'preimages'")
+    width = len(sys_.moduli) if kind == "elements" else sys_.rank
+    points = fields["points"]
+    for p in points:
+        if len(p) != width:
+            raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
+    if kind == "elements":
+        return frozenset(sys_.index(points).tolist())
+    # reduced mod the exponent, each product with a generator column is
+    # below exponent * modulus <= 10**14 under the carrier limit
+    reduced = (np.array(points, dtype=object).reshape(len(points), sys_.rank) % sys_.exponent).astype(np.int64)
+    return frozenset(sys_.translate(0, reduced @ sys_.vectors(list(sys_.gens))).tolist())
 
 
-def _system_and_set(cfg: dict, experiment: str):
-    """The system and the set B of a config, for runs and replays alike;
-    every experiment but spectral-report requires a finite system."""
-    sys_ = _parse_system(_object(cfg["system"], "system"))
-    if experiment != "spectral-report" and not isinstance(sys_, FiniteSystem):
-        raise ConfigError(f"{experiment} requires a finite system")
-    return sys_, _parse_set_b(sys_, _object(cfg["set_b"], "set_b"))
+def _system_and_set(fields: dict):
+    """The system and the set B of a read config, for runs and replays alike."""
+    return fields["system"], _set_b(fields["system"], fields["set_b"])
 
 
-def _parse_haystack(cfg: dict, rank: int) -> list[tuple[int, ...]]:
-    desc = _object(cfg.get("haystack", {}), "haystack")
-    multipliers = tuple(int(m) for m in _integral(desc.get("multipliers", MULTIPLIERS[:rank]), "multipliers"))
-    count = _int(desc.get("count", 8), "count")
-    return make_haystack(_integral(desc.get("basis"), "basis"), multipliers, count)
-
-
-def _parse_sspec(cfg: dict) -> ErgodicSetSpec:
-    desc = _object(cfg.get("ergodic_set", {}), "ergodic_set")
-    offset, step = _int(desc.get("offset", 0), "offset"), _int(desc.get("step", 1), "step")
-    kind = desc.get("kind", "interval")
-    if kind not in ("interval", "ap"):
+def ergodic_set(value, path: str) -> Optional[ErgodicSetSpec]:
+    """An averaging set of ``ERGODIC_SET``; None for the interval, S = Z."""
+    fields = read(value, ERGODIC_SET, path)
+    if fields["kind"] not in ("interval", "ap"):
         raise ConfigError("kind must be 'interval' or 'ap'")
-    sspec = ErgodicSetSpec(offset=offset, step=step)
-    if kind == "interval" and (offset, step) != (0, 1):
+    sspec = ErgodicSetSpec(offset=fields["offset"], step=fields["step"])
+    if fields["kind"] == "interval" and sspec != ErgodicSetSpec():
         raise ConfigError("interval spec has offset 0 and step 1")
-    return sspec
+    return sspec if fields["kind"] == "ap" else None
 
 
-def _point_set(cfg: dict, seed: Optional[int]):
-    rank, window = _int(cfg["rank"], "rank"), _int(cfg["window"], "window")
-    return build_point_set(_seeded(cfg["set"], seed), rank, window)
+ERGODIC_SET = {"kind": (raw, "interval"), "offset": (integer, ErgodicSetSpec.offset), "step": (integer, ErgodicSetSpec.step)}
 
 
-def _densities(cfg: dict, seed: Optional[int]):
-    rank, desc = _int(cfg["rank"], "rank"), _seeded(cfg["set"], seed)
-    return upper_density_estimate(desc, rank, [int(n) for n in _integral(cfg["windows"], "windows")])
+def bounds(value, path: str) -> SearchBounds:
+    """The search region of ``BOUNDS``."""
+    return SearchBounds(**read(value, BOUNDS, path))
 
 
-def _require(cfg: dict, *keys):
-    for key in keys:
-        if key not in cfg:
-            raise ConfigError(f"config is missing required field {key!r}")
+BOUNDS = {
+    "n_max": (integer, SearchBounds.n_max), "m_max": (integer, SearchBounds.m_max),
+    "lambda_count": (integer, SearchBounds.lambda_count), "multipliers": (array(integer), None),
+}
+
+
+def haystack(value, path: str) -> dict:
+    """The sample of ``HAYSTACK``; no multipliers are the first rank primes."""
+    return read(value, HAYSTACK, path)
+
+
+HAYSTACK = {"multipliers": (array(integer), None), "count": (integer, 8), "basis": (array(integer, 2), None)}
+
+#: the fields every config may carry
+COMMON = {"experiment": (raw, None), "seed": (integer, None)}
+
+_RANK_AND_SET = {"rank": (at_most(RANK_LIMIT), REQUIRED), "set": (point_set_tree, REQUIRED)}
+
+
+def _system_and_set_fields(experiment: str) -> dict:
+    """The system and its set B; every experiment but spectral-report requires a finite system."""
+
+    def finite_system(value, path: str) -> FiniteSystem:
+        sys_ = system(value, path)
+        if not isinstance(sys_, FiniteSystem):
+            raise ConfigError(f"{experiment} requires a finite system")
+        return sys_
+
+    return {"system": (system if experiment == "spectral-report" else finite_system, REQUIRED), "set_b": (set_b, REQUIRED)}
+
+
+#: the fields of each experiment, besides ``COMMON``
+TABLES = {
+    "volume-spectrum": {**_RANK_AND_SET, "window": (integer, REQUIRED), "cap": (integer, None), "ap_max": (at_most(AP_LIMIT), None)},
+    "pattern-search": {
+        **_RANK_AND_SET, "window": (integer, REQUIRED), "p": (integer, REQUIRED), "probes": (array(integer, 3), REQUIRED),
+        "bounds": (bounds, {}),
+    },
+    "expand-scan": {**_system_and_set_fields("expand-scan"), "coord_bound": (integer, REQUIRED), "ergodic_set": (ergodic_set, {})},
+    "spectral-report": {
+        **_system_and_set_fields("spectral-report"), "lambda_bound": (integer, 4), "trunc": (integer, 64),
+        "annihilator_lambdas": (array(integer, 2), []),
+    },
+    "decompose": {**_system_and_set_fields("decompose"), "sublattice": (array(integer, 2), None), "eps_o": (rational, "1/10")},
+    "intersect": {
+        **_system_and_set_fields("intersect"), "p": (integer, REQUIRED), "probes": (array(integer, 3), REQUIRED),
+        "haystack": (haystack, {}), "ergodic_set": (ergodic_set, {}),
+    },
+    "haystack-verify": {
+        "rank": (integer, REQUIRED), "vectors": (array(integer, 2), None), "multipliers": (array(integer), None),
+        "count": (integer, None), "basis": (array(integer, 2), None),
+    },
+    "density": {**_RANK_AND_SET, "windows": (array(integer), REQUIRED)},
+}
+
+
+def read_config(experiment: str, cfg) -> dict:
+    """cfg read against the table of experiment and ``COMMON``."""
+    return read(cfg, {**COMMON, **TABLES[experiment]})
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (results, verdicts, csv_rows, csv_header)
+# experiment runners: each takes a read config and the seed, and returns
+# (results, verdicts, csv_rows, csv_header)
 
-def _run_volume_spectrum(cfg: dict, seed: Optional[int]):
-    _require(cfg, "rank", "window", "set")
-    e = _point_set(cfg, seed)
-    cap = cfg.get("cap")
-    spectrum = sorted(volume_spectrum(e, None if cap is None else _int(cap, "cap")))
+def _run_volume_spectrum(c: dict, seed: Optional[int]):
+    e = build_point_set(SetTree(c["set"], seed), c["rank"], c["window"])
+    spectrum = sorted(volume_spectrum(e, c["cap"]))
     results = {"point_count": len(e), "spectrum": spectrum}
     verdicts = []
-    if "ap_max" in cfg:
-        cert = ap_certificate(e, _int(cfg["ap_max"], "ap_max"))
+    if c["ap_max"] is not None:
+        cert = ap_certificate(e, c["ap_max"])
         results["ap_certificate"] = {
             "ok": cert.ok,
             "n": cert.n,
             "witnesses": {
-                str(m): {"vertices": [list(v) for v in rec.vertices], "det": rec.det}
-                for m, rec in sorted(cert.witnesses.items())
+                str(m): {"vertices": [list(v) for v in rec.vertices], "det": rec.det} for m, rec in sorted(cert.witnesses.items())
             },
             "best_n": cert.best_n,
             "missing": list(cert.missing),
             "reason": cert.reason,
         }
-        witness_ok = cert.ok and all(
-            rec.verify() and abs(rec.det) == cert.n * m for m, rec in cert.witnesses.items()
-        )
-        verdicts.append(
-            {"name": "ap-certificate", "pass": bool(witness_ok), "n": cert.n}
-        )
-    rows = [[v] for v in spectrum]
-    return results, verdicts, rows, ["value"]
+        witness_ok = cert.ok and all(rec.verify() and abs(rec.det) == cert.n * m for m, rec in cert.witnesses.items())
+        verdicts.append({"name": "ap-certificate", "pass": bool(witness_ok), "n": cert.n})
+    return results, verdicts, [[v] for v in spectrum], ["value"]
 
 
-def _run_pattern_search(cfg: dict, seed: Optional[int]):
-    _require(cfg, "rank", "window", "set", "p", "probes")
-    e = _point_set(cfg, seed)
-    bounds_cfg = _object(cfg.get("bounds", {}), "bounds")
-    bounds = SearchBounds(
-        n_max=_int(bounds_cfg.get("n_max", 6), "n_max"),
-        m_max=_int(bounds_cfg.get("m_max", 6), "m_max"),
-        lambda_count=_int(bounds_cfg.get("lambda_count", 6), "lambda_count"),
-        multipliers=tuple(_integral(bounds_cfg["multipliers"], "multipliers")) if "multipliers" in bounds_cfg else None,
-    )
-    res = pattern_search(e, _int(cfg["p"], "p"), _integral(cfg["probes"], "probes"), bounds)
-    results = {
-        "ok": res.ok,
-        "reason": res.reason,
-        "witnesses": [
-            {
-                "n": w.n,
-                "lambda": list(w.lam),
-                "m1": w.m1,
-                "lambda0": list(w.lam0),
-                "pairs": [{"m": mk, "probe": list(lk)} for mk, lk in w.pairs],
-            }
-            for w in res.witnesses
-        ],
-    }
-    verdicts = [{"name": "pattern-witnesses", "pass": bool(res.ok), "detail": res.reason}]
-    return results, verdicts, None, None
-
-
-def _candidate_box(rank: int, bound: int) -> list[tuple[int, ...]]:
-    return [
-        lam
-        for lam in product(range(-bound, bound + 1), repeat=rank)
-        if any(x != 0 for x in lam)
+def _run_pattern_search(c: dict, seed: Optional[int]):
+    e = build_point_set(SetTree(c["set"], seed), c["rank"], c["window"])
+    res = pattern_search(e, c["p"], c["probes"], c["bounds"])
+    witnesses = [
+        {"n": w.n, "lambda": list(w.lam), "m1": w.m1, "lambda0": list(w.lam0), "pairs": [{"m": mk, "probe": list(lk)} for mk, lk in w.pairs]}
+        for w in res.witnesses
     ]
+    results = {"ok": res.ok, "reason": res.reason, "witnesses": witnesses}
+    return results, [{"name": "pattern-witnesses", "pass": bool(res.ok), "detail": res.reason}], None, None
 
 
-def _run_expand_scan(cfg: dict, seed: Optional[int]):
+def _run_expand_scan(c: dict, seed: Optional[int]):
     """Scan every nonzero lambda in the coordinate box.
 
     Each CSV row's ``measure`` and ``bound_holds`` use the configured
@@ -425,11 +409,10 @@ def _run_expand_scan(cfg: dict, seed: Optional[int]):
     With an ``ap`` set whose step shares a factor with the exponent they can
     exceed every ``measure`` in the CSV.
     """
-    _require(cfg, "system", "set_b", "coord_bound")
-    sys_, bset = _system_and_set(cfg, "expand-scan")
-    bound = _box_bound(cfg, "coord_bound", sys_.rank)
-    sspec = _parse_sspec(cfg) if "ergodic_set" in cfg else None
-    candidates = _candidate_box(sys_.rank, bound)
+    sys_, bset = _system_and_set(c)
+    bound = _box_bound(c["coord_bound"], "coord_bound", sys_.rank)
+    sspec = c["ergodic_set"]
+    candidates = [lam for lam in product(range(-bound, bound + 1), repeat=sys_.rank) if any(x != 0 for x in lam)]
 
     measured = [(lam, orbit_saturation(sys_, bset, lam, sspec)[1]) for lam in candidates]
     best_mu, best_lam = max_directional_expansion(sys_, bset, candidates)
@@ -440,42 +423,21 @@ def _run_expand_scan(cfg: dict, seed: Optional[int]):
         ok = bool(chk.ok)
         # a step > 1 averaging set is not universal: its rows are reported only
         all_ok = all_ok and (ok or not chk.applicable)
-        rows.append(
-            list(lam)
-            + [
-                mu.numerator,
-                mu.denominator,
-                chk.bound.value.numerator,
-                chk.bound.value.denominator,
-                int(ok),
-            ]
-        )
-    expandable = best_mu == 1
+        rows.append(list(lam) + [mu.numerator, mu.denominator, chk.bound.value.numerator, chk.bound.value.denominator, int(ok)])
     results = {
         "max_expansion": ser_fraction(best_mu),
         "argmax_lambda": list(best_lam),
         "candidate_count": len(candidates),
-        "verdict": (
-            "directionally expandable within candidates"
-            if expandable
-            else "not directionally expandable within candidates"
-        ),
+        "verdict": ("" if best_mu == 1 else "not ") + "directionally expandable within candidates",
     }
-    verdicts = [
-        {"name": "expansion-bounds-hold", "pass": all_ok},
-    ]
-    header = (
-        [f"lambda_{i + 1}" for i in range(sys_.rank)]
-        + ["measure_num", "measure_den", "bound_num", "bound_den", "bound_holds"]
-    )
-    return results, verdicts, rows, header
+    header = [f"lambda_{i + 1}" for i in range(sys_.rank)] + ["measure_num", "measure_den", "bound_num", "bound_den", "bound_holds"]
+    return results, [{"name": "expansion-bounds-hold", "pass": all_ok}], rows, header
 
 
-def _run_spectral_report(cfg: dict, seed: Optional[int]):
-    _require(cfg, "system", "set_b")
-    sys_, bset = _system_and_set(cfg, "spectral-report")
+def _run_spectral_report(c: dict, seed: Optional[int]):
+    sys_, bset = _system_and_set(c)
     if isinstance(sys_, FiniteSystem):
-        lam_bound = _box_bound(cfg, "lambda_bound", sys_.rank, default=4)
+        lam_bound = _box_bound(c["lambda_bound"], "lambda_bound", sys_.rank)
         sigma = spectral_measure(sys_, bset)
         boch = verify_bochner(sys_, bset, lam_bound)
         mu_b = sigma.total.value
@@ -489,12 +451,8 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
             "total_mass": ser_weight(sigma.total),
             "trivial_mass": ser_weight(sigma.trivial),
             "normalized_total": ser_fraction(mu_b / t),
-            "rational_nontrivial_mass": ser_weight(
-                rational_mass_excluding_trivial(sigma).scale(1 / t)
-            ),
-            "atoms": [
-                {"label": label, "weight": shown} for label, shown in zip(labels, _ser_label_weights(sigma.label_weights))
-            ],
+            "rational_nontrivial_mass": ser_weight(rational_mass_excluding_trivial(sigma).scale(1 / t)),
+            "atoms": [{"label": label, "weight": shown} for label, shown in zip(labels, _ser_label_weights(sigma.label_weights))],
             "bochner_checked": boch.checked,
         }
         verdicts = [
@@ -503,58 +461,38 @@ def _run_spectral_report(cfg: dict, seed: Optional[int]):
             {"name": "bochner-identity", "pass": bool(boch.ok)},
         ]
         return results, verdicts, None, None
-    trunc = _int(cfg.get("trunc", 64), "trunc")
-    sigma = spectral_measure_kronecker(sys_, bset, trunc)
-    lam_list = [[int(x) for x in lam] for lam in _integral(cfg.get("annihilator_lambdas", []), "annihilator_lambdas")]
-    for lam in lam_list:
+    sigma = spectral_measure_kronecker(sys_, bset, c["trunc"])
+    for lam in c["annihilator_lambdas"]:
         if len(lam) != sys_.rank:
             raise ConfigError(f"annihilator lambda {lam} has length {len(lam)}, expected {sys_.rank}")
-    ann = {
-        json.dumps(lam): ser_weight(annihilator_mass(sigma, tuple(lam)))
-        for lam in lam_list
-    }
     results = {
         "kind": "kronecker",
-        "trunc": trunc,
+        "trunc": c["trunc"],
         "mu_b": ser_fraction(sigma.total.value),
         "tail": ser_weight(sigma.tail),
         "trivial_mass": ser_weight(sigma.trivial),
-        "rational_nontrivial_mass": ser_weight(
-            rational_mass_excluding_trivial(sigma).scale(1 / sigma.trivial.value)
-        ),
-        "annihilator_masses": ann,
+        "rational_nontrivial_mass": ser_weight(rational_mass_excluding_trivial(sigma).scale(1 / sigma.trivial.value)),
+        "annihilator_masses": {json.dumps(lam): ser_weight(annihilator_mass(sigma, tuple(lam))) for lam in c["annihilator_lambdas"]},
         "atom_count": len(sigma.atoms),
     }
-    verdicts = [
-        {
-            "name": "tail-nonnegative",
-            "pass": sigma.tail.lower >= 0 and sigma.tail.upper >= sigma.tail.lower,
-        }
-    ]
-    return results, verdicts, None, None
+    tail_ok = sigma.tail.lower >= 0 and sigma.tail.upper >= sigma.tail.lower
+    return results, [{"name": "tail-nonnegative", "pass": tail_ok}], None, None
 
 
-def _run_decompose(cfg: dict, seed: Optional[int]):
-    _require(cfg, "system", "set_b")
-    sys_, bset = _system_and_set(cfg, "decompose")
+def _run_decompose(c: dict, seed: Optional[int]):
+    sys_, bset = _system_and_set(c)
     results = {}
     verdicts = []
-    if "sublattice" in cfg:
-        L = sublattice(_integral(cfg["sublattice"], "sublattice"))
-        comps = ergodic_components(sys_, L)
-        weight_sum = sum((c.weight for c in comps), start=Fraction(0))
+    if c["sublattice"] is not None:
+        comps = ergodic_components(sys_, sublattice(c["sublattice"]))
+        weight_sum = sum((comp.weight for comp in comps), start=Fraction(0))
         results["components"] = [
-            {"support": sys_.vectors(sorted(c.support)).tolist(), "weight": ser_fraction(c.weight)}
-            for c in comps
+            {"support": sys_.vectors(sorted(comp.support)).tolist(), "weight": ser_fraction(comp.weight)} for comp in comps
         ]
         verdicts.append({"name": "component-weights-sum-to-one", "pass": weight_sum == 1})
-        covered = set()
-        for c in comps:
-            covered |= c.support
-        verdicts.append(
-            {"name": "components-partition-carrier", "pass": len(covered) == sys_.size}
-        )
-    eps_o = parse_fraction(cfg.get("eps_o", "1/10"))
+        covered = set().union(*(comp.support for comp in comps))
+        verdicts.append({"name": "components-partition-carrier", "pass": len(covered) == sys_.size})
+    eps_o = c["eps_o"]
     shrink = shrink_rational_spectrum(sys_, bset, eps_o)
     mu_b = sys_.measure(bset)
     results["shrink"] = {
@@ -565,102 +503,58 @@ def _run_decompose(cfg: dict, seed: Optional[int]):
         "rational_nontrivial_mass": ser_fraction(shrink.rational_mass),
         "tried": list(shrink.tried),
     }
-    verdicts.append(
-        {"name": "shrink-rational-mass-below-eps_o", "pass": shrink.rational_mass < eps_o}
-    )
-    verdicts.append(
-        {
-            "name": "shrink-measure-disjunction",
-            "pass": shrink.nu_b >= Fraction(1, 3) or mu_b < 3 * shrink.nu_b,
-        }
-    )
+    verdicts.append({"name": "shrink-rational-mass-below-eps_o", "pass": shrink.rational_mass < eps_o})
+    disjunction = shrink.nu_b >= Fraction(1, 3) or mu_b < 3 * shrink.nu_b
+    verdicts.append({"name": "shrink-measure-disjunction", "pass": disjunction})
     return results, verdicts, None, None
 
 
-def _run_intersect(cfg: dict, seed: Optional[int]):
-    _require(cfg, "system", "set_b", "p", "probes")
-    sys_, bset = _system_and_set(cfg, "intersect")
-    sample = _parse_haystack(cfg, sys_.rank)
-    sspec = _parse_sspec(cfg)
-    witness = intersection_theorem_search(
-        sys_, bset, _int(cfg["p"], "p"), sample, sspec, _integral(cfg["probes"], "probes")
-    )
+def _run_intersect(c: dict, seed: Optional[int]):
+    sys_, bset = _system_and_set(c)
+    h = c["haystack"]
+    multipliers = MULTIPLIERS[: sys_.rank] if h["multipliers"] is None else h["multipliers"]
+    sample = make_haystack(h["basis"], multipliers, h["count"])
+    witness = intersection_theorem_search(sys_, bset, c["p"], sample, c["ergodic_set"], c["probes"])
     results = {
         "n": witness.n,
         "lambda": list(witness.lam),
         "m1": witness.m1,
-        "probes": [
-            {"probe": [list(v) for v in w.probe], "ms": list(w.ms)}
-            for w in witness.probes
-        ],
+        "probes": [{"probe": [list(v) for v in w.probe], "ms": list(w.ms)} for w in witness.probes],
         "intersection_measure": ser_fraction(witness.measure),
         "eps": ser_fraction(witness.eps),
         "eps_o": ser_fraction(witness.eps_o),
         "shrink_n": witness.shrink.n,
     }
-    verdicts = [
-        {"name": "intersection-positive", "pass": witness.measure > 0},
-        {"name": "lambda-primitive", "pass": is_primitive(witness.lam)},
-    ]
+    verdicts = [{"name": "intersection-positive", "pass": witness.measure > 0}, {"name": "lambda-primitive", "pass": is_primitive(witness.lam)}]
     return results, verdicts, None, None
 
 
-def _run_haystack_verify(cfg: dict, seed: Optional[int]):
-    _require(cfg, "rank")
-    rank = _int(cfg["rank"], "rank")
-    if "vectors" in cfg:
-        vectors = [tuple(int(x) for x in v) for v in _integral(cfg["vectors"], "vectors")]
-    else:
-        _require(cfg, "multipliers", "count")
-        multipliers = [int(m) for m in _integral(cfg["multipliers"], "multipliers")]
-        count = _int(cfg["count"], "count")
+def _run_haystack_verify(c: dict, seed: Optional[int]):
+    rank, vectors, multipliers, count = c["rank"], c["vectors"], c["multipliers"], c["count"]
+    if vectors is None:
+        if multipliers is None or count is None:
+            raise ConfigError("haystack-verify needs 'vectors' or 'multipliers' + 'count'")
         # the elements are distinct vectors of len(multipliers) coordinates, so
         # both refusals of verify_haystack_sample are known before any is built
         if count > 0 and len(multipliers) != rank:
             raise ValueError("vector rank does not match r")
         admit_subsets(count, rank)
-        vectors = make_haystack(_integral(cfg.get("basis"), "basis"), multipliers, count)
+        vectors = make_haystack(c["basis"], multipliers, count)
     verdict = verify_haystack_sample(vectors, rank)
     results = {
         "vectors": [list(v) for v in vectors],
         "ok": verdict.ok,
         "non_primitive": list(verdict.non_primitive) if verdict.non_primitive else None,
-        "singular_subset": (
-            [list(v) for v in verdict.singular_subset] if verdict.singular_subset else None
-        ),
+        "singular_subset": [list(v) for v in verdict.singular_subset] if verdict.singular_subset else None,
     }
-    verdicts = [{"name": "haystack-sample", "pass": verdict.ok}]
-    return results, verdicts, None, None
+    return results, [{"name": "haystack-sample", "pass": verdict.ok}], None, None
 
 
-def _run_density(cfg: dict, seed: Optional[int]):
-    _require(cfg, "rank", "set", "windows")
-    est = _densities(cfg, seed)
-    results = {
-        "windows": list(est.windows),
-        "densities": [ser_fraction(d) for d in est.densities],
-        "proxy": ser_fraction(est.proxy),
-    }
-    rows = [
-        [n, d.numerator, d.denominator]
-        for n, d in zip(est.windows, est.densities, strict=True)
-    ]
+def _run_density(c: dict, seed: Optional[int]):
+    est = upper_density_estimate(SetTree(c["set"], seed), c["rank"], c["windows"])
+    results = {"windows": list(est.windows), "densities": [ser_fraction(d) for d in est.densities], "proxy": ser_fraction(est.proxy)}
+    rows = [[n, d.numerator, d.denominator] for n, d in zip(est.windows, est.densities, strict=True)]
     return results, [], rows, ["window", "num", "den"]
-
-
-def _seeded(set_desc, seed: Optional[int], what: str = "set") -> dict:
-    """Inject the experiment seed into seedless random generators; every
-    descriptor of the tree must be a JSON object, and ``parts`` a list."""
-    desc = dict(_object(set_desc, what))
-    if desc.get("kind") == "random" and "seed" not in desc and seed is not None:
-        desc["seed"] = seed
-    if "parts" in desc:
-        if not isinstance(desc["parts"], list):
-            raise ConfigError(f"{what}.parts must be a JSON array, got {json.dumps(desc['parts'])}")
-        desc["parts"] = [_seeded(p, seed, f"{what}.parts[{i}]") for i, p in enumerate(desc["parts"])]
-    if "base" in desc:
-        desc["base"] = _seeded(desc["base"], seed, f"{what}.base")
-    return desc
 
 
 _RUNNERS = {
@@ -679,96 +573,58 @@ _RUNNERS = {
 # witness re-verification (--verify-only)
 
 def _verify_report(report: dict) -> list[dict]:
-    cfg = report["config"]
-    kind = report["experiment"]
+    cfg, kind, res = report["config"], report["experiment"], report["results"]
+    if kind not in TABLES:
+        raise ConfigError(f"cannot verify reports for experiment {kind!r}")
+    c = read_config(kind, cfg)
     seed = report.get("seed")
     checks = []
 
     def add(name: str, ok: bool):
         checks.append({"name": name, "pass": bool(ok)})
 
+    if "window" in c:
+        e = build_point_set(SetTree(c["set"], seed), c["rank"], c["window"])
+    if "system" in c:
+        sys_, bset = _system_and_set(c)
     if kind == "volume-spectrum":
-        e = _point_set(cfg, seed)
-        cert = report["results"].get("ap_certificate")
+        cert = res.get("ap_certificate")
         if cert and cert["ok"]:
             for m_str, rec in cert["witnesses"].items():
                 verts = [tuple(v) for v in rec["vertices"]]
-                ok = (
-                    all(v in e.points for v in verts)
-                    and abs(simplex_det(verts)) == cert["n"] * int(m_str)
-                )
+                ok = all(v in e.points for v in verts) and abs(simplex_det(verts)) == cert["n"] * int(m_str)
                 add(f"ap-witness-m={m_str}", ok)
     elif kind == "pattern-search":
-        e = _point_set(cfg, seed)
-        for i, w in enumerate(report["results"]["witnesses"]):
-            witness = PatternWitness(
-                n=w["n"],
-                lam=tuple(w["lambda"]),
-                m1=w["m1"],
-                lam0=tuple(w["lambda0"]),
-                pairs=tuple((p["m"], tuple(p["probe"])) for p in w["pairs"]),
-            )
+        for i, w in enumerate(res["witnesses"]):
+            pairs = tuple((p["m"], tuple(p["probe"])) for p in w["pairs"])
+            witness = PatternWitness(n=w["n"], lam=tuple(w["lambda"]), m1=w["m1"], lam0=tuple(w["lambda0"]), pairs=pairs)
             add(f"pattern-witness-{i}", verify_pattern_witness(e, witness))
     elif kind == "expand-scan":
-        sys_, bset = _system_and_set(cfg, kind)
-        lam = tuple(report["results"]["argmax_lambda"])
-        mu = parse_fraction(report["results"]["max_expansion"])
-        _, measured = orbit_saturation(sys_, bset, lam)
-        add("argmax-measure-reproduces", measured == mu)
+        _, measured = orbit_saturation(sys_, bset, tuple(res["argmax_lambda"]))
+        add("argmax-measure-reproduces", measured == parse_fraction(res["max_expansion"]))
     elif kind == "intersect":
-        sys_, bset = _system_and_set(cfg, kind)
-        res = report["results"]
-        measures = ambient_intersections(
-            sys_,
-            bset,
-            res["n"],
-            res["lambda"],
-            res["m1"],
-            [(w["ms"], w["probe"]) for w in res["probes"]],
-        )
+        probes = [(w["ms"], w["probe"]) for w in res["probes"]]
+        measures = ambient_intersections(sys_, bset, res["n"], res["lambda"], res["m1"], probes)
         for mu_i in measures[1:]:
             add("probe-intersection-positive", mu_i > 0)
-        claimed = parse_fraction(res["intersection_measure"])
-        add("intersection-measure-reproduces", min(measures) == claimed)
+        add("intersection-measure-reproduces", min(measures) == parse_fraction(res["intersection_measure"]))
     elif kind == "haystack-verify":
-        vectors = [tuple(v) for v in report["results"]["vectors"]]
-        verdict = verify_haystack_sample(vectors, _int(cfg["rank"], "rank"))
-        add("haystack-verdict-reproduces", verdict.ok == report["results"]["ok"])
+        verdict = verify_haystack_sample([tuple(v) for v in res["vectors"]], c["rank"])
+        add("haystack-verdict-reproduces", verdict.ok == res["ok"])
+    elif kind == "spectral-report" and isinstance(sys_, FiniteSystem):
+        sigma = spectral_measure(sys_, bset)
+        add("total-mass-reproduces", ser_weight(sigma.total) == res["total_mass"])
+        add("trivial-mass-reproduces", ser_weight(sigma.trivial) == res["trivial_mass"])
     elif kind == "spectral-report":
-        sys_, bset = _system_and_set(cfg, kind)
-        if isinstance(sys_, FiniteSystem):
-            sigma = spectral_measure(sys_, bset)
-            add(
-                "total-mass-reproduces",
-                ser_weight(sigma.total) == report["results"]["total_mass"],
-            )
-            add(
-                "trivial-mass-reproduces",
-                ser_weight(sigma.trivial) == report["results"]["trivial_mass"],
-            )
-        else:
-            sigma = spectral_measure_kronecker(sys_, bset, _int(cfg.get("trunc", 64), "trunc"))
-            add(
-                "tail-reproduces",
-                ser_weight(sigma.tail) == report["results"]["tail"],
-            )
+        sigma = spectral_measure_kronecker(sys_, bset, c["trunc"])
+        add("tail-reproduces", ser_weight(sigma.tail) == res["tail"])
     elif kind == "decompose":
-        sys_, bset = _system_and_set(cfg, kind)
-        eps_o = parse_fraction(cfg.get("eps_o", "1/10"))
-        shrink = shrink_rational_spectrum(sys_, bset, eps_o)
-        add("shrink-n-reproduces", shrink.n == report["results"]["shrink"]["n"])
-        add(
-            "shrink-mass-below-eps_o",
-            shrink.rational_mass < eps_o,
-        )
+        shrink = shrink_rational_spectrum(sys_, bset, c["eps_o"])
+        add("shrink-n-reproduces", shrink.n == res["shrink"]["n"])
+        add("shrink-mass-below-eps_o", shrink.rational_mass < c["eps_o"])
     elif kind == "density":
-        est = _densities(cfg, seed)
-        add(
-            "densities-reproduce",
-            [ser_fraction(d) for d in est.densities] == report["results"]["densities"],
-        )
-    else:
-        raise ConfigError(f"cannot verify reports for experiment {kind!r}")
+        est = upper_density_estimate(SetTree(c["set"], seed), c["rank"], c["windows"])
+        add("densities-reproduce", [ser_fraction(d) for d in est.densities] == res["densities"])
     return checks
 
 
@@ -792,11 +648,7 @@ _PARSER.add_argument("--out", help="report path (default stdout); with --verify-
 _PARSER.add_argument("--csv", help="CSV export path for tabular outputs")
 _PARSER.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 _PARSER.add_argument("--seed", type=int, help="overrides the config seed")
-_PARSER.add_argument(
-    "--verify-only",
-    action="store_true",
-    help="recheck the witnesses in an existing report instead of running",
-)
+_PARSER.add_argument("--verify-only", action="store_true", help="recheck the witnesses in an existing report instead of running")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -804,7 +656,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     # the one mapping from exceptions to exit codes, for runs and replays alike
     try:
         return _serve(args)
-    except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, OSError, KeyError, TypeError, ValueError) as exc:
         _log(f"config error: {f'missing field {exc}' if isinstance(exc, KeyError) else exc}")
         return 2
     except (AssertionError, RuntimeError) as exc:
@@ -815,12 +667,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _serve(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if cfg.get("experiment", args.experiment) != args.experiment:
+    c = read_config(args.experiment, cfg)
+    if c["experiment"] not in (None, args.experiment):
         raise ConfigError("config 'experiment' does not match the subcommand")
-
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    seed = args.seed if args.seed is not None else c["seed"]
 
     if args.verify_only:
         if not args.out:
@@ -829,10 +679,10 @@ def _serve(args: argparse.Namespace) -> int:
             checks = _verify_report(json.load(fh))
         for chk in checks:
             _log(f"{'PASS' if chk['pass'] else 'FAIL'}  {chk['name']}")
-        return 0 if all(c["pass"] for c in checks) else 1
+        return 0 if all(chk["pass"] for chk in checks) else 1
 
     start = time.monotonic()
-    results, verdicts, rows, header = _RUNNERS[args.experiment](cfg, seed)
+    results, verdicts, rows, header = _RUNNERS[args.experiment](c, seed)
     elapsed = time.monotonic() - start
 
     report = {

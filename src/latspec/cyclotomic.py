@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intervals import _GRID_BITS, sinpi_grid
+from .intervals import GRID_BITS, sinpi_grid
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def _cos_grid(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     -sin(pi (u - 2n) / 2n) past u = 2n and sin(pi (2n - u) / 2n) past u = n;
     so each entry is +-sinpi(t / 2n) for one first-quadrant t, evaluated
     once by ``intervals.sinpi_grid``.  These are the numerators of
-    ``cospi(Fraction(2 * k, n))`` over 2**_GRID_BITS.
+    ``cospi(Fraction(2 * k, n))`` over 2**GRID_BITS.
     """
     m = 2 * n
     sines: dict[int, tuple[int, int]] = {}
@@ -96,15 +96,15 @@ def _cos_grid(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 _LIMB_BITS = 32
-#: limbs of a table numerator offset into [0, 2**(_GRID_BITS + 1)]
-_LIMBS = -(-(_GRID_BITS + 2) // _LIMB_BITS)
+#: limbs of a table numerator offset into [0, 2**(GRID_BITS + 1)]
+_LIMBS = -(-(GRID_BITS + 2) // _LIMB_BITS)
 
 
 @lru_cache(maxsize=None)
 def _cos_limbs(n: int) -> np.ndarray:
     """Read-only (n, 2 * _LIMBS) int64 table: the 32-bit limbs, low first, of
-    2**_GRID_BITS + lo_k and then of 2**_GRID_BITS + hi_k."""
-    off = 1 << _GRID_BITS
+    2**GRID_BITS + lo_k and then of 2**GRID_BITS + hi_k."""
+    off = 1 << GRID_BITS
     data = b"".join(
         (v + off).to_bytes(_LIMBS * _LIMB_BITS // 8, "little") for ends in zip(*_cos_grid(n)) for v in ends
     )
@@ -115,7 +115,7 @@ def _cos_limbs(n: int) -> np.ndarray:
 
 def enclose_real_root_grid(n: int, rows, den: int = 1) -> tuple[list[int], list[int]]:
     """Grid numerators (lo, hi) of certified enclosures of
-    Re(sum_k row[k] * z^k) / den, one pair per row, over 2**_GRID_BITS.
+    Re(sum_k row[k] * z^k) / den, one pair per row, over 2**GRID_BITS.
 
     z is a primitive n-th root of unity and rows is an integer array with n
     columns.  A positive coefficient takes lo_k of the cosine table into the
@@ -125,9 +125,9 @@ def enclose_real_root_grid(n: int, rows, den: int = 1) -> tuple[list[int], list[
     with floor and ceil, which is that sum scaled by 1/den and rounded out
     onto the grid again.
 
-    The dot products run in int64 on the table offset by 2**_GRID_BITS and
+    The dot products run in int64 on the table offset by 2**GRID_BITS and
     cut into 32-bit limbs; with at most 2**31 in absolute value per row, no
-    limb product can wrap.  The offset, row total times 2**_GRID_BITS, is
+    limb product can wrap.  The offset, row total times 2**GRID_BITS, is
     taken from its own limb, and the limbs are carried into [0, 2**32) in one
     array pass, the top one signed, so each end is one ``int.from_bytes``.
     Used only for display of irrational weights; decisions go through the
@@ -156,7 +156,7 @@ def enclose_real_root_grid(n: int, rows, den: int = 1) -> tuple[list[int], list[
     both[signed, :_LIMBS] += swap
     both[signed, _LIMBS:] -= swap
     limbs = both.reshape(2 * len(rows), _LIMBS)
-    limbs[:, _GRID_BITS // _LIMB_BITS] -= np.repeat(totals, 2)
+    limbs[:, GRID_BITS // _LIMB_BITS] -= np.repeat(totals, 2)
     for i in range(_LIMBS - 1):
         # each limb stays within weight * 2**32 plus a carry below 2**31
         limbs[:, i + 1] += limbs[:, i] >> _LIMB_BITS

@@ -31,7 +31,7 @@ Rat = Union[int, Fraction]
 _PI_DIGITS = 314159265358979323846264338327950288419716939937510
 
 #: endpoints are rounded onto this grid after transcendental evaluations
-_GRID_BITS = 192
+GRID_BITS = 192
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ PI = Weight(Fraction(_PI_DIGITS, 10**50), Fraction(_PI_DIGITS + 1, 10**50), Fals
 
 
 def round_out(w: Weight) -> Weight:
-    """Widen the ends onto the 2**-_GRID_BITS grid to keep denominators
+    """Widen the ends onto the 2**-GRID_BITS grid to keep denominators
     bounded; the result is an enclosure."""
-    scale = 1 << _GRID_BITS
+    scale = 1 << GRID_BITS
     lo = Fraction((w.lower.numerator * scale) // w.lower.denominator, scale)
     hi_num = -((-w.upper.numerator * scale) // w.upper.denominator)
     return Weight(lo, Fraction(hi_num, scale), False)
@@ -134,13 +134,13 @@ def _sin_taylor_grid(lo_n: int, lo_d: int, hi_n: int, hi_d: int, terms: int = _T
     0 <= x <= pi/2, by the alternating series.
 
     Term k >= 1 is round_out(term_{k-1} * round_out(x^2)) / ((2k)(2k+1)),
-    i.e. an integer numerator p over m_k * 2**_GRID_BITS with m_k = (2k)(2k+1),
+    i.e. an integer numerator p over m_k * 2**GRID_BITS with m_k = (2k)(2k+1),
     so the whole series runs on integers with floor and ceil divisions.  One
     extra term bounds the truncation error; the result is clipped to [0, 1]
     and rounded out.  Every step is a floor or ceil of a rational value, so
     the numerators do not depend on how the ends are written as fractions.
     """
-    bits = _GRID_BITS
+    bits = GRID_BITS
     # x^2 rounded out onto the grid, as numerators over 2**bits
     sq_lo = (lo_n * lo_n << bits) // (lo_d * lo_d)
     sq_hi = _ceil_div(hi_n * hi_n << bits, hi_d * hi_d)
@@ -178,7 +178,7 @@ def sinpi_grid(t: int, m: int) -> tuple[int, int]:
     depend on how t / m is written.
     """
     if 2 * t == m:
-        return 1 << _GRID_BITS, 1 << _GRID_BITS
+        return 1 << GRID_BITS, 1 << GRID_BITS
     den = m * 10**50
     return _sin_taylor_grid(_PI_DIGITS * t, den, (_PI_DIGITS + 1) * t, den)
 
@@ -195,7 +195,7 @@ def _sinpi_cached(q: Fraction) -> Weight:
     if q > Fraction(1, 2):
         q = 1 - q
     lo, hi = sinpi_grid(q.numerator, q.denominator)
-    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
+    return Weight(Fraction(lo, 1 << GRID_BITS), Fraction(hi, 1 << GRID_BITS), False)
 
 
 def cospi(q: Rat) -> Weight:

@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .cyclotomic import enclose_real_root_grid, ramanujan_sums, totient
-from .intervals import _GRID_BITS, PI, Weight, cospi, round_out, sinpi, sinpi_sq_exact
+from .intervals import GRID_BITS, PI, Weight, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
 from .systems import (
     BLOCK_CELLS,
@@ -46,10 +46,10 @@ from .systems import (
     ErgodicSetSpec,
     FiniteSystem,
     KroneckerSystem,
-    _dots,
     box_grid,
     component_labels,
     component_presentation,
+    dots,
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     orbit_saturation,
@@ -189,7 +189,7 @@ def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> FiniteSpectralMeas
 
 
 #: an interval weight of a finite measure is a pair of integers over GRID
-GRID = 1 << _GRID_BITS
+GRID = 1 << GRID_BITS
 
 
 class FiniteSpectralMeasure(SpectralMeasure):
@@ -373,7 +373,7 @@ def _annihilated(sys_: KroneckerSystem, atoms: Sequence[Atom], lam) -> Weight:
     rat, sym = sys_.shift(lam)
     acc = ZERO_WEIGHT
     for a in atoms:
-        on_rat, *on_sym = _dots((rat, *sym), a.character)
+        on_rat, *on_sym = dots((rat, *sym), a.character)
         if on_rat % sys_.den == 0 and not any(on_sym):
             acc = acc + a.weight
     return acc

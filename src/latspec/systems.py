@@ -602,14 +602,14 @@ class KroneckerSystem:
         k = [int(x) for x in freq]
         if len(k) != self.dim:
             raise ValueError("frequency dimension mismatch")
-        return _dots(zip(*self.rat), k), tuple(_dots(zip(*m), k) for m in self.sym)
+        return dots(zip(*self.rat), k), tuple(dots(zip(*m), k) for m in self.sym)
 
     def shift(self, lam) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """den * Theta lam: its rational column and one coefficient column per symbol."""
         c = as_coords(lam)
         if len(c) != self.rank:
             raise ValueError("rank mismatch")
-        return _dots(self.rat, c), tuple(_dots(m, c) for m in self.sym)
+        return dots(self.rat, c), tuple(dots(m, c) for m in self.sym)
 
     def rational_shift(self, lam) -> Optional[tuple[Fraction, ...]]:
         """Theta lam when no symbol survives in it, else None."""
@@ -619,7 +619,7 @@ class KroneckerSystem:
         return tuple(Fraction(x, self.den) for x in rat)
 
 
-def _dots(vectors: Iterable[Sequence[int]], x: Sequence[int]) -> tuple[int, ...]:
+def dots(vectors: Iterable[Sequence[int]], x: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a * b for a, b in zip(v, x)) for v in vectors)
 
 

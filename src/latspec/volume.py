@@ -20,11 +20,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
 from math import gcd, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
+from .config import REQUIRED, array, integer, parse_fraction, read_kind
 from .haystack import MULTIPLIERS, make_haystack
 from .lattice import as_coords, is_primitive, simplex_det
 from .prng import SplitMix64
@@ -65,6 +66,11 @@ def point_set(points: Sequence, rank: int, window: int) -> PointSet:
 #: counted before any point is built
 POINT_LIMIT = 10**6
 
+#: the largest rank and ``ap_max`` a request may ask for, read before any
+#: point is built; ``ap_max`` 10**4 takes about 0.3 s on the 15 x 15 full grid
+RANK_LIMIT = 64
+AP_LIMIT = 10**4
+
 
 def _admit(kind: str, count: int) -> None:
     if count > POINT_LIMIT:
@@ -78,36 +84,8 @@ def _window_points(kind: str, rank: int, window: int):
     return product(range(-window, window + 1), repeat=rank), count
 
 
-def _integral(value, what: str):
-    """value itself, once no entry of it (nested lists included) is a JSON
-    boolean or a non-integral number."""
-    if isinstance(value, (list, tuple)):
-        for entry in value:
-            _integral(entry, what)
-    elif isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} entry {json.dumps(value)} is not an integer")
-    return value
-
-
-def _int(value, what: str) -> int:
-    """A scalar integer field, refused like ``_integral`` instead of truncated."""
-    return int(_integral(value, what))
-
-
-def parse_fraction(value) -> Fraction:
-    """An exact rational field, written as "3/4", an integer or
-    {"num": "...", "den": "..."}; a boolean is refused like ``_integral``."""
-    try:
-        if isinstance(value, dict):
-            return Fraction(_int(value["num"], "num"), _int(value["den"], "den"))
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {value!r}") from None
-    raise ValueError(f"cannot parse rational from {value!r}")
-
-
-def _parse_density(value) -> Fraction:
+def density(value, path: str) -> Fraction:
+    """A rational in [0, 1]."""
     if isinstance(value, bool):
         raise ValueError(f"density {json.dumps(value)} is not a rational")
     d = parse_fraction(value)
@@ -116,10 +94,40 @@ def _parse_density(value) -> Fraction:
     return d
 
 
-def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
-    """Materialize a generator descriptor on the given window.
+def point_set_tree(value, path: str) -> dict:
+    """A point-set descriptor read against the table of its kind."""
+    return read_kind(value, POINT_SETS, path)
 
-    Kinds and their cost, for a window of W = (2 * window + 1)^rank points:
+
+#: the fields of each point-set kind; a ``random`` set without a seed takes
+#: the seed its ``SetTree`` carries
+POINT_SETS = {
+    "full": {},
+    "congruence": {"modulus": (integer, REQUIRED), "offset": (array(integer), None)},
+    "random": {"density": (density, REQUIRED), "seed": (integer, None)},
+    "explicit": {"points": (array(integer, 2), REQUIRED)},
+    "union": {"parts": (array(point_set_tree), REQUIRED)},
+    "intersection": {"parts": (array(point_set_tree), REQUIRED)},
+    "translate": {"base": (point_set_tree, REQUIRED), "offset": (array(integer), REQUIRED)},
+}
+
+
+class SetTree(NamedTuple):
+    """A point-set descriptor as ``point_set_tree`` reads it, with the seed of
+    its seedless ``random`` parts."""
+
+    root: dict
+    seed: Optional[int] = None
+
+
+def _tree(descriptor) -> SetTree:
+    return descriptor if isinstance(descriptor, SetTree) else SetTree(point_set_tree(descriptor, "set"))
+
+
+def build_point_set(descriptor, rank: int, window: int) -> PointSet:
+    """Materialize a descriptor (a JSON tree, read against ``POINT_SETS``,
+    or a ``SetTree``) on the given window.  Kinds and their cost, for a
+    window of W = (2 * window + 1)^rank points:
 
     - ``full``: all W points;
     - ``congruence`` (offset + modulus * Z^rank): the product of one
@@ -135,61 +143,53 @@ def build_point_set(descriptor: dict, rank: int, window: int) -> PointSet:
     any point is built, and so is a window below 0.  The same descriptor,
     rank, window and seed always regenerate the identical set.
     """
+    tree = _tree(descriptor)
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
-    kind = descriptor.get("kind")
+    return PointSet(rank=rank, window=window, points=frozenset(_points(tree.root, rank, window, tree.seed)))
+
+
+def _points(node: dict, rank: int, window: int, seed: Optional[int]) -> set:
+    kind = node["kind"]
     if kind == "full":
-        pts = set(_window_points(kind, rank, window)[0])
-    elif kind == "congruence":
-        n = _int(descriptor["modulus"], "modulus")
+        return set(_window_points(kind, rank, window)[0])
+    if kind == "congruence":
+        n = node["modulus"]
         if n < 1:
             raise ValueError("modulus must be positive")
-        offset = tuple(int(x) for x in _integral(descriptor.get("offset", (0,) * rank), "offset"))
+        offset = (0,) * rank if node["offset"] is None else node["offset"]
         if len(offset) != rank:
             raise ValueError("offset rank mismatch")
         # the least x >= -window with x = o (mod n), then every n-th to window
         axes = [range(-window + (o + window) % n, window + 1, n) for o in offset]
         _admit("congruence", prod(len(axis) for axis in axes))
-        pts = set(product(*axes))
-    elif kind == "random":
-        density = _parse_density(descriptor["density"])
-        seed = _int(descriptor["seed"], "seed")
-        threshold = (density.numerator << 64) // density.denominator
+        return set(product(*axes))
+    if kind == "random":
+        seed = seed if node["seed"] is None else node["seed"]
+        if seed is None:
+            raise ValueError("a random set without a seed needs the experiment seed")
+        d = node["density"]
+        threshold = (d.numerator << 64) // d.denominator
         window_points, count = _window_points(kind, rank, window)
         if threshold >> 64:  # density 1: every 64-bit draw lies below 2^64
-            pts = set(window_points)
-        else:
-            keep = SplitMix64(seed).next_u64_array(count) < np.uint64(threshold)
-            pts = set(compress(window_points, keep.tolist()))
-    elif kind == "explicit":
-        pts = {tuple(int(x) for x in p) for p in _integral(descriptor["points"], "points")}
+            return set(window_points)
+        keep = SplitMix64(seed).next_u64_array(count) < np.uint64(threshold)
+        return set(compress(window_points, keep.tolist()))
+    if kind == "explicit":
+        pts = set(map(tuple, node["points"]))
         if any(len(p) != rank for p in pts):
             raise ValueError("point rank mismatch")
-        pts = {p for p in pts if all(abs(x) <= window for x in p)}
-    elif kind == "union":
-        pts = set()
-        for part in descriptor["parts"]:
-            pts |= build_point_set(part, rank, window).points
-    elif kind == "intersection":
-        parts = descriptor["parts"]
-        if not parts:
-            raise ValueError("an intersection needs at least one part")
-        pts = set(build_point_set(parts[0], rank, window).points)
-        for part in parts[1:]:
-            pts &= build_point_set(part, rank, window).points
-    elif kind == "translate":
-        offset = tuple(int(x) for x in _integral(descriptor["offset"], "offset"))
+        return {p for p in pts if all(abs(x) <= window for x in p)}
+    if kind == "translate":
+        offset = node["offset"]
         if len(offset) != rank:
             raise ValueError("offset rank mismatch")
-        base = build_point_set(descriptor["base"], rank, window)
-        pts = {
-            tuple(x + o for x, o in zip(p, offset))
-            for p in base.points
-        }
-        pts = {p for p in pts if all(abs(x) <= window for x in p)}
-    else:
-        raise ValueError(f"unknown point-set kind: {kind!r}")
-    return PointSet(rank=rank, window=window, points=frozenset(pts))
+        base = _points(node["base"], rank, window, seed)
+        return {p for p in (tuple(x + o for x, o in zip(q, offset)) for q in base) if all(abs(x) <= window for x in p)}
+    if kind == "intersection" and not node["parts"]:
+        raise ValueError("an intersection needs at least one part")
+    parts = [_points(part, rank, window, seed) for part in node["parts"]]
+    return set().union(*parts) if kind == "union" else set.intersection(*parts)
 
 
 @dataclass(frozen=True)
@@ -201,13 +201,15 @@ class DensityEstimate:
     proxy: Fraction
 
 
-def upper_density_estimate(descriptor: dict, rank: int, window_sizes: Sequence[int]) -> DensityEstimate:
+def upper_density_estimate(descriptor, rank: int, window_sizes: Sequence[int]) -> DensityEstimate:
+    """Window densities of a descriptor (or ``SetTree``), read once."""
     sizes = tuple(int(n) for n in window_sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("window sizes must increase")
+    tree = _tree(descriptor)
     densities = []
     for n in sizes:
-        e = build_point_set(descriptor, rank, n)
+        e = build_point_set(tree, rank, n)
         densities.append(Fraction(len(e.points), (2 * n + 1) ** rank))
     proxy = max(densities) if densities else Fraction(0)
     return DensityEstimate(windows=sizes, densities=tuple(densities), proxy=proxy)

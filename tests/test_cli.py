@@ -3,14 +3,20 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import latspec
 from latspec.cli import main, parse_fraction, ser_fraction
 from latspec.haystack import COUNT_LIMIT
+from latspec.volume import AP_LIMIT, RANK_LIMIT
 
 
 def run_cli(args):
@@ -588,13 +594,12 @@ def test_negative_windows_exit_2_with_one_line(tmp_path, capsys, cfg):
     ],
 )
 def test_ergodic_set_refusals_exit_2_with_one_line(tmp_path, capsys, experiment, ergodic_set, reason):
+    own = {"expand-scan": {"coord_bound": 1}, "intersect": {"p": 2, "probes": [[[1, 0]]]}}[experiment]
     cfg = {
         "experiment": experiment,
         "system": {"kind": "finite", "matrix": [[2, 0], [0, 2]]},
         "set_b": {"kind": "preimages", "points": [[0, 0]]},
-        "coord_bound": 1,
-        "p": 2,
-        "probes": [[[1, 0]]],
+        **own,
         "ergodic_set": ergodic_set,
     }
     assert _refused_in_one_line(tmp_path, capsys, cfg).strip() == f"config error: {reason}"
@@ -1083,3 +1088,82 @@ def test_density_reads_every_rational_form(tmp_path):
         assert run_cli(["density", "--config", write_cfg(tmp_path, "d.json", cfg), "--out", out]) == 0
         bodies.append(json.loads(out.read_text())["results"])
     assert bodies[0] == bodies[1] == bodies[2]
+
+
+def test_ap_max_over_the_limit_exits_2_naming_it(tmp_path, capsys):
+    # 10**30 ended in an OverflowError traceback from range(1, m_max + 1)
+    cfg = {"experiment": "volume-spectrum", "rank": 2, "window": 7, "set": {"kind": "full"}, "ap_max": 10**30}
+    err = _refused_in_one_line(tmp_path, capsys, cfg).strip()
+    assert err == f"config error: ap_max {10**30} is over the limit of {AP_LIMIT}"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # 3**(10**6) window points used to be refused by the integer string limit
+        {"experiment": "volume-spectrum", "rank": 10**6, "window": 1, "set": {"kind": "full"}},
+        # (0,) * 10**30 ended in an OverflowError traceback
+        {"experiment": "volume-spectrum", "rank": 10**30, "window": 1, "set": {"kind": "congruence", "modulus": 2}},
+        {"experiment": "density", "rank": 10**6, "windows": [1], "set": {"kind": "full"}},
+    ],
+    ids=["full", "congruence", "density"],
+)
+def test_ranks_over_the_limit_exit_2_naming_it(tmp_path, capsys, cfg):
+    err = _refused_in_one_line(tmp_path, capsys, cfg).strip()
+    assert err == f"config error: rank {cfg['rank']} is over the limit of {RANK_LIMIT}"
+
+
+def test_a_full_set_of_rank_10_30_is_refused_without_forming_its_count(tmp_path):
+    # 3**(10**30) never finished: the run goes to a child process with a timeout
+    cfg = {"experiment": "volume-spectrum", "rank": 10**30, "window": 1, "set": {"kind": "full"}}
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    env = {**os.environ, "PYTHONPATH": str(Path(latspec.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "latspec.cli", "volume-spectrum", "--config", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stderr.strip() == f"config error: rank {10**30} is over the limit of {RANK_LIMIT}"
+
+
+#: one working config per array field, and the path a refusal names
+_ARRAY_FIELDS = {
+    "theta": (_KRONECKER_REPORT, ["system", "theta"], "system.theta"),
+    "boxes": (_KRONECKER_REPORT, ["set_b", "boxes"], "set_b.boxes"),
+    "set_b-points": (_SPECTRAL_FINITE, ["set_b", "points"], "set_b.points"),
+    "moduli": (_SPECTRAL_FINITE, ["system", "moduli"], "system.moduli"),
+    "gens": (_SPECTRAL_FINITE, ["system", "gens"], "system.gens"),
+    "windows": (_INTEGER_FIELDS["windows"][0], ["windows"], "windows"),
+    "annihilator_lambdas": (_INTEGER_FIELDS["annihilator_lambdas"][0], ["annihilator_lambdas"], "annihilator_lambdas"),
+    "pattern-probes": (_PATTERN, ["probes"], "probes"),
+    "intersect-probes": (_INTERSECT, ["probes"], "probes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_FIELDS))
+def test_scalars_in_array_fields_are_refused_by_name(tmp_path, capsys, name):
+    # each used to end in "'int' object is not iterable", naming no field
+    cfg, path, what = _ARRAY_FIELDS[name]
+    assert run_cli([cfg["experiment"], "--config", write_cfg(tmp_path, "ok.json", cfg), "--out", tmp_path / "r.json"]) == 0
+    capsys.readouterr()
+    for value in (5, "5", 2.5, True):
+        err = _refused_in_one_line(tmp_path, capsys, _set_field(cfg, path, value))
+        assert err.strip() == f"config error: {what} must be a JSON array, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize(
+    "cfg, path, field",
+    [
+        # each used to run with exit 0, the misspelt trunc at the default of 64
+        (_DECOMPOSE, ["colour"], "colour"),
+        (_KRONECKER_REPORT, ["trnc"], "trnc"),
+        ({**EX2_CFG, "ergodic_set": {"kind": "ap", "offset": 1}}, ["ergodic_set", "offest"], "ergodic_set.offest"),
+        (_INTEGER_FIELDS["congruence-offset"][0], ["set", "ofset"], "set.ofset"),
+    ],
+    ids=["colour", "trnc", "ergodic_set.offest", "set.ofset"],
+)
+def test_unknown_fields_exit_2_naming_their_path(tmp_path, capsys, cfg, path, field):
+    assert run_cli([cfg["experiment"], "--config", write_cfg(tmp_path, "ok.json", cfg), "--out", tmp_path / "r.json"]) == 0
+    capsys.readouterr()
+    err = _refused_in_one_line(tmp_path, capsys, _set_field(cfg, path, 2))
+    assert err.strip() == f"config error: unknown field {field!r}"

@@ -11,7 +11,8 @@ of the wrong length, windows, caps and bounds below zero, densities outside
 windows, haystack counts and ranks that do not match the multipliers,
 non-ergodic or malformed frequency matrices, boxes that are empty,
 overlapping or outside the torus, and JSON objects replaced by null, a
-list, a string, a number or a bool.
+list, a string, a number or a bool.  Two faults draw their field from the
+config tables themselves: a renamed field, and a scalar for an array field.
 """
 
 import io
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from latspec import cli
 from latspec.cli import main
 
 _INT = st.integers(-3, 9)
@@ -431,3 +433,53 @@ _ALPHA = {"symbols": {"alpha": "1"}}
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_kronecker_configs_exit_0_1_or_2_without_traceback(cfg):
     _check_exit(cfg)
+
+
+def _read_objects(cfg):
+    """(node, table) of each object of cfg read against a table named in
+    ``cli``: the config itself, and its system and set_b of a known kind."""
+    out = [(cfg, cli.TABLES[cfg["experiment"]])]
+    for key, tables in (("system", cli.SYSTEMS), ("set_b", cli.SET_B)):
+        node = cfg.get(key)
+        if isinstance(node, dict) and isinstance(node.get("kind"), str) and node["kind"] in tables:
+            out.append((node, tables[node["kind"]]))
+    return out
+
+
+def _misspelt(draw, name):
+    i = draw(st.integers(0, len(name) - 1))
+    return draw(st.sampled_from([name[:i] + name[i + 1:], name[:i] + name[i] * 2 + name[i + 1:], name + "_"]))
+
+
+@st.composite
+def _table_faults(draw):
+    """A config of any generator above with one field renamed (``rename``
+    True), or with a scalar in place of one array field."""
+    cfg = json.loads(json.dumps(draw(st.one_of(_configs(), _finite_configs(), _haystack_configs(), _kronecker_configs()))))
+    rename = draw(st.booleans())
+    fields = [
+        (node, name, table)
+        for node, table in _read_objects(cfg)
+        for name, (reader, _) in table.items()
+        if name in node and (rename or reader.__name__.startswith("array of"))
+    ]
+    if not fields:
+        return cfg, None
+    node, name, table = draw(st.sampled_from(fields))
+    if rename:
+        new = _misspelt(draw, name)
+        if new in table or new == "kind":
+            return cfg, None
+        node[new] = node.pop(name)
+    else:
+        node[name] = draw(st.sampled_from([5, -1, "5", 2.5, True, None]))
+    return cfg, rename
+
+
+@given(_table_faults())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_table_faults_exit_0_1_or_2_and_renamed_fields_exit_2(case):
+    cfg, rename = case
+    code, _ = _check_exit(cfg)
+    if rename:
+        assert code == 2

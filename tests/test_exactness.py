@@ -14,7 +14,7 @@ from _fleet import random_fleet
 from latspec.cyclotomic import _cos_grid, enclose_real_root_grid, ramanujan_sums, totient
 from latspec.formal import FormalReal
 from latspec.intervals import (
-    _GRID_BITS,
+    GRID_BITS,
     PI,
     Weight,
     _sin_taylor_grid,
@@ -138,7 +138,7 @@ def _sin_taylor_reference(x: Weight, terms: int = 14) -> Weight:
 def _sin_taylor_iv(x: Weight, terms: int = 14) -> Weight:
     """``_sin_taylor_grid`` on the ends of x, read as an interval."""
     lo, hi = _sin_taylor_grid(x.lower.numerator, x.lower.denominator, x.upper.numerator, x.upper.denominator, terms)
-    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
+    return Weight(Fraction(lo, 1 << GRID_BITS), Fraction(hi, 1 << GRID_BITS), False)
 
 
 def test_integer_sin_taylor_equals_fraction_series():
@@ -162,7 +162,7 @@ def _sin_from_grid(k: int, n: int) -> Weight:
     lo, hi = sinpi_grid(min(k % n, n - k % n), n)
     if k > n:
         lo, hi = -hi, -lo
-    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
+    return Weight(Fraction(lo, 1 << GRID_BITS), Fraction(hi, 1 << GRID_BITS), False)
 
 
 def test_sinpi_and_cospi_are_the_grid_enclosures():
@@ -339,7 +339,7 @@ def test_trace_test_agrees_with_reduction_modulo_phi():
 
 def _enclosures(n, rows, den=1):
     """``enclose_real_root_grid`` read as intervals, one per row."""
-    scale = 1 << _GRID_BITS
+    scale = 1 << GRID_BITS
     return [Weight(Fraction(lo, scale), Fraction(hi, scale), False) for lo, hi in zip(*enclose_real_root_grid(n, rows, den))]
 
 
@@ -354,7 +354,7 @@ def test_enclose_real_root_vector():
 
 
 def test_cos_grid_lies_on_the_rounding_grid():
-    scale = 1 << _GRID_BITS
+    scale = 1 << GRID_BITS
     for n in range(1, 257):
         los, his = _cos_grid(n)
         assert len(los) == len(his) == n
@@ -371,7 +371,7 @@ def _enclose_reference(n, vec, den=1):
     slack = sum(c * (h - l) for c, l, h in zip(vec, los, his) if c < 0)
     lo = (sum(c * l for c, l in zip(vec, los)) + slack) // den
     hi = -((slack - sum(c * h for c, h in zip(vec, his))) // den)
-    return Weight(Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS), False)
+    return Weight(Fraction(lo, 1 << GRID_BITS), Fraction(hi, 1 << GRID_BITS), False)
 
 
 def _padded(n, vecs):

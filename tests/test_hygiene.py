@@ -2,7 +2,8 @@
 
 Two rules catch what a refactor leaves behind: an import no longer used in
 its module, and a private module-level name nothing refers to any more.  A
-third keeps one conversion of a set to an index array.
+third keeps one conversion of a set to an index array, and a fourth keeps
+each module's private names its own.
 """
 
 import ast
@@ -83,3 +84,16 @@ def test_sets_become_index_arrays_only_in_the_refusing_conversion():
     assert len(cells) == 1 and fromiters(cells[0])
     sites = {name: fromiters(tree) for name, tree in trees.items()}
     assert {name: lines for name, lines in sites.items() if lines} == {"systems.py": fromiters(cells[0])}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is public in its home module
+    imports = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("latspec"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not imports

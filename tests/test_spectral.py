@@ -18,7 +18,7 @@ from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
 from latspec import spectral, systems
-from latspec.cli import _parse_set_b, _parse_system, _run_spectral_report, ser_weight
+from latspec.cli import _RUNNERS, _system_and_set, read_config, ser_weight
 from latspec.spectral import (
     Atom,
     IrrationalPart,
@@ -1058,7 +1058,7 @@ def test_raw_scale_matches_the_rescaled_measure(monkeypatch):
             "set_b": {"kind": "elements", "points": sys_.vectors(sorted(b)).tolist()},
             "lambda_bound": 1,
         }
-        results = _run_spectral_report(cfg, None)[0]
+        results = _RUNNERS["spectral-report"](read_config("spectral-report", cfg), None)[0]
         assert results["normalized_total"] == ser_weight(tilde.total)
         assert results["rational_nontrivial_mass"] == ser_weight(rational_mass_excluding_trivial(tilde))
         r = rational_mass_excluding_trivial(tilde).value
@@ -1084,9 +1084,9 @@ def test_raw_scale_matches_the_rescaled_measure(monkeypatch):
             "set_b": {"kind": "boxes", "boxes": [[["0", hi] for hi in his]]},
             "trunc": trunc,
         }
-        ks, box = _parse_system(cfg["system"]), _parse_set_b(None, cfg["set_b"])
+        ks, box = _system_and_set(read_config("spectral-report", cfg))
         tilde, t = _rescaled(kronecker(ks, box, trunc))
-        results = _run_spectral_report(cfg, None)[0]
+        results = _RUNNERS["spectral-report"](read_config("spectral-report", cfg), None)[0]
         assert results["rational_nontrivial_mass"] == ser_weight(rational_mass_excluding_trivial(tilde))
         # the expansion bound, both ends, and the pipeline at the truncation of the case
         monkeypatch.setattr(spectral, "spectral_measure_kronecker", lambda s, b, k=trunc: kronecker(s, b, k))
