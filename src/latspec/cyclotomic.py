@@ -66,7 +66,6 @@ def ramanujan_sums(rows) -> tuple[np.ndarray, list[bool]]:
     return sums, [phi * sq == tr * tr for sq, tr in zip(squares, sums[:, 0].tolist())]
 
 
-@lru_cache(maxsize=None)
 def _cos_grid(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Grid numerators (lo_k, hi_k) of the enclosures cospi(2k/n), k < n.
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Optional, Sequence
 
-from .lattice import as_coords, det_exact, is_primitive, mat_from_columns
+from .lattice import as_coords, det_exact, is_primitive
 
 #: the multipliers of a rank-r haystack when none are given: the first r primes
 MULTIPLIERS = (2, 3, 5, 7, 11, 13, 17)
@@ -77,7 +77,8 @@ def make_haystack(
         basis = tuple(as_coords(b) for b in basis)
         if len(basis) != r or any(len(c) != r for c in basis):
             raise ValueError("basis must consist of r vectors of rank r")
-        if det_exact(mat_from_columns(basis)) not in (1, -1):
+        # a determinant equals its transpose's: the vectors are read as rows
+        if det_exact(basis) not in (1, -1):
             raise ValueError("basis is not unimodular")
     out: list[tuple[int, ...]] = []
     powers = list(m)
@@ -120,6 +121,6 @@ def verify_haystack_sample(vectors: Sequence, r: int) -> HaystackVerdict:
             return HaystackVerdict(ok=False, non_primitive=c)
     admit_subsets(len(seen), r)
     for subset in combinations(seen, r):
-        if det_exact(mat_from_columns(subset)) == 0:
+        if det_exact(subset) == 0:
             return HaystackVerdict(ok=False, singular_subset=subset)
     return HaystackVerdict(ok=True)

@@ -187,12 +187,13 @@ def _distinct_np(pts: np.ndarray, rank: int, limit: int, cut: bool) -> set[int]:
 
 def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tuple[int, ...]]:
     limit = targets[-1]
-    # one slot past the largest target absorbs every larger |det| unwanted
+    # one slot past the largest target absorbs every larger |det| unwanted:
+    # the clipped gather reads each block once
     wanted = np.zeros(limit + 2, dtype=bool)
     wanted[targets] = True
     found: dict[int, tuple[int, ...]] = {}
     for corner, m in _blocks(pts, rank):
-        hits = np.flatnonzero(wanted[np.minimum(m, limit + 1)])
+        hits = np.flatnonzero(wanted.take(m, mode="clip"))
         if not hits.size:
             continue
         # the first row-major hit per value is the lexicographically first subset

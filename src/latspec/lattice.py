@@ -103,14 +103,6 @@ def mat_identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_from_columns(cols: Iterable[Sequence[int]]) -> Matrix:
-    cols = [as_coords(c) for c in cols]
-    r = len(cols[0])
-    if any(len(c) != r for c in cols):
-        raise ValueError("columns of unequal rank")
-    return [[c[i] for c in cols] for i in range(r)]
-
-
 def mat_columns(M: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(row[j] for row in M) for j in range(len(M[0]))]
 
@@ -149,8 +141,8 @@ def simplex_det(vertices: Sequence) -> int:
     r = len(vs[0])
     if len(vs) != r + 1:
         raise ValueError(f"expected {r + 1} vertices for rank {r}, got {len(vs)}")
-    cols = [tuple(v[i] - vs[0][i] for i in range(r)) for v in vs[1:]]
-    return det_exact(mat_from_columns(cols))
+    # the differences as rows: a determinant equals its transpose's
+    return det_exact([[v[i] - vs[0][i] for i in range(r)] for v in vs[1:]])
 
 
 def _column_echelon(M) -> tuple[Matrix, Matrix, list[tuple[int, int]]]:
@@ -248,9 +240,9 @@ def snf(M) -> QuotientStructure:
             for j in range(t + 1, n):
                 if A[t][j]:
                     _cols((A, V), t, j, _step(A[t][t], A[t][j]))
+            # a column step touches only columns t and j, so row t is clear;
+            # column t may have been refilled
             if any(A[i][t] for i in range(t + 1, n)):
-                continue
-            if any(A[t][j] for j in range(t + 1, n)):
                 continue
             # absorb any trailing entry the pivot does not divide yet
             d = A[t][t]

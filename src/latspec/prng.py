@@ -57,6 +57,3 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.below(hi - lo + 1)
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

@@ -506,54 +506,45 @@ def _expansion_bound(
     """expansion_bound_check read off sigma, the measure the caller holds of
     its base set B, along the nonzero direction c.
 
-    A Kronecker sigma is read at whatever truncation it was built.
+    Where the saturation is exact, each model gives the exact annihilator
+    mass and the measured saturation, and one comparison decides: a finite
+    system its coset-formula mass and ``orbit_saturation`` under the spec; a
+    rational torus direction its period-average mass, which must land inside
+    the atom interval, and ``kronecker_orbit_saturation``.  An irrational
+    torus direction reports the certified spectral bound as an estimate.  A
+    Kronecker sigma is read at whatever truncation it was built.
     """
     sys_, b = sigma.system, sigma.base_set
     applicable = sspec is None or sspec.universal
-    if isinstance(sys_, FiniteSystem):
-        bound = sigma.trivial.value / annihilator_mass(sigma, c).value
-        _, measured = orbit_saturation(sys_, b, c, sspec)
-        ok = measured >= bound
-        if applicable and not ok:
-            raise AssertionError(
-                f"expansion bound violated: measured {measured} < bound {bound}"
-            )
-        return ExpansionCheck(
-            bound=Weight.of(bound),
-            measured=Weight.of(measured),
-            ok=ok,
-            applicable=applicable,
-            estimate=False,
-        )
     t = sigma.trivial.value
     mass = annihilator_mass(sigma, c)
-    bound = Weight(t / mass.upper, 1 / max(mass.lower / t, Fraction(1)), False)
-    sat = kronecker_orbit_saturation(sys_, b, c)
-    if sat.exact:
-        # rational direction: the annihilator mass is the exact average of
-        # mu(B ∩ m lam.B) over one period, and must land inside the atom
-        # interval
+    if isinstance(sys_, FiniteSystem):
+        exact_mass = mass.value
+        _, measured = orbit_saturation(sys_, b, c, sspec)
+    else:
+        sat = kronecker_orbit_saturation(sys_, b, c)
+        if not sat.exact:
+            bound = Weight(t / mass.upper, 1 / max(mass.lower / t, Fraction(1)), False)
+            return ExpansionCheck(
+                bound=bound,
+                measured=Weight(max(sat.lower, bound.lower), Fraction(1), False),
+                ok=True,
+                applicable=applicable,
+                estimate=True,
+                note="irrational torus direction: measured value is the certified spectral bound",
+            )
+        # the annihilator mass is the exact average of mu(B ∩ m lam.B) over
+        # one period
         exact_mass = _kron_rational_annihilator_exact(sys_, b, c)
         if not mass.lower <= exact_mass <= mass.upper:
             raise AssertionError("period-average mass escapes the atom interval")
-        measured = Weight.of(sat.lower)
-        exact_bound = Weight.of(t / exact_mass)
-        ok = measured.value >= exact_bound.value
-        if applicable and not ok:
-            raise AssertionError(
-                "expansion bound violated on a rational torus direction"
-            )
-        return ExpansionCheck(
-            bound=exact_bound, measured=measured, ok=ok, applicable=applicable, estimate=False
-        )
-    measured = Weight(max(sat.lower, bound.lower), Fraction(1), False)
+        measured = sat.lower
+    bound = t / exact_mass
+    ok = measured >= bound
+    if applicable and not ok:
+        raise AssertionError(f"expansion bound violated along {c}: measured {measured} < bound {bound}")
     return ExpansionCheck(
-        bound=bound,
-        measured=measured,
-        ok=True,
-        applicable=applicable,
-        estimate=True,
-        note="irrational torus direction: measured value is the certified spectral bound",
+        bound=Weight.of(bound), measured=Weight.of(measured), ok=ok, applicable=applicable, estimate=False
     )
 
 
@@ -764,17 +755,10 @@ def directional_expansion_theorem_check(
     if all(x == 0 for x in hit.lam):
         raise ValueError("direction must be nonzero")
     check = _expansion_bound(sigma, hit.lam, sspec)
-    target = 1 - eps
-    if check.estimate:
-        if check.measured.lower <= target:
-            raise RuntimeError(
-                "cannot certify expansion beyond 1 - eps at this truncation"
-            )
-    else:
-        if not check.measured.value > target:
-            raise AssertionError(
-                "expansion theorem pipeline produced an insufficient direction"
-            )
+    if check.measured.lower <= 1 - eps:
+        if check.estimate:
+            raise RuntimeError("cannot certify expansion beyond 1 - eps at this truncation")
+        raise AssertionError("expansion theorem pipeline produced an insufficient direction")
     return DirectionalExpansionResult(
         status="ok",
         rational_mass=ratmass,

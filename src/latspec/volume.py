@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
-from math import gcd, prod
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,15 +72,28 @@ RANK_LIMIT = 64
 AP_LIMIT = 10**4
 
 
-def _admit(kind: str, count: int) -> None:
+#: a product of axis lengths is carried no further than this, so a huge
+#: window never forms a huge integer
+_COUNT_CAP = 10**18
+
+
+def _admit(kind: str, window: int, axes: Sequence[int]) -> int:
+    """The point count of a part with these axis lengths, refused over
+    ``POINT_LIMIT`` before any point is built."""
+    count = 0 if 0 in axes else 1
+    for n in axes:
+        count = min(count * n, _COUNT_CAP)
     if count > POINT_LIMIT:
-        raise ValueError(f"{kind} set of {count} points, over the limit of {POINT_LIMIT}")
+        shown = str(count) if count < _COUNT_CAP else f"more than {_COUNT_CAP}"
+        if kind != "congruence":
+            shown = f"(2*window+1)^{len(axes)} = {shown}"
+        raise ValueError(f"window {window}: {kind} set of {shown} points, over the limit of {POINT_LIMIT}")
+    return count
 
 
 def _window_points(kind: str, rank: int, window: int):
     """The W window points in lexicographic order, and W, once admitted."""
-    count = (2 * window + 1) ** rank
-    _admit(kind, count)
+    count = _admit(kind, window, [2 * window + 1] * rank)
     return product(range(-window, window + 1), repeat=rank), count
 
 
@@ -161,9 +174,9 @@ def _points(node: dict, rank: int, window: int, seed: Optional[int]) -> set:
         if len(offset) != rank:
             raise ValueError("offset rank mismatch")
         # the least x >= -window with x = o (mod n), then every n-th to window
-        axes = [range(-window + (o + window) % n, window + 1, n) for o in offset]
-        _admit("congruence", prod(len(axis) for axis in axes))
-        return set(product(*axes))
+        starts = [-window + (o + window) % n for o in offset]
+        _admit(kind, window, [max(0, (window - x) // n + 1) for x in starts])
+        return set(product(*(range(x, window + 1, n) for x in starts)))
     if kind == "random":
         seed = seed if node["seed"] is None else node["seed"]
         if seed is None:
@@ -271,13 +284,13 @@ def ap_certificate(e: PointSet, m_max: int) -> ApCertificate:
     spectrum = volume_spectrum(e)
     if not spectrum:
         return ApCertificate(ok=False, reason="no nondegenerate simplex")
-    g = gcd(*spectrum)
+    g, top = gcd(*spectrum), max(spectrum)
     candidates = [g] + [v for v in sorted(spectrum) if v != g]
-    best_n = None
-    best_missing: tuple[int, ...] = tuple(range(1, m_max + 1))
+    best_n, best_hits = None, -1
     for n in candidates:
-        missing = tuple(m for m in range(1, m_max + 1) if n * m not in spectrum)
-        if not missing:
+        # every multiple above the largest value is missing
+        hits = sum(n * m in spectrum for m in range(1, min(m_max, top // n) + 1))
+        if hits == m_max:
             targets = [n * m for m in range(1, m_max + 1)]
             idx = kernels.find_det_witnesses(e.sorted_points, e.rank, targets)
             pts = e.sorted_points
@@ -288,14 +301,12 @@ def ap_certificate(e: PointSet, m_max: int) -> ApCertificate:
                     raise AssertionError("witness determinant mismatch")
                 witnesses[m] = rec
             return ApCertificate(ok=True, n=n, witnesses=witnesses)
-        if len(missing) < len(best_missing) or (
-            len(missing) == len(best_missing) and (best_n is None or n < best_n)
-        ):
-            best_n, best_missing = n, missing
+        if hits > best_hits:  # candidates increase, so ties keep the smaller n
+            best_n, best_hits = n, hits
     return ApCertificate(
         ok=False,
         best_n=best_n,
-        missing=best_missing,
+        missing=tuple(m for m in range(1, m_max + 1) if best_n * m not in spectrum),
         reason="no dilation realizes every multiple",
     )
 

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import latspec
+from latspec import cli
 from latspec.cli import main, parse_fraction, ser_fraction
 from latspec.haystack import COUNT_LIMIT
 from latspec.volume import AP_LIMIT, RANK_LIMIT
@@ -1167,3 +1169,83 @@ def test_unknown_fields_exit_2_naming_their_path(tmp_path, capsys, cfg, path, fi
     capsys.readouterr()
     err = _refused_in_one_line(tmp_path, capsys, _set_field(cfg, path, 2))
     assert err.strip() == f"config error: unknown field {field!r}"
+
+
+@pytest.mark.parametrize(
+    "rank, window, desc",
+    [
+        # each used to end in "Exceeds the limit (4300 digits) for integer string conversion"
+        (2, 10**2200, {"kind": "full"}),
+        (64, 10**100, {"kind": "full"}),
+        # used to end in "Python int too large to convert to C ssize_t"
+        (2, 10**1000, {"kind": "congruence", "modulus": 3}),
+    ],
+    ids=["full-window-10-2200", "full-rank-64", "congruence-modulus-3"],
+)
+def test_huge_windows_are_refused_naming_the_window(tmp_path, capsys, rank, window, desc):
+    cfg = {"experiment": "volume-spectrum", "rank": rank, "window": window, "set": desc}
+    err = _refused_in_one_line(tmp_path, capsys, cfg).strip()
+    assert err.startswith(f"config error: window {window}: {desc['kind']} set of ")
+    assert err.endswith(" points, over the limit of 1000000")
+    if desc["kind"] == "full":
+        assert f"(2*window+1)^{rank} = " in err
+
+
+def test_a_congruence_set_as_coarse_as_its_window_is_admitted(tmp_path):
+    # three points per axis at window 10**1000: -window, 0 and window
+    w = 10**1000
+    cfg = {"experiment": "volume-spectrum", "rank": 2, "window": w, "set": {"kind": "congruence", "modulus": w}}
+    out = tmp_path / "r.json"
+    assert run_cli(["volume-spectrum", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", out]) == 0
+    assert json.loads(out.read_text())["results"]["point_count"] == 9
+
+
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_a_hard_failure_exits_1_in_one_line(tmp_path, capsys, monkeypatch, error):
+    def broken(c, seed):
+        raise error("the library contradicted itself")
+
+    monkeypatch.setitem(cli._RUNNERS, "expand-scan", broken)
+    assert run_cli(["expand-scan", "--config", write_cfg(tmp_path, "c.json", EX2_CFG)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hard failure: the library contradicted itself\n"
+
+
+def test_verify_only_needs_out(tmp_path, capsys):
+    assert run_cli(["expand-scan", "--config", write_cfg(tmp_path, "c.json", EX2_CFG), "--verify-only"]) == 2
+    assert capsys.readouterr().err == "config error: --verify-only needs --out pointing at the report\n"
+
+
+def test_a_config_for_another_experiment_is_refused(tmp_path, capsys):
+    cfg = {**_DECOMPOSE, "experiment": "spectral-report"}
+    assert run_cli(["decompose", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    assert capsys.readouterr().err == "config error: config 'experiment' does not match the subcommand\n"
+
+
+def test_a_report_on_stdout_is_the_out_body(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", EX2_CFG)
+    out = tmp_path / "r.json"
+    assert run_cli(["expand-scan", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert run_cli(["expand-scan", "--config", cfg]) == 0
+    printed = capsys.readouterr().out
+
+    def blanked(text):
+        return re.sub(r'"(generated_at|elapsed_seconds)": [^\n]*?(,?)\n', r'"\1": null\2\n', text)
+
+    assert blanked(printed) == blanked(out.read_text())
+    assert blanked(printed) != printed
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({**_SPECTRAL_FINITE, "system": {"kind": "finite", "rank": 2, "moduli": [4]}}, "finite system needs 'matrix' or 'rank' + 'moduli' + 'gens'"),
+        ({**_KRONECKER_REPORT, "set_b": {"kind": "elements", "points": [[0]]}}, "kronecker set_b kind must be 'boxes'"),
+        ({**_SPECTRAL_FINITE, "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]}}, "finite set_b kinds: 'elements', 'preimages'"),
+    ],
+    ids=["finite-without-generators", "kronecker-elements", "finite-boxes"],
+)
+def test_a_system_and_set_that_do_not_fit_are_refused(tmp_path, capsys, cfg, message):
+    assert _refused_in_one_line(tmp_path, capsys, cfg).strip() == f"config error: {message}"

@@ -235,6 +235,12 @@ def test_snf_rejects_singular():
         snf([[1, 2], [2, 4]])
 
 
+def test_snf_swaps_a_pivot_into_place_before_refusing_singular():
+    # the pivot search swaps row and column 1 into place, then finds nothing
+    with pytest.raises(ValueError, match="singular matrix"):
+        snf([[0, 0], [0, 1]])
+
+
 @given(
     st.integers(1, 4).flatmap(
         lambda n: st.lists(

@@ -520,6 +520,38 @@ def test_expansion_bound_nonuniversal_spec_not_asserted():
     assert not chk.ok  # measured 1/4 < bound 1/2, reported but not raised
 
 
+def test_one_comparison_decides_finite_systems_and_rational_torus_directions(monkeypatch):
+    a = FormalReal.sym("alpha")
+    ks = kronecker_system(2, 1, [[a, Fraction(1, 3)]])
+    sixth = BoxUnion.of([(Fraction(0), Fraction(1, 6))])
+    cases = [(z2z2(), pts(z2z2(), (0, 0)), (1, 0)), (ks, sixth, (0, 1))]
+    # both are tight: measured = bound = 1/2
+    for sys_, b, lam in cases:
+        chk = expansion_bound_check(sys_, b, lam)
+        assert chk.ok and not chk.estimate and chk.measured == chk.bound == Weight.of(Fraction(1, 2))
+    # a saturation short of the bound fails the same comparison on both
+    finite_sat, kron_sat = spectral.orbit_saturation, spectral.kronecker_orbit_saturation
+    quarter = Fraction(1, 4)
+    monkeypatch.setattr(spectral, "orbit_saturation", lambda *args: (finite_sat(*args)[0], quarter))
+    monkeypatch.setattr(
+        spectral, "kronecker_orbit_saturation", lambda *args: dataclasses.replace(kron_sat(*args), lower=quarter, upper=quarter)
+    )
+    for sys_, b, lam in cases:
+        with pytest.raises(AssertionError, match=rf"expansion bound violated along \({lam[0]}, {lam[1]}\): measured 1/4 < bound 1/2"):
+            expansion_bound_check(sys_, b, lam)
+    chk = expansion_bound_check(z2z2(), pts(z2z2(), (0, 0)), (1, 0), ErgodicSetSpec(step=2))
+    assert (chk.ok, chk.applicable, chk.measured, chk.bound) == (False, False, Weight.of(quarter), Weight.of(Fraction(1, 2)))
+
+
+def test_annihilator_mass_refuses_a_coset_formula_the_atoms_contradict(monkeypatch):
+    sys_ = z4()
+    sigma = spectral_measure(sys_, pts(sys_, (0,), (1,)))
+    coset_mass = spectral._cyclic_coset_mass
+    monkeypatch.setattr(spectral, "_cyclic_coset_mass", lambda s, b, g: coset_mass(s, b, g) + Fraction(1, s.size**2))
+    with pytest.raises(AssertionError, match="coset formula disagrees with atom sum"):
+        annihilator_mass(sigma, (1, 0))
+
+
 # ---------------------------------------------------------------------------
 # small intersections
 
@@ -608,6 +640,25 @@ def test_directional_expansion_finite_ok():
     assert res.ok and res.lam == (2, 3)
     assert res.measured.value > Fraction(1, 10)
     assert res.measured.value >= res.bound.value
+
+
+@pytest.mark.parametrize("estimate, error", [(False, AssertionError), (True, RuntimeError)])
+def test_directional_expansion_error_class_follows_the_estimate(monkeypatch, estimate, error):
+    sys_ = finite_system_from_parts(2, (5,), [(1,), (2,)])
+    b = pts(sys_, (0,), (1,), (2,))
+
+    def measured_at(value):
+        w = Weight.of(value)
+        check = spectral.ExpansionCheck(bound=w, measured=w, ok=True, applicable=True, estimate=estimate)
+        monkeypatch.setattr(spectral, "_expansion_bound", lambda sigma, c, sspec: check)
+
+    # eps = 9/10: the direction must expand beyond 1/10
+    measured_at(Fraction(1, 10))
+    with pytest.raises(error):
+        directional_expansion_theorem_check(sys_, b, Fraction(2, 3), Fraction(9, 10), HAYSTACK)
+    measured_at(Fraction(1, 10) + Fraction(1, 10**9))
+    res = directional_expansion_theorem_check(sys_, b, Fraction(2, 3), Fraction(9, 10), HAYSTACK)
+    assert res.ok and res.estimate == estimate
 
 
 def test_directional_expansion_refusal_and_vacuous():

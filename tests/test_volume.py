@@ -1,7 +1,9 @@
 """Volume spectra, certificates and pattern search against brute-force oracles."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +189,52 @@ def test_ap_certificate_minimality_against_oracle():
     feasible = [n for n in sorted(spec) if all(n * m in spec for m in range(1, m_max + 1))]
     cert = ap_certificate(e, m_max)
     assert cert.ok and cert.n == feasible[0]
+
+
+def test_ap_certificate_on_collinear_points():
+    cert = ap_certificate(point_set([(0, 0), (1, 1), (2, 2), (-3, -3)], 2, 3), 2)
+    assert not cert.ok and cert.reason == "no nondegenerate simplex"
+
+
+def _ap_reference(spectrum, m_max):
+    """(n, best_n, missing) from every multiple of every candidate: the gcd
+    and the spectrum values."""
+    candidates = {gcd(*spectrum)} | spectrum
+    missing = {n: tuple(m for m in range(1, m_max + 1) if n * m not in spectrum) for n in candidates}
+    feasible = [n for n in candidates if not missing[n]]
+    if feasible:
+        return min(feasible), None, ()
+    best = min(candidates, key=lambda n: (len(missing[n]), n))
+    return None, best, missing[best]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_ap_certificate_matches_a_brute_force_reference(seed):
+    # a few points on a scaled grid: sparse spectra, often with a gcd above 1
+    rng = SplitMix64(seed)
+    scale = 1 + rng.below(3)
+    points = [(scale * (rng.below(9) - 4), scale * (rng.below(9) - 4)) for _ in range(4 + rng.below(4))]
+    e = point_set(points, 2, 4 * scale)
+    spectrum = volume_spectrum(e)
+    # ap_max below and above the largest value
+    for m_max in (1 + rng.below(4), max(spectrum) + 1 + rng.below(20)):
+        n, best_n, missing = _ap_reference(spectrum, m_max)
+        cert = ap_certificate(e, m_max)
+        assert (cert.ok, cert.n, cert.best_n, cert.missing) == (n is not None, n, best_n, missing)
+        assert sorted(abs(rec.det) for rec in cert.witnesses.values()) == ([n * m for m in range(1, m_max + 1)] if n else [])
+
+
+def test_ap_certificate_costs_the_spectrum_not_ap_max():
+    # the 15 x 15 grid took about 0.2 s at ap_max 10**4, one membership test
+    # per multiple per candidate
+    e = grid(2, 7)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        cert = ap_certificate(e, 10**4)
+        best = min(best, time.perf_counter() - start)
+    assert not cert.ok and cert.best_n == 1 and len(cert.missing) == 10**4 - max(volume_spectrum(e))
+    assert best < 0.05
 
 
 # ---------------------------------------------------------------------------
