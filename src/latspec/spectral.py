@@ -938,7 +938,6 @@ def intersection_theorem_search(
             "no m1 with a large self-intersection along the averaging set "
             "(the averaging-set spec is not universal)"
         )
-    b_idx = np.flatnonzero(in_b)
     m_shifts = comp_sys.multiples([m % order for m in m_candidates], g1)
     step = comp_sys.phi([sspec.step * x for x in lam])
     witnesses = []
@@ -949,7 +948,7 @@ def intersection_theorem_search(
         j = b1.copy()
         for lam_k in probe:
             shifts = m_shifts + comp_sys.vectors(comp_sys.phi(lam_k))
-            j &= comp_sys.window(comp_sys.mask(comp_sys.translate(b_idx, shifts[0])), step, order + 1, np.logical_or)
+            j &= comp_sys.window(comp_sys.shift(in_b, -shifts[0]), step, order + 1, np.logical_or)
             option_rows.append(shifts)
         if not j.any():
             raise AssertionError("union-bound stage lost positivity: library bug")

@@ -1,26 +1,24 @@
 """Concrete measure-preserving Z^r-systems with exactly computable measures.
 
-Two model classes are supported.  Finite systems are translation actions on
-a finite abelian group A (an invariant-factor chain of moduli) through a
-homomorphism phi: Z^r -> A given by generator images; every measure is an
-exact Fraction.  An element of A is its flat index in [0, |A|), the
-lexicographic mixed-radix number of its coordinates, and a set is any
-iterable of flat indices: a frozenset where it keys a cache, a sorted index
-array where a mask was built (a saturation).  ``FiniteSystem.cells`` is the
-one conversion of a set to an index array, and it refuses an element
-outside [0, |A|).  Every cyclic orbit is one
-``FiniteSystem.window``: the ergodic components of a sublattice are the
-minimum windows (coset labels) of its image, and saturations are windows
-of unions.  Coordinates enter through ``FiniteSystem.index`` and the
-constructors and leave through ``FiniteSystem.vectors``.  Kronecker systems
-are torus rotations x -> x + Theta*lam with sets restricted to disjoint
-unions of rational half-open boxes.  Theta is given with formal-real
-entries and held as integer matrices over one common denominator, so every
-character and direction identity is integer arithmetic in the
-declared-symbol model.
-A rational direction moves the torus on a grid 1/q * Z^dim, which is the
-finite carrier (Z/q)^dim: box overlaps and rational orbits are finite-system
-translates and windows there, and Lebesgue measures stay exact.
+Finite systems are translation actions on a finite abelian group A (an
+invariant-factor chain of moduli) through a homomorphism phi: Z^r -> A
+given by generator images; every measure is an exact Fraction.  An element
+of A is its flat index in [0, |A|), the lexicographic mixed-radix number of
+its coordinates, and a set is any iterable of flat indices, made an index
+array only by ``FiniteSystem.cells``, which refuses an element outside A.
+An array over A moves whole by ``FiniteSystem.shift``, a cyclic shift of
+each axis of its ``moduli``-shaped view, and every cyclic orbit is one
+``FiniteSystem.window`` of shifts: coset labels, ergodic components,
+saturations and overlaps alike.  ``FiniteSystem.translate`` moves index
+arrays, and coordinates leave through ``FiniteSystem.vectors``.
+
+Kronecker systems are torus rotations x -> x + Theta*lam on disjoint unions
+of rational half-open boxes, Theta held as integer matrices over one common
+denominator, so every character and direction identity is integer
+arithmetic in the declared-symbol model.  A rational direction moves the
+torus on a grid 1/q * Z^dim, the finite carrier (Z/q)^dim, where box
+overlaps and rational orbits are shifts and windows and Lebesgue measures
+stay exact.
 """
 
 from __future__ import annotations
@@ -200,18 +198,24 @@ class FiniteSystem:
         return np.outer(np.array(list(ks), dtype=np.int64), self.vectors(g))
 
     def translate(self, idx, g) -> np.ndarray:
-        """Flat indices of x + g for the x at flat indices idx.
-
-        ``g`` is a coordinate row, or an array of rows whose leading axes
-        broadcast against ``idx``.
-        """
+        """Flat indices of x + g for the x at flat indices idx, g a coordinate
+        row or an array of rows whose leading axes broadcast against idx."""
         coords, strides, mods = _index_table(self.moduli)
         return ((coords[idx] + np.asarray(g, dtype=np.int64)) % mods) @ strides
 
+    def shift(self, values: np.ndarray, g) -> np.ndarray:
+        """values read at x + g for every x, g a coordinate row: each axis of
+        the ``moduli``-shaped view shifted cyclically, two slices joined."""
+        out = values.reshape(self.moduli)
+        for axis, (x, d) in enumerate(zip(g, self.moduli)):
+            if k := int(x) % d:
+                head = (slice(None),) * axis
+                out = np.concatenate((out[head + (slice(k, None),)], out[head + (slice(None, k),)]), axis=axis)
+        return out.reshape(values.shape)
+
     def overlap(self, mask: np.ndarray, g: int) -> np.ndarray:
         """Indicator of B ∩ (B + g), for the set B with indicator mask."""
-        back = self.translate(np.arange(self.size), -self.vectors(g))
-        return mask & mask[back]
+        return mask & self.shift(mask, -self.vectors(g))
 
     def overlap_counts(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """How many b in B have b + r in B, per coordinate row r, for the set B
@@ -225,20 +229,18 @@ class FiniteSystem:
 
     def window(self, values: np.ndarray, g: int, count: int, op) -> np.ndarray:
         """op of values at x, x + g, ..., x + (count - 1) * g for every x (count
-        >= 1), in log2(count) gathers: per bit of count, double the window and
-        its step map, then widen both by one step for a set bit.  Past the order
-        of g the window repeats <g>, so count is capped at a power of two: right
-        for an idempotent op only (``np.minimum``, ``np.logical_or``)."""
+        >= 1), in log2(count) shifts: a window count >> (i + 1) wide joins its
+        shift by that width, then widens by one shift of g if bit i of count is
+        set.  Past the order of g the window repeats <g>, so count is capped at
+        a power of two: right for an idempotent op only (np.minimum, np.logical_or)."""
         count = min(count, 1 << (self.order_of(g) - 1).bit_length())
-        out, step = values, self.translate(np.arange(self.size), self.vectors(g))
-        one = step
-        for bit in bin(count)[3:]:
-            out = op(out, out[step])
-            step = step[step]
-            if bit == "1":
-                out = op(values, out[one])
-                step = step[one]
-        return out
+        row = self.vectors(g).tolist()
+        out = one = values.reshape(self.moduli)
+        for i in reversed(range(count.bit_length() - 1)):
+            out = op(out, self.shift(out, [(count >> i + 1) * x for x in row]))
+            if count >> i & 1:
+                out = op(one, self.shift(out, row))
+        return out.reshape(values.shape)
 
     def coset_labels(self, generators: Iterable[int]) -> np.ndarray:
         """Least flat index in the coset of each element modulo <generators>,
@@ -333,13 +335,11 @@ def orbit_saturation(
         raise ValueError("terms requires an ErgodicSetSpec")
     sspec = sspec or ErgodicSetSpec()
     g = sys_.vectors(sys_.phi(lam)).tolist()
-    start = sys_.cells(b)
-    if terms is not None and terms < 1:
-        return np.zeros(0, dtype=np.int64), Fraction(0)
     # S shifts B by offset * g + t * step * g for t < terms: the window of
     # B + offset * g along -step * g, all of <step * g> once terms reaches its order
-    shift = [sspec.offset * x % d for x, d in zip(g, sys_.moduli)]
-    start = sys_.mask(sys_.translate(start, shift) if any(shift) else start)
+    start = sys_.shift(sys_.mask(b), [-sspec.offset * x for x in g])
+    if terms is not None and terms < 1:
+        return np.zeros(0, dtype=np.int64), Fraction(0)
     back = _flat(sys_.moduli, [-sspec.step * x for x in g])
     idx = np.flatnonzero(sys_.window(start, back, terms or sys_.size, np.logical_or))
     return idx, Fraction(len(idx), sys_.size)
