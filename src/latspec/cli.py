@@ -34,14 +34,16 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import REQUIRED, ConfigError, array, at_most, integer, mapping, parse_fraction, rational, raw, read, read_kind
+from .config import (
+    DIGIT_LIMIT, REQUIRED, ConfigError, array, at_most, integer, mapping, parse_fraction, rational, raw, read, read_kind,
+)
 from .formal import FormalReal
-from .haystack import MULTIPLIERS, admit_subsets, make_haystack, verify_haystack_sample
+from .haystack import MULTIPLIERS, admit_subsets, last_element, make_haystack, verify_haystack_sample
 from .lattice import is_primitive, simplex_det, sublattice
 from .spectral import (
-    GRID, Weight, ambient_intersections, annihilator_mass, expansion_bound_check, intersection_theorem_search,
-    rational_mass_excluding_trivial, shrink_rational_spectrum, spectral_measure, spectral_measure_kronecker,
-    verify_bochner,
+    GRID, Weight, admit_spectral_measure, ambient_intersections, annihilator_mass, expansion_bound_check,
+    intersection_theorem_search, rational_mass_excluding_trivial, shrink_rational_spectrum, spectral_measure,
+    spectral_measure_kronecker, verify_bochner,
 )
 from .systems import (
     BoxUnion, ErgodicSetSpec, FiniteSystem, KroneckerSystem, ergodic_components, finite_system,
@@ -413,7 +415,8 @@ def _run_expand_scan(c: dict, seed: Optional[int]):
     bound = _box_bound(c["coord_bound"], "coord_bound", sys_.rank)
     sspec = c["ergodic_set"]
     candidates = [lam for lam in product(range(-bound, bound + 1), repeat=sys_.rank) if any(x != 0 for x in lam)]
-
+    # every row's bound reads the spectral measure: refuse it before any saturation
+    admit_spectral_measure(sys_, bset)
     measured = [(lam, orbit_saturation(sys_, bset, lam, sspec)[1]) for lam in candidates]
     best_mu, best_lam = max_directional_expansion(sys_, bset, candidates)
     rows = []
@@ -539,6 +542,11 @@ def _run_haystack_verify(c: dict, seed: Optional[int]):
         if count > 0 and len(multipliers) != rank:
             raise ValueError("vector rank does not match r")
         admit_subsets(count, rank)
+        # every element is printed: a last one too long to print is refused first
+        if count > 0 and max(map(abs, last_element(c["basis"], multipliers, count))) >= 10**DIGIT_LIMIT:
+            raise ConfigError(
+                f"count {count}: h_{count} of multipliers {multipliers} has a coordinate of over {DIGIT_LIMIT} digits"
+            )
         vectors = make_haystack(c["basis"], multipliers, count)
     verdict = verify_haystack_sample(vectors, rank)
     results = {

@@ -20,6 +20,11 @@ from typing import Optional
 #: the default of a field that must be given
 REQUIRED = object()
 
+#: most decimal digits of an integer a report prints, Python's default limit
+#: for converting an int to text: a longer one is refused by the field that
+#: asks for it, before it is built
+DIGIT_LIMIT = 4300
+
 
 class ConfigError(ValueError):
     """A config refused with a one-line reason."""

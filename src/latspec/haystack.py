@@ -41,6 +41,51 @@ def admit_subsets(count: int, r: int) -> None:
         )
 
 
+def admit_count(count: int) -> None:
+    """Refuse a haystack of ``count`` elements before any is built."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if count > COUNT_LIMIT:
+        raise ValueError(
+            f"haystack count {count} is over the limit of {COUNT_LIMIT}; ask for fewer elements"
+        )
+
+
+def _checked(basis: Optional[Sequence], multipliers: Sequence[int], count: int):
+    """The multipliers and the basis of a haystack of ``count`` elements, each
+    refused as ``make_haystack`` says; ``None`` is the standard basis."""
+    admit_count(count)
+    m = tuple(int(x) for x in multipliers)
+    if any(x <= 1 for x in m):
+        raise ValueError("multipliers must all exceed 1")
+    if any(a >= b for a, b in zip(m, m[1:])):
+        raise ValueError("multipliers must be strictly increasing")
+    if gcd(*m) != 1:
+        raise ValueError("multipliers must have collective gcd 1")
+    r = len(m)
+    if basis is None:
+        return m, tuple(tuple(1 if i == k else 0 for i in range(r)) for k in range(r))
+    basis = tuple(as_coords(b) for b in basis)
+    if len(basis) != r or any(len(c) != r for c in basis):
+        raise ValueError("basis must consist of r vectors of rank r")
+    # a determinant equals its transpose's: the vectors are read as rows
+    if det_exact(basis) not in (1, -1):
+        raise ValueError("basis is not unimodular")
+    return m, basis
+
+
+def _element(powers: Sequence[int], basis) -> tuple[int, ...]:
+    """sum_k powers[k] * basis[k]."""
+    return tuple(sum(p * b[i] for p, b in zip(powers, basis)) for i in range(len(basis)))
+
+
+def last_element(basis: Optional[Sequence], multipliers: Sequence[int], count: int) -> tuple[int, ...]:
+    """h_count alone (count >= 1), its arguments refused as ``make_haystack``
+    refuses them: a caller can size the prefix before building it."""
+    m, basis = _checked(basis, multipliers, count)
+    return _element([x**count for x in m], basis)
+
+
 def make_haystack(
     basis: Optional[Sequence],
     multipliers: Sequence[int],
@@ -52,38 +97,16 @@ def make_haystack(
     +-1; ``None`` means the standard basis.  Every element is checked
     primitive.  Counts above COUNT_LIMIT are refused before any is built.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count > COUNT_LIMIT:
-        raise ValueError(
-            f"haystack count {count} is over the limit of {COUNT_LIMIT}; ask for fewer elements"
-        )
-    m = tuple(int(x) for x in multipliers)
-    if any(x <= 1 for x in m):
-        raise ValueError("multipliers must all exceed 1")
-    if any(a >= b for a, b in zip(m, m[1:])):
-        raise ValueError("multipliers must be strictly increasing")
-    if gcd(*m) != 1:
-        raise ValueError("multipliers must have collective gcd 1")
+    m, basis = _checked(basis, multipliers, count)
     if any(gcd(a, b) != 1 for a, b in combinations(m, 2)):
         # Collective coprimality already forces gcd(m_1**n, ..., m_r**n) = 1
         # for every n (p-adic valuations scale linearly), so this is purely
         # informational.
         warnings.warn("multipliers are not pairwise coprime", stacklevel=2)
-    r = len(m)
-    if basis is None:
-        basis = tuple(tuple(1 if i == k else 0 for i in range(r)) for k in range(r))
-    else:
-        basis = tuple(as_coords(b) for b in basis)
-        if len(basis) != r or any(len(c) != r for c in basis):
-            raise ValueError("basis must consist of r vectors of rank r")
-        # a determinant equals its transpose's: the vectors are read as rows
-        if det_exact(basis) not in (1, -1):
-            raise ValueError("basis is not unimodular")
     out: list[tuple[int, ...]] = []
     powers = list(m)
     for _ in range(count):
-        h = tuple(sum(powers[k] * basis[k][i] for k in range(r)) for i in range(r))
+        h = _element(powers, basis)
         if not is_primitive(h):
             raise AssertionError(f"haystack element {h} is not primitive")
         out.append(h)

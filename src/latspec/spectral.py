@@ -129,8 +129,9 @@ def _with_sums(sub: CyclicSubgroups, pairing: np.ndarray, rows: np.ndarray) -> _
     return _OrbitTables(sub, pairing, rows, traces // repeats[:, None], np.array(rational, dtype=bool))
 
 
-@lru_cache(maxsize=256)
-def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
+def admit_spectral_measure(sys_: FiniteSystem, bset: frozenset) -> None:
+    """Refuse a carrier and set whose orbit tables pass ``CELL_LIMIT`` or
+    int64, before any table is built; a runner calls it before its first stage."""
     n, order = sys_.size, sys_.exponent
     if n * order > CELL_LIMIT:
         raise ValueError(f"|A| x exponent = {n} x {order} root counts, over the limit of {CELL_LIMIT}")
@@ -138,10 +139,15 @@ def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
     bound = len(bset) ** 4 * totient(order)
     if bound >= 1 << 63:
         raise ValueError(f"|B|^4 x phi(exponent) = {bound} bounds the orbit sums, over int64")
-    sub = sys_.cyclic_subgroups()
-    cells = len(sub.generator) * len(bset) * max(1, len(sys_.moduli))
+    cells = len(sys_.cyclic_subgroups().generator) * len(bset) * max(1, len(sys_.moduli))
     if cells > CELL_LIMIT:
         raise ValueError(f"orbits x |B| x s = {cells} coordinates, over the limit of {CELL_LIMIT}")
+
+
+@lru_cache(maxsize=256)
+def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
+    admit_spectral_measure(sys_, bset)
+    sub, order = sys_.cyclic_subgroups(), sys_.exponent
     pairing = sys_.vectors(sub.generator) * (order // np.array(sys_.moduli, dtype=np.int64))
     b = sys_.vectors(sys_.cells(bset))
     rows = np.zeros((len(pairing), order), dtype=np.int64)

@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .config import REQUIRED, array, integer, parse_fraction, read_kind
-from .haystack import MULTIPLIERS, make_haystack
+from .config import DIGIT_LIMIT, REQUIRED, array, integer, parse_fraction, read_kind
+from .haystack import MULTIPLIERS, admit_count, make_haystack
 from .lattice import as_coords, is_primitive, simplex_det
 from .prng import SplitMix64
 
@@ -214,6 +214,21 @@ class DensityEstimate:
     proxy: Fraction
 
 
+def _density(count: int, window: int, rank: int) -> Fraction:
+    """count / (2*window+1)^rank, refused by ``windows`` when its reduced
+    denominator passes DIGIT_LIMIT digits.  The power is carried no further
+    than count * 10^DIGIT_LIMIT, past which no reduction brings it back."""
+    power, cap = 1, max(count, 1) * 10**DIGIT_LIMIT
+    for _ in range(rank):
+        power = min(power * (2 * window + 1), cap)
+    density = Fraction(count, power)
+    if count and (power == cap or density.denominator >= 10**DIGIT_LIMIT):
+        raise ValueError(
+            f"windows entry {window}: the density over (2*window+1)^{rank} has a denominator of over {DIGIT_LIMIT} digits"
+        )
+    return density
+
+
 def upper_density_estimate(descriptor, rank: int, window_sizes: Sequence[int]) -> DensityEstimate:
     """Window densities of a descriptor (or ``SetTree``), read once."""
     sizes = tuple(int(n) for n in window_sizes)
@@ -222,8 +237,7 @@ def upper_density_estimate(descriptor, rank: int, window_sizes: Sequence[int]) -
     tree = _tree(descriptor)
     densities = []
     for n in sizes:
-        e = build_point_set(tree, rank, n)
-        densities.append(Fraction(len(e.points), (2 * n + 1) ** rank))
+        densities.append(_density(len(build_point_set(tree, rank, n).points), n, rank))
     proxy = max(densities) if densities else Fraction(0)
     return DensityEstimate(windows=sizes, densities=tuple(densities), proxy=proxy)
 
@@ -346,6 +360,13 @@ def verify_pattern_witness(e: PointSet, w: PatternWitness) -> bool:
     return is_primitive(w.lam) and all(p in e.points for p in w.points())
 
 
+#: most membership tests a pattern search may ask for, counted as
+#: n_max x lambda_count x |E| x 2 m_max (1 + (p - 1) |probes|) before any
+#: candidate is built; a search that misses takes up to about 3 us a test
+#: (a full 81 x 81 grid on a 2-core VM), so about 5 s at the limit
+SEARCH_LIMIT = 2 * 10**6
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Finite search region for pattern_search."""
@@ -388,7 +409,9 @@ def pattern_search(
     n ascending, lam in candidate order, m1 = 1, -1, 2, -2, ...; per probe
     the base point lam0 runs over the set in sorted order and each m_k over
     the same signed order.  Negative multipliers are accepted and recorded
-    as such in the witness.
+    as such in the witness.  A search of more than ``SEARCH_LIMIT``
+    membership tests is refused before any candidate is built, naming its
+    largest factor.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -401,6 +424,16 @@ def pattern_search(
         checked.append(vs)
     if not e.points:
         return PatternSearchResult(ok=False, reason="empty point set")
+    admit_count(bounds.lambda_count)
+    n_max, m_max = max(bounds.n_max, 0), max(bounds.m_max, 0)
+    factors = {"n_max": n_max, "lambda_count": bounds.lambda_count, "|E|": len(e.points), "m_max": m_max}
+    work = n_max * bounds.lambda_count * len(e.points) * 2 * m_max * (1 + (p - 1) * len(checked))
+    if work > SEARCH_LIMIT:
+        name = max(factors, key=factors.get)
+        raise ValueError(
+            f"pattern search of {work} membership tests (n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|)), "
+            f"over the limit of {SEARCH_LIMIT}; {name} {factors[name]} dominates"
+        )
     members = e.points
     base_order = e.sorted_points
     # make_haystack asserts that every candidate is primitive

@@ -573,6 +573,79 @@ def test_pattern_search_lambda_count_is_refused_before_any_element(tmp_path, cap
     assert f"haystack count 12000 is over the limit of {COUNT_LIMIT}" in err
 
 
+def test_expand_scan_admits_its_spectral_stage_before_any_saturation(tmp_path, capsys, monkeypatch):
+    # 48 saturations of (Z/1000)^2 used to run before the |A| x exponent refusal
+    def no_saturation(*args, **kwargs):
+        raise AssertionError("a saturation ran before the spectral stage was admitted")
+
+    monkeypatch.setattr(cli, "orbit_saturation", no_saturation)
+    monkeypatch.setattr(latspec.systems, "orbit_saturation", no_saturation)
+    cfg = {
+        "experiment": "expand-scan",
+        "system": {"kind": "finite", "rank": 2, "moduli": [1000, 1000], "gens": [[1, 0], [0, 1]]},
+        "set_b": {"kind": "elements", "points": [[0, 0], [1, 5], [7, 3]]},
+        "coord_bound": 2,
+    }
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert "|A| x exponent = 1000000 x 1000 root counts, over the limit of 20000000" in err
+
+
+def test_a_density_too_long_to_print_is_refused_naming_windows(tmp_path, capsys):
+    # the (2 * 10^100 + 1)^64 denominator used to end in Python's digit limit
+    cfg = {"experiment": "density", "rank": 64, "windows": [10**100], "set": {"kind": "explicit", "points": [[0] * 64]}}
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert f"windows entry {10**100}: the density over (2*window+1)^64 has a denominator of over 4300 digits" in err
+
+
+@pytest.mark.parametrize(
+    "windows, points, code",
+    [
+        ([10**60], [[0] * 64], 0),  # a denominator of 3860 digits
+        ([10**100], [[10**100 + 1] * 64], 0),  # no point in the window: density 0
+        ([1, 10**68], [[0] * 64], 2),  # 4372 digits
+    ],
+    ids=["3860-digits", "empty", "4372-digits"],
+)
+def test_densities_print_up_to_the_digit_limit(tmp_path, windows, points, code):
+    cfg = {"experiment": "density", "rank": 64, "windows": windows, "set": {"kind": "explicit", "points": points}}
+    out = tmp_path / "r.json"
+    assert run_cli(["density", "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", out]) == code
+    if code == 0:
+        assert json.loads(out.read_text())["results"]["densities"][-1]["den"] == str((2 * windows[-1] + 1) ** 64 if points[0][0] == 0 else 1)
+
+
+def test_a_haystack_too_long_to_print_is_refused_before_any_element(tmp_path, capsys):
+    # 7.5 s of work used to end in Python's digit limit, naming no field
+    cfg = {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 1000003], "count": 800}
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert "count 800: h_800 of multipliers [2, 1000003] has a coordinate of over 4300 digits" in err
+
+
+def test_a_haystack_prints_up_to_the_digit_limit(tmp_path, capsys):
+    # (10^100 + 1)^42 has 4201 digits and (10^100 + 1)^43 has 4301
+    multipliers = [2, 10**100 + 1]
+    cfg = {"experiment": "haystack-verify", "rank": 2, "multipliers": multipliers, "count": 42}
+    out = tmp_path / "r.json"
+    assert run_cli(["haystack-verify", "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", out]) == 0
+    assert json.loads(out.read_text())["results"]["vectors"][-1] == [2**42, (10**100 + 1) ** 42]
+    capsys.readouterr()
+    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "count": 43})
+    assert "count 43: h_43 of multipliers" in err
+
+
+def test_pattern_search_is_admitted_by_its_work(tmp_path, capsys):
+    # 1000 dilations of a 25-point grid with a probe that never hits used to
+    # scan for seconds; n_max 10^6 ran unbounded
+    cfg = {
+        "experiment": "pattern-search", "rank": 2, "window": 2, "set": {"kind": "full"}, "p": 2,
+        "probes": [[[1000, 0]]], "bounds": {"n_max": 1000},
+    }
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert "pattern search of 3600000 membership tests" in err and "n_max 1000 dominates" in err
+    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "window": 150, "bounds": {"n_max": 1}})
+    assert "|E| 90601 dominates" in err
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -2,8 +2,9 @@
 
 Two rules catch what a refactor leaves behind: an import no longer used in
 its module, and a private module-level name nothing refers to any more.  A
-third keeps one conversion of a set to an index array, and a fourth keeps
-each module's private names its own.
+third keeps one conversion of a set to an index array, a fourth keeps
+each module's private names its own, and a fifth keeps one translation of
+a whole carrier.
 """
 
 import ast
@@ -97,3 +98,24 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not imports
+
+
+def test_whole_carriers_move_only_by_shift():
+    # FiniteSystem.shift moves an array over the whole carrier by slices;
+    # translate computes one index per element, so it takes index arrays of
+    # sets, never every flat index at once
+    def aranges(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Attribute, ast.Name))
+            and (n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id) == "arange"
+        ]
+
+    sites = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "translate"
+        and any(aranges(arg) for arg in [*node.args, *(k.value for k in node.keywords)])
+    ]
+    assert not sites

@@ -171,8 +171,54 @@ def test_window_matches_a_brute_force_fold():
                 seen.add((count < order, count == order))
                 assert sys_.window(ints, g, count, np.minimum).tolist() == _ref_window(sys_, ints, g, count, min)
                 assert sys_.window(bools, g, count, np.logical_or).tolist() == _ref_window(sys_, bools, g, count, any)
+                if count < order:  # np.add is not idempotent: below the order only
+                    assert sys_.window(ints, g, count, np.add).tolist() == _ref_window(sys_, ints, g, count, sum)
     # windows shorter than, equal to and longer than the orbit were all seen
     assert seen == {(True, False), (False, True), (False, False)}
+
+
+def _ref_shift(sys_, values, g):
+    """values read at x + g for every x, one point at a time through the
+    tuple reference."""
+    mods = sys_.moduli
+    row = tuple(int(x) % d for x, d in zip(g, mods))
+    xs = map(tuple, sys_.vectors(np.arange(sys_.size)).tolist())
+    return [values[i] for i in sys_.index([_ref_add(mods, x, row) for x in xs]).tolist()]
+
+
+def _shift_cases():
+    """(system, values of two dtypes, coordinate rows) on a fleet and on one
+    rational grid of a Kronecker box union."""
+    rng = SplitMix64(2626)
+    b = BoxUnion.of([(Fraction(0), Fraction(1, 3)), (Fraction(1, 4), Fraction(5, 6))])
+    grid, cells, _ = systems.box_grid(b, [Fraction(1, 4), Fraction(-1, 6)])
+    carriers = [sys_ for sys_, _ in random_fleet(2626, 10)] + [grid]
+    for sys_ in carriers:
+        ints = np.array([rng.below(50) for _ in range(sys_.size)], dtype=np.int64)
+        mask = cells if sys_ is grid else np.array([rng.below(3) == 0 for _ in range(sys_.size)])
+        rows = [sys_.vectors(rng.below(sys_.size)).tolist() for _ in range(3)]
+        # the zero row, negative rows and rows past int64, read per axis exactly
+        rows += [[0] * len(sys_.moduli), [-x for x in rows[0]], [2**70 * (-1) ** i + x for i, x in enumerate(rows[1])]]
+        yield sys_, ints, mask, rows
+
+
+def test_shift_and_overlap_match_the_tuple_reference():
+    seen_grid = False
+    for sys_, ints, mask, rows in _shift_cases():
+        seen_grid |= sys_.moduli == (12, 12)
+        for row in rows:
+            for values in (ints, mask):
+                got = sys_.shift(values, row)
+                assert got.shape == values.shape and got.dtype == values.dtype
+                assert got.tolist() == _ref_shift(sys_, values, row)
+            g = int(sys_.index([row])[0])
+            # B ∩ (B + g) holds x when x and x - g are in B
+            back = _ref_shift(sys_, mask, [-x for x in sys_.vectors(g).tolist()])
+            assert sys_.overlap(mask, g).tolist() == [bool(a and b) for a, b in zip(mask.tolist(), back)]
+        # a shift keeps the moduli-shaped form of an array too
+        grid_form = ints.reshape(sys_.moduli)
+        assert sys_.shift(grid_form, rows[0]).reshape(-1).tolist() == _ref_shift(sys_, ints, rows[0])
+    assert seen_grid
 
 
 def _traced(call):
@@ -206,6 +252,19 @@ def test_saturations_on_a_6000_point_cyclic_carrier_stay_small():
         assert mu == expected and len(sat) == mu * _Z6000.size
         assert seconds < 0.5 and peak < 8 * 2**20, (spec, seconds, peak)
     assert orbit_saturation(_Z6000, _THIRDS, (1,), cases[1][0])[0].tolist() == list(range(2, 6000, 3))
+
+
+def test_saturation_on_a_million_point_cyclic_carrier_stays_small():
+    # a translated index array and a second mask of B peaked at 24.8 MiB traced
+    z = finite_system_from_parts(1, [10**6], [[1]])
+    thirds = frozenset(range(0, 10**6, 3))
+    z.vectors(0)
+    # S = Z saturates; one term of the offset-5 interval is B + 5
+    for spec, terms, expected in ((None, None, Fraction(1)), (ErgodicSetSpec(offset=5), 1, Fraction(len(thirds), 10**6))):
+        (sat, mu), _, peak = _traced(lambda: orbit_saturation(z, thirds, (1,), spec, terms))
+        assert mu == expected and len(sat) == mu * z.size
+        assert peak < 12 * 2**20, (spec, peak)
+    assert sat[:3].tolist() == [1, 4, 5]
 
 
 def test_is_ergodic_direction():
