@@ -207,7 +207,7 @@ class FiniteSystem:
         """values read at x + g for every x, g a coordinate row: each axis of
         the ``moduli``-shaped view shifted cyclically, two slices joined."""
         out = values.reshape(self.moduli)
-        for axis, (x, d) in enumerate(zip(g, self.moduli)):
+        for axis, (x, d) in enumerate(zip(g, self.moduli, strict=True)):
             if k := int(x) % d:
                 head = (slice(None),) * axis
                 out = np.concatenate((out[head + (slice(k, None),)], out[head + (slice(None, k),)]), axis=axis)

@@ -430,8 +430,9 @@ def pattern_search(
     work = n_max * bounds.lambda_count * len(e.points) * 2 * m_max * (1 + (p - 1) * len(checked))
     if work > SEARCH_LIMIT:
         name = max(factors, key=factors.get)
+        shown = work if work < _COUNT_CAP else f"more than {_COUNT_CAP}"
         raise ValueError(
-            f"pattern search of {work} membership tests (n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|)), "
+            f"pattern search of {shown} membership tests (n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|)), "
             f"over the limit of {SEARCH_LIMIT}; {name} {factors[name]} dominates"
         )
     members = e.points

@@ -644,6 +644,9 @@ def test_pattern_search_is_admitted_by_its_work(tmp_path, capsys):
     assert "pattern search of 3600000 membership tests" in err and "n_max 1000 dominates" in err
     err = _refused_in_one_line(tmp_path, capsys, {**cfg, "window": 150, "bounds": {"n_max": 1}})
     assert "|E| 90601 dominates" in err
+    # a product past Python's digit limit is not printed
+    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "bounds": {"n_max": 10**3000, "m_max": 10**3000}})
+    assert "pattern search of more than 10" in err and f"n_max {10**3000} dominates" in err
 
 
 @pytest.mark.parametrize(
