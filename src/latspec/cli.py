@@ -271,12 +271,10 @@ def _set_b(sys_, fields: dict):
     for p in points:
         if len(p) != width:
             raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
-    if kind == "elements":
-        return frozenset(sys_.index(points).tolist())
-    # reduced mod the exponent, each product with a generator column is
-    # below exponent * modulus <= 10**14 under the carrier limit
-    reduced = (np.array(points, dtype=object).reshape(len(points), sys_.rank) % sys_.exponent).astype(np.int64)
-    return frozenset(sys_.translate(0, reduced @ sys_.vectors(list(sys_.gens))).tolist())
+    if kind == "preimages":
+        # phi of each point, in Python integers: the point times the generator images
+        points = np.array(points, dtype=object).reshape(len(points), width) @ sys_.vectors(list(sys_.gens)).astype(object)
+    return frozenset(sys_.index(points).tolist())
 
 
 def _system_and_set(fields: dict):

@@ -231,7 +231,7 @@ class FiniteSpectralMeasure(SpectralMeasure):
         orbit_of = t.subgroups.subgroup_of
         weights = [self.orbit_weights[o] for o in orbit_of.tolist()]
         labels = np.arange(sys_.size)
-        negated = sys_.translate(0, -sys_.vectors(labels))
+        negated = sys_.index(-sys_.vectors(labels))
         # chi_(-c) is the conjugate of chi_c, of the same real weight; its row
         # is the reflection k -> -k and the cosine table is symmetric, so the
         # enclosure is the same integers: one per conjugate pair
@@ -458,7 +458,7 @@ def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> Bochne
     t = _orbit_tables(sys_, bset)
     lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
     gens = sys_.vectors(list(sys_.gens))
-    flat = sys_.translate(0, np.array(lams, dtype=np.int64).reshape(len(lams), sys_.rank) @ gens)
+    flat = sys_.index(np.array(lams, dtype=np.int64).reshape(len(lams), sys_.rank) @ gens)
     images, which = np.unique(flat, return_inverse=True)
     g = sys_.vectors(images)
     # the orbit sums at each image's phases, one gather for a block of images
@@ -944,7 +944,7 @@ def intersection_theorem_search(
             "no m1 with a large self-intersection along the averaging set "
             "(the averaging-set spec is not universal)"
         )
-    m_shifts = comp_sys.multiples([m % order for m in m_candidates], g1)
+    m_shifts = np.outer([m % order for m in m_candidates], comp_sys.vectors(g1))
     step = comp_sys.phi([sspec.step * x for x in lam])
     witnesses = []
     for probe in probe_list:

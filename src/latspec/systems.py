@@ -2,15 +2,17 @@
 
 Finite systems are translation actions on a finite abelian group A (an
 invariant-factor chain of moduli) through a homomorphism phi: Z^r -> A
-given by generator images; every measure is an exact Fraction.  An element
-of A is its flat index in [0, |A|), the lexicographic mixed-radix number of
-its coordinates, and a set is any iterable of flat indices, made an index
-array only by ``FiniteSystem.cells``, which refuses an element outside A.
-An array over A moves whole by ``FiniteSystem.shift``, a cyclic shift of
-each axis of its ``moduli``-shaped view, and every cyclic orbit is one
-``FiniteSystem.window`` of shifts: coset labels, ergodic components,
-saturations and overlaps alike.  ``FiniteSystem.translate`` moves index
-arrays, and coordinates leave through ``FiniteSystem.vectors``.
+given by generator images, read from that presentation alone: the images
+generate A when the column Hermite form of [images | diag(moduli)] has
+pivots 1.  Every measure is an exact Fraction.  An element of A is its flat
+index in [0, |A|), the lexicographic mixed-radix number of its coordinates,
+computed and never tabulated: ``FiniteSystem.vectors`` is i // strides %
+moduli, and ``FiniteSystem.index`` reads rows modulo the moduli in one pass.
+A set is any iterable of flat indices, made an index array only by
+``FiniteSystem.cells``, which refuses an element outside A.  An array over A
+moves whole by ``FiniteSystem.shift``, a cyclic shift of each axis of its
+``moduli``-shaped view, and every cyclic orbit is one ``FiniteSystem.window``
+of shifts: coset labels, components, saturations and overlaps alike.
 
 Kronecker systems are torus rotations x -> x + Theta*lam on disjoint unions
 of rational half-open boxes, Theta held as integer matrices over one common
@@ -47,20 +49,13 @@ from .lattice import (
 # finite systems
 
 @lru_cache(maxsize=64)
-def _index_table(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(coords, strides, mods)`` of the lexicographic numbering of a carrier.
-
-    Row i of ``coords`` is the element with flat index i, and
-    ``coords[i] @ strides == i``; the rows come in ``itertools.product`` order.
-    """
-    size = prod(moduli)
-    coords = np.indices(moduli, dtype=np.int64).reshape(len(moduli), size).T
-    coords = np.ascontiguousarray(coords)
+def _index_table(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(strides, mods)`` of a carrier's lexicographic numbering: i has coordinates ``i // strides % mods``."""
     strides = np.array([prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=np.int64)
     mods = np.array(moduli, dtype=np.int64)
-    for arr in (coords, strides, mods):
+    for arr in (strides, mods):
         arr.setflags(write=False)
-    return coords, strides, mods
+    return strides, mods
 
 
 #: cells of one block of a batched array pass; it sets memory, never a result
@@ -86,7 +81,8 @@ class CyclicSubgroups:
 def _cyclic_subgroups(moduli: tuple[int, ...]) -> CyclicSubgroups:
     """The least generator of <x> is the least u * x over the units u mod the
     exponent, taken in blocks of ``BLOCK_CELLS`` coordinates."""
-    coords, strides, mods = _index_table(moduli)
+    strides, mods = _index_table(moduli)
+    coords = np.arange(prod(moduli))[:, None] // strides % mods
     exponent = moduli[-1] if moduli else 1
     units = [u for u in range(1, exponent) if gcd(u, exponent) == 1] or [1]
     least, unit = np.arange(len(coords)), np.ones(len(coords), dtype=np.int64)
@@ -153,7 +149,7 @@ class FiniteSystem:
 
     @cached_property
     def _gen_columns(self) -> list[tuple[int, ...]]:
-        return list(zip(*self.vectors(list(self.gens)).tolist()))
+        return list(zip(*map(self._row, self.gens)))
 
     def phi(self, lam) -> int:
         """Flat index of phi(lam), in Python integers for lam of any size."""
@@ -163,9 +159,7 @@ class FiniteSystem:
         return _flat(self.moduli, (sum(x * g for x, g in zip(c, col)) for col in self._gen_columns))
 
     def order_of(self, g: int) -> int:
-        if not self.moduli:
-            return 1
-        return lcm(*(d // gcd(x, d) for x, d in zip(self.vectors(g).tolist(), self.moduli)))
+        return lcm(*(d // gcd(x, d) for x, d in zip(self._row(g), self.moduli)))
 
     def measure(self, s: Iterable[int]) -> Fraction:
         return Fraction(len(np.unique(self.cells(s))), self.size)
@@ -177,12 +171,25 @@ class FiniteSystem:
     # -- coordinates and arrays --------------------------------------------
 
     def index(self, xs: Iterable[Sequence[int]]) -> np.ndarray:
-        """Flat indices of the coordinate rows xs, each read modulo the moduli."""
-        return np.array([_flat(self.moduli, x) for x in xs], dtype=np.int64)
+        """Flat indices of coordinate rows read modulo the moduli: the last axis of an
+        array, or rows of Python integers of any size read in one object-array pass."""
+        strides, mods = _index_table(self.moduli)
+        if not isinstance(xs, np.ndarray):
+            xs = np.array(rows := list(xs), dtype=object).reshape(len(rows), len(self.moduli))
+        return (xs % mods).astype(np.int64, copy=False) @ strides
 
     def vectors(self, idx) -> np.ndarray:
-        """Coordinate rows of the elements at flat indices idx."""
-        return _index_table(self.moduli)[0][idx]
+        """Coordinate rows of the elements at flat indices idx: ``idx // strides % moduli``."""
+        strides, mods = _index_table(self.moduli)
+        return np.asarray(idx, dtype=np.int64)[..., None] // strides % mods
+
+    def _row(self, i: int) -> list[int]:
+        """The coordinates of flat index i by divmod in Python integers: one row pays no numpy call."""
+        row = []
+        for d in reversed(self.moduli):
+            i, x = divmod(i, d)
+            row.append(x)
+        return row[::-1]
 
     def cyclic_subgroups(self) -> CyclicSubgroups:
         return _cyclic_subgroups(self.moduli)
@@ -193,15 +200,10 @@ class FiniteSystem:
         out[self.cells(s)] = True
         return out
 
-    def multiples(self, ks: Iterable[int], g: int) -> np.ndarray:
-        """Coordinate rows k * g for k in ks (not reduced)."""
-        return np.outer(np.array(list(ks), dtype=np.int64), self.vectors(g))
-
     def translate(self, idx, g) -> np.ndarray:
         """Flat indices of x + g for the x at flat indices idx, g a coordinate
         row or an array of rows whose leading axes broadcast against idx."""
-        coords, strides, mods = _index_table(self.moduli)
-        return ((coords[idx] + np.asarray(g, dtype=np.int64)) % mods) @ strides
+        return self.index(self.vectors(idx) + np.asarray(g, dtype=np.int64))
 
     def shift(self, values: np.ndarray, g) -> np.ndarray:
         """values read at x + g for every x, g a coordinate row: each axis of
@@ -215,7 +217,7 @@ class FiniteSystem:
 
     def overlap(self, mask: np.ndarray, g: int) -> np.ndarray:
         """Indicator of B ∩ (B + g), for the set B with indicator mask."""
-        return mask & self.shift(mask, -self.vectors(g))
+        return mask & self.shift(mask, [-x for x in self._row(g)])
 
     def overlap_counts(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """How many b in B have b + r in B, per coordinate row r, for the set B
@@ -234,7 +236,7 @@ class FiniteSystem:
         set.  Past the order of g the window repeats <g>, so count is capped at
         a power of two: right for an idempotent op only (np.minimum, np.logical_or)."""
         count = min(count, 1 << (self.order_of(g) - 1).bit_length())
-        row = self.vectors(g).tolist()
+        row = self._row(g)
         out = one = values.reshape(self.moduli)
         for i in reversed(range(count.bit_length() - 1)):
             out = op(out, self.shift(out, [(count >> i + 1) * x for x in row]))
@@ -266,20 +268,23 @@ def finite_system_from_parts(
         raise ValueError("moduli must be positive")
     if any(b % a for a, b in zip(mods, mods[1:])):
         raise ValueError("moduli must form a divisibility chain")
-    size = prod(mods)
-    if size > CARRIER_LIMIT:
+    if (size := prod(mods)) > CARRIER_LIMIT:
         raise ValueError(f"carrier of {size} elements, over the limit of {CARRIER_LIMIT}")
     if len(gens) != rank:
         raise ValueError("need one generator image per basis vector")
     for g in gens:
         if len(g) != len(moduli):
             raise ValueError(f"generator image {list(g)} has {len(g)} entries for {len(moduli)} moduli")
-    keep = [i for i, d in enumerate(moduli) if int(d) != 1]
-    images = tuple(_flat(mods, [g[i] for i in keep]) for g in gens)
-    sys_ = FiniteSystem(rank=rank, moduli=mods, gens=images)
-    if sys_.coset_labels(images).any():
+    rows = [[x for x, d in zip(g, moduli) if int(d) != 1] for g in gens]
+    # the images generate A exactly when they span Z^s beside the relations
+    if mods and any(row[i] != 1 for i, row in enumerate(_hermite(mods, rows))):
         raise ValueError("generator images do not generate the group (non-ergodic)")
-    return sys_
+    return FiniteSystem(rank=rank, moduli=mods, gens=tuple(_flat(mods, r) for r in rows))
+
+
+def _hermite(moduli: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Column Hermite form of [rows^T | diag(moduli)]: a basis of the lattice over the subgroup the rows generate."""
+    return hnf([[*(r[i] for r in rows), *(d * (i == j) for j, d in enumerate(moduli))] for i in range(len(moduli))])[0]
 
 
 def finite_system(L: SubLattice) -> FiniteSystem:
@@ -334,7 +339,7 @@ def orbit_saturation(
     if terms is not None and sspec is None:
         raise ValueError("terms requires an ErgodicSetSpec")
     sspec = sspec or ErgodicSetSpec()
-    g = sys_.vectors(sys_.phi(lam)).tolist()
+    g = sys_._row(sys_.phi(lam))
     # S shifts B by offset * g + t * step * g for t < terms: the window of
     # B + offset * g along -step * g, all of <step * g> once terms reaches its order
     start = sys_.shift(sys_.mask(b), [-sspec.offset * x for x in g])
@@ -492,11 +497,8 @@ def _image_system(sys_: FiniteSystem, images: Sequence[int]) -> FiniteSystem:
     # present G through its own Smith chain: lift G to the lattice spanned by
     # the images and the relations diag(moduli), express the relations in a
     # basis of that lattice, and take its Smith form
-    cols = sys_.vectors(list(images)).tolist() + [
-        [sys_.moduli[i] if i == j else 0 for i in range(s)] for j in range(s)
-    ]
-    m = [[cols[j][i] for j in range(len(cols))] for i in range(s)]
-    h, _ = hnf(m)
+    rows = sys_.vectors(list(images)).tolist()
+    h = _hermite(sys_.moduli, rows)
 
     def solve_hb(vec: Sequence[int]) -> list[int]:
         y = solve_lower(h, vec)
@@ -519,7 +521,7 @@ def _image_system(sys_: FiniteSystem, images: Sequence[int]) -> FiniteSystem:
 
     # relabel() drops the factor-1 coordinates, so the chain goes without them
     return finite_system_from_parts(
-        sys_.rank, [f for f in factors if f != 1], [relabel(a) for a in cols[: len(images)]]
+        sys_.rank, [f for f in factors if f != 1], [relabel(a) for a in rows]
     )
 
 

@@ -384,7 +384,6 @@ def test_finite_tables_stay_small_on_a_3600_point_carrier():
     # the |A| x |A| exponent matrix alone took 104 MB here, 198 MiB at peak
     sys_ = finite_system_from_parts(2, [60, 60], [[1, 0], [0, 1]])
     b = frozenset(random.Random(5).sample(range(sys_.size), 1200))
-    sys_.vectors(0)  # the coordinate table is cached per moduli
     tracemalloc.start()
     try:
         t = spectral._orbit_tables(sys_, b)
@@ -464,7 +463,6 @@ def test_finite_measure_memory_on_a_10000_point_split_carrier():
     # 340 MiB at peak here
     sys_ = finite_system_from_parts(2, [100, 100], [[1, 0], [0, 1]])
     b = frozenset(random.Random(8).sample(range(sys_.size), 3333))
-    sys_.vectors(0)  # the coordinate table is cached per moduli
     tracemalloc.start()
     try:
         sigma = spectral_measure(sys_, b)

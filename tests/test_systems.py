@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from itertools import product
 
 import numpy as np
@@ -74,18 +74,16 @@ def test_non_ergodic_parts_rejected():
         finite_system_from_parts(2, (2, 2), [(1, 0), (1, 0)])
 
 
-def test_carrier_limit_is_checked_before_the_carrier_is_built(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("carrier built")
-
-    monkeypatch.setattr(FiniteSystem, "coset_labels", refuse)
+def test_carrier_limit_is_checked_before_the_carrier_is_built():
     # 10^12 elements used to end in a 7.28 TiB allocation error
     with pytest.raises(ValueError, match="carrier of 1000000000000 elements, over the limit of 10000000"):
         finite_system_from_parts(1, [10**12], [[1]])
     with pytest.raises(ValueError, match="over the limit"):
         finite_system(sublattice([[10**4, 0], [0, 10**4]]))
-    with pytest.raises(AssertionError, match="carrier built"):
-        finite_system_from_parts(1, [systems.CARRIER_LIMIT], [[1]])
+    # a carrier at the limit is read from its presentation alone; its
+    # generation check walked the whole carrier, 412 MB for this one
+    sys_, _, peak = _traced(lambda: finite_system_from_parts(1, [systems.CARRIER_LIMIT], [[1]]))
+    assert sys_.size == systems.CARRIER_LIMIT and peak < 4 * 2**20, peak
 
 
 def test_generator_rows_must_match_the_moduli():
@@ -240,7 +238,6 @@ _THIRDS = frozenset(range(0, 6000, 3))
 
 def test_saturations_on_a_6000_point_cyclic_carrier_stay_small():
     # the |B| x order translate batch of S = Z peaked at 183 MiB traced
-    _Z6000.vectors(0)  # the coordinate table is cached per moduli
     cases = [
         (None, None, Fraction(1)),
         # B + 2 + <3> is the residue class of 2
@@ -258,7 +255,6 @@ def test_saturation_on_a_million_point_cyclic_carrier_stays_small():
     # a translated index array and a second mask of B peaked at 24.8 MiB traced
     z = finite_system_from_parts(1, [10**6], [[1]])
     thirds = frozenset(range(0, 10**6, 3))
-    z.vectors(0)
     # S = Z saturates; one term of the offset-5 interval is B + 5
     for spec, terms, expected in ((None, None, Fraction(1)), (ErgodicSetSpec(offset=5), 1, Fraction(len(thirds), 10**6))):
         (sat, mu), _, peak = _traced(lambda: orbit_saturation(z, thirds, (1,), spec, terms))
@@ -311,7 +307,6 @@ def test_birkhoff_examples():
 def test_birkhoff_average_on_a_6000_point_cyclic_carrier_stays_small():
     # the |B| x min(n, order) translates in one array peaked at 183 MiB traced
     b = frozenset(random.Random(15).sample(range(_Z6000.size), 2000))
-    _Z6000.vectors(0)
     # over one period of the generator the terms add up to |B|^2, and the
     # next term is k = 0 again
     for n, total in ((6000, 2000**2), (6001, 2000**2 + 2000)):
@@ -585,6 +580,68 @@ def test_flat_indices_round_trip_and_phi_is_exact_near_2_to_the_70():
             )
 
 
+def _random_chain(rng):
+    """A divisibility chain of 0 to 3 moduli over at most 2^11 elements,
+    with factor-1 entries among them."""
+    chain, d = [], 1
+    for _ in range(rng.below(4)):
+        d *= 1 + rng.below(4)
+        chain.append(d)
+    return chain if prod(chain) <= 2**11 else chain[:1]
+
+
+def test_index_matches_the_row_by_row_reading_past_int64():
+    rng = SplitMix64(263)
+    for sys_, _ in random_fleet(2630, 12):
+        s = len(sys_.moduli)
+        rows = [
+            [(-1) ** rng.below(2) * 2**70 + rng.randint(-(2**20), 2**20) if rng.below(2) else rng.randint(-9, 9) for _ in range(s)]
+            for _ in range(rng.below(20))
+        ]
+        want = [systems._flat(sys_.moduli, r) for r in rows]
+        assert sys_.index(rows).tolist() == want
+        assert sys_.index(iter(map(tuple, rows))).tolist() == want
+        small = np.array([[rng.randint(-(2**40), 2**40) for _ in range(s)] for _ in range(5)], dtype=np.int64).reshape(5, s)
+        assert sys_.index(small).tolist() == [systems._flat(sys_.moduli, r) for r in small.tolist()]
+
+
+def test_generation_by_hermite_form_matches_the_window_route():
+    # the reference: the images generate A exactly when the coset labels of
+    # the subgroup they generate are all 0, the route the check used to take
+    rng = SplitMix64(1311)
+    seen = set()
+    for _ in range(300):
+        moduli = _random_chain(rng)
+        rank = 1 + rng.below(3)
+        scale = 1 + rng.below(3)
+        gens = [[scale * rng.randint(-6, 6) for _ in moduli] for _ in range(rank)]
+        mods = tuple(d for d in moduli if d != 1)
+        keep = [i for i, d in enumerate(moduli) if d != 1]
+        images = tuple(systems._flat(mods, [g[i] for i in keep]) for g in gens)
+        generates = not FiniteSystem(rank, mods, images).coset_labels(images).any()
+        seen.add(generates)
+        if generates:
+            assert finite_system_from_parts(rank, moduli, gens).gens == images
+        else:
+            with pytest.raises(ValueError, match="non-ergodic"):
+                finite_system_from_parts(rank, moduli, gens)
+    assert seen == {True, False}
+
+
+def test_vectors_match_an_indices_table():
+    rng = SplitMix64(77)
+    for moduli in [(), (2,), (54,), (6, 6), (2, 4, 8), (3, 3, 3, 3)] + [tuple(d for d in _random_chain(rng) if d != 1) for _ in range(10)]:
+        sys_ = FiniteSystem(1, moduli, (0,))
+        size = prod(moduli)
+        table = np.indices(moduli, dtype=np.int64).reshape(len(moduli), size).T
+        every = np.arange(size)
+        assert np.array_equal(sys_.vectors(every), table)
+        assert np.array_equal(sys_.vectors(every[::-1, None]), table[::-1, None])
+        assert np.array_equal(sys_.vectors(every.tolist()), table)
+        for i in {0, size // 2, size - 1}:
+            assert sys_.vectors(i).tolist() == table[i].tolist() == sys_.vectors(np.int64(i)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Kronecker systems against their formal-real and tuple-set references
 
@@ -821,7 +878,7 @@ def test_cyclic_subgroup_index_matches_a_brute_force_enumeration():
         idx = sys_.cyclic_subgroups()
         every = range(sys_.size)
         # <x> as the set of its multiples
-        span = {x: frozenset(sys_.translate(0, sys_.multiples(range(sys_.order_of(x)), x)).tolist()) for x in every}
+        span = {x: frozenset(sys_.index(np.outer(range(sys_.order_of(x)), sys_.vectors(x))).tolist()) for x in every}
         assert {span[g] for g in idx.generator.tolist()} == set(span.values())
         assert len(idx.generator) == len(set(span.values()))
         for s, (g, d) in enumerate(zip(idx.generator.tolist(), idx.order.tolist())):
@@ -833,7 +890,7 @@ def test_cyclic_subgroup_index_matches_a_brute_force_enumeration():
             u = int(idx.unit_of[x])
             g = int(idx.generator[idx.subgroup_of[x]])
             assert gcd(u, sys_.exponent) == 1
-            assert sys_.translate(0, sys_.multiples([u], g))[0] == x
+            assert sys_.index([u * sys_.vectors(g)])[0] == x
         for arr in (idx.generator, idx.order, idx.subgroup_of, idx.unit_of):
             assert not arr.flags.writeable
     assert one_point.cyclic_subgroups().generator.tolist() == [0]
