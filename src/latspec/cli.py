@@ -665,6 +665,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ArithmeticError, OSError, KeyError, TypeError, ValueError) as exc:
         _log(f"config error: {f'missing field {exc}' if isinstance(exc, KeyError) else exc}")
         return 2
+    except MemoryError as exc:
+        # numpy's allocation failure is a MemoryError that names its size
+        _log(f"out of memory: {exc}" if str(exc) else "out of memory")
+        return 2
     except (AssertionError, RuntimeError) as exc:
         _log(f"hard failure: {exc}")
         return 1

@@ -20,6 +20,8 @@ grid numerators as Python integers without building a Fraction.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, isqrt, lcm, prod
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +45,19 @@ def _mobius_terms(d: int) -> tuple[tuple[int, int], ...]:
 
 def totient(d: int) -> int:
     return sum(c for _, c in _mobius_terms(d))
+
+
+def cyclic_subgroup_count(moduli: Sequence[int]) -> int:
+    """How many cyclic subgroups Z/m_1 x ... x Z/m_s has: the sum over the d
+    dividing the exponent of N_d / phi(d), where N_d = sum over t | d of
+    mu(d / t) * prod_i gcd(t, m_i) elements have order d (prod_i gcd(t, m_i)
+    of them are killed by t)."""
+    exponent = lcm(*moduli)
+    low = [d for d in range(1, isqrt(exponent) + 1) if exponent % d == 0]
+    return sum(
+        sum(c // t * prod(gcd(t, m) for m in moduli) for t, c in _mobius_terms(d)) // totient(d)
+        for d in {*low, *(exponent // d for d in low)}
+    )
 
 
 def ramanujan_sums(rows) -> tuple[np.ndarray, list[bool]]:

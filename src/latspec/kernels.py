@@ -39,13 +39,18 @@ exhaustive.
 Ranks other than 2 and 3 always use the Python path.  Both paths refuse a
 rank below 1, and a scan of more than ``SUBSET_LIMIT`` subsets, before it
 starts; admission counts C(n, r+1) subsets, not the ones an early stop
-visits.
+visits.  They also refuse a spectrum whose answer may pass
+``ANSWER_LIMIT`` values: at most min(min(U, cap) / g, C(n, r+1)), every
+value a multiple of g up to min(U, cap) and at most one per subset (U is
+the spread bound at other ranks).  g is taken from base 0 by its own pass,
+before the flag table, and only when min(U, cap) and C(n, r+1) both pass
+the limit.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import comb, factorial, gcd, prod
 from typing import Iterator, Optional, Sequence
 
@@ -59,6 +64,9 @@ _INT64_SAFE = 1 << 62
 TABLE_LIMIT = 1 << 27
 #: most (rank+1)-subsets a scan will enumerate, checked before it starts
 SUBSET_LIMIT = 10**9
+#: most values a spectrum scan may answer with, bounded before it starts by
+#: min(min(U, cap) / g, C(n, r+1)); a larger answer outgrows memory
+ANSWER_LIMIT = 10**6
 #: about how many int64 entries one rank-3 block holds
 CHUNK_CELLS = 1 << 16
 # the cyclic coordinate shifts of a cross product: (d x e)_j = d_{j+1} e_{j+2} - d_{j+2} e_{j+1}
@@ -260,6 +268,20 @@ def _witness_py(
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _admit_answer(points, pts: Optional[np.ndarray], rank: int, limit: int, subsets: int, cap: Optional[int]) -> None:
+    """Refuse a spectrum that may hold more than ``ANSWER_LIMIT`` values, before
+    its scan; g comes from base 0 of the path that will scan (int64 when pts)."""
+    if min(limit, subsets) <= ANSWER_LIMIT:
+        return
+    if pts is not None:
+        g = gcd(*(int(np.gcd.reduce(m, axis=None)) for _, m in _base(pts, rank, 0)))
+    else:
+        g = gcd(*(v for prefix, row in takewhile(lambda pr: pr[0][0] == 0, _rows_py(points, rank)) for v in row))
+    bound = min(limit // g, subsets) if g else 0
+    if bound > ANSWER_LIMIT:
+        raise ValueError(f"{len(points)}-point set, cap {cap}: up to {bound} spectrum values, over the limit of {ANSWER_LIMIT}")
+
+
 def distinct_abs_dets(
     points: Sequence[tuple[int, ...]], rank: int, cap: Optional[int] = None
 ) -> set[int]:
@@ -268,14 +290,16 @@ def distinct_abs_dets(
     ``cap`` restricts the result to values <= cap and lets the int64 scan
     bound its flag table; a cap below 1 leaves nothing.
     """
-    if not _subsets(len(points), rank) or (cap is not None and cap < 1):
+    subsets = _subsets(len(points), rank)
+    if not subsets or (cap is not None and cap < 1):
         return set()
-    if backend_name() == "numpy" and rank in (2, 3):
-        spreads = _spreads(points)
-        top = _simplex_bound(spreads, rank)
-        limit = top if cap is None else min(top, cap)
-        if _int64_ok(spreads, rank, limit):
-            return _distinct_np(_int64_points(points), rank, limit, limit < top)
+    spreads = _spreads(points)
+    top = _simplex_bound(spreads, rank) if rank in (2, 3) else det_bound((max(spreads) + 1) // 2, rank)
+    limit = top if cap is None else min(top, cap)
+    pts = _int64_points(points) if backend_name() == "numpy" and _int64_ok(spreads, rank, limit) else None
+    _admit_answer(points, pts, rank, limit, subsets, cap)
+    if pts is not None:
+        return _distinct_np(pts, rank, limit, limit < top)
     return _distinct_py(points, rank, cap)
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import enclose_real_root_grid, ramanujan_sums, totient
+from .cyclotomic import cyclic_subgroup_count, enclose_real_root_grid, ramanujan_sums, totient
 from .intervals import GRID_BITS, PI, Weight, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
 from .systems import (
@@ -139,7 +139,7 @@ def admit_spectral_measure(sys_: FiniteSystem, bset: frozenset) -> None:
     bound = len(bset) ** 4 * totient(order)
     if bound >= 1 << 63:
         raise ValueError(f"|B|^4 x phi(exponent) = {bound} bounds the orbit sums, over int64")
-    cells = len(sys_.cyclic_subgroups().generator) * len(bset) * max(1, len(sys_.moduli))
+    cells = cyclic_subgroup_count(sys_.moduli) * len(bset) * max(1, len(sys_.moduli))
     if cells > CELL_LIMIT:
         raise ValueError(f"orbits x |B| x s = {cells} coordinates, over the limit of {CELL_LIMIT}")
 

@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latspec
@@ -390,6 +391,7 @@ def test_box_bounds_are_refused_before_the_box_is_built(tmp_path, capsys):
 
 def test_point_and_simplex_limits_exit_2_with_one_line(tmp_path, capsys):
     line = {"kind": "explicit", "points": [[x, 0] for x in range(-950, 950)]}
+    scatter = {"kind": "explicit", "points": [[x * 7919 % 10007, x * 104729 % 9973] for x in range(300)]}
     configs = [
         # (2 * 10**5 + 1)^2 window points, and 4 * 10**10 for a congruence set mod 1
         ({"experiment": "density", "rank": 2, "set": {"kind": "full"}, "windows": [10**5]}, "points"),
@@ -404,6 +406,9 @@ def test_point_and_simplex_limits_exit_2_with_one_line(tmp_path, capsys):
         ),
         # C(1900, 3) triangles
         ({"experiment": "volume-spectrum", "rank": 2, "window": 1000, "set": line}, "simplices"),
+        # C(300, 3) values at most, and the AP certificate scans uncapped
+        ({"experiment": "volume-spectrum", "rank": 2, "window": 10**4, "set": scatter}, "4455100 spectrum values"),
+        ({"experiment": "volume-spectrum", "rank": 2, "window": 10**4, "set": scatter, "cap": 10**5, "ap_max": 2}, "4455100 spectrum values"),
     ]
     for i, (cfg, word) in enumerate(configs):
         path = write_cfg(tmp_path, f"cfg{i}.json", cfg)
@@ -453,6 +458,53 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
         assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
         assert reason in err
+
+
+def test_carriers_at_the_limit_are_refused_from_their_presentation(tmp_path, capsys):
+    # the generation check and the coordinate table walked the carrier before
+    # these refusals: 2.2 s and 412 MB, 1.5 s and 443 MB, 1.2 s and 602 MB
+    cube = [[int(i == j) for i in range(20)] for j in range(20)]
+    configs = [
+        (
+            {"experiment": "spectral-report", "system": {"kind": "finite", "matrix": [[10**7]]}, "set_b": {"kind": "elements", "points": [[0], [5]]}},
+            "|A| x exponent = 10000000 x 10000000 root counts, over the limit of 20000000",
+        ),
+        (_cyclic_cfg("spectral-report", [3000, 3000], [[1, 0], [0, 1]], [[0, 0], [1, 2]]), "|A| x exponent = 9000000 x 3000 root counts, over the limit of 20000000"),
+        (
+            {**_cyclic_cfg("spectral-report", [2] * 20, cube, [[0] * 20, [1] + [0] * 19]), "lambda_bound": 0},
+            "orbits x |B| x s = 41943040 coordinates, over the limit of 20000000",
+        ),
+    ]
+    for i, (cfg, reason) in enumerate(configs):
+        path = write_cfg(tmp_path, f"cfg{i}.json", cfg)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = run_cli(["spectral-report", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seconds = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and err.strip() == f"config error: {reason}", err
+        assert seconds < 0.5 and peak < 64 * 2**20, (reason, seconds, peak)
+
+
+@pytest.mark.parametrize("error", [MemoryError(), "numpy"])
+def test_an_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def run(c, seed):
+        if error == "numpy":
+            # 512 PiB: past the address space, refused without touching memory
+            return np.zeros((1 << 36, 1 << 20), dtype=np.int64)
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "density", run)
+    path = write_cfg(tmp_path, "cfg.json", {"experiment": "density", "rank": 2, "set": {"kind": "full"}, "windows": [1]})
+    assert run_cli(["density", "--config", path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("out of memory") and len(err.splitlines()) == 1 and "Traceback" not in err
+    if error == "numpy":
+        assert "Unable to allocate 512. PiB" in err
 
 
 def test_expand_scan_refusal_on_a_6000_point_cyclic_carrier_stays_small(tmp_path, capsys):

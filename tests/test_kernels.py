@@ -6,7 +6,7 @@ overflow int64 must fall back to the exact path silently.
 """
 
 from itertools import combinations, product
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import numpy as np
 import pytest
@@ -245,6 +245,33 @@ def test_subset_limit_is_checked_before_the_scan(monkeypatch):
                 kernels.distinct_abs_dets(pts, rank)
             with pytest.raises(ValueError, match="simplices"):
                 kernels.find_det_witnesses(pts, rank, [1])
+
+
+def test_spectra_are_refused_by_the_size_of_their_answer(monkeypatch):
+    # 300 points in [0, 10^4)^2 scanned 7.1 s to a spectrum of 4145354
+    # values, 886 MB at peak: C(300, 3) bounds the answer past ANSWER_LIMIT
+    pts = _random_points(300, 300, 2, 5000)
+    assert kernels.ANSWER_LIMIT < comb(300, 3)
+    monkeypatch.setattr(kernels, "_distinct_np", _refuse)
+    monkeypatch.setattr(kernels, "_distinct_py", _refuse)
+    for backend in BACKENDS:
+        monkeypatch.setenv("LATSPEC_KERNELS", backend)
+        with pytest.raises(ValueError, match=f"300-point set, cap None: up to {comb(300, 3)} spectrum values, over the limit of 1000000"):
+            kernels.distinct_abs_dets(pts, 2)
+        with pytest.raises(ValueError, match=f"cap 10000000: up to {comb(300, 3)} spectrum values"):
+            kernels.distinct_abs_dets(pts, 2, cap=10**7)
+    # a cap bounds the answer, and so does the divisor g of base 0: on 7 * Z^2
+    # every value is a multiple of 49, at most U / 49 = 89401 of them
+    sparse = [(7 * x, 7 * y) for x, y in _random_points(301, 300, 2, 150)]
+    assert min(kernels._simplex_bound(kernels._spreads(sparse), 2), comb(300, 3)) > kernels.ANSWER_LIMIT
+    for backend in BACKENDS:
+        monkeypatch.setenv("LATSPEC_KERNELS", backend)
+        monkeypatch.setattr(kernels, "_distinct_np", lambda *args: "scanned")
+        monkeypatch.setattr(kernels, "_distinct_py", lambda *args: "scanned")
+        assert kernels.distinct_abs_dets(pts, 2, cap=1000) == kernels.distinct_abs_dets(sparse, 2) == "scanned"
+    monkeypatch.undo()
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    assert gcd(*kernels.distinct_abs_dets(sparse, 2)) == 49
 
 
 def test_rank_below_one_is_refused_before_the_scan(monkeypatch):

@@ -17,7 +17,7 @@ from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
-from latspec import spectral, systems
+from latspec import cyclotomic, spectral, systems
 from latspec.cli import _RUNNERS, _system_and_set, read_config, ser_weight
 from latspec.spectral import (
     Atom,
@@ -433,6 +433,18 @@ def test_orbit_coordinates_are_refused_before_the_rows_are_built():
         _refused_quickly_and_small(
             lambda: spectral._orbit_tables(cube, over), rf"orbits x \|B\| x s = {8192 * size * 13} coordinates"
         )
+
+
+def test_orbits_are_counted_from_the_moduli():
+    # the count the orbit clause reads, against the subgroup index it replaced
+    carriers = [(), (2,), (12, 36), (2,) * 10, (4,) * 6, (3,) * 8, (271, 271), (2, 4, 8), (30, 30), (360,), (6, 12), (4472,), (2, 2, 6, 30)]
+    for moduli in carriers:
+        assert cyclotomic.cyclic_subgroup_count(moduli) == len(systems._cyclic_subgroups(moduli).generator), moduli
+    # (Z/2)^20 with two points used to build its 2^20 subgroups first: 602 MB
+    cube = finite_system_from_parts(20, [2] * 20, np.eye(20, dtype=int).tolist())
+    _refused_quickly_and_small(
+        lambda: spectral.admit_spectral_measure(cube, frozenset({0, 1})), r"orbits x \|B\| x s = 41943040 coordinates"
+    )
 
 
 def test_orbit_sum_guard_admits_up_to_its_boundary():
