@@ -44,7 +44,7 @@ visits.  They also refuse a spectrum whose answer may pass
 value a multiple of g up to min(U, cap) and at most one per subset (U is
 the spread bound at other ranks).  g is taken from base 0 by its own pass,
 before the flag table, and only when min(U, cap) and C(n, r+1) both pass
-the limit.
+the limit; past rank 3 g is taken as 1.
 """
 
 from __future__ import annotations
@@ -275,6 +275,8 @@ def _admit_answer(points, pts: Optional[np.ndarray], rank: int, limit: int, subs
         return
     if pts is not None:
         g = gcd(*(int(np.gcd.reduce(m, axis=None)) for _, m in _base(pts, rank, 0)))
+    elif rank > 3:
+        g = 1  # base 0 is C(n - 1, r) Bareiss determinants here, as slow as a scan
     else:
         g = gcd(*(v for prefix, row in takewhile(lambda pr: pr[0][0] == 0, _rows_py(points, rank)) for v in row))
     bound = min(limit // g, subsets) if g else 0

@@ -260,6 +260,11 @@ def test_spectra_are_refused_by_the_size_of_their_answer(monkeypatch):
             kernels.distinct_abs_dets(pts, 2)
         with pytest.raises(ValueError, match=f"cap 10000000: up to {comb(300, 3)} spectrum values"):
             kernels.distinct_abs_dets(pts, 2, cap=10**7)
+    # past rank 3 base 0 would be Bareiss determinants, as slow as the scan: g is 1
+    monkeypatch.setattr(kernels, "_rows_py", _refuse)
+    with pytest.raises(ValueError, match=f"50-point set, cap None: up to {comb(50, 5)} spectrum values"):
+        kernels.distinct_abs_dets(_random_points(302, 50, 4, 1000), 4)
+    monkeypatch.undo()
     # a cap bounds the answer, and so does the divisor g of base 0: on 7 * Z^2
     # every value is a multiple of 49, at most U / 49 = 89401 of them
     sparse = [(7 * x, 7 * y) for x, y in _random_points(301, 300, 2, 150)]
