@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    DIGIT_LIMIT, REQUIRED, ConfigError, array, at_most, integer, mapping, parse_fraction, rational, raw, read, read_kind,
+    DIGIT_LIMIT, REQUIRED, ConfigError, LimitError, admit, array, at_most, digits, integer, mapping, parse_fraction,
+    product as capped_product, rational, raw, read, read_kind,
 )
 from .formal import FormalReal
 from .haystack import MULTIPLIERS, admit_subsets, last_element, make_haystack, verify_haystack_sample
@@ -64,8 +65,7 @@ BOX_LIMIT = 10**6
 def _box_bound(bound: int, key: str, rank: int) -> int:
     if bound < 0:
         raise ConfigError(f"{key} must be nonnegative, got {bound}")
-    if (2 * bound + 1) ** rank > BOX_LIMIT:
-        raise ConfigError(f"{key} {bound} asks for (2*{bound}+1)^{rank} lambdas, over the limit of {BOX_LIMIT}")
+    admit(capped_product([2 * bound + 1] * rank), BOX_LIMIT, f"{key} {bound}: lambdas (2*{key}+1)^{rank}")
     return bound
 
 
@@ -541,10 +541,9 @@ def _run_haystack_verify(c: dict, seed: Optional[int]):
             raise ValueError("vector rank does not match r")
         admit_subsets(count, rank)
         # every element is printed: a last one too long to print is refused first
-        if count > 0 and max(map(abs, last_element(c["basis"], multipliers, count))) >= 10**DIGIT_LIMIT:
-            raise ConfigError(
-                f"count {count}: h_{count} of multipliers {multipliers} has a coordinate of over {DIGIT_LIMIT} digits"
-            )
+        if count > 0:
+            top = max(map(abs, last_element(c["basis"], multipliers, count)))
+            admit(digits(top), DIGIT_LIMIT, f"count {count}: digits of the largest coordinate of h_{count}")
         vectors = make_haystack(c["basis"], multipliers, count)
     verdict = verify_haystack_sample(vectors, rank)
     results = {
@@ -662,6 +661,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     # the one mapping from exceptions to exit codes, for runs and replays alike
     try:
         return _serve(args)
+    except LimitError as exc:
+        _log(f"limit: {exc}")
+        return 2
     except (ArithmeticError, OSError, KeyError, TypeError, ValueError) as exc:
         _log(f"config error: {f'missing field {exc}' if isinstance(exc, KeyError) else exc}")
         return 2

@@ -1,5 +1,6 @@
-"""Config field tables: every field of a JSON config read, defaulted and
-refused in one place.
+"""Config field tables and resource limits: every field of a JSON config
+read, defaulted and refused in one place, and every oversized request
+refused in one wording.
 
 A table maps each field of a JSON object to ``(reader, default)``.  A reader
 is called as ``reader(value, path)`` with the field's path
@@ -8,6 +9,12 @@ objects call ``read`` in turn.  A default is a JSON value, read by the same
 reader when the field is absent.  ``REQUIRED`` refuses an absent field, and
 ``None`` leaves an absent or null field None.  ``read`` also refuses a
 non-object and an unknown field, so every refusal is one line naming its field.
+
+``admit`` refuses a count over its limit with a ``LimitError``, a
+``ValueError`` of one line ``<what> = <count>, over the limit of <limit>``
+that the CLI prints as ``limit: ...``.  ``product`` multiplies a count out
+no further than 10^18 and ``digits`` counts an integer's digits without
+printing it, so no refusal forms or prints a huge integer.
 """
 
 from __future__ import annotations
@@ -25,9 +32,38 @@ REQUIRED = object()
 #: asks for it, before it is built
 DIGIT_LIMIT = 4300
 
+#: a count is carried no further than this, and printed as "more than 10^18" past it
+_CAP = 10**18
+
 
 class ConfigError(ValueError):
     """A config refused with a one-line reason."""
+
+
+class LimitError(ValueError):
+    """A request refused for its size, naming what it counts and the limit."""
+
+
+def product(factors) -> int:
+    """The product of nonnegative integer factors, capped just past 10^18."""
+    count = 1
+    for n in factors:
+        count = min(count * n, _CAP + 1)
+    return count
+
+
+def admit(count: int, limit: int, what: str) -> int:
+    """count, or a ``LimitError`` naming what it counts when it is over limit."""
+    if count > limit:
+        raise LimitError(f"{what} = {count if count <= _CAP else 'more than 10^18'}, over the limit of {limit}")
+    return count
+
+
+def digits(n: int) -> int:
+    """The decimal digits of |n|, counted without converting it to text."""
+    n = abs(n)
+    k = int(n.bit_length() * 0.30102999566398120)  # log10(2): 10^(k-1) <= n < 10^(k+1)
+    return max(1, k + (n >= 10**k))
 
 
 def _json_object(value, path: str) -> dict:
@@ -85,10 +121,7 @@ def at_most(limit: int):
     """A reader of integers up to limit, refused above it before any use."""
 
     def read_bounded(value, path: str) -> int:
-        n = integer(value, path)
-        if n > limit:
-            raise ConfigError(f"{path.rsplit('.', 1)[-1]} {n} is over the limit of {limit}")
-        return n
+        return admit(integer(value, path), limit, path.rsplit(".", 1)[-1])
 
     read_bounded.__name__ = f"integer at most {limit}"
     return read_bounded

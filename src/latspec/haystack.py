@@ -19,6 +19,7 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Optional, Sequence
 
+from .config import admit
 from .lattice import as_coords, det_exact, is_primitive
 
 #: the multipliers of a rank-r haystack when none are given: the first r primes
@@ -35,20 +36,15 @@ COUNT_LIMIT = 2000
 
 def admit_subsets(count: int, r: int) -> None:
     """Refuse a sample of ``count`` distinct vectors with over SUBSET_LIMIT r-subsets."""
-    if 0 <= r <= count and comb(count, r) > SUBSET_LIMIT:
-        raise ValueError(
-            f"sample has {comb(count, r)} r-subsets (> {SUBSET_LIMIT}); verify a smaller sample"
-        )
+    if 0 <= r <= count:
+        admit(comb(count, r), SUBSET_LIMIT, f"r-subsets of the sample, C({count}, {r})")
 
 
 def admit_count(count: int) -> None:
     """Refuse a haystack of ``count`` elements before any is built."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count > COUNT_LIMIT:
-        raise ValueError(
-            f"haystack count {count} is over the limit of {COUNT_LIMIT}; ask for fewer elements"
-        )
+    admit(count, COUNT_LIMIT, "haystack count")
 
 
 def _checked(basis: Optional[Sequence], multipliers: Sequence[int], count: int):

@@ -56,6 +56,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .config import admit
 from .lattice import simplex_det
 
 _ENV = "LATSPEC_KERNELS"
@@ -102,10 +103,7 @@ def _simplex_bound(spreads: Sequence[int], rank: int) -> int:
 def _subsets(n: int, rank: int) -> int:
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
-    count = comb(n, rank + 1)
-    if count > SUBSET_LIMIT:
-        raise ValueError(f"C({n}, {rank + 1}) = {count} simplices, over {SUBSET_LIMIT}")
-    return count
+    return admit(comb(n, rank + 1), SUBSET_LIMIT, f"simplices of a {n}-point set, C({n}, {rank + 1})")
 
 
 def _int64_ok(spreads: Sequence[int], rank: int, limit: int) -> bool:
@@ -280,8 +278,7 @@ def _admit_answer(points, pts: Optional[np.ndarray], rank: int, limit: int, subs
     else:
         g = gcd(*(v for prefix, row in takewhile(lambda pr: pr[0][0] == 0, _rows_py(points, rank)) for v in row))
     bound = min(limit // g, subsets) if g else 0
-    if bound > ANSWER_LIMIT:
-        raise ValueError(f"{len(points)}-point set, cap {cap}: up to {bound} spectrum values, over the limit of {ANSWER_LIMIT}")
+    admit(bound, ANSWER_LIMIT, f"bound on the spectrum values of a {len(points)}-point set, cap {cap}")
 
 
 def distinct_abs_dets(

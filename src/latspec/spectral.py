@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import admit, product as capped_product
 from .cyclotomic import cyclic_subgroup_count, enclose_real_root_grid, ramanujan_sums, totient
 from .intervals import GRID_BITS, PI, Weight, cospi, round_out, sinpi, sinpi_sq_exact
 from .lattice import as_coords, scale_lattice
@@ -95,8 +96,8 @@ class SpectralMeasure:
 # ---------------------------------------------------------------------------
 # finite-system tables (shared by the measure, Bochner and mass routines)
 
-#: most root counts |A| x exponent of a finite measure, checked first (it bounds the
-#: steps of the subgroup index), and most coordinates orbits x |B| x s of its rows
+#: most steps |A| x exponent of the cyclic-subgroup index of a finite measure,
+#: checked first, and most coordinates orbits x |B| x s of its rows
 CELL_LIMIT = 2 * 10**7
 
 
@@ -133,15 +134,11 @@ def admit_spectral_measure(sys_: FiniteSystem, bset: frozenset) -> None:
     """Refuse a carrier and set whose orbit tables pass ``CELL_LIMIT`` or
     int64, before any table is built; a runner calls it before its first stage."""
     n, order = sys_.size, sys_.exponent
-    if n * order > CELL_LIMIT:
-        raise ValueError(f"|A| x exponent = {n} x {order} root counts, over the limit of {CELL_LIMIT}")
+    admit(n * order, CELL_LIMIT, f"steps of the cyclic-subgroup index, |A| x exponent = {n} x {order}")
     # |B|^4 phi(exponent) bounds every orbit sum and each product of a row with them
-    bound = len(bset) ** 4 * totient(order)
-    if bound >= 1 << 63:
-        raise ValueError(f"|B|^4 x phi(exponent) = {bound} bounds the orbit sums, over int64")
+    admit(len(bset) ** 4 * totient(order), (1 << 63) - 1, "int64 bound of the orbit sums, |B|^4 x phi(exponent)")
     cells = cyclic_subgroup_count(sys_.moduli) * len(bset) * max(1, len(sys_.moduli))
-    if cells > CELL_LIMIT:
-        raise ValueError(f"orbits x |B| x s = {cells} coordinates, over the limit of {CELL_LIMIT}")
+    admit(cells, CELL_LIMIT, "coordinates of the orbit rows, orbits x |B| x s")
 
 
 @lru_cache(maxsize=256)
@@ -346,11 +343,7 @@ def spectral_measure_kronecker(
         raise ValueError("truncation radius must be nonnegative")
     if b.dim != sys_.dim:
         raise ValueError("set dimension mismatch")
-    count = (2 * trunc + 1) ** sys_.dim
-    if count > ATOM_LIMIT:
-        raise ValueError(
-            f"(2*{trunc}+1)^{sys_.dim} = {count} atoms, over the limit of {ATOM_LIMIT}"
-        )
+    admit(capped_product([2 * trunc + 1] * sys_.dim), ATOM_LIMIT, f"trunc {trunc}: atoms (2*trunc+1)^{sys_.dim}")
     cert = kronecker_ergodicity_certificate(sys_)
     if not cert["ergodic"]:
         # the trivial-atom identity below presumes ergodicity; a nonzero
@@ -557,6 +550,11 @@ def _expansion_bound(
 # ---------------------------------------------------------------------------
 # small intersections and haystack scans
 
+#: most p-subsets of the sets that small_intersection_bound scans, checked
+#: before the scan when no set qualifies
+P_SUBSET_LIMIT = 10**6
+
+
 @dataclass(frozen=True)
 class SmallIntersectionResult:
     qualifying_index: Optional[int]
@@ -594,8 +592,7 @@ def small_intersection_bound(
         m = sum((w[j] for j in s), start=Fraction(0))
         if m < threshold:
             return SmallIntersectionResult(qualifying_index=i, threshold=threshold)
-    if comb(n_sets, p) > 10**6:
-        raise ValueError("too many p-subsets to scan; shrink the instance")
+    admit(comb(n_sets, p), P_SUBSET_LIMIT, f"p-subsets of {n_sets} sets, C({n_sets}, {p})")
     for subset in combinations(range(n_sets), p):
         inter = idx_sets[subset[0]]
         for j in subset[1:]:

@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import admit, product as capped_product
 from .formal import FormalReal
 from .lattice import (
     SubLattice,
@@ -268,8 +269,7 @@ def finite_system_from_parts(
         raise ValueError("moduli must be positive")
     if any(b % a for a, b in zip(mods, mods[1:])):
         raise ValueError("moduli must form a divisibility chain")
-    if (size := prod(mods)) > CARRIER_LIMIT:
-        raise ValueError(f"carrier of {size} elements, over the limit of {CARRIER_LIMIT}")
+    admit(capped_product(mods), CARRIER_LIMIT, "carrier elements, the product of the moduli")
     if len(gens) != rank:
         raise ValueError("need one generator image per basis vector")
     for g in gens:
@@ -718,8 +718,7 @@ def box_grid(b: BoxUnion, shift: Sequence[Fraction]) -> tuple[FiniteSystem, np.n
         *(x.denominator for x in shift),
         *(x.denominator for box in b.boxes for a_b in box.bounds for x in a_b),
     )
-    if q**b.dim > GRID_LIMIT:
-        raise ValueError(f"rational grid of {q}^{b.dim} cells, over the limit of {GRID_LIMIT}")
+    admit(capped_product([q] * b.dim), GRID_LIMIT, f"cells of the rational grid, q^{b.dim} for q the common denominator")
     shape = (q,) * b.dim
     cells = np.zeros(shape, dtype=bool)
     for box in b.boxes:

@@ -25,7 +25,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .config import DIGIT_LIMIT, REQUIRED, array, integer, parse_fraction, read_kind
+from .config import (
+    DIGIT_LIMIT, REQUIRED, admit, array, digits, integer, parse_fraction, product as capped_product, read_kind,
+)
 from .haystack import MULTIPLIERS, admit_count, make_haystack
 from .lattice import as_coords, is_primitive, simplex_det
 from .prng import SplitMix64
@@ -72,28 +74,11 @@ RANK_LIMIT = 64
 AP_LIMIT = 10**4
 
 
-#: a product of axis lengths is carried no further than this, so a huge
-#: window never forms a huge integer
-_COUNT_CAP = 10**18
-
-
-def _admit(kind: str, window: int, axes: Sequence[int]) -> int:
-    """The point count of a part with these axis lengths, refused over
-    ``POINT_LIMIT`` before any point is built."""
-    count = 0 if 0 in axes else 1
-    for n in axes:
-        count = min(count * n, _COUNT_CAP)
-    if count > POINT_LIMIT:
-        shown = str(count) if count < _COUNT_CAP else f"more than {_COUNT_CAP}"
-        if kind != "congruence":
-            shown = f"(2*window+1)^{len(axes)} = {shown}"
-        raise ValueError(f"window {window}: {kind} set of {shown} points, over the limit of {POINT_LIMIT}")
-    return count
-
 
 def _window_points(kind: str, rank: int, window: int):
     """The W window points in lexicographic order, and W, once admitted."""
-    count = _admit(kind, window, [2 * window + 1] * rank)
+    what = f"window {window}: points of the {kind} set, (2*window+1)^{rank}"
+    count = admit(capped_product([2 * window + 1] * rank), POINT_LIMIT, what)
     return product(range(-window, window + 1), repeat=rank), count
 
 
@@ -175,7 +160,8 @@ def _points(node: dict, rank: int, window: int, seed: Optional[int]) -> set:
             raise ValueError("offset rank mismatch")
         # the least x >= -window with x = o (mod n), then every n-th to window
         starts = [-window + (o + window) % n for o in offset]
-        _admit(kind, window, [max(0, (window - x) // n + 1) for x in starts])
+        axes = [max(0, (window - x) // n + 1) for x in starts]
+        admit(capped_product(axes), POINT_LIMIT, f"window {window}: points of the congruence set")
         return set(product(*(range(x, window + 1, n) for x in starts)))
     if kind == "random":
         seed = seed if node["seed"] is None else node["seed"]
@@ -216,16 +202,10 @@ class DensityEstimate:
 
 def _density(count: int, window: int, rank: int) -> Fraction:
     """count / (2*window+1)^rank, refused by ``windows`` when its reduced
-    denominator passes DIGIT_LIMIT digits.  The power is carried no further
-    than count * 10^DIGIT_LIMIT, past which no reduction brings it back."""
-    power, cap = 1, max(count, 1) * 10**DIGIT_LIMIT
-    for _ in range(rank):
-        power = min(power * (2 * window + 1), cap)
-    density = Fraction(count, power)
-    if count and (power == cap or density.denominator >= 10**DIGIT_LIMIT):
-        raise ValueError(
-            f"windows entry {window}: the density over (2*window+1)^{rank} has a denominator of over {DIGIT_LIMIT} digits"
-        )
+    denominator passes DIGIT_LIMIT digits; an empty window is density 0."""
+    density = Fraction(count, (2 * window + 1) ** rank) if count else Fraction(0)
+    what = f"windows entry {window}: digits of the reduced denominator of the density over (2*window+1)^{rank}"
+    admit(digits(density.denominator), DIGIT_LIMIT, what)
     return density
 
 
@@ -427,14 +407,10 @@ def pattern_search(
     admit_count(bounds.lambda_count)
     n_max, m_max = max(bounds.n_max, 0), max(bounds.m_max, 0)
     factors = {"n_max": n_max, "lambda_count": bounds.lambda_count, "|E|": len(e.points), "m_max": m_max}
-    work = n_max * bounds.lambda_count * len(e.points) * 2 * m_max * (1 + (p - 1) * len(checked))
-    if work > SEARCH_LIMIT:
-        name = max(factors, key=factors.get)
-        shown = work if work < _COUNT_CAP else f"more than {_COUNT_CAP}"
-        raise ValueError(
-            f"pattern search of {shown} membership tests (n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|)), "
-            f"over the limit of {SEARCH_LIMIT}; {name} {factors[name]} dominates"
-        )
+    name = max(factors, key=factors.get)
+    work = capped_product([n_max, bounds.lambda_count, len(e.points), 2 * m_max, 1 + (p - 1) * len(checked)])
+    formula = "n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|)"
+    admit(work, SEARCH_LIMIT, f"{name} {factors[name]} dominates: pattern search membership tests {formula}")
     members = e.points
     base_order = e.sorted_points
     # make_haystack asserts that every candidate is primitive

@@ -380,7 +380,7 @@ def test_box_bounds_are_refused_before_the_box_is_built(tmp_path, capsys):
             assert run_cli([experiment, "--config", path]) == 2
             err = capsys.readouterr().err
             assert "Traceback" not in err
-            assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+            assert err.strip().startswith("config error:" if bound < 0 else "limit:") and len(err.strip().splitlines()) == 1
             assert key in err
     # a zero bound is a box of one lambda, and still runs
     path = write_cfg(tmp_path, "zero.json", {**base["spectral-report"][1], "lambda_bound": 0})
@@ -407,16 +407,19 @@ def test_point_and_simplex_limits_exit_2_with_one_line(tmp_path, capsys):
         # C(1900, 3) triangles
         ({"experiment": "volume-spectrum", "rank": 2, "window": 1000, "set": line}, "simplices"),
         # C(300, 3) values at most, and the AP certificate scans uncapped
-        ({"experiment": "volume-spectrum", "rank": 2, "window": 10**4, "set": scatter}, "4455100 spectrum values"),
-        ({"experiment": "volume-spectrum", "rank": 2, "window": 10**4, "set": scatter, "cap": 10**5, "ap_max": 2}, "4455100 spectrum values"),
+        ({"experiment": "volume-spectrum", "rank": 2, "window": 10**4, "set": scatter}, "spectrum values of a 300-point set, cap None = 4455100"),
+        (
+            {"experiment": "volume-spectrum", "rank": 2, "window": 10**4, "set": scatter, "cap": 10**5, "ap_max": 2},
+            "spectrum values of a 300-point set, cap None = 4455100",
+        ),
     ]
     for i, (cfg, word) in enumerate(configs):
         path = write_cfg(tmp_path, f"cfg{i}.json", cfg)
         assert run_cli([cfg["experiment"], "--config", path]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
-        assert word in err and "over" in err
+        assert err.strip().startswith("limit:") and len(err.strip().splitlines()) == 1
+        assert word in err and "over the limit of" in err
 
 
 def _cyclic_cfg(experiment, moduli, gens, points):
@@ -431,8 +434,8 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
     rank0 = {"experiment": "volume-spectrum", "rank": 0, "window": 2, "set": {"kind": "full"}}
     configs = [
         # a 10^5 x 10^5 exponent table used to end in an allocation traceback
-        (_cyclic_cfg("spectral-report", [10**5], [[1]], [[0], [1]]), "numpy", "root counts"),
-        (_cyclic_cfg("decompose", [10**12], [[1]], [[0]]), "numpy", "carrier"),
+        (_cyclic_cfg("spectral-report", [10**5], [[1]], [[0], [1]]), "numpy", "limit: steps of the cyclic-subgroup index"),
+        (_cyclic_cfg("decompose", [10**12], [[1]], [[0]]), "numpy", "limit: carrier elements"),
         # a long generator row used to be truncated and run, a short one to crash
         (_cyclic_cfg("decompose", [4], [[1, 5]], [[0]]), "numpy", "generator image"),
         (_cyclic_cfg("decompose", [2, 4], [[1]], [[0, 0]]), "numpy", "generator image"),
@@ -456,7 +459,8 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+        prefix = "limit:" if reason.startswith("limit:") else "config error:"
+        assert err.strip().startswith(prefix) and len(err.strip().splitlines()) == 1
         assert reason in err
 
 
@@ -467,12 +471,15 @@ def test_carriers_at_the_limit_are_refused_from_their_presentation(tmp_path, cap
     configs = [
         (
             {"experiment": "spectral-report", "system": {"kind": "finite", "matrix": [[10**7]]}, "set_b": {"kind": "elements", "points": [[0], [5]]}},
-            "|A| x exponent = 10000000 x 10000000 root counts, over the limit of 20000000",
+            "steps of the cyclic-subgroup index, |A| x exponent = 10000000 x 10000000 = 100000000000000, over the limit of 20000000",
         ),
-        (_cyclic_cfg("spectral-report", [3000, 3000], [[1, 0], [0, 1]], [[0, 0], [1, 2]]), "|A| x exponent = 9000000 x 3000 root counts, over the limit of 20000000"),
+        (
+            _cyclic_cfg("spectral-report", [3000, 3000], [[1, 0], [0, 1]], [[0, 0], [1, 2]]),
+            "steps of the cyclic-subgroup index, |A| x exponent = 9000000 x 3000 = 27000000000, over the limit of 20000000",
+        ),
         (
             {**_cyclic_cfg("spectral-report", [2] * 20, cube, [[0] * 20, [1] + [0] * 19]), "lambda_bound": 0},
-            "orbits x |B| x s = 41943040 coordinates, over the limit of 20000000",
+            "coordinates of the orbit rows, orbits x |B| x s = 41943040, over the limit of 20000000",
         ),
     ]
     for i, (cfg, reason) in enumerate(configs):
@@ -486,7 +493,7 @@ def test_carriers_at_the_limit_are_refused_from_their_presentation(tmp_path, cap
             tracemalloc.stop()
         seconds = time.perf_counter() - start
         err = capsys.readouterr().err
-        assert code == 2 and err.strip() == f"config error: {reason}", err
+        assert code == 2 and err.strip() == f"limit: {reason}", err
         assert seconds < 0.5 and peak < 64 * 2**20, (reason, seconds, peak)
 
 
@@ -520,7 +527,7 @@ def test_expand_scan_refusal_on_a_6000_point_cyclic_carrier_stays_small(tmp_path
         tracemalloc.stop()
     err = capsys.readouterr().err.strip()
     assert code == 2 and peak < 16 * 2**20, peak
-    assert err == "config error: |A| x exponent = 6000 x 6000 root counts, over the limit of 20000000"
+    assert err == "limit: steps of the cyclic-subgroup index, |A| x exponent = 6000 x 6000 = 36000000, over the limit of 20000000"
 
 
 def test_expand_scan_verdict_skips_rows_that_are_not_asserted(tmp_path):
@@ -551,7 +558,7 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
                 "system": {"kind": "kronecker", "rank": 3, "dim": 3, "theta": [[alpha, "0", "0"], ["0", alpha, "0"], ["0", "0", alpha]]},
                 "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]] * 3]},
             },
-            "(2*64+1)^3 = 2146689 atoms, over the limit of 100000",
+            "limit: trunc 64: atoms (2*trunc+1)^3 = 2146689, over the limit of 100000",
         ),
         # used to be refused with a zip() message
         (
@@ -567,7 +574,7 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
         # C(10^6, 2) pairs, and a rank mismatch, refused before the sample is generated
         (
             {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 10**6},
-            "sample has 499999500000 r-subsets (> 1000000)",
+            "limit: r-subsets of the sample, C(1000000, 2) = 499999500000, over the limit of 1000000",
         ),
         (
             {"experiment": "haystack-verify", "rank": 1, "multipliers": [2, 3], "count": 10**6},
@@ -581,18 +588,19 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+        prefix = "limit:" if reason.startswith("limit:") else "config error:"
+        assert err.strip().startswith(prefix) and len(err.strip().splitlines()) == 1
         assert reason in err
 
 
-def _refused_in_one_line(tmp_path, capsys, cfg):
+def _refused_in_one_line(tmp_path, capsys, cfg, prefix="config error:"):
     path = write_cfg(tmp_path, "cfg.json", cfg)
     start = time.perf_counter()
     assert run_cli([cfg["experiment"], "--config", path]) == 2
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip().startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert err.strip().startswith(prefix) and len(err.strip().splitlines()) == 1
     return err
 
 
@@ -606,8 +614,8 @@ def test_intersect_haystack_count_is_refused_before_any_element(tmp_path, capsys
         "probes": [[[1, 0]]],
         "haystack": {"multipliers": [2, 3], "count": 16000},
     }
-    err = _refused_in_one_line(tmp_path, capsys, cfg)
-    assert f"haystack count 16000 is over the limit of {COUNT_LIMIT}" in err
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:")
+    assert f"haystack count = 16000, over the limit of {COUNT_LIMIT}" in err
 
 
 def test_pattern_search_lambda_count_is_refused_before_any_element(tmp_path, capsys):
@@ -621,8 +629,8 @@ def test_pattern_search_lambda_count_is_refused_before_any_element(tmp_path, cap
         "probes": [[[0, 1]]],
         "bounds": {"n_max": 2, "m_max": 2, "lambda_count": 12000},
     }
-    err = _refused_in_one_line(tmp_path, capsys, cfg)
-    assert f"haystack count 12000 is over the limit of {COUNT_LIMIT}" in err
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:")
+    assert f"haystack count = 12000, over the limit of {COUNT_LIMIT}" in err
 
 
 def test_expand_scan_admits_its_spectral_stage_before_any_saturation(tmp_path, capsys, monkeypatch):
@@ -638,15 +646,16 @@ def test_expand_scan_admits_its_spectral_stage_before_any_saturation(tmp_path, c
         "set_b": {"kind": "elements", "points": [[0, 0], [1, 5], [7, 3]]},
         "coord_bound": 2,
     }
-    err = _refused_in_one_line(tmp_path, capsys, cfg)
-    assert "|A| x exponent = 1000000 x 1000 root counts, over the limit of 20000000" in err
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:")
+    assert "|A| x exponent = 1000000 x 1000 = 1000000000, over the limit of 20000000" in err
 
 
 def test_a_density_too_long_to_print_is_refused_naming_windows(tmp_path, capsys):
     # the (2 * 10^100 + 1)^64 denominator used to end in Python's digit limit
     cfg = {"experiment": "density", "rank": 64, "windows": [10**100], "set": {"kind": "explicit", "points": [[0] * 64]}}
-    err = _refused_in_one_line(tmp_path, capsys, cfg)
-    assert f"windows entry {10**100}: the density over (2*window+1)^64 has a denominator of over 4300 digits" in err
+    # the reduced denominator (2 * 10^100 + 1)^64 has 6420 digits
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:")
+    assert f"windows entry {10**100}: digits of the reduced denominator of the density over (2*window+1)^64 = 6420, over the limit of 4300" in err
 
 
 @pytest.mark.parametrize(
@@ -669,8 +678,9 @@ def test_densities_print_up_to_the_digit_limit(tmp_path, windows, points, code):
 def test_a_haystack_too_long_to_print_is_refused_before_any_element(tmp_path, capsys):
     # 7.5 s of work used to end in Python's digit limit, naming no field
     cfg = {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 1000003], "count": 800}
-    err = _refused_in_one_line(tmp_path, capsys, cfg)
-    assert "count 800: h_800 of multipliers [2, 1000003] has a coordinate of over 4300 digits" in err
+    # its largest coordinate 1000003^800 has 4801 digits
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:")
+    assert "count 800: digits of the largest coordinate of h_800 = 4801, over the limit of 4300" in err
 
 
 def test_a_haystack_prints_up_to_the_digit_limit(tmp_path, capsys):
@@ -681,8 +691,8 @@ def test_a_haystack_prints_up_to_the_digit_limit(tmp_path, capsys):
     assert run_cli(["haystack-verify", "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", out]) == 0
     assert json.loads(out.read_text())["results"]["vectors"][-1] == [2**42, (10**100 + 1) ** 42]
     capsys.readouterr()
-    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "count": 43})
-    assert "count 43: h_43 of multipliers" in err
+    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "count": 43}, "limit:")
+    assert "count 43: digits of the largest coordinate of h_43 = 4301, over the limit of 4300" in err
 
 
 def test_pattern_search_is_admitted_by_its_work(tmp_path, capsys):
@@ -692,13 +702,13 @@ def test_pattern_search_is_admitted_by_its_work(tmp_path, capsys):
         "experiment": "pattern-search", "rank": 2, "window": 2, "set": {"kind": "full"}, "p": 2,
         "probes": [[[1000, 0]]], "bounds": {"n_max": 1000},
     }
-    err = _refused_in_one_line(tmp_path, capsys, cfg)
-    assert "pattern search of 3600000 membership tests" in err and "n_max 1000 dominates" in err
-    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "window": 150, "bounds": {"n_max": 1}})
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:")
+    assert "n_max 1000 dominates: pattern search membership tests" in err and "= 3600000, over the limit of 2000000" in err
+    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "window": 150, "bounds": {"n_max": 1}}, "limit:")
     assert "|E| 90601 dominates" in err
     # a product past Python's digit limit is not printed
-    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "bounds": {"n_max": 10**3000, "m_max": 10**3000}})
-    assert "pattern search of more than 10" in err and f"n_max {10**3000} dominates" in err
+    err = _refused_in_one_line(tmp_path, capsys, {**cfg, "bounds": {"n_max": 10**3000, "m_max": 10**3000}}, "limit:")
+    assert "= more than 10^18, over the limit of 2000000" in err and f"n_max {10**3000} dominates" in err
 
 
 @pytest.mark.parametrize(
@@ -1223,8 +1233,8 @@ def test_density_reads_every_rational_form(tmp_path):
 def test_ap_max_over_the_limit_exits_2_naming_it(tmp_path, capsys):
     # 10**30 ended in an OverflowError traceback from range(1, m_max + 1)
     cfg = {"experiment": "volume-spectrum", "rank": 2, "window": 7, "set": {"kind": "full"}, "ap_max": 10**30}
-    err = _refused_in_one_line(tmp_path, capsys, cfg).strip()
-    assert err == f"config error: ap_max {10**30} is over the limit of {AP_LIMIT}"
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:").strip()
+    assert err == f"limit: ap_max = more than 10^18, over the limit of {AP_LIMIT}"
 
 
 @pytest.mark.parametrize(
@@ -1239,8 +1249,9 @@ def test_ap_max_over_the_limit_exits_2_naming_it(tmp_path, capsys):
     ids=["full", "congruence", "density"],
 )
 def test_ranks_over_the_limit_exit_2_naming_it(tmp_path, capsys, cfg):
-    err = _refused_in_one_line(tmp_path, capsys, cfg).strip()
-    assert err == f"config error: rank {cfg['rank']} is over the limit of {RANK_LIMIT}"
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:").strip()
+    shown = cfg["rank"] if cfg["rank"] <= 10**18 else "more than 10^18"
+    assert err == f"limit: rank = {shown}, over the limit of {RANK_LIMIT}"
 
 
 def test_a_full_set_of_rank_10_30_is_refused_without_forming_its_count(tmp_path):
@@ -1253,7 +1264,7 @@ def test_a_full_set_of_rank_10_30_is_refused_without_forming_its_count(tmp_path)
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert done.returncode == 2
-    assert done.stderr.strip() == f"config error: rank {10**30} is over the limit of {RANK_LIMIT}"
+    assert done.stderr.strip() == f"limit: rank = more than 10^18, over the limit of {RANK_LIMIT}"
 
 
 #: one working config per array field, and the path a refusal names
@@ -1312,9 +1323,9 @@ def test_unknown_fields_exit_2_naming_their_path(tmp_path, capsys, cfg, path, fi
 )
 def test_huge_windows_are_refused_naming_the_window(tmp_path, capsys, rank, window, desc):
     cfg = {"experiment": "volume-spectrum", "rank": rank, "window": window, "set": desc}
-    err = _refused_in_one_line(tmp_path, capsys, cfg).strip()
-    assert err.startswith(f"config error: window {window}: {desc['kind']} set of ")
-    assert err.endswith(" points, over the limit of 1000000")
+    err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:").strip()
+    assert err.startswith(f"limit: window {window}: points of the {desc['kind']} set")
+    assert err.endswith(", over the limit of 1000000")
     if desc["kind"] == "full":
         assert f"(2*window+1)^{rank} = " in err
 

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from latspec import kernels
+from latspec.config import LimitError
 from latspec.lattice import det_exact
 from latspec.prng import SplitMix64
 
@@ -256,13 +257,13 @@ def test_spectra_are_refused_by_the_size_of_their_answer(monkeypatch):
     monkeypatch.setattr(kernels, "_distinct_py", _refuse)
     for backend in BACKENDS:
         monkeypatch.setenv("LATSPEC_KERNELS", backend)
-        with pytest.raises(ValueError, match=f"300-point set, cap None: up to {comb(300, 3)} spectrum values, over the limit of 1000000"):
+        with pytest.raises(LimitError, match=f"spectrum values of a 300-point set, cap None = {comb(300, 3)}, over the limit of 1000000"):
             kernels.distinct_abs_dets(pts, 2)
-        with pytest.raises(ValueError, match=f"cap 10000000: up to {comb(300, 3)} spectrum values"):
+        with pytest.raises(LimitError, match=f"300-point set, cap 10000000 = {comb(300, 3)}"):
             kernels.distinct_abs_dets(pts, 2, cap=10**7)
     # past rank 3 base 0 would be Bareiss determinants, as slow as the scan: g is 1
     monkeypatch.setattr(kernels, "_rows_py", _refuse)
-    with pytest.raises(ValueError, match=f"50-point set, cap None: up to {comb(50, 5)} spectrum values"):
+    with pytest.raises(LimitError, match=f"50-point set, cap None = {comb(50, 5)}"):
         kernels.distinct_abs_dets(_random_points(302, 50, 4, 1000), 4)
     monkeypatch.undo()
     # a cap bounds the answer, and so does the divisor g of base 0: on 7 * Z^2

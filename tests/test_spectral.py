@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 
 from _cyclotomic import root_values
 from _fleet import pts, random_fleet, tuples
+from latspec.config import LimitError
 from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
@@ -399,7 +401,7 @@ def _refused_quickly_and_small(call, reason):
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(LimitError, match=reason):
             call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -415,11 +417,15 @@ def test_cell_limit_is_checked_before_the_tables_are_built():
     cyclic = finite_system_from_parts(1, [10**5], [[1]])
     b = pts(cyclic, (0,), (1,))
     _refused_quickly_and_small(
-        lambda: spectral._orbit_tables(cyclic, b), "100000 x 100000 root counts, over the limit of 20000000"
+        lambda: spectral._orbit_tables(cyclic, b),
+        re.escape("cyclic-subgroup index, |A| x exponent = 100000 x 100000 = 10000000000, over the limit of 20000000"),
     )
     # the int64 guard of the orbit sums refuses before any table is built
     over = frozenset(range(13596))
-    _refused_quickly_and_small(lambda: spectral._orbit_tables(_Z271, over), "9225892455303237120 bounds the orbit sums")
+    _refused_quickly_and_small(
+        lambda: spectral._orbit_tables(_Z271, over),
+        re.escape("int64 bound of the orbit sums, |B|^4 x phi(exponent) = more than 10^18, over the limit of 9223372036854775807"),
+    )
 
 
 def test_orbit_coordinates_are_refused_before_the_rows_are_built():
@@ -431,7 +437,7 @@ def test_orbit_coordinates_are_refused_before_the_rows_are_built():
     for size in (188, 4473):
         over = frozenset(range(size))
         _refused_quickly_and_small(
-            lambda: spectral._orbit_tables(cube, over), rf"orbits x \|B\| x s = {8192 * size * 13} coordinates"
+            lambda: spectral._orbit_tables(cube, over), re.escape(f"orbit rows, orbits x |B| x s = {8192 * size * 13}, over the limit of 20000000")
         )
 
 
@@ -443,7 +449,7 @@ def test_orbits_are_counted_from_the_moduli():
     # (Z/2)^20 with two points used to build its 2^20 subgroups first: 602 MB
     cube = finite_system_from_parts(20, [2] * 20, np.eye(20, dtype=int).tolist())
     _refused_quickly_and_small(
-        lambda: spectral.admit_spectral_measure(cube, frozenset({0, 1})), r"orbits x \|B\| x s = 41943040 coordinates"
+        lambda: spectral.admit_spectral_measure(cube, frozenset({0, 1})), re.escape("orbits x |B| x s = 41943040, over the limit")
     )
 
 
@@ -454,7 +460,7 @@ def test_orbit_sum_guard_admits_up_to_its_boundary():
     t = spectral._orbit_tables(_Z271, b)
     # Parseval: the orbit traces add up to |A| |B|
     assert int(t.sums[:, 0].sum()) == _Z271.size * len(b)
-    with pytest.raises(ValueError, match="over int64"):
+    with pytest.raises(LimitError, match="int64 bound of the orbit sums"):
         spectral._orbit_tables(_Z271, b | {min(set(range(_Z271.size)) - b)})
 
 
@@ -958,7 +964,7 @@ def test_atom_limit_is_checked_before_any_atom_is_built(monkeypatch):
         raise AssertionError("an atom was built")
 
     monkeypatch.setattr(spectral, "_kron_weight", no_atoms)
-    with pytest.raises(ValueError, match=r"\(2\*3\+1\)\^2 = 49 atoms, over the limit of 25"):
+    with pytest.raises(LimitError, match=re.escape("trunc 3: atoms (2*trunc+1)^2 = 49, over the limit of 25")):
         spectral_measure_kronecker(ks, box, 3)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _fleet import pts, random_fleet, tuples
+from latspec.config import LimitError
 from latspec.formal import FormalReal
 from latspec.lattice import kernel_basis, scale_lattice, sublattice
 from latspec.prng import SplitMix64
@@ -76,7 +77,7 @@ def test_non_ergodic_parts_rejected():
 
 def test_carrier_limit_is_checked_before_the_carrier_is_built():
     # 10^12 elements used to end in a 7.28 TiB allocation error
-    with pytest.raises(ValueError, match="carrier of 1000000000000 elements, over the limit of 10000000"):
+    with pytest.raises(LimitError, match="carrier elements, the product of the moduli = 1000000000000, over the limit of 10000000"):
         finite_system_from_parts(1, [10**12], [[1]])
     with pytest.raises(ValueError, match="over the limit"):
         finite_system(sublattice([[10**4, 0], [0, 10**4]]))
@@ -441,10 +442,10 @@ def test_kronecker_rational_direction_saturation_exact():
 def test_rational_grid_is_refused_over_its_limit():
     ks = kronecker_system(2, 2, [[Fraction(1, 3), 0], [0, Fraction(1, 5)]], require_ergodic=False)
     fine = BoxUnion.of([(Fraction(0), Fraction(1, 1009)), (Fraction(0), Fraction(1, 1013))])
-    with pytest.raises(ValueError, match=r"grid of 1022117\^2 cells, over the limit of 1000000"):
+    with pytest.raises(LimitError, match=rf"rational grid, q\^2 for q the common denominator = {1022117**2}, over the limit of 1000000"):
         box_overlap_volume(fine, [0, 0])
     # the direction's shift 1/3 refines the grid by 3
-    with pytest.raises(ValueError, match=r"grid of 3066351\^2 cells, over the limit of 1000000"):
+    with pytest.raises(LimitError, match=rf"rational grid, q\^2 for q the common denominator = {3066351**2}, over the limit of 1000000"):
         kronecker_orbit_saturation(ks, fine, (1, 0))
     # one axis of 1001 cells stays inside the limit
     line = BoxUnion.of([(Fraction(0), Fraction(1, 1001))])

@@ -1,5 +1,6 @@
 """Volume spectra, certificates and pattern search against brute-force oracles."""
 
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latspec import volume
+from latspec.config import LimitError
 from latspec.prng import SplitMix64
 from latspec.volume import (
     SearchBounds,
@@ -392,9 +394,9 @@ def test_point_limit_counts_the_points_of_each_part(monkeypatch):
     monkeypatch.setattr(volume, "POINT_LIMIT", 100)
     assert len(build_point_set({"kind": "full"}, 2, 4)) == 81
     assert len(build_point_set({"kind": "congruence", "modulus": 2, "offset": [1, 1]}, 2, 9)) == 100
-    with pytest.raises(ValueError, match="121 points"):
+    with pytest.raises(LimitError, match=re.escape("(2*window+1)^2 = 121, over the limit of 100")):
         build_point_set({"kind": "random", "density": "0", "seed": 1}, 2, 5)
-    with pytest.raises(ValueError, match="110 points"):
+    with pytest.raises(LimitError, match="points of the congruence set = 110, over the limit of 100"):
         build_point_set({"kind": "congruence", "modulus": 2, "offset": [0, 1]}, 2, 10)
 
 
