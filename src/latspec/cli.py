@@ -11,9 +11,10 @@ serialized as {"num": "...", "den": "..."} string pairs; interval-valued
 estimates as {"lower": float, "upper": float, "exact": false}.  Reports are
 deterministic for a fixed config and seed except for the "generated_at" and
 "elapsed_seconds" fields, and echo the config as given.  Exit codes: 0
-success, 1 failed verdict or hard failure, 2 config error (a malformed
-config or report, refused with a one-line reason).  Logs go to stderr; the
-report goes to --out or stdout.
+success, 1 failed verdict or hard failure, 2 a refusal in one line: a
+malformed config or report (``config error:``), a request over a resource
+limit (``limit:``) or a failed allocation.  Logs go to stderr; the report
+goes to --out or stdout.
 
 Subcommands: volume-spectrum, pattern-search, expand-scan, spectral-report,
 decompose, intersect, haystack-verify, density.
@@ -65,7 +66,7 @@ BOX_LIMIT = 10**6
 def _box_bound(bound: int, key: str, rank: int) -> int:
     if bound < 0:
         raise ConfigError(f"{key} must be nonnegative, got {bound}")
-    admit(capped_product([2 * bound + 1] * rank), BOX_LIMIT, f"{key} {bound}: lambdas (2*{key}+1)^{rank}")
+    admit(capped_product([2 * bound + 1] * rank), BOX_LIMIT, f"lambdas (2*{key}+1)^{rank}")
     return bound
 
 
@@ -267,13 +268,16 @@ def _set_b(sys_, fields: dict):
     if kind == "boxes":
         raise ConfigError("finite set_b kinds: 'elements', 'preimages'")
     width = len(sys_.moduli) if kind == "elements" else sys_.rank
-    points = fields["points"]
-    for p in points:
-        if len(p) != width:
-            raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
+    points = np.array(fields["points"], dtype=object)
+    if points.shape != (len(points), width):
+        # a point of another length leaves another shape: name the first (an empty set has none)
+        for p in fields["points"]:
+            if len(p) != width:
+                raise ConfigError(f"set_b {kind[:-1]} {p} has length {len(p)}, expected {width}")
+        points = points.reshape(0, width)
     if kind == "preimages":
         # phi of each point, in Python integers: the point times the generator images
-        points = np.array(points, dtype=object).reshape(len(points), width) @ sys_.vectors(list(sys_.gens)).astype(object)
+        points = points @ sys_.vectors(list(sys_.gens)).astype(object)
     return frozenset(sys_.index(points).tolist())
 
 
@@ -577,10 +581,10 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # witness re-verification (--verify-only)
 
-def _verify_report(report: dict) -> list[dict]:
+def _verify_report(report: dict, experiment: str) -> list[dict]:
     cfg, kind, res = report["config"], report["experiment"], report["results"]
-    if kind not in TABLES:
-        raise ConfigError(f"cannot verify reports for experiment {kind!r}")
+    if kind != experiment:
+        raise ConfigError(f"the report is of experiment {json.dumps(kind)}, not {experiment!r}")
     c = read_config(kind, cfg)
     seed = report.get("seed")
     checks = []
@@ -688,7 +692,7 @@ def _serve(args: argparse.Namespace) -> int:
         if not args.out:
             raise ConfigError("--verify-only needs --out pointing at the report")
         with open(args.out) as fh:
-            checks = _verify_report(json.load(fh))
+            checks = _verify_report(json.load(fh), args.experiment)
         for chk in checks:
             _log(f"{'PASS' if chk['pass'] else 'FAIL'}  {chk['name']}")
         return 0 if all(chk["pass"] for chk in checks) else 1

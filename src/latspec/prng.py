@@ -45,12 +45,17 @@ class SplitMix64:
         return z
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (unbiased)."""
+        """Uniform integer in [0, n) by rejection (unbiased).  A candidate is
+        the fewest 64-bit words that cover n - 1, the first word highest, so
+        n <= 2^64 takes one word per candidate."""
         if n <= 0:
             raise ValueError("n must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
+        words = max(1, -(-(n - 1).bit_length() // 64))
+        limit = (1 << 64 * words) - ((1 << 64 * words) % n)
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(words):
+                u = u << 64 | self.next_u64()
             if u < limit:
                 return u % n
 

@@ -343,7 +343,7 @@ def spectral_measure_kronecker(
         raise ValueError("truncation radius must be nonnegative")
     if b.dim != sys_.dim:
         raise ValueError("set dimension mismatch")
-    admit(capped_product([2 * trunc + 1] * sys_.dim), ATOM_LIMIT, f"trunc {trunc}: atoms (2*trunc+1)^{sys_.dim}")
+    admit(capped_product([2 * trunc + 1] * sys_.dim), ATOM_LIMIT, f"atoms (2*trunc+1)^{sys_.dim}")
     cert = kronecker_ergodicity_certificate(sys_)
     if not cert["ergodic"]:
         # the trivial-atom identity below presumes ergodicity; a nonzero

@@ -77,8 +77,7 @@ AP_LIMIT = 10**4
 
 def _window_points(kind: str, rank: int, window: int):
     """The W window points in lexicographic order, and W, once admitted."""
-    what = f"window {window}: points of the {kind} set, (2*window+1)^{rank}"
-    count = admit(capped_product([2 * window + 1] * rank), POINT_LIMIT, what)
+    count = admit(capped_product([2 * window + 1] * rank), POINT_LIMIT, f"points of the {kind} set, (2*window+1)^{rank}")
     return product(range(-window, window + 1), repeat=rank), count
 
 
@@ -161,7 +160,7 @@ def _points(node: dict, rank: int, window: int, seed: Optional[int]) -> set:
         # the least x >= -window with x = o (mod n), then every n-th to window
         starts = [-window + (o + window) % n for o in offset]
         axes = [max(0, (window - x) // n + 1) for x in starts]
-        admit(capped_product(axes), POINT_LIMIT, f"window {window}: points of the congruence set")
+        admit(capped_product(axes), POINT_LIMIT, "points of the congruence set in the window")
         return set(product(*(range(x, window + 1, n) for x in starts)))
     if kind == "random":
         seed = seed if node["seed"] is None else node["seed"]

@@ -558,7 +558,7 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
                 "system": {"kind": "kronecker", "rank": 3, "dim": 3, "theta": [[alpha, "0", "0"], ["0", alpha, "0"], ["0", "0", alpha]]},
                 "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]] * 3]},
             },
-            "limit: trunc 64: atoms (2*trunc+1)^3 = 2146689, over the limit of 100000",
+            "limit: atoms (2*trunc+1)^3 = 2146689, over the limit of 100000",
         ),
         # used to be refused with a zip() message
         (
@@ -602,6 +602,114 @@ def _refused_in_one_line(tmp_path, capsys, cfg, prefix="config error:"):
     assert "Traceback" not in err
     assert err.strip().startswith(prefix) and len(err.strip().splitlines()) == 1
     return err
+
+
+_FOUR = {"kind": "finite", "matrix": [[2, 0], [0, 2]]}
+_ORIGIN = {"kind": "elements", "points": [[0, 0]]}
+_KRONECKER_2D = {
+    "kind": "kronecker", "rank": 2, "dim": 2, "theta": [[{"symbols": {"alpha": "1"}}, "0"], ["0", {"symbols": {"beta": "1"}}]],
+}
+_QUARTER = {"kind": "boxes", "boxes": [[["0", "1/2"], ["0", "1/2"]]]}
+
+
+def _carrier(moduli, points, **fields):
+    gens = [[int(i == j) for i in range(len(moduli))] for j in range(len(moduli))]
+    return {"system": {"kind": "finite", "rank": len(moduli), "moduli": moduli, "gens": gens}, "set_b": {"kind": "elements", "points": points}, **fields}
+
+
+#: one config per limit the CLI can reach, and the line that refuses it
+_LIMITS = {
+    "rank": ("volume-spectrum", {"rank": 65, "window": 1, "set": {"kind": "full"}}, "rank = 65, over the limit of 64"),
+    "ap_max": ("volume-spectrum", {"rank": 2, "window": 1, "set": {"kind": "full"}, "ap_max": 10001}, "ap_max = 10001, over the limit of 10000"),
+    "coord_bound": (
+        "expand-scan", {"system": _FOUR, "set_b": _ORIGIN, "coord_bound": 500}, "lambdas (2*coord_bound+1)^2 = 1002001, over the limit of 1000000",
+    ),
+    "lambda_bound": (
+        "spectral-report", {"system": _FOUR, "set_b": _ORIGIN, "lambda_bound": 500},
+        "lambdas (2*lambda_bound+1)^2 = 1002001, over the limit of 1000000",
+    ),
+    "count-digits": (
+        "haystack-verify", {"rank": 2, "multipliers": [2, 1000003], "count": 800},
+        "count 800: digits of the largest coordinate of h_800 = 4801, over the limit of 4300",
+    ),
+    # (2 * 10^70 + 1)^64 has 4500 digits
+    "windows-digits": (
+        "density", {"rank": 64, "windows": [10**70], "set": {"kind": "explicit", "points": [[0] * 64]}},
+        f"windows entry {10**70}: digits of the reduced denominator of the density over (2*window+1)^64 = 4500, over the limit of 4300",
+    ),
+    "r-subsets": (
+        "haystack-verify", {"rank": 2, "multipliers": [2, 3], "count": 10**6},
+        "r-subsets of the sample, C(1000000, 2) = 499999500000, over the limit of 1000000",
+    ),
+    "haystack-count": (
+        "intersect", {"system": _FOUR, "set_b": _ORIGIN, "p": 2, "probes": [[[1, 0]]], "haystack": {"count": 2001}},
+        "haystack count = 2001, over the limit of 2000",
+    ),
+    "simplices": (
+        "volume-spectrum", {"rank": 2, "window": 1000, "set": {"kind": "explicit", "points": [[x, 0] for x in range(-950, 950)]}},
+        "simplices of a 1900-point set, C(1900, 3) = 1141362300, over the limit of 1000000000",
+    ),
+    "spectrum-values": (
+        "volume-spectrum",
+        {"rank": 2, "window": 10**4, "set": {"kind": "explicit", "points": [[x * 7919 % 10007, x * 104729 % 9973] for x in range(300)]}},
+        "bound on the spectrum values of a 300-point set, cap None = 4455100, over the limit of 1000000",
+    ),
+    "subgroup-index": (
+        "spectral-report", _carrier([10**5], [[0], [1]]),
+        "steps of the cyclic-subgroup index, |A| x exponent = 100000 x 100000 = 10000000000, over the limit of 20000000",
+    ),
+    # |B|^4 phi(271) passes 2^63 from |B| = 13596 on
+    "orbit-sums": (
+        "spectral-report", _carrier([271, 271], [[i // 271, i % 271] for i in range(0, 271 * 271, 5)][:13596]),
+        "int64 bound of the orbit sums, |B|^4 x phi(exponent) = more than 10^18, over the limit of 9223372036854775807",
+    ),
+    "orbit-rows": (
+        "spectral-report", _carrier([2] * 20, [[0] * 20, [1] + [0] * 19], lambda_bound=0),
+        "coordinates of the orbit rows, orbits x |B| x s = 41943040, over the limit of 20000000",
+    ),
+    "atoms": (
+        "spectral-report", {"system": _KRONECKER_2D, "set_b": _QUARTER, "trunc": 200}, "atoms (2*trunc+1)^2 = 160801, over the limit of 100000",
+    ),
+    # (2 * trunc + 1)^2 used to be printed, past Python's digit limit
+    "trunc-2200-digits": (
+        "spectral-report", {"system": _KRONECKER_2D, "set_b": _QUARTER, "trunc": 10**2199},
+        "atoms (2*trunc+1)^2 = more than 10^18, over the limit of 100000",
+    ),
+    "carrier": (
+        "decompose", _carrier([10**4, 10**4], [[0, 0]]), "carrier elements, the product of the moduli = 100000000, over the limit of 10000000",
+    ),
+    # the product of the moduli used to be printed, past Python's digit limit
+    "moduli-10-3000": (
+        "spectral-report", _carrier([10**3000, 10**3000], [[0, 0]]),
+        "carrier elements, the product of the moduli = more than 10^18, over the limit of 10000000",
+    ),
+    "full-points": (
+        "volume-spectrum", {"rank": 2, "window": 10**5, "set": {"kind": "full"}},
+        "points of the full set, (2*window+1)^2 = 40000400001, over the limit of 1000000",
+    ),
+    "congruence-points": (
+        "volume-spectrum", {"rank": 2, "window": 10**5, "set": {"kind": "congruence", "modulus": 2}},
+        "points of the congruence set in the window = 10000200001, over the limit of 1000000",
+    ),
+    "pattern-search": (
+        "pattern-search", {"rank": 2, "window": 2, "set": {"kind": "full"}, "p": 2, "probes": [[[1000, 0]]], "bounds": {"n_max": 1000}},
+        "n_max 1000 dominates: pattern search membership tests n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|) = 3600000, "
+        "over the limit of 2000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIMITS))
+def test_every_limit_is_refused_in_one_limit_line(tmp_path, capsys, name):
+    experiment, cfg, line = _LIMITS[name]
+    err = _refused_in_one_line(tmp_path, capsys, {"experiment": experiment, **cfg}, "limit:")
+    assert err == f"limit: {line}\n"
+
+
+def test_a_malformed_config_is_not_a_limit(tmp_path, capsys):
+    # the field of a box limit, given a value that no box has
+    cfg = {"experiment": "expand-scan", "system": _FOUR, "set_b": _ORIGIN, "coord_bound": -1}
+    assert _refused_in_one_line(tmp_path, capsys, cfg) == "config error: coord_bound must be nonnegative, got -1\n"
 
 
 def test_intersect_haystack_count_is_refused_before_any_element(tmp_path, capsys):
@@ -1324,7 +1432,7 @@ def test_unknown_fields_exit_2_naming_their_path(tmp_path, capsys, cfg, path, fi
 def test_huge_windows_are_refused_naming_the_window(tmp_path, capsys, rank, window, desc):
     cfg = {"experiment": "volume-spectrum", "rank": rank, "window": window, "set": desc}
     err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:").strip()
-    assert err.startswith(f"limit: window {window}: points of the {desc['kind']} set")
+    assert err.startswith(f"limit: points of the {desc['kind']} set")
     assert err.endswith(", over the limit of 1000000")
     if desc["kind"] == "full":
         assert f"(2*window+1)^{rank} = " in err
@@ -1354,6 +1462,18 @@ def test_a_hard_failure_exits_1_in_one_line(tmp_path, capsys, monkeypatch, error
 def test_verify_only_needs_out(tmp_path, capsys):
     assert run_cli(["expand-scan", "--config", write_cfg(tmp_path, "c.json", EX2_CFG), "--verify-only"]) == 2
     assert capsys.readouterr().err == "config error: --verify-only needs --out pointing at the report\n"
+
+
+def test_verify_only_refuses_a_report_of_another_experiment(tmp_path, capsys):
+    # a volume-spectrum report without ap_max holds no witness: a density
+    # replay of it used to exit 0 having checked nothing
+    vol = {"experiment": "volume-spectrum", "rank": 2, "window": 2, "set": {"kind": "full"}}
+    out = tmp_path / "vol.json"
+    assert run_cli(["volume-spectrum", "--config", write_cfg(tmp_path, "v.json", vol), "--out", out]) == 0
+    capsys.readouterr()
+    density = write_cfg(tmp_path, "d.json", {"experiment": "density", "rank": 2, "set": {"kind": "full"}, "windows": [1]})
+    assert run_cli(["density", "--config", density, "--out", out, "--verify-only"]) == 2
+    assert capsys.readouterr().err == "config error: the report is of experiment \"volume-spectrum\", not 'density'\n"
 
 
 def test_a_config_for_another_experiment_is_refused(tmp_path, capsys):

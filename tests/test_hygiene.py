@@ -3,8 +3,8 @@
 Two rules catch what a refactor leaves behind: an import no longer used in
 its module, and a private module-level name nothing refers to any more.  A
 third keeps one conversion of a set to an index array, a fourth keeps
-each module's private names its own, and a fifth keeps one translation of
-a whole carrier.
+each module's private names its own, a fifth keeps one translation of
+a whole carrier, and a sixth keeps one refusal for every resource limit.
 """
 
 import ast
@@ -119,3 +119,64 @@ def test_whole_carriers_move_only_by_shift():
         and any(aranges(arg) for arg in [*node.args, *(k.value for k in node.keywords)])
     ]
     assert not sites
+
+
+def _called(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)) and (
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+    ) == name
+
+
+def _limit_argument(call: ast.Call, position: int) -> list[str]:
+    """The names read by the limit argument of a call, by position or as ``limit=``."""
+    args = [*call.args[position:position + 1], *(k.value for k in call.keywords if k.arg == "limit")]
+    return sorted(set().union(*map(_loads, args)))
+
+
+def test_every_limit_is_refused_by_config_admit():
+    # config.admit is the one wording and the one class of a limit refusal
+    trees = _trees()
+    wording = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        if name != "config.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "over the limit" in node.value
+    ]
+    assert not wording
+
+    functions = {f.name: f for f in trees["config.py"].body if isinstance(f, ast.FunctionDef)}
+    inside = set(map(id, ast.walk(functions["admit"])))
+    made = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if (_called(node, "LimitError") or isinstance(node, ast.Raise) and "LimitError" in _loads(node))
+        and id(node) not in inside
+    ]
+    assert not made and any(_called(node, "LimitError") for node in ast.walk(functions["admit"]))
+
+    # at_most passes its limit on to admit, so a limit given to at_most is admitted
+    assert any(_called(n, "admit") and _limit_argument(n, 1) == ["limit"] for n in ast.walk(functions["at_most"]))
+    admitted = set()
+    for name, tree in trees.items():
+        origin = {
+            alias.asname or alias.name: f"{node.module}.py"
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            for called, position in (("admit", 1), ("at_most", 0)):
+                if _called(node, called):
+                    admitted.update((origin.get(limit, name), limit) for limit in _limit_argument(node, position))
+    limits = {
+        (name, target.id)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_LIMIT")
+    }
+    # TABLE_LIMIT only chooses the int64 kernel path; it refuses nothing
+    assert limits - admitted == {("kernels.py", "TABLE_LIMIT")}

@@ -1,8 +1,11 @@
 """The README's config schema lists every field of every table, with its
 reader and its default, as the tables in ``latspec.cli`` and
-``latspec.volume`` define them.  Run this file to print the lists."""
+``latspec.volume`` define them, and its table of limits lists every
+``*_LIMIT`` constant with its value.  Run this file to print the lists."""
 
+import importlib
 import json
+import re
 from pathlib import Path
 
 from latspec import cli, volume
@@ -40,6 +43,26 @@ def test_readme_lists_every_table_field_with_its_reader_and_default():
     text = README.read_text()
     missing = [heading for heading, table in _schema().items() if render(heading, table) not in text]
     assert not missing
+
+
+def _limits() -> dict[str, int]:
+    """Each module-level ``*_LIMIT`` constant of the package, under its home module."""
+    out = {}
+    for path in sorted(Path(volume.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"latspec.{path.stem}")
+        for name in re.findall(r"^([A-Z_]+_LIMIT) = ", path.read_text(), re.M):
+            out[f"{path.stem}.{name}"] = getattr(module, name)
+    return out
+
+
+def test_readme_lists_every_limit_with_its_value():
+    # a row is | `module.NAME_LIMIT` | value | ...; a value is written as 2 * 10^7
+    rows = re.findall(r"^\| `(\w+\.\w+_LIMIT)` \| ([0-9 *^]+) \|", README.read_text(), re.M)
+    documented = {name: eval(value.replace("^", "**"), {"__builtins__": {}}) for name, value in rows}
+    limits = _limits()
+    # TABLE_LIMIT only chooses the int64 kernel path; it refuses nothing
+    assert documented == {name: value for name, value in limits.items() if name != "kernels.TABLE_LIMIT"}
+    assert len(rows) == len(documented)
 
 
 if __name__ == "__main__":

@@ -964,7 +964,7 @@ def test_atom_limit_is_checked_before_any_atom_is_built(monkeypatch):
         raise AssertionError("an atom was built")
 
     monkeypatch.setattr(spectral, "_kron_weight", no_atoms)
-    with pytest.raises(LimitError, match=re.escape("trunc 3: atoms (2*trunc+1)^2 = 49, over the limit of 25")):
+    with pytest.raises(LimitError, match=re.escape("atoms (2*trunc+1)^2 = 49, over the limit of 25")):
         spectral_measure_kronecker(ks, box, 3)
 
 

@@ -396,7 +396,7 @@ def test_point_limit_counts_the_points_of_each_part(monkeypatch):
     assert len(build_point_set({"kind": "congruence", "modulus": 2, "offset": [1, 1]}, 2, 9)) == 100
     with pytest.raises(LimitError, match=re.escape("(2*window+1)^2 = 121, over the limit of 100")):
         build_point_set({"kind": "random", "density": "0", "seed": 1}, 2, 5)
-    with pytest.raises(LimitError, match="points of the congruence set = 110, over the limit of 100"):
+    with pytest.raises(LimitError, match="points of the congruence set in the window = 110, over the limit of 100"):
         build_point_set({"kind": "congruence", "modulus": 2, "offset": [0, 1]}, 2, 10)
 
 
