@@ -60,10 +60,9 @@ def admit(count: int, limit: int, what: str) -> int:
 
 
 def digits(n: int) -> int:
-    """The decimal digits of |n|, counted without converting it to text."""
-    n = abs(n)
+    """The decimal digits of a positive integer, counted without converting it to text."""
     k = int(n.bit_length() * 0.30102999566398120)  # log10(2): 10^(k-1) <= n < 10^(k+1)
-    return max(1, k + (n >= 10**k))
+    return k + (n >= 10**k)
 
 
 def _json_object(value, path: str) -> dict:

@@ -18,6 +18,7 @@ import pytest
 import latspec
 from latspec import cli
 from latspec.cli import main, parse_fraction, ser_fraction
+from latspec.config import digits
 from latspec.haystack import COUNT_LIMIT
 from latspec.volume import AP_LIMIT, RANK_LIMIT
 
@@ -704,6 +705,13 @@ def test_every_limit_is_refused_in_one_limit_line(tmp_path, capsys, name):
     experiment, cfg, line = _LIMITS[name]
     err = _refused_in_one_line(tmp_path, capsys, {"experiment": experiment, **cfg}, "limit:")
     assert err == f"limit: {line}\n"
+
+
+def test_digits_are_counted_from_the_bit_length():
+    # integers Python can print, at powers of ten and of two
+    values = [v for k in range(1, 4300, 7) for v in (10**k - 1, 10**k, 10**k + 1)] + [2**b for b in range(0, 14280, 11)]
+    assert [digits(v) for v in values] == [len(str(v)) for v in values]
+    assert digits(1) == 1 and digits(10**4300) == 4301
 
 
 def test_a_malformed_config_is_not_a_limit(tmp_path, capsys):
