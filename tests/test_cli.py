@@ -613,9 +613,7 @@ _KRONECKER_2D = {
 _QUARTER = {"kind": "boxes", "boxes": [[["0", "1/2"], ["0", "1/2"]]]}
 
 
-def _carrier(moduli, points, **fields):
-    gens = [[int(i == j) for i in range(len(moduli))] for j in range(len(moduli))]
-    return {"system": {"kind": "finite", "rank": len(moduli), "moduli": moduli, "gens": gens}, "set_b": {"kind": "elements", "points": points}, **fields}
+_PLANE = [[1, 0], [0, 1]]
 
 
 #: one config per limit the CLI can reach, and the line that refuses it
@@ -656,16 +654,16 @@ _LIMITS = {
         "bound on the spectrum values of a 300-point set, cap None = 4455100, over the limit of 1000000",
     ),
     "subgroup-index": (
-        "spectral-report", _carrier([10**5], [[0], [1]]),
+        "spectral-report", _cyclic_cfg("spectral-report", [10**5], [[1]], [[0], [1]]),
         "steps of the cyclic-subgroup index, |A| x exponent = 100000 x 100000 = 10000000000, over the limit of 20000000",
     ),
     # |B|^4 phi(271) passes 2^63 from |B| = 13596 on
     "orbit-sums": (
-        "spectral-report", _carrier([271, 271], [[i // 271, i % 271] for i in range(0, 271 * 271, 5)][:13596]),
+        "spectral-report", _cyclic_cfg("spectral-report", [271, 271], _PLANE, [[i // 271, i % 271] for i in range(0, 271 * 271, 5)][:13596]),
         "int64 bound of the orbit sums, |B|^4 x phi(exponent) = more than 10^18, over the limit of 9223372036854775807",
     ),
     "orbit-rows": (
-        "spectral-report", _carrier([2] * 20, [[0] * 20, [1] + [0] * 19], lambda_bound=0),
+        "spectral-report", {**_cyclic_cfg("spectral-report", [2] * 20, np.eye(20, dtype=int).tolist(), [[0] * 20, [1] + [0] * 19]), "lambda_bound": 0},
         "coordinates of the orbit rows, orbits x |B| x s = 41943040, over the limit of 20000000",
     ),
     "atoms": (
@@ -677,11 +675,12 @@ _LIMITS = {
         "atoms (2*trunc+1)^2 = more than 10^18, over the limit of 100000",
     ),
     "carrier": (
-        "decompose", _carrier([10**4, 10**4], [[0, 0]]), "carrier elements, the product of the moduli = 100000000, over the limit of 10000000",
+        "decompose", _cyclic_cfg("decompose", [10**4, 10**4], _PLANE, [[0, 0]]),
+        "carrier elements, the product of the moduli = 100000000, over the limit of 10000000",
     ),
     # the product of the moduli used to be printed, past Python's digit limit
     "moduli-10-3000": (
-        "spectral-report", _carrier([10**3000, 10**3000], [[0, 0]]),
+        "spectral-report", _cyclic_cfg("spectral-report", [10**3000, 10**3000], _PLANE, [[0, 0]]),
         "carrier elements, the product of the moduli = more than 10^18, over the limit of 10000000",
     ),
     "full-points": (

@@ -43,7 +43,6 @@ def test_below_takes_one_word_per_candidate_up_to_2_to_the_64():
         assert rng.state == ref.state
 
 
-
 class _CountingDraws(SplitMix64):
     """A stream that counts its 64-bit draws and fails past a budget."""
 

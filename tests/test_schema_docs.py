@@ -49,9 +49,8 @@ def _limits() -> dict[str, int]:
     """Each module-level ``*_LIMIT`` constant of the package, under its home module."""
     out = {}
     for path in sorted(Path(volume.__file__).parent.glob("*.py")):
-        module = importlib.import_module(f"latspec.{path.stem}")
         for name in re.findall(r"^([A-Z_]+_LIMIT) = ", path.read_text(), re.M):
-            out[f"{path.stem}.{name}"] = getattr(module, name)
+            out[f"{path.stem}.{name}"] = getattr(importlib.import_module(f"latspec.{path.stem}"), name)
     return out
 
 
