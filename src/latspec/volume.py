@@ -411,41 +411,37 @@ def pattern_search(
     formula = "n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|)"
     admit(work, SEARCH_LIMIT, f"{name} {factors[name]} dominates: pattern search membership tests {formula}")
     members = e.points
-    base_order = e.sorted_points
     # make_haystack asserts that every candidate is primitive
     lams = bounds.candidates(r)
+    signed = tuple(_signed_range(bounds.m_max))
     for n in range(1, bounds.n_max + 1):
         for lam in lams:
-            for m1 in _signed_range(bounds.m_max):
-                shift1 = tuple(m1 * n * x for x in lam)
+            step = tuple(n * x for x in lam)
+            # (lam0, lam_k) -> the first m_k with lam0 + m_k*n*lam + n*lam_k in E, or None;
+            # it does not depend on m1, so each is scanned once per (n, lam)
+            first_hits = {}
+            for m1 in signed:
+                shift1 = tuple(m1 * x for x in step)
                 witnesses = []
                 for probe in checked:
-                    w = None
-                    for lam0 in base_order:
+                    for lam0 in e.sorted_points:
                         if tuple(a + b for a, b in zip(lam0, shift1)) not in members:
                             continue
-                        pairs = []
                         for lamk in probe:
-                            hit = None
-                            for mk in _signed_range(bounds.m_max):
-                                q = tuple(
-                                    lam0[i] + mk * n * lam[i] + n * lamk[i]
-                                    for i in range(r)
+                            if (lam0, lamk) not in first_hits:
+                                base = tuple(a + n * b for a, b in zip(lam0, lamk))
+                                first_hits[lam0, lamk] = next(
+                                    (mk for mk in signed if tuple(a + mk * b for a, b in zip(base, step)) in members), None
                                 )
-                                if q in members:
-                                    hit = mk
-                                    break
-                            if hit is None:
-                                pairs = None
+                            if first_hits[lam0, lamk] is None:
                                 break
-                            pairs.append((hit, lamk))
-                        if pairs is not None:
-                            w = PatternWitness(n=n, lam=lam, m1=m1, lam0=lam0, pairs=tuple(pairs))
+                        else:  # every lam_k of the probe hit from this lam0
+                            pairs = tuple((first_hits[lam0, lamk], lamk) for lamk in probe)
+                            witnesses.append(PatternWitness(n=n, lam=lam, m1=m1, lam0=lam0, pairs=pairs))
                             break
-                    if w is None:
+                    else:  # no lam0 closed this probe
                         break
-                    witnesses.append(w)
-                if len(witnesses) == len(checked):
+                else:  # every probe closed
                     for w in witnesses:
                         if not verify_pattern_witness(e, w):
                             raise AssertionError("pattern witness failed re-verification")

@@ -1,20 +1,30 @@
 """Volume spectra, certificates and pattern search against brute-force oracles."""
 
+import random
 import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latspec import volume
-from latspec.config import LimitError
+from latspec.config import LimitError, admit
+from latspec.config import product as capped_product
+from latspec.haystack import admit_count
+from latspec.lattice import as_coords
 from latspec.prng import SplitMix64
 from latspec.volume import (
+    SEARCH_LIMIT,
+    PatternSearchResult,
+    PatternWitness,
+    PointSet,
     SearchBounds,
+    _signed_range,
     ap_certificate,
     build_point_set,
     pattern_search,
@@ -301,6 +311,134 @@ def test_pattern_search_exhaustion():
     res = pattern_search(e, 2, [[(1, 0)]], SearchBounds(n_max=1, m_max=1, lambda_count=1))
     assert not res.ok
     assert res.reason == "exhausted bounds"
+
+
+# The scan as it stood before each (lam0, lam_k) was scanned once per
+# (n, lam): every m_k scan rerun inside every m1.  Kept verbatim as the
+# reference that the first-hit table must reproduce.
+def _reference_pattern_search(
+    e: PointSet,
+    p: int,
+    probes: Sequence[Sequence],
+    bounds: SearchBounds = SearchBounds(),
+) -> PatternSearchResult:
+    """Find one PatternWitness per probe with (n, lam, m1) shared by all.
+
+    Probes are (p-1)-tuples of rank-r vectors.  Scan order is deterministic:
+    n ascending, lam in candidate order, m1 = 1, -1, 2, -2, ...; per probe
+    the base point lam0 runs over the set in sorted order and each m_k over
+    the same signed order.  Negative multipliers are accepted and recorded
+    as such in the witness.  A search of more than ``SEARCH_LIMIT``
+    membership tests is refused before any candidate is built, naming its
+    largest factor.
+    """
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    r = e.rank
+    checked = []
+    for probe in probes:
+        vs = tuple(as_coords(v) for v in probe)
+        if len(vs) != p - 1 or any(len(v) != r for v in vs):
+            return PatternSearchResult(ok=False, reason=f"invalid probe: {probe!r}")
+        checked.append(vs)
+    if not e.points:
+        return PatternSearchResult(ok=False, reason="empty point set")
+    admit_count(bounds.lambda_count)
+    n_max, m_max = max(bounds.n_max, 0), max(bounds.m_max, 0)
+    factors = {"n_max": n_max, "lambda_count": bounds.lambda_count, "|E|": len(e.points), "m_max": m_max}
+    name = max(factors, key=factors.get)
+    work = capped_product([n_max, bounds.lambda_count, len(e.points), 2 * m_max, 1 + (p - 1) * len(checked)])
+    formula = "n_max x lambda_count x |E| x 2 m_max (1 + (p-1) |probes|)"
+    admit(work, SEARCH_LIMIT, f"{name} {factors[name]} dominates: pattern search membership tests {formula}")
+    members = e.points
+    base_order = e.sorted_points
+    # make_haystack asserts that every candidate is primitive
+    lams = bounds.candidates(r)
+    for n in range(1, bounds.n_max + 1):
+        for lam in lams:
+            for m1 in _signed_range(bounds.m_max):
+                shift1 = tuple(m1 * n * x for x in lam)
+                witnesses = []
+                for probe in checked:
+                    w = None
+                    for lam0 in base_order:
+                        if tuple(a + b for a, b in zip(lam0, shift1)) not in members:
+                            continue
+                        pairs = []
+                        for lamk in probe:
+                            hit = None
+                            for mk in _signed_range(bounds.m_max):
+                                q = tuple(
+                                    lam0[i] + mk * n * lam[i] + n * lamk[i]
+                                    for i in range(r)
+                                )
+                                if q in members:
+                                    hit = mk
+                                    break
+                            if hit is None:
+                                pairs = None
+                                break
+                            pairs.append((hit, lamk))
+                        if pairs is not None:
+                            w = PatternWitness(n=n, lam=lam, m1=m1, lam0=lam0, pairs=tuple(pairs))
+                            break
+                    if w is None:
+                        break
+                    witnesses.append(w)
+                if len(witnesses) == len(checked):
+                    for w in witnesses:
+                        if not verify_pattern_witness(e, w):
+                            raise AssertionError("pattern witness failed re-verification")
+                    return PatternSearchResult(ok=True, witnesses=tuple(witnesses))
+    return PatternSearchResult(ok=False, reason="exhausted bounds")
+
+
+def _outcome(search, *args):
+    try:
+        res = search(*args)
+    except Exception as exc:  # the exception is the outcome to compare
+        return type(exc), str(exc)
+    return res.ok, res.reason, res.witnesses
+
+
+def _random_search_case(rng: random.Random):
+    """A seeded pattern search: a random set of rank 1-3, 0-3 probes for p in 2..4
+    (now and then one of the wrong length), and bounds from -1 to 3."""
+    rank = rng.choice([1, 2, 2, 2, 3, 3])
+    window = rng.randint(1, {1: 5, 2: 3, 3: 2}[rank])
+    box = list(product(range(-window, window + 1), repeat=rank))
+    keep = rng.choice([0.3, 0.7, 0.9, 1.0, 1.0])
+    e = point_set([q for q in box if rng.random() < keep], rank, window)
+    p = rng.randint(2, 4)
+
+    def vector():
+        return tuple(rng.randint(-2, 2) for _ in range(rank))
+
+    probes = [[vector() for _ in range(p - 1 + (rng.random() < 0.05))] for _ in range(rng.randint(0, 3))]
+    multipliers = rng.choice([None] * 8 + [(3, 4), (2, 3, 5), (4, 6)])
+    bounds = SearchBounds(
+        n_max=rng.choice([-1, 0] + [1, 2, 3] * 3), m_max=rng.choice([-1, 0] + [1, 2, 3] * 3), lambda_count=rng.choice([0] + [1, 2, 3] * 2),
+        multipliers=multipliers,
+    )
+    return e, p, probes, bounds
+
+
+def test_pattern_search_matches_the_scan_it_replaced():
+    start = time.perf_counter()
+    outcomes = []
+    for seed in range(1500):
+        case = _random_search_case(random.Random(seed))
+        outcome = _outcome(pattern_search, *case)
+        assert outcome == _outcome(_reference_pattern_search, *case), seed
+        outcomes.append(outcome)
+    assert time.perf_counter() - start < 5
+    # hits with witnesses and with no probes, misses, early returns and refusals
+    hits = [o for o in outcomes if o[0] is True]
+    reasons = {o[1] for o in outcomes if o[0] is False}
+    raised = {o[0] for o in outcomes if isinstance(o[0], type)}
+    assert sum(bool(o[2]) for o in hits) > 50 and any(not o[2] for o in hits)
+    assert {"exhausted bounds", "empty point set"} <= reasons and any(r.startswith("invalid probe") for r in reasons)
+    assert ValueError in raised
 
 
 # ---------------------------------------------------------------------------
