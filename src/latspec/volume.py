@@ -413,6 +413,8 @@ def pattern_search(
     members = e.points
     # make_haystack asserts that every candidate is primitive
     lams = bounds.candidates(r)
+    if not work:  # no membership test can run
+        return PatternSearchResult(ok=False, reason="exhausted bounds")
     signed = tuple(_signed_range(bounds.m_max))
     for n in range(1, bounds.n_max + 1):
         for lam in lams:

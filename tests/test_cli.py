@@ -824,6 +824,14 @@ def test_pattern_search_is_admitted_by_its_work(tmp_path, capsys):
     # a product past Python's digit limit is not printed
     err = _refused_in_one_line(tmp_path, capsys, {**cfg, "bounds": {"n_max": 10**3000, "m_max": 10**3000}}, "limit:")
     assert "= more than 10^18, over the limit of 2000000" in err and f"n_max {10**3000} dominates" in err
+    # no work admitted is no membership test: both used to run on past 5 s
+    for zero in ({"m_max": 0}, {"lambda_count": 0}):
+        path = write_cfg(tmp_path, "zero.json", {**cfg, "bounds": {"n_max": 10**9, **zero}})
+        start = time.perf_counter()
+        assert run_cli(["pattern-search", "--config", path, "--out", tmp_path / "zero_report.json"]) == 1
+        assert time.perf_counter() - start < 0.5
+        report = json.loads((tmp_path / "zero_report.json").read_text())
+        assert report["results"]["reason"] == "exhausted bounds"
 
 
 @pytest.mark.parametrize(
