@@ -581,11 +581,16 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # witness re-verification (--verify-only)
 
-def _verify_report(report: dict, experiment: str) -> list[dict]:
-    cfg, kind, res = report["config"], report["experiment"], report["results"]
+def _verify_report(report: dict, experiment: str, cfg, c: dict, seed: Optional[int]) -> list[dict]:
+    """The checks of a report of experiment made from the config cfg, read as c,
+    and from seed when one is given; a report of anything else is refused."""
+    kind, res = report["experiment"], report["results"]
     if kind != experiment:
         raise ConfigError(f"the report is of experiment {json.dumps(kind)}, not {experiment!r}")
-    c = read_config(kind, cfg)
+    if report["config"] != cfg:
+        raise ConfigError("the report was made from another config than --config")
+    if seed is not None and report["seed"] != seed:
+        raise ConfigError(f"the report was made with seed {json.dumps(report['seed'])}, not --seed {seed}")
     seed = report.get("seed")
     checks = []
 
@@ -692,7 +697,7 @@ def _serve(args: argparse.Namespace) -> int:
         if not args.out:
             raise ConfigError("--verify-only needs --out pointing at the report")
         with open(args.out) as fh:
-            checks = _verify_report(json.load(fh), args.experiment)
+            checks = _verify_report(json.load(fh), args.experiment, cfg, c, args.seed)
         for chk in checks:
             _log(f"{'PASS' if chk['pass'] else 'FAIL'}  {chk['name']}")
         return 0 if all(chk["pass"] for chk in checks) else 1

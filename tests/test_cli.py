@@ -1491,6 +1491,30 @@ def test_verify_only_refuses_a_report_of_another_experiment(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: the report is of experiment \"volume-spectrum\", not 'density'\n"
 
 
+def test_verify_only_refuses_a_report_of_another_config(tmp_path, capsys):
+    # the replay used to read the report's own config and ignore --config:
+    # a congruence config passed against a report of the full grid
+    full = {"experiment": "density", "rank": 2, "set": {"kind": "full"}, "windows": [1, 2]}
+    out = tmp_path / "r.json"
+    assert run_cli(["density", "--config", write_cfg(tmp_path, "a.json", full), "--out", out]) == 0
+    capsys.readouterr()
+    other = {**full, "set": {"kind": "congruence", "modulus": 2}, "windows": [3]}
+    assert run_cli(["density", "--config", write_cfg(tmp_path, "b.json", other), "--out", out, "--verify-only"]) == 2
+    assert capsys.readouterr().err == "config error: the report was made from another config than --config\n"
+
+
+def test_verify_only_refuses_a_report_of_another_seed(tmp_path, capsys):
+    # --seed used to be ignored by a replay, which took the report's seed
+    cfg = write_cfg(tmp_path, "d.json", {"experiment": "density", "rank": 2, "set": {"kind": "random", "density": "1/2"}, "windows": [3]})
+    out = tmp_path / "r.json"
+    assert run_cli(["density", "--config", cfg, "--out", out, "--seed", 1]) == 0
+    capsys.readouterr()
+    assert run_cli(["density", "--config", cfg, "--out", out, "--verify-only", "--seed", 5]) == 2
+    assert capsys.readouterr().err == "config error: the report was made with seed 1, not --seed 5\n"
+    assert run_cli(["density", "--config", cfg, "--out", out, "--verify-only", "--seed", 1]) == 0
+    assert run_cli(["density", "--config", cfg, "--out", out, "--verify-only"]) == 0
+
+
 def test_a_config_for_another_experiment_is_refused(tmp_path, capsys):
     cfg = {**_DECOMPOSE, "experiment": "spectral-report"}
     assert run_cli(["decompose", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
