@@ -1390,6 +1390,22 @@ def test_a_full_set_of_rank_10_30_is_refused_without_forming_its_count(tmp_path)
     assert done.stderr.strip() == f"limit: rank = more than 10^18, over the limit of {RANK_LIMIT}"
 
 
+def test_a_decompose_run_leaves_numpy_ma_unimported(tmp_path):
+    # FiniteSystem.measure used to count a set with a bare np.unique, whose
+    # lazy import of numpy.ma took about 15 ms of the first request
+    path = write_cfg(tmp_path, "cfg.json", _DECOMPOSE)
+    script = (
+        "import sys\n"
+        "from latspec import cli\n"
+        f"assert cli.main(['decompose', '--config', {str(path)!r}, '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(latspec.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 #: one working config per array field, and the path a refusal names
 _ARRAY_FIELDS = {
     "theta": (_KRONECKER_REPORT, ["system", "theta"], "system.theta"),

@@ -4,7 +4,9 @@ Two rules catch what a refactor leaves behind: an import no longer used in
 its module, and a private module-level name nothing refers to any more.  A
 third keeps one conversion of a set to an index array, a fourth keeps
 each module's private names its own, a fifth keeps one translation of
-a whole carrier, and a sixth keeps one refusal for every resource limit.
+a whole carrier, a sixth keeps one refusal for every resource limit,
+and a seventh keeps ``np.unique`` to the calls that need its indices or
+counts.
 """
 
 import ast
@@ -180,3 +182,16 @@ def test_every_limit_is_refused_by_config_admit():
     }
     # TABLE_LIMIT only chooses the int64 kernel path; it refuses nothing
     assert limits - admitted == {("kernels.py", "TABLE_LIMIT")}
+
+
+def test_np_unique_is_called_only_for_its_indices_or_counts():
+    # a bare np.unique sorts where a mask count does, and imports numpy.ma
+    # on its first call
+    wanted = {"return_index", "return_inverse", "return_counts"}
+    bare = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if _called(node, "unique") and not wanted & {k.arg for k in node.keywords}
+    ]
+    assert not bare
