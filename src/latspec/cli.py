@@ -582,8 +582,8 @@ _RUNNERS = {
 # witness re-verification (--verify-only)
 
 def _verify_report(report: dict, experiment: str, cfg, c: dict, seed: Optional[int]) -> list[dict]:
-    """The checks of a report of experiment made from the config cfg, read as c,
-    and from seed when one is given; a report of anything else is refused."""
+    """The checks of a report, refused unless it is of experiment, made from the
+    config cfg (read as c) and, when a seed is given, with that seed."""
     kind, res = report["experiment"], report["results"]
     if kind != experiment:
         raise ConfigError(f"the report is of experiment {json.dumps(kind)}, not {experiment!r}")
