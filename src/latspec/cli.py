@@ -318,6 +318,14 @@ def haystack(value, path: str) -> dict:
 
 HAYSTACK = {"multipliers": (array(integer), None), "count": (integer, 8), "basis": (array(integer, 2), None)}
 
+
+def _one_per_axis(multipliers, rank: int, path: str) -> None:
+    """Refuse multipliers given but not one per axis: each vector built from
+    them has one coordinate per multiplier."""
+    if multipliers is not None and len(multipliers) != rank:
+        raise ConfigError(f"{path} has length {len(multipliers)}, expected the rank {rank}")
+
+
 #: the fields every config may carry
 COMMON = {"experiment": (raw, None), "seed": (integer, None)}
 
@@ -393,6 +401,7 @@ def _run_volume_spectrum(c: dict, seed: Optional[int]):
 
 
 def _run_pattern_search(c: dict, seed: Optional[int]):
+    _one_per_axis(c["bounds"].multipliers, c["rank"], "bounds.multipliers")
     e = build_point_set(SetTree(c["set"], seed), c["rank"], c["window"])
     res = pattern_search(e, c["p"], c["probes"], c["bounds"])
     witnesses = [
@@ -541,8 +550,8 @@ def _run_haystack_verify(c: dict, seed: Optional[int]):
             raise ConfigError("haystack-verify needs 'vectors' or 'multipliers' + 'count'")
         # the elements are distinct vectors of len(multipliers) coordinates, so
         # both refusals of verify_haystack_sample are known before any is built
-        if count > 0 and len(multipliers) != rank:
-            raise ValueError("vector rank does not match r")
+        if count > 0:
+            _one_per_axis(multipliers, rank, "multipliers")
         admit_subsets(count, rank)
         # every element is printed: a last one too long to print is refused first
         if count > 0:

@@ -2,14 +2,13 @@
 
 The (r+1)-subset determinant scans are the only hot numeric loops in the
 package.  Ranks 2 and 3 run one vectorized int64 NumPy scan over the
-difference vectors d of the points after each base point (``_base``): at
-rank 2 one square |det| matrix per base, the antisymmetric part of
-outer(d_x, d_y); at rank 3 one product of the normals d_a x d_b with d per
-base, cut into chunks of rows of about ``CHUNK_CELLS`` entries (O(n^2)
-memory per block either way, no index lists or gathers).  Every rank has a
-pure-Python exact path; at ranks 2 and 3 it uses the same closed forms in
-Python ints, the differences taken once per base, and Bareiss
-(``lattice.simplex_det``) per subset elsewhere.  Selection:
+difference vectors d of the points after each base point (``_base``), cut
+into chunks of rows of about ``CHUNK_CELLS`` entries: at rank 2 the cross
+products d_a x d_b, at rank 3 the normals d_a x d_b times d (no index lists
+or gathers).  Every rank has a pure-Python exact path; at ranks 2 and 3 it
+uses the same closed forms in Python ints, the differences taken once per
+base, and Bareiss (``lattice.simplex_det``) per subset elsewhere.
+Selection:
 
     LATSPEC_KERNELS = auto | numpy | python
 
@@ -68,8 +67,9 @@ SUBSET_LIMIT = 10**9
 #: most values a spectrum scan may answer with, bounded before it starts by
 #: min(min(U, cap) / g, C(n, r+1)); a larger answer outgrows memory
 ANSWER_LIMIT = 10**6
-#: about how many int64 entries one rank-3 block holds
-CHUNK_CELLS = 1 << 16
+#: about how many int64 entries one block holds, at rank 2 or 3; a block of
+#: a base with m points after it holds at most max(CHUNK_CELLS, (m-1)^(rank-1))
+CHUNK_CELLS = 1 << 15
 # the cyclic coordinate shifts of a cross product: (d x e)_j = d_{j+1} e_{j+2} - d_{j+2} e_{j+1}
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
@@ -127,31 +127,30 @@ def _base(pts: np.ndarray, rank: int, i: int) -> Iterator[tuple[tuple[int, ...],
 
     ``corner`` is the subset of M's first entry: the entry at multi-index u
     is the |det| of ``(corner[0], corner[1] + u[0], corner[2] + u[1], ...)``.
-    Rank 2 gives one square M over the points after i.  Rank 3 cuts the rows
-    a of M[a, b, c] = |det(d_a, d_b, d_c)| into chunks of about
-    ``CHUNK_CELLS`` entries, b and c running from the chunk's first row + 1
-    on.  An entry whose indices are not increasing repeats the value of the
-    sorted subset, which lies in the same block and earlier in row-major
-    order, or is 0.  So the increasing entries, block after block and base
-    after base, list the subsets lexicographically, and the first entry of a
-    value in that order is the lexicographically first subset realizing it.
+    The rows a of M[a, b] = |d_a x d_b| (rank 2) or M[a, b, c] = |det(d_a,
+    d_b, d_c)| (rank 3) are cut into chunks of about ``CHUNK_CELLS`` entries,
+    b and c running from the chunk's first row + 1 on.  An entry whose
+    indices are not increasing repeats the value of the sorted subset, which
+    lies in the same block and earlier in row-major order, or is 0.  So the
+    increasing entries, block after block and base after base, list the
+    subsets lexicographically, and the first entry of a value in that order
+    is the lexicographically first subset realizing it.
     """
     d = pts[i + 1 :] - pts[i]
-    if rank == 2:
-        # outer(y, x) is the transpose of outer(x, y)
-        xy = np.multiply.outer(d[:, 0], d[:, 1])
-        m = xy - xy.T
-        yield (i, i + 1, i + 1), np.abs(m, out=m)
-        return
     k = len(d)
     a = 0
-    while a < k - 2:
-        stop = min(k - 2, a + max(1, CHUNK_CELLS // (k - a - 1) ** 2))
-        # normals[a', b] = d_a' x d_b for the rows a' of the chunk and b > a
+    while a <= k - rank:
+        stop = min(k - rank + 1, a + max(1, CHUNK_CELLS // (k - a - 1) ** (rank - 1)))
         r, c = d[a:stop, None], d[None, a + 1 :]
-        normals = r[..., _NEXT] * c[..., _PREV] - r[..., _PREV] * c[..., _NEXT]
-        m = normals @ d[a + 1 :].T
-        yield (i, i + 1 + a, i + 2 + a, i + 2 + a), np.abs(m, out=m)
+        if rank == 2:
+            # the 2-D cross product d_a' x d_b: one outer product, one in-place subtract
+            m = r[..., 0] * c[..., 1]
+            m -= r[..., 1] * c[..., 0]
+        else:
+            # normals[a', b] = d_a' x d_b for the rows a' of the chunk and b > a
+            normals = r[..., _NEXT] * c[..., _PREV] - r[..., _PREV] * c[..., _NEXT]
+            m = normals @ d[a + 1 :].T
+        yield (i, i + 1 + a, *(i + 2 + a,) * (rank - 1)), np.abs(m, out=m)
         a = stop
 
 

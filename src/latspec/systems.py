@@ -163,7 +163,7 @@ class FiniteSystem:
         return lcm(*(d // gcd(x, d) for x, d in zip(self._row(g), self.moduli)))
 
     def measure(self, s: Iterable[int]) -> Fraction:
-        return Fraction(np.count_nonzero(self.mask(s)), self.size)
+        return Fraction(int(np.count_nonzero(self.mask(s))), self.size)
 
     def cells(self, s: Iterable[int]) -> np.ndarray:
         """The int64 index array of the set s, refusing an element outside [0, |A|)."""

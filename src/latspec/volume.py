@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import AbstractSet, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class PointSet:
     @cached_property
     def sorted_points(self) -> list[Point]:
         return sorted(self.points)
+
+    @cached_property
+    def spectrum(self) -> frozenset[int]:
+        """Every nonzero |det| over (rank+1)-subsets, scanned once per set."""
+        return frozenset(kernels.distinct_abs_dets(self.sorted_points, self.rank))
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.points
@@ -238,12 +243,15 @@ class SimplexRecord:
         return simplex_det(self.vertices) == self.det
 
 
-def volume_spectrum(e: PointSet, cap: Optional[int] = None) -> set[int]:
+def volume_spectrum(e: PointSet, cap: Optional[int] = None) -> AbstractSet[int]:
     """Every nonzero |det| over (rank+1)-subsets of e, exhaustively.
 
     Empty when no nondegenerate simplex exists; restricted to values <= cap
-    when a cap is given.
+    when a cap is given.  Without a cap it is ``e.spectrum``, so a second
+    call on the same set scans nothing.
     """
+    if cap is None:
+        return e.spectrum
     return kernels.distinct_abs_dets(e.sorted_points, e.rank, cap)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import latspec
-from latspec import cli
+from latspec import cli, kernels
 from latspec.cli import main, parse_fraction, ser_fraction
 from latspec.config import digits
 from latspec.haystack import COUNT_LIMIT
@@ -122,6 +122,25 @@ def test_volume_spectrum_and_verify_only(tmp_path):
     assert run_cli(["volume-spectrum", "--config", cfg, "--out", out, "--verify-only"]) == 1
 
 
+def test_volume_spectrum_with_ap_max_scans_the_spectrum_once(tmp_path, monkeypatch):
+    # ap_certificate reads the spectrum the report already scanned; a capped
+    # spectrum is its own scan
+    calls = []
+    scan = kernels.distinct_abs_dets
+
+    def counting(points, rank, cap=None):
+        calls.append(cap)
+        return scan(points, rank, cap)
+
+    monkeypatch.setattr(kernels, "distinct_abs_dets", counting)
+    base = {"experiment": "volume-spectrum", "rank": 2, "window": 4, "set": {"kind": "full"}, "ap_max": 3}
+    for extra, scans in (({}, [None]), ({"cap": 30}, [30, None])):
+        calls.clear()
+        cfg = write_cfg(tmp_path, "vs.json", {**base, **extra})
+        assert run_cli(["volume-spectrum", "--config", cfg, "--out", tmp_path / "vs_report.json"]) == 0
+        assert calls == scans, extra
+
+
 def test_pattern_search_cli(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -160,6 +179,27 @@ def test_intersect_cli(tmp_path):
     assert report["results"]["n"] == 2
     assert parse_fraction(report["results"]["intersection_measure"]) > 0
     assert run_cli(["intersect", "--config", cfg, "--out", out, "--verify-only"]) == 0
+
+
+def test_intersect_measures_hold_python_integers(tmp_path):
+    # a measure over a numpy count multiplied in int64 and wrapped on (Z/100)^2
+    pts = [[x, y] for x in range(100) for y in range(100) if (31 * x * x + 17 * y * y + 13 * x * y + x) % 101 < 34]
+    cfg = write_cfg(
+        tmp_path,
+        "int.json",
+        {
+            "experiment": "intersect",
+            "system": {"kind": "finite", "matrix": [[100, 0], [0, 100]]},
+            "set_b": {"kind": "preimages", "points": pts},
+            "p": 2,
+            "probes": [[[1, 0]]],
+        },
+    )
+    out = tmp_path / "int_report.json"
+    assert run_cli(["intersect", "--config", cfg, "--out", out]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert parse_fraction(results["intersection_measure"]) == Fraction(3331, 10000)
+    assert results["n"] == 100 and results["lambda"] == [2, 3]
 
 
 def test_spectral_report_cli(tmp_path):
@@ -579,7 +619,7 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
         ),
         (
             {"experiment": "haystack-verify", "rank": 1, "multipliers": [2, 3], "count": 10**6},
-            "vector rank does not match r",
+            "multipliers has length 2, expected the rank 1",
         ),
     ]
     for i, (cfg, reason) in enumerate(configs):
@@ -731,6 +771,22 @@ def test_intersect_haystack_count_is_refused_before_any_element(tmp_path, capsys
     }
     err = _refused_in_one_line(tmp_path, capsys, cfg, "limit:")
     assert f"haystack count = 16000, over the limit of {COUNT_LIMIT}" in err
+
+
+@pytest.mark.parametrize(
+    "rank, multipliers",
+    [
+        pytest.param(2, [2, 3, 5], id="rank2-three"),  # used to end in an IndexError traceback
+        pytest.param(3, [2, 3], id="rank3-two"),  # used to report exhausted bounds
+    ],
+)
+def test_pattern_search_multipliers_other_than_one_per_axis_are_refused(tmp_path, capsys, rank, multipliers):
+    cfg = {
+        "experiment": "pattern-search", "rank": rank, "window": 4, "set": {"kind": "full"}, "p": 2,
+        "probes": [[[0] * (rank - 1) + [1]]], "bounds": {"multipliers": multipliers},
+    }
+    err = _refused_in_one_line(tmp_path, capsys, cfg)
+    assert f"bounds.multipliers has length {len(multipliers)}, expected the rank {rank}" in err
 
 
 def test_pattern_search_lambda_count_is_refused_before_any_element(tmp_path, capsys):

@@ -24,7 +24,8 @@ from latspec.intervals import (
     sinpi_grid,
     sinpi_sq_exact,
 )
-from latspec.spectral import _orbit_tables
+from latspec.spectral import _orbit_tables, annihilator_mass, expansion_bound_check, shrink_rational_spectrum, spectral_measure
+from latspec.systems import birkhoff_annihilator_average, orbit_saturation
 
 
 def test_pi_bounds():
@@ -335,6 +336,33 @@ def test_trace_test_agrees_with_reduction_modulo_phi():
             total = np.zeros(n, dtype=np.int64)
             np.add.at(total, moved, np.broadcast_to(t.rows[o], moved.shape))
             assert root_values(n, total) == [t.sums[o, 0]]
+
+
+def _fractions(value):
+    """The Fractions in a value of nested tuples, as ``astuple`` gives a dataclass."""
+    if isinstance(value, tuple):
+        for v in value:
+            yield from _fractions(v)
+    elif isinstance(value, Fraction):
+        yield value
+
+
+def test_exact_values_hold_python_integers():
+    # a Fraction over a numpy integer multiplies and compares in int64, which
+    # wraps with no more than a RuntimeWarning
+    for sys_, b in random_fleet(19, 20):
+        lam = (1,) + (0,) * (sys_.rank - 1)
+        values = [
+            sys_.measure(b),
+            orbit_saturation(sys_, b, lam)[1],
+            *_fractions(astuple(annihilator_mass(spectral_measure(sys_, b), lam))),
+            *_fractions(astuple(expansion_bound_check(sys_, b, lam))),
+            birkhoff_annihilator_average(sys_, b, lam, 5),
+            shrink_rational_spectrum(sys_, b, Fraction(1, 10)).nu_b,
+        ]
+        assert len(values) == 10
+        for q in values:
+            assert type(q.numerator) is int and type(q.denominator) is int, (sys_.moduli, q)
 
 
 def _enclosures(n, rows, den=1):

@@ -5,8 +5,8 @@ its module, and a private module-level name nothing refers to any more.  A
 third keeps one conversion of a set to an index array, a fourth keeps
 each module's private names its own, a fifth keeps one translation of
 a whole carrier, a sixth keeps one refusal for every resource limit,
-and a seventh keeps ``np.unique`` to the calls that need its indices or
-counts.
+a seventh keeps ``np.unique`` to the calls that need its indices or
+counts, and an eighth keeps numpy scalars out of ``Fraction``.
 """
 
 import ast
@@ -195,3 +195,33 @@ def test_np_unique_is_called_only_for_its_indices_or_counts():
         if _called(node, "unique") and not wanted & {k.arg for k in node.keywords}
     ]
     assert not bare
+
+
+#: ndarray methods whose result is a numpy scalar or an array
+_ARRAY_METHODS = {"sum", "prod", "max", "min", "mean", "dot", "trace"}
+
+
+def _numpy_results(node: ast.AST) -> list[ast.AST]:
+    """The numpy results an expression yields unwrapped: a call on ``np.<name>``,
+    an array method or a matrix product, followed through arithmetic; any
+    other call, ``int(...)`` among them, ends the search."""
+    if isinstance(node, ast.BinOp):
+        return [node] if isinstance(node.op, ast.MatMult) else _numpy_results(node.left) + _numpy_results(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return _numpy_results(node.operand)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        on_np = isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        return [node] if on_np or node.func.attr in _ARRAY_METHODS else []
+    return []
+
+
+def test_fractions_are_built_from_python_integers():
+    # a Fraction keeps a numpy integer as its numerator, and every product
+    # and comparison with it then runs in int64 and can wrap
+    unwrapped = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if _called(node, "Fraction") and any(_numpy_results(arg) for arg in node.args)
+    ]
+    assert not unwrapped

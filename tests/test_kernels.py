@@ -206,9 +206,39 @@ def test_exact_path_matches_bareiss_per_subset(rank):
         assert kernels._witness_py(pts, rank, targets) == want_witnesses, name
 
 
+def test_rank2_blocks_across_chunk_boundaries_match_the_python_path(monkeypatch):
+    # k = sqrt(2 CHUNK_CELLS) points follow the first one: the first chunk of
+    # its base holds about half of its k - 1 rows, the second the rest
+    k = round((2 * kernels.CHUNK_CELLS) ** 0.5)
+    pts = _random_points(87, k + 1, 2, 40)
+    assert len(list(kernels._base(kernels._int64_points(pts), 2, 0))) == 2
+    caps = [None, 40, 3000]
+    spectrum = kernels._distinct_py(pts, 2, None)
+    want_spectra = {cap: {v for v in spectrum if cap is None or v <= cap} for cap in caps}
+    targets = sorted(spectrum) + [kernels.det_bound(40, 2)]
+    want_witnesses = kernels._witness_py(pts, 2, targets)
+
+    def past_first_chunk(idx):
+        k = len(pts) - idx[0] - 1
+        return idx[1] - idx[0] - 1 >= max(1, kernels.CHUNK_CELLS // (k - 1))
+
+    assert any(past_first_chunk(idx) for idx in want_witnesses.values())
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    monkeypatch.setattr(kernels, "_distinct_py", _refuse)
+    monkeypatch.setattr(kernels, "_witness_py", _refuse)
+    # the default chunks, one row per chunk, and ragged chunks of a few rows
+    for cells in (kernels.CHUNK_CELLS, 1, 700):
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
+        for cap in caps:
+            assert kernels.distinct_abs_dets(pts, 2, cap) == want_spectra[cap], (cells, cap)
+        assert kernels.find_det_witnesses(pts, 2, targets) == want_witnesses, cells
+
+
 def test_rank3_blocks_across_chunk_boundaries_match_the_python_path(monkeypatch):
-    pts = _random_points(88, 52, 3, 6)
-    # 51 points follow the first one: its base spans two chunks of rows
+    # k = (2 CHUNK_CELLS)^(1/3) points follow the first one: the first chunk
+    # of its base holds about half of its k - 2 rows, the second the rest
+    k = round((2 * kernels.CHUNK_CELLS) ** (1 / 3))
+    pts = _random_points(88, k + 1, 3, 6)
     assert len(list(kernels._base(kernels._int64_points(pts), 3, 0))) == 2
     caps = [None, 40, 3000]
     want_spectra = {cap: kernels._distinct_py(pts, 3, cap) for cap in caps}
@@ -229,6 +259,18 @@ def test_rank3_blocks_across_chunk_boundaries_match_the_python_path(monkeypatch)
         for cap in caps:
             assert kernels.distinct_abs_dets(pts, 3, cap) == want_spectra[cap], (cells, cap)
         assert kernels.find_det_witnesses(pts, 3, targets) == want_witnesses, cells
+
+
+@pytest.mark.parametrize("rank, n", [(2, 390), (3, 70)])
+def test_blocks_hold_at_most_chunk_cells_entries(monkeypatch, rank, n):
+    # a chunk holds at least one row: (m - 1)^(rank - 1) entries for m points after the base
+    pts = kernels._int64_points(_random_points(90 + rank, n, rank, 30))
+    for cells in (kernels.CHUNK_CELLS, 1, 300):
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
+        for i in range(n - rank):
+            bound = max(cells, (n - i - 2) ** (rank - 1))
+            sizes = [m.size for _, m in kernels._base(pts, rank, i)]
+            assert max(sizes) <= bound, (cells, i, max(sizes))
 
 
 def test_subset_limit_is_checked_before_the_scan(monkeypatch):

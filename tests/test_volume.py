@@ -140,6 +140,9 @@ def test_spectrum_cap():
     spec = volume_spectrum(e, cap=5)
     assert spec == oracle_spectrum(e.points, 2, cap=5)
     assert max(spec) <= 5
+    # the set keeps its uncapped spectrum, read-only; a capped call scans anew
+    assert volume_spectrum(e) is e.spectrum and isinstance(e.spectrum, frozenset)
+    assert spec == {v for v in e.spectrum if v <= 5}
 
 
 def test_spectrum_rank3_matches_oracle():
