@@ -3,12 +3,13 @@ read, defaulted and refused in one place, and every oversized request
 refused in one wording.
 
 A table maps each field of a JSON object to ``(reader, default)``.  A reader
-is called as ``reader(value, path)`` with the field's path
-(``set.parts[0].offset``) and returns the parsed value; readers of nested
-objects call ``read`` in turn.  A default is a JSON value, read by the same
-reader when the field is absent.  ``REQUIRED`` refuses an absent field, and
-``None`` leaves an absent or null field None.  ``read`` also refuses a
-non-object and an unknown field, so every refusal is one line naming its field.
+is called as ``reader(value, path, scope)`` with the field's path
+(``set.parts[0].offset``) and the fields read before it, in its table and the
+enclosing ones, and returns the parsed value; readers of nested objects call
+``read`` in turn.  A default is a JSON value, read by the same reader when the
+field is absent.  ``REQUIRED`` refuses an absent field, and ``None`` leaves an
+absent or null field None.  ``read`` also refuses a non-object and an unknown
+field, and ``array`` another shape, so every refusal is one line naming its field.
 
 ``admit`` refuses a count over its limit with a ``LimitError``, a
 ``ValueError`` of one line ``<what> = <count>, over the limit of <limit>``
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 #: the default of a field that must be given
 REQUIRED = object()
@@ -71,8 +72,8 @@ def _json_object(value, path: str) -> dict:
     return value
 
 
-def read(obj, table: dict, path: str = "") -> dict:
-    """The fields of the JSON object obj, each read by its table entry."""
+def read(obj, table: dict, path: str = "", scope: Optional[Mapping] = None) -> dict:
+    """The fields of the JSON object obj, each read by its table entry; scope: those of the tables enclosing it."""
     for name in _json_object(obj, path):
         if name not in table:
             raise ConfigError(f"unknown field {f'{path}.{name}' if path else name!r}")
@@ -82,28 +83,35 @@ def read(obj, table: dict, path: str = "") -> dict:
         value = obj[name] if name in obj else default
         if value is REQUIRED:
             raise ConfigError(f"config is missing required field {at!r}")
-        out[name] = None if value is None and default is None else reader(value, at)
+        out[name] = None if value is None and default is None else reader(value, at, {**(scope or {}), **out})
     return out
 
 
-def read_kind(obj, tables: dict, path: str) -> dict:
+def read_kind(obj, tables: dict, path: str, scope: Optional[Mapping] = None) -> dict:
     """``read`` against the table of obj's ``kind``, one of the keys of tables."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if isinstance(obj, dict) and (not isinstance(kind, str) or kind not in tables):
         raise ConfigError(f"{path}.kind must be one of {', '.join(map(repr, tables))}, got {json.dumps(kind)}")
-    return read(obj, {"kind": (raw, REQUIRED), **tables.get(kind, {})}, path)
+    return read(obj, {"kind": (raw, REQUIRED), **tables.get(kind, {})}, path, scope)
+
+
+def exclusive(fields: dict, name: str, others, prefix: str = "") -> None:
+    """Refuse the field name given together with any of others, naming both."""
+    clash = next((other for other in others if fields[other] is not None), None)
+    if fields[name] is not None and clash:
+        raise ConfigError(f"{prefix}{name} and {prefix}{clash} exclude each other")
 
 
 # ---------------------------------------------------------------------------
 # readers
 
 
-def raw(value, path: str):
+def raw(value, path: str, scope):
     """The JSON value itself."""
     return value
 
 
-def integer(value, path: str) -> int:
+def integer(value, path: str, scope=None) -> int:
     """A JSON integer, an integral number or a decimal string; a bool is
     refused, naming the field's last key."""
     if type(value) is int:
@@ -119,47 +127,59 @@ def integer(value, path: str) -> int:
 def at_most(limit: int):
     """A reader of integers up to limit, refused above it before any use."""
 
-    def read_bounded(value, path: str) -> int:
+    def read_bounded(value, path: str, scope) -> int:
         return admit(integer(value, path), limit, path.rsplit(".", 1)[-1])
 
     read_bounded.__name__ = f"integer at most {limit}"
     return read_bounded
 
 
-def array(item, depth: int = 1, label: Optional[str] = None):
-    """A reader of JSON arrays nested depth deep whose innermost entries item
-    reads; label names those entries in refusals (by default, the field)."""
+#: an array length named in refusals, ``of`` the fields read before the array (``RANK``: the nearest ``rank``)
+Length = NamedTuple("Length", [("name", str), ("of", Callable[[Mapping], Optional[int]])])
+RANK = Length("rank", lambda scope: scope.get("rank"))
 
-    def read_array(value, path: str) -> list:
-        return _entries(value, path, item, depth, label)
 
-    read_array.__name__ = "array of " * depth + item.__name__
+def array(item, *shape, label: Optional[str] = None):
+    """A reader of JSON arrays nested len(shape) deep (at least 1), their innermost entries read by item.
+    shape gives the length of the arrays at each level: None for any, a number, or a ``Length`` (any where
+    it gives None).  label names the innermost entries in refusals (by default, the field)."""
+    shape = shape or (None,)
+
+    def read_array(value, path: str, scope) -> list:
+        lengths = [(f"{n.name} ", n.of(scope)) if isinstance(n, Length) else ("", n) for n in shape]
+        # one C pass per level checks for arrays of the given length; an all-integer array is kept as it is
+        level = [value]
+        for _, n in lengths:
+            if set(map(type, level)) - {list} or n is not None and set(map(len, level)) - {n}:
+                break
+            level = list(chain.from_iterable(level))
+        else:
+            if item is integer and not set(map(type, level)) - {int}:
+                return value
+        return _entries(value, path, item, lengths, label, scope)
+
+    sizes = " x ".join("any" if n is None else str(getattr(n, "name", n)) for n in shape)
+    read_array.__name__ = "array of " * len(shape) + item.__name__ + (f", {sizes}" if any(shape) else "")
     return read_array
 
 
-def _entries(value, path: str, item, depth: int, label: Optional[str]) -> list:
+def _entries(value, path: str, item, lengths: list, label: Optional[str], scope) -> list:
+    """value read entry by entry, refused at the first array of another type or length."""
+    (what, n), *inner = lengths
     if type(value) is not list:
         raise ConfigError(f"{path} must be a JSON array, got {json.dumps(value)}")
-    if item is integer:
-        # an all-integer array is checked level by level in C and kept as it is
-        flat = value
-        for _ in range(depth - 1):
-            if set(map(type, flat)) - {list}:
-                break
-            flat = list(chain.from_iterable(flat))
-        else:
-            if not set(map(type, flat)) - {int}:
-                return value
-    if depth > 1:
-        return [_entries(v, f"{path}[{i}]", item, depth - 1, label) for i, v in enumerate(value)]
-    return [item(v, label or f"{path}[{i}]") for i, v in enumerate(value)]
+    if n is not None and len(value) != n:
+        raise ConfigError(f"{path} has {len(value)} entr{'y' if len(value) == 1 else 'ies'}, expected {what}{n}")
+    if inner:
+        return [_entries(v, f"{path}[{i}]", item, inner, label, scope) for i, v in enumerate(value)]
+    return [item(v, label or f"{path}[{i}]", scope) for i, v in enumerate(value)]
 
 
 def mapping(item):
     """A reader of JSON objects from free names to what item reads."""
 
-    def read_mapping(value, path: str) -> dict:
-        return {name: item(v, f"{path}.{name}") for name, v in _json_object(value, path).items()}
+    def read_mapping(value, path: str, scope) -> dict:
+        return {name: item(v, f"{path}.{name}", scope) for name, v in _json_object(value, path).items()}
 
     read_mapping.__name__ = f"object of {item.__name__}"
     return read_mapping
@@ -178,6 +198,6 @@ def parse_fraction(value) -> Fraction:
     raise ValueError(f"cannot parse rational from {value!r}")
 
 
-def rational(value, path: str) -> Fraction:
+def rational(value, path: str, scope) -> Fraction:
     """An exact rational, as ``parse_fraction`` reads it."""
     return parse_fraction(value)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .config import (
-    DIGIT_LIMIT, REQUIRED, admit, array, digits, integer, parse_fraction, product as capped_product, read_kind,
+    DIGIT_LIMIT, RANK, REQUIRED, admit, array, digits, integer, parse_fraction, product as capped_product, read_kind,
 )
 from .haystack import MULTIPLIERS, admit_count, make_haystack
 from .lattice import as_coords, is_primitive, simplex_det
@@ -79,14 +79,13 @@ RANK_LIMIT = 64
 AP_LIMIT = 10**4
 
 
-
 def _window_points(kind: str, rank: int, window: int):
     """The W window points in lexicographic order, and W, once admitted."""
     count = admit(capped_product([2 * window + 1] * rank), POINT_LIMIT, f"points of the {kind} set, (2*window+1)^{rank}")
     return product(range(-window, window + 1), repeat=rank), count
 
 
-def density(value, path: str) -> Fraction:
+def density(value, path: str, scope) -> Fraction:
     """A rational in [0, 1]."""
     if isinstance(value, bool):
         raise ValueError(f"density {json.dumps(value)} is not a rational")
@@ -96,21 +95,21 @@ def density(value, path: str) -> Fraction:
     return d
 
 
-def point_set_tree(value, path: str) -> dict:
+def point_set_tree(value, path: str, scope) -> dict:
     """A point-set descriptor read against the table of its kind."""
-    return read_kind(value, POINT_SETS, path)
+    return read_kind(value, POINT_SETS, path, scope)
 
 
 #: the fields of each point-set kind; a ``random`` set without a seed takes
 #: the seed its ``SetTree`` carries
 POINT_SETS = {
     "full": {},
-    "congruence": {"modulus": (integer, REQUIRED), "offset": (array(integer), None)},
+    "congruence": {"modulus": (integer, REQUIRED), "offset": (array(integer, RANK), None)},
     "random": {"density": (density, REQUIRED), "seed": (integer, None)},
-    "explicit": {"points": (array(integer, 2), REQUIRED)},
+    "explicit": {"points": (array(integer, None, RANK), REQUIRED)},
     "union": {"parts": (array(point_set_tree), REQUIRED)},
     "intersection": {"parts": (array(point_set_tree), REQUIRED)},
-    "translate": {"base": (point_set_tree, REQUIRED), "offset": (array(integer), REQUIRED)},
+    "translate": {"base": (point_set_tree, REQUIRED), "offset": (array(integer, RANK), REQUIRED)},
 }
 
 
@@ -122,8 +121,8 @@ class SetTree(NamedTuple):
     seed: Optional[int] = None
 
 
-def _tree(descriptor) -> SetTree:
-    return descriptor if isinstance(descriptor, SetTree) else SetTree(point_set_tree(descriptor, "set"))
+def _tree(descriptor, rank: int) -> SetTree:
+    return descriptor if isinstance(descriptor, SetTree) else SetTree(point_set_tree(descriptor, "set", {"rank": rank}))
 
 
 def build_point_set(descriptor, rank: int, window: int) -> PointSet:
@@ -145,7 +144,7 @@ def build_point_set(descriptor, rank: int, window: int) -> PointSet:
     any point is built, and so is a window below 0.  The same descriptor,
     rank, window and seed always regenerate the identical set.
     """
-    tree = _tree(descriptor)
+    tree = _tree(descriptor, rank)
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
     return PointSet(rank=rank, window=window, points=frozenset(_points(tree.root, rank, window, tree.seed)))
@@ -218,7 +217,7 @@ def upper_density_estimate(descriptor, rank: int, window_sizes: Sequence[int]) -
     sizes = tuple(int(n) for n in window_sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("window sizes must increase")
-    tree = _tree(descriptor)
+    tree = _tree(descriptor, rank)
     densities = []
     for n in sizes:
         densities.append(_density(len(build_point_set(tree, rank, n).points), n, rank))

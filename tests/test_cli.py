@@ -484,12 +484,12 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         (rank0, "numpy", "rank must be at least 1, got 0"),
         (rank0, "python", "rank must be at least 1, got 0"),
         # an element of the wrong length used to be refused with a zip() message
-        (_cyclic_cfg("spectral-report", [4], [[1], [0]], [[0], [1, 2]]), "numpy", "set_b element [1, 2] has length 2, expected 1"),
-        (_cyclic_cfg("spectral-report", [2, 4], [[1, 0], [0, 1]], [[1]]), "numpy", "set_b element [1] has length 1, expected 2"),
+        (_cyclic_cfg("spectral-report", [4], [[1], [0]], [[0], [1, 2]]), "numpy", "set_b.points[1] has 2 entries, expected len(system.moduli) 1"),
+        (_cyclic_cfg("spectral-report", [2, 4], [[1, 0], [0, 1]], [[1]]), "numpy", "set_b.points[0] has 1 entry, expected len(system.moduli) 2"),
         (
             {**_cyclic_cfg("decompose", [4], [[1], [0]], []), "set_b": {"kind": "preimages", "points": [[1, 2, 3]]}},
             "numpy",
-            "set_b preimage [1, 2, 3] has length 3, expected 2",
+            "set_b.points[0] has 3 entries, expected system.rank 2",
         ),
     ]
     for i, (cfg, backend, reason) in enumerate(configs):
@@ -610,7 +610,7 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
                 "trunc": 2,
                 "annihilator_lambdas": [[0, 1, 2]],
             },
-            "annihilator lambda [0, 1, 2] has length 3, expected 2",
+            "annihilator_lambdas[0] has 3 entries, expected system.rank 2",
         ),
         # C(10^6, 2) pairs, and a rank mismatch, refused before the sample is generated
         (
@@ -619,7 +619,7 @@ def test_kronecker_and_haystack_refusals_exit_2_with_one_line(tmp_path, capsys):
         ),
         (
             {"experiment": "haystack-verify", "rank": 1, "multipliers": [2, 3], "count": 10**6},
-            "multipliers has length 2, expected the rank 1",
+            "multipliers has 2 entries, expected rank 1",
         ),
     ]
     for i, (cfg, reason) in enumerate(configs):
@@ -786,7 +786,7 @@ def test_pattern_search_multipliers_other_than_one_per_axis_are_refused(tmp_path
         "probes": [[[0] * (rank - 1) + [1]]], "bounds": {"multipliers": multipliers},
     }
     err = _refused_in_one_line(tmp_path, capsys, cfg)
-    assert f"bounds.multipliers has length {len(multipliers)}, expected the rank {rank}" in err
+    assert f"bounds.multipliers has {len(multipliers)} entries, expected rank {rank}" in err
 
 
 def test_pattern_search_lambda_count_is_refused_before_any_element(tmp_path, capsys):
@@ -1612,10 +1612,170 @@ def test_a_report_on_stdout_is_the_out_body(tmp_path, capsys):
     "cfg, message",
     [
         ({**_SPECTRAL_FINITE, "system": {"kind": "finite", "rank": 2, "moduli": [4]}}, "finite system needs 'matrix' or 'rank' + 'moduli' + 'gens'"),
-        ({**_KRONECKER_REPORT, "set_b": {"kind": "elements", "points": [[0]]}}, "kronecker set_b kind must be 'boxes'"),
-        ({**_SPECTRAL_FINITE, "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]}}, "finite set_b kinds: 'elements', 'preimages'"),
+        ({**_KRONECKER_REPORT, "set_b": {"kind": "elements", "points": [[0]]}}, "set_b.kind must be one of 'boxes', got \"elements\""),
+        (
+            {**_SPECTRAL_FINITE, "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"]]]}},
+            "set_b.kind must be one of 'elements', 'preimages', got \"boxes\"",
+        ),
     ],
     ids=["finite-without-generators", "kronecker-elements", "finite-boxes"],
 )
 def test_a_system_and_set_that_do_not_fit_are_refused(tmp_path, capsys, cfg, message):
     assert _refused_in_one_line(tmp_path, capsys, cfg).strip() == f"config error: {message}"
+
+
+_SIX_SQUARED = {"system": {"kind": "finite", "matrix": [[6, 0], [0, 6]]}, "set_b": {"kind": "elements", "points": [[0, 0], [1, 2]]}}
+_GRID = {"rank": 2, "window": 3, "set": {"kind": "full"}, "p": 2, "probes": [[[1, 0]]]}
+_SAMPLE = {**_SIX_SQUARED, "p": 2, "probes": [[[1, 0]]]}
+
+
+#: configs with an array of another length, a field their kind never reads or two
+#: fields that exclude each other; each used to run, fail its verdict or be refused
+#: without naming its field
+@pytest.mark.parametrize(
+    "experiment, cfg, line",
+    [
+        pytest.param("spectral-report", {**_SIX_SQUARED, "trunc": 7}, "unknown field 'trunc'", id="finite-trunc"),
+        pytest.param(
+            "spectral-report", {**_SIX_SQUARED, "annihilator_lambdas": [[0, 1, 2]]}, "unknown field 'annihilator_lambdas'",
+            id="finite-annihilator-lambdas",
+        ),
+        pytest.param("spectral-report", {**_KRONECKER_REPORT, "lambda_bound": 2}, "unknown field 'lambda_bound'", id="kronecker-lambda-bound"),
+        pytest.param(
+            "pattern-search", {**_GRID, "probes": [[[1, 0, 0]]]}, "probes[0][0] has 3 entries, expected rank 2", id="pattern-probe-vector"
+        ),
+        pytest.param("pattern-search", {**_GRID, "p": 3}, "probes[0] has 1 entry, expected p-1 2", id="pattern-probe-count"),
+        pytest.param(
+            "volume-spectrum", {"rank": 2, "window": 3, "set": {"kind": "explicit", "points": [[0, 0], [1, 2, 3]]}},
+            "set.points[1] has 3 entries, expected rank 2", id="explicit-point",
+        ),
+        pytest.param(
+            "volume-spectrum", {"rank": 2, "window": 3, "set": {"kind": "congruence", "modulus": 2, "offset": [1, 0, 0]}},
+            "set.offset has 3 entries, expected rank 2", id="congruence-offset",
+        ),
+        pytest.param(
+            "density", {"rank": 2, "windows": [1], "set": {"kind": "union", "parts": [{"kind": "translate", "base": {"kind": "full"}, "offset": [1]}]}},
+            "set.parts[0].offset has 1 entry, expected rank 2", id="translate-offset",
+        ),
+        pytest.param(
+            "intersect", {**_SAMPLE, "haystack": {"multipliers": [2, 3, 5], "count": 8}},
+            "haystack.multipliers has 3 entries, expected system.rank 2", id="intersect-multipliers",
+        ),
+        pytest.param(
+            "decompose", {**_SIX_SQUARED, "sublattice": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]},
+            "sublattice has 3 entries, expected system.rank 2", id="sublattice",
+        ),
+        pytest.param(
+            "intersect", {**_SAMPLE, "haystack": {"basis": [[1, 0, 0], [0, 1, 0]]}},
+            "haystack.basis[0] has 3 entries, expected system.rank 2", id="intersect-basis",
+        ),
+        pytest.param(
+            "haystack-verify", {"rank": 2, "multipliers": [2, 3], "count": 4, "basis": [[1, 0, 0], [0, 1, 0]]},
+            "basis[0] has 3 entries, expected rank 2", id="haystack-basis",
+        ),
+        pytest.param("haystack-verify", {"rank": 2, "vectors": [[1, 2, 3]]}, "vectors[0] has 3 entries, expected rank 2", id="vectors"),
+        pytest.param(
+            "intersect", {**_SAMPLE, "probes": [[[1, 0, 0]]]}, "probes[0][0] has 3 entries, expected system.rank 2", id="intersect-probe"
+        ),
+        pytest.param(
+            "spectral-report", {**_KRONECKER_REPORT, "system": {**_KRONECKER_2, "theta": [[{"symbols": {"alpha": "1"}}, "1/3", "0"]]}},
+            "system.theta[0] has 3 entries, expected rank 2", id="theta",
+        ),
+        pytest.param(
+            "spectral-report", {**_KRONECKER_REPORT, "set_b": {"kind": "boxes", "boxes": [[["0", "1/2"], ["0", "1/2"]]]}},
+            "set_b.boxes[0] has 2 entries, expected system.dim 1", id="box-dim",
+        ),
+        pytest.param(
+            "spectral-report", {**_KRONECKER_REPORT, "set_b": {"kind": "boxes", "boxes": [[["0", "1/4", "1/2"]]]}},
+            "set_b.boxes[0][0] has 3 entries, expected 2", id="box-interval",
+        ),
+        pytest.param(
+            "pattern-search", {**_GRID, "bounds": {"multipliers": [2, 3, 5]}}, "bounds.multipliers has 3 entries, expected rank 2",
+            id="bounds-multipliers",
+        ),
+        pytest.param(
+            "haystack-verify", {"rank": 1, "multipliers": [2, 3], "count": 4}, "multipliers has 2 entries, expected rank 1",
+            id="haystack-multipliers",
+        ),
+        pytest.param(
+            "spectral-report", {**_KRONECKER_REPORT, "annihilator_lambdas": [[0, 1], [0, 1, 2]]},
+            "annihilator_lambdas[1] has 3 entries, expected system.rank 2", id="annihilator-lambda",
+        ),
+        pytest.param(
+            "spectral-report", {"system": {"kind": "finite", "matrix": [[6]]}, "set_b": {"kind": "elements", "points": [[0], [1, 2]]}},
+            "set_b.points[1] has 2 entries, expected len(system.moduli) 1", id="element",
+        ),
+        pytest.param(
+            "decompose", {**_SIX_SQUARED, "set_b": {"kind": "preimages", "points": [[1, 2, 3]]}},
+            "set_b.points[0] has 3 entries, expected system.rank 2", id="preimage",
+        ),
+        pytest.param(
+            "haystack-verify", {"rank": 2, "vectors": [[1, 2], [3, 5]], "multipliers": [2, 3], "count": 9, "basis": [[1, 0], [0, 1]]},
+            "vectors and multipliers exclude each other", id="vectors-and-prefix",
+        ),
+        pytest.param(
+            "spectral-report",
+            {"system": {"kind": "finite", "matrix": [[6, 0], [0, 6]], "rank": 1, "moduli": [5], "gens": [[1]]}, "set_b": {"kind": "elements", "points": [[0, 0]]}},
+            "system.matrix and system.rank exclude each other", id="matrix-and-parts",
+        ),
+    ],
+)
+def test_fields_of_another_shape_or_unread_are_refused_by_path(tmp_path, capsys, experiment, cfg, line):
+    assert _refused_in_one_line(tmp_path, capsys, {"experiment": experiment, **cfg}) == f"config error: {line}\n"
+
+
+@pytest.mark.parametrize("experiment, cfg", [("pattern-search", {**_GRID, "p": 0}), ("intersect", {**_SAMPLE, "p": 1})])
+def test_a_p_below_2_is_refused_as_such_not_as_a_probe_length(tmp_path, capsys, experiment, cfg):
+    assert _refused_in_one_line(tmp_path, capsys, {"experiment": experiment, **cfg}) == "config error: p must be at least 2\n"
+
+
+def test_an_element_has_one_coordinate_per_invariant_factor_above_1(tmp_path, capsys):
+    # Z^2 / diag(1, 6) is Z/6: its elements have one coordinate, not the matrix's two
+    cfg = {"experiment": "spectral-report", "system": {"kind": "finite", "matrix": [[1, 0], [0, 6]]}, "set_b": {"kind": "elements", "points": [[0], [1]]}}
+    assert run_cli(["spectral-report", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+    capsys.readouterr()
+    cfg["set_b"]["points"] = [[0, 0]]
+    assert _refused_in_one_line(tmp_path, capsys, cfg) == "config error: set_b.points[0] has 2 entries, expected len(system.moduli) 1\n"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "spectral-report", **_SIX_SQUARED},
+        {"experiment": "decompose", **_SIX_SQUARED},
+        {"experiment": "intersect", **_SAMPLE},
+        {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 4},
+        {"experiment": "pattern-search", **_GRID},
+    ],
+    ids=lambda cfg: cfg["experiment"],
+)
+def test_csv_without_tabular_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, cfg):
+    # a spectral-report used to run and write its --out report before this refusal
+    monkeypatch.setitem(cli._RUNNERS, cfg["experiment"], lambda c, seed: pytest.fail("the runner started"))
+    out, table = tmp_path / "r.json", tmp_path / "t.csv"
+    assert run_cli([cfg["experiment"], "--config", write_cfg(tmp_path, "c.json", cfg), "--out", out, "--csv", table]) == 2
+    assert capsys.readouterr().err == "config error: this experiment has no tabular output for --csv\n"
+    assert not out.exists() and not table.exists()
+
+
+@pytest.mark.parametrize(
+    "error, line, code",
+    [
+        (OverflowError("int too large"), "hard failure: OverflowError: int too large", 1),
+        (TypeError("unsupported operand"), "hard failure: TypeError: unsupported operand", 1),
+        (IndexError("list index out of range"), "hard failure: IndexError: list index out of range", 1),
+        (ZeroDivisionError("division by zero"), "hard failure: ZeroDivisionError: division by zero", 1),
+        (cli.ConfigError("a malformed field"), "config error: a malformed field", 2),
+        (ValueError("a malformed field"), "config error: a malformed field", 2),
+        (cli.LimitError("points = 9, over the limit of 8"), "limit: points = 9, over the limit of 8", 2),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_library_faults_are_hard_failures_naming_their_type(tmp_path, capsys, monkeypatch, error, line, code):
+    # an OverflowError or a TypeError used to read as a config error (exit 2), an IndexError as a traceback
+    def broken(c, seed):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "expand-scan", broken)
+    assert run_cli(["expand-scan", "--config", write_cfg(tmp_path, "c.json", EX2_CFG)]) == code
+    assert capsys.readouterr().err == f"{line}\n"

@@ -11,13 +11,15 @@ of the wrong length, windows, caps and bounds below zero, densities outside
 windows, haystack counts and ranks that do not match the multipliers,
 non-ergodic or malformed frequency matrices, boxes that are empty,
 overlapping or outside the torus, and JSON objects replaced by null, a
-list, a string, a number or a bool.  Two faults draw their field from the
-config tables themselves: a renamed field, and a scalar for an array field.
+list, a string, a number or a bool.  Three faults draw their field from the
+config tables themselves: a renamed field, a scalar for an array field, and
+an array one entry longer or shorter than the shape its reader names.
 """
 
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -25,8 +27,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from latspec import cli
-from latspec.cli import main
+from latspec import cli, volume
+from latspec.cli import main, read_config
 
 _INT = st.integers(-3, 9)
 
@@ -435,14 +437,29 @@ def test_kronecker_configs_exit_0_1_or_2_without_traceback(cfg):
     _check_exit(cfg)
 
 
+def _kind(node, tables):
+    return node["kind"] if isinstance(node, dict) and isinstance(node.get("kind"), str) and node["kind"] in tables else None
+
+
 def _read_objects(cfg):
-    """(node, table) of each object of cfg read against a table named in
-    ``cli``: the config itself, and its system and set_b of a known kind."""
-    out = [(cfg, cli.TABLES[cfg["experiment"]])]
+    """(node, table, path) of each object of cfg read against a table named in
+    ``cli`` or ``volume``: the config itself, its system, set_b, bounds and
+    haystack, and each point set of a known kind."""
+    kronecker = cfg["experiment"] == "spectral-report" and _kind(cfg.get("system"), cli.SYSTEMS) == "kronecker"
+    out = [(cfg, cli.KRONECKER_REPORT if kronecker else cli.TABLES[cfg["experiment"]], "")]
     for key, tables in (("system", cli.SYSTEMS), ("set_b", cli.SET_B)):
-        node = cfg.get(key)
-        if isinstance(node, dict) and isinstance(node.get("kind"), str) and node["kind"] in tables:
-            out.append((node, tables[node["kind"]]))
+        if _kind(cfg.get(key), tables):
+            out.append((cfg[key], tables[cfg[key]["kind"]], key))
+    for key, table in (("bounds", cli.BOUNDS), ("haystack", cli.HAYSTACK)):
+        if isinstance(cfg.get(key), dict):
+            out.append((cfg[key], table, key))
+    sets = [(cfg.get("set"), "set")]
+    while sets:
+        node, path = sets.pop()
+        if _kind(node, volume.POINT_SETS):
+            out.append((node, volume.POINT_SETS[node["kind"]], path))
+            sets += [(part, f"{path}.parts[{i}]") for i, part in enumerate(node.get("parts", [])) if isinstance(node.get("parts"), list)]
+            sets.append((node.get("base"), f"{path}.base"))
     return out
 
 
@@ -459,7 +476,7 @@ def _table_faults(draw):
     rename = draw(st.booleans())
     fields = [
         (node, name, table)
-        for node, table in _read_objects(cfg)
+        for node, table, _ in _read_objects(cfg)
         for name, (reader, _) in table.items()
         if name in node and (rename or reader.__name__.startswith("array of"))
     ]
@@ -483,3 +500,70 @@ def test_table_faults_exit_0_1_or_2_and_renamed_fields_exit_2(case):
     code, _ = _check_exit(cfg)
     if rename:
         assert code == 2
+
+
+def _shaped_arrays(cfg):
+    """(path, array, innermost) of every array at a level whose length the
+    shape of its field names (the ``any`` levels left out)."""
+    out = []
+    for node, table, at in _read_objects(cfg):
+        for name, (reader, _) in table.items():
+            head, _, shape = reader.__name__.partition(", ")
+            if not head.startswith("array of") or not shape or name not in node:
+                continue
+            levels = shape.split(" x ")
+            arrays = [(f"{at}.{name}" if at else name, node[name])]
+            for depth, length in enumerate(levels):
+                arrays = [(path, a) for path, a in arrays if isinstance(a, list)]
+                if length != "any":
+                    out += [(path, a, depth == len(levels) - 1) for path, a in arrays]
+                arrays = [(f"{path}[{i}]", v) for path, a in arrays for i, v in enumerate(a)]
+    return out
+
+
+def _with_every_shaped_field(cfg):
+    """cfg with the shaped fields no generator draws: the multipliers of a
+    pattern-search and the haystack of an intersect, one per axis."""
+    if isinstance(cfg.get("bounds"), dict) and isinstance(cfg.get("rank"), int) and 0 <= cfg["rank"] <= 3:
+        cfg["bounds"].setdefault("multipliers", [2, 3, 5][: cfg["rank"]])
+    system = cfg.get("system")
+    if cfg["experiment"] == "intersect" and _kind(system, cli.SYSTEMS) == "finite" and "haystack" not in cfg:
+        rank = system.get("rank", len(system.get("matrix") or []))
+        if isinstance(rank, int) and 1 <= rank <= 3:
+            basis = [[int(i == j) for i in range(rank)] for j in range(rank)]
+            cfg["haystack"] = {"multipliers": [2, 3, 5][:rank], "count": 4, "basis": basis}
+    return cfg
+
+
+@st.composite
+def _length_faults(draw):
+    """A config of any generator above, and a copy with one shaped array one
+    entry longer or shorter, and that array's path (None when it has none)."""
+    cfg = _with_every_shaped_field(json.loads(json.dumps(draw(st.one_of(_configs(), _finite_configs(), _haystack_configs(), _kronecker_configs())))))
+    faulty = json.loads(json.dumps(cfg))
+    # an empty array of arrays has no entry to copy
+    arrays = [(path, a) for path, a, innermost in _shaped_arrays(faulty) if a or innermost]
+    if not arrays:
+        return cfg, cfg, None
+    path, array = draw(st.sampled_from(arrays))
+    if array and draw(st.booleans()):
+        array.pop()
+    else:
+        array.append(json.loads(json.dumps(array[0])) if array else 0)
+    return cfg, faulty, path
+
+
+@given(_length_faults())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_wrong_lengths_exit_0_1_or_2_and_are_refused_by_path(case):
+    cfg, faulty, path = case
+    code, _ = _check_exit(faulty)
+    try:
+        read_config(cfg["experiment"], cfg)
+    except Exception:
+        return  # another fault of the config may be refused first
+    if path is not None:
+        # every other array has its length: the one changed is refused, by its path
+        assert code == 2
+        with pytest.raises(cli.ConfigError, match=rf"^{re.escape(path)} has \d+ entr(y|ies), expected .+$"):
+            read_config(faulty["experiment"], faulty)

@@ -6,7 +6,8 @@ third keeps one conversion of a set to an index array, a fourth keeps
 each module's private names its own, a fifth keeps one translation of
 a whole carrier, a sixth keeps one refusal for every resource limit,
 a seventh keeps ``np.unique`` to the calls that need its indices or
-counts, and an eighth keeps numpy scalars out of ``Fraction``.
+counts, an eighth keeps numpy scalars out of ``Fraction``, and a ninth
+keeps length refusals out of the CLI, in the shapes of ``config.array``.
 """
 
 import ast
@@ -225,3 +226,21 @@ def test_fractions_are_built_from_python_integers():
         if _called(node, "Fraction") and any(_numpy_results(arg) for arg in node.args)
     ]
     assert not unwrapped
+
+
+def test_the_cli_refuses_no_length_itself():
+    # a field's length is refused by the shape config.array gives it, in one
+    # wording that names its path; a length compared in the CLI would be a second rule
+    def compares_a_len(test: ast.AST) -> bool:
+        return any(
+            isinstance(node, ast.Compare) and any(_called(side, "len") for side in [node.left, *node.comparators])
+            for node in ast.walk(test)
+        )
+
+    sites = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(_trees()["cli.py"])
+        if isinstance(node, ast.If) and compares_a_len(node.test)
+        and any(isinstance(n, ast.Raise) and "ConfigError" in _loads(n) for stmt in node.body for n in ast.walk(stmt))
+    ]
+    assert not sites

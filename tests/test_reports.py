@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from _fleet import random_fleet
 from latspec import cli, spectral
-from latspec.cli import SET_B, _ser_label_weights, _set_b, json_text, main, ser_fraction
-from latspec.config import read_kind
+from latspec.cli import _ser_label_weights, json_text, main, ser_fraction, set_b
 from latspec.cyclotomic import enclose_real_root_grid
 from latspec.spectral import spectral_measure
 from test_cli import GOLDEN_FINITE
@@ -179,8 +178,8 @@ def test_the_report_does_enclose_the_irrational_weights(tmp_path, monkeypatch):
     spectral._spectral_measure_cached.cache_clear()
     calls = []
     monkeypatch.setattr(spectral, "enclose_real_root_grid", _refuse(calls, "enclose_real_root_grid"))
-    with pytest.raises(LookupError):
-        _serve(tmp_path, "spectral-report")
+    # the probe's LookupError is a library fault to the CLI: a hard failure
+    assert _serve(tmp_path, "spectral-report") == 1
     assert calls == ["enclose_real_root_grid"]
 
 
@@ -201,14 +200,14 @@ def test_preimages_in_one_pass_equal_phi_point_by_point():
     for sys_, _ in random_fleet(59, 30):
         for scale in (3, 2**40, 2**63, 2**90):
             points = [[rng.randint(-scale, scale) for _ in range(sys_.rank)] for _ in range(rng.randint(0, 12))]
-            got = _set_b(sys_, read_kind({"kind": "preimages", "points": points}, SET_B, "set_b"))
+            got = set_b({"kind": "preimages", "points": points}, "set_b", {"system": sys_})
             assert got == frozenset(sys_.phi(p) for p in points)
         # an integral float reads as its integer, as in phi
         floats = [[float(rng.choice([4, -7, 10**20, -(2**70)])) for _ in range(sys_.rank)] for _ in range(4)]
-        assert _set_b(sys_, read_kind({"kind": "preimages", "points": floats}, SET_B, "set_b")) == frozenset(sys_.phi(p) for p in floats)
+        assert set_b({"kind": "preimages", "points": floats}, "set_b", {"system": sys_}) == frozenset(sys_.phi(p) for p in floats)
 
 
 def test_preimage_length_mismatch_is_still_a_config_error():
     sys_ = random_fleet(60, 1, rank_choices=(2,))[0][0]
-    with pytest.raises(cli.ConfigError, match=r"set_b preimage \[1\] has length 1, expected 2"):
-        _set_b(sys_, read_kind({"kind": "preimages", "points": [[0, 0], [1]]}, SET_B, "set_b"))
+    with pytest.raises(cli.ConfigError, match=r"^set_b.points\[1\] has 1 entry, expected system.rank 2$"):
+        set_b({"kind": "preimages", "points": [[0, 0], [1]]}, "set_b", {"system": sys_})

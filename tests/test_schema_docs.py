@@ -18,6 +18,7 @@ def _schema() -> dict:
     """Each documented table under its README heading."""
     out = {"Every config": cli.COMMON}
     out.update({f"`{name}`": table for name, table in cli.TABLES.items()})
+    out["`spectral-report` of a Kronecker system"] = cli.KRONECKER_REPORT
     out.update({f"`system` of kind `{kind}`": table for kind, table in cli.SYSTEMS.items()})
     out["Kronecker `theta` entry"] = cli.THETA_ENTRY
     out.update({f"`set_b` of kind `{kind}`": table for kind, table in cli.SET_B.items()})

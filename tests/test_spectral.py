@@ -20,7 +20,7 @@ from latspec.haystack import make_haystack
 from latspec.lattice import scale_lattice, sublattice
 from latspec.prng import SplitMix64
 from latspec import cyclotomic, spectral, systems
-from latspec.cli import _RUNNERS, _system_and_set, read_config, ser_weight
+from latspec.cli import _RUNNERS, read_config, ser_weight
 from latspec.spectral import (
     Atom,
     IrrationalPart,
@@ -1151,9 +1151,10 @@ def test_raw_scale_matches_the_rescaled_measure(monkeypatch):
             "set_b": {"kind": "boxes", "boxes": [[["0", hi] for hi in his]]},
             "trunc": trunc,
         }
-        ks, box = _system_and_set(read_config("spectral-report", cfg))
+        c = read_config("spectral-report", cfg)
+        ks, box = c["system"], c["set_b"]
         tilde, t = _rescaled(kronecker(ks, box, trunc))
-        results = _RUNNERS["spectral-report"](read_config("spectral-report", cfg), None)[0]
+        results = _RUNNERS["spectral-report"](c, None)[0]
         assert results["rational_nontrivial_mass"] == ser_weight(rational_mass_excluding_trivial(tilde))
         # the expansion bound, both ends, and the pipeline at the truncation of the case
         monkeypatch.setattr(spectral, "spectral_measure_kronecker", lambda s, b, k=trunc: kronecker(s, b, k))
