@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    DIGIT_LIMIT, RANK, REQUIRED, ConfigError, Length, LimitError, admit, array, at_most, digits, exclusive, integer,
+    DIGIT_LIMIT, RANK, REQUIRED, ConfigError, Length, LimitError, admit, array, at_least, at_most, digits, exclusive, integer,
     mapping, parse_fraction, product as capped_product, rational, raw, read, read_kind,
 )
 from .formal import FormalReal
@@ -218,8 +218,8 @@ def _log(msg: str) -> None:
 # config tables: field -> (reader, default), read by config.read
 
 
-#: array lengths from a config's ``p`` (none below 2: p itself is refused), a Kronecker ``dim`` and the system read first
-P_1 = Length("p-1", lambda scope: scope["p"] - 1 if scope["p"] >= 2 else None)
+#: array lengths from a config's ``p`` (refused below 2 when read), a Kronecker ``dim`` and the system read first
+P_1 = Length("p-1", lambda scope: scope["p"] - 1)
 DIM = Length("dim", lambda scope: scope["dim"])
 SYSTEM_RANK = Length("system.rank", lambda scope: scope["system"].rank)
 SYSTEM_DIM = Length("system.dim", lambda scope: scope["system"].dim)
@@ -336,14 +336,14 @@ def _system_and_set_fields(experiment: str) -> dict:
 TABLES = {
     "volume-spectrum": {**_RANK_AND_SET, "window": (integer, REQUIRED), "cap": (integer, None), "ap_max": (at_most(AP_LIMIT), None)},
     "pattern-search": {
-        **_RANK_AND_SET, "window": (integer, REQUIRED), "p": (integer, REQUIRED),
+        **_RANK_AND_SET, "window": (integer, REQUIRED), "p": (at_least(2), REQUIRED),
         "probes": (array(integer, None, P_1, RANK), REQUIRED), "bounds": (bounds, {}),
     },
     "expand-scan": {**_system_and_set_fields("expand-scan"), "coord_bound": (integer, REQUIRED), "ergodic_set": (ergodic_set, {})},
     "spectral-report": {**_system_and_set_fields("spectral-report"), "lambda_bound": (integer, 4)},
     "decompose": {**_system_and_set_fields("decompose"), "sublattice": (array(integer, SYSTEM_RANK, None), None), "eps_o": (rational, "1/10")},
     "intersect": {
-        **_system_and_set_fields("intersect"), "p": (integer, REQUIRED),
+        **_system_and_set_fields("intersect"), "p": (at_least(2), REQUIRED),
         "probes": (array(integer, None, P_1, SYSTEM_RANK), REQUIRED), "haystack": (haystack, {}), "ergodic_set": (ergodic_set, {}),
     },
     "haystack-verify": {

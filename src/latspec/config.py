@@ -134,6 +134,19 @@ def at_most(limit: int):
     return read_bounded
 
 
+def at_least(low: int):
+    """A reader of integers from low up, refused below it before any use."""
+
+    def read_low(value, path: str, scope) -> int:
+        n = integer(value, path)
+        if n < low:
+            raise ConfigError(f"{path.rsplit('.', 1)[-1]} must be at least {low}")
+        return n
+
+    read_low.__name__ = f"integer at least {low}"
+    return read_low
+
+
 #: an array length named in refusals, ``of`` the fields read before the array (``RANK``: the nearest ``rank``)
 Length = NamedTuple("Length", [("name", str), ("of", Callable[[Mapping], Optional[int]])])
 RANK = Length("rank", lambda scope: scope.get("rank"))
