@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .config import (
     DIGIT_LIMIT, RANK, REQUIRED, ConfigError, Length, LimitError, admit, array, at_least, at_most, digits, exclusive, integer,
-    mapping, parse_fraction, product as capped_product, rational, raw, read, read_kind,
+    json_object, mapping, parse_fraction, product as capped_product, rational, raw, read, read_kind,
 )
 from .formal import FormalReal
 from .haystack import MULTIPLIERS, admit_subsets, last_element, make_haystack, verify_haystack_sample
@@ -305,10 +305,9 @@ BOUNDS = {
 }
 
 
-def haystack(value, path: str, scope) -> list:
-    """The sample h_1, ..., h_count of ``HAYSTACK``; no multipliers are the first rank primes."""
-    h = read(value, HAYSTACK, path, scope)
-    return make_haystack(h["basis"], MULTIPLIERS[: scope["system"].rank] if h["multipliers"] is None else h["multipliers"], h["count"])
+def haystack(value, path: str, scope) -> dict:
+    """The sample of ``HAYSTACK``; no multipliers are the first rank primes."""
+    return read(value, HAYSTACK, path, scope)
 
 
 HAYSTACK = {"multipliers": (array(integer, SYSTEM_RANK), None), "count": (integer, 8), "basis": (array(integer, SYSTEM_RANK, SYSTEM_RANK), None)}
@@ -512,7 +511,9 @@ def _run_decompose(c: dict, seed: Optional[int]):
 
 
 def _run_intersect(c: dict, seed: Optional[int]):
-    witness = intersection_theorem_search(c["system"], c["set_b"], c["p"], c["haystack"], c["ergodic_set"], c["probes"])
+    sys_, h = c["system"], c["haystack"]
+    sample = make_haystack(h["basis"], MULTIPLIERS[: sys_.rank] if h["multipliers"] is None else h["multipliers"], h["count"])
+    witness = intersection_theorem_search(sys_, c["set_b"], c["p"], sample, c["ergodic_set"], c["probes"])
     results = {
         "n": witness.n,
         "lambda": list(witness.lam),
@@ -566,6 +567,8 @@ _RUNNERS = {
     "haystack-verify": _run_haystack_verify,
     "density": _run_density,
 }
+#: the experiments whose runners return CSV rows; every other one refuses --csv before it runs
+TABULAR = {"volume-spectrum", "expand-scan", "density"}
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +577,7 @@ _RUNNERS = {
 def _verify_report(report: dict, experiment: str, cfg, c: dict, seed: Optional[int]) -> list[dict]:
     """The checks of a report, refused unless it is of experiment, made from the
     config cfg (read as c) and, when a seed is given, with that seed."""
-    kind, res = report["experiment"], report["results"]
+    kind, res = report["experiment"], json_object(report["results"], "the report's results")
     if kind != experiment:
         raise ConfigError(f"the report is of experiment {json.dumps(kind)}, not {experiment!r}")
     if report["config"] != cfg:
@@ -687,12 +690,17 @@ def _serve(args: argparse.Namespace) -> int:
         if not args.out:
             raise ConfigError("--verify-only needs --out pointing at the report")
         with open(args.out) as fh:
-            checks = _verify_report(json.load(fh), args.experiment, cfg, c, args.seed)
+            report = json_object(json.load(fh), "the report")
+        try:
+            checks = _verify_report(report, args.experiment, cfg, c, args.seed)
+        except (AttributeError, IndexError, OverflowError, TypeError) as exc:
+            # the replay reads its witnesses from the report: one of another type (or an infinite float) is the report's fault
+            raise ConfigError(f"the report's results are not those of {args.experiment}: {type(exc).__name__}: {exc}") from None
         for chk in checks:
             _log(f"{'PASS' if chk['pass'] else 'FAIL'}  {chk['name']}")
         return 0 if all(chk["pass"] for chk in checks) else 1
 
-    if args.csv and args.experiment not in ("volume-spectrum", "expand-scan", "density"):
+    if args.csv and args.experiment not in TABULAR:
         raise ConfigError("this experiment has no tabular output for --csv")
     start = time.monotonic()
     results, verdicts, rows, header = _RUNNERS[args.experiment](c, seed)

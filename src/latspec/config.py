@@ -66,7 +66,8 @@ def digits(n: int) -> int:
     return k + (n >= 10**k)
 
 
-def _json_object(value, path: str) -> dict:
+def json_object(value, path: str) -> dict:
+    """value, refused unless it is a JSON object, naming it by path."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config'} must be a JSON object, got {json.dumps(value)}")
     return value
@@ -74,7 +75,7 @@ def _json_object(value, path: str) -> dict:
 
 def read(obj, table: dict, path: str = "", scope: Optional[Mapping] = None) -> dict:
     """The fields of the JSON object obj, each read by its table entry; scope: those of the tables enclosing it."""
-    for name in _json_object(obj, path):
+    for name in json_object(obj, path):
         if name not in table:
             raise ConfigError(f"unknown field {f'{path}.{name}' if path else name!r}")
     out = {}
@@ -192,7 +193,7 @@ def mapping(item):
     """A reader of JSON objects from free names to what item reads."""
 
     def read_mapping(value, path: str, scope) -> dict:
-        return {name: item(v, f"{path}.{name}", scope) for name, v in _json_object(value, path).items()}
+        return {name: item(v, f"{path}.{name}", scope) for name, v in json_object(value, path).items()}
 
     read_mapping.__name__ = f"object of {item.__name__}"
     return read_mapping
@@ -208,6 +209,8 @@ def parse_fraction(value) -> Fraction:
             return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {value!r}") from None
+    except OverflowError:  # an infinite float: JSON reads 1e400 as inf
+        pass
     raise ValueError(f"cannot parse rational from {value!r}")
 
 

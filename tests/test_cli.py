@@ -1779,3 +1779,73 @@ def test_library_faults_are_hard_failures_naming_their_type(tmp_path, capsys, mo
     monkeypatch.setitem(cli._RUNNERS, "expand-scan", broken)
     assert run_cli(["expand-scan", "--config", write_cfg(tmp_path, "c.json", EX2_CFG)]) == code
     assert capsys.readouterr().err == f"{line}\n"
+
+
+#: a rational field given a number past the float range, which JSON reads as inf
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        (_INTEGER_FIELDS["random-seed"][0], ["set", "density"]),
+        (_DECOMPOSE, ["eps_o"]),
+        (_KRONECKER_REPORT, ["set_b", "boxes", 0, 0, 1]),
+        (_KRONECKER_REPORT, ["system", "theta", 0, 1]),
+    ],
+    ids=["density", "eps_o", "box-endpoint", "theta"],
+)
+def test_an_infinite_rational_is_a_config_error(tmp_path, capsys, cfg, path):
+    # Fraction(inf) raises an OverflowError, which used to end as a hard failure (exit 1)
+    text = json.dumps(_set_field(cfg, path, "INFINITE")).replace('"INFINITE"', "1e400")
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    assert run_cli([cfg["experiment"], "--config", config]) == 2
+    assert capsys.readouterr().err == "config error: cannot parse rational from inf\n"
+
+
+_PATTERN_GRID = {"experiment": "pattern-search", **_GRID}
+
+
+@pytest.mark.parametrize(
+    "cfg, report, line",
+    [
+        (_PATTERN_GRID, lambda r: [], "the report must be a JSON object, got []"),
+        (_PATTERN_GRID, lambda r: {**r, "results": []}, "the report's results must be a JSON object, got []"),
+        (
+            _PATTERN_GRID, lambda r: {**r, "results": {**r["results"], "witnesses": 5}},
+            "the report's results are not those of pattern-search: TypeError: 'int' object is not iterable",
+        ),
+        (
+            EX2_CFG, lambda r: {**r, "results": {**r["results"], "argmax_lambda": [float("inf"), 0]}},
+            "the report's results are not those of expand-scan: OverflowError: cannot convert float infinity to integer",
+        ),
+    ],
+    ids=["report-list", "results-list", "witnesses-int", "lambda-inf"],
+)
+def test_a_report_of_another_shape_is_a_config_error(tmp_path, capsys, cfg, report, line):
+    # the replay indexed these and ended as a hard failure naming TypeError or OverflowError (exit 1)
+    config, out = write_cfg(tmp_path, "cfg.json", cfg), tmp_path / "report.json"
+    assert run_cli([cfg["experiment"], "--config", config, "--out", out]) in (0, 1)
+    out.write_text(json.dumps(report(json.loads(out.read_text()))))
+    capsys.readouterr()
+    assert run_cli([cfg["experiment"], "--config", config, "--out", out, "--verify-only"]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "volume-spectrum", "rank": 2, "window": 2, "set": {"kind": "full"}},
+        _PATTERN_GRID,
+        EX2_CFG,
+        {"experiment": "spectral-report", **_SIX_SQUARED},
+        _KRONECKER_REPORT,
+        {"experiment": "decompose", **_SIX_SQUARED},
+        {"experiment": "intersect", **_SAMPLE},
+        {"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 4},
+        {"experiment": "density", "rank": 2, "set": {"kind": "full"}, "windows": [1, 2]},
+    ],
+    ids=lambda cfg: cfg["experiment"] + ("-kronecker" if cfg.get("system", {}).get("kind") == "kronecker" else ""),
+)
+def test_the_runners_with_csv_rows_are_those_of_tabular(cfg):
+    # --csv is refused before the run for every experiment outside TABULAR
+    _, _, rows, header = cli._RUNNERS[cfg["experiment"]](cli.read_config(cfg["experiment"], cfg), None)
+    assert (rows is not None) == (header is not None) == (cfg["experiment"] in cli.TABULAR)

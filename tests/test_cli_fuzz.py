@@ -142,6 +142,8 @@ def _check_exit(cfg, backend="numpy"):
             del body["generated_at"], body["elapsed_seconds"]
     assert code in (0, 1, 2), code
     assert "Traceback" not in err.getvalue()
+    # a config ends as a verdict or a refusal, never as a library fault named by its type
+    assert not re.search(r"hard failure: \w+(Error|Exception|Warning):", err.getvalue()), err.getvalue()
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1
     return code, body
