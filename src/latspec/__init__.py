@@ -10,14 +10,11 @@ from .haystack import HaystackVerdict, make_haystack, verify_haystack_sample
 from .lattice import (
     QuotientStructure,
     SubLattice,
-    complete_to_basis,
-    contains,
     det_exact,
     hnf,
     is_primitive,
     scale_lattice,
     simplex_det,
-    smallest_scale_inside,
     snf,
     sublattice,
 )
@@ -40,10 +37,8 @@ from .systems import (
     ErgodicSetSpec,
     FiniteSystem,
     KroneckerSystem,
-    birkhoff_annihilator_average,
     ergodic_components,
     finite_system,
-    is_ergodic_direction,
     kronecker_system,
     max_directional_expansion,
     orbit_saturation,

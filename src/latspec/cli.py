@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .config import (
     DIGIT_LIMIT, RANK, REQUIRED, ConfigError, Length, LimitError, admit, array, at_least, at_most, digits, exclusive, integer,
-    json_object, mapping, parse_fraction, product as capped_product, rational, raw, read, read_kind,
+    json_object, mapping, parse_fraction, product as capped_product, quote, rational, raw, read, read_kind,
 )
 from .formal import FormalReal
 from .haystack import MULTIPLIERS, admit_subsets, last_element, make_haystack, verify_haystack_sample
@@ -218,9 +218,11 @@ def _log(msg: str) -> None:
 # config tables: field -> (reader, default), read by config.read
 
 
-#: array lengths from a config's ``p`` (refused below 2 when read), a Kronecker ``dim`` and the system read first
+#: array lengths from a config's ``p`` (refused below 2 when read), a Kronecker ``dim``, a finite system's
+#: ``moduli`` and the system read first
 P_1 = Length("p-1", lambda scope: scope["p"] - 1)
 DIM = Length("dim", lambda scope: scope["dim"])
+GEN_WIDTH = Length("len(moduli)", lambda scope: None if scope["moduli"] is None else len(scope["moduli"]))
 SYSTEM_RANK = Length("system.rank", lambda scope: scope["system"].rank)
 SYSTEM_DIM = Length("system.dim", lambda scope: scope["system"].dim)
 MODULI = Length("len(system.moduli)", lambda scope: len(scope["system"].moduli))
@@ -235,11 +237,13 @@ def theta_entry(value, path: str, scope) -> FormalReal:
 
 
 THETA_ENTRY = {"rational": (rational, 0), "symbols": (mapping(rational), {})}
-_MATRIX = array(integer, None, None)
 
 #: a finite system takes ``matrix``, or ``rank``, ``moduli`` and ``gens``
 SYSTEMS = {
-    "finite": {"matrix": (_MATRIX, None), "rank": (integer, None), "moduli": (array(integer), None), "gens": (_MATRIX, None)},
+    "finite": {
+        "matrix": (array(integer, None, None), None), "rank": (integer, None), "moduli": (array(integer), None),
+        "gens": (array(integer, RANK, GEN_WIDTH), None),
+    },
     "kronecker": {"rank": (integer, REQUIRED), "dim": (integer, REQUIRED), "theta": (array(theta_entry, DIM, RANK), REQUIRED)},
 }
 
@@ -579,11 +583,11 @@ def _verify_report(report: dict, experiment: str, cfg, c: dict, seed: Optional[i
     config cfg (read as c) and, when a seed is given, with that seed."""
     kind, res = report["experiment"], json_object(report["results"], "the report's results")
     if kind != experiment:
-        raise ConfigError(f"the report is of experiment {json.dumps(kind)}, not {experiment!r}")
+        raise ConfigError(f"the report is of experiment {quote(kind)}, not {experiment!r}")
     if report["config"] != cfg:
         raise ConfigError("the report was made from another config than --config")
     if seed is not None and report["seed"] != seed:
-        raise ConfigError(f"the report was made with seed {json.dumps(report['seed'])}, not --seed {seed}")
+        raise ConfigError(f"the report was made with seed {quote(report['seed'])}, not --seed {seed}")
     seed = report.get("seed")
     checks = []
 

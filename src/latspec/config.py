@@ -66,10 +66,16 @@ def digits(n: int) -> int:
     return k + (n >= 10**k)
 
 
+def quote(value, text: Callable = json.dumps) -> str:
+    """value as a refusal quotes it: its JSON text (or text(value)), cut after 60 characters."""
+    shown = text(value)
+    return shown if len(shown) <= 60 else shown[:60] + "..."
+
+
 def json_object(value, path: str) -> dict:
     """value, refused unless it is a JSON object, naming it by path."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{path or 'config'} must be a JSON object, got {json.dumps(value)}")
+        raise ConfigError(f"{path or 'config'} must be a JSON object, got {quote(value)}")
     return value
 
 
@@ -77,7 +83,7 @@ def read(obj, table: dict, path: str = "", scope: Optional[Mapping] = None) -> d
     """The fields of the JSON object obj, each read by its table entry; scope: those of the tables enclosing it."""
     for name in json_object(obj, path):
         if name not in table:
-            raise ConfigError(f"unknown field {f'{path}.{name}' if path else name!r}")
+            raise ConfigError(f"unknown field {quote(f'{path}.{name}' if path else name, repr)}")
     out = {}
     for name, (reader, default) in table.items():
         at = f"{path}.{name}" if path else name
@@ -92,7 +98,7 @@ def read_kind(obj, tables: dict, path: str, scope: Optional[Mapping] = None) -> 
     """``read`` against the table of obj's ``kind``, one of the keys of tables."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if isinstance(obj, dict) and (not isinstance(kind, str) or kind not in tables):
-        raise ConfigError(f"{path}.kind must be one of {', '.join(map(repr, tables))}, got {json.dumps(kind)}")
+        raise ConfigError(f"{path}.kind must be one of {', '.join(map(repr, tables))}, got {quote(kind)}")
     return read(obj, {"kind": (raw, REQUIRED), **tables.get(kind, {})}, path, scope)
 
 
@@ -122,7 +128,7 @@ def integer(value, path: str, scope=None) -> int:
             return int(value)
     except ValueError:
         pass
-    raise ConfigError(f"{path.rsplit('.', 1)[-1].split('[', 1)[0]} entry {json.dumps(value)} is not an integer")
+    raise ConfigError(f"{path.rsplit('.', 1)[-1].split('[', 1)[0]} entry {quote(value)} is not an integer")
 
 
 def at_most(limit: int):
@@ -181,7 +187,7 @@ def _entries(value, path: str, item, lengths: list, label: Optional[str], scope)
     """value read entry by entry, refused at the first array of another type or length."""
     (what, n), *inner = lengths
     if type(value) is not list:
-        raise ConfigError(f"{path} must be a JSON array, got {json.dumps(value)}")
+        raise ConfigError(f"{path} must be a JSON array, got {quote(value)}")
     if n is not None and len(value) != n:
         raise ConfigError(f"{path} has {len(value)} entr{'y' if len(value) == 1 else 'ies'}, expected {what}{n}")
     if inner:
@@ -208,10 +214,10 @@ def parse_fraction(value) -> Fraction:
         if isinstance(value, (str, int, float)) and not isinstance(value, bool):
             return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {value!r}") from None
+        raise ValueError(f"zero denominator in rational {quote(value, repr)}") from None
     except OverflowError:  # an infinite float: JSON reads 1e400 as inf
         pass
-    raise ValueError(f"cannot parse rational from {value!r}")
+    raise ValueError(f"cannot parse rational from {quote(value, repr)}")
 
 
 def rational(value, path: str, scope) -> Fraction:

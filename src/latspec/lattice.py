@@ -1,8 +1,9 @@
 """Exact arithmetic for finite-rank integer lattices.
 
 Everything here runs on plain Python integers, so there is no precision
-ceiling: Hermite and Smith reductions, fraction-free determinants and
-unimodular completions stay exact for arbitrarily large entries.
+ceiling: Hermite and Smith reductions with their unimodular transforms,
+fraction-free determinants, integer kernels and triangular solves stay
+exact for arbitrarily large entries.
 
 Vectors are plain tuples of integers.  Matrix convention: a matrix is a
 sequence of rows, and the *columns* of a basis matrix generate the lattice.
@@ -264,39 +265,6 @@ def snf(M) -> QuotientStructure:
     )
 
 
-def complete_to_basis(v) -> Matrix:
-    """Unimodular matrix with determinant exactly 1 whose first column is v.
-
-    Works by driving v to e_1 with a chain of 2x2 extended-gcd row blocks
-    (each of determinant 1) and returning the accumulated inverse.  For rank
-    1 only v = (1) is completable, since a 1x1 matrix has determinant v.
-    """
-    c = list(as_coords(v))
-    if not is_primitive(c):
-        raise ValueError("not primitive")
-    r = len(c)
-    if r == 1:
-        if c[0] != 1:
-            raise ValueError("rank-1 completion with determinant 1 requires v = (1)")
-        return [[1]]
-    inv = mat_identity(r)
-    for i in range(1, r):
-        a, b = c[0], c[i]
-        if b == 0:
-            continue
-        g, x, y = _xgcd(a, b)
-        c[0], c[i] = g, 0
-        # fold the inverse block [[a/g, -y], [b/g, x]] into columns 0 and i
-        _cols((inv,), 0, i, (a // g, b // g, -y, x))
-    if c[0] == -1:
-        # only reachable when every other coordinate is zero: negate two
-        # columns (determinant unchanged) to land on +1
-        _cols((inv,), 0, 1, (-1, 0, 0, -1))
-    if det_exact(inv) != 1:  # defensive: the block chain has determinant 1
-        raise AssertionError("unimodular completion lost determinant 1")
-    return inv
-
-
 @dataclass(frozen=True)
 class SubLattice:
     """Finite-index subgroup of Z^rank, basis in canonical column HNF."""
@@ -330,14 +298,6 @@ def scale_lattice(rank: int, n: int) -> SubLattice:
     return SubLattice(rank=rank, basis_matrix=basis, index=n**rank)
 
 
-def contains(L: SubLattice, v) -> bool:
-    """Membership of v in the column span of L over Z (exact triangular solve)."""
-    c = as_coords(v)
-    if len(c) != L.rank:
-        raise ValueError("rank mismatch")
-    return solve_lower(L.basis_matrix, c) is not None
-
-
 def solve_lower(B: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
     """Integer y with B @ y = v for lower-triangular B, or None if there is none.
 
@@ -351,8 +311,3 @@ def solve_lower(B: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | Non
             return None
         y.append(rem // row[i])
     return y
-
-
-def smallest_scale_inside(L: SubLattice) -> int:
-    """Smallest N with N * Z^rank contained in L: the exponent of Z^rank / L."""
-    return snf(L.basis_matrix).invariant_factors[-1]

@@ -350,16 +350,6 @@ def orbit_saturation(
     return idx, Fraction(len(idx), sys_.size)
 
 
-def is_ergodic_direction(sys_, lam) -> bool:
-    """Does the cyclic subgroup of lam act ergodically?"""
-    c = as_coords(lam)
-    if all(x == 0 for x in c):
-        raise ValueError("direction must be nonzero")
-    if isinstance(sys_, KroneckerSystem):
-        return not _symbol_kernel(sys_.shift(c)[1], sys_.dim)
-    return sys_.order_of(sys_.phi(c)) == sys_.size
-
-
 def max_directional_expansion(
     sys_: FiniteSystem, b: Iterable[int], candidates: Sequence
 ) -> tuple[Fraction, tuple[int, ...]]:
@@ -414,29 +404,6 @@ def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicCompone
     cosets = np.split(by_label, starts[1:])
     weight = Fraction(len(cosets[0]), sys_.size)
     return [ErgodicComponent(support=frozenset(c.tolist()), weight=weight) for c in cosets]
-
-
-def birkhoff_annihilator_average(
-    sys_: FiniteSystem, b: Iterable[int], lam, n: int
-) -> Fraction:
-    """(1/n) * sum_{k<n} mu(B intersect (k*lam).B), exact.
-
-    With n = q * order + r, the q full periods of k are the coset formula:
-    over one period the terms add up to the sum over the cosets C of <g> of
-    |C ∩ B|^2.  The r < order terms left are the sum over x in B of the
-    ``np.add`` window of 1_B at x, x + g, ..., x + (r - 1) * g, a window
-    shorter than the order, which ``window`` never caps.
-    """
-    if n < 1:
-        raise ValueError("horizon must be positive")
-    g = sys_.phi(lam)
-    q, r = divmod(n, sys_.order_of(g))
-    in_b = sys_.mask(b)
-    per_coset = np.bincount(sys_.coset_labels([g])[in_b], minlength=sys_.size)
-    total = q * int(per_coset @ per_coset)
-    if r:
-        total += int(sys_.window(in_b.astype(np.int64), g, r, np.add)[in_b].sum())
-    return Fraction(total, n * sys_.size)
 
 
 # ---------------------------------------------------------------------------

@@ -59,16 +59,6 @@ class PointSet:
         return len(self.points)
 
 
-def point_set(points: Sequence, rank: int, window: int) -> PointSet:
-    pts = frozenset(as_coords(p) for p in points)
-    for p in pts:
-        if len(p) != rank:
-            raise ValueError("point rank mismatch")
-        if any(abs(x) > window for x in p):
-            raise ValueError(f"point {p} outside window [-{window}, {window}]^{rank}")
-    return PointSet(rank=rank, window=window, points=pts)
-
-
 #: most points a ``full``, ``random`` or ``congruence`` part may materialize,
 #: counted before any point is built
 POINT_LIMIT = 10**6
@@ -456,4 +446,3 @@ def pattern_search(
                             raise AssertionError("pattern witness failed re-verification")
                     return PatternSearchResult(ok=True, witnesses=tuple(witnesses))
     return PatternSearchResult(ok=False, reason="exhausted bounds")
-

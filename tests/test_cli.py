@@ -478,8 +478,11 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         (_cyclic_cfg("spectral-report", [10**5], [[1]], [[0], [1]]), "numpy", "limit: steps of the cyclic-subgroup index"),
         (_cyclic_cfg("decompose", [10**12], [[1]], [[0]]), "numpy", "limit: carrier elements"),
         # a long generator row used to be truncated and run, a short one to crash
-        (_cyclic_cfg("decompose", [4], [[1, 5]], [[0]]), "numpy", "generator image"),
-        (_cyclic_cfg("decompose", [2, 4], [[1]], [[0, 0]]), "numpy", "generator image"),
+        (_cyclic_cfg("decompose", [4], [[1, 5]], [[0]]), "numpy", "system.gens[0] has 2 entries, expected len(moduli) 1"),
+        (_cyclic_cfg("decompose", [2, 4], [[1]], [[0, 0]]), "numpy", "system.gens[0] has 1 entry, expected len(moduli) 2"),
+        (_cyclic_cfg("decompose", [6], [[1, 0], [2]], [[0]]), "numpy", "system.gens[0] has 2 entries, expected len(moduli) 1"),
+        ({**_cyclic_cfg("decompose", [6], [[1], [2]], [[0]]), "system": {"kind": "finite", "rank": 2, "moduli": [6], "gens": [[1]]}},
+         "numpy", "system.gens has 1 entry, expected rank 2"),
         # rank 0 used to be refused with a reason from inside the scan
         (rank0, "numpy", "rank must be at least 1, got 0"),
         (rank0, "python", "rank must be at least 1, got 0"),
@@ -1828,6 +1831,39 @@ def test_a_report_of_another_shape_is_a_config_error(tmp_path, capsys, cfg, repo
     capsys.readouterr()
     assert run_cli([cfg["experiment"], "--config", config, "--out", out, "--verify-only"]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+_HUGE = list(range(200_000))
+
+
+@pytest.mark.parametrize(
+    "cfg, report",
+    [
+        (_HUGE, None),
+        ({**_PATTERN_GRID, "window": _HUGE}, None),
+        ({**_PATTERN_GRID, "bounds": _HUGE}, None),
+        ({**_PATTERN_GRID, "set": {"kind": _HUGE}}, None),
+        ({**_PATTERN_GRID, "probes": {"huge": _HUGE}}, None),
+        ({**_PATTERN_GRID, "x" * 200_000: 1}, None),
+        ({"experiment": "decompose", **_SIX_SQUARED, "eps_o": _HUGE}, None),
+        (_PATTERN_GRID, lambda r: _HUGE),
+        (_PATTERN_GRID, lambda r: {**r, "experiment": _HUGE}),
+    ],
+    ids=["config", "integer", "object", "kind", "array", "field-name", "rational", "report", "report-experiment"],
+)
+def test_a_huge_value_is_quoted_by_a_short_prefix(tmp_path, capsys, cfg, report):
+    # the whole value used to be quoted: a 200 000-entry list made a 1.49 MB line
+    experiment = cfg["experiment"] if isinstance(cfg, dict) else "volume-spectrum"
+    config, out = write_cfg(tmp_path, "cfg.json", cfg), tmp_path / "report.json"
+    args = [experiment, "--config", config, "--out", out]
+    if report:
+        assert run_cli(args) in (0, 1)
+        out.write_text(json.dumps(report(json.loads(out.read_text()))))
+        capsys.readouterr()
+        args.append("--verify-only")
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize(

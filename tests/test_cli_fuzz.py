@@ -7,7 +7,7 @@ config may end in an escaping exception or a traceback on stderr.  Sizes
 stay small so each property runs in a few seconds, but the values reach
 past the valid ranges: zero, negative and non-chain moduli, generator rows
 of the wrong length, windows, caps and bounds below zero, densities outside
-[0, 1] or with a zero denominator, too-short probes, non-increasing
+[0, 1] or with a zero denominator, probes a vector short or long, non-increasing
 windows, haystack counts and ranks that do not match the multipliers,
 non-ergodic or malformed frequency matrices, boxes that are empty,
 overlapping or outside the torus, and JSON objects replaced by null, a
@@ -113,9 +113,9 @@ def _configs(draw):
         cfg["window"] = window
         p = draw(st.integers(0, 3))
         cfg["p"] = p
-        cfg["probes"] = draw(
-            st.lists(st.lists(_vec(rank), min_size=max(p - 2, 0), max_size=p), max_size=2)
-        )
+        # most probes hold the p - 1 vectors their shape asks for; one draw in four is a vector short or long
+        size = max(p - 1 + draw(st.sampled_from([0] * 6 + [-1, 1])), 0)
+        cfg["probes"] = draw(st.lists(st.lists(_vec(rank), min_size=size, max_size=size), max_size=2))
         cfg["bounds"] = {"n_max": draw(_INT), "m_max": draw(_INT), "lambda_count": draw(_INT)}
     else:
         cfg["windows"] = draw(st.lists(st.integers(-2, 6), max_size=4))
@@ -555,7 +555,17 @@ def _length_faults(draw):
     return cfg, faulty, path
 
 
+_SIX = {
+    "experiment": "spectral-report",
+    "system": {"kind": "finite", "rank": 2, "moduli": [6], "gens": [[1], [2]]},
+    "set_b": {"kind": "elements", "points": [[0]]},
+}
+
+
 @given(_length_faults())
+# a gens row or a gens list of another length was refused by the library, naming no field
+@example((_SIX, {**_SIX, "system": {**_SIX["system"], "gens": [[1, 0], [2]]}}, "system.gens[0]"))
+@example((_SIX, {**_SIX, "system": {**_SIX["system"], "gens": [[1]]}}, "system.gens"))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_wrong_lengths_exit_0_1_or_2_and_are_refused_by_path(case):
     cfg, faulty, path = case

@@ -11,6 +11,7 @@ import pytest
 
 from _cyclotomic import cyclotomic_polynomial, reduction_matrix, root_values
 from _fleet import random_fleet
+from _reference import birkhoff_annihilator_average
 from latspec.cyclotomic import _cos_grid, enclose_real_root_grid, ramanujan_sums, totient
 from latspec.formal import FormalReal
 from latspec.intervals import (
@@ -25,7 +26,7 @@ from latspec.intervals import (
     sinpi_sq_exact,
 )
 from latspec.spectral import _orbit_tables, annihilator_mass, expansion_bound_check, shrink_rational_spectrum, spectral_measure
-from latspec.systems import birkhoff_annihilator_average, orbit_saturation
+from latspec.systems import orbit_saturation
 
 
 def test_pi_bounds():

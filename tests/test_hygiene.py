@@ -6,8 +6,11 @@ third keeps one conversion of a set to an index array, a fourth keeps
 each module's private names its own, a fifth keeps one translation of
 a whole carrier, a sixth keeps one refusal for every resource limit,
 a seventh keeps ``np.unique`` to the calls that need its indices or
-counts, an eighth keeps numpy scalars out of ``Fraction``, and a ninth
-keeps length refusals out of the CLI, in the shapes of ``config.array``.
+counts, an eighth keeps numpy scalars out of ``Fraction``, a ninth keeps
+length refusals out of the CLI, in the shapes of ``config.array``, and a
+tenth keeps in the package only what a run of the CLI reaches, besides a
+few names allowed with their reasons.  Run this file to print what a run
+reaches, the allowed names and anything unreached.
 """
 
 import ast
@@ -244,3 +247,105 @@ def test_the_cli_refuses_no_length_itself():
         and any(isinstance(n, ast.Raise) and "ConfigError" in _loads(n) for stmt in node.body for n in ast.walk(stmt))
     ]
     assert not sites
+
+
+#: where a run starts: the CLI's entry point and the tables it reads a config through
+ROOTS = [("cli.py", name) for name in ("main", "_RUNNERS", "TABLES", "KRONECKER_REPORT", "COMMON", "_PARSER")]
+
+#: top-level names of the package that no run reaches, each kept for its reason
+ALLOWED = {
+    ("spectral.py", "small_intersection_bound"): "the paper's small-intersection lemma, checked by test_acceptance.py",
+    ("spectral.py", "SmallIntersectionResult"): "the result of small_intersection_bound",
+    ("spectral.py", "P_SUBSET_LIMIT"): "the limit small_intersection_bound admits its p-subsets by",
+    ("systems.py", "box_overlap_volume"): "a span of perfbench's tracer, kept until a benchmark change drops it",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.ClassDef, ast.Assign)
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [node.name]
+
+
+def reachability(trees: dict[str, ast.Module]) -> tuple[dict, set]:
+    """Every top-level definition of the package, (module, name) -> its
+    statements, and the set of those a run reaches from ``ROOTS``.
+
+    A definition reaches each top-level name its statements read: one of
+    its own module, one imported from another module of the package, or
+    ``module.name`` through an imported module.  A class reaches whatever
+    its methods read.  A statement run on import that defines and imports
+    nothing is a root too; ``__init__.py``'s imports, the re-exports, are not."""
+    defs: dict[tuple[str, str], list[ast.stmt]] = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, _DEFINITIONS):
+                for defined in _defined(node):
+                    defs.setdefault((name, defined), []).append(node)
+
+    def resolver(name: str, tree: ast.Module):
+        names, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module:
+                        names[bound] = (f"{node.module}.py", alias.name)
+                    elif f"{alias.name}.py" in trees:
+                        modules[bound] = f"{alias.name}.py"
+                    else:
+                        names[bound] = ("__init__.py", alias.name)
+
+        def reads(node: ast.AST) -> set[tuple[str, str]]:
+            out = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                    out.add(names.get(n.id, (name, n.id)))
+                elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules:
+                    out.add((modules[n.value.id], n.attr))
+            return out & defs.keys()
+
+        return reads
+
+    reads = {name: resolver(name, tree) for name, tree in trees.items()}
+    todo = list(ROOTS)
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            run = [node for node in tree.body if not isinstance(node, (*_DEFINITIONS, ast.Import, ast.ImportFrom))]
+            todo += [key for node in run for key in reads[name](node)]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += [found for node in defs[key] for found in reads[key[0]](node)]
+    return defs, reached
+
+
+def _unreached(trees: dict[str, ast.Module]) -> list[str]:
+    defs, reached = reachability(trees)
+    kept = reached | ALLOWED.keys()
+    return [f"{name}:{nodes[0].lineno} {defined}" for (name, defined), nodes in sorted(defs.items()) if (name, defined) not in kept]
+
+
+def test_every_top_level_name_is_reached_by_a_run_or_allowed():
+    trees = _trees()
+    defs, reached = reachability(trees)
+    assert set(ROOTS) <= defs.keys() and ALLOWED.keys() <= defs.keys()
+    # an allowed name a run reaches needs no reason
+    assert not ALLOWED.keys() & reached
+    assert not _unreached(trees)
+    # a function nothing calls is found, as is what only it calls
+    planted = ast.parse("def planted():\n    return orphan()\n\n\ndef orphan():\n    return 0\n")
+    trees["lattice.py"].body += planted.body
+    assert _unreached(trees) == ["lattice.py:5 orphan", "lattice.py:1 planted"]
+
+
+if __name__ == "__main__":
+    trees = _trees()
+    defs, reached = reachability(trees)
+    print(f"reached from {', '.join(f'{m[:-3]}.{n}' for m, n in ROOTS)}: {len(reached)} of {len(defs)} top-level names")
+    print("allowed:", *(f"{m[:-3]}.{n}: {reason}" for (m, n), reason in sorted(ALLOWED.items())), sep="\n  ")
+    print("unreached:", *(_unreached(trees) or ["none"]), sep="\n  ")

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from _reference import is_ergodic_direction
 from latspec.cli import main
 from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
@@ -27,7 +28,6 @@ from latspec.spectral import (
 from latspec.systems import (
     BoxUnion,
     box_overlap_volume,
-    is_ergodic_direction,
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     kronecker_system,

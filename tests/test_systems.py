@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _fleet import pts, random_fleet, tuples
+from _reference import birkhoff_annihilator_average, is_ergodic_direction
 from latspec.config import LimitError
 from latspec.formal import FormalReal
 from latspec.lattice import kernel_basis, scale_lattice, sublattice
@@ -21,13 +22,11 @@ from latspec.systems import (
     BoxUnion,
     ErgodicSetSpec,
     FiniteSystem,
-    birkhoff_annihilator_average,
     box_overlap_volume,
     component_presentation,
     ergodic_components,
     finite_system,
     finite_system_from_parts,
-    is_ergodic_direction,
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     kronecker_system,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import point_set
 from latspec import volume
 from latspec.config import LimitError, admit
 from latspec.config import product as capped_product
@@ -28,7 +29,6 @@ from latspec.volume import (
     ap_certificate,
     build_point_set,
     pattern_search,
-    point_set,
     simplex_det,
     upper_density_estimate,
     verify_pattern_witness,
