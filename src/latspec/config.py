@@ -157,12 +157,14 @@ def at_least(low: int):
 #: an array length named in refusals, ``of`` the fields read before the array (``RANK``: the nearest ``rank``)
 Length = NamedTuple("Length", [("name", str), ("of", Callable[[Mapping], Optional[int]])])
 RANK = Length("rank", lambda scope: scope.get("rank"))
+#: an inner length that the first array at its level sets: the rows of a matrix are alike
+ALIKE = "alike"
 
 
 def array(item, *shape, label: Optional[str] = None):
     """A reader of JSON arrays nested len(shape) deep (at least 1), their innermost entries read by item.
-    shape gives the length of the arrays at each level: None for any, a number, or a ``Length`` (any where
-    it gives None).  label names the innermost entries in refusals (by default, the field)."""
+    shape gives the length of the arrays at each level: None for any, a number, a ``Length`` (any where
+    it gives None) or ``ALIKE``.  label names the innermost entries in refusals (by default, the field)."""
     shape = shape or (None,)
 
     def read_array(value, path: str, scope) -> list:
@@ -170,7 +172,7 @@ def array(item, *shape, label: Optional[str] = None):
         # one C pass per level checks for arrays of the given length; an all-integer array is kept as it is
         level = [value]
         for _, n in lengths:
-            if set(map(type, level)) - {list} or n is not None and set(map(len, level)) - {n}:
+            if set(map(type, level)) - {list} or n is not None and set(map(len, level)) - (set(map(len, level[:1])) if n == ALIKE else {n}):
                 break
             level = list(chain.from_iterable(level))
         else:
@@ -191,6 +193,8 @@ def _entries(value, path: str, item, lengths: list, label: Optional[str], scope)
     if n is not None and len(value) != n:
         raise ConfigError(f"{path} has {len(value)} entr{'y' if len(value) == 1 else 'ies'}, expected {what}{n}")
     if inner:
+        if inner[0][1] == ALIKE and value and type(value[0]) is list:
+            inner = [("", len(value[0])), *inner[1:]]
         return [_entries(v, f"{path}[{i}]", item, inner, label, scope) for i, v in enumerate(value)]
     return [item(v, label or f"{path}[{i}]", scope) for i, v in enumerate(value)]
 

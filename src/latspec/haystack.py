@@ -13,7 +13,6 @@ SUBSET_LIMIT r-subsets to verify, are refused before any work.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
@@ -94,11 +93,6 @@ def make_haystack(
     primitive.  Counts above COUNT_LIMIT are refused before any is built.
     """
     m, basis = _checked(basis, multipliers, count)
-    if any(gcd(a, b) != 1 for a, b in combinations(m, 2)):
-        # Collective coprimality already forces gcd(m_1**n, ..., m_r**n) = 1
-        # for every n (p-adic valuations scale linearly), so this is purely
-        # informational.
-        warnings.warn("multipliers are not pairwise coprime", stacklevel=2)
     out: list[tuple[int, ...]] = []
     powers = list(m)
     for _ in range(count):
@@ -115,9 +109,6 @@ class HaystackVerdict:
     ok: bool
     non_primitive: Optional[tuple[int, ...]] = None
     singular_subset: Optional[tuple[tuple[int, ...], ...]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_haystack_sample(vectors: Sequence, r: int) -> HaystackVerdict:

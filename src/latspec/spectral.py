@@ -435,9 +435,6 @@ class BochnerReport:
     checked: int
     violations: tuple[tuple[int, ...], ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> BochnerReport:
     """Exact check of mu(B ∩ lam.B) against the character sum of sigma_B.

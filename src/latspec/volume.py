@@ -228,9 +228,6 @@ class SimplexRecord:
         vs = tuple(as_coords(v) for v in vertices)
         return cls(vertices=vs, det=simplex_det(vs))
 
-    def verify(self) -> bool:
-        return simplex_det(self.vertices) == self.det
-
 
 def volume_spectrum(e: PointSet, cap: Optional[int] = None) -> AbstractSet[int]:
     """Every nonzero |det| over (rank+1)-subsets of e, exhaustively.
@@ -254,9 +251,6 @@ class ApCertificate:
     best_n: Optional[int] = None
     missing: tuple[int, ...] = ()
     reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def ap_certificate(e: PointSet, m_max: int) -> ApCertificate:
@@ -362,9 +356,6 @@ class PatternSearchResult:
     ok: bool
     witnesses: tuple[PatternWitness, ...] = ()
     reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _signed_range(m_max: int):

@@ -483,6 +483,13 @@ def test_finite_refusals_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
         (_cyclic_cfg("decompose", [6], [[1, 0], [2]], [[0]]), "numpy", "system.gens[0] has 2 entries, expected len(moduli) 1"),
         ({**_cyclic_cfg("decompose", [6], [[1], [2]], [[0]]), "system": {"kind": "finite", "rank": 2, "moduli": [6], "gens": [[1]]}},
          "numpy", "system.gens has 1 entry, expected rank 2"),
+        # a ragged matrix used to be refused as "ragged matrix", naming no field
+        (
+            {"experiment": "spectral-report", "system": {"kind": "finite", "matrix": [[6, 0], [0]]}, "set_b": {"kind": "elements", "points": [[0]]}},
+            "numpy",
+            "system.matrix[1] has 1 entry, expected 2",
+        ),
+        ({**_cyclic_cfg("decompose", [4], [[1], [0]], [[0]]), "sublattice": [[2, 0], [0]]}, "numpy", "sublattice[1] has 1 entry, expected 2"),
         # rank 0 used to be refused with a reason from inside the scan
         (rank0, "numpy", "rank must be at least 1, got 0"),
         (rank0, "python", "rank must be at least 1, got 0"),
@@ -911,9 +918,13 @@ def test_negative_windows_exit_2_with_one_line(tmp_path, capsys, cfg):
 @pytest.mark.parametrize(
     "ergodic_set, reason",
     [
-        ({"kind": "interval", "offset": 1}, "interval spec has offset 0 and step 1"),
-        ({"kind": "geometric"}, "kind must be 'interval' or 'ap'"),
+        ({"kind": "interval", "offset": 1}, "unknown field 'ergodic_set.offset'"),
+        # an interval reads no offset or step: these used to be accepted and never read
+        ({"kind": "interval", "offset": 0, "step": 1}, "unknown field 'ergodic_set.offset'"),
+        ({"step": 1}, "unknown field 'ergodic_set.step'"),
+        ({"kind": "geometric"}, "ergodic_set.kind must be one of 'interval', 'ap', got \"geometric\""),
     ],
+    ids=["interval-offset", "interval-offset-0-step-1", "no-kind-step", "unknown-kind"],
 )
 def test_ergodic_set_refusals_exit_2_with_one_line(tmp_path, capsys, experiment, ergodic_set, reason):
     own = {"expand-scan": {"coord_bound": 1}, "intersect": {"p": 2, "probes": [[[1, 0]]]}}[experiment]

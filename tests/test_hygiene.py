@@ -9,8 +9,9 @@ a seventh keeps ``np.unique`` to the calls that need its indices or
 counts, an eighth keeps numpy scalars out of ``Fraction``, a ninth keeps
 length refusals out of the CLI, in the shapes of ``config.array``, and a
 tenth keeps in the package only what a run of the CLI reaches, besides a
-few names allowed with their reasons.  Run this file to print what a run
-reaches, the allowed names and anything unreached.
+few names allowed with their reasons, and an eleventh keeps in each class
+only fields and methods something reads.  Run this file to print what a run
+reaches, the allowed names and anything unreached or unread.
 """
 
 import ast
@@ -343,9 +344,69 @@ def test_every_top_level_name_is_reached_by_a_run_or_allowed():
     assert _unreached(trees) == ["lattice.py:5 orphan", "lattice.py:1 planted"]
 
 
+#: where a field or method of the package may be read: the package, its tests and its benchmark
+READERS = [SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench"]
+
+#: fields and methods of the package's classes read under no attribute name, each kept for its reason
+ALLOWED_MEMBERS = {
+    ("spectral.py", "IntersectionWitness", "component_measure"): "hashed field by field by test_finite_golden.py's intersections digest",
+    ("spectral.py", "IntersectionWitness", "expansion"): "hashed field by field by test_finite_golden.py's intersections digest",
+}
+
+
+def attribute_reads() -> set[str]:
+    """Every attribute name read (not assigned) in the package, its tests and its benchmark."""
+    return {
+        node.attr
+        for root in READERS
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def members(trees: dict[str, ast.Module]) -> dict[tuple[str, str, str], int]:
+    """(module, class, name) -> line of every annotated field, method and
+    property of a class of the package, dunders left out."""
+    out = {}
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        out[name, cls.name, node.target.id] = node.lineno
+                    elif isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+                        out[name, cls.name, node.name] = node.lineno
+    return out
+
+
+def _unread(trees: dict[str, ast.Module], reads: set[str]) -> list[str]:
+    # a member is read by name: a read of another class's member of that name counts too
+    return [
+        f"{module}:{line} {cls}.{name}"
+        for (module, cls, name), line in sorted(members(trees).items())
+        if name not in reads and (module, cls, name) not in ALLOWED_MEMBERS
+    ]
+
+
+def test_every_class_member_is_read_somewhere_or_allowed():
+    trees, reads = _trees(), attribute_reads()
+    assert ALLOWED_MEMBERS.keys() <= members(trees).keys()
+    # an allowed member something reads needs no reason
+    assert not {name for _, _, name in ALLOWED_MEMBERS} & reads
+    assert not _unread(trees, reads)
+    # a field and a method nothing reads are found; one read elsewhere is not
+    planted = ast.parse("class Planted:\n    unread: int\n    ok: bool\n\n    def unused(self):\n        return 0\n")
+    trees["volume.py"].body += planted.body
+    assert _unread(trees, reads) == ["volume.py:2 Planted.unread", "volume.py:5 Planted.unused"]
+
+
 if __name__ == "__main__":
     trees = _trees()
     defs, reached = reachability(trees)
     print(f"reached from {', '.join(f'{m[:-3]}.{n}' for m, n in ROOTS)}: {len(reached)} of {len(defs)} top-level names")
     print("allowed:", *(f"{m[:-3]}.{n}: {reason}" for (m, n), reason in sorted(ALLOWED.items())), sep="\n  ")
     print("unreached:", *(_unreached(trees) or ["none"]), sep="\n  ")
+    print(f"class fields and methods: {len(members(trees))}, allowed unread:")
+    print(*(f"  {m[:-3]}.{c}.{n}: {reason}" for (m, c, n), reason in sorted(ALLOWED_MEMBERS.items())), sep="\n")
+    print("unread:", *(_unread(trees, attribute_reads()) or ["none"]), sep="\n  ")

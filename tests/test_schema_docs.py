@@ -22,7 +22,7 @@ def _schema() -> dict:
     out.update({f"`system` of kind `{kind}`": table for kind, table in cli.SYSTEMS.items()})
     out["Kronecker `theta` entry"] = cli.THETA_ENTRY
     out.update({f"`set_b` of kind `{kind}`": table for kind, table in cli.SET_B.items()})
-    out["`ergodic_set`"] = cli.ERGODIC_SET
+    out.update({f"`ergodic_set` of kind `{kind}`": table for kind, table in cli.ERGODIC_SETS.items()})
     out["`bounds`"] = cli.BOUNDS
     out["`haystack`"] = cli.HAYSTACK
     out.update({f"Point set of kind `{kind}`": table for kind, table in volume.POINT_SETS.items()})
