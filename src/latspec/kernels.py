@@ -1,62 +1,42 @@
 """Enumeration kernels for simplex-determinant spectra.
 
 The (r+1)-subset determinant scans are the only hot numeric loops in the
-package.  Ranks 2 and 3 run one vectorized int64 NumPy scan over the
-difference vectors d of the points after each base point (``_base``), cut
-into chunks of rows of about ``CHUNK_CELLS`` entries: at rank 2 the cross
-products d_a x d_b, at rank 3 the normals d_a x d_b times d (no index lists
-or gathers).  Every rank has a pure-Python exact path; at ranks 2 and 3 it
-uses the same closed forms in Python ints, the differences taken once per
-base, and Bareiss (``lattice.simplex_det``) per subset elsewhere.
-Selection:
+package.  For a base point i and the differences d of the points after it,
+det(d_a1, ..., d_a(r-1), d_c) is the cofactor vector of the rows a (their
+signed (r-1)-minors, each row's one wedge step from its prefix's: ``_wedge``)
+dotted with d_c.  The int64 NumPy scan (``_base``, rank >= 2) takes the
+(r-2)-subsets p in lexicographic order, in chunks of about ``CHUNK_CELLS``
+entries, as forms det(p, x, y) = x @ F_p @ y: a block is |d_b @ F_p @ d_c|
+(rank 2: F is the 2-D cross product; rank 3: d_b @ F_a = d_a x d_b).  The
+exact path (``_rows_py``, every rank) takes the same rows in Python ints.
+``LATSPEC_KERNELS = auto | numpy | python`` selects one (auto: numpy); both
+return identical results.  The int64 scan runs only when ``det_bound``
+r! (2c)^r, c half the largest spread, stays below 2^62 (a j x j minor is at
+most j! (2c)^j, so it bounds every intermediate) and the flag table of
+min(U, cap) + 1 entries fits under ``TABLE_LIMIT``, U = h(r) * prod(spreads)
+bounding every |det| (``_simplex_bound``); otherwise it silently degrades.
 
-    LATSPEC_KERNELS = auto | numpy | python
-
-``auto`` (the default) means numpy.  Both backends return identical results.
-Two bounds decide whether the int64 scan runs, both from the coordinate
-spreads (determinants of difference vectors ignore translation):
-
-- overflow: ``det_bound`` r! * (2c)^r, with c half the largest spread,
-  must stay below 2^62;
-- table: no simplex covers more than half of its bounding box at rank 2 or
-  a third at rank 3, so no |det| exceeds U = prod(spreads) at rank 2 and
-  U = 2 * prod(spreads) at rank 3 (``_simplex_bound``); the value-indexed
-  flag table has min(U, cap) + 1 entries and must fit under ``TABLE_LIMIT``.
-
-Otherwise the call silently degrades to the exact Python path.
-
-The int64 spectrum scan stops once its answer is complete.  The blocks of
-the first sorted point hold every r x r minor of the differences p_i - p_0,
-so the gcd g of their values is the r-th determinantal divisor and every
-|det| is a multiple of it (no value at all: the points lie in one
-hyperplane, the spectrum is empty).  Once g, 2g, ... up to min(U, cap) are
-all flagged, no later block can add a value.  The check costs
-O(min(U, cap) / g) and runs only after that many entries were scanned since
-the last one, so it never costs more than the scan.  The Python path stays
-exhaustive.
-
-Ranks other than 2 and 3 always use the Python path.  Both paths refuse a
-rank below 1, and a scan of more than ``SUBSET_LIMIT`` subsets, before it
-starts; admission counts C(n, r+1) subsets, not the ones an early stop
-visits.  They also refuse a spectrum whose answer may pass
-``ANSWER_LIMIT`` values: at most min(min(U, cap) / g, C(n, r+1)), every
-value a multiple of g up to min(U, cap) and at most one per subset (U is
-the spread bound at other ranks).  g is taken from base 0 by its own pass,
-before the flag table, and only when min(U, cap) and C(n, r+1) both pass
-the limit; past rank 3 g is taken as 1.
+It stops once its answer is complete: the blocks of base 0 hold every r x r
+minor of the differences p_i - p_0, so their gcd g divides every |det| (no
+value: the points lie in one hyperplane), and once g, 2g, ... up to
+min(U, cap) are flagged no block can add one; the check reads min(U, cap)/g
+flags after as many entries were scanned.  The Python path is exhaustive.
+Both paths refuse, before they start, a rank below 1 and scans past the
+``*_LIMIT`` constants; g for ``ANSWER_LIMIT`` comes from base 0 of the path
+that will scan, only when min(U, cap) and C(n, r+1) both pass the limit.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations, takewhile
-from math import comb, factorial, gcd, prod
+from functools import lru_cache
+from itertools import combinations, islice, takewhile
+from math import comb, factorial, gcd, isqrt, prod
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .config import admit
-from .lattice import simplex_det
 
 _ENV = "LATSPEC_KERNELS"
 _INT64_SAFE = 1 << 62
@@ -64,14 +44,16 @@ _INT64_SAFE = 1 << 62
 TABLE_LIMIT = 1 << 27
 #: most (rank+1)-subsets a scan will enumerate, checked before it starts
 SUBSET_LIMIT = 10**9
+#: most terms r * 2^(r-1) of the wedge recurrence (C(r, r/2) minors per prefix)
+WEDGE_LIMIT = 10**5
 #: most values a spectrum scan may answer with, bounded before it starts by
 #: min(min(U, cap) / g, C(n, r+1)); a larger answer outgrows memory
 ANSWER_LIMIT = 10**6
-#: about how many int64 entries one block holds, at rank 2 or 3; a block of
-#: a base with m points after it holds at most max(CHUNK_CELLS, (m-1)^(rank-1))
+#: about how many int64 entries one block holds; a block of a base with m
+#: points after it holds at most max(CHUNK_CELLS, m - 1) entries
 CHUNK_CELLS = 1 << 15
-# the cyclic coordinate shifts of a cross product: (d x e)_j = d_{j+1} e_{j+2} - d_{j+2} e_{j+1}
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_H = (1, 1, 2, 3, 5, 9, 32, 56, 144)  # h(r), the largest r x r 0/1 determinant, r <= 9 (OEIS A003432)
+_EMPTY = np.ones((1, 1), dtype=np.int64)
 
 
 def backend_name() -> str:
@@ -95,21 +77,23 @@ def _spreads(points: Sequence[tuple[int, ...]]) -> list[int]:
 
 
 def _simplex_bound(spreads: Sequence[int], rank: int) -> int:
-    """U >= every |det| at rank 2 or 3: a triangle covers at most half of its
-    bounding box, a tetrahedron at most a third, and |det| = rank! * volume."""
-    return (1 if rank == 2 else 2) * prod(spreads)
+    """U = h(r) * prod(spreads) >= every |det|: |det| is affine in each vertex coordinate,
+    so largest at box vertices; Hadamard's (r+1)^((r+1)/2) / 2^r past the table."""
+    h = _H[rank - 1] if rank <= len(_H) else isqrt((rank + 1) ** (rank + 1)) >> rank
+    return h * prod(spreads)
 
 
 def _subsets(n: int, rank: int) -> int:
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
+    admit(rank << (rank - 1) if n > rank else 0, WEDGE_LIMIT, f"terms of the rank-{rank} wedge recurrence, r * 2^(r-1)")
     return admit(comb(n, rank + 1), SUBSET_LIMIT, f"simplices of a {n}-point set, C({n}, {rank + 1})")
 
 
 def _int64_ok(spreads: Sequence[int], rank: int, limit: int) -> bool:
     # the spread bound guards the int64 arithmetic, ``limit`` sizes the table
     overflow = det_bound((max(spreads) + 1) // 2, rank) >= _INT64_SAFE
-    return rank in (2, 3) and not overflow and limit <= TABLE_LIMIT
+    return rank > 1 and not overflow and limit <= TABLE_LIMIT
 
 
 def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -119,42 +103,68 @@ def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
+@lru_cache(maxsize=None)
+def _wedge(rank: int) -> list[list[list[tuple[int, int, int]]]]:
+    """``levels[j]``: for each (j+1)-subset J of the coordinates in lexicographic
+    order, the terms ``(a, t, s)`` of its minor sum(s * w[a] * v[t]) from the
+    minors w of j vectors and a next one v (Laplace along v: t = J[p], s =
+    (-1)^(j+p), a = J minus t); the last gives the cofactor vector s * w[a]."""
+    index = [{J: a for a, J in enumerate(combinations(range(rank), j))} for j in range(rank)]
+    return [
+        [[(index[j][J[:p] + J[p + 1 :]], t, (-1) ** (j + p)) for p, t in enumerate(J)] for J in combinations(range(rank), j + 1)]
+        for j in range(rank)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _forms(rank: int) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray, int]:
+    """The wedge steps of a prefix past its first vector, as index arrays; E,
+    whose product w @ E is the prefix's form det(prefix, x, y) = x @ F @ y,
+    F[t2, t1] = s1 * s2 * w[a2] over the last two levels, as r * r entries;
+    and the most int64 entries one prefix's wedge needs."""
+    levels = _wedge(rank)
+    steps = [tuple(np.array([[term[q] for term in terms] for terms in level]) for q in range(3)) for level in levels[1 : rank - 2]]
+    E = np.zeros((comb(rank, 2), rank * rank), dtype=np.int64)
+    for a1, t1, s1 in levels[-1][0]:
+        for a2, t2, s2 in levels[-2][a1]:
+            E[a2, t2 * rank + t1] = s1 * s2
+    return steps, E, max([rank * rank] + [src.size for src, _, _ in steps])
+
+
 # ---------------------------------------------------------------------------
-# int64 scan (ranks 2 and 3)
+# int64 scan (ranks 2 and up)
 
-def _base(pts: np.ndarray, rank: int, i: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield the ``(corner, M)`` blocks whose subsets start at point i.
-
-    ``corner`` is the subset of M's first entry: the entry at multi-index u
-    is the |det| of ``(corner[0], corner[1] + u[0], corner[2] + u[1], ...)``.
-    The rows a of M[a, b] = |d_a x d_b| (rank 2) or M[a, b, c] = |det(d_a,
-    d_b, d_c)| (rank 3) are cut into chunks of about ``CHUNK_CELLS`` entries,
-    b and c running from the chunk's first row + 1 on.  An entry whose
-    indices are not increasing repeats the value of the sorted subset, which
-    lies in the same block and earlier in row-major order, or is 0.  So the
-    increasing entries, block after block and base after base, list the
-    subsets lexicographically, and the first entry of a value in that order
-    is the lexicographically first subset realizing it.
-    """
+def _base(pts: np.ndarray, rank: int, i: int) -> Iterator[tuple[tuple[int, np.ndarray, int], np.ndarray]]:
+    """Yield the ``((i, P, b0), M)`` blocks whose subsets start at point i:
+    P a chunk of the (r-2)-subsets of the differences d in lexicographic order,
+    M[p, b, c] = |det(d[P[p]], d[b0 + b], d[b0 + 1 + c])|, b0 one past the
+    smallest last index in P (lexicographic prefixes need not end in rising
+    indices), or a later slice start of a prefix whose block alone passes
+    ``CHUNK_CELLS``.  An entry whose indices are not increasing repeats the value of
+    the sorted subset, earlier in row-major order in this block or an earlier
+    one, or is 0: the first entry of a value is its first subset."""
     d = pts[i + 1 :] - pts[i]
     k = len(d)
-    a = 0
-    while a <= k - rank:
-        stop = min(k - rank + 1, a + max(1, CHUNK_CELLS // (k - a - 1) ** (rank - 1)))
-        r, c = d[a:stop, None], d[None, a + 1 :]
-        if rank == 2:
-            # the 2-D cross product d_a' x d_b: one outer product, one in-place subtract
-            m = r[..., 0] * c[..., 1]
-            m -= r[..., 1] * c[..., 0]
-        else:
-            # normals[a', b] = d_a' x d_b for the rows a' of the chunk and b > a
-            normals = r[..., _NEXT] * c[..., _PREV] - r[..., _PREV] * c[..., _NEXT]
-            m = normals @ d[a + 1 :].T
-        yield (i, i + 1 + a, *(i + 2 + a,) * (rank - 1)), np.abs(m, out=m)
-        a = stop
+    steps, E, cells = _forms(rank)
+    prefixes = combinations(range(k - 2), rank - 2)
+    for first in prefixes:
+        # no later prefix ends before first[0] + rank - 3: a row holds at most m entries
+        m = k - 1 - (first[0] + rank - 2 if first else 0)
+        chunk = [first, *islice(prefixes, max(0, CHUNK_CELLS // (m * m + cells) - 1))]
+        P = np.array(chunk, dtype=np.intp)
+        b0 = min([p[-1] for p in chunk if p], default=-1) + 1
+        # the minors of one vector are its coordinates; of none, the empty minor 1
+        w = d[P[:, 0]] if rank > 2 else _EMPTY
+        for j, (src, col, s) in enumerate(steps, 1):
+            w = (w[:, src] * d[P[:, j]][:, col] * s).sum(axis=-1)
+        form = (w @ E).reshape(-1, rank, rank)
+        rows = max(1, CHUNK_CELLS // (k - 1 - b0))
+        for bs in range(b0, k - 1, rows):
+            block = (d[bs : min(bs + rows, k - 1)] @ form) @ d[bs + 1 :].T
+            yield (i, P, bs), np.abs(block, out=block)
 
 
-def _blocks(pts: np.ndarray, rank: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+def _blocks(pts: np.ndarray, rank: int) -> Iterator[tuple[tuple[int, np.ndarray, int], np.ndarray]]:
     """Every base in turn: blocks covering all (rank+1)-subsets, in order."""
     for i in range(pts.shape[0] - rank):
         yield from _base(pts, rank, i)
@@ -192,20 +202,20 @@ def _distinct_np(pts: np.ndarray, rank: int, limit: int, cut: bool) -> set[int]:
 
 def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tuple[int, ...]]:
     limit = targets[-1]
-    # one slot past the largest target absorbs every larger |det| unwanted:
-    # the clipped gather reads each block once
+    # one slot past the largest target absorbs every larger |det|: one clipped gather per block
     wanted = np.zeros(limit + 2, dtype=bool)
     wanted[targets] = True
     found: dict[int, tuple[int, ...]] = {}
-    for corner, m in _blocks(pts, rank):
+    for (i, P, b0), m in _blocks(pts, rank):
         hits = np.flatnonzero(wanted.take(m, mode="clip"))
         if not hits.size:
             continue
         # the first row-major hit per value is the lexicographically first subset
         values, first = np.unique(m.flat[hits], return_index=True)
-        cells = np.column_stack(np.unravel_index(hits[first], m.shape)) + corner[1:]
+        p, b, c = np.unravel_index(hits[first], m.shape)
+        cells = np.column_stack([P[p], b0 + b, b0 + 1 + c]) + i + 1
         for v, cell in zip(values.tolist(), cells.tolist()):
-            found[v] = (corner[0], *cell)
+            found[v] = (i, *cell)
         wanted[values] = False
         if len(found) == len(targets):
             break
@@ -216,31 +226,29 @@ def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tup
 # exact Python path (any rank, no overflow ceiling)
 
 def _rows_py(points: Sequence[tuple[int, ...]], rank: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Yield ``(prefix, row)`` in lexicographic order: ``row[t]`` is the |det|
-    of the subset ``prefix + (prefix[-1] + 1 + t,)``.
-
-    Ranks 2 and 3 take the difference vectors once per base point and use the
-    int64 scan's formulas in Python ints: a 2 x 2 minor, and a cross product
-    dotted with the third vector.  Other ranks run Bareiss per subset.
-    """
-    n = len(points)
-    if rank not in (2, 3):
-        for prefix in combinations(range(n), rank):
-            base = [points[j] for j in prefix]
-            yield prefix, [abs(simplex_det(base + [points[c]])) for c in range(prefix[-1] + 1, n)]
-        return
-    for i, p in enumerate(points[: n - rank]):
+    """Yield ``(prefix, row)`` in lexicographic order: ``row[t]``, the |det| of
+    ``prefix + (prefix[-1] + 1 + t,)``, is the prefix's cofactor vector dotted
+    with a later difference; depth first, each prefix one wedge step on."""
+    levels = _wedge(rank)
+    for i, p in enumerate(points[: len(points) - rank]):
         d = [tuple(x - y for x, y in zip(q, p)) for q in points[i + 1 :]]
-        if rank == 2:
-            for a, (xa, ya) in enumerate(d):
-                yield (i, i + 1 + a), [abs(xa * yb - ya * xb) for xb, yb in d[a + 1 :]]
-            continue
-        for a, (xa, ya, za) in enumerate(d):
-            for b in range(a + 1, len(d)):
-                xb, yb, zb = d[b]
-                nx, ny, nz = ya * zb - za * yb, za * xb - xa * zb, xa * yb - ya * xb
-                row = [abs(nx * xc + ny * yc + nz * zc) for xc, yc, zc in d[b + 1 :]]
-                yield (i, i + 1 + a, i + 1 + b), row
+        cols = list(zip(*d))
+
+        def rows(prefix: tuple[int, ...], w) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+            j, nxt = len(prefix) - 1, prefix[-1] - i  # vectors in the prefix, index of the next one
+            if j == rank - 1:
+                # the cofactor s * w[a] of coordinate t times that column of the later differences
+                (c, col), *rest = [(s * w[a], cols[t][nxt:]) for a, t, s in levels[j][0]]
+                row = [c * x for x in col]
+                for c, col in rest:
+                    row = [u + c * x for u, x in zip(row, col)]
+                yield prefix, list(map(abs, row))
+                return
+            for b in range(nxt, len(d) - rank + 1 + j):
+                v = d[b]  # the minors of one vector are its coordinates
+                yield from rows((*prefix, i + 1 + b), v if j == 0 else [sum(s * w[a] * v[t] for a, t, s in terms) for terms in levels[j]])
+
+        yield from rows((i,), (1,))
 
 
 def _distinct_py(points: Sequence[tuple[int, ...]], rank: int, limit: Optional[int]) -> set[int]:
@@ -248,9 +256,7 @@ def _distinct_py(points: Sequence[tuple[int, ...]], rank: int, limit: Optional[i
     return {v for v in dets if v != 0 and (limit is None or v <= limit)}
 
 
-def _witness_py(
-    points: Sequence[tuple[int, ...]], rank: int, targets: Sequence[int]
-) -> dict[int, tuple[int, ...]]:
+def _witness_py(points: Sequence[tuple[int, ...]], rank: int, targets: Sequence[int]) -> dict[int, tuple[int, ...]]:
     pending = set(targets)
     found: dict[int, tuple[int, ...]] = {}
     for prefix, row in _rows_py(points, rank):
@@ -272,17 +278,13 @@ def _admit_answer(points, pts: Optional[np.ndarray], rank: int, limit: int, subs
         return
     if pts is not None:
         g = gcd(*(int(np.gcd.reduce(m, axis=None)) for _, m in _base(pts, rank, 0)))
-    elif rank > 3:
-        g = 1  # base 0 is C(n - 1, r) Bareiss determinants here, as slow as a scan
     else:
         g = gcd(*(v for prefix, row in takewhile(lambda pr: pr[0][0] == 0, _rows_py(points, rank)) for v in row))
     bound = min(limit // g, subsets) if g else 0
     admit(bound, ANSWER_LIMIT, f"bound on the spectrum values of a {len(points)}-point set, cap {cap}")
 
 
-def distinct_abs_dets(
-    points: Sequence[tuple[int, ...]], rank: int, cap: Optional[int] = None
-) -> set[int]:
+def distinct_abs_dets(points: Sequence[tuple[int, ...]], rank: int, cap: Optional[int] = None) -> set[int]:
     """All nonzero |det| values of difference matrices over (rank+1)-subsets.
 
     ``cap`` restricts the result to values <= cap and lets the int64 scan
@@ -292,7 +294,7 @@ def distinct_abs_dets(
     if not subsets or (cap is not None and cap < 1):
         return set()
     spreads = _spreads(points)
-    top = _simplex_bound(spreads, rank) if rank in (2, 3) else det_bound((max(spreads) + 1) // 2, rank)
+    top = _simplex_bound(spreads, rank)
     limit = top if cap is None else min(top, cap)
     pts = _int64_points(points) if backend_name() == "numpy" and _int64_ok(spreads, rank, limit) else None
     _admit_answer(points, pts, rank, limit, subsets, cap)
@@ -301,9 +303,7 @@ def distinct_abs_dets(
     return _distinct_py(points, rank, cap)
 
 
-def find_det_witnesses(
-    points: Sequence[tuple[int, ...]], rank: int, targets: Sequence[int]
-) -> dict[int, tuple[int, ...]]:
+def find_det_witnesses(points: Sequence[tuple[int, ...]], rank: int, targets: Sequence[int]) -> dict[int, tuple[int, ...]]:
     """First (lexicographic) index tuple realizing each target |det| value.
 
     Returns a map target -> (i_0 < ... < i_rank); absent targets are simply

@@ -152,22 +152,24 @@ def _check_exit(cfg, backend="numpy"):
 
 
 #: most points per rank whose spectrum the Python path replays in the property
-_REPLAYED = {1: 40, 2: 40, 3: 16}
+_REPLAYED = {1: 40, 2: 40, 3: 16, 4: 16}
 
 
 @st.composite
 def _volume_configs(draw):
     """Valid volume-spectrum configs, most of them small enough to replay."""
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 4))
     sets = [
         {"kind": "full"},
-        {"kind": "congruence", "modulus": draw(st.integers(1, 3)), "offset": draw(_vec(rank))},
+        {"kind": "congruence", "modulus": draw(st.integers(1 + (rank > 3), 3)), "offset": draw(_vec(rank))},
         {"kind": "random", "density": draw(st.sampled_from(["1/3", "1/2", {"num": "1", "den": "3"}])), "seed": draw(st.integers(0, 2**64 - 1))},
     ]
     explicit = {"kind": "explicit", "points": draw(st.lists(_vec(rank), max_size=14))}
-    desc = draw(st.sampled_from(sets + [explicit]))
+    # rank 4 draws no full box, nor a congruence set of modulus 1: at window 1
+    # it has 81 points, 2.5 * 10^7 subsets that its spectrum never stops early on
+    desc = draw(st.sampled_from(sets[rank > 3 :] + [explicit]))
     # explicit sets stay small on any window
-    window = 6 if desc is explicit else draw(st.integers(1, 1 if rank == 3 else 3))
+    window = 6 if desc is explicit else draw(st.integers(1, 1 if rank > 2 else 3))
     if draw(st.booleans()):
         desc = {"kind": "translate", "base": desc, "offset": draw(_vec(rank))}
     cfg = {"experiment": "volume-spectrum", "rank": rank, "window": window, "set": desc}

@@ -10,8 +10,9 @@ counts, an eighth keeps numpy scalars out of ``Fraction``, a ninth keeps
 length refusals out of the CLI, in the shapes of ``config.array``, and a
 tenth keeps in the package only what a run of the CLI reaches, besides a
 few names allowed with their reasons, and an eleventh keeps in each class
-only fields and methods something reads.  Run this file to print what a run
-reaches, the allowed names and anything unreached or unread.
+only fields and methods something reads, and a twelfth keeps ``lattice`` out
+of the determinant scans.  Run this file to print what a run reaches, the
+allowed names and anything unreached or unread.
 """
 
 import ast
@@ -105,6 +106,25 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not imports
+
+
+def _lattice_imports(tree: ast.Module) -> list[int]:
+    """Lines importing the ``lattice`` module or a name from it."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and ((node.module or "").split(".")[-1] == "lattice" or any(a.name == "lattice" for a in node.names))
+        or isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "lattice" for a in node.names)
+    ]
+
+
+def test_the_kernels_import_nothing_from_lattice():
+    # every scan takes its determinants from its own cofactor rows: per-subset
+    # Bareiss (lattice.simplex_det) stays with the witness checks and the tests
+    assert not _lattice_imports(_trees()["kernels.py"])
+    planted = ["from .lattice import simplex_det", "from . import lattice", "import latspec.lattice", "from latspec.lattice import det_exact"]
+    assert all(_lattice_imports(ast.parse(line)) == [1] for line in planted)
 
 
 def test_whole_carriers_move_only_by_shift():

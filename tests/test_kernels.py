@@ -42,10 +42,14 @@ def _random_points(seed, n, rank, bound):
         pytest.param(2, 42, 30, id="2-seed42-cap30"),
         pytest.param(3, 43, None, id="3-seed43"),
         pytest.param(3, 44, 30, id="3-seed44-cap30"),
+        pytest.param(4, 45, None, id="4"),
+        pytest.param(4, 46, 30, id="4-seed46-cap30"),
+        pytest.param(5, 47, None, id="5"),
+        pytest.param(5, 48, 3000, id="5-seed48-cap3000"),
     ],
 )
 def test_backends_agree_on_spectra(monkeypatch, rank, seed, cap):
-    pts = _random_points(seed, 18, rank, 9)
+    pts = _random_points(seed, {2: 18, 3: 18, 4: 14, 5: 11}[rank], rank, 9)
     results = {}
     for backend in BACKENDS:
         monkeypatch.setenv("LATSPEC_KERNELS", backend)
@@ -63,6 +67,8 @@ def test_backends_agree_on_spectra(monkeypatch, rank, seed, cap):
         pytest.param(3, 34, 14, id="3"),
         pytest.param(2, 35, 40, id="2-seed35-n40"),
         pytest.param(3, 36, 24, id="3-seed36-n24"),
+        pytest.param(4, 37, 14, id="4"),
+        pytest.param(5, 38, 11, id="5"),
     ],
 )
 def test_backends_agree_on_witnesses(monkeypatch, rank, seed, n):
@@ -176,9 +182,9 @@ def _bareiss_per_subset(pts, rank):
         yield idx, abs(det_exact(rows))
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_exact_path_matches_bareiss_per_subset(rank):
-    generic = _random_points(120 + rank, {1: 12, 2: 16, 3: 11, 4: 8}[rank], rank, 7)
+    generic = _random_points(120 + rank, {1: 12, 2: 16, 3: 11, 4: 8, 5: 8}[rank], rank, 7)
     cases = {
         "generic": generic,
         # coordinates past 2^63, and determinants far past int64
@@ -261,14 +267,37 @@ def test_rank3_blocks_across_chunk_boundaries_match_the_python_path(monkeypatch)
         assert kernels.find_det_witnesses(pts, 3, targets) == want_witnesses, cells
 
 
-@pytest.mark.parametrize("rank, n", [(2, 390), (3, 70)])
+def test_rank4_blocks_across_chunk_boundaries_match_the_python_path(monkeypatch):
+    # 20 points follow the first one: its 153 prefixes take two chunks by
+    # default; then one prefix per chunk, and ragged chunks whose prefixes end
+    # in falling indices, so a block's rows start after the smallest of them
+    pts = _random_points(89, 21, 4, 3)
+    ipts = kernels._int64_points(pts)
+    assert len(list(kernels._base(ipts, 4, 0))) == 2
+    caps = [None, 40, 300]
+    want_spectra = {cap: kernels._distinct_py(pts, 4, cap) for cap in caps}
+    targets = sorted(want_spectra[None]) + [kernels.det_bound(3, 4)]
+    want_witnesses = kernels._witness_py(pts, 4, targets)
+    first_chunks = {i: {tuple(p) for p in next(kernels._base(ipts, 4, i))[0][1]} for i in range(len(pts) - 4)}
+    assert any(tuple(j - idx[0] - 1 for j in idx[1:3]) not in first_chunks[idx[0]] for idx in want_witnesses.values())
+    monkeypatch.setenv("LATSPEC_KERNELS", "numpy")
+    monkeypatch.setattr(kernels, "_distinct_py", _refuse)
+    monkeypatch.setattr(kernels, "_witness_py", _refuse)
+    for cells in (kernels.CHUNK_CELLS, 1, 500):
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
+        for cap in caps:
+            assert kernels.distinct_abs_dets(pts, 4, cap) == want_spectra[cap], (cells, cap)
+        assert kernels.find_det_witnesses(pts, 4, targets) == want_witnesses, cells
+
+
+@pytest.mark.parametrize("rank, n", [(2, 390), (3, 70), (4, 30)])
 def test_blocks_hold_at_most_chunk_cells_entries(monkeypatch, rank, n):
-    # a chunk holds at least one row: (m - 1)^(rank - 1) entries for m points after the base
+    # a chunk holds at least one row: m - 1 entries for m points after the base
     pts = kernels._int64_points(_random_points(90 + rank, n, rank, 30))
     for cells in (kernels.CHUNK_CELLS, 1, 300):
         monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
         for i in range(n - rank):
-            bound = max(cells, (n - i - 2) ** (rank - 1))
+            bound = max(cells, n - i - 2)
             sizes = [m.size for _, m in kernels._base(pts, rank, i)]
             assert max(sizes) <= bound, (cells, i, max(sizes))
 
@@ -303,8 +332,7 @@ def test_spectra_are_refused_by_the_size_of_their_answer(monkeypatch):
             kernels.distinct_abs_dets(pts, 2)
         with pytest.raises(LimitError, match=f"300-point set, cap 10000000 = {comb(300, 3)}"):
             kernels.distinct_abs_dets(pts, 2, cap=10**7)
-    # past rank 3 base 0 would be Bareiss determinants, as slow as the scan: g is 1
-    monkeypatch.setattr(kernels, "_rows_py", _refuse)
+    # at rank 4 too, g comes from base 0 and C(50, 5) bounds the answer
     with pytest.raises(LimitError, match=f"50-point set, cap None = {comb(50, 5)}"):
         kernels.distinct_abs_dets(_random_points(302, 50, 4, 1000), 4)
     monkeypatch.undo()
@@ -336,12 +364,12 @@ def test_rank_below_one_is_refused_before_the_scan(monkeypatch):
 
 @st.composite
 def _scan_inputs(draw):
-    """``(rank, points)``: full boxes, congruence sets, random sets and
-    collinear or coplanar sets, each possibly translated far from 0."""
-    rank = draw(st.sampled_from([2, 3]))
+    """``(rank, points)``: full boxes, congruence sets, random sets and sets
+    in one hyperplane, each possibly translated far from 0."""
+    rank = draw(st.sampled_from([2, 3, 4]))
     kind = draw(st.sampled_from(["full", "congruence", "random", "flat"]))
     if kind == "full":
-        spans = draw(st.lists(st.integers(0, 4 if rank == 2 else 2), min_size=rank, max_size=rank))
+        spans = draw(st.lists(st.integers(0, {2: 4, 3: 2, 4: 1}[rank]), min_size=rank, max_size=rank))
         if rank == 3:
             spans[-1] = min(spans[-1], 1)  # at most 18 points for the Python oracle
         pts = list(product(*(range(s + 1) for s in spans)))
@@ -352,15 +380,11 @@ def _scan_inputs(draw):
         pts = [tuple(o + n * c for o, c in zip(offset, cell)) for cell in cells]
     elif kind == "random":
         coord = st.integers(-6, 6)
-        pts = draw(
-            st.lists(
-                st.tuples(*[coord] * rank), min_size=rank + 1, max_size=20 if rank == 2 else 12
-            )
-        )
+        pts = draw(st.lists(st.tuples(*[coord] * rank), min_size=rank + 1, max_size={2: 20, 3: 12, 4: 10}[rank]))
     else:
-        # integer combinations of rank-1 directions: a line or a plane
+        # integer combinations of rank-1 directions: a line, a plane or a 3-space
         dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=rank - 1, max_size=rank - 1))
-        coeffs = product(range(-2, 3), repeat=rank - 1)
+        coeffs = product(range(-2, 3) if rank < 4 else range(-1, 1), repeat=rank - 1)
         pts = [tuple(sum(c * v[k] for c, v in zip(cs, dirs)) for k in range(rank)) for cs in coeffs]
     shift = draw(st.sampled_from([0, 7, -(10**6)]))
     return rank, sorted({tuple(x + shift for x in p) for p in pts})
@@ -393,26 +417,43 @@ def test_early_stopped_spectrum_matches_the_python_path(case, where, pick):
         assert kernels.distinct_abs_dets(pts, rank, cap) == want
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_simplex_bound_covers_every_det_and_is_met_on_full_boxes(rank):
+@pytest.mark.parametrize(
+    "rank, boxes",
+    [
+        pytest.param(2, [(1, 1), (4, 2), (3, 1)], id="2"),
+        pytest.param(3, [(1, 1, 1), (4, 2, 1), (3, 1, 2)], id="3"),
+        pytest.param(4, [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 2)], id="4"),
+        pytest.param(5, [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1)], id="5"),
+    ],
+)
+def test_simplex_bound_covers_every_det_and_is_met_on_full_boxes(rank, boxes):
     for seed in range(6):
-        pts = _random_points(70 + seed, 16 if rank == 2 else 10, rank, 5)
-        assert kernels._simplex_bound(kernels._spreads(pts), rank) >= max(
-            kernels._distinct_py(pts, rank, None)
-        )
-    for spans in ((1,) * rank, (4, 2, 1)[:rank], (3, 1, 2)[:rank]):
+        pts = _random_points(70 + seed, {2: 16, 3: 10, 4: 9, 5: 8}[rank], rank, 5)
+        assert kernels._simplex_bound(kernels._spreads(pts), rank) >= max(kernels._distinct_py(pts, rank, None))
+    # U = h(r) * prod(spans): h(r) is met by a simplex on the box's corners
+    for spans in boxes:
         box = list(product(*(range(-1, s) for s in spans)))
         bound = kernels._simplex_bound(kernels._spreads(box), rank)
-        assert bound == max(kernels._distinct_py(box, rank, None)) == (rank - 1) * prod(spans)
+        assert bound == max(kernels.distinct_abs_dets(box, rank)) == {2: 1, 3: 2, 4: 3, 5: 5}[rank] * prod(spans)
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+def test_h_is_the_largest_determinant_of_a_01_matrix():
+    # every r x r 0/1 matrix for r <= 4 (65536 at r = 4); float determinants
+    # of such small integer matrices round to the exact value
+    for r in range(1, 5):
+        mats = np.array(list(product((0, 1), repeat=r * r)), dtype=float).reshape(-1, r, r)
+        assert kernels._H[r - 1] == int(np.rint(np.abs(np.linalg.det(mats))).max())
+    # past the table, Hadamard's bound is at least h(10) = 320
+    assert kernels._simplex_bound([1] * 10, 10) >= 320
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
 def test_first_base_gcd_is_the_spectrum_gcd(rank):
     # sheared and scaled random sets, so the gcd is seldom 1
-    shears = ([[2, 1], [0, 3]], [[1, 0, 2], [0, 2, 1], [0, 0, 3]])
+    shears = ([[2, 1], [0, 3]], [[1, 0, 2], [0, 2, 1], [0, 0, 3]], [[1, 0, 2, 1], [0, 2, 1, 0], [0, 0, 3, 1], [0, 0, 0, 1]])
     shear = np.array(shears[rank - 2])
     for seed in range(8):
-        raw = _random_points(90 + seed, 9 if rank == 2 else 7, rank, 3)
+        raw = _random_points(90 + seed, {2: 9, 3: 7, 4: 7}[rank], rank, 3)
         pts = sorted(tuple(int(x) for x in shear @ p * (1 + seed % 3)) for p in raw)
         first = kernels._base(kernels._int64_points(pts), rank, 0)
         base_gcd = gcd(*(int(np.gcd.reduce(m, axis=None)) for _, m in first))
