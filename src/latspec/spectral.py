@@ -872,11 +872,9 @@ class IntersectionWitness:
     m1: int
     probes: tuple[ProbeWitness, ...]
     measure: Fraction
-    component_measure: Fraction
     eps: Fraction
     eps_o: Fraction
     shrink: ShrinkResult
-    expansion: DirectionalExpansionResult
 
 
 def intersection_theorem_search(
@@ -975,11 +973,9 @@ def intersection_theorem_search(
         m1=m1,
         probes=tuple(witnesses),
         measure=worst,
-        component_measure=nu_b,
         eps=eps,
         eps_o=eps_o,
         shrink=shrink,
-        expansion=expansion,
     )
 
 

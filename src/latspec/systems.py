@@ -604,7 +604,8 @@ def _symbol_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, .
 
 
 def kronecker_ergodicity_certificate(sys_: KroneckerSystem) -> dict:
-    """Exact ergodicity decision with the reasoning recorded.
+    """Exact ergodicity decision, with the rank of the symbol kernel and a
+    violating frequency when there is one.
 
     The full action is ergodic iff no nonzero frequency k makes every entry
     of k^T Theta an integer.  Killing the irrational parts is an integer
@@ -624,7 +625,6 @@ def kronecker_ergodicity_certificate(sys_: KroneckerSystem) -> dict:
         witness = tuple(d * x for x in k0)
     return {
         "ergodic": not kernel,
-        "method": "integer kernel of the symbol-coefficient matrix",
         "kernel_rank": len(kernel),
         "witness_frequency": witness,
     }
@@ -668,7 +668,6 @@ class KroneckerSaturation:
     lower: Fraction
     upper: Fraction
     exact: bool
-    note: str = ""
 
 
 #: most cells q^dim of the rational grid 1/q * Z^dim on which box overlaps
@@ -695,23 +694,12 @@ def box_grid(b: BoxUnion, shift: Sequence[Fraction]) -> tuple[FiniteSystem, np.n
     return grid, cells.reshape(-1), _flat(shape, (x * q for x in shift))
 
 
-def box_overlap_volume(b: BoxUnion, shift: Sequence[Fraction]) -> Fraction:
-    """Exact Lebesgue volume of b intersected with its translate by shift mod 1."""
-    grid, cells, g = box_grid(b, [Fraction(x) for x in shift])
-    return Fraction(int(grid.overlap(cells, g).sum()), grid.size)
-
-
 def kronecker_orbit_saturation(sys_: KroneckerSystem, b: BoxUnion, lam) -> KroneckerSaturation:
     shift = sys_.rational_shift(lam)
     if b.dim != sys_.dim:
         raise ValueError("set dimension mismatch")
     if shift is None:
-        return KroneckerSaturation(
-            lower=b.volume(),
-            upper=Fraction(1),
-            exact=False,
-            note="irrational direction: estimate only; see spectral expansion bound",
-        )
+        return KroneckerSaturation(lower=b.volume(), upper=Fraction(1), exact=False)
     grid, cells, g = box_grid(b, shift)
     # the orbit of b is the union of the cosets of <g> that b meets
     orbit = grid.window(cells, g, grid.size, np.logical_or)

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from latspec.lattice import SubLattice, as_coords, solve_lower
-from latspec.systems import FiniteSystem, KroneckerSystem, _symbol_kernel
+from latspec.systems import BoxUnion, FiniteSystem, KroneckerSystem, _symbol_kernel, box_grid
 from latspec.volume import PointSet
 
 
@@ -40,6 +40,12 @@ def is_ergodic_direction(sys_, lam) -> bool:
     if isinstance(sys_, KroneckerSystem):
         return not _symbol_kernel(sys_.shift(c)[1], sys_.dim)
     return sys_.order_of(sys_.phi(c)) == sys_.size
+
+
+def box_overlap_volume(b: BoxUnion, shift: Sequence[Fraction]) -> Fraction:
+    """Exact Lebesgue volume of b intersected with its translate by shift mod 1."""
+    grid, cells, g = box_grid(b, [Fraction(x) for x in shift])
+    return Fraction(int(grid.overlap(cells, g).sum()), grid.size)
 
 
 def birkhoff_annihilator_average(

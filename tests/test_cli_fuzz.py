@@ -13,18 +13,22 @@ non-ergodic or malformed frequency matrices, boxes that are empty,
 overlapping or outside the torus, and JSON objects replaced by null, a
 list, a string, a number or a bool.  Three faults draw their field from the
 config tables themselves: a renamed field, a scalar for an array field, and
-an array one entry longer or shorter than the shape its reader names.
+an array one entry longer or shorter than the shape its reader names.  A
+seeded count holds each strategy to drawing every fault kind it names, and
+every subcommand to reaching its runner in at least a third of its draws.
 """
 
+import functools
 import io
 import json
 import os
 import re
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, seed, settings
 from hypothesis import strategies as st
 
 from latspec import cli, volume
@@ -48,23 +52,40 @@ def _objects_in(node, path=()):
 
 
 def _replace_an_object(draw, cfg, odds=8):
-    """One time in odds, one nested JSON object of a copy of cfg replaced by
-    a non-object (the strategies share some dicts between configs)."""
+    """``(cfg, None)``, or one time in odds a copy of cfg with one nested JSON
+    object replaced by a non-object and the fault kind ``"non-object"`` (the
+    strategies share some dicts between configs).  The simplest draw has no
+    fault."""
     paths = list(_objects_in(cfg))
-    if paths and draw(st.integers(0, odds - 1)) == 0:
-        cfg = json.loads(json.dumps(cfg))
-        *parents, last = draw(st.sampled_from(paths))
-        node = cfg
-        for key in parents:
-            node = node[key]
-        node[last] = draw(_NON_OBJECTS)
-    return cfg
+    if not paths or not draw(st.sampled_from([False] * (odds - 1) + [True])):
+        return cfg, None
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = draw(st.sampled_from(paths))
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = draw(_NON_OBJECTS)
+    return cfg, "non-object"
 
 
+def _case(cfg, *faults):
+    """A drawn config and the set of fault kinds drawn into it."""
+    return cfg, {f for f in faults if f}
+
+
+def _configs(cases):
+    """The configs of a strategy of ``_case`` pairs."""
+    return cases.map(lambda case: case[0])
+
+
+# the strategy builders below are cached per argument: building a strategy
+# costs more than drawing from it, and the draws are the same
+@functools.cache
 def _vec(rank):
     return st.lists(st.integers(-6, 6), min_size=max(rank, 0), max_size=max(rank, 0))
 
 
+@functools.cache
 def _sets(rank):
     leaves = st.one_of(
         st.just({"kind": "full"}),
@@ -96,7 +117,7 @@ def _sets(rank):
 
 
 @st.composite
-def _configs(draw):
+def _point_set_cases(draw):
     rank = draw(st.integers(0, 3))
     cfg = {"rank": rank, "set": draw(_sets(rank))}
     experiment = draw(st.sampled_from(["volume-spectrum", "pattern-search", "density"]))
@@ -121,9 +142,10 @@ def _configs(draw):
     else:
         cfg["windows"] = draw(st.lists(st.integers(-2, 6), max_size=4))
     # faults are drawn rarely enough that most configs reach their runner; the simplest draw has none
-    if draw(st.sampled_from([False] * 7 + [True])):
+    dropped = draw(st.sampled_from([False] * 7 + [True]))
+    if dropped:
         del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
-    return _replace_an_object(draw, cfg, 16)
+    return _case(*_replace_an_object(draw, cfg, 16), "field dropped" if dropped else None)
 
 
 def _check_exit(cfg, backend="numpy"):
@@ -180,7 +202,7 @@ def _volume_configs(draw):
     return cfg
 
 
-@given(st.one_of(_configs(), _volume_configs()))
+@given(st.one_of(_configs(_point_set_cases()), _volume_configs()))
 # a cap of -1 used to end in an IndexError traceback on the int64 scan
 @example({"experiment": "volume-spectrum", "rank": 2, "window": 2, "set": {"kind": "full"}, "cap": -1})
 # rank 0 used to be refused with a reason from inside the scan
@@ -196,10 +218,12 @@ def test_point_set_configs_exit_0_1_or_2_without_traceback(cfg):
             assert _check_exit(cfg, "python") == (code, body)
 
 
+@functools.cache
 def _ints(length, bound=9):
     return st.lists(st.integers(-bound, bound), min_size=length, max_size=length)
 
 
+@functools.cache
 @st.composite
 def _finite_system(draw, rank):
     """``(width, descriptor)`` of an ergodic system: a triangular matrix with
@@ -227,19 +251,19 @@ _ERGODIC_SETS = st.one_of(
 )
 
 # one fault per config at most, so that most configs get past the parser
-_FAULTS = st.sampled_from(
-    [None] * 8
-    + [
-        "rank 0", "zero modulus", "negative modulus", "non-chain", "long gens row",
-        "short gens row", "gens row dropped", "long point", "no points", "boxes",
-        "eps_o", "p", "probe", "ergodic_set", "bound", "field dropped",
-    ]
+_FINITE_FAULTS = (
+    "rank 0", "zero modulus", "negative modulus", "non-chain", "long gens row",
+    "short gens row", "gens row dropped", "long point", "no points", "boxes",
+    "eps_o", "p", "probe", "ergodic_set", "bound", "field dropped",
 )
 
 
 @st.composite
-def _finite_configs(draw):
-    fault = draw(_FAULTS)
+def _finite_cases(draw):
+    # drawn first: a choice drawn after the variable-length system and points
+    # falls on its first entry in about half the draws
+    experiment = draw(st.sampled_from(["intersect", "expand-scan", "decompose", "spectral-report"]))
+    fault = draw(st.sampled_from((None,) * 8 + _FINITE_FAULTS))
     rank = 0 if fault == "rank 0" else draw(st.integers(1, 3))
     width, system = draw(_finite_system(rank))
     moduli, gens = system.get("moduli"), system.get("gens", system.get("matrix"))
@@ -256,7 +280,6 @@ def _finite_configs(draw):
     if fault == "long point":
         points["points"][0].append(1)
     points = {"no points": {"kind": "elements", "points": []}, "boxes": {"kind": "boxes"}}.get(fault, points)
-    experiment = draw(st.sampled_from(["intersect", "expand-scan", "decompose", "spectral-report"]))
     cfg = {"experiment": experiment, "system": system, "set_b": points}
     if experiment == "spectral-report":
         cfg["lambda_bound"] = -1 if fault == "bound" else draw(st.integers(0, 2))
@@ -281,7 +304,7 @@ def _finite_configs(draw):
         )
     if fault == "field dropped":
         del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
-    return _replace_an_object(draw, cfg)
+    return _case(*_replace_an_object(draw, cfg), fault)
 
 
 def _cyclic(modulus, gens):
@@ -291,7 +314,7 @@ def _cyclic(modulus, gens):
     }
 
 
-@given(_finite_configs())
+@given(_configs(_finite_cases()))
 # each of these ended in a traceback (exit 1) or ran on a misread system
 @example({"experiment": "spectral-report", **_cyclic(10**5, [[1]])})
 @example({"experiment": "decompose", **_cyclic(10**12, [[1]])})
@@ -309,15 +332,13 @@ def test_finite_system_configs_exit_0_1_or_2_without_traceback(cfg):
 
 
 _MULTIPLIERS = st.sampled_from([(2, 3), (3, 4), (2, 3, 5), (2, 5, 9), (6, 10, 15), (2, 3, 5, 7)])
-_HAYSTACK_FAULTS = st.sampled_from(
-    [None] * 8 + ["rank", "multipliers", "count", "basis", "vector length", "field dropped"]
-)
+_HAYSTACK_FAULTS = ("rank", "multipliers", "count", "basis", "vector length", "field dropped")
 
 
 @st.composite
-def _haystack_configs(draw):
+def _haystack_cases(draw):
     """Samples as vector lists or as haystack prefixes, at most one fault each."""
-    fault = draw(_HAYSTACK_FAULTS)
+    fault = draw(st.sampled_from((None,) * 8 + _HAYSTACK_FAULTS))
     multipliers = list(draw(_MULTIPLIERS))
     rank = len(multipliers)
     if fault == "multipliers":
@@ -339,10 +360,10 @@ def _haystack_configs(draw):
             cfg["basis"] = basis
     if fault == "field dropped":
         del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
-    return cfg
+    return _case(cfg, fault)
 
 
-@given(_haystack_configs())
+@given(_configs(_haystack_cases()))
 # C(10^6, 2) pairs, and a rank mismatch: each used to generate the whole sample first
 @example({"experiment": "haystack-verify", "rank": 2, "multipliers": [2, 3], "count": 10**6})
 @example({"experiment": "haystack-verify", "rank": 1, "multipliers": [2, 3], "count": 10**6})
@@ -360,12 +381,9 @@ _EXTRA = st.one_of(
     st.sampled_from([{"symbols": {"alpha": "1", "beta": "1/3"}}, {"symbols": {"beta": "-2"}, "rational": "1/2"}]),
 )
 _ENDS = ("0", "1/6", "1/3", "1/2", "2/3", "1")
-_KRONECKER_FAULTS = st.sampled_from(
-    [None] * 11
-    + [
-        "non-ergodic", "bad entry", "row count", "row length", "bad box", "overlap",
-        "no boxes", "box dim", "trunc", "lambda", "field dropped",
-    ]
+_KRONECKER_FAULTS = (
+    "non-ergodic", "bad entry", "row count", "row length", "bad box", "overlap",
+    "no boxes", "box dim", "trunc", "lambda", "field dropped",
 )
 
 
@@ -375,10 +393,10 @@ def _interval(draw):
 
 
 @st.composite
-def _kronecker_configs(draw):
+def _kronecker_cases(draw):
     """Ergodic torus systems of dim 1-2 (row i carries its own symbol) with
     disjoint boxes, and at most one fault each."""
-    fault = draw(_KRONECKER_FAULTS)
+    fault = draw(st.sampled_from((None,) * 11 + _KRONECKER_FAULTS))
     rank = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 2))
     theta = [
@@ -414,13 +432,13 @@ def _kronecker_configs(draw):
         cfg["annihilator_lambdas"] = draw(st.lists(_ints(width, 4), min_size=fault == "lambda", max_size=3))
     if fault == "field dropped":
         del cfg[draw(st.sampled_from(sorted(k for k in cfg if k != "experiment")))]
-    return _replace_an_object(draw, cfg)
+    return _case(*_replace_an_object(draw, cfg), fault)
 
 
 _ALPHA = {"symbols": {"alpha": "1"}}
 
 
-@given(_kronecker_configs())
+@given(_configs(_kronecker_cases()))
 # 129^3 atoms at the default trunc used to be enumerated for minutes
 @example(
     {
@@ -441,6 +459,45 @@ _ALPHA = {"symbols": {"alpha": "1"}}
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_kronecker_configs_exit_0_1_or_2_without_traceback(cfg):
     _check_exit(cfg)
+
+
+#: each strategy of the properties above: the subcommands it draws, the fault
+#: kinds it can draw and how many draws are counted (Hypothesis draws a fault
+#: in runs, as it builds an example from the choices of earlier ones)
+_REACH = {
+    "point-set": (_point_set_cases(), {"volume-spectrum", "pattern-search", "density"}, {"field dropped", "non-object"}, 600),
+    "volume": (_volume_configs().map(_case), {"volume-spectrum"}, set(), 50),
+    "finite": (_finite_cases(), {"intersect", "expand-scan", "decompose", "spectral-report"}, {*_FINITE_FAULTS, "non-object"}, 500),
+    "haystack": (_haystack_cases(), {"haystack-verify"}, set(_HAYSTACK_FAULTS), 300),
+    "kronecker": (_kronecker_cases(), {"spectral-report"}, {*_KRONECKER_FAULTS, "non-object"}, 500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REACH))
+def test_every_subcommand_reaches_its_runner_and_every_fault_kind_is_drawn(name):
+    # counted over a seeded draw, one config per example as in the properties;
+    # a config that read_config accepts reaches its runner
+    cases, subcommands, kinds, count = _REACH[name]
+    drawn, reached, faults = Counter(), Counter(), set()
+
+    @seed(0)
+    @settings(max_examples=count, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.too_slow])
+    @given(cases)
+    def tally(case):
+        cfg, case_faults = case
+        faults.update(case_faults)
+        drawn[cfg["experiment"]] += 1
+        try:
+            read_config(cfg["experiment"], cfg)
+        except (KeyError, ValueError):
+            return
+        reached[cfg["experiment"]] += 1
+
+    tally()
+    assert sum(drawn.values()) == count and drawn.keys() == subcommands
+    assert not [sub for sub in subcommands if 3 * reached[sub] < drawn[sub]], (reached, drawn)
+    assert faults == kinds, kinds ^ faults
 
 
 def _kind(node, tables):
@@ -469,6 +526,10 @@ def _read_objects(cfg):
     return out
 
 
+def _any_config():
+    return _configs(st.one_of(_point_set_cases(), _finite_cases(), _haystack_cases(), _kronecker_cases()))
+
+
 def _misspelt(draw, name):
     i = draw(st.integers(0, len(name) - 1))
     return draw(st.sampled_from([name[:i] + name[i + 1:], name[:i] + name[i] * 2 + name[i + 1:], name + "_"]))
@@ -478,7 +539,7 @@ def _misspelt(draw, name):
 def _table_faults(draw):
     """A config of any generator above with one field renamed (``rename``
     True), or with a scalar in place of one array field."""
-    cfg = json.loads(json.dumps(draw(st.one_of(_configs(), _finite_configs(), _haystack_configs(), _kronecker_configs()))))
+    cfg = json.loads(json.dumps(draw(_any_config())))
     rename = draw(st.booleans())
     fields = [
         (node, name, table)
@@ -546,7 +607,7 @@ def _with_every_shaped_field(cfg):
 def _length_faults(draw):
     """A config of any generator above, and a copy with one shaped array one
     entry longer or shorter, and that array's path (None when it has none)."""
-    cfg = _with_every_shaped_field(json.loads(json.dumps(draw(st.one_of(_configs(), _finite_configs(), _haystack_configs(), _kronecker_configs())))))
+    cfg = _with_every_shaped_field(json.loads(json.dumps(draw(_any_config()))))
     faulty = json.loads(json.dumps(cfg))
     # an empty array of arrays has no entry to copy
     arrays = [(path, a) for path, a, innermost in _shaped_arrays(faulty) if a or innermost]

@@ -1,16 +1,15 @@
 """SHA-256 pins of finite library outputs on random fleets.
 
-Each digest is taken with the ``_canon`` of the Kronecker pins, after every
-set (a frozenset or an index array) is written as its sorted list and every
-array as its list, so a change of how saturations, components or
-characters are held cannot move a figure, a witness or a refusal.
+Each digest is taken with the ``_canon`` of the Kronecker pins: every set
+(a frozenset or an index array) is written as its sorted list, every array
+as its list and every result record as the fields its ``PINS`` entry names,
+so a change of how saturations, components or characters are held cannot
+move a figure, a witness or a refusal.
 """
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from _fleet import random_fleet
@@ -26,23 +25,9 @@ from latspec.systems import ErgodicSetSpec, orbit_saturation
 from test_kronecker_golden import _canon, _sha256
 
 
-def _plain(obj):
-    """obj with sets sorted into lists, arrays as lists and dataclasses as
-    field dicts, all the way down."""
-    if isinstance(obj, (frozenset, set)):
-        return sorted(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    return obj
-
-
 def _outcome(run):
     try:
-        return _plain(run())
+        return run()
     except (AssertionError, RuntimeError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -99,7 +84,7 @@ def _annihilator_masses():
 GOLDEN_FINITE_LIBRARY = {
     "shrinks": (_shrinks, "d784602ddde5e3064f2b6454ee9c4b57b33cd1ded4b8cc0c2aaa9d2401cac10f"),
     "orbit-saturations": (_saturations, "27538cac33f418a672b46d95f97ccd81150e07834381ff84d8abdbd961bc152b"),
-    "intersections": (_intersections, "e61c3cf1b92d1f9a1c5c0522ae06d15a33cbe359a3bea5ba42929ae3e7b53cd0"),
+    "intersections": (_intersections, "cdbf8fa8ab26ede2bb7d41f8189663f69c6d017b437836fa6ab8c012f42874c5"),
     "annihilator-masses": (_annihilator_masses, "8192f045de2e94579eab3d6d9129810272228f424c014d2d71c0162e3796e165"),
 }
 
@@ -107,4 +92,4 @@ GOLDEN_FINITE_LIBRARY = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_FINITE_LIBRARY))
 def test_finite_library_outputs_match_their_golden_digests(name):
     compute, digest = GOLDEN_FINITE_LIBRARY[name]
-    assert _sha256(_canon(_plain(compute()))) == digest
+    assert _sha256(_canon(compute())) == digest

@@ -10,9 +10,9 @@ counts, an eighth keeps numpy scalars out of ``Fraction``, a ninth keeps
 length refusals out of the CLI, in the shapes of ``config.array``, and a
 tenth keeps in the package only what a run of the CLI reaches, besides a
 few names allowed with their reasons, and an eleventh keeps in each class
-only fields and methods something reads, and a twelfth keeps ``lattice`` out
-of the determinant scans.  Run this file to print what a run reaches, the
-allowed names and anything unreached or unread.
+only fields and methods something reads, with no exceptions, and a twelfth
+keeps ``lattice`` out of the determinant scans.  Run this file to print what
+a run reaches, the allowed names and anything unreached or unread.
 """
 
 import ast
@@ -278,7 +278,6 @@ ALLOWED = {
     ("spectral.py", "small_intersection_bound"): "the paper's small-intersection lemma, checked by test_acceptance.py",
     ("spectral.py", "SmallIntersectionResult"): "the result of small_intersection_bound",
     ("spectral.py", "P_SUBSET_LIMIT"): "the limit small_intersection_bound admits its p-subsets by",
-    ("systems.py", "box_overlap_volume"): "a span of perfbench's tracer, kept until a benchmark change drops it",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.ClassDef, ast.Assign)
@@ -367,13 +366,6 @@ def test_every_top_level_name_is_reached_by_a_run_or_allowed():
 #: where a field or method of the package may be read: the package, its tests and its benchmark
 READERS = [SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench"]
 
-#: fields and methods of the package's classes read under no attribute name, each kept for its reason
-ALLOWED_MEMBERS = {
-    ("spectral.py", "IntersectionWitness", "component_measure"): "hashed field by field by test_finite_golden.py's intersections digest",
-    ("spectral.py", "IntersectionWitness", "expansion"): "hashed field by field by test_finite_golden.py's intersections digest",
-}
-
-
 def attribute_reads() -> set[str]:
     """Every attribute name read (not assigned) in the package, its tests and its benchmark."""
     return {
@@ -405,15 +397,12 @@ def _unread(trees: dict[str, ast.Module], reads: set[str]) -> list[str]:
     return [
         f"{module}:{line} {cls}.{name}"
         for (module, cls, name), line in sorted(members(trees).items())
-        if name not in reads and (module, cls, name) not in ALLOWED_MEMBERS
+        if name not in reads
     ]
 
 
-def test_every_class_member_is_read_somewhere_or_allowed():
+def test_every_class_member_is_read_somewhere():
     trees, reads = _trees(), attribute_reads()
-    assert ALLOWED_MEMBERS.keys() <= members(trees).keys()
-    # an allowed member something reads needs no reason
-    assert not {name for _, _, name in ALLOWED_MEMBERS} & reads
     assert not _unread(trees, reads)
     # a field and a method nothing reads are found; one read elsewhere is not
     planted = ast.parse("class Planted:\n    unread: int\n    ok: bool\n\n    def unused(self):\n        return 0\n")
@@ -427,6 +416,5 @@ if __name__ == "__main__":
     print(f"reached from {', '.join(f'{m[:-3]}.{n}' for m, n in ROOTS)}: {len(reached)} of {len(defs)} top-level names")
     print("allowed:", *(f"{m[:-3]}.{n}: {reason}" for (m, n), reason in sorted(ALLOWED.items())), sep="\n  ")
     print("unreached:", *(_unreached(trees) or ["none"]), sep="\n  ")
-    print(f"class fields and methods: {len(members(trees))}, allowed unread:")
-    print(*(f"  {m[:-3]}.{c}.{n}: {reason}" for (m, c, n), reason in sorted(ALLOWED_MEMBERS.items())), sep="\n")
+    print(f"class fields and methods: {len(members(trees))}")
     print("unread:", *(_unread(trees, attribute_reads()) or ["none"]), sep="\n  ")

@@ -1,9 +1,10 @@
 """SHA-256 pins of Kronecker outputs: CLI report bodies and library results.
 
 Each digest is taken over sorted JSON, with every Fraction written as
-``p/q`` and every dataclass as its field dict, so a change of how the
-frequency matrix or the rational grid is held cannot move a figure,
-a verdict or a witness.
+``p/q`` and every result record as the fields ``PINS`` names for its type,
+so a change of how the frequency matrix or the rational grid is held cannot
+move a figure, a verdict or a witness, and a record can gain or lose a
+member that no pin names without moving a digest.
 """
 
 import dataclasses
@@ -11,13 +12,20 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from _reference import is_ergodic_direction
+from _reference import box_overlap_volume, is_ergodic_direction
 from latspec.cli import main
 from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
+from latspec.intervals import Weight
 from latspec.spectral import (
+    DirectionalExpansionResult,
+    ExpansionCheck,
+    IntersectionWitness,
+    ProbeWitness,
+    ShrinkResult,
     _expansion_bound,
     directional_expansion_theorem_check,
     expansion_bound_check,
@@ -27,7 +35,10 @@ from latspec.spectral import (
 )
 from latspec.systems import (
     BoxUnion,
-    box_overlap_volume,
+    ComponentPresentation,
+    ErgodicComponent,
+    FiniteSystem,
+    KroneckerSaturation,
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     kronecker_system,
@@ -131,12 +142,42 @@ GOLDEN_REPORTS = {
 }
 
 
+#: the result records the golden computations reach, each with the fields its
+#: digests pin; a record of another type is refused like any unknown object
+PINS = {
+    ShrinkResult: ("n", "component", "presentation", "c", "nu_b", "rational_mass", "pi_mass", "tried"),
+    ErgodicComponent: ("support", "weight"),
+    ComponentPresentation: ("system", "to_component"),
+    FiniteSystem: ("rank", "moduli", "gens"),
+    IntersectionWitness: ("n", "lam", "m1", "probes", "measure", "eps", "eps_o", "shrink"),
+    ProbeWitness: ("probe", "ms"),
+    Weight: ("lower", "upper", "exact"),
+    KroneckerSaturation: ("lower", "upper", "exact"),
+    ExpansionCheck: ("bound", "measured", "ok", "applicable", "estimate", "note"),
+    DirectionalExpansionResult: ("status", "rational_mass", "lam", "measured", "bound", "delta", "estimate", "note"),
+}
+
+
+def _pinned(record) -> dict:
+    names = PINS[type(record)]
+    lacking = set(names) - {f.name for f in dataclasses.fields(record)}
+    if lacking:
+        raise TypeError(f"cannot pin {type(record).__name__}: no field {', '.join(sorted(lacking))}")
+    return {name: getattr(record, name) for name in names}
+
+
 def _canon(obj) -> str:
+    """obj as sorted JSON: a Fraction as ``p/q``, a set as its sorted list,
+    an array as its list and a record as its pinned fields."""
     def default(x):
         if isinstance(x, Fraction):
             return f"{x.numerator}/{x.denominator}"
-        if dataclasses.is_dataclass(x):
-            return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+        if isinstance(x, (frozenset, set)):
+            return sorted(x)
+        if isinstance(x, np.ndarray):
+            return x.tolist()
+        if type(x) in PINS:
+            return _pinned(x)
         raise TypeError(f"cannot pin {x!r}")
 
     return json.dumps(obj, default=default, sort_keys=True)
@@ -297,9 +338,9 @@ def _rational_and_irrational_masses():
 
 
 GOLDEN_LIBRARY = {
-    "certificates": (_certificates, "883344b26ad93bf23ae05284149ffebd0b1315fb5c8e90f9fd8db4b9992231a5"),
+    "certificates": (_certificates, "4e5ca0da44452330fa632116bd766338767cfbd870ded89924c69980842be7d9"),
     "ergodic-directions": (_ergodic_directions, "e6e34f2dea199f9277a621d9f9e1076bddee9cb342909fad605a8c66ce184587"),
-    "orbit-saturations": (_saturations, "3ab6120e663da280063fd3e2b7f15e4bfb1e842689e9f88524a8cb545f3b961b"),
+    "orbit-saturations": (_saturations, "ea406c8011110d4b9e4bd7ea76dc6253c5b91faa7d5e41deeb9388fc91d366f7"),
     "box-overlaps": (_overlaps, "b89589f3ae4db4b9144231c1dd2341def9f594be2b82e1820841838c7be63bfb"),
     "expansion-checks": (_expansion_checks, "faa9b5e56b64e85c7acfecb92a1f452d14c57bd8ecf35bca3b168a94eeb14235"),
     "rational-and-irrational-masses": (
@@ -314,3 +355,20 @@ GOLDEN_LIBRARY = {
 def test_kronecker_library_outputs_match_their_golden_digests(name):
     compute, digest = GOLDEN_LIBRARY[name]
     assert _sha256(_canon(compute())) == digest
+
+
+def test_a_record_type_without_pins_cannot_be_pinned(monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class Planted:
+        lower: Fraction
+
+    monkeypatch.setitem(globals(), "kronecker_orbit_saturation", lambda s, b, lam: Planted(b.volume()))
+    with pytest.raises(TypeError, match=r"^cannot pin .*Planted\(lower=Fraction\(1, 6\)\)"):
+        _canon(_saturations())
+
+
+def test_a_pin_on_a_field_the_record_lacks_names_it(monkeypatch):
+    # KroneckerSaturation lost its unread note
+    monkeypatch.setitem(PINS, KroneckerSaturation, ("lower", "upper", "exact", "note"))
+    with pytest.raises(TypeError, match=r"^cannot pin KroneckerSaturation: no field note$"):
+        _canon(_saturations())

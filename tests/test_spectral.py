@@ -14,7 +14,7 @@ import pytest
 
 from _cyclotomic import root_values
 from _fleet import pts, random_fleet, tuples
-from _reference import birkhoff_annihilator_average
+from _reference import birkhoff_annihilator_average, box_overlap_volume
 from latspec.config import LimitError
 from latspec.formal import FormalReal
 from latspec.haystack import make_haystack
@@ -44,7 +44,6 @@ from latspec.spectral import (
 from latspec.systems import (
     BoxUnion,
     ErgodicSetSpec,
-    box_overlap_volume,
     component_presentation,
     ergodic_components,
     finite_system,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _fleet import pts, random_fleet, tuples
-from _reference import birkhoff_annihilator_average, is_ergodic_direction
+from _reference import birkhoff_annihilator_average, box_overlap_volume, is_ergodic_direction
 from latspec.config import LimitError
 from latspec.formal import FormalReal
 from latspec.lattice import kernel_basis, scale_lattice, sublattice
@@ -22,7 +22,6 @@ from latspec.systems import (
     BoxUnion,
     ErgodicSetSpec,
     FiniteSystem,
-    box_overlap_volume,
     component_presentation,
     ergodic_components,
     finite_system,
