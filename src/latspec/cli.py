@@ -415,10 +415,11 @@ def _run_expand_scan(c: dict, seed: Optional[int]):
     """
     sys_, bset = c["system"], c["set_b"]
     bound = _box_bound(c["coord_bound"], "coord_bound", sys_.rank)
+    # every row's bound reads the spectral measure: refuse it before the
+    # candidates are listed
+    admit_spectral_measure(sys_, bset)
     sspec = c["ergodic_set"]
     candidates = [lam for lam in product(range(-bound, bound + 1), repeat=sys_.rank) if any(x != 0 for x in lam)]
-    # every row's bound reads the spectral measure: refuse it before any saturation
-    admit_spectral_measure(sys_, bset)
     measured = [(lam, orbit_saturation(sys_, bset, lam, sspec)[1]) for lam in candidates]
     best_mu, best_lam = max_directional_expansion(sys_, bset, candidates)
     rows = []
@@ -443,7 +444,7 @@ def _run_spectral_report(c: dict, seed: Optional[int]):
     if isinstance(sys_, FiniteSystem):
         lam_bound = _box_bound(c["lambda_bound"], "lambda_bound", sys_.rank)
         sigma = spectral_measure(sys_, bset)
-        boch = verify_bochner(sys_, bset, lam_bound)
+        boch = verify_bochner(sigma, lam_bound)
         mu_b = sigma.total.value
         # normalized figures are raw masses over the trivial mass mu(B)^2
         t = sigma.trivial.value
@@ -498,7 +499,7 @@ def _run_decompose(c: dict, seed: Optional[int]):
     mu_b = sys_.measure(bset)
     results["shrink"] = {
         "n": shrink.n,
-        "component_support": sys_.vectors(sorted(shrink.component.support)).tolist(),
+        "component_support": sys_.vectors(np.flatnonzero(shrink.presentation.to_component >= 0)).tolist(),
         "c": ser_fraction(shrink.c),
         "nu_b": ser_fraction(shrink.nu_b),
         "rational_nontrivial_mass": ser_fraction(shrink.rational_mass),

@@ -4,9 +4,11 @@ For a finite system the spectral measure of a set B is atomic with one atom
 per character of the carrier, held as its dual label.  The characters fall
 into Galois orbits, one per cyclic subgroup, each with one integer row of
 root counts; an orbit's weights are rational together or not at all, and
-its sums are integer Ramanujan sums.  Every mass a theorem is checked
-against is computed by the exact rational coset formulas and cross-checked
-against those orbit sums.  Kronecker systems get truncated atom lists with
+its sums are integer Ramanujan sums.  The measure is these orbit tables,
+built once per (system, set), and every check reads the tables of the
+measure it is handed.  Every mass a theorem is checked against is computed
+by the exact rational coset formulas and cross-checked against those orbit
+sums.  Kronecker systems get truncated atom lists with
 certified interval weights and an exact Parseval tail bound; interval-valued
 verdicts are flagged as estimates, never promoted.  Every mass is an
 ``intervals.Weight``, exact or an enclosure; an atom's character is a label
@@ -19,7 +21,7 @@ the expansion lower bound mu(S lam.B) >= mu(B)^2 / sigma_B(annihilator),
 the small-annihilator scan over a haystack, the finite-measure-space
 small-intersection dichotomy, rational-spectrum shrinking through ergodic
 decomposition under n * Z^r (on the coset labels of its image, one component
-materialised), and the intersection-witness search that chains all of the
+presented), and the intersection-witness search that chains all of the
 above.
 """
 
@@ -43,7 +45,6 @@ from .systems import (
     BoxUnion,
     ComponentPresentation,
     CyclicSubgroups,
-    ErgodicComponent,
     ErgodicSetSpec,
     FiniteSystem,
     KroneckerSystem,
@@ -74,15 +75,16 @@ class Atom:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Atomic spectral measure sigma_B of a set, at its raw scale.
+    """Truncated atomic spectral measure sigma_B of a box union on a torus
+    system, at its raw scale.
 
     ``total`` is the full mass mu(B) and ``trivial`` the trivial-atom mass
-    mu(B)^2, both exact and positive; for finite systems the tail is exactly
-    zero.  The normalized measure of the expansion bound is sigma_B / mu(B)^2:
-    a normalized figure is one division of a raw mass by ``trivial``.  The
-    type of ``system`` tells the two models apart: a ``FiniteSystem``'s
-    measure is a ``FiniteSpectralMeasure``, whose atoms are built on first
-    read.
+    mu(B)^2, both exact and positive; ``tail`` bounds the mass past the
+    enumerated atoms.  The normalized measure of the expansion bound is
+    sigma_B / mu(B)^2: a normalized figure is one division of a raw mass by
+    ``trivial``.  A finite system's measure is a ``FiniteSpectralMeasure``,
+    read through the same six names, with a tail of exactly zero; the type
+    of ``system`` tells the two apart.
     """
 
     system: object
@@ -94,40 +96,11 @@ class SpectralMeasure:
 
 
 # ---------------------------------------------------------------------------
-# finite-system tables (shared by the measure, Bochner and mass routines)
+# finite spectral measure
 
 #: most steps |A| x exponent of the cyclic-subgroup index of a finite measure,
 #: checked first, and most coordinates orbits x |B| x s of its rows
 CELL_LIMIT = 2 * 10**7
-
-
-@dataclass(frozen=True, eq=False)
-class _OrbitTables:
-    """The characters of A in Galois orbits, one per cyclic subgroup <c>.
-
-    Label c pairs with h as z^(e_c @ h), z a primitive exponent-th root of
-    unity and e_c the coordinates of c scaled to Z/exponent; orbit o holds
-    the u * c, u a unit and c its least label, whose e_c is ``pairing[o]``.
-    ``rows[o, k]`` counts the (a, b) in B^2 with chi_c(a - b) = z^k, so
-    |A|^2 |u*c hat|^2 = sum_k rows[o, k] z^(u k); ``sums[o, e]`` is the sum
-    over the orbit of chi(g) |A|^2 |chi hat|^2 for any g with chi_c(g) = z^e
-    (read only at such e), and ``rational[o]`` tells whether the orbit's
-    weights are rational.
-    """
-
-    subgroups: CyclicSubgroups
-    pairing: np.ndarray
-    rows: np.ndarray
-    sums: np.ndarray
-    rational: np.ndarray
-
-
-def _with_sums(sub: CyclicSubgroups, pairing: np.ndarray, rows: np.ndarray) -> _OrbitTables:
-    exponent = rows.shape[1]
-    traces, rational = ramanujan_sums(rows)
-    # over z each of the phi(d) characters of order d recurs phi(N) / phi(d) times
-    repeats = totient(exponent) // np.bincount(sub.subgroup_of)
-    return _OrbitTables(sub, pairing, rows, traces // repeats[:, None], np.array(rational, dtype=bool))
 
 
 def admit_spectral_measure(sys_: FiniteSystem, bset: frozenset) -> None:
@@ -141,8 +114,9 @@ def admit_spectral_measure(sys_: FiniteSystem, bset: frozenset) -> None:
     admit(cells, CELL_LIMIT, "coordinates of the orbit rows, orbits x |B| x s")
 
 
-@lru_cache(maxsize=256)
-def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
+def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> tuple[CyclicSubgroups, np.ndarray, np.ndarray]:
+    """The cyclic subgroups of A, the pairing of each orbit's least label and
+    the orbit's row of root counts, as ``FiniteSpectralMeasure`` holds them."""
     admit_spectral_measure(sys_, bset)
     sub, order = sys_.cyclic_subgroups(), sys_.exponent
     pairing = sys_.vectors(sub.generator) * (order // np.array(sys_.moduli, dtype=np.int64))
@@ -155,7 +129,7 @@ def _orbit_tables(sys_: FiniteSystem, bset: frozenset) -> _OrbitTables:
         full = np.convolve(hist, hist[::-1])
         row[::step] = full[d - 1:]
         row[step::step] += full[:d - 1]
-    return _with_sums(sub, pairing, rows)
+    return sub, pairing, rows
 
 
 def _coset_mass(sys_: FiniteSystem, cells: np.ndarray, g: int) -> Fraction:
@@ -195,51 +169,63 @@ def spectral_measure(sys_: FiniteSystem, b: Iterable[int]) -> FiniteSpectralMeas
 GRID = 1 << GRID_BITS
 
 
-class FiniteSpectralMeasure(SpectralMeasure):
-    """sigma_B on a finite system, held as its construction computed it: the
-    orbit tables and the exact weight of each rational orbit.
+# compared and hashed by identity: a field-wise comparison would compare
+# arrays, and a cached measure is one object per (system, set)
+@dataclass(frozen=True, eq=False)
+class FiniteSpectralMeasure:
+    """sigma_B on a finite system, held as its construction computed it.
+
+    The characters of A fall in Galois orbits, one per cyclic subgroup <c>
+    of ``subgroups``.  Label c pairs with h as z^(e_c @ h), z a primitive
+    exponent-th root of unity and e_c the coordinates of c scaled to
+    Z/exponent; orbit o holds the u * c, u a unit and c its least label,
+    whose e_c is ``pairing[o]``.  ``rows[o, k]`` counts the (a, b) in B^2
+    with chi_c(a - b) = z^k, so |A|^2 |u*c hat|^2 = sum_k rows[o, k] z^(u k);
+    ``sums[o, e]`` is the sum over the orbit of chi(g) |A|^2 |chi hat|^2 for
+    any g with chi_c(g) = z^e (read only at such e), and ``rational[o]``
+    tells whether the orbit's weights are rational, each then
+    ``orbit_weights[o]`` (None otherwise).  ``total`` and ``trivial`` are
+    mu(B) and mu(B)^2, as in ``SpectralMeasure``.
 
     The enclosures of the irrational weights and the atoms are built on first
     read and kept on the instance; the masses the theorems use come from the
     tables and never need them.
     """
 
-    def __init__(self, sys_: FiniteSystem, bset: frozenset, tables: _OrbitTables, orbit_weights: list):
-        mu_b = Fraction(len(bset), sys_.size)
-        fields = {
-            "system": sys_,
-            "base_set": bset,
-            "tail": ZERO_WEIGHT,
-            "total": Weight.of(mu_b),
-            "trivial": Weight.of(mu_b * mu_b),
-            "tables": tables,
-            "orbit_weights": orbit_weights,
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    system: FiniteSystem
+    base_set: frozenset
+    subgroups: CyclicSubgroups
+    pairing: np.ndarray
+    rows: np.ndarray
+    sums: np.ndarray
+    rational: np.ndarray
+    orbit_weights: list
+    total: Weight
+    trivial: Weight
+    # every atom is listed: no mass is left in a tail
+    tail = ZERO_WEIGHT
 
     @cached_property
     def label_weights(self) -> list:
         """One weight per label: the exact value of a rational orbit's
         characters as a Fraction, shared by the orbit, or the grid numerators
         (lo, hi) over GRID of an interval weight."""
-        t, sys_ = self.tables, self.system
-        order = t.rows.shape[1]
-        orbit_of = t.subgroups.subgroup_of
+        sys_, order = self.system, self.system.exponent
+        orbit_of = self.subgroups.subgroup_of
         weights = [self.orbit_weights[o] for o in orbit_of.tolist()]
         labels = np.arange(sys_.size)
         negated = sys_.index(-sys_.vectors(labels))
         # chi_(-c) is the conjugate of chi_c, of the same real weight; its row
         # is the reflection k -> -k and the cosine table is symmetric, so the
         # enclosure is the same integers: one per conjugate pair
-        irrational = np.flatnonzero(~t.rational[orbit_of] & (labels < negated))
+        irrational = np.flatnonzero(~self.rational[orbit_of] & (labels < negated))
         block = max(1, BLOCK_CELLS // order)
         for lo in range(0, len(irrational), block):
             # the row of u * c is the orbit's row moved from k to u * k
             chars = irrational[lo:lo + block]
             rows = np.empty((len(chars), order), dtype=np.int64)
-            moved = t.subgroups.unit_of[chars, None] * np.arange(order) % order
-            rows[np.arange(len(chars))[:, None], moved] = t.rows[orbit_of[chars]]
+            moved = self.subgroups.unit_of[chars, None] * np.arange(order) % order
+            rows[np.arange(len(chars))[:, None], moved] = self.rows[orbit_of[chars]]
             ends = zip(*enclose_real_root_grid(order, rows, sys_.size**2))
             for c, d, end in zip(chars.tolist(), negated[chars].tolist(), ends):
                 weights[c] = weights[d] = end
@@ -248,7 +234,7 @@ class FiniteSpectralMeasure(SpectralMeasure):
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         by_orbit = [None if q is None else Weight.of(q) for q in self.orbit_weights]
-        orbit_of = self.tables.subgroups.subgroup_of.tolist()
+        orbit_of = self.subgroups.subgroup_of.tolist()
         return tuple(
             Atom(
                 label,
@@ -260,17 +246,23 @@ class FiniteSpectralMeasure(SpectralMeasure):
 
 @lru_cache(maxsize=512)
 def _spectral_measure_cached(sys_: FiniteSystem, bset: frozenset) -> FiniteSpectralMeasure:
-    t = _orbit_tables(sys_, bset)
+    sub, pairing, rows = _orbit_tables(sys_, bset)
     n = sys_.size
     mu_b = Fraction(len(bset), n)
+    traces, rational = ramanujan_sums(rows)
+    # over z each of the phi(d) characters of order d recurs phi(N) / phi(d) times
+    per_orbit = np.bincount(sub.subgroup_of)
+    sums = traces // (totient(sys_.exponent) // per_orbit)[:, None]
     # a rational orbit's trace is shared evenly by its characters
-    traces = zip(t.sums[:, 0].tolist(), np.bincount(t.subgroups.subgroup_of).tolist(), t.rational)
-    orbit_weights = [Fraction(tr, k * n * n) if rational else None for tr, k, rational in traces]
-    if orbit_weights[t.subgroups.subgroup_of[0]] != mu_b * mu_b:
+    shares = zip(sums[:, 0].tolist(), per_orbit.tolist(), rational)
+    orbit_weights = [Fraction(tr, k * n * n) if r else None for tr, k, r in shares]
+    if orbit_weights[sub.subgroup_of[0]] != mu_b * mu_b:
         raise AssertionError("trivial atom mass must equal mu(B)^2")
-    if int(t.sums[:, 0].sum()) != len(bset) * n:
+    if int(sums[:, 0].sum()) != len(bset) * n:
         raise AssertionError("atom total must equal mu(B)")
-    return FiniteSpectralMeasure(sys_, bset, t, orbit_weights)
+    return FiniteSpectralMeasure(
+        sys_, bset, sub, pairing, rows, sums, np.array(rational, dtype=bool), orbit_weights, Weight.of(mu_b), Weight.of(mu_b * mu_b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,7 @@ def _annihilated(sys_: KroneckerSystem, atoms: Sequence[Atom], lam) -> Weight:
     return acc
 
 
-def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
+def annihilator_mass(sigma: SpectralMeasure | FiniteSpectralMeasure, lam) -> Weight:
     """Raw mass sigma_B of the characters with xi(lam) = 1.
 
     Divide by ``sigma.trivial.value`` for the normalized mass.  lam = 0
@@ -395,9 +387,8 @@ def annihilator_mass(sigma: SpectralMeasure, lam) -> Weight:
         g = sys_.phi(c)
         value = _cyclic_coset_mass(sys_, sigma.base_set, g)
         # independent atom route: the traces of the orbits trivial on g
-        t = _orbit_tables(sys_, sigma.base_set)
-        on_g = (t.pairing @ sys_.vectors(g)) % sys_.exponent == 0
-        if Fraction(int(t.sums[on_g, 0].sum()), sys_.size**2) != value:
+        on_g = (sigma.pairing @ sys_.vectors(g)) % sys_.exponent == 0
+        if Fraction(int(sigma.sums[on_g, 0].sum()), sys_.size**2) != value:
             raise AssertionError("coset formula disagrees with atom sum")
         return Weight.of(value)
     acc = _annihilated(sys_, sigma.atoms, c)
@@ -416,7 +407,7 @@ def _kron_rational_annihilator_exact(sys_: KroneckerSystem, b: BoxUnion, lam) ->
     return _coset_mass(*box_grid(b, sys_.rational_shift(lam)))
 
 
-def rational_mass_excluding_trivial(sigma: SpectralMeasure) -> Weight:
+def rational_mass_excluding_trivial(sigma: SpectralMeasure | FiniteSpectralMeasure) -> Weight:
     """Mass on rational, nontrivial characters.
 
     Finite systems: every atom is rational, so this is total - trivial,
@@ -436,29 +427,28 @@ class BochnerReport:
     violations: tuple[tuple[int, ...], ...] = ()
 
 
-def verify_bochner(sys_: FiniteSystem, b: Iterable[int], lam_box: int) -> BochnerReport:
+def verify_bochner(sigma: FiniteSpectralMeasure, lam_box: int) -> BochnerReport:
     """Exact check of mu(B ∩ lam.B) against the character sum of sigma_B.
 
     Every lam in [-lam_box, lam_box]^rank is checked, distinct lam sharing an
     image once.  The character sum at the raw scale, |A|^2 sigma_B, adds one
-    integer Ramanujan sum per Galois orbit and is compared to |A| times the
-    counting value.
+    integer Ramanujan sum per Galois orbit of the measure's tables and is
+    compared to |A| times the counting value.
     """
-    bset = frozenset(b)
-    t = _orbit_tables(sys_, bset)
+    sys_ = sigma.system
     lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
     gens = sys_.vectors(list(sys_.gens))
     flat = sys_.index(np.array(lams, dtype=np.int64).reshape(len(lams), sys_.rank) @ gens)
     images, which = np.unique(flat, return_inverse=True)
     g = sys_.vectors(images)
     # the orbit sums at each image's phases, one gather for a block of images
-    by_phase, offsets = t.sums.ravel(), np.arange(len(t.sums)) * sys_.exponent
+    by_phase, offsets = sigma.sums.ravel(), np.arange(len(sigma.sums)) * sys_.exponent
     block = max(1, BLOCK_CELLS // len(offsets))
     sums = np.empty(len(g), dtype=np.int64)
     for lo in range(0, len(g), block):
-        sums[lo:lo + block] = by_phase[(g[lo:lo + block] @ t.pairing.T) % sys_.exponent + offsets].sum(axis=1)
+        sums[lo:lo + block] = by_phase[(g[lo:lo + block] @ sigma.pairing.T) % sys_.exponent + offsets].sum(axis=1)
     # |B ∩ (B + g)| counts the b in B with b - g in B
-    ok = (sums == sys_.overlap_counts(sys_.mask(bset), -g) * sys_.size).tolist()
+    ok = (sums == sys_.overlap_counts(sys_.mask(sigma.base_set), -g) * sys_.size).tolist()
     violations = tuple(lam for lam, i in zip(lams, which.tolist()) if not ok[i])
     return BochnerReport(ok=not violations, checked=len(lams), violations=violations)
 
@@ -497,7 +487,7 @@ def expansion_bound_check(
 
 
 def _expansion_bound(
-    sigma: SpectralMeasure, c: tuple[int, ...], sspec: Optional[ErgodicSetSpec]
+    sigma: SpectralMeasure | FiniteSpectralMeasure, c: tuple[int, ...], sspec: Optional[ErgodicSetSpec]
 ) -> ExpansionCheck:
     """expansion_bound_check read off sigma, the measure the caller holds of
     its base set B, along the nonzero direction c.
@@ -622,7 +612,7 @@ class IrrationalPart:
         return acc.clamp(Fraction(0), self.total.upper)
 
 
-def irrational_part(sigma: SpectralMeasure) -> IrrationalPart:
+def irrational_part(sigma: SpectralMeasure | FiniteSpectralMeasure) -> IrrationalPart:
     """Split off the part of sigma supported outside the rational spectrum.
 
     No rational mass hides in a Kronecker tail: the measure exists only for
@@ -775,9 +765,14 @@ def directional_expansion_theorem_check(
 
 @dataclass(frozen=True)
 class ShrinkResult:
+    """The selected component of the n * Z^r sub-action, held once: as its
+    presentation, whose ``to_component >= 0`` is its support, and ``comp_b``,
+    B restricted to it in the presentation's labels.  ``c`` is the
+    component's weight and ``nu_b`` the measure of ``comp_b`` in it."""
+
     n: int
-    component: ErgodicComponent
     presentation: ComponentPresentation
+    comp_b: frozenset[int]
     c: Fraction
     nu_b: Fraction
     rational_mass: Fraction
@@ -810,8 +805,9 @@ def shrink_rational_spectrum(
     weight |H| / |A|, read off their labels and their counts |C ∩ B|.  At
     each n the component of largest nu(B) is taken, ties to the least label:
     it lies outside both Markov-bad families (rational mass at least three
-    times the ambient pulled-back mass, or nu(B) at most mu(B)/3).  It is
-    re-measured through its standalone presentation as a cross-check.
+    times the ambient pulled-back mass, or nu(B) at most mu(B)/3).  Only it
+    is presented, and it is re-measured through its presentation as a
+    cross-check.
     """
     eps_o = Fraction(eps_o)
     if eps_o <= 0:
@@ -836,8 +832,7 @@ def shrink_rational_spectrum(
         nu_b = Fraction(int(hits[label]), h)
         mass = 1 / nu_b - 1
         if mass < eps_o:
-            selected = ErgodicComponent(frozenset(np.flatnonzero(labels == label).tolist()), Fraction(h, size))
-            pres = component_presentation(sys_, L, selected)
+            pres = component_presentation(sys_, L, label)
             comp_b = pres.restrict(bset)
             sigma = spectral_measure(pres.system, comp_b)
             recomputed = rational_mass_excluding_trivial(sigma).value / sigma.trivial.value
@@ -845,9 +840,9 @@ def shrink_rational_spectrum(
                 raise AssertionError("component mass disagrees with its presentation")
             return ShrinkResult(
                 n=n,
-                component=selected,
                 presentation=pres,
-                c=selected.weight,
+                comp_b=comp_b,
+                c=Fraction(h, size),
                 nu_b=nu_b,
                 rational_mass=mass,
                 pi_mass=pi_mass,
@@ -910,9 +905,7 @@ def intersection_theorem_search(
     eps = mu_b * mu_b / (36 * (p - 1))
     eps_o = eps / 2
     shrink = shrink_rational_spectrum(sys_, bset, eps_o)
-    pres = shrink.presentation
-    comp_sys = pres.system
-    comp_b = pres.restrict(bset)
+    comp_sys, comp_b, nu_b = shrink.presentation.system, shrink.comp_b, shrink.nu_b
     expansion = directional_expansion_theorem_check(
         comp_sys, comp_b, eps_o, eps, sample, sspec
     )
@@ -921,7 +914,6 @@ def intersection_theorem_search(
     lam = expansion.lam
     g1 = comp_sys.phi(lam)
     order = comp_sys.order_of(g1)
-    nu_b = comp_sys.measure(comp_b)
     m_candidates = _positive_elements(sspec, order + 1)
     in_b = comp_sys.mask(comp_b)
     m1 = None

@@ -430,16 +430,16 @@ class ComponentPresentation:
         return frozenset(labels[labels >= 0].tolist())
 
 
-def component_presentation(
-    sys_: FiniteSystem, L: SubLattice, comp: ErgodicComponent
-) -> ComponentPresentation:
+def component_presentation(sys_: FiniteSystem, L: SubLattice, least: int) -> ComponentPresentation:
+    """The component of the L-action whose support's least flat index is
+    ``least``, presented as an ergodic system."""
     images = [sys_.phi(col) for col in mat_columns(L.basis_matrix)]
     comp_sys = _image_system(sys_, images)
     # equivariance fills the support from its least point: x + g_j maps to
     # to_comp[x] + relabel(g_j), one coset of <g_1, ..., g_(j-1)> at a time,
     # until the next translate is a coset already labelled
     to_comp = np.full(sys_.size, -1, dtype=np.int64)
-    members = np.array([min(comp.support)])
+    members = np.array([least])
     to_comp[members] = 0
     for g, c in zip(images, comp_sys.gens):
         coset, layers = members, [members]

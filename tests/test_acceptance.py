@@ -108,7 +108,7 @@ def test_criterion_03_bochner(fleet):
     start = time.monotonic()
     total = 0
     for sys_, b in fleet:
-        rep = verify_bochner(sys_, b, 4)
+        rep = verify_bochner(spectral_measure(sys_, b), 4)
         assert rep.ok, (sys_, sorted(b), rep.violations)
         total += rep.checked
     elapsed = time.monotonic() - start
@@ -243,7 +243,8 @@ def test_criterion_08_shrink_rational_spectrum(fleet):
                     in bt
                 }
             inter = sys_.index(inter).tolist()
-            assert sys_.measure(inter) >= res.c * res.component.measure(inter)
+            comp = res.presentation
+            assert sys_.measure(inter) >= res.c * comp.system.measure(comp.restrict(inter))
     elapsed = time.monotonic() - start
     _report(8, elapsed, f"(n, nu, c) conclusions exact on {len(fleet)} instances x 100 subsets", budget=120.0)
 

@@ -567,18 +567,20 @@ def test_an_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypat
 
 def test_expand_scan_refusal_on_a_6000_point_cyclic_carrier_stays_small(tmp_path, capsys):
     # the saturations ahead of the refusal built |B| x order translates,
-    # 184 MiB traced; on Z/40000 they ended in an allocation traceback
-    cfg = {**_cyclic_cfg("expand-scan", [6000], [[1]], [[x] for x in range(0, 6000, 3)]), "coord_bound": 1}
-    path = write_cfg(tmp_path, "cfg.json", cfg)
-    tracemalloc.start()
-    try:
-        code = run_cli(["expand-scan", "--config", path])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err.strip()
-    assert code == 2 and peak < 16 * 2**20, peak
-    assert err == "limit: steps of the cyclic-subgroup index, |A| x exponent = 6000 x 6000 = 36000000, over the limit of 20000000"
+    # 184 MiB traced; on Z/40000 they ended in an allocation traceback.  At
+    # coord_bound 499999 the candidate list ahead of it took 92 MiB traced
+    for bound in (1, 499999):
+        cfg = {**_cyclic_cfg("expand-scan", [6000], [[1]], [[x] for x in range(0, 6000, 3)]), "coord_bound": bound}
+        path = write_cfg(tmp_path, "cfg.json", cfg)
+        tracemalloc.start()
+        try:
+            code = run_cli(["expand-scan", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.strip()
+        assert code == 2 and peak < 16 * 2**20, (bound, peak)
+        assert err == "limit: steps of the cyclic-subgroup index, |A| x exponent = 6000 x 6000 = 36000000, over the limit of 20000000"
 
 
 def test_expand_scan_verdict_skips_rows_that_are_not_asserted(tmp_path):

@@ -25,7 +25,7 @@ from latspec.intervals import (
     sinpi_grid,
     sinpi_sq_exact,
 )
-from latspec.spectral import _orbit_tables, annihilator_mass, expansion_bound_check, shrink_rational_spectrum, spectral_measure
+from latspec.spectral import annihilator_mass, expansion_bound_check, shrink_rational_spectrum, spectral_measure
 from latspec.systems import orbit_saturation
 
 
@@ -323,7 +323,7 @@ def test_trace_test_agrees_with_reduction_modulo_phi():
         assert _trace_values(rows) == values, d
     # every orbit of the fleet, with each character's own row moved by its unit
     for sys_, b in random_fleet(5, 25):
-        t = _orbit_tables(sys_, b)
+        t = spectral_measure(sys_, b)
         n = sys_.exponent
         for c in range(sys_.size):
             o = t.subgroups.subgroup_of[c]

@@ -82,9 +82,9 @@ def _annihilator_masses():
 
 
 GOLDEN_FINITE_LIBRARY = {
-    "shrinks": (_shrinks, "d784602ddde5e3064f2b6454ee9c4b57b33cd1ded4b8cc0c2aaa9d2401cac10f"),
+    "shrinks": (_shrinks, "8ec911801973fac4e4e4572302e8b2abbc3c963a552f80cd46d7b778a307281e"),
     "orbit-saturations": (_saturations, "27538cac33f418a672b46d95f97ccd81150e07834381ff84d8abdbd961bc152b"),
-    "intersections": (_intersections, "cdbf8fa8ab26ede2bb7d41f8189663f69c6d017b437836fa6ab8c012f42874c5"),
+    "intersections": (_intersections, "4d536b938240413a3e7b3fe2d0f36d2e6967e2f5c7ace6101cafa1368bef878b"),
     "annihilator-masses": (_annihilator_masses, "8192f045de2e94579eab3d6d9129810272228f424c014d2d71c0162e3796e165"),
 }
 

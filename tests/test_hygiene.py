@@ -10,9 +10,10 @@ counts, an eighth keeps numpy scalars out of ``Fraction``, a ninth keeps
 length refusals out of the CLI, in the shapes of ``config.array``, and a
 tenth keeps in the package only what a run of the CLI reaches, besides a
 few names allowed with their reasons, and an eleventh keeps in each class
-only fields and methods something reads, with no exceptions, and a twelfth
-keeps ``lattice`` out of the determinant scans.  Run this file to print what
-a run reaches, the allowed names and anything unreached or unread.
+only fields and methods something reads, with no exceptions, a twelfth
+keeps ``lattice`` out of the determinant scans, and a thirteenth keeps a
+``cached_property`` from shadowing a dataclass field.  Run this file to print
+what a run reaches, the allowed names and anything unreached or unread.
 """
 
 import ast
@@ -408,6 +409,49 @@ def test_every_class_member_is_read_somewhere():
     planted = ast.parse("class Planted:\n    unread: int\n    ok: bool\n\n    def unused(self):\n        return 0\n")
     trees["volume.py"].body += planted.body
     assert _unread(trees, reads) == ["volume.py:2 Planted.unread", "volume.py:5 Planted.unused"]
+
+
+def _decorated(node: ast.ClassDef | ast.FunctionDef, name: str) -> bool:
+    """Whether ``name`` or ``name(...)`` decorates node, bare or as ``module.name``."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == name or isinstance(t, ast.Attribute) and t.attr == name for t in targets)
+
+
+def shadowed_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """Every ``cached_property`` that has the name of a dataclass field of its
+    class or of a base class, as ``module:line Class.name``."""
+    classes = {cls.name: cls for tree in trees.values() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
+
+    def fields(cls: ast.ClassDef) -> set[str]:
+        own = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+        bases = [classes[b.id] for b in cls.bases if isinstance(b, ast.Name) and b.id in classes]
+        return (own if _decorated(cls, "dataclass") else set()).union(*map(fields, bases))
+
+    return [
+        f"{name}:{node.lineno} {cls.name}.{node.name}"
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and _decorated(node, "cached_property") and node.name in fields(cls)
+    ]
+
+
+def test_no_cached_property_shadows_a_dataclass_field():
+    # a dataclass's __eq__, __hash__ and __repr__ read every field, so a lazy
+    # part under a field's name is built by comparing, hashing or printing
+    trees = _trees()
+    assert not shadowed_fields(trees)
+    # one under a base's field and one under its own are found; a field of a
+    # class that is not a dataclass is not one
+    planted = ast.parse(
+        "@dataclass(frozen=True)\nclass PlantedBase:\n    atoms: tuple\n\n\n"
+        "class PlantedLazy(PlantedBase):\n    @cached_property\n    def atoms(self):\n        return ()\n\n\n"
+        "@dataclasses.dataclass\nclass PlantedOwn:\n    weights: list\n\n    @functools.cached_property\n    def weights(self):\n        return []\n\n\n"
+        "class PlantedPlain:\n    rows: list\n\n    @cached_property\n    def rows(self):\n        return []\n"
+    )
+    trees["volume.py"].body += planted.body
+    assert shadowed_fields(trees) == ["volume.py:8 PlantedLazy.atoms", "volume.py:17 PlantedOwn.weights"]
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from latspec.spectral import (
 from latspec.systems import (
     BoxUnion,
     ComponentPresentation,
-    ErgodicComponent,
     FiniteSystem,
     KroneckerSaturation,
     kronecker_ergodicity_certificate,
@@ -145,8 +144,7 @@ GOLDEN_REPORTS = {
 #: the result records the golden computations reach, each with the fields its
 #: digests pin; a record of another type is refused like any unknown object
 PINS = {
-    ShrinkResult: ("n", "component", "presentation", "c", "nu_b", "rational_mass", "pi_mass", "tried"),
-    ErgodicComponent: ("support", "weight"),
+    ShrinkResult: ("n", "presentation", "comp_b", "c", "nu_b", "rational_mass", "pi_mass", "tried"),
     ComponentPresentation: ("system", "to_component"),
     FiniteSystem: ("rank", "moduli", "gens"),
     IntersectionWitness: ("n", "lam", "m1", "probes", "measure", "eps", "eps_o", "shrink"),

@@ -96,7 +96,7 @@ def test_each_interval_weight_is_the_enclosure_of_its_own_row():
     irrational = 0
     for sys_, b in random_fleet(57, 40):
         sigma = spectral_measure(sys_, b)
-        t = sigma.tables
+        t = sigma
         n = sys_.exponent
         for c, w in enumerate(sigma.label_weights):
             if isinstance(w, Fraction):
@@ -184,9 +184,13 @@ def test_the_report_does_enclose_the_irrational_weights(tmp_path, monkeypatch):
 
 
 def test_atoms_are_built_once_and_kept_on_the_measure():
-    sys_, b = random_fleet(58, 1)[0]
-    sigma = spectral_measure(sys_, b)
-    assert "atoms" not in vars(sigma) and "label_weights" not in vars(sigma)
+    (sys_, b), (other_sys, other_b) = random_fleet(58, 2)
+    sigma, other = spectral_measure(sys_, b), spectral_measure(other_sys, other_b)
+    # hashing, comparing and printing a measure read no lazy part: a
+    # field-wise dataclass __eq__ or __hash__ would build every enclosure
+    hash(sigma), sigma == other, repr(sigma)
+    for measure in (sigma, other):
+        assert "atoms" not in vars(measure) and "label_weights" not in vars(measure)
     atoms = sigma.atoms
     assert sigma.atoms is atoms and "label_weights" in vars(sigma)
 

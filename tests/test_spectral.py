@@ -71,15 +71,13 @@ S10 = finite_system_from_parts(1, (10,), [(1,)])
 #: every entry point that turns a set of flat indices into arrays
 SET_READERS = {
     "spectral_measure": lambda b: spectral_measure(S10, b),
-    "verify_bochner": lambda b: verify_bochner(S10, b, 1),
+    "verify_bochner": lambda b: verify_bochner(spectral_measure(S10, b), 1),
     "orbit_saturation": lambda b: systems.orbit_saturation(S10, frozenset(b), (1,)),
     "birkhoff_annihilator_average": lambda b: birkhoff_annihilator_average(S10, b, (1,), 3),
     "shrink_rational_spectrum": lambda b: shrink_rational_spectrum(S10, b, Fraction(1, 2)),
     "FiniteSystem.mask": S10.mask,
     "FiniteSystem.measure": S10.measure,
-    "ComponentPresentation.restrict": lambda b: component_presentation(
-        S10, scale_lattice(1, 2), ergodic_components(S10, scale_lattice(1, 2))[0]
-    ).restrict(b),
+    "ComponentPresentation.restrict": lambda b: component_presentation(S10, scale_lattice(1, 2), 0).restrict(b),
 }
 
 
@@ -168,13 +166,14 @@ def test_birkhoff_cross_module_identity():
 def test_bochner_examples_and_fleet():
     sys_ = z4()
     b = pts(sys_, (0,))
-    rep = verify_bochner(sys_, b, 4)
+    rep = verify_bochner(spectral_measure(sys_, b), 4)
     assert rep.ok and rep.checked == 81
     for sys_, b in random_fleet(99, 20):
-        assert verify_bochner(sys_, b, 4).ok
-    # no lams, or an empty B: zero sums against zero counts
-    assert verify_bochner(sys_, b, -1) == spectral.BochnerReport(ok=True, checked=0)
-    assert verify_bochner(sys_, (), 1) == spectral.BochnerReport(ok=True, checked=3**sys_.rank)
+        assert verify_bochner(spectral_measure(sys_, b), 4).ok
+    # no lams: nothing to check; an empty B has no measure to check
+    assert verify_bochner(spectral_measure(sys_, b), -1) == spectral.BochnerReport(ok=True, checked=0)
+    with pytest.raises(ValueError, match="positive measure"):
+        spectral_measure(sys_, ())
 
 
 def _character_rows(sys_, t):
@@ -187,14 +186,14 @@ def _character_rows(sys_, t):
     return rows
 
 
-def _bochner_reference(sys_, b, lam_box):
+def _bochner_reference(sigma, lam_box):
     """verify_bochner one lam at a time: every character's row rolled by the
     exponent of chi_c(phi(lam)) and summed, decided by reduction modulo the
     cyclotomic polynomial, against the overlap mask."""
-    t = spectral._orbit_tables(sys_, frozenset(b))
-    rows = _character_rows(sys_, t)
+    sys_ = sigma.system
+    rows = _character_rows(sys_, sigma)
     dual = sys_.vectors(np.arange(sys_.size)) * (sys_.exponent // np.array(sys_.moduli, dtype=np.int64))
-    in_b = sys_.mask(b)
+    in_b = sys_.mask(sigma.base_set)
     lams = list(product(range(-lam_box, lam_box + 1), repeat=sys_.rank))
     violations = []
     for lam in lams:
@@ -223,22 +222,16 @@ def _bochner_systems(seed):
     return out
 
 
-#: the cached tables, whichever function a test patches in their place
-_ORBIT_TABLES = spectral._orbit_tables
-
-
-def _perturb_tables(monkeypatch, move):
-    """Patch the orbit tables: ``move(sys_, rows)`` edits a copy of the orbit
-    rows, and the orbit sums are rebuilt from them."""
-    real = spectral._orbit_tables
-
-    def perturbed(sys_, bset):
-        t = real(sys_, bset)
-        rows = t.rows.copy()
-        move(sys_, rows)
-        return spectral._with_sums(t.subgroups, t.pairing, rows)
-
-    monkeypatch.setattr(spectral, "_orbit_tables", perturbed)
+def _perturbed(sigma, move):
+    """sigma with its tables perturbed: ``move(sys_, rows)`` edits a copy of
+    the orbit rows, and the orbit sums and rational flags are rebuilt from
+    them, each orbit's traces shared by the phi(N) / (orbit size) repeats of
+    its characters over z."""
+    rows = sigma.rows.copy()
+    move(sigma.system, rows)
+    traces, rational = cyclotomic.ramanujan_sums(rows)
+    repeats = cyclotomic.totient(sigma.system.exponent) // np.bincount(sigma.subgroups.subgroup_of)
+    return dataclasses.replace(sigma, rows=rows, sums=traces // repeats[:, None], rational=np.array(rational))
 
 
 def _trade_with_the_trivial_row(sys_, rows):
@@ -248,26 +241,28 @@ def _trade_with_the_trivial_row(sys_, rows):
     rows[-1, 0] -= 1
 
 
-def test_bochner_matches_a_per_image_reference(monkeypatch):
+def test_bochner_matches_a_per_image_reference():
     cases = _bochner_systems(71)
     for sys_, b in cases:
         for lam_box in range(4):
-            assert verify_bochner(sys_, b, lam_box) == _bochner_reference(sys_, b, lam_box)
+            sigma = spectral_measure(sys_, b)
+            assert verify_bochner(sigma, lam_box) == _bochner_reference(sigma, lam_box)
     # with a table off by one count, the violations come in lam order
-    _perturb_tables(monkeypatch, _trade_with_the_trivial_row)
     partial = 0
     for sys_, b in cases:
+        perturbed = _perturbed(spectral_measure(sys_, b), _trade_with_the_trivial_row)
         for lam_box in range(4):
-            got = verify_bochner(sys_, b, lam_box)
-            assert got == _bochner_reference(sys_, b, lam_box)
+            got = verify_bochner(perturbed, lam_box)
+            assert got == _bochner_reference(perturbed, lam_box)
             partial += 0 < len(got.violations) < got.checked
     assert partial > 5
 
 
-def test_bochner_catches_one_perturbed_root_count_row(monkeypatch):
+def test_bochner_catches_one_perturbed_root_count_row():
     sys_ = finite_system_from_parts(2, [12], [[1], [5]])
     b = frozenset(random.Random(9).sample(range(sys_.size), 5))
-    assert verify_bochner(sys_, b, 2).ok
+    sigma = spectral_measure(sys_, b)
+    assert verify_bochner(sigma, 2).ok
 
     def move(sys_, rows):
         # one count of the orbit of character 7, {1, 5, 7, 11}, moved from
@@ -276,8 +271,7 @@ def test_bochner_catches_one_perturbed_root_count_row(monkeypatch):
         rows[o, 0] -= 1
         rows[o, 1] += 1
 
-    _perturb_tables(monkeypatch, move)
-    rep = verify_bochner(sys_, b, 2)
+    rep = verify_bochner(_perturbed(sigma, move), 2)
     # the sum moves by c_12(e + 1) - c_12(e), and c_12 is 0 at odd e and
     # nonzero at even e, so every lam misses
     assert not rep.ok and rep.checked == 25
@@ -286,23 +280,20 @@ def test_bochner_catches_one_perturbed_root_count_row(monkeypatch):
 
 def _clear_finite_caches():
     systems._cyclic_subgroups.cache_clear()
-    _ORBIT_TABLES.cache_clear()
     spectral._spectral_measure_cached.cache_clear()
 
 
-def _finite_outputs(cases, lam_box):
-    """Each case's Bochner report, atoms (None where the tables fail the
-    measure's own checks) and subgroup index arrays, built from empty caches."""
+def _finite_outputs(cases, lam_box, move=None):
+    """Each case's Bochner report (of its measure perturbed by ``move``, if
+    given), atoms and subgroup index arrays, built from empty caches."""
     _clear_finite_caches()
     out = []
     for sys_, b in cases:
-        try:
-            atoms = spectral_measure(sys_, b).atoms
-        except AssertionError:
-            atoms = None
+        sigma = spectral_measure(sys_, b)
         sub = sys_.cyclic_subgroups()
         arrays = tuple(a.tolist() for a in (sub.generator, sub.order, sub.subgroup_of, sub.unit_of))
-        out.append((verify_bochner(sys_, b, lam_box), atoms, arrays))
+        checked = sigma if move is None else _perturbed(sigma, move)
+        out.append((verify_bochner(checked, lam_box), sigma.atoms, arrays))
     return out
 
 
@@ -312,12 +303,9 @@ def test_bochner_report_does_not_depend_on_the_chunking(monkeypatch):
     # pass; with 1, 2 or 5 of each per pass nothing may change
     cases = _bochner_systems(81)
     try:
-        for perturbed in (False, True):
-            if perturbed:
-                _perturb_tables(monkeypatch, _trade_with_the_trivial_row)
-            whole = _finite_outputs(cases, 3)
-            assert all(atoms is None for _, atoms, _ in whole) == perturbed
-            assert any(0 < len(r.violations) < r.checked for r, _, _ in whole) == perturbed
+        for move in (None, _trade_with_the_trivial_row):
+            whole = _finite_outputs(cases, 3, move)
+            assert any(0 < len(r.violations) < r.checked for r, _, _ in whole) == (move is not None)
             for case, ref in zip(cases, whole):
                 sys_, b = case
                 s = len(sys_.moduli)
@@ -326,24 +314,46 @@ def test_bochner_report_does_not_depend_on_the_chunking(monkeypatch):
                     for per_block in (1, 2, 5):
                         monkeypatch.setattr(spectral, "BLOCK_CELLS", cells * per_block)
                         monkeypatch.setattr(systems, "BLOCK_CELLS", cells * per_block)
-                        assert _finite_outputs([case], 3) == [ref]
+                        assert _finite_outputs([case], 3, move) == [ref]
             monkeypatch.undo()
     finally:
         # later tests get tables built at the default block size
         _clear_finite_caches()
 
 
-def test_bochner_verdict_on_a_lam_does_not_depend_on_its_box(monkeypatch):
+def test_bochner_verdict_on_a_lam_does_not_depend_on_its_box():
     # all images of a box go through the orbit sums in one array pass; the
     # verdict on a lam must not depend on which other images share that pass
-    cases = _bochner_systems(81)
-    _perturb_tables(monkeypatch, _trade_with_the_trivial_row)
-    whole = [verify_bochner(sys_, b, 3) for sys_, b in cases]
+    perturbed = [_perturbed(spectral_measure(sys_, b), _trade_with_the_trivial_row) for sys_, b in _bochner_systems(81)]
+    whole = [verify_bochner(sigma, 3) for sigma in perturbed]
     assert any(0 < len(r.violations) < r.checked for r in whole)
     for box in range(3):
-        for (sys_, b), ref in zip(cases, whole):
+        for sigma, ref in zip(perturbed, whole):
             inner = tuple(lam for lam in ref.violations if max(map(abs, lam)) <= box)
-            assert verify_bochner(sys_, b, box).violations == inner
+            assert verify_bochner(sigma, box).violations == inner
+
+
+def test_the_measure_refuses_rows_that_break_its_own_checks(monkeypatch):
+    # construction checks the trivial atom against mu(B)^2 and the atom total
+    # against mu(B): one count taken from the trivial row, or from the last
+    # orbit's, fails one of them
+    sys_ = finite_system_from_parts(2, [12], [[1], [5]])
+    b = frozenset(random.Random(9).sample(range(sys_.size), 5))
+    real = spectral._orbit_tables
+    try:
+        for row, reason in ((0, "trivial atom mass must equal"), (-1, "atom total must equal")):
+            def one_count_short(sys_, bset, row=row):
+                sub, pairing, rows = real(sys_, bset)
+                rows = rows.copy()
+                rows[row, 0] -= 1
+                return sub, pairing, rows
+
+            monkeypatch.setattr(spectral, "_orbit_tables", one_count_short)
+            spectral._spectral_measure_cached.cache_clear()
+            with pytest.raises(AssertionError, match=reason):
+                spectral_measure(sys_, b)
+    finally:
+        spectral._spectral_measure_cached.cache_clear()
 
 
 def _exponent_matrix_tables(sys_, b):
@@ -363,7 +373,7 @@ def _exponent_matrix_tables(sys_, b):
 
 def test_root_counts_and_bochner_exponents_match_the_exponent_matrix():
     for sys_, b in random_fleet(23, 30):
-        t = spectral._orbit_tables(sys_, b)
+        t = spectral_measure(sys_, b)
         exp_matrix, root_counts = _exponent_matrix_tables(sys_, b)
         assert np.array_equal(_character_rows(sys_, t), root_counts)
         sub = t.subgroups
@@ -374,7 +384,7 @@ def test_root_counts_and_bochner_exponents_match_the_exponent_matrix():
             assert np.array_equal(sub.unit_of * phases[sub.subgroup_of] % sys_.exponent, exp_matrix[:, h])
         # each atom's label and its exponents on Z^r, chi_c at the generator
         # images, read through the orbit tables: chi_(u c) = chi_c^u
-        labels = [a.character for a in spectral_measure(sys_, b).atoms]
+        labels = [a.character for a in t.atoms]
         assert labels == list(range(sys_.size))
         at_gens = (t.pairing @ sys_.vectors(list(sys_.gens)).T)[sub.subgroup_of[labels]]
         exps = sub.unit_of[labels, None] * at_gens % sys_.exponent
@@ -387,7 +397,7 @@ def test_finite_tables_stay_small_on_a_3600_point_carrier():
     b = frozenset(random.Random(5).sample(range(sys_.size), 1200))
     tracemalloc.start()
     try:
-        t = spectral._orbit_tables(sys_, b)
+        t = spectral_measure(sys_, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -416,13 +426,13 @@ def test_cell_limit_is_checked_before_the_tables_are_built():
     cyclic = finite_system_from_parts(1, [10**5], [[1]])
     b = pts(cyclic, (0,), (1,))
     _refused_quickly_and_small(
-        lambda: spectral._orbit_tables(cyclic, b),
+        lambda: spectral_measure(cyclic, b),
         re.escape("cyclic-subgroup index, |A| x exponent = 100000 x 100000 = 10000000000, over the limit of 20000000"),
     )
     # the int64 guard of the orbit sums refuses before any table is built
     over = frozenset(range(13596))
     _refused_quickly_and_small(
-        lambda: spectral._orbit_tables(_Z271, over),
+        lambda: spectral_measure(_Z271, over),
         re.escape("int64 bound of the orbit sums, |B|^4 x phi(exponent) = more than 10^18, over the limit of 9223372036854775807"),
     )
 
@@ -432,11 +442,11 @@ def test_orbit_coordinates_are_refused_before_the_rows_are_built():
     # 13 coordinates a point, and 8192 * 187 * 13 <= 2 * 10^7 < 8192 * 188 * 13
     cube = finite_system_from_parts(13, [2] * 13, np.eye(13, dtype=int).tolist())
     assert len(cube.cyclic_subgroups().generator) == 8192  # the index is cached per moduli
-    assert spectral._orbit_tables(cube, frozenset(range(187))).rows.shape == (8192, 2)
+    assert spectral_measure(cube, frozenset(range(187))).rows.shape == (8192, 2)
     for size in (188, 4473):
         over = frozenset(range(size))
         _refused_quickly_and_small(
-            lambda: spectral._orbit_tables(cube, over), re.escape(f"orbit rows, orbits x |B| x s = {8192 * size * 13}, over the limit of 20000000")
+            lambda: spectral_measure(cube, over), re.escape(f"orbit rows, orbits x |B| x s = {8192 * size * 13}, over the limit of 20000000")
         )
 
 
@@ -456,11 +466,11 @@ def test_orbit_sum_guard_admits_up_to_its_boundary():
     # |B|^4 phi(271) = 13595^4 * 270 < 2^63 <= 13596^4 * 270
     assert 13595**4 * 270 < 1 << 63 <= 13596**4 * 270
     b = frozenset(random.Random(6).sample(range(_Z271.size), 13595))
-    t = spectral._orbit_tables(_Z271, b)
+    t = spectral_measure(_Z271, b)
     # Parseval: the orbit traces add up to |A| |B|
     assert int(t.sums[:, 0].sum()) == _Z271.size * len(b)
     with pytest.raises(LimitError, match="int64 bound of the orbit sums"):
-        spectral._orbit_tables(_Z271, b | {min(set(range(_Z271.size)) - b)})
+        spectral_measure(_Z271, b | {min(set(range(_Z271.size)) - b)})
 
 
 def test_finite_measure_scales_to_a_2000_point_cyclic_carrier():
@@ -470,7 +480,7 @@ def test_finite_measure_scales_to_a_2000_point_cyclic_carrier():
     b = frozenset(random.Random(7).sample(range(sys_.size), 667))
     start = time.perf_counter()
     sigma = spectral_measure(sys_, b)
-    assert verify_bochner(sys_, b, 4).ok
+    assert verify_bochner(sigma, 4).ok
     assert time.perf_counter() - start < 2
     assert len(sigma.atoms) == 2000
 
@@ -729,7 +739,7 @@ def test_shrink_documented_cases():
     assert res.n == 2
     assert res.nu_b == 1 and res.c == Fraction(1, 4)
     assert res.rational_mass == 0
-    assert z2z2().vectors(sorted(res.component.support)).tolist() == [[0, 0]]
+    assert z2z2().vectors(np.flatnonzero(res.presentation.to_component >= 0)).tolist() == [[0, 0]]
 
     full = shrink_rational_spectrum(z2z2(), set(range(z2z2().size)), Fraction(1, 10))
     assert full.n == 1 and full.c == 1 and full.nu_b == 1
@@ -745,8 +755,8 @@ def test_shrink_conclusions_on_fleet():
         res = shrink_rational_spectrum(sys_, b, eps_o)
         mu_b = sys_.measure(b)
         # conclusion 1: rational nontrivial mass below eps_o, recomputed
-        comp_b = res.presentation.restrict(b)
-        sigma = spectral_measure(res.presentation.system, comp_b)
+        assert res.comp_b == res.presentation.restrict(b)
+        sigma = spectral_measure(res.presentation.system, res.comp_b)
         assert rational_mass_excluding_trivial(sigma).value / sigma.trivial.value == res.rational_mass < eps_o
         # conclusion 2: measure disjunction
         assert res.nu_b >= Fraction(1, 3) or mu_b < 3 * res.nu_b
@@ -776,14 +786,15 @@ def test_shrink_conclusions_on_fleet():
                 }
             inter = sys_.index(inter).tolist()
             mu_i = sys_.measure(inter)
-            nu_i = res.component.measure(inter)
+            nu_i = res.presentation.system.measure(res.presentation.restrict(inter))
             assert mu_i >= res.c * nu_i
 
 
 def _shrink_reference(sys_, b, eps_o):
     """shrink_rational_spectrum one materialised component at a time: each
     coset of phi(n * Z^r) as an ErgodicComponent with its nu(B), the masses
-    as Fraction sums over them, and the pick by (nu(B), -least point)."""
+    as Fraction sums over them, and the pick by (nu(B), -least point),
+    returned with the picked component."""
     bset = frozenset(b)
     mu_b = sys_.measure(bset)
     tried = []
@@ -801,8 +812,9 @@ def _shrink_reference(sys_, b, eps_o):
             q_b = [(comp, nu) for comp, nu in q_b if 1 / nu - 1 < 3 * pi_mass and nu > mu_b / 3]
         selected, nu_b = max(q_b, key=lambda pair: (pair[1], -min(pair[0].support)))
         if 1 / nu_b - 1 < eps_o:
-            pres = component_presentation(sys_, L, selected)
-            return spectral.ShrinkResult(n, selected, pres, c, nu_b, 1 / nu_b - 1, pi_mass, tuple(tried))
+            pres = component_presentation(sys_, L, min(selected.support))
+            comp_b = frozenset(pres.to_component[sorted(bset & selected.support)].tolist())
+            return spectral.ShrinkResult(n, pres, comp_b, c, nu_b, 1 / nu_b - 1, pi_mass, tuple(tried)), selected
     raise AssertionError("shrinking must succeed at the carrier exponent")
 
 
@@ -810,10 +822,11 @@ def test_shrink_matches_the_per_component_reference():
     for seed in (3, 5, 7):
         for sys_, b in random_fleet(seed, 12, order_max=216):
             for eps_o in (Fraction(1, 50), Fraction(1, 10), Fraction(1, 3)):
-                got, ref = shrink_rational_spectrum(sys_, b, eps_o), _shrink_reference(sys_, b, eps_o)
-                assert (got.n, got.component, got.c, got.nu_b, got.rational_mass, got.pi_mass, got.tried) == (
-                    ref.n, ref.component, ref.c, ref.nu_b, ref.rational_mass, ref.pi_mass, ref.tried
+                got, (ref, selected) = shrink_rational_spectrum(sys_, b, eps_o), _shrink_reference(sys_, b, eps_o)
+                assert (got.n, got.comp_b, got.c, got.nu_b, got.rational_mass, got.pi_mass, got.tried) == (
+                    ref.n, ref.comp_b, ref.c, ref.nu_b, ref.rational_mass, ref.pi_mass, ref.tried
                 )
+                assert np.flatnonzero(got.presentation.to_component >= 0).tolist() == sorted(selected.support)
                 assert got.presentation.system == ref.presentation.system
                 assert np.array_equal(got.presentation.to_component, ref.presentation.to_component)
 
