@@ -33,7 +33,6 @@ from .spectral import (
 )
 from .systems import (
     BoxUnion,
-    ErgodicComponent,
     ErgodicSetSpec,
     FiniteSystem,
     KroneckerSystem,

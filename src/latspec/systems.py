@@ -372,17 +372,6 @@ def max_directional_expansion(
     return best
 
 
-@dataclass(frozen=True)
-class ErgodicComponent:
-    """One ergodic piece of the action of a finite-index sublattice."""
-
-    support: frozenset[int]
-    weight: Fraction
-
-    def measure(self, s: Iterable[int]) -> Fraction:
-        return Fraction(len(self.support.intersection(s)), len(self.support))
-
-
 def component_labels(sys_: FiniteSystem, L: SubLattice) -> np.ndarray:
     """The ergodic component of each point under the sub-action of L: the
     least flat index of its coset of the image subgroup phi(L)."""
@@ -391,19 +380,27 @@ def component_labels(sys_: FiniteSystem, L: SubLattice) -> np.ndarray:
     return sys_.coset_labels(sys_.phi(col) for col in mat_columns(L.basis_matrix))
 
 
-def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> list[ErgodicComponent]:
+#: most carrier elements ``ergodic_components`` lists, checked before any
+#: label is computed: a decompose report of one-point components in rank 2
+#: took about 1.1 KB of max RSS per listed element, 225 MB on (Z/447)^2
+LISTING_LIMIT = 2 * 10**5
+
+
+def ergodic_components(sys_: FiniteSystem, L: SubLattice) -> np.ndarray:
     """Decompose the uniform measure under the sub-action of L.
 
     Components are the cosets of the image subgroup phi(L), each carrying
-    normalized counting measure and weight |coset| / |A|; they are listed by
-    lexicographically least representative.
+    normalized counting measure and weight |coset| / |A|.  They come as one
+    read-only int64 array, a row per coset: its flat indices in increasing
+    order, the rows in order of their least element.  A carrier of more than
+    ``LISTING_LIMIT`` elements is refused before any label is computed.
     """
+    admit(sys_.size, LISTING_LIMIT, "listed elements of the components, |A|")
     labels = component_labels(sys_, L)
-    by_label = np.argsort(labels, kind="stable")
-    _, starts = np.unique(labels[by_label], return_index=True)
-    cosets = np.split(by_label, starts[1:])
-    weight = Fraction(len(cosets[0]), sys_.size)
-    return [ErgodicComponent(support=frozenset(c.tolist()), weight=weight) for c in cosets]
+    # every coset has the size of the coset of 0, the image subgroup
+    cosets = np.argsort(labels, kind="stable").reshape(-1, np.count_nonzero(labels == 0))
+    cosets.setflags(write=False)
+    return cosets
 
 
 # ---------------------------------------------------------------------------

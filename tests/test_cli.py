@@ -20,6 +20,7 @@ from latspec import cli, kernels
 from latspec.cli import main, parse_fraction, ser_fraction
 from latspec.config import digits
 from latspec.haystack import COUNT_LIMIT
+from latspec.systems import LISTING_LIMIT
 from latspec.volume import AP_LIMIT, RANK_LIMIT
 
 
@@ -583,6 +584,22 @@ def test_expand_scan_refusal_on_a_6000_point_cyclic_carrier_stays_small(tmp_path
         assert err == "limit: steps of the cyclic-subgroup index, |A| x exponent = 6000 x 6000 = 36000000, over the limit of 20000000"
 
 
+def test_decompose_listing_just_over_its_limit_is_refused_before_any_label(tmp_path, capsys):
+    # every component used to be listed, at about 0.45-1.4 KB per element
+    # of the carrier: 4.5-14 GB at the carrier limit
+    size = LISTING_LIMIT + 1
+    path = write_cfg(tmp_path, "cfg.json", {**_cyclic_cfg("decompose", [size], [[1]], [[0]]), "sublattice": [[2]]})
+    tracemalloc.start()
+    try:
+        code = run_cli(["decompose", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.strip()
+    assert code == 2 and peak < 2**20, peak
+    assert err == f"limit: listed elements of the components, |A| = {size}, over the limit of {LISTING_LIMIT}"
+
+
 def test_expand_scan_verdict_skips_rows_that_are_not_asserted(tmp_path):
     # a step-2 averaging set is not a universal ergodic set, so its rows
     # report the comparison without asserting it; the scan used to exit 1
@@ -729,6 +746,10 @@ _LIMITS = {
     "carrier": (
         "decompose", _cyclic_cfg("decompose", [10**4, 10**4], _PLANE, [[0, 0]]),
         "carrier elements, the product of the moduli = 100000000, over the limit of 10000000",
+    ),
+    "listing": (
+        "decompose", {**_cyclic_cfg("decompose", [200001], [[1]], [[0]]), "sublattice": [[200001]]},
+        "listed elements of the components, |A| = 200001, over the limit of 200000",
     ),
     # the product of the moduli used to be printed, past Python's digit limit
     "moduli-10-3000": (

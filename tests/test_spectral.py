@@ -792,9 +792,9 @@ def test_shrink_conclusions_on_fleet():
 
 def _shrink_reference(sys_, b, eps_o):
     """shrink_rational_spectrum one materialised component at a time: each
-    coset of phi(n * Z^r) as an ErgodicComponent with its nu(B), the masses
-    as Fraction sums over them, and the pick by (nu(B), -least point),
-    returned with the picked component."""
+    coset of phi(n * Z^r) as its index array with its nu(B), the masses as
+    Fraction sums over them, and the pick by (nu(B), -least point),
+    returned with the picked coset."""
     bset = frozenset(b)
     mu_b = sys_.measure(bset)
     tried = []
@@ -802,18 +802,18 @@ def _shrink_reference(sys_, b, eps_o):
         tried.append(n)
         L = scale_lattice(sys_.rank, n)
         q_b = []
-        for comp in ergodic_components(sys_, L):
-            hits = len(bset & comp.support)
+        for coset in ergodic_components(sys_, L):
+            hits = len(bset.intersection(coset.tolist()))
             if hits:
-                q_b.append((comp, Fraction(hits, len(comp.support))))
-        c = min(comp.weight for comp, _ in q_b)
-        pi_mass = (mu_b - sum(comp.weight * nu**2 for comp, nu in q_b)) / (mu_b * mu_b)
+                q_b.append((coset, Fraction(hits, len(coset))))
+        c = min(Fraction(len(coset), sys_.size) for coset, _ in q_b)
+        pi_mass = (mu_b - sum(Fraction(len(coset), sys_.size) * nu**2 for coset, nu in q_b)) / (mu_b * mu_b)
         if pi_mass != 0:
-            q_b = [(comp, nu) for comp, nu in q_b if 1 / nu - 1 < 3 * pi_mass and nu > mu_b / 3]
-        selected, nu_b = max(q_b, key=lambda pair: (pair[1], -min(pair[0].support)))
+            q_b = [(coset, nu) for coset, nu in q_b if 1 / nu - 1 < 3 * pi_mass and nu > mu_b / 3]
+        selected, nu_b = max(q_b, key=lambda pair: (pair[1], -min(pair[0])))
         if 1 / nu_b - 1 < eps_o:
-            pres = component_presentation(sys_, L, min(selected.support))
-            comp_b = frozenset(pres.to_component[sorted(bset & selected.support)].tolist())
+            pres = component_presentation(sys_, L, min(selected))
+            comp_b = frozenset(pres.to_component[sorted(bset.intersection(selected.tolist()))].tolist())
             return spectral.ShrinkResult(n, pres, comp_b, c, nu_b, 1 / nu_b - 1, pi_mass, tuple(tried)), selected
     raise AssertionError("shrinking must succeed at the carrier exponent")
 
@@ -826,7 +826,7 @@ def test_shrink_matches_the_per_component_reference():
                 assert (got.n, got.comp_b, got.c, got.nu_b, got.rational_mass, got.pi_mass, got.tried) == (
                     ref.n, ref.comp_b, ref.c, ref.nu_b, ref.rational_mass, ref.pi_mass, ref.tried
                 )
-                assert np.flatnonzero(got.presentation.to_component >= 0).tolist() == sorted(selected.support)
+                assert np.flatnonzero(got.presentation.to_component >= 0).tolist() == sorted(selected.tolist())
                 assert got.presentation.system == ref.presentation.system
                 assert np.array_equal(got.presentation.to_component, ref.presentation.to_component)
 

@@ -337,26 +337,28 @@ def test_birkhoff_average_matches_a_brute_force_sum():
 def test_components_examples():
     s = z2z2()
     comps = ergodic_components(s, scale_lattice(2, 2))
-    assert len(comps) == 4 and all(c.weight == Fraction(1, 4) for c in comps)
+    assert len(comps) == 4 and all(Fraction(len(c), s.size) == Fraction(1, 4) for c in comps)
+    assert comps.dtype == np.int64 and not comps.flags.writeable
     whole = ergodic_components(s, sublattice([[1, 0], [0, 1]]))
-    assert len(whole) == 1 and whole[0].weight == 1
+    assert len(whole) == 1 and Fraction(len(whole[0]), s.size) == 1
     s4 = z4()
     comps4 = ergodic_components(s4, sublattice([[2, 0], [0, 1]]))
-    assert [sorted(tuples(s4, c.support)) for c in comps4] == [[(0,), (2,)], [(1,), (3,)]]
-    assert all(c.weight == Fraction(1, 2) for c in comps4)
+    assert [sorted(tuples(s4, c)) for c in comps4] == [[(0,), (2,)], [(1,), (3,)]]
+    assert all(Fraction(len(c), s4.size) == Fraction(1, 2) for c in comps4)
 
 
 def test_components_reconstruct_measure():
     for sys_, b in random_fleet(2024, 12):
         for n in (1, 2, 3):
             comps = ergodic_components(sys_, scale_lattice(sys_.rank, n))
-            assert sum(c.weight for c in comps) == 1
+            assert sum(Fraction(len(c), sys_.size) for c in comps) == 1
             covered = set()
             for c in comps:
-                assert not (covered & c.support)
-                covered |= c.support
+                assert not (covered & set(c.tolist()))
+                covered |= set(c.tolist())
             assert len(covered) == sys_.size
-            mixture = sum(c.weight * c.measure(b) for c in comps)
+            # the weight |C| / |A| times nu(B) = |B ∩ C| / |C|, over the components
+            mixture = sum(Fraction(len(c), sys_.size) * Fraction(len(b & set(c.tolist())), len(c)) for c in comps)
             assert mixture == sys_.measure(b)
 
 
@@ -366,12 +368,12 @@ def test_component_presentation_equivariance():
         n = 2
         L = scale_lattice(sys_.rank, n)
         comps = ergodic_components(sys_, L)
-        pres = component_presentation(sys_, L, min(comps[0].support))
+        pres = component_presentation(sys_, L, min(comps[0]))
         comp_sys = pres.system
-        assert comp_sys.size == len(comps[0].support)
+        assert comp_sys.size == len(comps[0])
         # relabeling is a bijection intertwining the scaled action, and -1
         # off the support
-        support = sorted(comps[0].support)
+        support = sorted(comps[0].tolist())
         assert sorted(pres.to_component[support].tolist()) == list(range(comp_sys.size))
         assert np.count_nonzero(pres.to_component >= 0) == len(support)
         assert not pres.to_component.flags.writeable
@@ -555,8 +557,9 @@ def test_flat_index_routines_match_tuple_reference():
             images = [sys_.phi(tuple(L.basis_matrix[i][j] for i in range(L.rank))) for j in range(L.rank)]
             comps = ergodic_components(sys_, L)
             cosets = _ref_components(sys_, list(map(tuple, sys_.vectors(images).tolist())))
-            assert [tuples(sys_, c.support) for c in comps] == cosets
-            assert all(c.weight == Fraction(len(c.support), sys_.size) for c in comps)
+            assert [tuples(sys_, c) for c in comps] == cosets
+            assert all(Fraction(len(c), sys_.size) == Fraction(len(ref), sys_.size) for c, ref in zip(comps, cosets))
+            assert all(c.tolist() == sorted(c.tolist()) for c in comps)
 
 
 def test_flat_indices_round_trip_and_phi_is_exact_near_2_to_the_70():
