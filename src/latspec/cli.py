@@ -42,7 +42,7 @@ from .config import (
 )
 from .formal import FormalReal
 from .haystack import MULTIPLIERS, admit_subsets, last_element, make_haystack, verify_haystack_sample
-from .lattice import is_primitive, simplex_det, sublattice
+from .lattice import det_exact, is_primitive, simplex_det, sublattice
 from .spectral import (
     GRID, Weight, admit_spectral_measure, ambient_intersections, annihilator_mass, expansion_bound_check,
     intersection_theorem_search, rational_mass_excluding_trivial, shrink_rational_spectrum, spectral_measure,
@@ -485,15 +485,15 @@ def _run_decompose(c: dict, seed: Optional[int]):
     sys_, bset = c["system"], c["set_b"]
     results = {}
     verdicts = []
-    if c["sublattice"] is not None:
-        cosets = ergodic_components(sys_, sublattice(c["sublattice"]))
+    # the listing is admitted first and built once the shrink is through
+    cosets = None if c["sublattice"] is None else ergodic_components(sys_, sublattice(c["sublattice"]))
+    shrink = shrink_rational_spectrum(sys_, bset, c["eps_o"])
+    if cosets is not None:
         weight = ser_fraction(Fraction(cosets.shape[1], sys_.size))
         results["components"] = [{"support": support, "weight": weight} for support in sys_.vectors(cosets).tolist()]
         verdicts.append({"name": "component-weights-sum-to-one", "pass": cosets.size == sys_.size})
         covered = np.bincount(cosets.ravel(), minlength=sys_.size)
         verdicts.append({"name": "components-partition-carrier", "pass": bool(np.all(covered == 1))})
-    eps_o = c["eps_o"]
-    shrink = shrink_rational_spectrum(sys_, bset, eps_o)
     mu_b = sys_.measure(bset)
     results["shrink"] = {
         "n": shrink.n,
@@ -503,7 +503,7 @@ def _run_decompose(c: dict, seed: Optional[int]):
         "rational_nontrivial_mass": ser_fraction(shrink.rational_mass),
         "tried": list(shrink.tried),
     }
-    verdicts.append({"name": "shrink-rational-mass-below-eps_o", "pass": shrink.rational_mass < eps_o})
+    verdicts.append({"name": "shrink-rational-mass-below-eps_o", "pass": shrink.rational_mass < c["eps_o"]})
     disjunction = shrink.nu_b >= Fraction(1, 3) or mu_b < 3 * shrink.nu_b
     verdicts.append({"name": "shrink-measure-disjunction", "pass": disjunction})
     return results, verdicts, None, None
@@ -614,8 +614,13 @@ def _verify_report(report: dict, experiment: str, cfg, c: dict, seed: Optional[i
             add("probe-intersection-positive", mu_i > 0)
         add("intersection-measure-reproduces", min(measures) == parse_fraction(res["intersection_measure"]))
     elif kind == "haystack-verify":
-        verdict = verify_haystack_sample([tuple(v) for v in res["vectors"]], c["rank"])
-        add("haystack-verdict-reproduces", verdict.ok == res["ok"])
+        vectors = [tuple(v) for v in res["vectors"]]
+        add("haystack-verdict-reproduces", verify_haystack_sample(vectors, c["rank"]).ok == res["ok"])
+        if res["singular_subset"] is not None:
+            # a second route: one Bareiss determinant of r distinct vectors of the report
+            subset = [tuple(v) for v in res["singular_subset"]]
+            distinct = len(set(subset)) == len(subset) == c["rank"] and set(subset) <= set(vectors)
+            add("singular-subset-is-singular", distinct and det_exact(subset) == 0)
     elif kind == "spectral-report" and isinstance(sys_, FiniteSystem):
         sigma = spectral_measure(sys_, bset)
         add("total-mass-reproduces", ser_weight(sigma.total) == res["total_mass"])

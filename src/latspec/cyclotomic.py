@@ -10,11 +10,9 @@ For display, the real part of such a vector is enclosed on the integer
 rounding grid of ``intervals``: one table of cosine enclosures per order N,
 held as integer numerators, one ``intervals.sinpi_grid`` evaluation per
 first-quadrant angle, the route ``sinpi`` and ``cospi`` take as well.
-``enclose_real_root_grid`` encloses many vectors at once with int64 products
-of the rows against that table cut into 32-bit limbs, which is the exact
-integer dot product of each row with the table; the limbs are carried in one
-array pass and each end is read by one ``int.from_bytes``, so it returns the
-grid numerators as Python integers without building a Fraction.
+``enclose_real_root_grid`` encloses the nonnegative rows of a finite measure
+(pair counts) at once, by exact int64 dot products with that table cut into
+32-bit limbs, and returns grid numerators as Python integers.
 """
 
 from __future__ import annotations
@@ -127,25 +125,25 @@ def _cos_limbs(n: int) -> np.ndarray:
     return table
 
 
-def enclose_real_root_grid(n: int, rows, den: int = 1) -> tuple[list[int], list[int]]:
+def enclose_real_root_grid(n: int, rows, den: int) -> tuple[list[int], list[int]]:
     """Grid numerators (lo, hi) of certified enclosures of
     Re(sum_k row[k] * z^k) / den, one pair per row, over 2**GRID_BITS.
 
-    z is a primitive n-th root of unity and rows is an integer array with n
-    columns.  A positive coefficient takes lo_k of the cosine table into the
-    lower end and hi_k into the upper one, a negative coefficient the other
-    way round; the sum is exact and on the grid, so this is the rounded-out
-    sum of the scaled cosine enclosures.  ``den`` divides the grid numerators
-    with floor and ceil, which is that sum scaled by 1/den and rounded out
-    onto the grid again.
+    z is a primitive n-th root of unity and rows is a nonnegative integer
+    array with n columns (pair counts; a negative entry is refused).  Each
+    coefficient takes lo_k of the cosine table into the lower end and hi_k
+    into the upper one; the sum is exact and on the grid, so this is the
+    rounded-out sum of the scaled cosine enclosures.  ``den`` divides the
+    grid numerators with floor and ceil, which is that sum scaled by 1/den
+    and rounded out onto the grid again.
 
     The dot products run in int64 on the table offset by 2**GRID_BITS and
-    cut into 32-bit limbs; with at most 2**31 in absolute value per row, no
-    limb product can wrap.  The offset, row total times 2**GRID_BITS, is
-    taken from its own limb, and the limbs are carried into [0, 2**32) in one
-    array pass, the top one signed, so each end is one ``int.from_bytes``.
-    Used only for display of irrational weights; decisions go through the
-    exact integer traces above.
+    cut into 32-bit limbs; with a row total below 2**31, no limb product can
+    wrap.  The offset, row total times 2**GRID_BITS, is taken from its own
+    limb, and the limbs are carried into [0, 2**32) in one array pass, the
+    top one signed, so each end is one ``int.from_bytes``.  Used only for
+    display of irrational weights; decisions go through the exact integer
+    traces above.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != n:
@@ -154,32 +152,19 @@ def enclose_real_root_grid(n: int, rows, den: int = 1) -> tuple[list[int], list[
         raise ValueError("den must be positive")
     if not len(rows):
         return [], []  # no cosine table is built for a measure without irrational weights
-    signed = np.flatnonzero(rows.min(axis=1) < 0)
-    negative = np.minimum(rows[signed], 0)
+    if int(rows.min()) < 0:
+        raise ValueError("root rows must be nonnegative")
     totals = rows.sum(axis=1)
-    weight = totals.copy()  # sum of |c| per row
-    weight[signed] -= 2 * negative.sum(axis=1)
-    if max(int(rows.max()), -int(rows.min())) >= 1 << 31 or int(weight.max()) >= 1 << 31:
-        raise OverflowError("root rows over 2**31 in absolute value")
-    table = _cos_limbs(n)
-    both = rows @ table
-    # a negative c pairs with hi_k in the lower end and with lo_k in the
-    # upper one: it adds c * (hi_k - lo_k) to the first, takes it from the second
-    swap = negative @ table
-    swap = swap[:, _LIMBS:] - swap[:, :_LIMBS]
-    both[signed, :_LIMBS] += swap
-    both[signed, _LIMBS:] -= swap
-    limbs = both.reshape(2 * len(rows), _LIMBS)
+    if max(int(rows.max()), int(totals.max())) >= 1 << 31:  # an entry too, as an int64 total can wrap
+        raise OverflowError("root row totals reach 2**31")
+    limbs = (rows @ _cos_limbs(n)).reshape(2 * len(rows), _LIMBS)
     limbs[:, GRID_BITS // _LIMB_BITS] -= np.repeat(totals, 2)
     for i in range(_LIMBS - 1):
-        # each limb stays within weight * 2**32 plus a carry below 2**31
+        # each limb stays within the row total * 2**32 plus a carry below 2**31
         limbs[:, i + 1] += limbs[:, i] >> _LIMB_BITS
     limbs &= (1 << _LIMB_BITS) - 1
     data = limbs.astype("<u4").tobytes()
     size = _LIMBS * _LIMB_BITS // 8
     # the top limb is the signed high part, so the ends are read two's complement
     ends = [int.from_bytes(data[i:i + size], "little", signed=True) for i in range(0, len(data), size)]
-    if den == 1:
-        return ends[::2], ends[1::2]
     return [lo // den for lo in ends[::2]], [-(-hi // den) for hi in ends[1::2]]
-

@@ -8,17 +8,18 @@ why everything stays in arbitrary precision.
 
 A haystack is built as one list of coordinate tuples, the prefix
 h_1, ..., h_count; counts over COUNT_LIMIT, and samples with more than
-SUBSET_LIMIT r-subsets to verify, are refused before any work.
+SUBSET_LIMIT r-subsets to verify, are refused before any work.  The r-subsets,
+the simplices on the origin, are scanned as ``kernels.base0_rows`` (to rank 13).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
 from typing import Optional, Sequence
 
 from .config import admit
+from .kernels import base0_rows
 from .lattice import as_coords, det_exact, is_primitive
 
 #: the multipliers of a rank-r haystack when none are given: the first r primes
@@ -117,8 +118,8 @@ def verify_haystack_sample(vectors: Sequence, r: int) -> HaystackVerdict:
     Duplicates are collapsed first (the property quantifies over distinct
     elements).  The first violation in sample order is reported: a
     non-primitive element, or the lexicographically least (by position)
-    singular r-subset.  Fewer than r distinct vectors pass vacuously; r must
-    be at least 1.
+    singular r-subset, the first zero entry of the rows.  Fewer than r
+    distinct vectors pass vacuously; r must be at least 1.
     """
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
@@ -130,7 +131,8 @@ def verify_haystack_sample(vectors: Sequence, r: int) -> HaystackVerdict:
         if not is_primitive(c):
             return HaystackVerdict(ok=False, non_primitive=c)
     admit_subsets(len(seen), r)
-    for subset in combinations(seen, r):
-        if det_exact(subset) == 0:
-            return HaystackVerdict(ok=False, singular_subset=subset)
+    points = [(0,) * r, *seen]
+    for prefix, row in base0_rows(points, r):
+        if 0 in row:
+            return HaystackVerdict(ok=False, singular_subset=tuple(points[a] for a in (*prefix[1:], prefix[-1] + 1 + row.index(0))))
     return HaystackVerdict(ok=True)

@@ -8,7 +8,8 @@ dotted with d_c.  The int64 NumPy scan (``_base``, rank >= 2) takes the
 (r-2)-subsets p in lexicographic order, in chunks of about ``CHUNK_CELLS``
 entries, as forms det(p, x, y) = x @ F_p @ y: a block is |d_b @ F_p @ d_c|
 (rank 2: F is the 2-D cross product; rank 3: d_b @ F_a = d_a x d_b).  The
-exact path (``_rows_py``, every rank) takes the same rows in Python ints.
+exact path (``base0_rows``, every rank) takes the same rows in Python ints,
+base i as base 0 of the points from i on; it scans haystack samples too.
 ``LATSPEC_KERNELS = auto | numpy | python`` selects one (auto: numpy); both
 return identical results.  The int64 scan runs only when ``det_bound``
 r! (2c)^r, c half the largest spread, stays below 2^62 (a j x j minor is at
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations, islice, takewhile
+from itertools import combinations, islice
 from math import comb, factorial, gcd, isqrt, prod
 from typing import Iterator, Optional, Sequence
 
@@ -83,10 +84,14 @@ def _simplex_bound(spreads: Sequence[int], rank: int) -> int:
     return h * prod(spreads)
 
 
-def _subsets(n: int, rank: int) -> int:
+def _admit_wedge(n: int, rank: int) -> None:
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     admit(rank << (rank - 1) if n > rank else 0, WEDGE_LIMIT, f"terms of the rank-{rank} wedge recurrence, r * 2^(r-1)")
+
+
+def _subsets(n: int, rank: int) -> int:
+    _admit_wedge(n, rank)
     return admit(comb(n, rank + 1), SUBSET_LIMIT, f"simplices of a {n}-point set, C({n}, {rank + 1})")
 
 
@@ -225,46 +230,49 @@ def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tup
 # ---------------------------------------------------------------------------
 # exact Python path (any rank, no overflow ceiling)
 
-def _rows_py(points: Sequence[tuple[int, ...]], rank: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Yield ``(prefix, row)`` in lexicographic order: ``row[t]``, the |det| of
-    ``prefix + (prefix[-1] + 1 + t,)``, is the prefix's cofactor vector dotted
-    with a later difference; depth first, each prefix one wedge step on."""
+def base0_rows(points: Sequence[tuple[int, ...]], rank: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Yield ``(prefix, row)`` of base 0 in lexicographic order, the wedge tables
+    admitted first: ``row[t]``, the |det| of ``prefix + (prefix[-1] + 1 + t,)``, is the
+    prefix's cofactor vector dotted with p_c - p_0, so the rows hold every r x r minor
+    of the differences once; depth first, each prefix one wedge step on."""
+    _admit_wedge(len(points), rank)
     levels = _wedge(rank)
-    for i, p in enumerate(points[: len(points) - rank]):
-        d = [tuple(x - y for x, y in zip(q, p)) for q in points[i + 1 :]]
-        cols = list(zip(*d))
+    d = [tuple(x - y for x, y in zip(q, points[0])) for q in points[1:]]
+    cols = list(zip(*d))
 
-        def rows(prefix: tuple[int, ...], w) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-            j, nxt = len(prefix) - 1, prefix[-1] - i  # vectors in the prefix, index of the next one
-            if j == rank - 1:
-                # the cofactor s * w[a] of coordinate t times that column of the later differences
-                (c, col), *rest = [(s * w[a], cols[t][nxt:]) for a, t, s in levels[j][0]]
-                row = [c * x for x in col]
-                for c, col in rest:
-                    row = [u + c * x for u, x in zip(row, col)]
-                yield prefix, list(map(abs, row))
-                return
-            for b in range(nxt, len(d) - rank + 1 + j):
-                v = d[b]  # the minors of one vector are its coordinates
-                yield from rows((*prefix, i + 1 + b), v if j == 0 else [sum(s * w[a] * v[t] for a, t, s in terms) for terms in levels[j]])
+    def rows(prefix: tuple[int, ...], w) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        j, nxt = len(prefix) - 1, prefix[-1]  # vectors in the prefix, index of the next one
+        if j == rank - 1:
+            # the cofactor s * w[a] of coordinate t times that column of the later differences
+            (c, col), *rest = [(s * w[a], cols[t][nxt:]) for a, t, s in levels[j][0]]
+            row = [c * x for x in col]
+            for c, col in rest:
+                row = [u + c * x for u, x in zip(row, col)]
+            yield prefix, list(map(abs, row))
+            return
+        for b in range(nxt, len(d) - rank + 1 + j):
+            v = d[b]  # the minors of one vector are its coordinates
+            yield from rows((*prefix, 1 + b), v if j == 0 else [sum(s * w[a] * v[t] for a, t, s in terms) for terms in levels[j]])
 
-        yield from rows((i,), (1,))
+    if len(points) > rank:
+        yield from rows((0,), (1,))
 
 
 def _distinct_py(points: Sequence[tuple[int, ...]], rank: int, limit: Optional[int]) -> set[int]:
-    dets = {v for _, row in _rows_py(points, rank) for v in row}
+    dets = {v for i in range(len(points) - rank) for _, row in base0_rows(points[i:], rank) for v in row}
     return {v for v in dets if v != 0 and (limit is None or v <= limit)}
 
 
 def _witness_py(points: Sequence[tuple[int, ...]], rank: int, targets: Sequence[int]) -> dict[int, tuple[int, ...]]:
     pending = set(targets)
     found: dict[int, tuple[int, ...]] = {}
-    for prefix, row in _rows_py(points, rank):
-        if not pending:
-            break
-        for v in pending.intersection(row):
-            found[v] = (*prefix, prefix[-1] + 1 + row.index(v))
-        pending.difference_update(row)
+    for i in range(len(points) - rank):
+        for prefix, row in base0_rows(points[i:], rank):
+            if not pending:
+                return found
+            for v in pending.intersection(row):
+                found[v] = tuple(i + a for a in (*prefix, prefix[-1] + 1 + row.index(v)))
+            pending.difference_update(row)
     return found
 
 
@@ -279,7 +287,7 @@ def _admit_answer(points, pts: Optional[np.ndarray], rank: int, limit: int, subs
     if pts is not None:
         g = gcd(*(int(np.gcd.reduce(m, axis=None)) for _, m in _base(pts, rank, 0)))
     else:
-        g = gcd(*(v for prefix, row in takewhile(lambda pr: pr[0][0] == 0, _rows_py(points, rank)) for v in row))
+        g = gcd(*(v for _, row in base0_rows(points, rank) for v in row))
     bound = min(limit // g, subsets) if g else 0
     admit(bound, ANSWER_LIMIT, f"bound on the spectrum values of a {len(points)}-point set, cap {cap}")
 

@@ -3,11 +3,13 @@ definitions no run of the package needs, checked against the package's own
 routes."""
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from latspec.lattice import SubLattice, as_coords, solve_lower
+from latspec.haystack import HaystackVerdict
+from latspec.lattice import SubLattice, as_coords, det_exact, is_primitive, solve_lower
 from latspec.systems import BoxUnion, FiniteSystem, KroneckerSystem, _symbol_kernel, box_grid
 from latspec.volume import PointSet
 
@@ -69,3 +71,16 @@ def birkhoff_annihilator_average(
     if r:
         total += int(sys_.window(in_b.astype(np.int64), g, r, np.add)[in_b].sum())
     return Fraction(total, n * sys_.size)
+
+
+def bareiss_haystack_verdict(vectors: Sequence, r: int) -> HaystackVerdict:
+    """``verify_haystack_sample`` by one Bareiss determinant per r-subset of
+    the distinct vectors, in ``combinations`` order."""
+    seen = list(dict.fromkeys(as_coords(v) for v in vectors))
+    for c in seen:
+        if not is_primitive(c):
+            return HaystackVerdict(ok=False, non_primitive=c)
+    for subset in combinations(seen, r):
+        if det_exact(subset) == 0:
+            return HaystackVerdict(ok=False, singular_subset=subset)
+    return HaystackVerdict(ok=True)

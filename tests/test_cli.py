@@ -18,9 +18,9 @@ import pytest
 import latspec
 from latspec import cli, kernels
 from latspec.cli import main, parse_fraction, ser_fraction
-from latspec.config import digits
+from latspec.config import LimitError, digits
 from latspec.haystack import COUNT_LIMIT
-from latspec.systems import LISTING_LIMIT
+from latspec.systems import LISTING_LIMIT, FiniteSystem
 from latspec.volume import AP_LIMIT, RANK_LIMIT
 
 
@@ -281,6 +281,24 @@ def test_haystack_verify_cli(tmp_path):
         {"experiment": "haystack-verify", "rank": 2, "vectors": [[1, 0], [-1, 0]]},
     )
     assert run_cli(["haystack-verify", "--config", bad, "--out", tmp_path / "b.json"]) == 1
+
+
+def test_haystack_replay_recomputes_the_singular_subset(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "hs.json", {"experiment": "haystack-verify", "rank": 2, "vectors": [[1, 0], [0, 1], [-1, 0]]})
+    out = tmp_path / "r.json"
+    assert run_cli(["haystack-verify", "--config", cfg, "--out", out]) == 1
+    report = json.loads(out.read_text())
+    assert report["results"]["singular_subset"] == [[1, 0], [-1, 0]]
+    capsys.readouterr()
+    assert run_cli(["haystack-verify", "--config", cfg, "--out", out, "--verify-only"]) == 0
+    assert "PASS  singular-subset-is-singular" in capsys.readouterr().err
+    # an edited report: a nonsingular pair, a repeated vector, one not in the sample, three vectors
+    for subset in ([[1, 0], [0, 1]], [[1, 0], [1, 0]], [[1, 0], [2, 0]], [[1, 0], [0, 1], [-1, 0]]):
+        report["results"]["singular_subset"] = subset
+        out.write_text(json.dumps(report))
+        assert run_cli(["haystack-verify", "--config", cfg, "--out", out, "--verify-only"]) == 1, subset
+        err = capsys.readouterr().err
+        assert "PASS  haystack-verdict-reproduces" in err and "FAIL  singular-subset-is-singular" in err, subset
 
 
 def test_density_cli_with_seed_override(tmp_path):
@@ -600,6 +618,21 @@ def test_decompose_listing_just_over_its_limit_is_refused_before_any_label(tmp_p
     assert err == f"limit: listed elements of the components, |A| = {size}, over the limit of {LISTING_LIMIT}"
 
 
+def test_decompose_lists_no_support_before_its_shrink_is_through(tmp_path, capsys, monkeypatch):
+    # every support used to be listed before a shrink its cell limit refuses
+    listed = []
+    vectors = FiniteSystem.vectors
+    monkeypatch.setattr(FiniteSystem, "vectors", lambda self, idx: listed.append(idx) or vectors(self, idx))
+
+    def refused(*args):
+        raise LimitError("steps of the shrink, over the limit")
+
+    monkeypatch.setattr(cli, "shrink_rational_spectrum", refused)
+    cfg = {**_cyclic_cfg("decompose", [12], [[1]], [[0]]), "sublattice": [[3]]}
+    assert _refused_in_one_line(tmp_path, capsys, cfg, "limit:") == "limit: steps of the shrink, over the limit\n"
+    assert not listed
+
+
 def test_expand_scan_verdict_skips_rows_that_are_not_asserted(tmp_path):
     # a step-2 averaging set is not a universal ergodic set, so its rows
     # report the comparison without asserting it; the scan used to exit 1
@@ -708,6 +741,10 @@ _LIMITS = {
     "r-subsets": (
         "haystack-verify", {"rank": 2, "multipliers": [2, 3], "count": 10**6},
         "r-subsets of the sample, C(1000000, 2) = 499999500000, over the limit of 1000000",
+    ),
+    "wedge-haystack": (
+        "haystack-verify", {"rank": 14, "vectors": np.eye(14, dtype=int).tolist()},
+        "terms of the rank-14 wedge recurrence, r * 2^(r-1) = 114688, over the limit of 100000",
     ),
     "haystack-count": (
         "intersect", {"system": _FOUR, "set_b": _ORIGIN, "p": 2, "probes": [[[1, 0]]], "haystack": {"count": 2001}},

@@ -394,12 +394,11 @@ def test_cos_grid_lies_on_the_rounding_grid():
 
 
 def _enclose_reference(n, vec, den=1):
-    """One root vector at a time: the signed Python dot product against the
-    cosine table, with a negative coefficient taking hi_k into the lower end."""
+    """One nonnegative root vector at a time: its Python dot products with
+    the two ends of the cosine table."""
     los, his = _cos_grid(n)
-    slack = sum(c * (h - l) for c, l, h in zip(vec, los, his) if c < 0)
-    lo = (sum(c * l for c, l in zip(vec, los)) + slack) // den
-    hi = -((slack - sum(c * h for c, h in zip(vec, his))) // den)
+    lo = sum(c * l for c, l in zip(vec, los)) // den
+    hi = -(-sum(c * h for c, h in zip(vec, his)) // den)
     return Weight(Fraction(lo, 1 << GRID_BITS), Fraction(hi, 1 << GRID_BITS), False)
 
 
@@ -413,7 +412,7 @@ def test_enclose_real_root_vector_equals_term_by_term_sum(n):
     vecs = []
     for _ in range(6):
         size = rng.randint(1, n)
-        vecs.append([rng.randint(-40, 40) * rng.randint(0, 1) for _ in range(size)])
+        vecs.append([rng.randint(0, 40) * rng.randint(0, 1) for _ in range(size)])
     ivs = _enclosures(n, _padded(n, vecs))
     assert len(ivs) == len(vecs)
     for vec, iv in zip(vecs, ivs):
@@ -429,6 +428,9 @@ def test_enclose_real_root_vector_equals_term_by_term_sum(n):
         _enclosures(n, [[1] * (n + 1)])
     with pytest.raises(OverflowError):
         _enclosures(n, [[1 << 30] * 2 + [0] * (n - 2)] if n > 1 else [[1 << 31]])
+    with pytest.raises(OverflowError):
+        # two entries whose int64 total wraps negative
+        _enclosures(n, [[1 << 62] * 2 + [0] * (n - 2)] if n > 1 else [[1 << 62]])
 
 
 @pytest.mark.parametrize("n", [3, 5, 12, 60, 120])
@@ -437,13 +439,22 @@ def test_enclosure_divided_on_the_grid_equals_scaled_round_out(n):
     # the endpoints must be those of Weight.scale(1 / den) followed by round_out
     rng = random.Random(2000 + n)
     for den in (1, 2, 9, 144, 441**2, 3600**2, rng.randint(2, 10**9)):
-        vecs = [[rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(rng.randint(1, n))] for _ in range(4)]
+        vecs = [[rng.randint(0, 50) * rng.randint(0, 1) for _ in range(rng.randint(1, n))] for _ in range(4)]
         got = _enclosures(n, _padded(n, vecs), den)
         for vec, iv in zip(vecs, got):
             ref = round_out(_enclose_reference(n, vec).scale(Fraction(1, den)))
             assert (iv.lower, iv.upper, iv.exact) == (ref.lower, ref.upper, ref.exact) == astuple(_enclose_reference(n, vec, den))
     with pytest.raises(ValueError):
         _enclosures(n, _padded(n, [[1]]), 0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 60])
+def test_a_negative_root_row_is_refused(n):
+    # a finite measure's rows are pair counts; a signed row has no caller
+    rows = _padded(n, [[3] * n, [0] * (n - 1) + [-1]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        enclose_real_root_grid(n, rows, 1)
+    assert _enclosures(n, rows[:1]) == [_enclose_reference(n, [3] * n)]
 
 
 # ---------------------------------------------------------------------------

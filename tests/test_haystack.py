@@ -1,5 +1,6 @@
 """Haystack construction and finite-sample verification."""
 
+import random
 import time
 import warnings
 from itertools import combinations
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latspec.haystack import make_haystack, verify_haystack_sample
+from _reference import bareiss_haystack_verdict
+from latspec.haystack import MULTIPLIERS, make_haystack, verify_haystack_sample
+from latspec.kernels import WEDGE_LIMIT
 from latspec.lattice import det_exact
 
 
@@ -111,3 +114,50 @@ def test_scaling_preserves_nonsingularity():
         d = det_exact([hs[pair[0]], hs[pair[1]]])
         ds = det_exact([scaled[pair[0]], scaled[pair[1]]])
         assert ds == n**2 * d != 0
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
+def _seeded_sample(rng: random.Random, r: int) -> list[tuple[int, ...]]:
+    """Small vectors, mostly made primitive, or a haystack prefix; then maybe a
+    duplicate, a planted combination of r - 1 others and a zero vector."""
+    if r > 1 and rng.random() < 0.3:
+        vecs = make_haystack(None, MULTIPLIERS[:r], rng.randint(r - 1, r + 4))
+    else:
+        vecs = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rng.randint(r - 1, r + 5))]
+        vecs = [_primitive(v) if rng.random() < 0.9 else tuple(v) for v in vecs]
+    if vecs and rng.random() < 0.3:
+        vecs.insert(rng.randint(0, len(vecs)), rng.choice(vecs))
+    if r > 1 and len(vecs) >= r - 1 and rng.random() < 0.5:
+        # a combination of r - 1 sample vectors lies in their span
+        span = [(rng.choice([-2, -1, 1, 2]), v) for v in rng.sample(vecs, r - 1)]
+        vecs.insert(rng.randint(0, len(vecs)), _primitive([sum(c * v[i] for c, v in span) for i in range(r)]))
+    if rng.random() < 0.05:
+        vecs.insert(rng.randint(0, len(vecs)), (0,) * r)
+    return vecs
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_verdicts_equal_the_bareiss_reference(r):
+    rng = random.Random(r)
+    outcomes = {"ok": 0, "non_primitive": 0, "singular_subset": 0}
+    for _ in range(100):
+        vecs = _seeded_sample(rng, r)
+        got, want = verify_haystack_sample(vecs, r), bareiss_haystack_verdict(vecs, r)
+        assert (got.ok, got.non_primitive, got.singular_subset) == (want.ok, want.non_primitive, want.singular_subset), vecs
+        outcomes["ok" if got.ok else "non_primitive" if got.non_primitive else "singular_subset"] += 1
+    # every verdict is reached at every rank but 1, where a singular subset is a zero vector
+    assert all(outcomes[k] for k in outcomes if r > 1 or k != "singular_subset"), outcomes
+
+
+def test_a_sample_past_the_wedge_tables_is_refused():
+    rank = 14
+    assert rank << (rank - 1) > WEDGE_LIMIT
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    with pytest.raises(ValueError, match="terms of the rank-14 wedge recurrence"):
+        verify_haystack_sample(unit, rank)
+    # fewer vectors than the rank have no r-subset to scan
+    assert verify_haystack_sample(unit[:-1], rank).ok
