@@ -1,11 +1,11 @@
 """Time ``verify_haystack_sample`` on generated haystack samples.
 
-    python3 tools/time_haystack.py [--src DIR] [--repeat N]
+    python3 tools/time_haystack.py [--src DIR]
 
 Each row is the prefix h_1, ..., h_count of the rank-r haystack of the first
 r primes over the standard basis; rank 3 x 14 is the size of the largest
 ``haystack-verify`` request of the ``finite-reports`` workload.  A sample is
-built once and verified ``--repeat`` times in this one interpreter; the table
+built once and verified ``REPEAT`` times in this one interpreter; the table
 gives the fastest and the median verification in milliseconds, and the
 verdict, which must read ok.  ``--src`` (default: ``src`` next to this
 script) is put first on the import path, so the same script times another
@@ -24,6 +24,7 @@ import time
 from math import comb
 
 SIZES = ((2, 300), (3, 14), (3, 60), (4, 25), (7, 9), (10, 11))
+REPEAT = 7
 
 
 def primes(count: int) -> tuple[int, ...]:
@@ -39,7 +40,6 @@ def primes(count: int) -> tuple[int, ...]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-    parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
@@ -52,7 +52,7 @@ def main() -> None:
     for r, count in SIZES:
         sample = make_haystack(None, primes(r), count)
         times = []
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             start = time.perf_counter()
             verdict = verify_haystack_sample(sample, r)
             times.append(1e3 * (time.perf_counter() - start))
