@@ -9,7 +9,7 @@ why everything stays in arbitrary precision.
 A haystack is built as one list of coordinate tuples, the prefix
 h_1, ..., h_count; counts over COUNT_LIMIT, and samples with more than
 SUBSET_LIMIT r-subsets to verify, are refused before any work.  The r-subsets,
-the simplices on the origin, are scanned as ``kernels.base0_rows`` (to rank 13).
+the simplices on the origin, are scanned as ``kernels.base0_rows``, at every rank.
 """
 
 from __future__ import annotations

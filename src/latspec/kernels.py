@@ -2,20 +2,22 @@
 
 The (r+1)-subset determinant scans are the only hot numeric loops in the
 package.  For a base point i and the differences d of the points after it,
-det(d_a1, ..., d_a(r-1), d_c) is the cofactor vector of the rows a (their
-signed (r-1)-minors, each row's one wedge step from its prefix's: ``_wedge``)
-dotted with d_c.  The int64 NumPy scan (``_base``, rank >= 2) takes the
-(r-2)-subsets p in lexicographic order, in chunks of about ``CHUNK_CELLS``
-entries, as forms det(p, x, y) = x @ F_p @ y: a block is |d_b @ F_p @ d_c|
-(rank 2: F is the 2-D cross product; rank 3: d_b @ F_a = d_a x d_b).  The
-exact path (``base0_rows``, every rank) takes the same rows in Python ints,
-base i as base 0 of the points from i on; it scans haystack samples too.
-``LATSPEC_KERNELS = auto | numpy | python`` selects one (auto: numpy); both
-return identical results.  The int64 scan runs only when ``det_bound``
-r! (2c)^r, c half the largest spread, stays below 2^62 (a j x j minor is at
-most j! (2c)^j, so it bounds every intermediate) and the flag table of
-min(U, cap) + 1 entries fits under ``TABLE_LIMIT``, U = h(r) * prod(spreads)
-bounding every |det| (``_simplex_bound``); otherwise it silently degrades.
+det(d_a1, ..., d_a(r-1), d_c) is the cofactor vector of the rows a, the one
+form left after r - 1 fraction-free elimination steps (``eliminate``, which
+``lattice.det_exact`` runs on one matrix), dotted with d_c.  The int64 NumPy
+scan (``_base``, rank >= 2) takes the (r-2)-subsets p in lexicographic order,
+in chunks of about ``CHUNK_CELLS`` entries, as forms det(p, x, y) = x @ F_p @
+y: a block is |d_b @ F_p @ d_c| (rank 2: F is the 2-D cross product; rank 3:
+d_b @ F_a = d_a x d_b).  The exact path (``base0_rows``, every rank) takes
+the same rows in Python ints, base i as base 0 of the points from i on; it
+scans haystack samples too.  ``LATSPEC_KERNELS = auto | numpy | python``
+selects one (auto: numpy); both return identical results.  The int64 scan
+runs only when ``det_bound`` r! (2c)^r, c half the largest spread, and the
+square of its (r-2)-minor bound stay below 2^62 (a j x j minor is at most j!
+(2c)^j; the elimination multiplies two of at most r - 2 rows) and the flag
+table of min(U, cap) + 1 entries fits under ``TABLE_LIMIT``, U = h(r) *
+prod(spreads) bounding every |det| (``_simplex_bound``); else it silently
+degrades.
 
 It stops once its answer is complete: the blocks of base 0 hold every r x r
 minor of the differences p_i - p_0, so their gcd g divides every |det| (no
@@ -30,9 +32,9 @@ that will scan, only when min(U, cap) and C(n, r+1) both pass the limit.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, factorial, gcd, isqrt, prod
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -45,8 +47,6 @@ _INT64_SAFE = 1 << 62
 TABLE_LIMIT = 1 << 27
 #: most (rank+1)-subsets a scan will enumerate, checked before it starts
 SUBSET_LIMIT = 10**9
-#: most terms r * 2^(r-1) of the wedge recurrence (C(r, r/2) minors per prefix)
-WEDGE_LIMIT = 10**5
 #: most values a spectrum scan may answer with, bounded before it starts by
 #: min(min(U, cap) / g, C(n, r+1)); a larger answer outgrows memory
 ANSWER_LIMIT = 10**6
@@ -54,7 +54,9 @@ ANSWER_LIMIT = 10**6
 #: points after it holds at most max(CHUNK_CELLS, m - 1) entries
 CHUNK_CELLS = 1 << 15
 _H = (1, 1, 2, 3, 5, 9, 32, 56, 144)  # h(r), the largest r x r 0/1 determinant, r <= 9 (OEIS A003432)
-_EMPTY = np.ones((1, 1), dtype=np.int64)
+#: the forms of ranks 2 and 3: det(x, y) = x @ _CROSS @ y, det(v, x, y) = x @ (v @ _LEVI) @ y
+_CROSS = np.array([[[0, 1], [-1, 0]]], dtype=np.int64)
+_LEVI = np.array([[0, 0, 0, 0, 0, 1, 0, -1, 0], [0, 0, -1, 0, 0, 0, 1, 0, 0], [0, 1, 0, -1, 0, 0, 0, 0, 0]], dtype=np.int64)
 
 
 def backend_name() -> str:
@@ -84,21 +86,15 @@ def _simplex_bound(spreads: Sequence[int], rank: int) -> int:
     return h * prod(spreads)
 
 
-def _admit_wedge(n: int, rank: int) -> None:
+def _subsets(n: int, rank: int) -> int:
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
-    admit(rank << (rank - 1) if n > rank else 0, WEDGE_LIMIT, f"terms of the rank-{rank} wedge recurrence, r * 2^(r-1)")
-
-
-def _subsets(n: int, rank: int) -> int:
-    _admit_wedge(n, rank)
     return admit(comb(n, rank + 1), SUBSET_LIMIT, f"simplices of a {n}-point set, C({n}, {rank + 1})")
 
 
 def _int64_ok(spreads: Sequence[int], rank: int, limit: int) -> bool:
-    # the spread bound guards the int64 arithmetic, ``limit`` sizes the table
-    overflow = det_bound((max(spreads) + 1) // 2, rank) >= _INT64_SAFE
-    return rank > 1 and not overflow and limit <= TABLE_LIMIT
+    c = (max(spreads) + 1) // 2
+    return rank > 1 and det_bound(c, rank) < _INT64_SAFE and det_bound(c, rank - 2) ** 2 < _INT64_SAFE and limit <= TABLE_LIMIT
 
 
 def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -108,36 +104,50 @@ def _int64_points(points: Sequence[tuple[int, ...]]) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-@lru_cache(maxsize=None)
-def _wedge(rank: int) -> list[list[list[tuple[int, int, int]]]]:
-    """``levels[j]``: for each (j+1)-subset J of the coordinates in lexicographic
-    order, the terms ``(a, t, s)`` of its minor sum(s * w[a] * v[t]) from the
-    minors w of j vectors and a next one v (Laplace along v: t = J[p], s =
-    (-1)^(j+p), a = J minus t); the last gives the cofactor vector s * w[a]."""
-    index = [{J: a for a, J in enumerate(combinations(range(rank), j))} for j in range(rank)]
-    return [
-        [[(index[j][J[:p] + J[p + 1 :]], t, (-1) ** (j + p)) for p, t in enumerate(J)] for J in combinations(range(rank), j + 1)]
-        for j in range(rank)
-    ]
-
-
-@lru_cache(maxsize=None)
-def _forms(rank: int) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray, int]:
-    """The wedge steps of a prefix past its first vector, as index arrays; E,
-    whose product w @ E is the prefix's form det(prefix, x, y) = x @ F @ y,
-    F[t2, t1] = s1 * s2 * w[a2] over the last two levels, as r * r entries;
-    and the most int64 entries one prefix's wedge needs."""
-    levels = _wedge(rank)
-    steps = [tuple(np.array([[term[q] for term in terms] for terms in level]) for q in range(3)) for level in levels[1 : rank - 2]]
-    E = np.zeros((comb(rank, 2), rank * rank), dtype=np.int64)
-    for a1, t1, s1 in levels[-1][0]:
-        for a2, t2, s2 in levels[-2][a1]:
-            E[a2, t2 * rank + t1] = s1 * s2
-    return steps, E, max([rank * rank] + [src.size for src, _, _ in steps])
+def eliminate(pivot: int, forms: Optional[list[list[int]]], v: Sequence[int]) -> tuple[int, int, list[list[int]]]:
+    """``(k, u_k, forms')``, one fraction-free (Bareiss) step: ``forms[j] @ x`` is the minor of
+    the rows so far and x on the pivot columns and column j, row v reduces to u = forms @ v,
+    k is the first j with u_j != 0, forms'[j] = (u_k forms[j] - u_j forms[k]) / pivot (exact by
+    Sylvester's identity); dependent rows give u_k = 0 and zero forms, one shared list.  Forms
+    None are the identity, before any row: then forms'[j] = v_k e_j - v_j e_k in closed form."""
+    if forms is None:
+        k = next(filter(v.__getitem__, range(len(v))), 0)
+        forms = []
+        for j, x in enumerate(v):
+            if j != k:
+                forms.append([0] * len(v))
+                forms[-1][j], forms[-1][k] = v[k], -x
+        return k, v[k], forms
+    u = [sum(map(mul, f, v)) for f in forms]
+    for k, uk in enumerate(u):
+        if uk:
+            fk = forms[k]
+            return k, uk, [[(uk * a - uj * b) // pivot for a, b in zip(f, fk)] for f, uj in zip(forms, u) if f is not fk]
+    return 0, 0, [[0] * len(v)] * (len(forms) - 1)
 
 
 # ---------------------------------------------------------------------------
 # int64 scan (ranks 2 and up)
+
+def _form(d: np.ndarray, P: np.ndarray, rank: int) -> np.ndarray:
+    """F, det(d[p], x, y) = +-x @ F[q] @ y for each prefix p = P[q]; from rank 4 ``eliminate`` on all
+    prefixes at once (pivots: argmax of the nonzero mask), F = (X[a]^T X[b] - X[b]^T X[a]) / p."""
+    if rank < 4:
+        return _CROSS if rank == 2 else (d[P[:, 0]] @ _LEVI).reshape(-1, 3, 3)
+    n = np.arange(len(P))[:, None]
+    eye = np.eye(rank, dtype=np.int64)
+    v = d[P[:, 0]]
+    k = np.argmax(v != 0, axis=1)[:, None]
+    p = v[n, k, None]
+    X = p * eye - v[..., None] * eye[k]  # the first step in closed form
+    for j in range(1, rank - 2):
+        u = (X @ d[P[:, j], :, None])[..., 0]
+        k = np.argmax(u != 0, axis=1)[:, None]
+        # the pivot's form becomes 0, so no later step picks it; dependent rows keep zero forms
+        X = (X * u[n, k, None] - u[..., None] * X[n, k]) // (p + (p == 0))
+        p = u[n, k, None]
+    return X.transpose(0, 2, 1) @ (np.sign(np.arange(rank)[:, None] - np.arange(rank)) @ X) // (p + (p == 0))
+
 
 def _base(pts: np.ndarray, rank: int, i: int) -> Iterator[tuple[tuple[int, np.ndarray, int], np.ndarray]]:
     """Yield the ``((i, P, b0), M)`` blocks whose subsets start at point i:
@@ -147,26 +157,25 @@ def _base(pts: np.ndarray, rank: int, i: int) -> Iterator[tuple[tuple[int, np.nd
     indices), or a later slice start of a prefix whose block alone passes
     ``CHUNK_CELLS``.  An entry whose indices are not increasing repeats the value of
     the sorted subset, earlier in row-major order in this block or an earlier
-    one, or is 0: the first entry of a value is its first subset."""
+    one, or is 0: the first entry of a value is its first subset.  A chunk ends
+    with its group, the CHUNK_CELLS / r^2 prefixes whose forms come at once."""
     d = pts[i + 1 :] - pts[i]
     k = len(d)
-    steps, E, cells = _forms(rank)
     prefixes = combinations(range(k - 2), rank - 2)
-    for first in prefixes:
-        # no later prefix ends before first[0] + rank - 3: a row holds at most m entries
-        m = k - 1 - (first[0] + rank - 2 if first else 0)
-        chunk = [first, *islice(prefixes, max(0, CHUNK_CELLS // (m * m + cells) - 1))]
-        P = np.array(chunk, dtype=np.intp)
-        b0 = min([p[-1] for p in chunk if p], default=-1) + 1
-        # the minors of one vector are its coordinates; of none, the empty minor 1
-        w = d[P[:, 0]] if rank > 2 else _EMPTY
-        for j, (src, col, s) in enumerate(steps, 1):
-            w = (w[:, src] * d[P[:, j]][:, col] * s).sum(axis=-1)
-        form = (w @ E).reshape(-1, rank, rank)
-        rows = max(1, CHUNK_CELLS // (k - 1 - b0))
-        for bs in range(b0, k - 1, rows):
-            block = (d[bs : min(bs + rows, k - 1)] @ form) @ d[bs + 1 :].T
-            yield (i, P, bs), np.abs(block, out=block)
+    while group := list(islice(prefixes, max(1, CHUNK_CELLS // (rank * rank)))):
+        G = np.array(group, dtype=np.intp)
+        forms = _form(d, G, rank)
+        s = 0
+        while s < len(group):
+            # no later prefix ends before group[s][0] + rank - 3: a row holds at most m entries
+            m = k - 1 - (group[s][0] + rank - 2 if group[s] else 0)
+            e = min(len(group), s + max(1, CHUNK_CELLS // (m * m + rank * rank)))
+            b0 = min([p[-1] for p in group[s:e] if p], default=-1) + 1
+            rows = max(1, CHUNK_CELLS // (k - 1 - b0))
+            for bs in range(b0, k - 1, rows):
+                block = (d[bs : min(bs + rows, k - 1)] @ forms[s:e]) @ d[bs + 1 :].T
+                yield (i, G[s:e], bs), np.abs(block, out=block)
+            s = e
 
 
 def _blocks(pts: np.ndarray, rank: int) -> Iterator[tuple[tuple[int, np.ndarray, int], np.ndarray]]:
@@ -231,31 +240,32 @@ def _witness_np(pts: np.ndarray, rank: int, targets: list[int]) -> dict[int, tup
 # exact Python path (any rank, no overflow ceiling)
 
 def base0_rows(points: Sequence[tuple[int, ...]], rank: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Yield ``(prefix, row)`` of base 0 in lexicographic order, the wedge tables
-    admitted first: ``row[t]``, the |det| of ``prefix + (prefix[-1] + 1 + t,)``, is the
-    prefix's cofactor vector dotted with p_c - p_0, so the rows hold every r x r minor
-    of the differences once; depth first, each prefix one wedge step on."""
-    _admit_wedge(len(points), rank)
-    levels = _wedge(rank)
+    """Yield ``(prefix, row)`` of base 0 in lexicographic order, depth first, each prefix one
+    ``eliminate`` step on from its parent's: ``row[t]``, the |det| of ``prefix + (prefix[-1]
+    + 1 + t,)``, is its cofactor vector dotted with p_c - p_0."""
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     d = [tuple(x - y for x, y in zip(q, points[0])) for q in points[1:]]
     cols = list(zip(*d))
 
-    def rows(prefix: tuple[int, ...], w) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    def row(nxt: int, cofactor: list[int]) -> list[int]:  # one coordinate column at a time
+        (c, col), *rest = [(c, col[nxt:]) for c, col in zip(cofactor, cols)]
+        out = [c * x for x in col]
+        for c, col in rest:
+            out = [u + c * x for u, x in zip(out, col)]
+        return list(map(abs, out))
+
+    def rows(prefix: tuple[int, ...], pivot: int, forms: Optional[list[list[int]]]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         j, nxt = len(prefix) - 1, prefix[-1]  # vectors in the prefix, index of the next one
-        if j == rank - 1:
-            # the cofactor s * w[a] of coordinate t times that column of the later differences
-            (c, col), *rest = [(s * w[a], cols[t][nxt:]) for a, t, s in levels[j][0]]
-            row = [c * x for x in col]
-            for c, col in rest:
-                row = [u + c * x for u, x in zip(row, col)]
-            yield prefix, list(map(abs, row))
-            return
         for b in range(nxt, len(d) - rank + 1 + j):
-            v = d[b]  # the minors of one vector are its coordinates
-            yield from rows((*prefix, 1 + b), v if j == 0 else [sum(s * w[a] * v[t] for a, t, s in terms) for terms in levels[j]])
+            _, p, X = eliminate(pivot, forms, d[b])
+            if j + 2 < rank:
+                yield from rows((*prefix, 1 + b), p, X)
+            else:
+                yield (*prefix, 1 + b), row(b + 1, X[0])
 
     if len(points) > rank:
-        yield from rows((0,), (1,))
+        yield from rows((0,), 1, None) if rank > 1 else [((0,), row(0, [1]))]
 
 
 def _distinct_py(points: Sequence[tuple[int, ...]], rank: int, limit: Optional[int]) -> set[int]:

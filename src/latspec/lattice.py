@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from .kernels import eliminate
+
 Matrix = list[list[int]]
 
 
@@ -109,30 +111,16 @@ def mat_columns(M: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 
 def det_exact(M) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Intermediate entries are minors of the input, so growth stays polynomial
-    while every division is exact.
-    """
+    """Exact determinant by fraction-free (Bareiss) elimination, ``kernels.eliminate`` on
+    one row at a time: intermediates are minors of the input, and divisions exact."""
     A = _to_matrix(M)
-    n = len(A)
-    if len(A[0]) != n:
+    if len(A[0]) != len(A):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            A[k], A[pivot] = A[pivot], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    flips, pivot, forms = 0, 1, None
+    for row in A:
+        k, pivot, forms = eliminate(pivot, forms, row)
+        flips += k
+    return -pivot if flips & 1 else pivot
 
 
 def simplex_det(vertices: Sequence) -> int:

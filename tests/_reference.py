@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from latspec.haystack import HaystackVerdict
-from latspec.lattice import SubLattice, as_coords, det_exact, is_primitive, solve_lower
+from latspec.lattice import SubLattice, as_coords, is_primitive, solve_lower
 from latspec.systems import BoxUnion, FiniteSystem, KroneckerSystem, _symbol_kernel, box_grid
 from latspec.volume import PointSet
 
@@ -73,6 +73,27 @@ def birkhoff_annihilator_average(
     return Fraction(total, n * sys_.size)
 
 
+def bareiss_det(M) -> int:
+    """det(M) by Bareiss elimination on the matrix in place, swapping rows at a
+    zero pivot: a route that shares no code with ``lattice.det_exact``."""
+    A = [[int(x) for x in row] for row in M]
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
 def bareiss_haystack_verdict(vectors: Sequence, r: int) -> HaystackVerdict:
     """``verify_haystack_sample`` by one Bareiss determinant per r-subset of
     the distinct vectors, in ``combinations`` order."""
@@ -81,6 +102,34 @@ def bareiss_haystack_verdict(vectors: Sequence, r: int) -> HaystackVerdict:
         if not is_primitive(c):
             return HaystackVerdict(ok=False, non_primitive=c)
     for subset in combinations(seen, r):
-        if det_exact(subset) == 0:
+        if bareiss_det(subset) == 0:
             return HaystackVerdict(ok=False, singular_subset=subset)
     return HaystackVerdict(ok=True)
+
+
+def wedge_rows(points: Sequence[tuple[int, ...]], rank: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """``kernels.base0_rows`` by the wedge recurrence: a prefix of j vectors holds all
+    C(r, j) of its j x j minors, each from its parent's by Laplace expansion along
+    the next vector (r * 2^(r-1) terms in all), and the last level's minors are the
+    cofactor vector."""
+    index = [{J: a for a, J in enumerate(combinations(range(rank), j))} for j in range(rank)]
+    # levels[j]: for each (j+1)-subset J, the terms (a, t, s) of its minor sum(s * w[a] * v[t])
+    levels = [
+        [[(index[j][J[:p] + J[p + 1 :]], t, (-1) ** (j + p)) for p, t in enumerate(J)] for J in combinations(range(rank), j + 1)]
+        for j in range(rank)
+    ]
+    d = [tuple(x - y for x, y in zip(q, points[0])) for q in points[1:]]
+    out = []
+
+    def walk(prefix: tuple[int, ...], w) -> None:
+        j, nxt = len(prefix) - 1, prefix[-1]
+        if j == rank - 1:
+            out.append((prefix, [abs(sum(s * w[a] * v[t] for a, t, s in levels[j][0])) for v in d[nxt:]]))
+            return
+        for b in range(nxt, len(d) - rank + 1 + j):
+            v = d[b]
+            walk((*prefix, 1 + b), [sum(s * w[a] * v[t] for a, t, s in terms) for terms in levels[j]])
+
+    if len(points) > rank:
+        walk((0,), [1])
+    return out

@@ -10,11 +10,13 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _reference import bareiss_det
 import latspec
 from latspec import cli, kernels
 from latspec.cli import main, parse_fraction, ser_fraction
@@ -742,10 +744,6 @@ _LIMITS = {
         "haystack-verify", {"rank": 2, "multipliers": [2, 3], "count": 10**6},
         "r-subsets of the sample, C(1000000, 2) = 499999500000, over the limit of 1000000",
     ),
-    "wedge-haystack": (
-        "haystack-verify", {"rank": 14, "vectors": np.eye(14, dtype=int).tolist()},
-        "terms of the rank-14 wedge recurrence, r * 2^(r-1) = 114688, over the limit of 100000",
-    ),
     "haystack-count": (
         "intersect", {"system": _FOUR, "set_b": _ORIGIN, "p": 2, "probes": [[[1, 0]]], "haystack": {"count": 2001}},
         "haystack count = 2001, over the limit of 2000",
@@ -814,6 +812,16 @@ def test_every_limit_is_refused_in_one_limit_line(tmp_path, capsys, name):
     experiment, cfg, line = _LIMITS[name]
     err = _refused_in_one_line(tmp_path, capsys, {"experiment": experiment, **cfg}, "limit:")
     assert err == f"limit: {line}\n"
+
+
+def test_a_few_points_of_rank_14_get_their_spectrum(tmp_path):
+    # the origin, the unit vectors and their sum: 16 simplices, scanned exactly
+    points = [[0] * 14, *np.eye(14, dtype=int).tolist(), [1] * 14]
+    cfg = write_cfg(tmp_path, "r14.json", {"experiment": "volume-spectrum", "rank": 14, "window": 1, "set": {"kind": "explicit", "points": points}})
+    out = tmp_path / "r14_report.json"
+    assert run_cli(["volume-spectrum", "--config", cfg, "--out", out]) == 0
+    dets = {abs(bareiss_det([[q[k] - s[0][k] for k in range(14)] for q in s[1:]])) for s in combinations(sorted(map(tuple, points)), 15)}
+    assert json.loads(out.read_text())["results"]["spectrum"] == sorted(dets - {0})
 
 
 def test_digits_are_counted_from_the_bit_length():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import bareiss_haystack_verdict
-from latspec.haystack import MULTIPLIERS, make_haystack, verify_haystack_sample
+from latspec.haystack import MULTIPLIERS, HaystackVerdict, make_haystack, verify_haystack_sample
 from latspec.lattice import det_exact
 
 
@@ -58,7 +58,7 @@ def test_verdict_examples():
     assert collinear.singular_subset == ((1, 0), (-1, 0))
     vacuous = verify_haystack_sample([(1, 0)], 2)
     assert vacuous.ok
-    # fewer distinct vectors than the rank have no r-subset to scan, even past the wedge tables
+    # fewer distinct vectors than the rank have no r-subset to scan
     assert verify_haystack_sample([tuple(int(i == j) for j in range(14)) for i in range(13)], 14).ok
 
 
@@ -152,3 +152,17 @@ def test_verdicts_equal_the_bareiss_reference(r):
         outcomes["ok" if got.ok else "non_primitive" if got.non_primitive else "singular_subset"] += 1
     # every verdict is reached at every rank but 1, where a singular subset is a zero vector
     assert all(outcomes[k] for k in outcomes if r > 1 or k != "singular_subset"), outcomes
+
+
+@pytest.mark.parametrize("r, count", [(14, 16), (16, 18)])
+def test_samples_of_rank_14_and_up_get_the_bareiss_verdicts(r, count):
+    # a haystack prefix is nonsingular (any r elements give +-det(beta) times a
+    # generalized Vandermonde determinant, positive for increasing multipliers)
+    primes = [p for p in range(2, 60) if all(p % q for q in range(2, p))][:r]
+    hs = make_haystack(None, primes, count)
+    assert verify_haystack_sample(hs, r) == bareiss_haystack_verdict(hs, r) == HaystackVerdict(ok=True)
+    # a primitive vector in the span of four members makes r-subsets singular
+    planted = _primitive([hs[1][i] + hs[3][i] - 2 * hs[9][i] + 3 * hs[15][i] for i in range(r)])
+    sample = [*hs[:7], planted, *hs[7:]]
+    got = verify_haystack_sample(sample, r)
+    assert got == bareiss_haystack_verdict(sample, r) and not got.ok and planted in got.singular_subset

@@ -121,8 +121,10 @@ def _lattice_imports(tree: ast.Module) -> list[int]:
 
 
 def test_the_kernels_import_nothing_from_lattice():
-    # every scan takes its determinants from its own cofactor rows: per-subset
-    # Bareiss (lattice.simplex_det) stays with the witness checks and the tests
+    # every scan takes its determinants from its own cofactor rows, and
+    # lattice.det_exact imports the elimination step from the kernels, not the
+    # other way round; per-subset determinants (lattice.simplex_det) stay with
+    # the witness checks and the tests
     assert not _lattice_imports(_trees()["kernels.py"])
     planted = ["from .lattice import simplex_det", "from . import lattice", "import latspec.lattice", "from latspec.lattice import det_exact"]
     assert all(_lattice_imports(ast.parse(line)) == [1] for line in planted)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from _reference import bareiss_det, wedge_rows
 from latspec import kernels
 from latspec.config import LimitError
 from latspec.lattice import det_exact
@@ -175,11 +176,14 @@ def test_square_blocks_match_the_python_path(monkeypatch, rank):
 
 def _bareiss_per_subset(pts, rank):
     """``(subset, |det|)`` for every (rank+1)-subset in lexicographic order,
-    one difference matrix and one Bareiss elimination per subset."""
+    one difference matrix per subset: ``det_exact``, which runs the kernels'
+    elimination step, checked against the reference's in-place Bareiss loop."""
     for idx in combinations(range(len(pts)), rank + 1):
         base = pts[idx[0]]
         rows = [[pts[j][k] - base[k] for j in idx[1:]] for k in range(rank)]
-        yield idx, abs(det_exact(rows))
+        det = det_exact(rows)
+        assert det == bareiss_det(rows), rows
+        yield idx, abs(det)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -210,6 +214,66 @@ def test_exact_path_matches_bareiss_per_subset(rank):
         targets = spectrum + [top + 1]
         want_witnesses = {v: first[v] for v in spectrum}
         assert kernels._witness_py(pts, rank, targets) == want_witnesses, name
+
+
+@st.composite
+def _row_inputs(draw):
+    """``(rank, points, small)``: points at ranks 1-8, small or past 2^64, with
+    maybe a repeated point, the zero vector and a point planted in the affine
+    span of rank - 1 others; ``small`` when the int64 scan can take them."""
+    rank = draw(st.integers(1, 8))
+    small = draw(st.booleans())
+    coord = st.integers(-3, 3) if small else st.integers(-(1 << 70), 1 << 70)
+    pts = draw(st.lists(st.tuples(*[coord] * rank), min_size=rank, max_size=rank + 4))
+    if draw(st.booleans()):
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.sampled_from(pts)))
+    if draw(st.booleans()):
+        pts.insert(draw(st.integers(0, len(pts))), (0,) * rank)
+    if rank > 1 and draw(st.booleans()):
+        base, *others = draw(st.permutations(pts))[:rank]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=rank - 1, max_size=rank - 1))
+        planted = tuple(b + sum(c * (o[k] - b) for c, o in zip(coeffs, others)) for k, b in enumerate(base))
+        if not small or max(map(abs, planted)) <= 30:
+            pts.insert(draw(st.integers(0, len(pts))), planted)
+    return rank, pts, small
+
+
+@given(_row_inputs())
+@example((3, [(0, 0, 0), (1, 2, 3), (0, 0, 0), (2, 4, 6), (1 << 66, 1, 1), (5, -7, 1 << 65)], False))
+@example((4, [(1, 1, 1, 1), (1, 1, 1, 1), (0, 1, 2, 3), (2, 1, 0, 1), (1, 0, 1, 0), (3, 2, 1, 0)], True))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_rows_and_blocks_equal_the_wedge_reference(case):
+    rank, pts, small = case
+    for i in range(len(pts) - rank):
+        want = wedge_rows(pts[i:], rank)
+        assert list(kernels.base0_rows(pts[i:], rank)) == want, i
+        if small and 2 <= rank <= 6:
+            # chunks may split differently from the rows: compare the values
+            blocks = kernels._base(kernels._int64_points(pts), rank, i)
+            assert {v for _, m in blocks for v in m.ravel().tolist()} - {0} == {v for _, row in want for v in row} - {0}, i
+
+
+def test_a_rank5_set_past_the_product_clause_scans_on_the_exact_path(monkeypatch):
+    # the elimination multiplies two minors of r - 2 rows, so det_bound(c, 3)^2
+    # must stay below 2^62 at rank 5: it does to c = 355 and fails from c = 356,
+    # where det_bound(c, 5) and the table still admit the int64 scan; the answers
+    # are those the int64 scan gave before the clause
+    base = [(0, 0, 1, 1, 1), (0, 1, 1, 0, 1), (0, 1, 1, 1, 0), (1, 0, 1, 0, 1), (1, 0, 1, 1, 0), (1, 0, 1, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1)]
+    for far, int64 in ((710, True), (711, False)):
+        pts = base + [(far, 1, 0, 1, 0)]
+        spreads = kernels._spreads(pts)
+        top = kernels._simplex_bound(spreads, 5)
+        c = (max(spreads) + 1) // 2
+        assert c == (355 if int64 else 356) and kernels.det_bound(c, 5) < 1 << 62 and top <= kernels.TABLE_LIMIT
+        assert kernels._int64_ok(spreads, 5, top) == int64
+        spectrum = [1, far - 2, far - 1, far]
+        witnesses = {1: (0, 1, 2, 3, 5, 6), far - 2: (0, 1, 2, 3, 6, 8), far - 1: (0, 2, 3, 6, 7, 8), far: (2, 3, 5, 6, 7, 8)}
+        with monkeypatch.context() as m:
+            m.setenv("LATSPEC_KERNELS", "numpy")
+            for name in ("_distinct_py", "_witness_py") if int64 else ("_distinct_np", "_witness_np"):
+                m.setattr(kernels, name, _refuse)
+            assert sorted(kernels.distinct_abs_dets(pts, 5)) == spectrum, far
+            assert kernels.find_det_witnesses(pts, 5, spectrum + [top + 1]) == witnesses, far
 
 
 def test_rank2_blocks_across_chunk_boundaries_match_the_python_path(monkeypatch):
@@ -360,6 +424,8 @@ def test_rank_below_one_is_refused_before_the_scan(monkeypatch):
                 kernels.distinct_abs_dets(pts, rank)
             with pytest.raises(ValueError, match=f"rank must be at least 1, got {rank}"):
                 kernels.find_det_witnesses(pts, rank, [1])
+            with pytest.raises(ValueError, match=f"rank must be at least 1, got {rank}"):
+                list(kernels.base0_rows(pts, rank))
 
 
 @st.composite
