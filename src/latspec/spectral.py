@@ -8,9 +8,10 @@ its sums are integer Ramanujan sums.  The measure is these orbit tables,
 built once per (system, set), and every check reads the tables of the
 measure it is handed.  Every mass a theorem is checked against is computed
 by the exact rational coset formulas and cross-checked against those orbit
-sums.  Kronecker systems get truncated atom lists with
-certified interval weights and an exact Parseval tail bound; interval-valued
-verdicts are flagged as estimates, never promoted.  Every mass is an
+sums.  Kronecker systems get a truncated measure, a ``SpectralMeasure`` of
+atoms with certified interval weights and an exact Parseval tail bound, and
+so does the irrational part of any measure; interval-valued verdicts are
+flagged as estimates, never promoted.  Every mass and every saturation is an
 ``intervals.Weight``, exact or an enclosure; an atom's character is a label
 only, the dual label of a finite character or the frequency k of a torus
 one, and whether k annihilates a direction is read from the system's integer
@@ -84,7 +85,9 @@ class SpectralMeasure:
     sigma_B / mu(B)^2: a normalized figure is one division of a raw mass by
     ``trivial``.  A finite system's measure is a ``FiniteSpectralMeasure``,
     read through the same six names, with a tail of exactly zero; the type
-    of ``system`` tells the two apart.
+    of ``system`` tells the two apart.  The irrational part of either is a
+    ``SpectralMeasure`` too (``irrational_part``): its nontrivial atoms and
+    tail, ``total`` their mass and ``trivial`` 0.
     """
 
     system: object
@@ -370,20 +373,28 @@ def _annihilated(sys_: KroneckerSystem, atoms: Sequence[Atom], lam) -> Weight:
     return acc
 
 
+def _with_tail(mass: Weight, tail: Weight) -> Weight:
+    """mass with any share of the tail, anywhere in [0, tail.upper]: exact
+    only when mass is and the tail is 0."""
+    return Weight(mass.lower, mass.upper + tail.upper, mass.exact and tail.upper == 0)
+
+
 def annihilator_mass(sigma: SpectralMeasure | FiniteSpectralMeasure, lam) -> Weight:
     """Raw mass sigma_B of the characters with xi(lam) = 1.
 
     Divide by ``sigma.trivial.value`` for the normalized mass.  lam = 0
-    returns the total mass (every character annihilates 0).  Finite
-    systems give an exact rational, computed by the coset formula and
-    cross-checked against the traces of the annihilating orbits; Kronecker
-    systems give a certified interval including the tail.
+    returns the total mass (every character annihilates 0).  A
+    ``FiniteSpectralMeasure`` gives an exact rational, computed by the coset
+    formula and cross-checked against the traces of the annihilating orbits.
+    A truncated measure gives its annihilated atoms and its tail, exact only
+    when every such atom is and the tail is 0; one with no atoms, such as the
+    irrational part of a finite measure, annihilates none.
     """
     c = as_coords(lam)
     if all(x == 0 for x in c):
         return sigma.total
-    sys_ = sigma.system
-    if isinstance(sys_, FiniteSystem):
+    if isinstance(sigma, FiniteSpectralMeasure):
+        sys_ = sigma.system
         g = sys_.phi(c)
         value = _cyclic_coset_mass(sys_, sigma.base_set, g)
         # independent atom route: the traces of the orbits trivial on g
@@ -391,10 +402,8 @@ def annihilator_mass(sigma: SpectralMeasure | FiniteSpectralMeasure, lam) -> Wei
         if Fraction(int(sigma.sums[on_g, 0].sum()), sys_.size**2) != value:
             raise AssertionError("coset formula disagrees with atom sum")
         return Weight.of(value)
-    acc = _annihilated(sys_, sigma.atoms, c)
-    # the annihilating share of the tail is anywhere in [0, tail.upper]
-    acc = Weight(acc.lower, acc.upper + sigma.tail.upper, False)
-    return acc.clamp(Fraction(0), sigma.total.upper)
+    hit = _annihilated(sigma.system, sigma.atoms, c) if sigma.atoms else ZERO_WEIGHT
+    return _with_tail(hit, sigma.tail).clamp(Fraction(0), sigma.total.upper)
 
 
 def _kron_rational_annihilator_exact(sys_: KroneckerSystem, b: BoxUnion, lam) -> Fraction:
@@ -597,23 +606,10 @@ def small_intersection_bound(
     )
 
 
-@dataclass(frozen=True)
-class IrrationalPart:
-    """The certified-irrational part of a spectral measure, at its raw scale."""
-
-    system: object
-    atoms: tuple[Atom, ...]
-    tail: Weight
-    total: Weight
-
-    def annihilator_mass(self, lam) -> Weight:
-        acc = _annihilated(self.system, self.atoms, lam) if self.atoms else ZERO_WEIGHT
-        acc = Weight(acc.lower, acc.upper + self.tail.upper, self.tail.upper == 0 and acc.exact)
-        return acc.clamp(Fraction(0), self.total.upper)
-
-
-def irrational_part(sigma: SpectralMeasure | FiniteSpectralMeasure) -> IrrationalPart:
-    """Split off the part of sigma supported outside the rational spectrum.
+def irrational_part(sigma: SpectralMeasure | FiniteSpectralMeasure) -> SpectralMeasure:
+    """The part of sigma supported outside the rational spectrum, at its raw
+    scale: a ``SpectralMeasure`` of the same system and set, with trivial
+    mass 0.
 
     No rational mass hides in a Kronecker tail: the measure exists only for
     ergodic systems, where only k = 0 pairs rationally.  Finite systems have
@@ -621,14 +617,16 @@ def irrational_part(sigma: SpectralMeasure | FiniteSpectralMeasure) -> Irrationa
     zero measure.
     """
     if isinstance(sigma.system, FiniteSystem):
-        return IrrationalPart(system=sigma.system, atoms=(), tail=ZERO_WEIGHT, total=ZERO_WEIGHT)
-    atoms = tuple(a for a in sigma.atoms if any(a.character))
-    mass = sum((a.weight for a in atoms), ZERO_WEIGHT)
-    return IrrationalPart(
+        atoms, tail = (), ZERO_WEIGHT
+    else:
+        atoms, tail = tuple(a for a in sigma.atoms if any(a.character)), sigma.tail
+    return SpectralMeasure(
         system=sigma.system,
+        base_set=sigma.base_set,
         atoms=atoms,
-        tail=sigma.tail,
-        total=Weight(mass.lower, mass.upper + sigma.tail.upper, mass.exact and sigma.tail.upper == 0),
+        tail=tail,
+        total=_with_tail(sum((a.weight for a in atoms), ZERO_WEIGHT), tail),
+        trivial=ZERO_WEIGHT,
     )
 
 
@@ -640,21 +638,21 @@ class HaystackSearchResult:
 
 
 def haystack_annihilator_search(
-    tau: IrrationalPart,
+    tau: SpectralMeasure,
     sample: Sequence,
     delta: Fraction,
-    rank: int,
 ) -> HaystackSearchResult:
     """First sample element lam with tau(annihilator of lam) < delta.
 
-    The scan length rank * tau(total) / delta suffices for a haystack sample,
-    so a certified miss within it is a hard failure; an uncertifiable miss
-    (interval straddles delta) asks for a finer truncation instead.
+    The scan length rank * tau(total) / delta, at the rank of tau's system,
+    suffices for a haystack sample, so a certified miss within it is a hard
+    failure; an uncertifiable miss (interval straddles delta) asks for a
+    finer truncation instead.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    required = ceil(Fraction(rank) * tau.total.upper / delta)
+    required = ceil(Fraction(tau.system.rank) * tau.total.upper / delta)
     if len(sample) < max(required, 1):
         raise ValueError(
             f"sample too short: need at least {max(required, 1)} haystack elements"
@@ -662,7 +660,7 @@ def haystack_annihilator_search(
     straddle = False
     for i, lam in enumerate(sample):
         c = as_coords(lam)
-        mass = tau.annihilator_mass(c)
+        mass = annihilator_mass(tau, c)
         if mass.upper < delta:
             return HaystackSearchResult(lam=c, index=i, mass=mass)
         if mass.lower < delta:
@@ -740,8 +738,7 @@ def directional_expansion_theorem_check(
         )
     hi = (1 - (1 + eps_o) * (1 - eps)) / (1 - eps)
     delta = hi / 2
-    tau = irrational_part(sigma)
-    hit = haystack_annihilator_search(tau, sample, delta * t, sigma.system.rank)
+    hit = haystack_annihilator_search(irrational_part(sigma), sample, delta * t)
     if all(x == 0 for x in hit.lam):
         raise ValueError("direction must be nonzero")
     check = _expansion_bound(sigma, hit.lam, sspec)

@@ -20,7 +20,8 @@ denominator, so every character and direction identity is integer
 arithmetic in the declared-symbol model.  A rational direction moves the
 torus on a grid 1/q * Z^dim, the finite carrier (Z/q)^dim, where box
 overlaps and rational orbits are shifts and windows and Lebesgue measures
-stay exact.
+stay exact.  A torus saturation is an ``intervals.Weight``: exact along a
+rational direction, the enclosure [mu(B), 1] along any other.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 
 from .config import admit, product as capped_product
 from .formal import FormalReal
+from .intervals import Weight
 from .lattice import (
     SubLattice,
     as_coords,
@@ -653,20 +655,6 @@ def kronecker_system(
     return sys_
 
 
-@dataclass(frozen=True)
-class KroneckerSaturation:
-    """Orbit-saturation answer for a torus direction.
-
-    Exact only when the direction's frequency vector is fully rational (the
-    orbit is then finite); otherwise ``lower`` is the trivial certified
-    bound mu(B) and callers should sharpen it with the spectral bound.
-    """
-
-    lower: Fraction
-    upper: Fraction
-    exact: bool
-
-
 #: most cells q^dim of the rational grid 1/q * Z^dim on which box overlaps
 #: and rational orbits are counted, checked before any array is built
 GRID_LIMIT = 10**6
@@ -691,14 +679,19 @@ def box_grid(b: BoxUnion, shift: Sequence[Fraction]) -> tuple[FiniteSystem, np.n
     return grid, cells.reshape(-1), _flat(shape, (x * q for x in shift))
 
 
-def kronecker_orbit_saturation(sys_: KroneckerSystem, b: BoxUnion, lam) -> KroneckerSaturation:
+def kronecker_orbit_saturation(sys_: KroneckerSystem, b: BoxUnion, lam) -> Weight:
+    """mu of the orbit of b along a torus direction, as a ``Weight``.
+
+    Exact only when the direction's frequency vector is fully rational (the
+    orbit is then finite); otherwise the enclosure [mu(B), 1], whose lower
+    end callers sharpen with the spectral bound.
+    """
     shift = sys_.rational_shift(lam)
     if b.dim != sys_.dim:
         raise ValueError("set dimension mismatch")
     if shift is None:
-        return KroneckerSaturation(lower=b.volume(), upper=Fraction(1), exact=False)
+        return Weight(b.volume(), Fraction(1), False)
     grid, cells, g = box_grid(b, shift)
     # the orbit of b is the union of the cosets of <g> that b meets
     orbit = grid.window(cells, g, grid.size, np.logical_or)
-    vol = Fraction(int(np.count_nonzero(orbit)), grid.size)
-    return KroneckerSaturation(lower=vol, upper=vol, exact=True)
+    return Weight.of(Fraction(int(np.count_nonzero(orbit)), grid.size))

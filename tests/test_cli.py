@@ -247,6 +247,14 @@ def test_kronecker_spectral_report_cli(tmp_path):
     mass = report["results"]["annihilator_masses"]["[0, 1]"]
     assert mass["exact"] is False
     assert mass["lower"] <= 0.5 <= mass["upper"]
+    # a set covering the torus leaves a tail of exactly 0 and exact atoms, so
+    # every annihilator mass prints as the exact mu(B)^2 = 1
+    whole = json.loads(cfg.read_text())
+    whole.update(set_b={"kind": "boxes", "boxes": [[["0", "1"]]]}, trunc=4, annihilator_lambdas=[[1, 0], [0, 1], [2, -1]])
+    cfg.write_text(json.dumps(whole))
+    assert run_cli(["spectral-report", "--config", cfg, "--out", out]) == 0
+    masses = json.loads(out.read_text())["results"]["annihilator_masses"]
+    assert masses == {lam: {"num": "1", "den": "1"} for lam in ("[1, 0]", "[0, 1]", "[2, -1]")}
 
 
 def test_decompose_cli(tmp_path):

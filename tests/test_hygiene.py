@@ -11,8 +11,9 @@ length refusals out of the CLI, in the shapes of ``config.array``, and a
 tenth keeps in the package only what a run of the CLI reaches, besides a
 few names allowed with their reasons, and an eleventh keeps in each class
 only fields and methods something reads, with no exceptions, a twelfth
-keeps ``lattice`` out of the determinant scans, and a thirteenth keeps a
-``cached_property`` from shadowing a dataclass field.  Run this file to print
+keeps ``lattice`` out of the determinant scans, a thirteenth keeps a
+``cached_property`` from shadowing a dataclass field, and a fourteenth keeps
+one record per tuple of field names.  Run this file to print
 what a run reaches, the allowed names and anything unreached or unread.
 """
 
@@ -454,6 +455,51 @@ def test_no_cached_property_shadows_a_dataclass_field():
     )
     trees["volume.py"].body += planted.body
     assert shadowed_fields(trees) == ["volume.py:8 PlantedLazy.atoms", "volume.py:17 PlantedOwn.weights"]
+
+
+def _is(node: ast.expr, name: str) -> bool:
+    """Whether node is ``name``, bare or as ``module.name``."""
+    return isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
+
+
+def record_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, ...]]:
+    """``module:line Name`` -> the field names, in order, of every dataclass
+    and NamedTuple of the package, the functional ``NamedTuple(name, fields)`` too."""
+    out = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and (_decorated(node, "dataclass") or any(_is(b, "NamedTuple") for b in node.bases)):
+                fields = [n.target.id for n in node.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+                out[f"{name}:{node.lineno} {node.name}"] = tuple(fields)
+            elif isinstance(node, ast.Call) and _is(node.func, "NamedTuple") and len(node.args) == 2:
+                fields = [pair.elts[0].value for pair in node.args[1].elts]
+                out[f"{name}:{node.lineno} {node.args[0].value}"] = tuple(fields)
+    return out
+
+
+def shared_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """Every group of records with one tuple of field names, joined by ``=``."""
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for record, fields in record_fields(trees).items():
+        groups.setdefault(fields, []).append(record)
+    return sorted(" = ".join(records) for records in groups.values() if len(records) > 1)
+
+
+def test_no_two_records_have_the_same_fields():
+    # a concept has one record: a second with the same fields is the same
+    # concept under another name, as a saturation interval once was a Weight
+    trees = _trees()
+    assert len(record_fields(trees)) > 20 and not shared_fields(trees)
+    # a dataclass and a functional NamedTuple with one tuple of fields are
+    # found; the same names in another order, or on a plain class, are not
+    planted = ast.parse(
+        "@dataclass(frozen=True)\nclass PlantedPoint:\n    x: int\n    y: int\n\n\n"
+        "PlantedPair = typing.NamedTuple(\"PlantedPair\", [(\"x\", int), (\"y\", int)])\n\n\n"
+        "class PlantedSwapped(NamedTuple):\n    y: int\n    x: int\n\n\n"
+        "class PlantedPlain:\n    x: int\n    y: int\n"
+    )
+    trees["volume.py"].body += planted.body
+    assert shared_fields(trees) == ["volume.py:2 PlantedPoint = volume.py:7 PlantedPair"]
 
 
 if __name__ == "__main__":

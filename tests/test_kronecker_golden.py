@@ -27,6 +27,7 @@ from latspec.spectral import (
     ProbeWitness,
     ShrinkResult,
     _expansion_bound,
+    annihilator_mass,
     directional_expansion_theorem_check,
     expansion_bound_check,
     irrational_part,
@@ -37,7 +38,6 @@ from latspec.systems import (
     BoxUnion,
     ComponentPresentation,
     FiniteSystem,
-    KroneckerSaturation,
     kronecker_ergodicity_certificate,
     kronecker_orbit_saturation,
     kronecker_system,
@@ -150,7 +150,6 @@ PINS = {
     IntersectionWitness: ("n", "lam", "m1", "probes", "measure", "eps", "eps_o", "shrink"),
     ProbeWitness: ("probe", "ms"),
     Weight: ("lower", "upper", "exact"),
-    KroneckerSaturation: ("lower", "upper", "exact"),
     ExpansionCheck: ("bound", "measured", "ok", "applicable", "estimate", "note"),
     DirectionalExpansionResult: ("status", "rational_mass", "lam", "measured", "bound", "delta", "estimate", "note"),
 }
@@ -330,7 +329,7 @@ def _rational_and_irrational_masses():
             tau = irrational_part(sigma)
             out.append(
                 [rational_mass_excluding_trivial(sigma), tau.total, len(tau.atoms)]
-                + [tau.annihilator_mass(lam) for lam in DIRECTIONS[s.rank]]
+                + [annihilator_mass(tau, lam) for lam in DIRECTIONS[s.rank]]
             )
     return out
 
@@ -366,7 +365,7 @@ def test_a_record_type_without_pins_cannot_be_pinned(monkeypatch):
 
 
 def test_a_pin_on_a_field_the_record_lacks_names_it(monkeypatch):
-    # KroneckerSaturation lost its unread note
-    monkeypatch.setitem(PINS, KroneckerSaturation, ("lower", "upper", "exact", "note"))
-    with pytest.raises(TypeError, match=r"^cannot pin KroneckerSaturation: no field note$"):
+    # a saturation is a Weight, which has no note
+    monkeypatch.setitem(PINS, Weight, ("lower", "upper", "exact", "note"))
+    with pytest.raises(TypeError, match=r"^cannot pin Weight: no field note$"):
         _canon(_saturations())

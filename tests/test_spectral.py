@@ -24,7 +24,6 @@ from latspec import cyclotomic, spectral, systems
 from latspec.cli import _RUNNERS, read_config, ser_weight
 from latspec.spectral import (
     Atom,
-    IrrationalPart,
     Weight,
     ZERO_WEIGHT,
     annihilator_mass,
@@ -627,32 +626,35 @@ def test_small_intersection_randomized_against_oracle():
 
 def test_haystack_search_single_irrational_atom():
     a = FormalReal.sym("alpha")
-    tau = IrrationalPart(
+    tau = SpectralMeasure(
         system=kronecker_system(2, 1, [[a, FormalReal.of(0)]]),
+        base_set=None,
         # one atom of weight 1 at xi(lam) = e(alpha * lam_1)
         atoms=(Atom(character=(1,), weight=Weight.of(1)),),
         tail=ZERO_WEIGHT,
         total=Weight.of(1),
+        trivial=ZERO_WEIGHT,
     )
-    hit = haystack_annihilator_search(tau, HAYSTACK, Fraction(1, 2), 2)
+    hit = haystack_annihilator_search(tau, HAYSTACK, Fraction(1, 2))
     assert hit.lam == (2, 3) and hit.index == 0
     assert hit.mass.upper < Fraction(1, 2)
 
 
 def test_haystack_search_zero_measure():
-    tau = IrrationalPart(
-        system=None, atoms=(), tail=ZERO_WEIGHT, total=ZERO_WEIGHT
-    )
-    hit = haystack_annihilator_search(tau, HAYSTACK, Fraction(1, 100), 2)
-    assert hit.index == 0
+    # the irrational part of a finite measure: no atoms, so no annihilated mass
+    sys_ = finite_system_from_parts(2, (5,), [(1,), (2,)])
+    tau = irrational_part(spectral_measure(sys_, {0, 1}))
+    assert tau == SpectralMeasure(sys_, frozenset({0, 1}), (), ZERO_WEIGHT, ZERO_WEIGHT, ZERO_WEIGHT)
+    hit = haystack_annihilator_search(tau, HAYSTACK, Fraction(1, 100))
+    assert hit.index == 0 and hit.mass == ZERO_WEIGHT
 
 
 def test_haystack_search_sample_too_short():
-    tau = IrrationalPart(
-        system=None, atoms=(), tail=ZERO_WEIGHT, total=Weight.of(10)
-    )
-    with pytest.raises(ValueError, match="sample too short"):
-        haystack_annihilator_search(tau, HAYSTACK[:2], Fraction(1, 10), 2)
+    # the scan length reads the rank, 2, of the measure's system
+    sys_ = finite_system_from_parts(2, (5,), [(1,), (2,)])
+    tau = SpectralMeasure(sys_, frozenset({0}), (), ZERO_WEIGHT, Weight.of(10), ZERO_WEIGHT)
+    with pytest.raises(ValueError, match="sample too short: need at least 200 haystack elements"):
+        haystack_annihilator_search(tau, HAYSTACK[:2], Fraction(1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -1079,6 +1081,16 @@ def test_kronecker_annihilator_nesting():
     assert prev.upper - prev.lower < Fraction(1, 100)
 
 
+def test_a_zero_tail_makes_the_annihilator_mass_exact():
+    # B covers the torus: every nonzero atom is an exact 0 and the Parseval
+    # tail is 0, so the mass along any direction is exactly mu(B)^2 = 1
+    ks = kronecker_system(2, 1, [[FormalReal.sym("alpha"), Fraction(1, 3)]])
+    sigma = spectral_measure_kronecker(ks, BoxUnion.of([(Fraction(0), Fraction(1))]), 4)
+    assert sigma.tail.upper == 0
+    for lam in ((1, 0), (0, 1), (2, -1), (0, 3)):
+        assert annihilator_mass(sigma, lam) == Weight.of(1)
+
+
 # ---------------------------------------------------------------------------
 # raw scale against the rescaled measure
 
@@ -1109,7 +1121,7 @@ def _rescaled_pipeline(tilde, eps_o, eps, sample):
     if ratmass.upper > eps_o or eps >= 1:
         return ratmass, None, None
     delta = (1 - (1 + eps_o) * (1 - eps)) / (1 - eps) / 2
-    hit = haystack_annihilator_search(irrational_part(tilde), sample, delta, tilde.system.rank)
+    hit = haystack_annihilator_search(irrational_part(tilde), sample, delta)
     return ratmass, delta, hit.lam
 
 

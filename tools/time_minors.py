@@ -1,4 +1,5 @@
-"""Time the exact and int64 minor scans: haystack samples and determinant spectra.
+"""Time the exact and int64 minor scans, haystack samples and determinant
+spectra, and the cold import of the package.
 
     python3 tools/time_minors.py [--src DIR]
 
@@ -13,17 +14,28 @@ verdict, which must read ok, or the spectrum's size and CRC-32, which must
 agree across backends and checkouts.  A refused input prints its ``limit:``
 line instead.  ``--src`` (default: ``src`` next to this script) is put first
 on the import path, so the same script times another checkout of the package.
-These are single-process ``perf_counter`` timings, not numbers of the
-benchmark harness.
+
+The third table times imports, each run in a fresh interpreter that reports
+the ``perf_counter`` time of one import statement: ``import numpy`` alone,
+then ``import latspec.cli`` from a temporary copy of ``--src`` once numpy is
+imported, so that the rows add up to the whole import; first with no
+bytecode under ``PYTHONDONTWRITEBYTECODE=1``, as a fresh checkout imports
+it, then once the copy is compiled.  A row gives the fastest and the median
+of ``REPEAT`` runs.
+These are ``perf_counter`` timings, not numbers of the benchmark harness.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import os
 import platform
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import zlib
 from math import comb
@@ -56,6 +68,34 @@ def timed(run) -> str:
             return f"limit: {exc} | | |"
         times.append(1e3 * (time.perf_counter() - start))
     return f"{min(times):.2f} | {statistics.median(times):.2f} | {answer} |"
+
+
+def import_ms(statement: str, path: str, bytecode: bool, before: str = "") -> str:
+    """The fastest and median of ``REPEAT`` timings of one import statement,
+    each in a fresh interpreter with ``path`` on its import path that runs
+    ``before`` untimed, as table cells."""
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if not bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    code = f"{before}\nimport time\nstart = time.perf_counter()\n{statement}\nprint(time.perf_counter() - start)"
+    times = [
+        1e3 * float(subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout)
+        for _ in range(REPEAT)
+    ]
+    return f"{min(times):.1f} | {statistics.median(times):.1f} |"
+
+
+def cold_imports(src: str) -> None:
+    print("| import | package bytecode | fastest ms | median ms |")
+    print("|---|---|---|---|")
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = os.path.join(tmp, "src")
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        print("| numpy | — | " + import_ms("import numpy", copy, False))
+        print("| latspec.cli after numpy | none | " + import_ms("import latspec.cli", copy, False, "import numpy"))
+        compileall.compile_dir(copy, quiet=1)
+        print("| latspec.cli after numpy | compiled | " + import_ms("import latspec.cli", copy, True, "import numpy"))
 
 
 def main() -> None:
@@ -91,6 +131,8 @@ def main() -> None:
                 return f"{len(values)}, {zlib.crc32(repr(values).encode()):08x}"
 
             print(f"| {r} | {count} | {backend} | " + timed(spectrum))
+    print()
+    cold_imports(os.path.abspath(args.src))
 
 
 if __name__ == "__main__":
